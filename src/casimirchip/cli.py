@@ -61,9 +61,9 @@ def _add_numerics_args(parser):
     parser.add_argument("--rel-tol-quadrature", type=float, default=1e-8,
                         help="relative tolerance of the k-integration (dimensionless)")
     parser.add_argument("--max-terms", type=int, default=5_000_000,
-                        help="Matsubara term budget before a convergence error")
+                        help="explicit Matsubara term budget")
     parser.add_argument("--t-zero-nodes", type=int, default=200,
-                        help="frequency-integral nodes for the T = 0 branch")
+                        help="frequency-integral nodes (T = 0 and the Matsubara tail)")
 
 
 def _numerics(args):

@@ -183,7 +183,7 @@ def simulate_temperature_scan(geometry, cavity, calib, t_grid, theory,
     dp_base = theory.delta_pressure(gap, t_base, num)
     out = []
     for temp in t_grid:
-        dp = theory.delta_pressure(gap, temp, num)
+        dp = dp_base if temp == t_base else theory.delta_pressure(gap, temp, num)
         out.append((temp, _chain_shift(dp - dp_base, geometry, cavity)))
     return out
 

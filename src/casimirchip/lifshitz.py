@@ -10,12 +10,26 @@ term half weight.  At T = 0 the sum becomes (hbar / 2 pi^2) int dxi of the
 same k-integral.  Pressures are returned as positive-attractive
 magnitudes; differentials are signed.
 
-Numerics: the k-integral is substituted to y = 2 kappa_n a and evaluated
-by Gauss-Legendre quadrature on [2 xi_n a / c, 60] with node doubling
-until the requested relative tolerance is met (the integrand carries
-e^{-y}, so the y = 60 cutoff is below double precision).  Matsubara terms
-are evaluated vectorized in chunks of ascending n; summation order is
-fixed, so results are bit-stable regardless of how callers parallelize.
+Numerics: the k-integral J(xi) is substituted to y = 2 kappa a and
+evaluated by Gauss-Legendre quadrature on [2 xi a / c, 60] with node
+doubling until the requested relative tolerance is met (the integrand
+carries e^{-y}, so the y = 60 cutoff is below double precision).
+
+With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
+Drude/plasma non-analyticity near it and are summed explicitly.  The rest
+is replaced by its Euler-Maclaurin form
+
+    sum_{n>N} f(n) = (1/xi_1) int_{(N+1/2) xi_1}^inf J dxi + f'(N+1/2)/24 + R_N
+
+with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done by
+Gauss-Legendre in ln(xi) up to 60 c / 2a, where J vanishes under the y
+cutoff.  The result is P(2N); |P(N) - P(2N)| is its two-sided truncation
+estimate, and N doubles from 64 while that exceeds the series tolerance
+and still shrinks.  Where no term below the y cutoff lies beyond 2N, the
+plain sum is exact.  T = 0, and any T whose explicit terms all lie below
+the grid's lower end 1e-9 c / 2a, is the case with no explicit terms.  The
+cost does not grow as T falls, and the evaluation order is fixed, so
+results are bit-stable regardless of how callers parallelize.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -41,13 +55,10 @@ from .materials import (
 
 # e^{-60} ~ 9e-27: the neglected y-tail is far below double precision.
 _Y_CUT = 60.0
-# Below this temperature the discrete Matsubara spectrum is so dense that
-# the sum is replaced by the T = 0 frequency integral.
-_T_ZERO_CROSSOVER = 1e-3
 _GL_ORDER_START = 32
-_GL_ORDER_MAX = 768
-_CHUNK_START = 512
-_CHUNK_MAX = 32768
+_GL_ORDER_MAX = 1024
+# Matsubara terms summed explicitly before the Euler-Maclaurin tail.
+_N_EXPLICIT = 64
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,12 @@ DEFAULT_NUMERICS = LifshitzNumerics()
 class PressureResult:
     """A pressure value with its convergence metadata.
 
-    ``pressure`` is the attractive magnitude in Pa.  ``truncation_estimate``
-    bounds the neglected Matsubara tail; ``quadrature_estimate`` accumulates
-    the k-integration (and, at T = 0, frequency-integration) error
-    estimates.  Both are in Pa.
+    ``pressure`` is the attractive magnitude in Pa.  ``terms_used`` counts
+    the k-integral rows behind it: explicit Matsubara terms plus
+    frequency-integral nodes.  ``truncation_estimate`` is |P(N) - P(2N)|
+    for the Euler-Maclaurin tail, or at T = 0 the piece below the
+    frequency grid; ``quadrature_estimate`` accumulates the k-integration
+    and frequency-integration error estimates.  Both are in Pa.
     """
 
     pressure: float
@@ -230,117 +243,92 @@ def _validate_pressure_args(gap, temperature):
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     """Attractive Casimir pressure magnitude (Pa) between parallel plates.
 
-    Dispatches to the zero-temperature frequency integral below 1 mK and
-    to the Matsubara sum otherwise.  Raises ConvergenceError (carrying the
-    partial result) if the sum does not settle within
+    Sums the Matsubara terms n <= N explicitly and replaces the rest by the
+    frequency integral of the same k-integral (see the module docstring);
+    at T = 0 there are no explicit terms.  Raises ConvergenceError (carrying
+    the partial result) if the explicit terms exceed
     ``num.max_matsubara_terms``.
     """
     _validate_pressure_args(gap, temperature)
-    if temperature < _T_ZERO_CROSSOVER:
-        return _pressure_t_zero(gap, temperature, mat_a, mat_b, num)
-    return _pressure_matsubara(gap, temperature, mat_a, mat_b, num)
-
-
-def _pressure_matsubara(gap, temperature, mat_a, mat_b, num):
-    pref = K_B * temperature / math.pi
+    args = (gap, temperature, mat_a, mat_b, num)
+    nodes = num.t_zero_nodes
+    # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
+    pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
-    # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
-    n_ceiling = int(_Y_CUT * C / (2.0 * gap * xi_1)) + 2
+    # Lower end of the log grid.  J is flat below it, so the piece under it
+    # is xi_min J(xi_min), counted in full as its truncation error.
+    xi_min = 1e-9 * C / (2.0 * gap)
+    f = err = np.zeros(0)
 
-    term0, err0 = _k_integrals_adaptive(mat_a, mat_b, 0.0, gap, temperature, num)
-    total = 0.5 * float(term0[0])
-    quad_err = 0.5 * float(err0[0])
-
-    tol = num.rel_tol_series
-    n_next = 1
-    chunk = _CHUNK_START
-    # Last two n >= 1 terms, carried across chunk boundaries for the
-    # three-in-a-row stopping test (seeded so the test needs real terms).
-    hist = np.array([math.inf, math.inf])
-    while n_next <= n_ceiling:
-        if n_next > num.max_matsubara_terms:
-            partial = PressureResult(pref * total, n_next, math.inf, pref * quad_err)
+    def extend(count):
+        # Terms n < count, the n = 0 term at half weight.
+        nonlocal f, err
+        hi = int(min(count, num.max_matsubara_terms))
+        ns = np.arange(len(f), hi, dtype=float)
+        new, new_err = _k_integrals_adaptive(mat_a, mat_b, ns * xi_1, gap, temperature, num)
+        if len(f) == 0:
+            new[0], new_err[0] = 0.5 * new[0], 0.5 * new_err[0]
+        f, err = np.concatenate((f, new)), np.concatenate((err, new_err))
+        if count > hi:
+            partial = PressureResult(pref * xi_1 * float(np.sum(f)), hi, math.inf,
+                                     pref * xi_1 * float(np.sum(err)))
             raise ConvergenceError(
-                f"Matsubara sum not converged after {n_next - 1} terms "
+                f"Matsubara sum needs more than {hi} explicit terms "
                 f"(T = {temperature} K, gap = {gap} m)",
                 partial=partial,
             )
-        hi = min(n_next + chunk - 1, n_ceiling, num.max_matsubara_terms)
-        ns = np.arange(n_next, hi + 1, dtype=float)
-        terms, errs = _k_integrals_adaptive(mat_a, mat_b, ns * xi_1, gap, temperature, num)
 
-        running = total + np.cumsum(terms)
-        ext = np.concatenate((hist, terms))
-        prev1 = ext[1:-1]
-        prev2 = ext[:-2]
-        bound = tol * running
-        triple_small = (
-            (np.abs(terms) < bound) & (np.abs(prev1) < bound) & (np.abs(prev2) < bound)
-        )
-        # Geometric tail bound from the measured decay ratio; the bare
-        # triplet rule alone truncates far too early when the spectrum is
-        # dense (millikelvin temperatures), violating the truncation
-        # invariant of PressureResult.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.where(np.abs(prev1) > 0.0, np.abs(terms) / np.abs(prev1), 0.0)
-            decaying = ratio < 1.0
-            tail = np.where(
-                decaying,
-                np.abs(terms) * ratio / np.maximum(1.0 - ratio, 1e-300),
-                math.inf,
-            )
-        stop = triple_small & decaying & (tail <= bound)
-        if np.any(stop):
-            i = int(np.argmax(stop))
-            total = float(running[i])
-            quad_err += float(np.sum(errs[: i + 1]))
-            terms_used = int(ns[i]) + 1  # counts n = 0 .. n_i
-            return PressureResult(
-                pref * total, terms_used, pref * float(tail[i]), pref * quad_err
-            )
+    def euler_maclaurin(n, grid):
+        # (value, k-integration error) of xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24]
+        # + int_{(n+1/2) xi_1} J dxi, the integral on ``grid`` nodes.
+        tail, tail_err = _log_grid_integral((n + 0.5) * xi_1, grid, args)
+        head = float(np.sum(f[: n + 1]) + (f[n + 1] - f[n]) / 24.0)
+        return xi_1 * head + tail, xi_1 * float(np.sum(err[: n + 2])) + tail_err
 
-        total = float(running[-1])
-        quad_err += float(np.sum(errs))
-        hist = terms[-2:] if len(terms) >= 2 else np.concatenate((hist[-1:], terms))
-        n_next = hi + 1
-        chunk = min(chunk * 2, _CHUNK_MAX)
-
-    # Every term beyond n_ceiling is exactly zero under the y cutoff.
-    return PressureResult(pref * total, n_ceiling + 1, 0.0, pref * quad_err)
+    if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
+        # T = 0, or so cold that every explicit term lies below xi_min.
+        low = xi_min * float(_k_integrals(mat_a, mat_b, xi_min, gap, temperature, 64)[0])
+        coarse, _ = _log_grid_integral(xi_min, nodes, args)
+        fine, quad_err = _log_grid_integral(xi_min, 2 * nodes, args)
+        return PressureResult(pref * (fine + low), 2 * nodes, pref * low,
+                              pref * (quad_err + abs(fine - coarse)))
+    # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
+    n_ceiling = _Y_CUT * C / (2.0 * gap) // xi_1 + 2
+    n = _N_EXPLICIT
+    extend(min(n_ceiling, 2 * n + 1) + 1)
+    if n_ceiling > 2 * n:
+        lower, _ = euler_maclaurin(n, 2 * nodes)
+    trunc = math.inf
+    while n_ceiling > 2 * n:
+        value, quad_err = euler_maclaurin(2 * n, 2 * nodes)
+        prev, trunc = trunc, abs(value - lower)
+        # Stop at the series tolerance, or where more explicit terms cannot
+        # help: the quadrature error dominates or the estimate stops shrinking.
+        if not (trunc > max(num.rel_tol_series * value, quad_err) and trunc < prev):
+            coarse, _ = euler_maclaurin(2 * n, nodes)
+            return PressureResult(pref * value, len(f) + 2 * nodes, pref * trunc,
+                                  pref * (quad_err + abs(value - coarse)))
+        n *= 2
+        lower = value
+        extend(min(n_ceiling, 2 * n + 1) + 1)
+    # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
+    return PressureResult(pref * xi_1 * float(np.sum(f)), len(f), 0.0,
+                          pref * xi_1 * float(np.sum(err)))
 
 
-def _pressure_t_zero(gap, temperature, mat_a, mat_b, num):
-    """T = 0 branch: (hbar / 2 pi^2) int_0^inf dxi of the k-integral.
+def _log_grid_integral(xi_lo, nodes, args):
+    """(int_{xi_lo}^inf J(xi) dxi, k-integration error) by Gauss-Legendre on u = ln(xi).
 
-    Gauss-Legendre on u = ln(xi) over [xi_c * 1e-9, xi_c * 60] with
-    xi_c = c / 2a; beyond the upper bound the k-integral vanishes under the
-    y cutoff, and the integrand decays like xi itself toward the lower
-    bound.  Outer-node doubling provides the error estimate.  Material
-    response is evaluated at the requested (sub-millikelvin) temperature.
+    J vanishes under the y cutoff beyond Y_CUT c / 2a, the upper end of the
+    grid.  Material response is evaluated at the requested temperature.
     """
-    xi_c = C / (2.0 * gap)
-    u_lo, u_hi = math.log(1e-9 * xi_c), math.log(_Y_CUT * xi_c)
-
-    def outer(nodes):
-        x, w = _leggauss(nodes)
-        u = u_lo + (x + 1.0) * 0.5 * (u_hi - u_lo)
-        xi = np.exp(u)
-        vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
-        half = 0.5 * (u_hi - u_lo)
-        return float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half)
-
-    nodes = num.t_zero_nodes
-    coarse, _ = outer(nodes)
-    fine, inner_err = outer(2 * nodes)
-    pref = HBAR / (2.0 * math.pi**2)
-    pressure = pref * fine
-    quad_err = pref * (abs(fine - coarse) + inner_err)
-    # Neglected low-frequency tail: the integrand is bounded by xi * J(xi_min)
-    # below the lower cutoff.
-    xi_min = 1e-9 * xi_c
-    j_min = float(_k_integrals(mat_a, mat_b, xi_min, gap, temperature, 64)[0])
-    trunc = pref * xi_min * j_min
-    return PressureResult(pressure, 2 * nodes, trunc, quad_err)
+    gap, temperature, mat_a, mat_b, num = args
+    u_lo, u_hi = math.log(xi_lo), math.log(_Y_CUT * C / (2.0 * gap))
+    x, w = _leggauss(nodes)
+    half = 0.5 * (u_hi - u_lo)
+    xi = np.exp(u_lo + (x + 1.0) * half)
+    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
+    return float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half)
 
 
 def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT_NUMERICS):

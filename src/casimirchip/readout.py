@@ -2,8 +2,8 @@
 optical-spring coupling extraction, and the minimum-detectable-pressure
 figure of merit.
 
-Sign convention (one constant, used consistently): a gap decrease lowers
-the cavity resonance frequency.  Only magnitudes enter the detectability
+Sign convention, used consistently: a gap decrease lowers the cavity
+resonance frequency.  Only magnitudes enter the detectability
 figures, but scan traces are signed.
 """
 
@@ -18,10 +18,6 @@ import numpy as np
 from .constants import C, HBAR
 from .errors import ConditioningError, DomainError
 from .mechanics import axial_tension
-
-#: Frequency change per unit (signed) gap change follows this sign: a gap
-#: decrease (negative delta) gives a negative frequency shift.
-GAP_DECREASE_LOWERS_FREQUENCY = True
 
 
 @dataclass(frozen=True)

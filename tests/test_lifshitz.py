@@ -179,10 +179,63 @@ def test_quadrature_estimate_bounds_tolerance_change():
 
 
 def test_sub_millikelvin_routes_to_integral_branch():
+    # Ideal plates: P(T) = P(0) [1 + t^4 / 3] with t = 2 a k_B T / (hbar c),
+    # here ~4e-8, so at 0.5 mK the pressure is the T = 0 closed form within
+    # the result's own error bars.
     num = LifshitzNumerics(t_zero_nodes=96)
     res = plate_pressure(100e-9, 5e-4, IDEAL, IDEAL, num)
-    assert res.terms_used == 2 * num.t_zero_nodes
-    assert res.pressure == pytest.approx(ideal_pressure_closed_form(100e-9), rel=1e-5)
+    exact = ideal_pressure_closed_form(100e-9)
+    assert abs(res.pressure - exact) <= res.truncation_estimate + res.quadrature_estimate
+    assert res.pressure == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("temp", [40.0, 60.0])
+def test_ideal_metal_low_temperature_correction(temp):
+    # Independent oracle for the Matsubara tail: for t = 2 a k_B T / (hbar c)
+    # well below 1, ideal plates follow P = P(0) [1 + t^4 / 3] up to terms
+    # exponentially small in 1 / t.  At 1 um these sums run to n ~ 200-300,
+    # so the frequency integral beyond n = 128 carries part of them.
+    a = 1e-6
+    res = plate_pressure(a, temp, IDEAL, IDEAL)
+    t = 2 * a * sc.Boltzmann * temp / (sc.hbar * sc.c)
+    expected = ideal_pressure_closed_form(a) * (1 + t**4 / 3)
+    assert abs(res.pressure - expected) <= res.truncation_estimate + res.quadrature_estimate
+
+
+# Direct term-by-term Matsubara sums at relative tolerance 1e-11 in both the
+# series and the k-quadrature (up to 0.9M terms at 50 mK), which share
+# nothing with the frequency-integral tail.
+DIRECT_SUMS = [
+    (100e-9, 0.05, PLASMA, 6.714524816876449),
+    (100e-9, 0.9, TWOFLUID, 6.608679964369209),
+    (10e-9, 1.0, DRUDE, 13222.160450427396),
+    (2e-6, 4.0, PLASMA, 7.783510356915219e-05),
+    (1e-6, 300.0, DRUDE, 0.0010091634810870504),
+]
+
+
+@pytest.mark.parametrize("gap, temp, model, p_ref", DIRECT_SUMS)
+def test_error_bars_cover_direct_sum(gap, temp, model, p_ref):
+    # 1e-10 p_ref allows for the references' own precision.
+    res = plate_pressure(gap, temp, model, model)
+    bar = res.truncation_estimate + res.quadrature_estimate + 1e-10 * p_ref
+    assert abs(res.pressure - p_ref) <= bar
+
+
+@pytest.mark.parametrize("model", [PLASMA, DRUDE])
+def test_pressure_continuous_in_temperature_down_to_zero(model):
+    def assert_close(r1, r2):
+        bars = (r1.truncation_estimate + r1.quadrature_estimate
+                + r2.truncation_estimate + r2.quadrature_estimate)
+        assert abs(r1.pressure - r2.pressure) <= bars
+
+    below = plate_pressure(100e-9, 0.999e-3, model, model)
+    above = plate_pressure(100e-9, 1.001e-3, model, model)
+    assert_close(below, above)
+    zero = plate_pressure(100e-9, 0.0, model, model)
+    # 1e-8 K is cold enough for the no-explicit-term case, 2e-8 K is not.
+    for temp in (1e-3, 1e-5, 2e-8, 1e-8, 1e-12):
+        assert_close(plate_pressure(100e-9, temp, model, model), zero)
 
 
 def test_t_zero_node_doubling_converges():

@@ -15,10 +15,12 @@ import warnings
 
 from .config import (
     load_device_config,
+    load_sweep_settings,
     parse_length,
     parse_material_spec,
     parse_pressure,
     parse_temperature,
+    split_pair,
 )
 from .designer import (
     MaterialPairDifferential,
@@ -192,9 +194,7 @@ def _resolve_sweep(settings, materials):
 
 def _cmd_sweep(args):
     cfg = load_device_config(args.config)
-    settings = cfg.sweep
-    if args.spec:
-        settings = _sweep_only(args.spec)
+    settings = load_sweep_settings(args.spec, cfg.materials) if args.spec else cfg.sweep
     if settings is None:
         raise ConfigError(["config has no [sweep] section and no --spec was given"])
     spec = _resolve_sweep(settings, cfg.materials)
@@ -207,39 +207,6 @@ def _cmd_sweep(args):
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _sweep_only(path):
-    """Read just the [sweep] section of a spec file."""
-    import configparser
-
-    from .config import _SWEEP_SCHEMA, _parse_float_list, _parse_section, SweepSettings
-
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#",))
-    parser.optionxform = str
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError([f"cannot read sweep spec: {exc}"]) from None
-    problems = []
-    values = _parse_section(parser, "sweep", _SWEEP_SCHEMA, problems)
-    temps = _parse_float_list(values.get("temperatures_K", ""),
-                              "[sweep] temperatures_K", problems)
-    pair_names = []
-    for item in values.get("pairs", "").split(","):
-        item = item.strip()
-        if item:
-            a, sep, b = item.partition("/")
-            if not sep:
-                problems.append(f"[sweep] pairs: expected 'name/name', got {item!r}")
-                continue
-            pair_names.append((a.strip(), b.strip()))
-    if problems:
-        raise ConfigError(problems)
-    return SweepSettings(values["gap_min_nm"], values["gap_max_nm"],
-                         values["gap_step_nm"], temps, tuple(pair_names))
 
 
 def _parse_theory(text, cfg):
@@ -258,11 +225,8 @@ def _parse_theory(text, cfg):
         )
 
     def pair_of(part):
-        a, slash, b = part.partition("/")
-        if not slash:
-            raise CasimirChipError(f"material pair must be 'A/B', got {part!r}")
-        return (parse_material_spec(a, cfg.materials),
-                parse_material_spec(b, cfg.materials))
+        return tuple(parse_material_spec(name, cfg.materials)
+                     for name in split_pair(part))
 
     return MaterialPairDifferential(token, pair_of(pair_part), pair_of(ref_part))
 

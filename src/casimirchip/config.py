@@ -117,8 +117,17 @@ _SCHEMA = {
     },
 }
 
+# material kind -> (class, its parameter keys in constructor order); the
+# one table behind [material.NAME] sections and inline CLI specs alike
+_MATERIAL_KINDS = {
+    "ideal": (IdealMetal, ()),
+    "plasma": (Plasma, ("omega_p_eV",)),
+    "drude": (Drude, ("omega_p_eV", "gamma_meV")),
+    "superconductor": (SuperconductorTwoFluid, ("omega_p_eV", "gamma_meV", "tc_K")),
+}
+
 _MATERIAL_SCHEMA = {
-    "model": (_text({"ideal", "plasma", "drude", "superconductor"}), True),
+    "model": (_text(set(_MATERIAL_KINDS)), True),
     "omega_p_eV": (_num("eV"), False),
     "gamma_meV": (_num("meV"), False),
     "tc_K": (_num("K"), False),
@@ -160,32 +169,20 @@ class DeviceConfig:
     annotations: dict = field(default_factory=dict)
 
 
-def _build_material(name, values, problems):
-    model = values.get("model")
-    where = f"[material.{name}]"
-
-    def need(key):
-        if key not in values:
-            problems.append(f"{where}: model '{model}' requires {key}")
-            return None
-        return values[key]
-
-    if model == "ideal":
-        return IdealMetal()
-    if model == "plasma":
-        omega_p = need("omega_p_eV")
-        return Plasma(omega_p) if omega_p is not None else None
-    if model == "drude":
-        omega_p, gamma = need("omega_p_eV"), need("gamma_meV")
-        if None in (omega_p, gamma):
-            return None
-        return Drude(omega_p, gamma)
-    if model == "superconductor":
-        omega_p, gamma, t_c = need("omega_p_eV"), need("gamma_meV"), need("tc_K")
-        if None in (omega_p, gamma, t_c):
-            return None
-        return SuperconductorTwoFluid(omega_p, gamma, t_c)
-    return None
+def _build_material(kind, values, where):
+    """Material of ``kind`` from converted parameter values; raises
+    ConfigError naming every missing, extra or out-of-domain parameter."""
+    cls, keys = _MATERIAL_KINDS[kind]
+    problems = [f"{where}: model '{kind}' requires {key}"
+                for key in keys if key not in values]
+    problems += [f"{where}: model '{kind}' does not take {key}"
+                 for key in values if key not in keys]
+    if problems:
+        raise ConfigError(problems)
+    try:
+        return cls(*(values[key] for key in keys))
+    except DomainError as exc:
+        raise ConfigError([f"{where}: {exc}"]) from None
 
 
 def _parse_section(parser, section, schema, problems):
@@ -213,22 +210,55 @@ def _parse_section(parser, section, schema, problems):
     return values
 
 
-def _parse_float_list(text, where, problems):
-    out = []
-    for item in text.split(","):
+def split_pair(text):
+    """('A', 'B') from an 'A/B' material pair; raises DomainError otherwise."""
+    a, slash, b = text.partition("/")
+    if not slash:
+        raise DomainError(f"material pair must be 'A/B', got {text.strip()!r}")
+    return a.strip(), b.strip()
+
+
+def _parse_sweep(parser, defined, problems):
+    """SweepSettings from the [sweep] section, or None when a gap key is
+    missing; every problem found is appended to ``problems``.  Pair names
+    other than 'ideal' must be in ``defined``."""
+    sv = _parse_section(parser, "sweep", _SWEEP_SCHEMA, problems)
+    for key in ("temperatures_K", "pairs"):
+        if key in sv and not sv[key].strip(" ,"):
+            problems.append(f"[sweep] {key}: the list is empty")
+    temps = []
+    for item in sv.get("temperatures_K", "").split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            out.append(float(item))
+            temps.append(float(item))
         except ValueError:
-            problems.append(f"{where}: expected a comma-separated number list, got {item!r}")
-    return tuple(out)
+            problems.append("[sweep] temperatures_K: expected a comma-separated "
+                            f"number list, got {item!r}")
+    pair_names = []
+    for item in sv.get("pairs", "").split(","):
+        if not item.strip():
+            continue
+        try:
+            pair_names.append(split_pair(item))
+        except DomainError as exc:
+            problems.append(f"[sweep] pairs: {exc}")
+    undefined = dict.fromkeys(name for pair in pair_names for name in pair
+                              if name != "ideal" and name not in defined)
+    for name in undefined:
+        problems.append(f"[sweep] pairs: material '{name}' is not defined")
+    if not all(k in sv for k in ("gap_min_nm", "gap_max_nm", "gap_step_nm")):
+        return None
+    return SweepSettings(
+        gap_min=sv["gap_min_nm"], gap_max=sv["gap_max_nm"],
+        gap_step=sv["gap_step_nm"], temperatures=tuple(temps),
+        pair_names=tuple(pair_names),
+    )
 
 
-def load_device_config(path):
-    """Parse and assemble a device config file; raises ConfigError with
-    every problem found."""
+def _read_config(path):
+    """INI parser holding ``path``; unreadable or malformed files raise ConfigError."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",), strict=True
     )
@@ -240,6 +270,26 @@ def load_device_config(path):
         raise ConfigError([f"cannot read config: {exc}"]) from None
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from None
+    return parser
+
+
+def load_sweep_settings(path, materials):
+    """The [sweep] section of a config file, checked as ``load_device_config``
+    checks it, with pair names looked up in ``materials`` (e.g. the loaded
+    device config's); raises ConfigError with every problem found.  Other
+    sections are not read."""
+    parser = _read_config(path)
+    problems = []
+    sweep = _parse_sweep(parser, materials, problems)
+    if problems:
+        raise ConfigError(problems)
+    return sweep
+
+
+def load_device_config(path):
+    """Parse and assemble a device config file; raises ConfigError with
+    every problem found."""
+    parser = _read_config(path)
 
     problems = []
     known = set(_SCHEMA) | {"sweep", "signals"}
@@ -251,41 +301,24 @@ def load_device_config(path):
     values = {s: _parse_section(parser, s, _SCHEMA[s], problems) for s in _SCHEMA}
 
     materials = {}
-    for section in parser.sections():
-        if not section.startswith("material."):
-            continue
-        name = section[len("material."):]
+    material_names = [s[len("material."):] for s in parser.sections()
+                      if s.startswith("material.")]
+    for name in material_names:
+        section = f"material.{name}"
         mat_values = _parse_section(parser, section, _MATERIAL_SCHEMA, problems)
-        if "model" in mat_values:
-            built = _build_material(name, mat_values, problems)
-            if built is not None:
-                materials[name] = built
+        kind = mat_values.pop("model", None)
+        if kind is None:
+            continue
+        try:
+            materials[name] = _build_material(kind, mat_values, f"[{section}]")
+        except ConfigError as exc:
+            problems.extend(exc.problems)
 
     sweep = None
     if parser.has_section("sweep"):
-        sv = _parse_section(parser, "sweep", _SWEEP_SCHEMA, problems)
-        temps = _parse_float_list(sv.get("temperatures_K", ""), "[sweep] temperatures_K",
-                                  problems)
-        pair_names = []
-        for item in sv.get("pairs", "").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "/" not in item:
-                problems.append(f"[sweep] pairs: expected 'name/name', got {item!r}")
-                continue
-            a, _, b = item.partition("/")
-            pair_names.append((a.strip(), b.strip()))
-        for a, b in pair_names:
-            for name in (a, b):
-                if name != "ideal" and name not in materials:
-                    problems.append(f"[sweep] pairs: material '{name}' is not defined")
-        if all(k in sv for k in ("gap_min_nm", "gap_max_nm", "gap_step_nm")):
-            sweep = SweepSettings(
-                gap_min=sv["gap_min_nm"], gap_max=sv["gap_max_nm"],
-                gap_step=sv["gap_step_nm"], temperatures=temps,
-                pair_names=tuple(pair_names),
-            )
+        # a section that failed to build still counts as defined: its own
+        # problems are reported already
+        sweep = _parse_sweep(parser, material_names, problems)
 
     signals = []
     if parser.has_section("signals"):
@@ -446,23 +479,17 @@ def parse_material_spec(text, materials=None):
             f"unknown material {token!r} (config materials: {known}; or use an "
             "inline spec like 'drude:omega_p_eV=12,gamma_meV=50')"
         )
-    params = {}
-    for item in body.split(","):
-        key, eq, val = item.strip().partition("=")
-        if not eq:
-            raise DomainError(f"bad material parameter {item!r} in {text!r}")
-        if key not in ("omega_p_eV", "gamma_meV", "tc_K"):
-            raise DomainError(f"unknown material parameter {key!r} in {text!r}")
-        params[key] = float(val) * _UNIT_FACTORS[key.rsplit("_", 1)[-1]]
+    if kind not in _MATERIAL_KINDS:
+        raise DomainError(f"unknown material kind {kind!r} in {text!r}")
+    values = {}
     try:
-        if kind == "plasma":
-            return Plasma(params["omega_p_eV"])
-        if kind == "drude":
-            return Drude(params["omega_p_eV"], params["gamma_meV"])
-        if kind == "superconductor":
-            return SuperconductorTwoFluid(
-                params["omega_p_eV"], params["gamma_meV"], params["tc_K"]
-            )
-    except KeyError as exc:
-        raise DomainError(f"material spec {text!r} is missing {exc}") from None
-    raise DomainError(f"unknown material kind {kind!r} in {text!r}")
+        for item in body.split(","):
+            key, eq, val = item.strip().partition("=")
+            if not eq:
+                raise DomainError(f"bad material parameter {item!r} in {text!r}")
+            if key == "model" or key not in _MATERIAL_SCHEMA:
+                raise DomainError(f"unknown material parameter {key!r} in {text!r}")
+            values[key] = _MATERIAL_SCHEMA[key][0](val, f"material spec {text!r} {key}")
+        return _build_material(kind, values, f"material spec {text!r}")
+    except ConfigError as exc:
+        raise DomainError("; ".join(exc.problems)) from None

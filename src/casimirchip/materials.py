@@ -6,10 +6,15 @@ variant:
 
 * ``IdealMetal``      -- perfectly reflecting at all frequencies; handled via
   its exact reflection limits, never via a finite permittivity.
-* ``Plasma``          -- eps(i xi) = 1 + omega_p^2 / xi^2 (dissipationless).
-* ``Drude``           -- eps(i xi) = 1 + omega_p^2 / (xi (xi + gamma)).
-* ``SuperconductorTwoFluid`` -- Gorter-Casimir mixture: a superfluid
-  fraction f_s(T) responds plasma-like, the rest Drude-like.
+* ``Plasma``, ``Drude`` and ``SuperconductorTwoFluid`` -- one free-electron
+  response with plasma frequency omega_p, relaxation rate gamma and a
+  superfluid fraction f_s that responds without dissipation:
+
+      eps(i xi) = 1 + f_s omega_p^2 / xi^2 + (1 - f_s) omega_p^2 / (xi (xi + gamma)),
+
+  with f_s = 1 for plasma, 0 for Drude and the Gorter-Casimir
+  1 - (T/T_c)^4 for the two-fluid superconductor.  The zero-frequency TE
+  reflection keeps the superfluid weight f_s omega_p^2 only.
 
 On the imaginary axis eps is real and >= 1 for all of these, so no complex
 arithmetic is needed anywhere in the pressure engine.
@@ -24,6 +29,17 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
+
+
+def _check_parameters(model):
+    """omega_p and t_c finite and > 0, gamma finite and >= 0 (where present)."""
+    for name, low_ok in (("omega_p", False), ("gamma", True), ("t_c", False)):
+        value = getattr(model, name, None)
+        if value is None:
+            continue
+        if not (math.isfinite(value) and (value >= 0.0 if low_ok else value > 0.0)):
+            bound = ">=" if low_ok else ">"
+            raise DomainError(f"{name} must be finite and {bound} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +58,7 @@ class Plasma:
     omega_p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
-            raise DomainError(f"omega_p must be finite and > 0, got {self.omega_p!r}")
+        _check_parameters(self)
 
     @property
     def label(self):
@@ -58,10 +73,7 @@ class Drude:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
-            raise DomainError(f"omega_p must be finite and > 0, got {self.omega_p!r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        _check_parameters(self)
 
     @property
     def label(self):
@@ -81,12 +93,7 @@ class SuperconductorTwoFluid:
     t_c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
-            raise DomainError(f"omega_p must be finite and > 0, got {self.omega_p!r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not (math.isfinite(self.t_c) and self.t_c > 0.0):
-            raise DomainError(f"t_c must be finite and > 0, got {self.t_c!r}")
+        _check_parameters(self)
 
     @property
     def label(self):
@@ -111,6 +118,23 @@ def superfluid_fraction(temperature, t_c):
     return 1.0 - (temperature / t_c) ** 4
 
 
+def _free_electron(model, temperature):
+    """(omega_p, gamma, f_s) of a free-electron model at ``temperature``."""
+    if isinstance(model, Plasma):
+        return model.omega_p, 0.0, 1.0
+    if isinstance(model, Drude):
+        return model.omega_p, model.gamma, 0.0
+    if isinstance(model, SuperconductorTwoFluid):
+        if temperature is None:
+            raise DomainError("the two-fluid response requires a temperature")
+        return model.omega_p, model.gamma, superfluid_fraction(temperature, model.t_c)
+    if isinstance(model, IdealMetal):
+        raise TypeError(
+            "IdealMetal has no finite permittivity; use its exact reflection limits"
+        )
+    raise TypeError(f"unknown material model: {model!r}")
+
+
 def eps_imag_freq(model, xi, temperature=None):
     """Permittivity eps(i xi) of ``model`` at imaginary frequency xi (rad/s).
 
@@ -120,31 +144,21 @@ def eps_imag_freq(model, xi, temperature=None):
     two-fluid model and ignored otherwise.  Accepts scalars or numpy arrays
     of xi.
     """
-    if isinstance(model, IdealMetal):
-        raise TypeError(
-            "IdealMetal has no finite permittivity; use its exact reflection limits"
-        )
+    omega_p, gamma, f_s = _free_electron(model, temperature)
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi_arr)) or np.any(xi_arr <= 0.0):
         raise DomainError(
             "xi must be finite and > 0; the zero-frequency term must use the "
             "analytic limit path"
         )
-    if isinstance(model, Plasma):
-        out = 1.0 + (model.omega_p / xi_arr) ** 2
-    elif isinstance(model, Drude):
-        out = 1.0 + model.omega_p**2 / (xi_arr * (xi_arr + model.gamma))
-    elif isinstance(model, SuperconductorTwoFluid):
-        if temperature is None:
-            raise DomainError("two-fluid permittivity requires a temperature")
-        f_s = superfluid_fraction(temperature, model.t_c)
-        out = (
-            1.0
-            + f_s * (model.omega_p / xi_arr) ** 2
-            + (1.0 - f_s) * model.omega_p**2 / (xi_arr * (xi_arr + model.gamma))
-        )
-    else:
-        raise TypeError(f"unknown material model: {model!r}")
+    # A term of weight exactly 0 is skipped, so plasma (f_s = 1) and Drude
+    # (f_s = 0) each evaluate one term; a weight of exactly 1 leaves bits as
+    # they are, so both give exactly their one-term formulas.
+    out = 1.0
+    if f_s > 0.0:
+        out = out + f_s * (omega_p / xi_arr) ** 2
+    if f_s < 1.0:
+        out = out + ((1.0 - f_s) * omega_p**2) / (xi_arr * (xi_arr + gamma))
     if np.ndim(xi) == 0:
         return float(out)
     return out
@@ -153,19 +167,10 @@ def eps_imag_freq(model, xi, temperature=None):
 def zero_frequency_plasma_weight(model, temperature=None):
     """Effective omega_p^2 governing the TE reflection at exactly zero frequency.
 
-    Plasma keeps its full spectral weight, Drude loses all of it (the TE
-    zero mode vanishes), and the two-fluid superconductor keeps the
-    superfluid share f_s(T) omega_p^2.  IdealMetal is handled by its exact
-    limits and is rejected here.
+    Only the superfluid share f_s omega_p^2 survives: all of it for plasma,
+    none for Drude (the TE zero mode vanishes), f_s(T) of it for the
+    two-fluid superconductor.  IdealMetal is handled by its exact limits and
+    is rejected here.
     """
-    if isinstance(model, Plasma):
-        return model.omega_p**2
-    if isinstance(model, Drude):
-        return 0.0
-    if isinstance(model, SuperconductorTwoFluid):
-        if temperature is None:
-            raise DomainError("two-fluid zero-frequency limit requires a temperature")
-        return superfluid_fraction(temperature, model.t_c) * model.omega_p**2
-    if isinstance(model, IdealMetal):
-        raise TypeError("IdealMetal is handled via its exact reflection limits")
-    raise TypeError(f"unknown material model: {model!r}")
+    omega_p, _, f_s = _free_electron(model, temperature)
+    return f_s * omega_p**2

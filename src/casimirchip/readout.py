@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import C, HBAR
 from .errors import ConditioningError, DomainError
-from .mechanics import axial_tension
+from .mechanics import pressure_to_gap_change
 
 
 @dataclass(frozen=True)
@@ -235,21 +235,16 @@ def fit_gom(spring_dataset, fixed):
 def min_detectable_pressure(geometry, cavity, calib):
     """Pressure floor of the full chain, inverted from the minimum shift.
 
-    min shift -> gap change (/ g_om) -> per-beam deflection (/2) -> line
-    load (string compliance of the centered metal segment) -> pressure
-    (/ plate height).
+    min shift -> gap change (/ g_om) -> pressure, by inverting the forward
+    chain ``pressure_to_gap_change``, which is exactly linear in pressure;
+    the per-beam deflection is half the gap change and the line load is the
+    pressure times the plate height.
     """
     gap_change = 2.0 * math.pi * calib.min_resolvable_shift / cavity.g_om
-    deflection = 0.5 * gap_change
-    tension = axial_tension(geometry.film_stress, geometry)
-    length = geometry.effective_length
-    c = geometry.metal_segment_length
-    # Midpoint compliance of the centered span: delta = (q c / 8 S)(2 L - c).
-    q = deflection * 8.0 * tension / (c * (2.0 * length - c))
-    pressure = q / geometry.plate_height
+    pressure = gap_change / pressure_to_gap_change(1.0, geometry)
     return PressureFloor(
         pressure=pressure,
         gap_change=gap_change,
-        per_beam_deflection=deflection,
-        line_load=q,
+        per_beam_deflection=0.5 * gap_change,
+        line_load=pressure * geometry.plate_height,
     )

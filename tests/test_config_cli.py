@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,39 @@ def test_parse_material_specs():
         parse_material_spec("unobtainium", cfg.materials)
     with pytest.raises(DomainError):
         parse_material_spec("drude:omega_p_eV=12")  # gamma missing
+
+
+def test_material_section_domain_error_is_collected(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text()
+                   .replace("model = plasma\nomega_p_eV = 12.0",
+                            "model = plasma\nomega_p_eV = -12")
+                   .replace("gap_nm = 100", "gap_nm = x"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(str(bad))
+    problems = excinfo.value.problems
+    assert any(p.startswith("[material.al_plasma]: omega_p") for p in problems)
+    assert any("gap_nm" in p for p in problems)
+    # the failed material is reported once, not again as undefined in [sweep]
+    assert not any("not defined" in p for p in problems)
+
+
+def test_inline_spec_bad_number_raises_domain_error():
+    with pytest.raises(DomainError, match="expected a number"):
+        parse_material_spec("drude:omega_p_eV=abc,gamma_meV=1")
+
+
+def test_material_rejects_key_its_kind_does_not_take(tmp_path):
+    with pytest.raises(DomainError, match="does not take tc_K"):
+        parse_material_spec("plasma:omega_p_eV=12,tc_K=1")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text().replace(
+        "model = plasma\nomega_p_eV = 12.0", "model = plasma\nomega_p_eV = 12.0\ntc_K = 1"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(str(bad))
+    assert excinfo.value.problems == [
+        "[material.al_plasma]: model 'plasma' does not take tc_K"
+    ]
 
 
 def test_quantity_parsers():
@@ -203,6 +237,51 @@ def test_cli_sweep_with_spec_file(capsys, tmp_path):
     # lossless numeric round trip at 17 significant digits
     for row in rows:
         assert float(row[3]) > 0
+
+
+SPEC_OK = ("[sweep]\ngap_min_nm = 100\ngap_max_nm = 120\ngap_step_nm = 10\n"
+           "temperatures_K = 1.3\npairs = al_drude/al_drude\n")
+
+
+@pytest.mark.parametrize("text", [
+    SPEC_OK + "gap_step_nm = 20\n",   # duplicate key
+    SPEC_OK + "[sweep]\n",            # duplicate section
+    "[sweep\n",                       # no section header
+], ids=["duplicate-key", "duplicate-section", "syntax"])
+def test_cli_sweep_malformed_spec_exits_two(capsys, tmp_path, text):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(text)
+    code, out, err = run_cli(capsys, "sweep", "--config", EXAMPLE, "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: config syntax:")
+
+
+def _sweep_via(how, tmp_path, **replace):
+    """argv running a sweep whose [sweep] keys are overridden, through the
+    device config itself or through a --spec file."""
+    text = SPEC_OK if how == "spec" else example_config_path().read_text()
+    for key, value in replace.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text)
+    if how == "spec":
+        return ["sweep", "--config", EXAMPLE, "--spec", str(path)]
+    return ["sweep", "--config", str(path)]
+
+
+@pytest.mark.parametrize("how", ["config", "spec"])
+def test_cli_sweep_undefined_pair_name_exits_two_once(capsys, tmp_path, how):
+    code, out, err = run_cli(capsys, *_sweep_via(how, tmp_path, pairs="nope/nope"))
+    assert code == 2 and out == ""
+    assert err == "config error: [sweep] pairs: material 'nope' is not defined\n"
+
+
+@pytest.mark.parametrize("how", ["config", "spec"])
+@pytest.mark.parametrize("key", ["temperatures_K", "pairs"])
+def test_cli_sweep_empty_list_exits_two(capsys, tmp_path, how, key):
+    code, out, err = run_cli(capsys, *_sweep_via(how, tmp_path, **{key: ""}))
+    assert code == 2 and out == ""
+    assert f"config error: [sweep] {key}: the list is empty" in err
 
 
 def test_cli_scan_grav_stub(capsys):

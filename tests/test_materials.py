@@ -10,6 +10,7 @@ from casimirchip import (
     eps_imag_freq,
     superfluid_fraction,
 )
+from casimirchip.materials import zero_frequency_plasma_weight
 
 OMEGA_P = 1.83e16  # rad/s, free-electron aluminum scale
 GAMMA = 7.6e13
@@ -61,6 +62,21 @@ def test_two_fluid_above_tc_equals_drude():
         assert eps_imag_freq(sc, xi, temperature=1.4) == pytest.approx(
             eps_imag_freq(dr, xi)
         )
+
+
+def test_two_fluid_is_exactly_plasma_at_zero_and_drude_from_tc():
+    t_c = 0.9
+    sc = SuperconductorTwoFluid(OMEGA_P, GAMMA, t_c)
+    xi = np.geomspace(1e9, 1e18, 37)
+    assert np.array_equal(eps_imag_freq(sc, xi, temperature=0.0),
+                          eps_imag_freq(Plasma(OMEGA_P), xi))
+    assert (zero_frequency_plasma_weight(sc, 0.0)
+            == zero_frequency_plasma_weight(Plasma(OMEGA_P)))
+    for temperature in (t_c, 1.5 * t_c):
+        assert np.array_equal(eps_imag_freq(sc, xi, temperature=temperature),
+                              eps_imag_freq(Drude(OMEGA_P, GAMMA), xi))
+        assert (zero_frequency_plasma_weight(sc, temperature)
+                == zero_frequency_plasma_weight(Drude(OMEGA_P, GAMMA)) == 0.0)
 
 
 def test_ordering_plasma_drude_vacuum():

@@ -15,7 +15,7 @@ import warnings
 
 from .config import (
     load_device_config,
-    load_sweep_settings,
+    load_sweep_spec,
     parse_length,
     parse_material_spec,
     parse_pressure,
@@ -25,7 +25,6 @@ from .config import (
 from .designer import (
     MaterialPairDifferential,
     StepPressureSignal,
-    SweepSpec,
     detectability_report,
     run_gap_sweep,
     simulate_temperature_scan,
@@ -39,9 +38,10 @@ from .film import (
     mean_free_path,
     penetration_depth,
 )
-from .lifshitz import LifshitzNumerics, plate_pressure
+from .lifshitz import DEFAULT_NUMERICS, BeamFaceGeometry, LifshitzNumerics, plate_pressure
 from .mechanics import derive_mechanics, pressure_to_gap_change
 from .readout import (
+    Q_MISMATCH_WARN,
     gap_change_to_frequency_shift,
     min_detectable_pressure,
     pdh_voltage,
@@ -58,13 +58,17 @@ def _add_config_arg(parser, required):
 
 
 def _add_numerics_args(parser):
-    parser.add_argument("--rel-tol-series", type=float, default=1e-6,
+    parser.add_argument("--rel-tol-series", type=float,
+                        default=DEFAULT_NUMERICS.rel_tol_series,
                         help="relative tolerance of the Matsubara sum (dimensionless)")
-    parser.add_argument("--rel-tol-quadrature", type=float, default=1e-8,
+    parser.add_argument("--rel-tol-quadrature", type=float,
+                        default=DEFAULT_NUMERICS.rel_tol_quadrature,
                         help="relative tolerance of the k-integration (dimensionless)")
-    parser.add_argument("--max-terms", type=int, default=5_000_000,
+    parser.add_argument("--max-terms", type=int,
+                        default=DEFAULT_NUMERICS.max_matsubara_terms,
                         help="explicit Matsubara term budget")
-    parser.add_argument("--t-zero-nodes", type=int, default=200,
+    parser.add_argument("--t-zero-nodes", type=int,
+                        default=DEFAULT_NUMERICS.t_zero_nodes,
                         help="frequency-integral nodes (T = 0 and the Matsubara tail)")
 
 
@@ -177,35 +181,23 @@ def _cmd_pressure(args):
     return 0
 
 
-def _resolve_sweep(settings, materials):
-    pairs = []
-    for name_a, name_b in settings.pair_names:
-        pairs.append((
-            f"{name_a}/{name_b}",
-            parse_material_spec(name_a, materials),
-            parse_material_spec(name_b, materials),
-        ))
-    return SweepSpec(
-        gap_min=settings.gap_min, gap_max=settings.gap_max,
-        gap_step=settings.gap_step, temperatures=settings.temperatures,
-        pairs=tuple(pairs),
-    )
+def _write_output(text, path):
+    """``text`` to the file at ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_sweep(args):
     cfg = load_device_config(args.config)
-    settings = load_sweep_settings(args.spec, cfg.materials) if args.spec else cfg.sweep
-    if settings is None:
+    spec = load_sweep_spec(args.spec, cfg.materials) if args.spec else cfg.sweep
+    if spec is None:
         raise ConfigError(["config has no [sweep] section and no --spec was given"])
-    spec = _resolve_sweep(settings, cfg.materials)
     rows = run_gap_sweep(spec, cfg.geometry, cfg.cavity, cfg.calib,
                          _numerics(args), workers=args.workers)
-    text = sweep_csv(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(sweep_csv(rows), args.output)
     return 0
 
 
@@ -242,13 +234,8 @@ def _cmd_scan(args):
     grid = [tmin + i * step for i in range(args.points)]
     points = simulate_temperature_scan(cfg.geometry, cfg.cavity, cfg.calib,
                                        grid, theory, _numerics(args))
-    text = scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
-                    drift_band=cfg.calib.drift_bound)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
+                           drift_band=cfg.calib.drift_bound), args.output)
     return 0
 
 
@@ -375,7 +362,7 @@ def _cmd_validate(args):
     rel = abs(q_from_kappa - cavity.q_optical) / cavity.q_optical
     lines.append(
         f"q_optical vs omega_c/kappa: {cavity.q_optical:.4g} vs "
-        f"{q_from_kappa:.4g} ({rel:.2%} apart; warn above 5%)"
+        f"{q_from_kappa:.4g} ({rel:.2%} apart; warn above {Q_MISMATCH_WARN:.0%})"
     )
     derived = derive_mechanics(cfg.geometry, m_eff=cfg.m_eff)
     lines.append(f"axial tension: {fmt(derived.tension)} N")
@@ -388,8 +375,10 @@ def _cmd_validate(args):
                  f"{floor.gap_change * 1e15:.0f} fm")
     ratio = cfg.calib.min_resolvable_shift / (cavity.kappa / (2.0 * math.pi))
     lines.append(f"min shift / linewidth: {ratio:.2%}")
-    if cfg.geometry.gap <= 5e-9:
-        lines.append("warning: gap is at or below the 5 nm roughness scale")
+    roughness = BeamFaceGeometry.ROUGHNESS_SCALE
+    if cfg.geometry.gap <= roughness:
+        lines.append(f"warning: gap is at or below the {roughness * 1e9:.0f} nm "
+                     "roughness scale")
     for name, value in cfg.annotations.items():
         lines.append(f"annotation {name} = {fmt(value)}")
     sys.stdout.write("\n".join(lines) + "\n")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .constants import E_CHARGE, HBAR
+from .designer import SweepSpec
 from .errors import ConfigError, DomainError
 from .film import FilmParams
 from .materials import Drude, IdealMetal, Plasma, SuperconductorTwoFluid
@@ -28,8 +29,7 @@ from .readout import CavityParams, ReadoutCalibration
 
 TWO_PI = 2.0 * math.pi
 
-# SI factor per unit suffix; angular keys additionally pick up 2 pi at
-# assembly time (config files quote ordinary frequencies).
+# SI factor per unit suffix
 _UNIT_FACTORS = {
     "fm": 1e-15, "pm": 1e-12, "nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0,
     "nm2": 1e-18, "um2": 1e-12, "m2": 1.0,
@@ -48,12 +48,14 @@ _UNIT_FACTORS = {
 }
 
 
-def _num(unit):
+def _num(unit, scale=1.0):
+    """Converter to SI; ``scale`` is 2 pi for angular keys (config files
+    quote ordinary frequencies)."""
     factor = _UNIT_FACTORS[unit]
 
     def convert(text, where):
         try:
-            return float(text) * factor
+            return scale * (float(text) * factor)
         except ValueError:
             raise ConfigError([f"{where}: expected a number, got {text!r}"]) from None
 
@@ -71,51 +73,92 @@ def _text(options):
     return convert
 
 
-# section -> key -> (converter, required)
+def split_pair(text):
+    """('A', 'B') from an 'A/B' material pair; raises DomainError otherwise."""
+    a, slash, b = text.partition("/")
+    if not slash:
+        raise DomainError(f"material pair must be 'A/B', got {text.strip()!r}")
+    return a.strip(), b.strip()
+
+
+def _pair(text, where):
+    try:
+        return split_pair(text)
+    except DomainError as exc:
+        raise ConfigError([f"{where}: {exc}"]) from None
+
+
+def _list(item):
+    """Converter for a comma-separated list of ``item`` values; each bad
+    item, or an empty list, is a problem."""
+
+    def convert(text, where):
+        values, problems = [], []
+        for part in filter(None, (part.strip() for part in text.split(","))):
+            try:
+                values.append(item(part, where))
+            except ConfigError as exc:
+                problems.extend(exc.problems)
+        if not values and not problems:
+            problems.append(f"{where}: the list is empty")
+        if problems:
+            raise ConfigError(problems)
+        return tuple(values)
+
+    return convert
+
+
+# section -> (DeviceConfig field, class it builds, key -> (field, converter,
+# required)); the one place a device key is named.  Required keys are the
+# constructor arguments; an optional key lands in the section's entry of
+# _SIDE_TABLES under its field name.  [mechanics] builds no class: its
+# field is the DeviceConfig field itself.
 _SCHEMA = {
-    "geometry": {
-        "string_length_um": (_num("um"), True),
-        "effective_length_um": (_num("um"), True),
-        "width_nm": (_num("nm"), True),
-        "thickness_nm": (_num("nm"), True),
-        "metal_eff_thickness_nm": (_num("nm"), True),
-        "metal_segment_length_um": (_num("um"), True),
-        "plate_height_nm": (_num("nm"), True),
-        "gap_nm": (_num("nm"), True),
-        "parallelism_jitter_nm": (_num("nm"), True),
-        "film_stress_GPa": (_num("GPa"), True),
-        "density_sin_kg_per_m3": (_num("kg_per_m3"), True),
-        "density_al_kg_per_m3": (_num("kg_per_m3"), True),
-    },
-    "mechanics": {
-        "m_eff_pg": (_num("pg"), True),
-    },
-    "cavity": {
-        "wavelength_nm": (_num("nm"), True),
-        "kappa_GHz": (_num("GHz"), True),
-        "kappa_e_GHz": (_num("GHz"), True),
-        "q_optical": (_num(""), True),
-        "g_om_GHz_per_nm": (_num("GHz_per_nm"), True),
-    },
-    "readout": {
-        "pdh_slope_mV_per_MHz": (_num("mV_per_MHz"), True),
-        "min_resolvable_shift_MHz": (_num("MHz"), True),
-        "drift_bound_MHz": (_num("MHz"), True),
-        "operating_power_nW": (_num("nW"), False),
-        "breakdown_power_uW": (_num("uW"), False),
-    },
-    "film": {
-        "xi0_nm": (_num("nm"), True),
-        "lambda_london_nm": (_num("nm"), True),
-        "rho_ell_ohm_m2": (_num("ohm_m2"), True),
-        "tc_K": (_num("K"), True),
-        "wire_length_um": (_num("um"), True),
-        "wire_cross_section_um2": (_num("um2"), True),
-        "sigma_4k_per_ohm_m": (_num("per_ohm_m"), False),
-        "r4k_ohm": (_num("ohm"), False),
-        "quoted_mean_free_path_nm": (_num("nm"), False),
-    },
+    "geometry": ("geometry", DeviceGeometry, {
+        "string_length_um": ("string_length", _num("um"), True),
+        "effective_length_um": ("effective_length", _num("um"), True),
+        "width_nm": ("width", _num("nm"), True),
+        "thickness_nm": ("thickness", _num("nm"), True),
+        "metal_eff_thickness_nm": ("metal_eff_thickness", _num("nm"), True),
+        "metal_segment_length_um": ("metal_segment_length", _num("um"), True),
+        "plate_height_nm": ("plate_height", _num("nm"), True),
+        "gap_nm": ("gap", _num("nm"), True),
+        "parallelism_jitter_nm": ("parallelism_jitter", _num("nm"), True),
+        "film_stress_GPa": ("film_stress", _num("GPa"), True),
+        "density_sin_kg_per_m3": ("density_sin", _num("kg_per_m3"), True),
+        "density_al_kg_per_m3": ("density_al", _num("kg_per_m3"), True),
+    }),
+    "mechanics": (None, None, {
+        "m_eff_pg": ("m_eff", _num("pg"), True),
+    }),
+    "cavity": ("cavity", CavityParams, {
+        "wavelength_nm": ("lambda_res", _num("nm"), True),
+        "kappa_GHz": ("kappa", _num("GHz", TWO_PI), True),
+        "kappa_e_GHz": ("kappa_e", _num("GHz", TWO_PI), True),
+        "q_optical": ("q_optical", _num(""), True),
+        "g_om_GHz_per_nm": ("g_om", _num("GHz_per_nm", TWO_PI), True),
+    }),
+    "readout": ("calib", ReadoutCalibration, {
+        "pdh_slope_mV_per_MHz": ("pdh_slope", _num("mV_per_MHz"), True),
+        "min_resolvable_shift_MHz": ("min_resolvable_shift", _num("MHz"), True),
+        "drift_bound_MHz": ("drift_bound", _num("MHz"), True),
+        "operating_power_nW": ("operating_power_W", _num("nW"), False),
+        "breakdown_power_uW": ("breakdown_power_W", _num("uW"), False),
+    }),
+    "film": ("film", FilmParams, {
+        "xi0_nm": ("xi0", _num("nm"), True),
+        "lambda_london_nm": ("lambda_l", _num("nm"), True),
+        "rho_ell_ohm_m2": ("rho_ell", _num("ohm_m2"), True),
+        "tc_K": ("t_c", _num("K"), True),
+        "wire_length_um": ("wire_length", _num("um"), True),
+        "wire_cross_section_um2": ("cross_section", _num("um2"), True),
+        "sigma_4k_per_ohm_m": ("sigma_4k", _num("per_ohm_m"), False),
+        "r4k_ohm": ("r_4k", _num("ohm"), False),
+        "quoted_mean_free_path_nm": ("quoted_mean_free_path", _num("nm"), False),
+    }),
 }
+
+_SIDE_TABLES = {"readout": "annotations", "film": "film_measured"}
 
 # material kind -> (class, its parameter keys in constructor order); the
 # one table behind [material.NAME] sections and inline CLI specs alike
@@ -127,30 +170,21 @@ _MATERIAL_KINDS = {
 }
 
 _MATERIAL_SCHEMA = {
-    "model": (_text(set(_MATERIAL_KINDS)), True),
-    "omega_p_eV": (_num("eV"), False),
-    "gamma_meV": (_num("meV"), False),
-    "tc_K": (_num("K"), False),
+    "model": ("model", _text(set(_MATERIAL_KINDS)), True),
+    "omega_p_eV": ("omega_p_eV", _num("eV"), False),
+    "gamma_meV": ("gamma_meV", _num("meV"), False),
+    "tc_K": ("tc_K", _num("K"), False),
 }
 
+# [sweep] keys -> SweepSpec fields; pair names are resolved to materials
+# by _parse_sweep
 _SWEEP_SCHEMA = {
-    "gap_min_nm": (_num("nm"), True),
-    "gap_max_nm": (_num("nm"), True),
-    "gap_step_nm": (_num("nm"), True),
-    "temperatures_K": (None, True),  # comma list, parsed specially
-    "pairs": (None, True),           # comma list of name/name
+    "gap_min_nm": ("gap_min", _num("nm"), True),
+    "gap_max_nm": ("gap_max", _num("nm"), True),
+    "gap_step_nm": ("gap_step", _num("nm"), True),
+    "temperatures_K": ("temperatures", _list(_num("K")), True),
+    "pairs": ("pairs", _list(_pair), True),
 }
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    """Sweep grid as read from a config: material pairs stay as names."""
-
-    gap_min: float
-    gap_max: float
-    gap_step: float
-    temperatures: tuple
-    pair_names: tuple  # of (name_a, name_b)
 
 
 @dataclass(frozen=True)
@@ -164,7 +198,7 @@ class DeviceConfig:
     film: FilmParams
     film_measured: dict = field(default_factory=dict)
     materials: dict = field(default_factory=dict)
-    sweep: SweepSettings | None = None
+    sweep: SweepSpec | None = None
     signals: tuple = ()
     annotations: dict = field(default_factory=dict)
 
@@ -186,75 +220,51 @@ def _build_material(kind, values, where):
 
 
 def _parse_section(parser, section, schema, problems):
+    """Converted values of ``section`` keyed by field; every problem found
+    is appended to ``problems``."""
     values = {}
     if not parser.has_section(section):
-        required = [k for k, (_, req) in schema.items() if req]
-        if required:
+        if any(required for _, _, required in schema.values()):
             problems.append(f"missing section [{section}]")
         return values
     for key in parser.options(section):
         if key not in schema:
             problems.append(f"[{section}]: unknown key '{key}' (unit suffix missing or typo?)")
             continue
-        converter, _ = schema[key]
-        if converter is None:
-            values[key] = parser.get(section, key)
-            continue
+        name, converter, _ = schema[key]
         try:
-            values[key] = converter(parser.get(section, key), f"[{section}] {key}")
+            values[name] = converter(parser.get(section, key), f"[{section}] {key}")
         except ConfigError as exc:
             problems.extend(exc.problems)
-    for key, (_, required) in schema.items():
-        if required and key not in values:
+    for key, (_, _, required) in schema.items():
+        if required and not parser.has_option(section, key):
             problems.append(f"[{section}]: missing required key '{key}'")
     return values
 
 
-def split_pair(text):
-    """('A', 'B') from an 'A/B' material pair; raises DomainError otherwise."""
-    a, slash, b = text.partition("/")
-    if not slash:
-        raise DomainError(f"material pair must be 'A/B', got {text.strip()!r}")
-    return a.strip(), b.strip()
-
-
-def _parse_sweep(parser, defined, problems):
-    """SweepSettings from the [sweep] section, or None when a gap key is
-    missing; every problem found is appended to ``problems``.  Pair names
-    other than 'ideal' must be in ``defined``."""
-    sv = _parse_section(parser, "sweep", _SWEEP_SCHEMA, problems)
-    for key in ("temperatures_K", "pairs"):
-        if key in sv and not sv[key].strip(" ,"):
-            problems.append(f"[sweep] {key}: the list is empty")
-    temps = []
-    for item in sv.get("temperatures_K", "").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            temps.append(float(item))
-        except ValueError:
-            problems.append("[sweep] temperatures_K: expected a comma-separated "
-                            f"number list, got {item!r}")
-    pair_names = []
-    for item in sv.get("pairs", "").split(","):
-        if not item.strip():
-            continue
-        try:
-            pair_names.append(split_pair(item))
-        except DomainError as exc:
-            problems.append(f"[sweep] pairs: {exc}")
-    undefined = dict.fromkeys(name for pair in pair_names for name in pair
+def _parse_sweep(parser, materials, defined, problems):
+    """SweepSpec from the [sweep] section, or None when a key is missing or
+    malformed; every problem found, the SweepSpec range check included, is
+    appended to ``problems``.  Pair names other than 'ideal' must be in
+    ``defined``; each pair resolves through ``materials``."""
+    values = _parse_section(parser, "sweep", _SWEEP_SCHEMA, problems)
+    names = values.get("pairs", ())
+    undefined = dict.fromkeys(name for pair in names for name in pair
                               if name != "ideal" and name not in defined)
     for name in undefined:
         problems.append(f"[sweep] pairs: material '{name}' is not defined")
-    if not all(k in sv for k in ("gap_min_nm", "gap_max_nm", "gap_step_nm")):
+    if len(values) < len(_SWEEP_SCHEMA):
         return None
-    return SweepSettings(
-        gap_min=sv["gap_min_nm"], gap_max=sv["gap_max_nm"],
-        gap_step=sv["gap_step_nm"], temperatures=tuple(temps),
-        pair_names=tuple(pair_names),
+    known = {"ideal", *materials}
+    values["pairs"] = tuple(
+        (f"{a}/{b}", parse_material_spec(a, materials), parse_material_spec(b, materials))
+        for a, b in names if a in known and b in known
     )
+    try:
+        return SweepSpec(**values)
+    except DomainError as exc:
+        problems.append(f"[sweep]: {exc}")
+        return None
 
 
 def _read_config(path):
@@ -273,17 +283,17 @@ def _read_config(path):
     return parser
 
 
-def load_sweep_settings(path, materials):
-    """The [sweep] section of a config file, checked as ``load_device_config``
-    checks it, with pair names looked up in ``materials`` (e.g. the loaded
-    device config's); raises ConfigError with every problem found.  Other
-    sections are not read."""
+def load_sweep_spec(path, materials):
+    """SweepSpec from the [sweep] section of a config file, checked as
+    ``load_device_config`` checks it, with pair names looked up in
+    ``materials`` (e.g. the loaded device config's); raises ConfigError
+    with every problem found.  Other sections are not read."""
     parser = _read_config(path)
     problems = []
-    sweep = _parse_sweep(parser, materials, problems)
+    spec = _parse_sweep(parser, materials, materials, problems)
     if problems:
         raise ConfigError(problems)
-    return sweep
+    return spec
 
 
 def load_device_config(path):
@@ -298,7 +308,26 @@ def load_device_config(path):
             continue
         problems.append(f"unknown section [{section}]")
 
-    values = {s: _parse_section(parser, s, _SCHEMA[s], problems) for s in _SCHEMA}
+    parts = {}
+    for section, (target, cls, schema) in _SCHEMA.items():
+        values = _parse_section(parser, section, schema, problems)
+        required = [name for name, _, req in schema.values() if req]
+        args = {name: values.pop(name) for name in required if name in values}
+        if section in _SIDE_TABLES:
+            parts[_SIDE_TABLES[section]] = values
+        if cls is None:
+            parts.update(args)
+            continue
+        if len(args) < len(required):
+            continue
+        if cls is ReadoutCalibration:
+            if "cavity" not in parts:
+                continue
+            args["linear_window"] = parts["cavity"].kappa / TWO_PI / 4.0
+        try:
+            parts[target] = cls(**args)
+        except DomainError as exc:
+            problems.append(f"[{section}]: {exc}")
 
     materials = {}
     material_names = [s[len("material."):] for s in parser.sections()
@@ -318,7 +347,7 @@ def load_device_config(path):
     if parser.has_section("sweep"):
         # a section that failed to build still counts as defined: its own
         # problems are reported already
-        sweep = _parse_sweep(parser, material_names, problems)
+        sweep = _parse_sweep(parser, materials, material_names, problems)
 
     signals = []
     if parser.has_section("signals"):
@@ -331,89 +360,9 @@ def load_device_config(path):
             except ValueError:
                 problems.append(f"[signals] {key}: expected a number")
 
-    def build(label, ctor, kwargs):
-        if any(v is None for v in kwargs.values()):
-            return None
-        try:
-            return ctor(**kwargs)
-        except DomainError as exc:
-            problems.append(f"{label}: {exc}")
-            return None
-
-    g = values["geometry"]
-    geometry = build("[geometry]", DeviceGeometry, {
-        "string_length": g.get("string_length_um"),
-        "effective_length": g.get("effective_length_um"),
-        "width": g.get("width_nm"),
-        "thickness": g.get("thickness_nm"),
-        "metal_eff_thickness": g.get("metal_eff_thickness_nm"),
-        "metal_segment_length": g.get("metal_segment_length_um"),
-        "plate_height": g.get("plate_height_nm"),
-        "gap": g.get("gap_nm"),
-        "parallelism_jitter": g.get("parallelism_jitter_nm"),
-        "film_stress": g.get("film_stress_GPa"),
-        "density_sin": g.get("density_sin_kg_per_m3"),
-        "density_al": g.get("density_al_kg_per_m3"),
-    }) if g else None
-
-    c = values["cavity"]
-    cavity = build("[cavity]", CavityParams, {
-        "lambda_res": c.get("wavelength_nm"),
-        "kappa": TWO_PI * c["kappa_GHz"] if "kappa_GHz" in c else None,
-        "kappa_e": TWO_PI * c["kappa_e_GHz"] if "kappa_e_GHz" in c else None,
-        "q_optical": c.get("q_optical"),
-        "g_om": TWO_PI * c["g_om_GHz_per_nm"] if "g_om_GHz_per_nm" in c else None,
-    }) if c else None
-
-    r = values["readout"]
-    calib = None
-    if r and cavity is not None:
-        calib = build("[readout]", ReadoutCalibration, {
-            "pdh_slope": r.get("pdh_slope_mV_per_MHz"),
-            "min_resolvable_shift": r.get("min_resolvable_shift_MHz"),
-            "drift_bound": r.get("drift_bound_MHz"),
-            "linear_window": cavity.kappa / TWO_PI / 4.0,
-        })
-
-    f = values["film"]
-    film = build("[film]", FilmParams, {
-        "xi0": f.get("xi0_nm"),
-        "lambda_l": f.get("lambda_london_nm"),
-        "rho_ell": f.get("rho_ell_ohm_m2"),
-        "wire_length": f.get("wire_length_um"),
-        "cross_section": f.get("wire_cross_section_um2"),
-        "t_c": f.get("tc_K"),
-    }) if f else None
-
-    m_eff = values["mechanics"].get("m_eff_pg")
-
-    if problems or None in (geometry, cavity, calib, film, m_eff):
-        if not problems:
-            problems.append("config incomplete")
+    if problems:
         raise ConfigError(problems)
-
-    film_measured = {
-        key: f[srckey]
-        for key, srckey in (
-            ("sigma_4k", "sigma_4k_per_ohm_m"),
-            ("r_4k", "r4k_ohm"),
-            ("quoted_mean_free_path", "quoted_mean_free_path_nm"),
-        )
-        if srckey in f
-    }
-    annotations = {
-        key: r[srckey]
-        for key, srckey in (
-            ("operating_power_W", "operating_power_nW"),
-            ("breakdown_power_W", "breakdown_power_uW"),
-        )
-        if srckey in r
-    }
-    return DeviceConfig(
-        geometry=geometry, m_eff=m_eff, cavity=cavity, calib=calib, film=film,
-        film_measured=film_measured, materials=dict(materials), sweep=sweep,
-        signals=tuple(signals), annotations=annotations,
-    )
+    return DeviceConfig(materials=materials, sweep=sweep, signals=tuple(signals), **parts)
 
 
 def example_config_path():
@@ -489,7 +438,7 @@ def parse_material_spec(text, materials=None):
                 raise DomainError(f"bad material parameter {item!r} in {text!r}")
             if key == "model" or key not in _MATERIAL_SCHEMA:
                 raise DomainError(f"unknown material parameter {key!r} in {text!r}")
-            values[key] = _MATERIAL_SCHEMA[key][0](val, f"material spec {text!r} {key}")
+            values[key] = _MATERIAL_SCHEMA[key][1](val, f"material spec {text!r} {key}")
         return _build_material(kind, values, f"material spec {text!r}")
     except ConfigError as exc:
         raise DomainError("; ".join(exc.problems)) from None

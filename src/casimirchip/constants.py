@@ -32,7 +32,6 @@ HBAR = CODATA.hbar
 C = CODATA.c
 K_B = CODATA.k_B
 E_CHARGE = CODATA.e
-M_E = CODATA.m_e
 
 
 def thermal_frequency(temperature):

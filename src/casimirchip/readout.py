@@ -19,6 +19,9 @@ from .constants import C, HBAR
 from .errors import ConditioningError, DomainError
 from .mechanics import pressure_to_gap_change
 
+# relative q_optical vs omega_c / kappa mismatch above which CavityParams warns
+Q_MISMATCH_WARN = 0.05
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -27,7 +30,8 @@ class CavityParams:
     ``g_om`` is the optomechanical coupling in rad/s per meter of gap
     change; ``kappa`` and ``kappa_e`` are total and extrinsic linewidths in
     rad/s.  On construction the quoted optical Q is cross-checked against
-    omega_c / kappa; a >5% mismatch is a warning, not an error.
+    omega_c / kappa; a mismatch above Q_MISMATCH_WARN is a warning, not an
+    error.
     """
 
     lambda_res: float   # m
@@ -44,10 +48,10 @@ class CavityParams:
         if self.kappa_e > self.kappa:
             raise DomainError("kappa_e must not exceed kappa")
         q_from_kappa = self.omega_c / self.kappa
-        if abs(q_from_kappa - self.q_optical) > 0.05 * self.q_optical:
+        if abs(q_from_kappa - self.q_optical) > Q_MISMATCH_WARN * self.q_optical:
             warnings.warn(
                 f"q_optical = {self.q_optical:.3g} differs from omega_c/kappa = "
-                f"{q_from_kappa:.3g} by more than 5%",
+                f"{q_from_kappa:.3g} by more than {Q_MISMATCH_WARN:.0%}",
                 stacklevel=2,
             )
 

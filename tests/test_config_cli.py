@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -5,17 +6,21 @@ import numpy as np
 import pytest
 
 from casimirchip import (
+    DEFAULT_NUMERICS,
     ConfigError,
     DomainError,
     Drude,
     IdealMetal,
     Plasma,
+    ReadoutCalibration,
     SuperconductorTwoFluid,
+    SweepSpec,
     example_config_path,
     load_device_config,
     parse_material_spec,
 )
-from casimirchip.cli import main
+from casimirchip import config
+from casimirchip.cli import _build_parser, _numerics, main
 from casimirchip.config import parse_length, parse_pressure, parse_temperature
 from casimirchip.serialize import (
     SPRING_CSV_HEADER,
@@ -59,6 +64,43 @@ def test_config_collects_all_problems(tmp_path):
     assert "unknown key 'gap'" in problems
     assert "missing required key 'gap_nm'" in problems
     assert "expected a number" in problems
+
+
+def test_schema_required_fields_are_constructor_parameters():
+    for section, (_, cls, schema) in config._SCHEMA.items():
+        if cls is None:
+            continue
+        required = {name for name, _, req in schema.values() if req}
+        if cls is ReadoutCalibration:
+            required.add("linear_window")
+        assert required == set(inspect.signature(cls).parameters), section
+    fields = {name for name, _, _ in config._SWEEP_SCHEMA.values()}
+    assert fields == set(inspect.signature(SweepSpec).parameters)
+
+
+def test_sweep_section_loads_as_sweep_spec():
+    cfg = load_device_config(EXAMPLE)
+    sweep = cfg.sweep
+    assert isinstance(sweep, SweepSpec)
+    assert (sweep.gap_min, sweep.gap_max, sweep.gap_step) == pytest.approx(
+        (100e-9, 300e-9, 10e-9))
+    assert sweep.temperatures == (1.3,)
+    plasma, drude = cfg.materials["al_plasma"], cfg.materials["al_drude"]
+    assert sweep.pairs == (("al_plasma/al_plasma", plasma, plasma),
+                           ("al_drude/al_drude", drude, drude))
+
+
+def test_sweep_range_problem_is_collected_with_the_others(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text()
+                   .replace("gap_nm = 100", "gap_nm = x")
+                   .replace("temperatures_K = 1.3", "temperatures_K = 1.3, -1"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(str(bad))
+    assert excinfo.value.problems == [
+        "[geometry] gap_nm: expected a number, got 'x'",
+        "[sweep]: temperatures must be finite and >= 0, got -1.0",
+    ]
 
 
 def test_config_rejects_unknown_section(tmp_path):
@@ -282,6 +324,39 @@ def test_cli_sweep_empty_list_exits_two(capsys, tmp_path, how, key):
     code, out, err = run_cli(capsys, *_sweep_via(how, tmp_path, **{key: ""}))
     assert code == 2 and out == ""
     assert f"config error: [sweep] {key}: the list is empty" in err
+
+
+SWEEP_RANGE_PROBLEMS = pytest.mark.parametrize("replace, message", [
+    ({"gap_min_nm": "400"}, "need 0 < gap_min <= gap_max"),
+    ({"temperatures_K": "1.3, -1"}, "temperatures must be finite and >= 0, got -1.0"),
+], ids=["gap-range", "negative-temperature"])
+
+
+@pytest.mark.parametrize("how", ["config", "spec"])
+@SWEEP_RANGE_PROBLEMS
+def test_cli_sweep_range_problem_exits_two(capsys, tmp_path, how, replace, message):
+    code, out, err = run_cli(capsys, *_sweep_via(how, tmp_path, **replace))
+    assert code == 2 and out == ""
+    assert err == f"config error: [sweep]: {message}\n"
+
+
+@SWEEP_RANGE_PROBLEMS
+def test_cli_validate_reports_sweep_range_problem(capsys, tmp_path, replace, message):
+    config_path = _sweep_via("config", tmp_path, **replace)[-1]
+    code, out, err = run_cli(capsys, "validate", "--config", config_path)
+    assert code == 2 and out == ""
+    assert err == f"config error: [sweep]: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--gap", "100nm", "--temp", "0", "--model-a", "ideal",
+     "--model-b", "ideal"],
+    ["sweep", "--config", EXAMPLE],
+    ["scan", "--config", EXAMPLE, "--tmin", "0.5K", "--tmax", "1K",
+     "--theory", "grav-casimir"],
+], ids=["pressure", "sweep", "scan"])
+def test_cli_numerics_default_to_library_defaults(argv):
+    assert _numerics(_build_parser().parse_args(argv)) == DEFAULT_NUMERICS
 
 
 def test_cli_scan_grav_stub(capsys):

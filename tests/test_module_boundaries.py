@@ -1,5 +1,6 @@
-"""Design rule: no module imports an underscore name from another module
-of the package; what one module needs from another is public there."""
+"""Design rules: no module imports an underscore name from another module
+of the package, what one module needs from another is public there; and
+no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -21,4 +22,23 @@ def test_no_private_names_imported_across_modules():
             for alias in node.names:
                 if alias.name.startswith("_") and not alias.name.startswith("__"):
                     offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+    assert offenders == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports by design
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []

@@ -63,13 +63,15 @@ def _add_numerics_args(parser):
                         help="relative tolerance of the Matsubara sum (dimensionless)")
     parser.add_argument("--rel-tol-quadrature", type=float,
                         default=DEFAULT_NUMERICS.rel_tol_quadrature,
-                        help="relative tolerance of the k-integration (dimensionless)")
+                        help="relative tolerance of the k-integration and of the "
+                             "frequency integral (dimensionless)")
     parser.add_argument("--max-terms", type=int,
                         default=DEFAULT_NUMERICS.max_matsubara_terms,
                         help="explicit Matsubara term budget")
     parser.add_argument("--t-zero-nodes", type=int,
                         default=DEFAULT_NUMERICS.t_zero_nodes,
-                        help="frequency-integral nodes (T = 0 and the Matsubara tail)")
+                        help="ceiling of the frequency-integral node doubling (T = 0 "
+                             "and the Matsubara tail): at most twice this many nodes")
 
 
 def _numerics(args):

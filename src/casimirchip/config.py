@@ -356,9 +356,14 @@ def load_device_config(path):
                 problems.append(f"[signals]: key '{key}' must carry a _Pa suffix")
                 continue
             try:
-                signals.append((key[:-3], float(parser.get("signals", key))))
+                value = float(parser.get("signals", key))
             except ValueError:
                 problems.append(f"[signals] {key}: expected a number")
+                continue
+            if math.isfinite(value) and value >= 0.0:
+                signals.append((key[:-3], value))
+            else:
+                problems.append(f"[signals] {key}: must be finite and >= 0")
 
     if problems:
         raise ConfigError(problems)
@@ -438,6 +443,8 @@ def parse_material_spec(text, materials=None):
                 raise DomainError(f"bad material parameter {item!r} in {text!r}")
             if key == "model" or key not in _MATERIAL_SCHEMA:
                 raise DomainError(f"unknown material parameter {key!r} in {text!r}")
+            if key in values:
+                raise DomainError(f"duplicate material parameter {key!r} in {text!r}")
             values[key] = _MATERIAL_SCHEMA[key][1](val, f"material spec {text!r} {key}")
         return _build_material(kind, values, f"material spec {text!r}")
     except ConfigError as exc:

@@ -23,13 +23,16 @@ is replaced by its Euler-Maclaurin form
 
 with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done by
 Gauss-Legendre in ln(xi) up to 60 c / 2a, where J vanishes under the y
-cutoff.  The result is P(2N); |P(N) - P(2N)| is its two-sided truncation
-estimate, and N doubles from 64 while that exceeds the series tolerance
-and still shrinks.  Where no term below the y cutoff lies beyond 2N, the
-plain sum is exact.  T = 0, and any T whose explicit terms all lie below
-the grid's lower end 1e-9 c / 2a, is the case with no explicit terms.  The
-cost does not grow as T falls, and the evaluation order is fixed, so
-results are bit-stable regardless of how callers parallelize.
+cutoff.  Its nodes double from 32 until two successive rules agree to the
+quadrature tolerance, at most up to 2 * t_zero_nodes; the finer rule is
+used and the difference joins the quadrature estimate.  The result is
+P(2N); |P(N) - P(2N)| is its two-sided truncation estimate, and N doubles
+from 64 while that exceeds the series tolerance and still shrinks.  Where
+no term below the y cutoff lies beyond 2N, the plain sum is exact.  T = 0,
+and any T whose explicit terms all lie below the grid's lower end
+1e-9 c / 2a, is the case with no explicit terms.  The cost does not grow
+as T falls, and the evaluation order is fixed, so results are bit-stable
+regardless of how callers parallelize.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -89,11 +92,12 @@ class PressureResult:
     """A pressure value with its convergence metadata.
 
     ``pressure`` is the attractive magnitude in Pa.  ``terms_used`` counts
-    the k-integral rows behind it: explicit Matsubara terms plus
-    frequency-integral nodes.  ``truncation_estimate`` is |P(N) - P(2N)|
-    for the Euler-Maclaurin tail, or at T = 0 the piece below the
-    frequency grid; ``quadrature_estimate`` accumulates the k-integration
-    and frequency-integration error estimates.  Both are in Pa.
+    the k-integral rows behind it: explicit Matsubara terms plus the nodes
+    of the finer frequency rule (the coarser rungs of its node doubling
+    are not counted).  ``truncation_estimate`` is |P(N) - P(2N)| for the
+    Euler-Maclaurin tail, or at T = 0 the piece below the frequency grid;
+    ``quadrature_estimate`` adds the k-integration error estimate and the
+    difference between the last two frequency rules.  Both are in Pa.
     """
 
     pressure: float
@@ -132,10 +136,39 @@ def ideal_pressure_closed_form(gap):
     return math.pi**2 * HBAR * C / (240.0 * gap**4)
 
 
+def _legendre_pair(order, x):
+    """(P_{order-1}(x), P_order(x)) by the three-term recurrence, written as
+    P_{j+1} = x P_j + j / (j + 1) (x P_j - P_{j-1})."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, order):
+        xp = x * p
+        p_prev, p = p, xp + (j / (j + 1)) * (xp - p_prev)
+    return p_prev, p
+
+
 @lru_cache(maxsize=32)
 def _leggauss(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the Legendre recurrence, started from Tricomi's
+    asymptotic roots (Hale & Townsend, SIAM J. Sci. Comput. 2013); three
+    steps bring every node to within about an ulp, with no eigensolver.
+    Only the positive roots are computed and mirrored; odd orders keep
+    the exact 0 node.  With (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n), the
+    weights are 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2.
+    """
+    half = order // 2
+    theta = math.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * order + 2.0)
+    x = (1.0 - (order - 1.0) / (8.0 * order**3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * order**4)) * np.cos(theta)
+    x = np.append(x, np.zeros(order % 2))
+    for _ in range(3):
+        p_prev, p = _legendre_pair(order, x)
+        x = x - p * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p))
+    p_prev, p = _legendre_pair(order, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p)) ** 2
+    # x runs from the largest root down to the smallest (0 for odd orders).
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 def _fresnel(model, xi_col, kappa, temperature):
@@ -251,7 +284,6 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     """
     _validate_pressure_args(gap, temperature)
     args = (gap, temperature, mat_a, mat_b, num)
-    nodes = num.t_zero_nodes
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
@@ -278,36 +310,35 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
                 partial=partial,
             )
 
-    def euler_maclaurin(n, grid):
-        # (value, k-integration error) of xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24]
-        # + int_{(n+1/2) xi_1} J dxi, the integral on ``grid`` nodes.
-        tail, tail_err = _log_grid_integral((n + 0.5) * xi_1, grid, args)
+    def euler_maclaurin(n):
+        # xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24] + int_{(n+1/2) xi_1} J dxi as
+        # (value, k-integration error, frequency-rule error, frequency nodes).
+        tail, tail_err, rule_err, nodes = _log_grid_integral((n + 0.5) * xi_1, args)
         head = float(np.sum(f[: n + 1]) + (f[n + 1] - f[n]) / 24.0)
-        return xi_1 * head + tail, xi_1 * float(np.sum(err[: n + 2])) + tail_err
+        return (xi_1 * head + tail, xi_1 * float(np.sum(err[: n + 2])) + tail_err,
+                rule_err, nodes)
 
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.
         low = xi_min * float(_k_integrals(mat_a, mat_b, xi_min, gap, temperature, 64)[0])
-        coarse, _ = _log_grid_integral(xi_min, nodes, args)
-        fine, quad_err = _log_grid_integral(xi_min, 2 * nodes, args)
-        return PressureResult(pref * (fine + low), 2 * nodes, pref * low,
-                              pref * (quad_err + abs(fine - coarse)))
+        value, quad_err, rule_err, nodes = _log_grid_integral(xi_min, args)
+        return PressureResult(pref * (value + low), nodes, pref * low,
+                              pref * (quad_err + rule_err))
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
     n_ceiling = _Y_CUT * C / (2.0 * gap) // xi_1 + 2
     n = _N_EXPLICIT
     extend(min(n_ceiling, 2 * n + 1) + 1)
     if n_ceiling > 2 * n:
-        lower, _ = euler_maclaurin(n, 2 * nodes)
+        lower = euler_maclaurin(n)[0]
     trunc = math.inf
     while n_ceiling > 2 * n:
-        value, quad_err = euler_maclaurin(2 * n, 2 * nodes)
+        value, quad_err, rule_err, nodes = euler_maclaurin(2 * n)
         prev, trunc = trunc, abs(value - lower)
         # Stop at the series tolerance, or where more explicit terms cannot
-        # help: the quadrature error dominates or the estimate stops shrinking.
+        # help: the k-quadrature error dominates or the estimate stops shrinking.
         if not (trunc > max(num.rel_tol_series * value, quad_err) and trunc < prev):
-            coarse, _ = euler_maclaurin(2 * n, nodes)
-            return PressureResult(pref * value, len(f) + 2 * nodes, pref * trunc,
-                                  pref * (quad_err + abs(value - coarse)))
+            return PressureResult(pref * value, len(f) + nodes, pref * trunc,
+                                  pref * (quad_err + rule_err))
         n *= 2
         lower = value
         extend(min(n_ceiling, 2 * n + 1) + 1)
@@ -316,19 +347,35 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
                           pref * xi_1 * float(np.sum(err)))
 
 
-def _log_grid_integral(xi_lo, nodes, args):
-    """(int_{xi_lo}^inf J(xi) dxi, k-integration error) by Gauss-Legendre on u = ln(xi).
+def _log_grid_integral(xi_lo, args):
+    """int_{xi_lo}^inf J(xi) dxi by Gauss-Legendre on u = ln(xi) with node doubling.
 
-    J vanishes under the y cutoff beyond Y_CUT c / 2a, the upper end of the
-    grid.  Material response is evaluated at the requested temperature.
+    The nodes double from min(32, t_zero_nodes) until two successive rules
+    agree to rel_tol_quadrature, or until the finer one reaches the ceiling
+    2 t_zero_nodes.  Returns (finer rule, its k-integration error,
+    |finer - coarser|, finer node count).  J vanishes under the y cutoff
+    beyond Y_CUT c / 2a, the upper end of the grid.  Material response is
+    evaluated at the requested temperature.
     """
     gap, temperature, mat_a, mat_b, num = args
     u_lo, u_hi = math.log(xi_lo), math.log(_Y_CUT * C / (2.0 * gap))
-    x, w = _leggauss(nodes)
     half = 0.5 * (u_hi - u_lo)
-    xi = np.exp(u_lo + (x + 1.0) * half)
-    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
-    return float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half)
+
+    def rule(nodes):
+        x, w = _leggauss(nodes)
+        xi = np.exp(u_lo + (x + 1.0) * half)
+        vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
+        return float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half)
+
+    ceiling = 2 * num.t_zero_nodes
+    nodes = min(_GL_ORDER_START, num.t_zero_nodes)
+    coarse, _ = rule(nodes)
+    while True:
+        nodes = min(2 * nodes, ceiling)
+        fine, fine_err = rule(nodes)
+        if abs(fine - coarse) <= num.rel_tol_quadrature * abs(fine) or nodes == ceiling:
+            return fine, fine_err, abs(fine - coarse), nodes
+        coarse = fine
 
 
 def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT_NUMERICS):

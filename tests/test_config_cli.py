@@ -120,6 +120,21 @@ def test_signals_require_pa_suffix(tmp_path):
     assert any("_Pa suffix" in p for p in excinfo.value.problems)
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_signal_range_problem_is_collected_with_the_others(tmp_path, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text()
+                   .replace("gap_nm = 100", "gap_nm = x")
+                   .replace("gravitational_casimir_Pa = 0.5",
+                            f"gravitational_casimir_Pa = {value}"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(str(bad))
+    assert excinfo.value.problems == [
+        "[geometry] gap_nm: expected a number, got 'x'",
+        "[signals] gravitational_casimir_Pa: must be finite and >= 0",
+    ]
+
+
 def test_parse_material_specs():
     cfg = load_device_config(EXAMPLE)
     assert isinstance(parse_material_spec("ideal", cfg.materials), IdealMetal)
@@ -258,6 +273,16 @@ def test_cli_pressure_domain_error(capsys):
         "--model-a", "ideal", "--model-b", "ideal",
     )
     assert code == 1 and out == "" and "error" in err
+
+
+def test_cli_pressure_rejects_duplicate_inline_key(capsys):
+    spec = "plasma:omega_p_eV=12,omega_p_eV=1"
+    code, out, err = run_cli(
+        capsys, "pressure", "--gap", "100nm", "--temp", "0",
+        "--model-a", spec, "--model-b", "ideal",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: duplicate material parameter 'omega_p_eV' in {spec!r}\n"
 
 
 @pytest.mark.filterwarnings("ignore:frequency shift")
@@ -457,6 +482,18 @@ def test_cli_detect_custom_signal(capsys):
     _, rows = read_csv_table(out)
     assert rows[0][0] == "faint"
     assert rows[0][4] == "false"
+
+
+@pytest.mark.parametrize("command", ["validate", "detect"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cli_signal_range_problem_exits_two(capsys, tmp_path, command, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text().replace(
+        "gravitational_casimir_Pa = 0.5", f"gravitational_casimir_Pa = {value}"))
+    code, out, err = run_cli(capsys, command, "--config", str(bad))
+    assert code == 2 and out == ""
+    assert err == ("config error: [signals] gravitational_casimir_Pa: "
+                   "must be finite and >= 0\n")
 
 
 def test_cli_validate(capsys):

@@ -6,6 +6,7 @@ import scipy.constants as sc
 from scipy.integrate import quad
 
 from casimirchip import (
+    DEFAULT_NUMERICS,
     BeamFaceGeometry,
     ConvergenceError,
     DomainError,
@@ -20,7 +21,13 @@ from casimirchip import (
     plate_pressure,
     reflection_coefficients,
 )
-from casimirchip.lifshitz import _k_integrals, _k_integrals_adaptive
+from casimirchip import lifshitz
+from casimirchip.lifshitz import (
+    _N_EXPLICIT,
+    _k_integrals,
+    _k_integrals_adaptive,
+    _leggauss,
+)
 
 OMEGA_P = 1.83e16
 GAMMA = 7.6e13
@@ -377,3 +384,72 @@ def test_face_geometry_validation():
         BeamFaceGeometry(350e-9, 220e-6, gap=4e-9, parallelism_jitter=0.0)
     with pytest.raises(DomainError):
         BeamFaceGeometry(350e-9, 220e-6, gap=100e-9, parallelism_jitter=150e-9)
+
+
+# ---------------------------------------------------------- Gauss-Legendre
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 32, 63, 64])
+def test_leggauss_matches_numpy(order):
+    x, w = _leggauss(order)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(x - x_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [9, 64, 1024])
+def test_leggauss_exact_on_even_monomials(order):
+    # An order-n rule integrates every polynomial of degree < 2n exactly;
+    # the degree-0 case is the weights summing to 2.
+    x, w = _leggauss(order)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    for k in range(order):
+        assert np.sum(w * x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
+
+
+# ------------------------------------------------------ frequency-rule bars
+
+def _log_grid_integral_800(xi_lo, args):
+    # Reference for the ln-xi frequency integral: one fixed 800-node rule
+    # from numpy, no node doubling and no rule error of its own.
+    gap, temperature, mat_a, mat_b, num = args
+    u_lo, u_hi = math.log(xi_lo), math.log(60.0 * sc.c / (2.0 * gap))
+    x, w = np.polynomial.legendre.leggauss(800)
+    half = 0.5 * (u_hi - u_lo)
+    xi = np.exp(u_lo + (x + 1.0) * half)
+    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
+    return float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half), 0.0, 800
+
+
+def _pressure_800(monkeypatch, gap, temp, model, num):
+    with monkeypatch.context() as patch:
+        patch.setattr(lifshitz, "_log_grid_integral", _log_grid_integral_800)
+        return plate_pressure(gap, temp, model, model, num).pressure
+
+
+@pytest.mark.parametrize("temp", [0.0, 0.5])
+@pytest.mark.parametrize("model", [PLASMA, DRUDE, TWOFLUID], ids=["plasma", "drude", "two-fluid"])
+def test_error_bars_cover_800_node_frequency_rule(monkeypatch, model, temp):
+    res = plate_pressure(100e-9, temp, model, model)
+    p_800 = _pressure_800(monkeypatch, 100e-9, temp, model, DEFAULT_NUMERICS)
+    assert abs(res.pressure - p_800) <= res.truncation_estimate + res.quadrature_estimate
+
+
+@pytest.mark.parametrize("temp", [0.0, 4.0])
+def test_error_bars_cover_800_node_rule_at_binding_ceiling(monkeypatch, temp):
+    # t_zero_nodes = 8 stops the doubling at 8 -> 16 nodes, far from
+    # converged.  The bar carries |16-node - 8-node| rule, the coarser
+    # rule's error; the returned finer rule sits well inside it.
+    num = LifshitzNumerics(t_zero_nodes=8)
+    res = plate_pressure(100e-9, temp, DRUDE, DRUDE, num)
+    p_800 = _pressure_800(monkeypatch, 100e-9, temp, DRUDE, num)
+    assert abs(res.pressure - p_800) <= 0.5 * (res.truncation_estimate + res.quadrature_estimate)
+
+
+@pytest.mark.parametrize("gap", [10e-9, 100e-9, 1e-6])
+@pytest.mark.parametrize("model", [PLASMA, DRUDE, TWOFLUID], ids=["plasma", "drude", "two-fluid"])
+def test_default_cost_in_k_integral_rows(model, gap):
+    # Counts, not timings: the frequency rule stops at the first converged
+    # rung, so the finer rule stays at or below 128 nodes on this grid.
+    for temp in (0.05, 4.0):
+        assert plate_pressure(gap, temp, model, model).terms_used <= 2 * _N_EXPLICIT + 2 + 128
+    assert plate_pressure(gap, 0.0, model, model).terms_used <= 256

@@ -11,9 +11,15 @@ same k-integral.  Pressures are returned as positive-attractive
 magnitudes; differentials are signed.
 
 Numerics: the k-integral J(xi) is substituted to y = 2 kappa a and
-evaluated by Gauss-Legendre quadrature on [2 xi a / c, 60] with node
-doubling until the requested relative tolerance is met (the integrand
-carries e^{-y}, so the y = 60 cutoff is below double precision).
+integrated over [y_lo, 60], y_lo = 2 xi a / c (the integrand carries
+e^{-y}, so the y = 60 cutoff is below double precision).  Near y_lo both
+reflection coefficients are close to 1, so the integrand has a pole just
+left of y_lo.  The rule is therefore Gauss-Legendre in u = ln(y - y_lo) on
+[ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
+geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node.
+Its nodes double from 32 until two successive rules agree to the
+quadrature tolerance (128 nodes at the default 1e-8, at most 256 down to
+1e-11); |finer - coarser| is the k-integration error.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -27,7 +33,8 @@ cutoff.  Its nodes double from 32 until two successive rules agree to the
 quadrature tolerance, at most up to 2 * t_zero_nodes; the finer rule is
 used and the difference joins the quadrature estimate.  The result is
 P(2N); |P(N) - P(2N)| is its two-sided truncation estimate, and N doubles
-from 64 while that exceeds the series tolerance and still shrinks.  Where
+from 64 while that exceeds the series tolerance, the k-integration error
+and the frequency-rule error, and still shrinks.  Where
 no term below the y cutoff lies beyond 2N, the plain sum is exact.  T = 0,
 and any T whose explicit terms all lie below the grid's lower end
 1e-9 c / 2a, is the case with no explicit terms.  The cost does not grow
@@ -58,8 +65,11 @@ from .materials import (
 
 # e^{-60} ~ 9e-27: the neglected y-tail is far below double precision.
 _Y_CUT = 60.0
+# Width of the piece [y_lo, y_lo + _Y_SLIVER] below the mapped k-rule.
+_Y_SLIVER = 1e-9
 _GL_ORDER_START = 32
-_GL_ORDER_MAX = 1024
+# The mapped k-rule converges by 256 nodes down to rel_tol_quadrature 1e-11.
+_GL_ORDER_MAX = 256
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
 
@@ -230,14 +240,24 @@ def reflection_coefficients(model, xi, k, temperature=0.0):
 def _k_integrals(mat_a, mat_b, xi_col, gap, temperature, order):
     """Vector of (1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each row's xi.
 
-    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}.  Rows
-    whose lower limit already exceeds the cutoff integrate to zero.
+    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}.  Near
+    y_lo both reflection coefficients are close to 1, so the pole of
+    t/(1-t) sits just left of y_lo; the nodes are therefore Gauss-Legendre
+    in u = ln(y - y_lo) on [ln 1e-9, ln(60 - y_lo)], which clusters them at
+    y_lo and converges geometrically in the order.  The sliver
+    [y_lo, y_lo + 1e-9] below the mapped range is added as one midpoint
+    node, 1e-9 F(y_lo + 5e-10).  Rows whose lower limit already reaches
+    the cutoff integrate to exactly zero.
     """
     xi_col = np.atleast_1d(np.asarray(xi_col, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
     x, w = _leggauss(order)
-    half = 0.5 * (_Y_CUT - y_lo)
-    y = y_lo + (x[None, :] + 1.0) * half
+    u_lo = math.log(_Y_SLIVER)
+    half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
+    dy = np.exp(u_lo + (x + 1.0) * half)
+    # Node 0 is the sliver's midpoint; dy doubles as the Jacobian e^u.
+    y = y_lo + np.concatenate((np.full_like(y_lo, 0.5 * _Y_SLIVER), dy), axis=1)
+    weights = np.concatenate((np.full_like(y_lo, _Y_SLIVER), w * dy * half), axis=1)
     kappa = y / (2.0 * gap)
     r_te_a, r_tm_a = _fresnel(mat_a, xi_col, kappa, temperature)
     if mat_b == mat_a:
@@ -248,7 +268,7 @@ def _k_integrals(mat_a, mat_b, xi_col, gap, temperature, order):
     t_te = r_te_a * r_te_b * emy
     t_tm = r_tm_a * r_tm_b * emy
     f = y * y * (t_te / (1.0 - t_te) + t_tm / (1.0 - t_tm))
-    return (f @ w) * half[:, 0] / (8.0 * gap**3)
+    return np.where(y_lo[:, 0] < _Y_CUT, np.sum(f * weights, axis=1), 0.0) / (8.0 * gap**3)
 
 
 def _k_integrals_adaptive(mat_a, mat_b, xi_col, gap, temperature, num):
@@ -335,8 +355,9 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
         value, quad_err, rule_err, nodes = euler_maclaurin(2 * n)
         prev, trunc = trunc, abs(value - lower)
         # Stop at the series tolerance, or where more explicit terms cannot
-        # help: the k-quadrature error dominates or the estimate stops shrinking.
-        if not (trunc > max(num.rel_tol_series * value, quad_err) and trunc < prev):
+        # help: the k-quadrature or frequency-rule error dominates, or the
+        # estimate stops shrinking.
+        if not (trunc > max(num.rel_tol_series * value, quad_err, rule_err) and trunc < prev):
             return PressureResult(pref * value, len(f) + nodes, pref * trunc,
                                   pref * (quad_err + rule_err))
         n *= 2

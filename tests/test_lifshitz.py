@@ -18,6 +18,7 @@ from casimirchip import (
     beam_pfa_pressure,
     differential_pressure,
     ideal_pressure_closed_form,
+    matsubara_frequency,
     plate_pressure,
     reflection_coefficients,
 )
@@ -453,3 +454,104 @@ def test_default_cost_in_k_integral_rows(model, gap):
     for temp in (0.05, 4.0):
         assert plate_pressure(gap, temp, model, model).terms_used <= 2 * _N_EXPLICIT + 2 + 128
     assert plate_pressure(gap, 0.0, model, model).terms_used <= 256
+
+
+def test_binding_frequency_ceiling_stops_the_n_doubling():
+    # At t_zero_nodes = 8 the two tail rules behind P(N) and P(2N) are both
+    # unconverged, and their difference is frequency-rule error, not
+    # truncation: N must stay at 64 and the bars must still cover the
+    # converged value.
+    num = LifshitzNumerics(t_zero_nodes=8)
+    res = plate_pressure(100e-9, 0.5, DRUDE, DRUDE, num)
+    ref = plate_pressure(100e-9, 0.5, DRUDE, DRUDE, LifshitzNumerics(t_zero_nodes=200))
+    assert res.terms_used <= 2 * _N_EXPLICIT + 2 + 16
+    assert abs(res.pressure - ref.pressure) <= res.truncation_estimate + res.quadrature_estimate
+
+
+# ----------------------------------------------------------------- k-rule
+
+GRID_GAPS = (10e-9, 100e-9, 1e-6)
+GRID_TEMPS = (0.0, 0.05, 4.0)
+GRID_MODELS = (PLASMA, DRUDE, TWOFLUID)
+
+
+def _local_k_integrand(model, xi, a):
+    # y^2 F(y) with Fresnel coefficients written out here for plasma and
+    # Drude, zero-frequency limits included.
+    gamma = GAMMA if model is DRUDE else 0.0
+    eps = 1.0 + OMEGA_P**2 / (xi * (xi + gamma)) if xi > 0 else None
+
+    def integrand(y):
+        kappa = y / (2 * a)
+        if xi == 0:
+            s = math.sqrt(kappa**2 + (0.0 if gamma else (OMEGA_P / sc.c) ** 2))
+            r_te, r_tm = (kappa - s) / (kappa + s), 1.0
+        else:
+            kappa_m = math.sqrt(kappa**2 + (eps - 1.0) * (xi / sc.c) ** 2)
+            r_te = (kappa - kappa_m) / (kappa + kappa_m)
+            r_tm = (eps * kappa - kappa_m) / (eps * kappa + kappa_m)
+        total = 0.0
+        for r in (r_te, r_tm):
+            t = r * r * math.exp(-y)
+            total += t / (1.0 - t)
+        return y * y * total
+
+    return integrand
+
+
+@pytest.mark.parametrize("gap", GRID_GAPS)
+@pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
+def test_k_rule_converges_geometrically(model, gap):
+    # The pole of t/(1-t) sits just left of y_lo.  A rule clustered at y_lo
+    # reaches ~1e-15 at 128 nodes on these rows; a uniform rule in y is
+    # still ~5e-7 off at 128 and ~8e-8 at 256.
+    for n in (0, 1, 10, 100, 1000):
+        xi = matsubara_frequency(n, 1.0)
+        ref, _ = quad(_local_k_integrand(model, xi, gap), 2 * gap * xi / sc.c, 60.0,
+                      epsabs=0.0, epsrel=1e-13, limit=500)
+        ref /= 8 * gap**3
+        val = float(_k_integrals(model, model, xi, gap, 1.0, 128)[0])
+        assert val == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def _record_k_ladders(monkeypatch, num):
+    # Runs plate_pressure over the grid and returns, per k-ladder, the last
+    # order evaluated and the rows' error in units of tol * scale.
+    ladders, last_order = [], [0]
+    inner, adaptive = lifshitz._k_integrals, lifshitz._k_integrals_adaptive
+
+    def k_integrals(*args):
+        last_order[0] = args[-1]
+        return inner(*args)
+
+    def k_integrals_adaptive(*args):
+        cur, err = adaptive(*args)
+        scale = np.maximum(np.abs(cur), np.max(np.abs(cur), initial=0.0) * 1e-12)
+        ladders.append((last_order[0], float(np.max(err / (num.rel_tol_quadrature * scale)))))
+        return cur, err
+
+    monkeypatch.setattr(lifshitz, "_k_integrals", k_integrals)
+    monkeypatch.setattr(lifshitz, "_k_integrals_adaptive", k_integrals_adaptive)
+    for gap in GRID_GAPS:
+        for temp in GRID_TEMPS:
+            for model in GRID_MODELS:
+                plate_pressure(gap, temp, model, model, num)
+    return ladders
+
+
+def test_k_ladders_converge_below_the_cap_at_tight_tolerance(monkeypatch):
+    # At 1e-11 the ladder must converge before it reaches _GL_ORDER_MAX:
+    # a row returned at the cap with its error above tolerance is a silent
+    # cap hit.
+    num = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
+    ladders = _record_k_ladders(monkeypatch, num)
+    assert len(ladders) > 100
+    assert max(excess for _, excess in ladders) <= 1.0
+
+
+def test_default_k_ladders_end_by_order_128(monkeypatch):
+    # Counts, not timings: at default numerics every k-ladder stops at the
+    # 64 -> 128 rung or before.
+    ladders = _record_k_ladders(monkeypatch, DEFAULT_NUMERICS)
+    assert len(ladders) > 100
+    assert max(order for order, _ in ladders) <= 128

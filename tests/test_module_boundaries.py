@@ -1,8 +1,10 @@
 """Design rules: no module imports an underscore name from another module
-of the package, what one module needs from another is public there; and
-no module imports a name it never uses."""
+of the package, what one module needs from another is public there; no
+module imports a name it never uses; and no module-level constant is
+dead."""
 
 import ast
+import re
 from pathlib import Path
 
 import casimirchip
@@ -41,4 +43,28 @@ def test_no_module_imports_a_name_it_never_uses():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
                     offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_every_module_constant_is_referenced():
+    # A module-level UPPER_CASE name must be read somewhere in the package
+    # beyond its own definition: in its module, or imported by another one.
+    constant = re.compile(r"_?[A-Z][A-Z0-9_]*")
+    defined, read_in, imported = [], {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(path.name, t.id) for t in targets
+                        if isinstance(t, ast.Name) and constant.fullmatch(t.id)]
+        read_in[path.name] = {node.attr if isinstance(node, ast.Attribute) else node.id
+                              for node in ast.walk(tree)
+                              if isinstance(node, ast.Attribute)
+                              or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imported |= {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(defined) > 10
+    offenders = [f"{module} {name}" for module, name in defined
+                 if name not in read_in[module] and name not in imported]
     assert offenders == []

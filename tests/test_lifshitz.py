@@ -23,6 +23,7 @@ from casimirchip import (
     reflection_coefficients,
 )
 from casimirchip import lifshitz
+from casimirchip.constants import HBAR
 from casimirchip.lifshitz import (
     _N_EXPLICIT,
     _k_integrals,
@@ -468,6 +469,50 @@ def test_binding_frequency_ceiling_stops_the_n_doubling():
     assert abs(res.pressure - ref.pressure) <= res.truncation_estimate + res.quadrature_estimate
 
 
+def _two_tail_truncation(gap, temp, model, num, terms_used):
+    # |P(N) - P(2N)| from two full Euler-Maclaurin tails at (N+1/2) xi_1 and
+    # (2N+1/2) xi_1, with N read off terms_used = 2N + 2 + tail nodes, and
+    # the tolerance the two tails' rule and k errors allow.
+    args = (gap, temp, model, model, num)
+    xi_1 = matsubara_frequency(1, temp)
+    n = _N_EXPLICIT
+    while True:
+        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, args)
+        if 2 * n + 2 + upper[3] == terms_used:
+            break
+        assert n < 4 * _N_EXPLICIT
+        n *= 2
+    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, args)
+    f, err = _k_integrals_adaptive(model, model, np.arange(2 * n + 2) * xi_1, gap, temp, num)
+    f[0] *= 0.5
+
+    def p_em(m, tail):
+        return xi_1 * (np.sum(f[: m + 1]) + (f[m + 1] - f[m]) / 24.0) + tail[0]
+
+    pref = HBAR / (2.0 * math.pi**2)
+    tol = lower[1] + lower[2] + upper[1] + upper[2] + xi_1 * np.sum(err[n : 2 * n + 2])
+    return pref * abs(p_em(n, lower) - p_em(2 * n, upper)), pref * tol
+
+
+@pytest.mark.parametrize("model,temp,num", [
+    *[pytest.param(model, temp, DEFAULT_NUMERICS, id=f"{name}-{temp}K")
+      for model, name in ((PLASMA, "plasma"), (DRUDE, "drude"), (TWOFLUID, "two-fluid"))
+      for temp in (0.5, 1.3, 4.0)],
+    pytest.param(DRUDE, 0.5, LifshitzNumerics(t_zero_nodes=8), id="drude-0.5K-8-nodes"),
+    pytest.param(DRUDE, 4.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
+                 id="drude-4.0K-1e-11"),
+])
+def test_truncation_estimate_matches_two_tails(model, temp, num):
+    # plate_pressure computes only the tail behind P(2N) and forms
+    # P(N) - P(2N) from the terms between, the f' corrections and one
+    # short block; that must agree with the difference of two full tails.
+    # The 1e-11 case at 1 um doubles N to 128.
+    gap = 1e-6 if num.rel_tol_series < 1e-6 else 100e-9
+    res = plate_pressure(gap, temp, model, model, num)
+    two_tail, tol = _two_tail_truncation(gap, temp, model, num, res.terms_used)
+    assert abs(res.truncation_estimate - two_tail) <= tol
+
+
 # ----------------------------------------------------------------- k-rule
 
 GRID_GAPS = (10e-9, 100e-9, 1e-6)
@@ -555,3 +600,22 @@ def test_default_k_ladders_end_by_order_128(monkeypatch):
     ladders = _record_k_ladders(monkeypatch, DEFAULT_NUMERICS)
     assert len(ladders) > 100
     assert max(order for order, _ in ladders) <= 128
+
+
+@pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
+def test_k_integrand_evaluations_per_call(monkeypatch, model):
+    # Counts, not timings: no k-rule of order 32 is evaluated, and a call at
+    # 100 nm stays within the evaluation counts of one tail per N-rung.
+    inner, orders, evaluations = lifshitz._k_integrals, set(), [0]
+
+    def k_integrals(mat_a, mat_b, xi_col, gap, temperature, order):
+        orders.add(order)
+        evaluations[0] += np.size(xi_col) * (order + 1)
+        return inner(mat_a, mat_b, xi_col, gap, temperature, order)
+
+    monkeypatch.setattr(lifshitz, "_k_integrals", k_integrals)
+    for temp, budget in ((1.0, 48_500), (0.0, 43_521)):
+        evaluations[0] = 0
+        plate_pressure(100e-9, temp, model, model)
+        assert evaluations[0] <= budget
+    assert min(orders) == 64

@@ -17,9 +17,7 @@ from .designer import (
 )
 from .errors import (
     CasimirChipError,
-    ConditioningError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     TransitionNotFoundError,
 )
@@ -72,11 +70,9 @@ from .mechanics import (
 )
 from .readout import (
     CavityParams,
-    GomFitResult,
     PressureFloor,
     ReadoutCalibration,
     cavity_response,
-    fit_gom,
     gap_change_to_frequency_shift,
     intracavity_photons,
     min_detectable_pressure,

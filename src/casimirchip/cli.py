@@ -2,8 +2,8 @@
 
 Quantities on the command line carry unit suffixes (``100nm``, ``10mK``,
 ``0.5Pa``); a bare ``0`` is accepted where zero is unambiguous.  All output
-goes to stdout, all errors to stderr.  Exit codes: 0 success, 1 domain or
-convergence error, 2 usage or config error.
+goes to stdout, all errors to stderr.  Exit codes: 0 success, 1 domain
+error, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ def _add_numerics_args(parser):
                         default=DEFAULT_NUMERICS.rel_tol_quadrature,
                         help="relative tolerance of the k-integration and of the "
                              "frequency integral (dimensionless)")
-    parser.add_argument("--max-terms", type=int,
-                        default=DEFAULT_NUMERICS.max_matsubara_terms,
-                        help="explicit Matsubara term budget")
     parser.add_argument("--t-zero-nodes", type=int,
                         default=DEFAULT_NUMERICS.t_zero_nodes,
                         help="ceiling of the frequency-integral node doubling (T = 0 "
@@ -78,7 +75,6 @@ def _numerics(args):
     return LifshitzNumerics(
         rel_tol_quadrature=args.rel_tol_quadrature,
         rel_tol_series=args.rel_tol_series,
-        max_matsubara_terms=args.max_terms,
         t_zero_nodes=args.t_zero_nodes,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ def thermal_frequency(temperature):
     onset of superconductivity, which is what makes the temperature
     dependence of the pressure model-discriminating.
     """
-    if not math.isfinite(temperature) or temperature < 0.0:
-        raise DomainError(f"temperature must be finite and >= 0, got {temperature!r}")
+    require_nonnegative("temperature", temperature)
     return K_B * temperature / HBAR
 
 
@@ -55,6 +54,5 @@ def matsubara_frequency(n, temperature):
     """
     if n < 0 or int(n) != n:
         raise DomainError(f"Matsubara index must be a non-negative integer, got {n!r}")
-    if not math.isfinite(temperature) or temperature <= 0.0:
-        raise DomainError(f"temperature must be finite and > 0, got {temperature!r}")
+    require_positive("temperature", temperature)
     return 2.0 * math.pi * n * K_B * temperature / HBAR

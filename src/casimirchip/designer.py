@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import CasimirChipError, DomainError
+from .errors import CasimirChipError, DomainError, require_nonnegative, require_positive
 from .lifshitz import DEFAULT_NUMERICS, differential_pressure, plate_pressure
 from .mechanics import pressure_to_gap_change
 from .readout import (
@@ -39,11 +39,10 @@ class SweepSpec:
     def __post_init__(self):
         if not (0 < self.gap_min <= self.gap_max):
             raise DomainError("need 0 < gap_min <= gap_max")
-        if not self.gap_step > 0:
-            raise DomainError("gap_step must be > 0")
+        require_positive("gap_max", self.gap_max)
+        require_positive("gap_step", self.gap_step)
         for t in self.temperatures:
-            if not (math.isfinite(t) and t >= 0):
-                raise DomainError(f"temperatures must be finite and >= 0, got {t!r}")
+            require_nonnegative("temperatures", t)
 
     def gaps(self):
         n = int(round((self.gap_max - self.gap_min) / self.gap_step))

@@ -1,10 +1,14 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the positivity checks
+that raise the commonest of them.
 
-The CLI maps these onto exit codes: domain/convergence problems exit 1,
-configuration and usage problems exit 2.
+The CLI maps these onto exit codes: domain problems exit 1, configuration
+and usage problems exit 2.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class CasimirChipError(Exception):
@@ -15,24 +19,8 @@ class DomainError(CasimirChipError, ValueError):
     """An argument is outside the physical/mathematical domain of an operation."""
 
 
-class ConvergenceError(CasimirChipError, RuntimeError):
-    """A series or quadrature failed to converge within its budget.
-
-    Carries the best partial result so callers can inspect how far the
-    evaluation got.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class TransitionNotFoundError(CasimirChipError, ValueError):
     """A resistance curve contains no detectable superconducting transition."""
-
-
-class ConditioningError(CasimirChipError, ValueError):
-    """A fit dataset is too degenerate to constrain the requested parameter."""
 
 
 class ConfigError(CasimirChipError, ValueError):
@@ -42,3 +30,15 @@ class ConfigError(CasimirChipError, ValueError):
         problems = list(problems)
         super().__init__("; ".join(problems))
         self.problems = problems
+
+
+def require_positive(name, value):
+    """Raise DomainError unless ``value`` is a finite real number > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def require_nonnegative(name, value):
+    """Raise DomainError unless ``value`` is a finite real number >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")

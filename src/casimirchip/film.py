@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TransitionNotFoundError
+from .errors import DomainError, TransitionNotFoundError, require_positive
 
 RT_CSV_HEADER = ("temperature_K", "resistance_ohm")
 
@@ -49,9 +49,7 @@ class FilmParams:
     def __post_init__(self):
         for name in ("xi0", "lambda_l", "rho_ell", "wire_length",
                      "cross_section", "t_c"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {val!r}")
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -86,16 +84,14 @@ def conductivity_from_four_point(wire_length, cross_section, r_4k):
     """Conductivity sigma = L / (zeta R) in (Ohm m)^-1 from a 4 K resistance."""
     for name, val in (("wire_length", wire_length), ("cross_section", cross_section),
                       ("r_4k", r_4k)):
-        if not (math.isfinite(val) and val > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {val!r}")
+        require_positive(name, val)
     return wire_length / (cross_section * r_4k)
 
 
 def mean_free_path(sigma, rho_ell):
     """Electron mean free path ell = sigma * (rho ell) in m."""
     for name, val in (("sigma", sigma), ("rho_ell", rho_ell)):
-        if not (math.isfinite(val) and val > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {val!r}")
+        require_positive(name, val)
     return sigma * rho_ell
 
 
@@ -105,8 +101,7 @@ def _dirty_limit_args(xi0, ell, temperature, t_c, mode):
     if mode not in ("exact", "approx"):
         raise DomainError(f"mode must be 'exact' or 'approx', got {mode!r}")
     if mode == "exact":
-        if not (math.isfinite(t_c) and t_c > 0):
-            raise DomainError(f"t_c must be finite and > 0, got {t_c!r}")
+        require_positive("t_c", t_c)
         if not (0.0 <= temperature < t_c):
             raise DomainError(
                 f"exact mode needs 0 <= T < T_c, got T = {temperature!r}, "
@@ -132,8 +127,7 @@ def penetration_depth(lambda_l, xi0, ell, temperature=0.0, t_c=None, mode="appro
     approx: lambda_L sqrt(xi0/ell); exact: 0.62 lambda_L sqrt(xi0/ell)
     sqrt(T_c/(T_c - T)).
     """
-    if not (math.isfinite(lambda_l) and lambda_l > 0):
-        raise DomainError(f"lambda_l must be finite and > 0, got {lambda_l!r}")
+    require_positive("lambda_l", lambda_l)
     _dirty_limit_args(xi0, ell, temperature, t_c if t_c is not None else 1.0, mode)
     base = lambda_l * math.sqrt(xi0 / ell)
     if mode == "approx":

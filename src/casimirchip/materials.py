@@ -22,24 +22,21 @@ arithmetic is needed anywhere in the pressure engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 
 
 def _check_parameters(model):
     """omega_p and t_c finite and > 0, gamma finite and >= 0 (where present)."""
-    for name, low_ok in (("omega_p", False), ("gamma", True), ("t_c", False)):
+    for name, check in (("omega_p", require_positive), ("gamma", require_nonnegative),
+                        ("t_c", require_positive)):
         value = getattr(model, name, None)
-        if value is None:
-            continue
-        if not (math.isfinite(value) and (value >= 0.0 if low_ok else value > 0.0)):
-            bound = ">=" if low_ok else ">"
-            raise DomainError(f"{name} must be finite and {bound} 0, got {value!r}")
+        if value is not None:
+            check(name, value)
 
 
 @dataclass(frozen=True)
@@ -109,10 +106,8 @@ def superfluid_fraction(temperature, t_c):
     Returns 0 at and above t_c, 1 at T = 0; continuous across the
     transition.
     """
-    if not (math.isfinite(temperature) and temperature >= 0.0):
-        raise DomainError(f"temperature must be finite and >= 0, got {temperature!r}")
-    if not (math.isfinite(t_c) and t_c > 0.0):
-        raise DomainError(f"t_c must be finite and > 0, got {t_c!r}")
+    require_nonnegative("temperature", temperature)
+    require_positive("t_c", t_c)
     if temperature >= t_c:
         return 0.0
     return 1.0 - (temperature / t_c) ** 4

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ class DeviceGeometry:
             "gap", "film_stress", "density_sin", "density_al",
         )
         for name in positive:
-            val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {val!r}")
+            require_positive(name, getattr(self, name))
         if self.parallelism_jitter < 0:
             raise DomainError("parallelism_jitter must be >= 0")
         if self.metal_segment_length > self.effective_length:
@@ -82,8 +80,7 @@ def axial_tension(stress, geometry):
     Only the nitride cross section carries stress; the evaporated metal is
     unstressed.
     """
-    if not (math.isfinite(stress) and stress > 0):
-        raise DomainError(f"stress must be finite and > 0, got {stress!r}")
+    require_positive("stress", stress)
     return stress * geometry.width * geometry.thickness
 
 
@@ -109,10 +106,8 @@ def deflection_profile(q, load_span, length, tension):
     x1, x2 = load_span
     if not (0.0 <= x1 < x2 <= length):
         raise DomainError(f"load span must satisfy 0 <= x1 < x2 <= L, got {load_span!r}")
-    if not (math.isfinite(tension) and tension > 0):
-        raise DomainError(f"tension must be finite and > 0, got {tension!r}")
-    if not (math.isfinite(q) and q >= 0):
-        raise DomainError(f"line load must be finite and >= 0, got {q!r}")
+    require_positive("tension", tension)
+    require_nonnegative("line load", q)
     c = x2 - x1
     xbar = 0.5 * (x1 + x2)
     mu = q / tension
@@ -139,10 +134,8 @@ def fundamental_frequency(geometry):
 
 def effective_stiffness(m_eff, f1):
     """Modal stiffness k_eff = m_eff (2 pi f1)^2 in N/m."""
-    if not (math.isfinite(m_eff) and m_eff > 0):
-        raise DomainError(f"m_eff must be finite and > 0, got {m_eff!r}")
-    if not (math.isfinite(f1) and f1 > 0):
-        raise DomainError(f"f1 must be finite and > 0, got {f1!r}")
+    require_positive("m_eff", m_eff)
+    require_positive("f1", f1)
     return m_eff * (2.0 * math.pi * f1) ** 2
 
 
@@ -175,8 +168,7 @@ def pressure_to_gap_change(pressure, geometry):
     deflect in the differential mode, so the gap change is twice the
     per-beam midpoint deflection.
     """
-    if not (math.isfinite(pressure) and pressure >= 0):
-        raise DomainError(f"pressure must be finite and >= 0, got {pressure!r}")
+    require_nonnegative("pressure", pressure)
     tension = axial_tension(geometry.film_stress, geometry)
     q = pressure * geometry.plate_height
     length = geometry.effective_length

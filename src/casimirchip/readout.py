@@ -1,6 +1,5 @@
-"""Optical readout chain: gap changes to cavity shifts, PDH voltage,
-optical-spring coupling extraction, and the minimum-detectable-pressure
-figure of merit.
+"""Optical readout chain: gap changes to cavity shifts, PDH voltage, the
+optical-spring shift, and the minimum-detectable-pressure figure of merit.
 
 Sign convention, used consistently: a gap decrease lowers the cavity
 resonance frequency.  Only magnitudes enter the detectability
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR
-from .errors import ConditioningError, DomainError
+from .errors import DomainError, require_nonnegative, require_positive
 from .mechanics import pressure_to_gap_change
 
 # relative q_optical vs omega_c / kappa mismatch above which CavityParams warns
@@ -42,9 +41,7 @@ class CavityParams:
 
     def __post_init__(self):
         for name in ("lambda_res", "kappa", "kappa_e", "q_optical", "g_om"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {val!r}")
+            require_positive(name, getattr(self, name))
         if self.kappa_e > self.kappa:
             raise DomainError("kappa_e must not exceed kappa")
         q_from_kappa = self.omega_c / self.kappa
@@ -77,9 +74,7 @@ class ReadoutCalibration:
 
     def __post_init__(self):
         for name in ("pdh_slope", "min_resolvable_shift", "drift_bound"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {val!r}")
+            require_positive(name, getattr(self, name))
         if self.linear_window is not None and not self.linear_window > 0:
             raise DomainError("linear_window must be > 0 when given")
 
@@ -92,17 +87,6 @@ class PressureFloor:
     gap_change: float           # m, cavity gap change at the minimum shift
     per_beam_deflection: float  # m
     line_load: float            # N/m
-
-
-@dataclass(frozen=True)
-class GomFitResult:
-    """Least-squares optomechanical coupling estimate."""
-
-    g_om: float          # rad/s per m
-    stderr: float        # rad/s per m
-    residual_rms: float  # Hz
-    n_points: int
-    flags: tuple
 
 
 def gap_change_to_frequency_shift(delta_gap, cavity):
@@ -155,10 +139,8 @@ def optical_spring_shift(detuning, intracavity_photons, cavity, omega_m, m_eff):
 
     Antisymmetric in detuning, extremal near |Delta| = kappa/2.
     """
-    if not (math.isfinite(m_eff) and m_eff > 0):
-        raise DomainError(f"m_eff must be finite and > 0, got {m_eff!r}")
-    if not (math.isfinite(omega_m) and omega_m > 0):
-        raise DomainError(f"omega_m must be finite and > 0, got {omega_m!r}")
+    require_positive("m_eff", m_eff)
+    require_positive("omega_m", omega_m)
     if intracavity_photons < 0:
         raise DomainError("intracavity_photons must be >= 0")
     delta = 2.0 * math.pi * np.asarray(detuning, dtype=float)
@@ -171,68 +153,11 @@ def optical_spring_shift(detuning, intracavity_photons, cavity, omega_m, m_eff):
 
 def intracavity_photons(input_power, detuning, cavity):
     """Steady-state photon number from the input power (W) at a detuning (Hz)."""
-    if not (math.isfinite(input_power) and input_power >= 0):
-        raise DomainError(f"input_power must be finite and >= 0, got {input_power!r}")
+    require_nonnegative("input_power", input_power)
     delta = 2.0 * math.pi * detuning
     return (
         input_power / (HBAR * cavity.omega_c)
         * cavity.kappa_e / (delta**2 + 0.25 * cavity.kappa**2)
-    )
-
-
-def fit_gom(spring_dataset, fixed):
-    """Least-squares g_om from optical-spring data.
-
-    ``spring_dataset`` is a sequence of (detuning_Hz, omega_m_shift_Hz)
-    pairs; ``fixed`` supplies n_cav, m_eff, omega_m (rad/s) and kappa
-    (rad/s).  The model is linear in g_om^2, so the estimate is closed
-    form.  When ``fixed`` marks n_cav_uncertain, only the combination
-    g_om * sqrt(n_cav) is constrained and the result is flagged.
-    """
-    data = np.asarray(spring_dataset, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 5:
-        raise ConditioningError("need at least 5 (detuning, shift) points")
-    detuning, shift = data[:, 0], data[:, 1]
-    if not (np.any(detuning > 0) and np.any(detuning < 0)):
-        raise ConditioningError("detunings must span both signs to constrain g_om")
-
-    n_cav = fixed["n_cav"]
-    m_eff = fixed["m_eff"]
-    omega_m = fixed["omega_m"]
-    kappa = fixed["kappa"]
-    delta = 2.0 * math.pi * detuning
-    # shift = g^2 * basis
-    basis = (
-        2.0 * n_cav * HBAR / (m_eff * omega_m)
-        * delta / (delta**2 + 0.25 * kappa**2) / (2.0 * math.pi)
-    )
-    denom = float(np.dot(basis, basis))
-    if denom == 0.0:
-        raise ConditioningError("basis function vanishes on every supplied detuning")
-    g_sq = float(np.dot(basis, shift)) / denom
-    residuals = shift - g_sq * basis
-    dof = max(len(shift) - 1, 1)
-    sigma_sq = float(np.dot(residuals, residuals)) / dof
-    var_gsq = sigma_sq / denom
-
-    flags = []
-    if g_sq <= 0.0:
-        g_om = 0.0
-        stderr = math.inf
-        flags.append("large-uncertainty")
-    else:
-        g_om = math.sqrt(g_sq)
-        stderr = math.sqrt(var_gsq) / (2.0 * g_om)
-        if stderr >= g_om:
-            flags.append("large-uncertainty")
-    if fixed.get("n_cav_uncertain"):
-        flags.append("gom-sqrt-ncav-degenerate")
-    return GomFitResult(
-        g_om=g_om,
-        stderr=stderr,
-        residual_rms=math.sqrt(sigma_sq),
-        n_points=len(shift),
-        flags=tuple(flags),
     )
 
 

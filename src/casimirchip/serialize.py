@@ -1,4 +1,4 @@
-"""Text, JSON and CSV emission plus the CSV readers for measured data.
+"""Text, JSON and CSV emission plus the reader for emitted CSV tables.
 
 Numeric CSV fields are written with 17 significant digits so every emitted
 table re-ingests losslessly.  ``#``-prefixed lines are comments in every
@@ -12,8 +12,6 @@ import io
 import json
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 SWEEP_CSV_HEADER = (
@@ -21,7 +19,6 @@ SWEEP_CSV_HEADER = (
     "freq_shift_Hz", "voltage_V", "detectable", "margin", "error",
 )
 SCAN_CSV_HEADER = ("temperature_K", "freq_shift_Hz")
-SPRING_CSV_HEADER = ("detuning_Hz", "omega_m_shift_Hz")
 VERDICT_CSV_HEADER = (
     "name", "signal_Pa", "floor_Pa", "freq_shift_Hz", "detectable", "margin",
 )
@@ -107,17 +104,3 @@ def read_csv_table(text):
     if not rows:
         raise DomainError("empty CSV table")
     return tuple(rows[0]), rows[1:]
-
-
-def read_spring_csv(text):
-    """Optical-spring dataset: (detuning_Hz, omega_m_shift_Hz) pairs."""
-    header, rows = read_csv_table(text)
-    if tuple(header) != SPRING_CSV_HEADER:
-        raise DomainError(
-            f"spring dataset header must be '{','.join(SPRING_CSV_HEADER)}'"
-        )
-    try:
-        data = np.array([[float(a), float(b)] for a, b in rows], dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"non-numeric spring dataset row: {exc}") from None
-    return data

@@ -22,13 +22,7 @@ from casimirchip import (
 from casimirchip import config
 from casimirchip.cli import _build_parser, _numerics, main
 from casimirchip.config import parse_length, parse_pressure, parse_temperature
-from casimirchip.serialize import (
-    SPRING_CSV_HEADER,
-    fmt,
-    read_csv_table,
-    read_spring_csv,
-    scan_csv,
-)
+from casimirchip.serialize import fmt, read_csv_table, scan_csv
 
 EXAMPLE = str(example_config_path())
 
@@ -213,15 +207,6 @@ def test_scan_csv_round_trip_and_bands():
     assert parsed == points
 
 
-def test_read_spring_csv():
-    text = ",".join(SPRING_CSV_HEADER) + "\n-1e9,-120\n2e9,88\n"
-    data = read_spring_csv(text)
-    assert data.shape == (2, 2)
-    assert data[0, 1] == -120.0
-    with pytest.raises(DomainError):
-        read_spring_csv("a,b\n1,2\n")
-
-
 # ---------------------------------------------------------------------- CLI
 
 def run_cli(capsys, *argv):
@@ -354,7 +339,9 @@ def test_cli_sweep_empty_list_exits_two(capsys, tmp_path, how, key):
 SWEEP_RANGE_PROBLEMS = pytest.mark.parametrize("replace, message", [
     ({"gap_min_nm": "400"}, "need 0 < gap_min <= gap_max"),
     ({"temperatures_K": "1.3, -1"}, "temperatures must be finite and >= 0, got -1.0"),
-], ids=["gap-range", "negative-temperature"])
+    ({"gap_max_nm": "inf"}, "gap_max must be finite and > 0, got inf"),
+    ({"gap_step_nm": "inf"}, "gap_step must be finite and > 0, got inf"),
+], ids=["gap-range", "negative-temperature", "infinite-gap-max", "infinite-gap-step"])
 
 
 @pytest.mark.parametrize("how", ["config", "spec"])

@@ -17,6 +17,7 @@ from casimirchip import (
     SweepSpec,
     detectability_report,
     min_detectable_pressure,
+    plate_pressure,
     run_gap_sweep,
     simulate_temperature_scan,
 )
@@ -69,16 +70,21 @@ def test_empty_temperature_list_gives_empty_table():
 
 
 @pytest.mark.filterwarnings("ignore:frequency shift")
-def test_sweep_row_error_column_keeps_sweep_alive():
-    starved = LifshitzNumerics(max_matsubara_terms=10)
+def test_sweep_row_error_column_keeps_sweep_alive(monkeypatch):
+    def failing_at_1p3_k(gap, temperature, *args):
+        if temperature == 1.3:
+            raise DomainError("no pressure at 1.3 K")
+        return plate_pressure(gap, temperature, *args)
+
+    monkeypatch.setattr("casimirchip.designer.plate_pressure", failing_at_1p3_k)
     spec = SweepSpec(100e-9, 110e-9, 10e-9, (1.3, 0.0),
                      (("drude/drude", DRUDE, DRUDE),))
-    rows = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, starved)
+    rows = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB)
     assert len(rows) == 4
     failed = [r for r in rows if r.error]
     passed = [r for r in rows if not r.error]
-    # 1.3 K rows blow the 10-term budget; T = 0 rows use the integral branch.
     assert len(failed) == 2 and all(math.isnan(r.pressure) for r in failed)
+    assert all(r.error == "no pressure at 1.3 K" for r in failed)
     assert len(passed) == 2 and all(r.pressure > 0 for r in passed)
 
 

@@ -1,7 +1,7 @@
 """Design rules: no module imports an underscore name from another module
 of the package, what one module needs from another is public there; no
-module imports a name it never uses; and no module-level constant is
-dead."""
+module imports a name it never uses; no module-level constant is dead;
+and no exception type is dead."""
 
 import ast
 import re
@@ -68,3 +68,24 @@ def test_every_module_constant_is_referenced():
     offenders = [f"{module} {name}" for module, name in defined
                  if name not in read_in[module] and name not in imported]
     assert offenders == []
+
+
+def test_every_exception_type_is_raised_or_caught():
+    # An exception class in errors.py must appear in a raise statement or an
+    # except clause of another module of the package.
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    handled = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exprs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                exprs = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            else:
+                continue
+            handled |= {e.id for e in exprs if isinstance(e, ast.Name)}
+    assert len(classes) >= 4
+    assert sorted(classes - handled) == []

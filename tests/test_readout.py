@@ -5,12 +5,10 @@ import pytest
 
 from casimirchip import (
     CavityParams,
-    ConditioningError,
     DeviceGeometry,
     DomainError,
     ReadoutCalibration,
     cavity_response,
-    fit_gom,
     gap_change_to_frequency_shift,
     intracavity_photons,
     min_detectable_pressure,
@@ -125,77 +123,6 @@ def test_intracavity_photons_scale():
     assert n_res > 0
     assert intracavity_photons(400e-9, 0.0, cavity) == pytest.approx(2 * n_res)
     assert intracavity_photons(200e-9, 50e9, cavity) < n_res
-
-
-def _spring_dataset(g_om, detunings, cavity, noise=0.0, rng=None):
-    omega_m = TWO_PI * 952e3
-    test_cavity = CavityParams(cavity.lambda_res, cavity.kappa, cavity.kappa_e,
-                               cavity.q_optical, g_om)
-    shifts = optical_spring_shift(np.asarray(detunings), 1e3, test_cavity,
-                                  omega_m, 418e-15)
-    if noise:
-        shifts = shifts + rng.normal(0.0, noise * np.max(np.abs(shifts)),
-                                     size=len(shifts))
-    return np.column_stack([detunings, shifts])
-
-
-def _fit_fixed(cavity):
-    return {"n_cav": 1e3, "m_eff": 418e-15, "omega_m": TWO_PI * 952e3,
-            "kappa": cavity.kappa}
-
-
-def test_fit_gom_round_trip_noiseless():
-    cavity = reference_cavity()
-    detunings = np.linspace(-8e9, 8e9, 17)
-    detunings = detunings[np.abs(detunings) > 1e8]
-    data = _spring_dataset(cavity.g_om, detunings, cavity)
-    fit = fit_gom(data, _fit_fixed(cavity))
-    assert fit.g_om == pytest.approx(cavity.g_om, rel=1e-6)
-    assert not fit.flags
-
-
-def test_fit_gom_with_noise_monte_carlo():
-    # 5% Gaussian noise on the shifts: over 100 seeded repeats the fitted
-    # coupling stays within 5% of the truth.
-    cavity = reference_cavity()
-    detunings = np.linspace(-8e9, 8e9, 41)
-    detunings = detunings[np.abs(detunings) > 1e8]
-    worst = 0.0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        data = _spring_dataset(cavity.g_om, detunings, cavity, noise=0.05, rng=rng)
-        fit = fit_gom(data, _fit_fixed(cavity))
-        worst = max(worst, abs(fit.g_om - cavity.g_om) / cavity.g_om)
-    assert worst < 0.05
-
-
-def test_fit_gom_all_zero_shifts():
-    cavity = reference_cavity()
-    detunings = np.linspace(-5e9, 5e9, 11)
-    detunings = detunings[np.abs(detunings) > 1e8]
-    data = np.column_stack([detunings, np.zeros(len(detunings))])
-    fit = fit_gom(data, _fit_fixed(cavity))
-    assert fit.g_om == 0.0
-    assert "large-uncertainty" in fit.flags
-
-
-def test_fit_gom_flags_ncav_degeneracy():
-    cavity = reference_cavity()
-    detunings = np.linspace(-5e9, 5e9, 11)
-    detunings = detunings[np.abs(detunings) > 1e8]
-    data = _spring_dataset(cavity.g_om, detunings, cavity)
-    fixed = dict(_fit_fixed(cavity), n_cav_uncertain=True)
-    assert "gom-sqrt-ncav-degenerate" in fit_gom(data, fixed).flags
-
-
-def test_fit_gom_degenerate_datasets():
-    cavity = reference_cavity()
-    one_sided = _spring_dataset(cavity.g_om, np.linspace(1e9, 8e9, 9), cavity)
-    with pytest.raises(ConditioningError):
-        fit_gom(one_sided, _fit_fixed(cavity))
-    tiny = _spring_dataset(cavity.g_om, np.array([-1e9, 1e9, 2e9]), cavity)
-    with pytest.raises(ConditioningError):
-        fit_gom(tiny, _fit_fixed(cavity))
 
 
 def test_pressure_floor_chain():

@@ -4,7 +4,6 @@ competing dielectric models, film characterization from four-point data,
 tensioned-beam mechanics, optomechanical readout, and detectability
 analysis."""
 
-from .constants import CODATA, PhysicalConstants, matsubara_frequency, thermal_frequency
 from .designer import (
     DetectabilityVerdict,
     MaterialPairDifferential,
@@ -72,11 +71,8 @@ from .readout import (
     CavityParams,
     PressureFloor,
     ReadoutCalibration,
-    cavity_response,
     gap_change_to_frequency_shift,
-    intracavity_photons,
     min_detectable_pressure,
-    optical_spring_shift,
     pdh_voltage,
 )
 

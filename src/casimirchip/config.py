@@ -276,7 +276,7 @@ def _read_config(path):
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from None
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from None

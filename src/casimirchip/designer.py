@@ -127,8 +127,9 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
 
     A failed engine evaluation marks its row's ``error`` column and the
     sweep continues.  Rows are returned in lexicographic (gap, temperature,
-    pair index) order regardless of ``workers``.
+    pair index) order regardless of ``workers``, which must be >= 1.
     """
+    require_positive("workers", workers)
     floor = min_detectable_pressure(geometry, cavity, calib).pressure
     jobs = [
         (gap, temp, label, mat_a, mat_b)
@@ -151,12 +152,8 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
         return SweepRow(gap, temp, label, pressure, gap_change, freq_shift,
                         voltage, margin >= 1.0, margin)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, jobs))
-    else:
-        rows = [evaluate(job) for job in jobs]
-    return rows
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(evaluate, jobs))
 
 
 def simulate_temperature_scan(geometry, cavity, calib, t_grid, theory,

@@ -58,10 +58,6 @@ class RTCurve:
 
     temperature: tuple  # K, strictly increasing
     resistance: tuple   # Ohm, >= 0
-    current: float | None = None       # A
-    pulse_length: float | None = None  # s
-    pulse_delay: float | None = None   # s
-    duplicate_count: int = 0           # rows merged during ingestion
 
     def __len__(self):
         return len(self.temperature)
@@ -135,44 +131,25 @@ def penetration_depth(lambda_l, xi0, ell, temperature=0.0, t_c=None, mode="appro
     return 0.62 * base * math.sqrt(t_c / (t_c - temperature))
 
 
-def ingest_rt_table(raw, fmt="csv"):
-    """Parse an R(T) table into an RTCurve.
+def ingest_rt_table(raw):
+    """Parse an R(T) table, given as bytes (UTF-8) or text, into an RTCurve.
 
-    Accepts bytes, text, or a text stream.  The header must be exactly
-    ``temperature_K,resistance_ohm``; ``#`` lines are comments, and comment
-    lines of the form ``# key = value`` may carry the pulse metadata
-    (current_A, pulse_length_s, pulse_delay_s).  Rows are sorted by
-    temperature; duplicate temperatures are averaged and counted.
-    Malformed rows raise with their line numbers.
+    The header must be exactly ``temperature_K,resistance_ohm``; blank and
+    ``#`` lines are skipped.  Rows are sorted by temperature; duplicate
+    temperatures are averaged with a warning.  Undecodable bytes and
+    malformed rows raise DomainError, the latter with their line numbers.
     """
-    if fmt != "csv":
-        raise DomainError(f"unsupported format {fmt!r}")
     if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
-    elif isinstance(raw, str):
-        text = raw
-    else:
-        text = raw.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"R(T) table is not UTF-8 text: {exc}") from None
 
-    meta = {}
     data_lines = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                try:
-                    meta[key.strip()] = float(val.strip())
-                except ValueError:
-                    pass
-            continue
-        data_lines.append((lineno, stripped))
-
+        if stripped and not stripped.startswith("#"):
+            data_lines.append((lineno, stripped))
     if not data_lines:
         raise DomainError("empty R(T) table")
     header_line, header = data_lines[0]
@@ -217,10 +194,6 @@ def ingest_rt_table(raw, fmt="csv"):
     return RTCurve(
         temperature=tuple(float(t) for t in t_unique),
         resistance=tuple(float(r) for r in r_avg),
-        current=meta.get("current_A"),
-        pulse_length=meta.get("pulse_length_s"),
-        pulse_delay=meta.get("pulse_delay_s"),
-        duplicate_count=duplicates,
     )
 
 

@@ -43,10 +43,6 @@ def _check_parameters(model):
 class IdealMetal:
     """Perfect conductor: r_TE = -1, r_TM = 1 at every frequency and angle."""
 
-    @property
-    def label(self):
-        return "ideal"
-
 
 @dataclass(frozen=True)
 class Plasma:
@@ -56,10 +52,6 @@ class Plasma:
 
     def __post_init__(self):
         _check_parameters(self)
-
-    @property
-    def label(self):
-        return "plasma"
 
 
 @dataclass(frozen=True)
@@ -71,10 +63,6 @@ class Drude:
 
     def __post_init__(self):
         _check_parameters(self)
-
-    @property
-    def label(self):
-        return "drude"
 
 
 @dataclass(frozen=True)
@@ -91,10 +79,6 @@ class SuperconductorTwoFluid:
 
     def __post_init__(self):
         _check_parameters(self)
-
-    @property
-    def label(self):
-        return "superconductor"
 
 
 MaterialModel = Union[IdealMetal, Plasma, Drude, SuperconductorTwoFluid]

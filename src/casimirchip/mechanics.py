@@ -67,11 +67,10 @@ class DeviceGeometry:
 class BeamMechanicsDerived:
     """Derived string quantities: S = stress * (w t); f1 = (1/2L) sqrt(S/mu)."""
 
-    tension: float          # N
-    linear_density: float   # kg/m, metal mass averaged over the span
-    f1: float               # Hz
-    m_eff: float            # kg
-    k_eff: float            # N/m
+    tension: float  # N
+    f1: float       # Hz
+    m_eff: float    # kg
+    k_eff: float    # N/m
 
 
 def axial_tension(stress, geometry):
@@ -84,7 +83,8 @@ def axial_tension(stress, geometry):
     return stress * geometry.width * geometry.thickness
 
 
-def _linear_density(geometry):
+def _mass_per_length(geometry):
+    """mu in kg/m: nitride plus the metal mass averaged over the span."""
     mu_sin = geometry.density_sin * geometry.width * geometry.thickness
     metal_area = geometry.metal_eff_thickness * geometry.plate_height
     mu_al = (
@@ -128,7 +128,7 @@ def deflection_profile(q, load_span, length, tension):
 def fundamental_frequency(geometry):
     """Fundamental string frequency f1 = (1 / 2 L) sqrt(S / mu) in Hz."""
     tension = axial_tension(geometry.film_stress, geometry)
-    mu = _linear_density(geometry)
+    mu = _mass_per_length(geometry)
     return math.sqrt(tension / mu) / (2.0 * geometry.effective_length)
 
 
@@ -147,13 +147,12 @@ def derive_mechanics(geometry, m_eff=None):
     captures the supports and the photonic-crystal region) supersedes it.
     """
     tension = axial_tension(geometry.film_stress, geometry)
-    mu = _linear_density(geometry)
+    mu = _mass_per_length(geometry)
     f1 = fundamental_frequency(geometry)
     if m_eff is None:
         m_eff = 0.5 * mu * geometry.effective_length
     return BeamMechanicsDerived(
         tension=tension,
-        linear_density=mu,
         f1=f1,
         m_eff=m_eff,
         k_eff=effective_stiffness(m_eff, f1),

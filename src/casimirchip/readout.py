@@ -1,5 +1,5 @@
-"""Optical readout chain: gap changes to cavity shifts, PDH voltage, the
-optical-spring shift, and the minimum-detectable-pressure figure of merit.
+"""Optical readout chain: gap changes to cavity shifts, PDH voltage, and
+the minimum-detectable-pressure figure of merit.
 
 Sign convention, used consistently: a gap decrease lowers the cavity
 resonance frequency.  Only magnitudes enter the detectability
@@ -12,10 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .constants import C, HBAR
-from .errors import DomainError, require_nonnegative, require_positive
+from .constants import C
+from .errors import DomainError, require_positive
 from .mechanics import pressure_to_gap_change
 
 # relative q_optical vs omega_c / kappa mismatch above which CavityParams warns
@@ -70,23 +68,20 @@ class ReadoutCalibration:
     pdh_slope: float              # V/Hz
     min_resolvable_shift: float   # Hz
     drift_bound: float            # Hz
-    linear_window: float | None = None  # Hz
+    linear_window: float          # Hz
 
     def __post_init__(self):
-        for name in ("pdh_slope", "min_resolvable_shift", "drift_bound"):
+        for name in ("pdh_slope", "min_resolvable_shift", "drift_bound",
+                     "linear_window"):
             require_positive(name, getattr(self, name))
-        if self.linear_window is not None and not self.linear_window > 0:
-            raise DomainError("linear_window must be > 0 when given")
 
 
 @dataclass(frozen=True)
 class PressureFloor:
-    """Minimum detectable pressure and its intermediate chain quantities."""
+    """Minimum detectable pressure and the gap change it produces."""
 
-    pressure: float             # Pa
-    gap_change: float           # m, cavity gap change at the minimum shift
-    per_beam_deflection: float  # m
-    line_load: float            # N/m
+    pressure: float    # Pa
+    gap_change: float  # m, cavity gap change at the minimum shift
 
 
 def gap_change_to_frequency_shift(delta_gap, cavity):
@@ -94,20 +89,6 @@ def gap_change_to_frequency_shift(delta_gap, cavity):
     if not math.isfinite(delta_gap):
         raise DomainError(f"delta_gap must be finite, got {delta_gap!r}")
     return cavity.g_om / (2.0 * math.pi) * delta_gap
-
-
-def cavity_response(detuning, cavity):
-    """Single-port reflection (amplitude in [0, 1], phase in rad) vs detuning (Hz).
-
-    r(Delta) = 1 - kappa_e / (kappa/2 + i 2 pi Delta); the on-resonance dip
-    depth is set by kappa_e/kappa (undercoupled cavities dip shallowly).
-    """
-    dw = 2.0 * math.pi * np.asarray(detuning, dtype=float)
-    r = 1.0 - cavity.kappa_e / (0.5 * cavity.kappa + 1j * dw)
-    amplitude, phase = np.abs(r), np.angle(r)
-    if np.ndim(detuning) == 0:
-        return float(amplitude), float(phase)
-    return amplitude, phase
 
 
 def pdh_voltage(freq_shift, calib):
@@ -119,7 +100,7 @@ def pdh_voltage(freq_shift, calib):
     if not math.isfinite(freq_shift):
         raise DomainError(f"freq_shift must be finite, got {freq_shift!r}")
     shift = freq_shift
-    if calib.linear_window is not None and abs(shift) > calib.linear_window:
+    if abs(shift) > calib.linear_window:
         warnings.warn(
             f"frequency shift {shift:.3g} Hz is outside the linear PDH window "
             f"(+/-{calib.linear_window:.3g} Hz); clamping",
@@ -129,51 +110,12 @@ def pdh_voltage(freq_shift, calib):
     return calib.pdh_slope * shift
 
 
-def optical_spring_shift(detuning, intracavity_photons, cavity, omega_m, m_eff):
-    """Mechanical frequency shift (Hz) from the optical spring at one detuning (Hz).
-
-    Unresolved-sideband form (kappa >> omega_m):
-
-        delta omega_m = (2 n_cav hbar g_om^2 / (m_eff omega_m))
-                        * Delta / (Delta^2 + kappa^2/4),   Delta in rad/s.
-
-    Antisymmetric in detuning, extremal near |Delta| = kappa/2.
-    """
-    require_positive("m_eff", m_eff)
-    require_positive("omega_m", omega_m)
-    if intracavity_photons < 0:
-        raise DomainError("intracavity_photons must be >= 0")
-    delta = 2.0 * math.pi * np.asarray(detuning, dtype=float)
-    amp = 2.0 * intracavity_photons * HBAR * cavity.g_om**2 / (m_eff * omega_m)
-    shift = amp * delta / (delta**2 + 0.25 * cavity.kappa**2) / (2.0 * math.pi)
-    if np.ndim(detuning) == 0:
-        return float(shift)
-    return shift
-
-
-def intracavity_photons(input_power, detuning, cavity):
-    """Steady-state photon number from the input power (W) at a detuning (Hz)."""
-    require_nonnegative("input_power", input_power)
-    delta = 2.0 * math.pi * detuning
-    return (
-        input_power / (HBAR * cavity.omega_c)
-        * cavity.kappa_e / (delta**2 + 0.25 * cavity.kappa**2)
-    )
-
-
 def min_detectable_pressure(geometry, cavity, calib):
     """Pressure floor of the full chain, inverted from the minimum shift.
 
     min shift -> gap change (/ g_om) -> pressure, by inverting the forward
-    chain ``pressure_to_gap_change``, which is exactly linear in pressure;
-    the per-beam deflection is half the gap change and the line load is the
-    pressure times the plate height.
+    chain ``pressure_to_gap_change``, which is exactly linear in pressure.
     """
     gap_change = 2.0 * math.pi * calib.min_resolvable_shift / cavity.g_om
     pressure = gap_change / pressure_to_gap_change(1.0, geometry)
-    return PressureFloor(
-        pressure=pressure,
-        gap_change=gap_change,
-        per_beam_deflection=0.5 * gap_change,
-        line_load=pressure * geometry.plate_height,
-    )
+    return PressureFloor(pressure=pressure, gap_change=gap_change)

@@ -70,13 +70,11 @@ def sweep_csv(rows):
     return out.getvalue()
 
 
-def scan_csv(points, resolution_band=None, drift_band=None):
+def scan_csv(points, resolution_band, drift_band):
     """Plot-ready two-column trace; noise bands ride along as comments."""
     out = io.StringIO()
-    if resolution_band is not None:
-        out.write(f"# resolution_band_Hz = {fmt(resolution_band)}\n")
-    if drift_band is not None:
-        out.write(f"# drift_band_Hz = {fmt(drift_band)}\n")
+    out.write(f"# resolution_band_Hz = {fmt(resolution_band)}\n")
+    out.write(f"# drift_band_Hz = {fmt(drift_band)}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SCAN_CSV_HEADER)
     for temperature, shift in points:

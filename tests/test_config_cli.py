@@ -439,6 +439,14 @@ def test_cli_tc_no_transition_exits_one(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def test_cli_tc_non_utf8_input_exits_one(capsys, tmp_path):
+    path = tmp_path / "not_utf8.csv"
+    path.write_bytes(b"temperature_K,resistance_ohm\n0.5,45.0\xff\n")
+    code, out, err = run_cli(capsys, "tc", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: R(T) table is not UTF-8 text")
+
+
 def test_cli_transduce(capsys):
     code, out, err = run_cli(
         capsys, "transduce", "--config", EXAMPLE, "--pressure", "0.5Pa",
@@ -495,9 +503,15 @@ def test_cli_validate(capsys):
 def test_cli_validate_bad_config_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[geometry]\ngap_nm = 100\n")
-    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
-    assert code == 2
-    assert "config error" in err and out == ""
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"[geometry]\ngap_nm = 100\xff\n")
+    for argv in (("validate", "--config", str(bad)),
+                 ("validate", "--config", str(not_utf8)),
+                 ("sweep", "--config", EXAMPLE, "--spec", str(not_utf8))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "config error" in err and out == ""
+    assert "cannot read config" in err
 
 
 def test_cli_help_documents_units(capsys):

@@ -1,72 +1,11 @@
-import math
-
 import pytest
 import scipy.constants as sc
 
-from casimirchip import DomainError, matsubara_frequency, thermal_frequency
-from casimirchip.constants import CODATA
+from casimirchip.constants import C, E_CHARGE, HBAR, K_B
 
 
 def test_codata_values_match_scipy():
-    assert CODATA.hbar == pytest.approx(sc.hbar, rel=1e-9)
-    assert CODATA.c == sc.c
-    assert CODATA.k_B == pytest.approx(sc.Boltzmann, rel=1e-12)
-    assert CODATA.e == pytest.approx(sc.elementary_charge, rel=1e-12)
-    assert CODATA.m_e == pytest.approx(sc.electron_mass, rel=1e-9)
-
-
-def test_matsubara_zero_term():
-    assert matsubara_frequency(0, 1.0) == 0.0
-
-
-def test_matsubara_first_term_one_kelvin():
-    # Independent CODATA arithmetic: 2 pi k_B / hbar at 1 K = 8.22597e11.
-    expected = 2 * math.pi * sc.Boltzmann / sc.hbar
-    assert matsubara_frequency(1, 1.0) == pytest.approx(expected, rel=1e-9)
-    assert matsubara_frequency(1, 1.0) == pytest.approx(8.226e11, rel=1e-3)
-
-
-def test_matsubara_scales_as_n_times_t():
-    assert matsubara_frequency(2, 0.5) == pytest.approx(matsubara_frequency(1, 1.0))
-
-
-def test_matsubara_strictly_increasing_and_linear():
-    t = 0.137
-    vals = [matsubara_frequency(n, t) for n in range(6)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert matsubara_frequency(3, t) == pytest.approx(3 * matsubara_frequency(1, t))
-    assert matsubara_frequency(1, 4 * t) == pytest.approx(4 * matsubara_frequency(1, t))
-
-
-def test_matsubara_vs_thermal_frequency():
-    for t in (0.01, 0.9, 4.0, 300.0):
-        assert matsubara_frequency(1, t) == pytest.approx(
-            2 * math.pi * thermal_frequency(t)
-        )
-
-
-@pytest.mark.parametrize("bad_t", [0.0, -1.0, math.nan, math.inf])
-def test_matsubara_rejects_bad_temperature(bad_t):
-    with pytest.raises(DomainError):
-        matsubara_frequency(1, bad_t)
-
-
-def test_matsubara_rejects_bad_index():
-    with pytest.raises(DomainError):
-        matsubara_frequency(-1, 1.0)
-    with pytest.raises(DomainError):
-        matsubara_frequency(1.5, 1.0)
-
-
-def test_thermal_frequency_values():
-    assert thermal_frequency(0.0) == 0.0
-    # k_B * 1.3 K / hbar = 1.70196e11 rad/s.
-    expected = sc.Boltzmann * 1.3 / sc.hbar
-    assert thermal_frequency(1.3) == pytest.approx(expected, rel=1e-9)
-    assert thermal_frequency(1.3) == pytest.approx(1.702e11, rel=1e-3)
-    assert thermal_frequency(2.6) == pytest.approx(2 * thermal_frequency(1.3))
-
-
-def test_thermal_frequency_rejects_negative():
-    with pytest.raises(DomainError):
-        thermal_frequency(-0.1)
+    assert HBAR == pytest.approx(sc.hbar, rel=1e-9)
+    assert C == sc.c
+    assert K_B == pytest.approx(sc.Boltzmann, rel=1e-12)
+    assert E_CHARGE == pytest.approx(sc.elementary_charge, rel=1e-12)

@@ -128,6 +128,13 @@ def test_sweep_byte_identical_across_worker_counts():
     assert serial == threaded
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_nonpositive_workers(workers):
+    spec = SweepSpec(100e-9, 100e-9, 10e-9, (1.3,), (("d/d", DRUDE, DRUDE),))
+    with pytest.raises(DomainError, match="workers must be finite and > 0"):
+        run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, workers=workers)
+
+
 def test_scan_identical_theory_is_identically_zero():
     theory = MaterialPairDifferential("null", (DRUDE, DRUDE), (DRUDE, DRUDE))
     grid = [0.5, 0.8, 1.1]

@@ -110,22 +110,18 @@ def test_ingest_sorts_rows():
 
 def test_ingest_averages_duplicates_with_warning():
     points = [(0.5, 1.0), (0.7, 10.0), (0.7, 12.0), (0.9, 44.0)]
-    with pytest.warns(UserWarning, match="duplicate"):
+    with pytest.warns(UserWarning, match="averaged 1 duplicate"):
         curve = ingest_rt_table(rt_csv(points))
-    assert curve.duplicate_count == 1
     assert curve.resistance[1] == pytest.approx(11.0)
 
 
-def test_ingest_reads_pulse_metadata_and_crlf():
+def test_ingest_skips_comment_lines_and_crlf():
+    points = [(0.5, 1.0), (0.9, 45.0)]
     text = rt_csv(
-        [(0.5, 1.0), (0.9, 45.0)],
-        comments=["# current_A = 1e-6", "# pulse_length_s = 300e-6",
-                  "# pulse_delay_s = 50e-6"],
+        points,
+        comments=["# current_A = 1e-6", "#four-point, 300 us pulses", "  # indented"],
     ).replace("\n", "\r\n")
-    curve = ingest_rt_table(text.encode("utf-8"))
-    assert curve.current == pytest.approx(1e-6)
-    assert curve.pulse_length == pytest.approx(300e-6)
-    assert curve.pulse_delay == pytest.approx(50e-6)
+    assert ingest_rt_table(text.encode("utf-8")) == ingest_rt_table(rt_csv(points))
 
 
 def test_ingest_reports_bad_rows_with_line_numbers():

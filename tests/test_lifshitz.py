@@ -17,12 +17,11 @@ from casimirchip import (
     beam_pfa_pressure,
     differential_pressure,
     ideal_pressure_closed_form,
-    matsubara_frequency,
     plate_pressure,
     reflection_coefficients,
 )
 from casimirchip import lifshitz
-from casimirchip.constants import HBAR
+from casimirchip.constants import HBAR, K_B
 from casimirchip.lifshitz import (
     _N_EXPLICIT,
     _k_integrals,
@@ -470,7 +469,7 @@ def _two_tail_truncation(gap, temp, model, num, terms_used):
     # (2N+1/2) xi_1, with N read off terms_used = 2N + 2 + tail nodes, and
     # the tolerance the two tails' rule and k errors allow.
     args = (gap, temp, model, model, num)
-    xi_1 = matsubara_frequency(1, temp)
+    xi_1 = 2 * math.pi * K_B * temp / HBAR
     n = _N_EXPLICIT
     while True:
         upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, args)
@@ -547,7 +546,7 @@ def test_k_rule_converges_geometrically(model, gap):
     # reaches ~1e-15 at 128 nodes on these rows; a uniform rule in y is
     # still ~5e-7 off at 128 and ~8e-8 at 256.
     for n in (0, 1, 10, 100, 1000):
-        xi = matsubara_frequency(n, 1.0)
+        xi = 2 * math.pi * n * K_B * 1.0 / HBAR
         ref, _ = quad(_local_k_integrand(model, xi, gap), 2 * gap * xi / sc.c, 60.0,
                       epsabs=0.0, epsrel=1e-13, limit=500)
         ref /= 8 * gap**3

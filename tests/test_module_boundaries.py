@@ -89,3 +89,29 @@ def test_every_exception_type_is_raised_or_caught():
             handled |= {e.id for e in exprs if isinstance(e, ast.Name)}
     assert len(classes) >= 4
     assert sorted(classes - handled) == []
+
+
+def test_every_field_and_property_is_read():
+    # An annotated class field or a @property of a package class must be
+    # read in the package: as an attribute access ``.name``, or as the
+    # string constant "name" (the ``getattr(self, name)`` loops).
+    declared, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    declared.append((path.name, cls.name, node.target.id))
+                elif isinstance(node, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in node.decorator_list):
+                    declared.append((path.name, cls.name, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert len(declared) > 50
+    offenders = [f"{module} {cls}.{name}" for module, cls, name in declared
+                 if name not in read]
+    assert offenders == []

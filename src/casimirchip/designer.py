@@ -103,10 +103,8 @@ class StepPressureSignal:
     t_c: float        # K
 
     def __post_init__(self):
-        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
-            raise DomainError("magnitude must be finite and >= 0")
-        if not (math.isfinite(self.t_c) and self.t_c > 0):
-            raise DomainError("t_c must be finite and > 0")
+        require_nonnegative("magnitude", self.magnitude)
+        require_positive("t_c", self.t_c)
 
     def delta_pressure(self, gap, temperature, num=DEFAULT_NUMERICS):
         return self.magnitude if temperature < self.t_c else 0.0
@@ -193,8 +191,7 @@ def detectability_report(signals, geometry, cavity, calib):
     floor = min_detectable_pressure(geometry, cavity, calib).pressure
     verdicts = []
     for name, signal in signals:
-        if not (math.isfinite(signal) and signal >= 0):
-            raise DomainError(f"signal {name!r} must be finite and >= 0")
+        require_nonnegative(f"signal {name!r}", signal)
         shift = abs(_chain_shift(signal, geometry, cavity))
         margin = signal / floor
         verdicts.append(DetectabilityVerdict(

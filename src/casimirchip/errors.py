@@ -32,13 +32,18 @@ class ConfigError(CasimirChipError, ValueError):
         self.problems = problems
 
 
+# The wording of the two rules; every message that states one reads it here.
+POSITIVE = "must be finite and > 0"
+NONNEGATIVE = "must be finite and >= 0"
+
+
 def require_positive(name, value):
     """Raise DomainError unless ``value`` is a finite real number > 0."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        raise DomainError(f"{name} {POSITIVE}, got {value!r}")
 
 
 def require_nonnegative(name, value):
     """Raise DomainError unless ``value`` is a finite real number >= 0."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+        raise DomainError(f"{name} {NONNEGATIVE}, got {value!r}")

@@ -92,8 +92,8 @@ def mean_free_path(sigma, rho_ell):
 
 
 def _dirty_limit_args(xi0, ell, temperature, t_c, mode):
-    if not (math.isfinite(xi0) and xi0 > 0 and math.isfinite(ell) and ell > 0):
-        raise DomainError("xi0 and ell must be finite and > 0")
+    require_positive("xi0", xi0)
+    require_positive("ell", ell)
     if mode not in ("exact", "approx"):
         raise DomainError(f"mode must be 'exact' or 'approx', got {mode!r}")
     if mode == "exact":

@@ -14,16 +14,22 @@ Numerics: the k-integral J(xi) is substituted to y = 2 kappa a and
 integrated over [y_lo, 60], y_lo = 2 xi a / c (the integrand carries
 e^{-y}, so the y = 60 cutoff is below double precision).  Near y_lo both
 reflection coefficients are close to 1, so the integrand has a pole just
-left of y_lo.  The rule is therefore Gauss-Legendre in u = ln(y - y_lo) on
-[ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
+left of y_lo.  The rule is therefore Clenshaw-Curtis in u = ln(y - y_lo)
+on [ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
 geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node.
-Its nodes double from 64 until two successive rules agree to the
-quadrature tolerance (64 -> 128 at the default 1e-8, at most 256 down to
-1e-11).  The finer rule is returned with |finer - coarser| as its
+The rungs are nested: the integrand is evaluated once on the 129-node rule
+(130 points with the sliver), and the 65-node rule is the same samples at
+even indices.  While two successive rules disagree beyond the quadrature
+tolerance the order doubles, adding only the new odd nodes, up to the
+257-node rule (at the default 1e-8 every ladder stops at 129 nodes; down
+to 1e-11 none stops unconverged at 257).  The finer rule is returned with
+|finer - coarser| plus the finer sum's round-off bound as its
 k-integration error estimate.  That difference is the coarser rule's
 error, so it is an upper bound on the finer rule's, and a loose one: at
-100 nm it is ~5e-11 P while the 128-node sum sits within ~4e-16 P of a
-256-node rule.
+100 nm it is ~5e-10 P, the error of the 65-node rule, while the 129-node
+sum sits within ~3e-16 P of a 1025-node rule.  The rows go through the
+ladder in chunks of at most 512, each its own ladder, which bounds the
+memory of a call; no call at default numerics holds more rows.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -77,11 +83,16 @@ from .materials import (
 _Y_CUT = 60.0
 # Width of the piece [y_lo, y_lo + _Y_SLIVER] below the mapped k-rule.
 _Y_SLIVER = 1e-9
-# First rungs of the k-rule and of the frequency-rule node doubling.
+# Orders of the coarse k-rung (the 65-node rule, nested in the first
+# 129-node rule) and of the first frequency rule.
 _K_ORDER_START = 64
 _FREQ_NODES_START = 32
-# The mapped k-rule converges by 256 nodes down to rel_tol_quadrature 1e-11.
-_GL_ORDER_MAX = 256
+# The mapped k-rule converges by order 256 down to rel_tol_quadrature 1e-11.
+_K_ORDER_MAX = 256
+# Rows per k-ladder: bounds the integrand's (rows, nodes) temporaries.  No
+# call at default numerics holds more rows, so none is split.
+_ROW_CHUNK = 512
+_EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
 
@@ -118,9 +129,10 @@ class PressureResult:
     Euler-Maclaurin tail, or at T = 0 the piece below the frequency grid;
     ``quadrature_estimate`` adds the k-integration error estimate and the
     difference between the last two frequency rules.  Both are in Pa.  The
-    k-part is |finer - coarser| of the last k-rungs, the coarser rule's
-    error: an upper bound on the returned rule's error, not the error
-    itself.
+    k-part is |finer - coarser| of the last k-rungs (at default numerics
+    the 129- and 65-node rules) plus a round-off floor, so it is the
+    coarser rule's error: an upper bound on the returned rule's error, not
+    the error itself.
     """
 
     pressure: float
@@ -193,6 +205,24 @@ def _leggauss(order):
     return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
+@lru_cache(maxsize=8)
+def _clenshaw_curtis(order):
+    """Clenshaw-Curtis nodes cos(pi j / order), j = 0..order, and weights on [-1, 1].
+
+    The order-n nodes are the order-2n nodes at even indices, bit for bit
+    (pi j / n and pi 2j / 2n round alike), so a doubled rule reuses every
+    sample.  For even n the weights are (c_j / n) [1 - sum_{k=1}^{n/2}
+    b_k cos(2 pi k j / n) / (4k^2 - 1)] with c_j = 1 at the ends and 2
+    inside, and b_k = 1 at k = n/2 and 2 below (Trefethen, SIAM Rev. 2008).
+    """
+    j = np.arange(order + 1)
+    k = np.arange(1, order // 2 + 1)[:, None]
+    b = np.where(k == order // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    w = (1.0 - np.sum(b * np.cos(2.0 * np.pi * k * j / order), axis=0)) * (2.0 / order)
+    w[[0, -1]] *= 0.5
+    return np.cos(np.pi * j / order), w
+
+
 def _fresnel(model, xi_col, kappa, temperature):
     """(r_TE, r_TM) on a (rows, nodes) grid; xi_col is the (rows, 1) frequency column.
 
@@ -245,27 +275,12 @@ def reflection_coefficients(model, xi, k, temperature=0.0):
     return r_te.item(), r_tm.item()
 
 
-def _k_integrals(mat_a, mat_b, xi_col, gap, temperature, order):
-    """Vector of (1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each row's xi.
+def _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y):
+    """y^2 F(y) on a (rows, nodes) grid of y; xi_col is the (rows, 1) frequency column.
 
-    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}.  Near
-    y_lo both reflection coefficients are close to 1, so the pole of
-    t/(1-t) sits just left of y_lo; the nodes are therefore Gauss-Legendre
-    in u = ln(y - y_lo) on [ln 1e-9, ln(60 - y_lo)], which clusters them at
-    y_lo and converges geometrically in the order.  The sliver
-    [y_lo, y_lo + 1e-9] below the mapped range is added as one midpoint
-    node, 1e-9 F(y_lo + 5e-10).  Rows whose lower limit already reaches
-    the cutoff integrate to exactly zero.
+    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}.  Every
+    k-integral sample passes through here once.
     """
-    xi_col = np.atleast_1d(np.asarray(xi_col, dtype=float))[:, None]
-    y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
-    x, w = _leggauss(order)
-    u_lo = math.log(_Y_SLIVER)
-    half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
-    dy = np.exp(u_lo + (x + 1.0) * half)
-    # Node 0 is the sliver's midpoint; dy doubles as the Jacobian e^u.
-    y = y_lo + np.concatenate((np.full_like(y_lo, 0.5 * _Y_SLIVER), dy), axis=1)
-    weights = np.concatenate((np.full_like(y_lo, _Y_SLIVER), w * dy * half), axis=1)
     kappa = y / (2.0 * gap)
     r_te_a, r_tm_a = _fresnel(mat_a, xi_col, kappa, temperature)
     if mat_b == mat_a:
@@ -275,25 +290,61 @@ def _k_integrals(mat_a, mat_b, xi_col, gap, temperature, order):
     emy = np.exp(-y)
     t_te = r_te_a * r_te_b * emy
     t_tm = r_tm_a * r_tm_b * emy
-    f = y * y * (t_te / (1.0 - t_te) + t_tm / (1.0 - t_tm))
-    return np.where(y_lo[:, 0] < _Y_CUT, np.sum(f * weights, axis=1), 0.0) / (8.0 * gap**3)
+    return y * y * (t_te / (1.0 - t_te) + t_tm / (1.0 - t_tm))
 
 
 def _k_integrals_adaptive(mat_a, mat_b, xi_col, gap, temperature, num):
-    """k-integrals with Gauss-Legendre node doubling until rel_tol_quadrature.
+    """Vector of (1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each xi, with its error.
 
-    Returns the finer rule and |finer - coarser|, which is the coarser
-    rule's error and so bounds the finer rule's error from above."""
-    order = _K_ORDER_START
-    prev = _k_integrals(mat_a, mat_b, xi_col, gap, temperature, order)
+    The rows go through the k-ladder in chunks of _ROW_CHUNK, so the
+    integrand's temporaries stay bounded however many rows a call holds.
+    """
+    xi = np.atleast_1d(np.asarray(xi_col, dtype=float))
+    parts = [_k_ladder(mat_a, mat_b, xi[i : i + _ROW_CHUNK, None], gap, temperature, num)
+             for i in range(0, len(xi), _ROW_CHUNK)]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _k_ladder(mat_a, mat_b, xi_col, gap, temperature, num):
+    """k-integrals of the (rows, 1) column xi_col by nested Clenshaw-Curtis rungs.
+
+    The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
+    ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
+    node, 1e-9 F(y_lo + 5e-10) (see the module docstring).  Each rung
+    evaluates only the nodes its predecessor lacks.  Returns the finer rule
+    and |finer - coarser| plus the finer sum's round-off bound, eps per
+    node times the sum of |terms|.  Rows whose lower limit reaches the
+    cutoff are exactly zero.
+    """
+    y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
+    u_lo = math.log(_Y_SLIVER)
+    half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
+
+    def samples(x, *extra):
+        # Integrand and Jacobian at the nodes x, then at any extra y - y_lo columns.
+        dy = np.exp(u_lo + (x + 1.0) * half)
+        y = y_lo + np.concatenate((dy, *extra), axis=1)
+        return _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y), dy * half
+
+    order = 2 * _K_ORDER_START
+    f, jac = samples(_clenshaw_curtis(order)[0], np.full_like(y_lo, 0.5 * _Y_SLIVER))
+    # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
+    g, sliver = f[:, :-1] * jac, f[:, -1] * np.where(y_lo[:, 0] < _Y_CUT, _Y_SLIVER, 0.0)
+    coarse = np.sum(g[:, ::2] * _clenshaw_curtis(_K_ORDER_START)[1], axis=1) + sliver
     while True:
-        order *= 2
-        cur = _k_integrals(mat_a, mat_b, xi_col, gap, temperature, order)
-        err = np.abs(cur - prev)
-        scale = np.maximum(np.abs(cur), np.max(np.abs(cur), initial=0.0) * 1e-12)
-        if np.all(err <= num.rel_tol_quadrature * scale) or order >= _GL_ORDER_MAX:
-            return cur, err
-        prev = cur
+        terms = g * _clenshaw_curtis(order)[1]
+        fine = np.sum(terms, axis=1) + sliver
+        roundoff = (order + 2) * _EPS * (np.sum(np.abs(terms), axis=1) + np.abs(sliver))
+        err = np.abs(fine - coarse) + roundoff
+        scale = np.maximum(np.abs(fine), np.max(np.abs(fine), initial=0.0) * 1e-12)
+        if np.all(err <= num.rel_tol_quadrature * scale) or order >= _K_ORDER_MAX:
+            return fine / (8.0 * gap**3), err / (8.0 * gap**3)
+        coarse, order = fine, 2 * order
+        nested = np.empty((len(g), order + 1))
+        nested[:, ::2] = g
+        f, jac = samples(_clenshaw_curtis(order)[0][1::2])
+        nested[:, 1::2] = f * jac
+        g = nested
 
 
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
@@ -344,7 +395,7 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
 
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.
-        low = xi_min * float(_k_integrals(mat_a, mat_b, xi_min, gap, temperature, 64)[0])
+        low = xi_min * float(_k_integrals_adaptive(mat_a, mat_b, xi_min, gap, temperature, num)[0][0])
         value, quad_err, rule_err, nodes = _log_grid_integral(xi_min, args)
         return PressureResult(pref * (value + low), nodes, pref * low,
                               pref * (quad_err + rule_err))

@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, require_nonnegative, require_positive
+from .errors import POSITIVE, DomainError, require_nonnegative, require_positive
 
 
 def _check_parameters(model):
@@ -127,7 +127,7 @@ def eps_imag_freq(model, xi, temperature=None):
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi_arr)) or np.any(xi_arr <= 0.0):
         raise DomainError(
-            "xi must be finite and > 0; the zero-frequency term must use the "
+            f"xi {POSITIVE}; the zero-frequency term must use the "
             "analytic limit path"
         )
     # A term of weight exactly 0 is skipped, so plasma (f_s = 1) and Drude

@@ -55,8 +55,7 @@ class DeviceGeometry:
         )
         for name in positive:
             require_positive(name, getattr(self, name))
-        if self.parallelism_jitter < 0:
-            raise DomainError("parallelism_jitter must be >= 0")
+        require_nonnegative("parallelism_jitter", self.parallelism_jitter)
         if self.metal_segment_length > self.effective_length:
             raise DomainError("metal_segment_length must not exceed effective_length")
         if self.effective_length > self.string_length:

@@ -500,6 +500,16 @@ def test_cli_validate(capsys):
     assert "fundamental frequency" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cli_validate_rejects_bad_parallelism_jitter(capsys, tmp_path, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text().replace(
+        "parallelism_jitter_nm = 10", f"parallelism_jitter_nm = {value}"))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: [geometry]: parallelism_jitter must be finite and >= 0")
+
+
 def test_cli_validate_bad_config_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[geometry]\ngap_nm = 100\n")

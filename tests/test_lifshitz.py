@@ -23,8 +23,10 @@ from casimirchip import (
 from casimirchip import lifshitz
 from casimirchip.constants import HBAR, K_B
 from casimirchip.lifshitz import (
+    _K_ORDER_START,
     _N_EXPLICIT,
-    _k_integrals,
+    _ROW_CHUNK,
+    _clenshaw_curtis,
     _k_integrals_adaptive,
     _leggauss,
 )
@@ -255,7 +257,8 @@ def test_t_zero_node_doubling_converges():
 
 def test_unreachable_tolerances_still_end_the_matsubara_sum():
     # No term budget: at tolerances no sum can meet, N stops at the stop
-    # rule or once every term below the y cutoff is summed (12,151 terms).
+    # rule (here where the estimate falls to the k-rule's round-off floor,
+    # 1,426 terms) or once every term below the y cutoff is summed (12,151).
     num = LifshitzNumerics(rel_tol_quadrature=1e-300, rel_tol_series=1e-300)
     res = plate_pressure(1e-6, 0.9, DRUDE, DRUDE, num)
     assert res.terms_used < 16_384
@@ -299,7 +302,7 @@ def test_k_integral_against_mode_sum():
     # Ideal plates at zero frequency: the engine's k-integral equals the
     # brute-force round-trip mode sum (1/8a^3) * 2 * sum_m 2/m^3.
     a = 100e-9
-    val = float(_k_integrals(IDEAL, IDEAL, 0.0, a, 0.0, 256)[0])
+    val = float(_k_integrals_adaptive(IDEAL, IDEAL, 0.0, a, 0.0, DEFAULT_NUMERICS)[0][0])
     brute = 2.0 * sum(2.0 / m**3 for m in range(1, 4000)) / (8 * a**3)
     assert val == pytest.approx(brute, rel=1e-6)
 
@@ -325,7 +328,7 @@ def test_k_integral_against_scipy_quad_for_drude():
     y_lo = 2 * a * xi / sc.c
     brute, _ = quad(integrand, y_lo, 60.0, limit=300)
     brute /= 8 * a**3
-    val = float(_k_integrals(DRUDE, DRUDE, xi, a, temp, 256)[0])
+    val = float(_k_integrals_adaptive(DRUDE, DRUDE, xi, a, temp, DEFAULT_NUMERICS)[0][0])
     assert val == pytest.approx(brute, rel=1e-9)
 
 
@@ -543,34 +546,46 @@ def _local_k_integrand(model, xi, a):
 @pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
 def test_k_rule_converges_geometrically(model, gap):
     # The pole of t/(1-t) sits just left of y_lo.  A rule clustered at y_lo
-    # reaches ~1e-15 at 128 nodes on these rows; a uniform rule in y is
-    # still ~5e-7 off at 128 and ~8e-8 at 256.
+    # reaches ~1e-15 at 129 nodes on these rows, where a uniform rule in y
+    # is still ~5e-7 off; each row's k-error covers its distance from quad.
     for n in (0, 1, 10, 100, 1000):
         xi = 2 * math.pi * n * K_B * 1.0 / HBAR
         ref, _ = quad(_local_k_integrand(model, xi, gap), 2 * gap * xi / sc.c, 60.0,
                       epsabs=0.0, epsrel=1e-13, limit=500)
         ref /= 8 * gap**3
-        val = float(_k_integrals(model, model, xi, gap, 1.0, 128)[0])
-        assert val == pytest.approx(ref, rel=1e-11, abs=0.0)
+        val, err = _k_integrals_adaptive(model, model, xi, gap, 1.0, DEFAULT_NUMERICS)
+        assert val[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
+        assert abs(val[0] - ref) <= err[0]
+
+
+def _hook_k_integrand(monkeypatch):
+    # Hooks the one integrand evaluation; returns the list that collects
+    # each call's (rows, nodes) grid of y.
+    inner, grids = lifshitz._k_integrand, []
+
+    def k_integrand(*args):
+        grids.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
+    return grids
 
 
 def _record_k_ladders(monkeypatch, num):
     # Runs plate_pressure over the grid and returns, per k-ladder, the last
-    # order evaluated and the rows' error in units of tol * scale.
-    ladders, last_order = [], [0]
-    inner, adaptive = lifshitz._k_integrals, lifshitz._k_integrals_adaptive
+    # order evaluated and the rows' error in units of tol * scale.  A row
+    # evaluates order + 2 points: the nested rungs' nodes and the sliver.
+    ladders, grids = [], _hook_k_integrand(monkeypatch)
+    adaptive = lifshitz._k_integrals_adaptive
 
-    def k_integrals(*args):
-        last_order[0] = args[-1]
-        return inner(*args)
-
-    def k_integrals_adaptive(*args):
-        cur, err = adaptive(*args)
+    def k_integrals_adaptive(mat_a, mat_b, xi_col, *args):
+        grids.clear()
+        cur, err = adaptive(mat_a, mat_b, xi_col, *args)
         scale = np.maximum(np.abs(cur), np.max(np.abs(cur), initial=0.0) * 1e-12)
-        ladders.append((last_order[0], float(np.max(err / (num.rel_tol_quadrature * scale)))))
+        order = sum(y.size for y in grids) // np.size(xi_col) - 2
+        ladders.append((order, float(np.max(err / (num.rel_tol_quadrature * scale)))))
         return cur, err
 
-    monkeypatch.setattr(lifshitz, "_k_integrals", k_integrals)
     monkeypatch.setattr(lifshitz, "_k_integrals_adaptive", k_integrals_adaptive)
     for gap in GRID_GAPS:
         for temp in GRID_TEMPS:
@@ -580,7 +595,7 @@ def _record_k_ladders(monkeypatch, num):
 
 
 def test_k_ladders_converge_below_the_cap_at_tight_tolerance(monkeypatch):
-    # At 1e-11 the ladder must converge before it reaches _GL_ORDER_MAX:
+    # At 1e-11 the ladder must converge before it reaches _K_ORDER_MAX:
     # a row returned at the cap with its error above tolerance is a silent
     # cap hit.
     num = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
@@ -591,26 +606,48 @@ def test_k_ladders_converge_below_the_cap_at_tight_tolerance(monkeypatch):
 
 def test_default_k_ladders_end_by_order_128(monkeypatch):
     # Counts, not timings: at default numerics every k-ladder stops at the
-    # 64 -> 128 rung or before.
+    # first fine rung, the 129-node rule with the 65-node rule nested in it.
     ladders = _record_k_ladders(monkeypatch, DEFAULT_NUMERICS)
     assert len(ladders) > 100
-    assert max(order for order, _ in ladders) <= 128
+    assert {order for order, _ in ladders} == {2 * _K_ORDER_START}
 
 
 @pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
 def test_k_integrand_evaluations_per_call(monkeypatch, model):
-    # Counts, not timings: no k-rule of order 32 is evaluated, and a call at
-    # 100 nm stays within the evaluation counts of one tail per N-rung.
-    inner, orders, evaluations = lifshitz._k_integrals, set(), [0]
-
-    def k_integrals(mat_a, mat_b, xi_col, gap, temperature, order):
-        orders.add(order)
-        evaluations[0] += np.size(xi_col) * (order + 1)
-        return inner(mat_a, mat_b, xi_col, gap, temperature, order)
-
-    monkeypatch.setattr(lifshitz, "_k_integrals", k_integrals)
-    for temp, budget in ((1.0, 48_500), (0.0, 43_521)):
-        evaluations[0] = 0
+    # Counts, not timings: every row of a call at 100 nm evaluates the
+    # 129-node rule and the sliver once, 130 points, and nothing else.
+    grids = _hook_k_integrand(monkeypatch)
+    for temp, budget in ((1.0, 32_500), (0.0, 29_250)):
+        grids.clear()
         plate_pressure(100e-9, temp, model, model)
-        assert evaluations[0] <= budget
-    assert min(orders) == 64
+        assert sum(y.size for y in grids) <= budget
+        assert {y.shape[1] for y in grids} == {2 * _K_ORDER_START + 2}
+
+
+def test_k_ladder_rungs_are_nested(monkeypatch):
+    # The coarse rule's nodes are the fine rule's at even indices, bit for
+    # bit, so a ladder driven to its cap evaluates each node once: 130
+    # points for the 65- and 129-node rules and the sliver, then only the
+    # 128 odd nodes of the 257-node rule.
+    for order in (64, 128):
+        assert np.array_equal(_clenshaw_curtis(order)[0], _clenshaw_curtis(2 * order)[0][::2])
+    grids = _hook_k_integrand(monkeypatch)
+    num = LifshitzNumerics(rel_tol_quadrature=1e-300)
+    xi = np.array([0.0, 1e12, 1e14])
+    _k_integrals_adaptive(DRUDE, DRUDE, xi, 100e-9, 1.0, num)
+    assert [y.shape for y in grids] == [(3, 130), (3, 128)]
+    y = np.concatenate(grids, axis=1)
+    assert all(len(np.unique(row)) == 258 for row in y)
+
+
+def test_k_integrals_do_not_depend_on_the_rows_beside_them(monkeypatch):
+    # The integrand sees at most _ROW_CHUNK rows at a time, so a call's
+    # memory does not grow with its rows, and per-row sums are bit-identical
+    # whether a row is evaluated alone or in a call of 1,100 rows.
+    xi = np.arange(1100) * (2 * math.pi * K_B * 1.0 / HBAR)
+    grids = _hook_k_integrand(monkeypatch)
+    val, err = _k_integrals_adaptive(DRUDE, DRUDE, xi, 100e-9, 1.0, DEFAULT_NUMERICS)
+    assert [len(y) for y in grids] == [_ROW_CHUNK, _ROW_CHUNK, 1100 - 2 * _ROW_CHUNK]
+    for n in (0, 1, 511, 512, 1099):
+        alone = _k_integrals_adaptive(DRUDE, DRUDE, xi[n], 100e-9, 1.0, DEFAULT_NUMERICS)
+        assert (alone[0][0], alone[1][0]) == (val[n], err[n])

@@ -1,7 +1,8 @@
 """Design rules: no module imports an underscore name from another module
 of the package, what one module needs from another is public there; no
 module imports a name it never uses; no module-level constant is dead;
-and no exception type is dead."""
+no exception type is dead; and the wording of the positivity rule lives in
+errors.py alone."""
 
 import ast
 import re
@@ -114,4 +115,17 @@ def test_every_field_and_property_is_read():
     assert len(declared) > 50
     offenders = [f"{module} {cls}.{name}" for module, cls, name in declared
                  if name not in read]
+    assert offenders == []
+
+
+def test_positivity_rule_is_worded_only_in_errors():
+    # "must be finite and > 0 / >= 0" is errors.require_positive /
+    # require_nonnegative; a hand-written copy elsewhere is a second rule.
+    offenders = [
+        f"{path.relative_to(PACKAGE.parent)}:{lineno}"
+        for path in sorted(PACKAGE.parent.rglob("*"))
+        if path.is_file() and path.suffix != ".pyc" and path.name != "errors.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "must be finite and" in line
+    ]
     assert offenders == []

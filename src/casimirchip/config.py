@@ -21,7 +21,7 @@ from importlib import resources
 
 from .constants import E_CHARGE, HBAR
 from .designer import SweepSpec
-from .errors import NONNEGATIVE, ConfigError, DomainError, require_nonnegative
+from .errors import NONNEGATIVE, ConfigError, DomainError
 from .film import FilmParams
 from .materials import Drude, IdealMetal, Plasma, SuperconductorTwoFluid
 from .mechanics import DeviceGeometry
@@ -360,12 +360,10 @@ def load_device_config(path):
             except ValueError:
                 problems.append(f"[signals] {key}: expected a number")
                 continue
-            try:
-                require_nonnegative(key, value)
-            except DomainError:
+            if math.isfinite(value) and value >= 0.0:
+                signals.append((key[:-3], value))
+            else:
                 problems.append(f"[signals] {key}: {NONNEGATIVE}")
-                continue
-            signals.append((key[:-3], value))
 
     if problems:
         raise ConfigError(problems)

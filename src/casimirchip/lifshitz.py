@@ -27,9 +27,8 @@ to 1e-11 none stops unconverged at 257).  The finer rule is returned with
 k-integration error estimate.  That difference is the coarser rule's
 error, so it is an upper bound on the finer rule's, and a loose one: at
 100 nm it is ~5e-10 P, the error of the 65-node rule, while the 129-node
-sum sits within ~3e-16 P of a 1025-node rule.  The rows go through the
-ladder in chunks of at most 512, each its own ladder, which bounds the
-memory of a call; no call at default numerics holds more rows.
+sum sits within ~3e-16 P of a 1025-node rule.  All rows of a call climb
+the ladder together, so it stops when every row has converged.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -89,9 +88,6 @@ _K_ORDER_START = 64
 _FREQ_NODES_START = 32
 # The mapped k-rule converges by order 256 down to rel_tol_quadrature 1e-11.
 _K_ORDER_MAX = 256
-# Rows per k-ladder: bounds the integrand's (rows, nodes) temporaries.  No
-# call at default numerics holds more rows, so none is split.
-_ROW_CHUNK = 512
 _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
@@ -293,20 +289,8 @@ def _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y):
     return y * y * (t_te / (1.0 - t_te) + t_tm / (1.0 - t_tm))
 
 
-def _k_integrals_adaptive(mat_a, mat_b, xi_col, gap, temperature, num):
-    """Vector of (1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each xi, with its error.
-
-    The rows go through the k-ladder in chunks of _ROW_CHUNK, so the
-    integrand's temporaries stay bounded however many rows a call holds.
-    """
-    xi = np.atleast_1d(np.asarray(xi_col, dtype=float))
-    parts = [_k_ladder(mat_a, mat_b, xi[i : i + _ROW_CHUNK, None], gap, temperature, num)
-             for i in range(0, len(xi), _ROW_CHUNK)]
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
-
-
-def _k_ladder(mat_a, mat_b, xi_col, gap, temperature, num):
-    """k-integrals of the (rows, 1) column xi_col by nested Clenshaw-Curtis rungs.
+def _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num):
+    """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each xi, by nested Clenshaw-Curtis rungs.
 
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
@@ -316,6 +300,7 @@ def _k_ladder(mat_a, mat_b, xi_col, gap, temperature, num):
     node times the sum of |terms|.  Rows whose lower limit reaches the
     cutoff are exactly zero.
     """
+    xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
     u_lo = math.log(_Y_SLIVER)
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)

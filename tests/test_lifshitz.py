@@ -25,7 +25,6 @@ from casimirchip.constants import HBAR, K_B
 from casimirchip.lifshitz import (
     _K_ORDER_START,
     _N_EXPLICIT,
-    _ROW_CHUNK,
     _clenshaw_curtis,
     _k_integrals_adaptive,
     _leggauss,
@@ -639,15 +638,3 @@ def test_k_ladder_rungs_are_nested(monkeypatch):
     y = np.concatenate(grids, axis=1)
     assert all(len(np.unique(row)) == 258 for row in y)
 
-
-def test_k_integrals_do_not_depend_on_the_rows_beside_them(monkeypatch):
-    # The integrand sees at most _ROW_CHUNK rows at a time, so a call's
-    # memory does not grow with its rows, and per-row sums are bit-identical
-    # whether a row is evaluated alone or in a call of 1,100 rows.
-    xi = np.arange(1100) * (2 * math.pi * K_B * 1.0 / HBAR)
-    grids = _hook_k_integrand(monkeypatch)
-    val, err = _k_integrals_adaptive(DRUDE, DRUDE, xi, 100e-9, 1.0, DEFAULT_NUMERICS)
-    assert [len(y) for y in grids] == [_ROW_CHUNK, _ROW_CHUNK, 1100 - 2 * _ROW_CHUNK]
-    for n in (0, 1, 511, 512, 1099):
-        alone = _k_integrals_adaptive(DRUDE, DRUDE, xi[n], 100e-9, 1.0, DEFAULT_NUMERICS)
-        assert (alone[0][0], alone[1][0]) == (val[n], err[n])

@@ -122,9 +122,9 @@ def test_positivity_rule_is_worded_only_in_errors():
     # "must be finite and > 0 / >= 0" is errors.require_positive /
     # require_nonnegative; a hand-written copy elsewhere is a second rule.
     offenders = [
-        f"{path.relative_to(PACKAGE.parent)}:{lineno}"
-        for path in sorted(PACKAGE.parent.rglob("*"))
-        if path.is_file() and path.suffix != ".pyc" and path.name != "errors.py"
+        f"{path.relative_to(PACKAGE)}:{lineno}"
+        for path in sorted([*PACKAGE.rglob("*.py"), *PACKAGE.glob("data/*.cfg")])
+        if path.name != "errors.py"
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if "must be finite and" in line
     ]

@@ -33,10 +33,8 @@ from .film import (
 )
 from .lifshitz import (
     DEFAULT_NUMERICS,
-    BeamFaceGeometry,
     LifshitzNumerics,
     PressureResult,
-    beam_pfa_pressure,
     differential_pressure,
     ideal_pressure_closed_form,
     plate_pressure,

@@ -29,7 +29,7 @@ from .designer import (
     run_gap_sweep,
     simulate_temperature_scan,
 )
-from .errors import CasimirChipError, ConfigError
+from .errors import CasimirChipError, ConfigError, DomainError
 from .film import (
     coherence_length,
     conductivity_from_four_point,
@@ -38,7 +38,7 @@ from .film import (
     mean_free_path,
     penetration_depth,
 )
-from .lifshitz import DEFAULT_NUMERICS, BeamFaceGeometry, LifshitzNumerics, plate_pressure
+from .lifshitz import DEFAULT_NUMERICS, LifshitzNumerics, plate_pressure
 from .mechanics import derive_mechanics, pressure_to_gap_change
 from .readout import (
     Q_MISMATCH_WARN,
@@ -47,6 +47,32 @@ from .readout import (
     pdh_voltage,
 )
 from .serialize import fmt, render_kv, scan_csv, sweep_csv, verdicts_csv
+
+
+# Surfaces rougher than ~5 nm rms make a smaller nominal gap meaningless.
+ROUGHNESS_SCALE = 5e-9
+
+
+def _text_value(parse):
+    """An argparse type from a text parser: text it cannot parse is a usage
+    error (exit 2), while the parsed value's domain is checked later (exit 1)."""
+    def convert(text):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _theory(text):
+    """'grav-casimir', or the 'A/B-vs-C/D' token as its two name pairs."""
+    token = text.strip()
+    if token == "grav-casimir":
+        return token
+    pair_part, sep, ref_part = token.partition("-vs-")
+    if not sep:
+        raise DomainError(f"theory must be 'grav-casimir' or 'A/B-vs-C/D', got {text!r}")
+    return token, split_pair(pair_part), split_pair(ref_part)
 
 
 def _add_config_arg(parser, required):
@@ -67,8 +93,10 @@ def _add_numerics_args(parser):
                              "frequency integral (dimensionless)")
     parser.add_argument("--t-zero-nodes", type=int,
                         default=DEFAULT_NUMERICS.t_zero_nodes,
-                        help="ceiling of the frequency-integral node doubling (T = 0 "
-                             "and the Matsubara tail): at most twice this many nodes")
+                        help="ceiling of the frequency-integral order doubling (T = 0 "
+                             "and the Matsubara tail): the nested Clenshaw-Curtis "
+                             "rules stop at the last order <= twice this value, "
+                             "order + 1 nodes")
 
 
 def _numerics(args):
@@ -89,9 +117,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pressure", help="parallel-plate Casimir pressure")
-    p.add_argument("--gap", required=True,
+    p.add_argument("--gap", required=True, type=_text_value(parse_length),
                    help="plate separation with unit, e.g. 100nm or 0.1um")
-    p.add_argument("--temp", required=True,
+    p.add_argument("--temp", required=True, type=_text_value(parse_temperature),
                    help="temperature with unit, e.g. 1.2K or 10mK (bare 0 allowed)")
     p.add_argument("--model-a", required=True, metavar="MATERIAL",
                    help="'ideal', a config material name, or an inline spec "
@@ -114,10 +142,12 @@ def _build_parser():
 
     p = sub.add_parser("scan", help="simulated temperature scan of the cavity shift")
     _add_config_arg(p, required=True)
-    p.add_argument("--tmin", required=True, help="coldest grid point, e.g. 100mK")
-    p.add_argument("--tmax", required=True, help="hottest grid point, e.g. 1.2K")
+    p.add_argument("--tmin", required=True, type=_text_value(parse_temperature),
+                   help="coldest grid point, e.g. 100mK")
+    p.add_argument("--tmax", required=True, type=_text_value(parse_temperature),
+                   help="hottest grid point, e.g. 1.2K")
     p.add_argument("--points", type=int, default=25, help="grid size")
-    p.add_argument("--theory", required=True,
+    p.add_argument("--theory", required=True, type=_text_value(_theory),
                    help="'grav-casimir' (step signal from [signals]) or "
                         "'A/B-vs-C/D' with material names/inline specs, e.g. "
                         "al_sc/al_sc-vs-al_drude/al_drude")
@@ -146,7 +176,7 @@ def _build_parser():
     p = sub.add_parser("transduce",
                        help="pressure -> gap change, cavity shift, PDH voltage")
     _add_config_arg(p, required=True)
-    p.add_argument("--pressure", required=True,
+    p.add_argument("--pressure", required=True, type=_text_value(parse_pressure),
                    help="attractive pressure with unit, e.g. 0.5Pa or 6mPa")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -167,9 +197,7 @@ def _cmd_pressure(args):
         materials = load_device_config(args.config).materials
     mat_a = parse_material_spec(args.model_a, materials)
     mat_b = parse_material_spec(args.model_b, materials)
-    gap = parse_length(args.gap)
-    temp = parse_temperature(args.temp)
-    result = plate_pressure(gap, temp, mat_a, mat_b, _numerics(args))
+    result = plate_pressure(args.gap, args.temp, mat_a, mat_b, _numerics(args))
     sys.stdout.write(render_kv([
         ("pressure_Pa", result.pressure),
         ("terms_used", result.terms_used),
@@ -189,6 +217,8 @@ def _write_output(text, path):
 
 
 def _cmd_sweep(args):
+    if args.workers < 1:
+        raise argparse.ArgumentError(None, f"--workers must be >= 1, got {args.workers}")
     cfg = load_device_config(args.config)
     spec = load_sweep_spec(args.spec, cfg.materials) if args.spec else cfg.sweep
     if spec is None:
@@ -199,35 +229,29 @@ def _cmd_sweep(args):
     return 0
 
 
-def _parse_theory(text, cfg):
-    token = text.strip()
-    if token == "grav-casimir":
+def _resolve_theory(theory, cfg):
+    """The scan's signal from a parsed ``--theory`` and the device config."""
+    if theory == "grav-casimir":
         magnitude = dict(cfg.signals).get("gravitational_casimir")
         if magnitude is None:
             raise ConfigError(
                 ["theory grav-casimir needs gravitational_casimir_Pa in [signals]"]
             )
         return StepPressureSignal("grav-casimir", magnitude, cfg.film.t_c)
-    pair_part, sep, ref_part = token.partition("-vs-")
-    if not sep:
-        raise CasimirChipError(
-            f"theory must be 'grav-casimir' or 'A/B-vs-C/D', got {text!r}"
-        )
+    token, pair, ref = theory
 
-    def pair_of(part):
-        return tuple(parse_material_spec(name, cfg.materials)
-                     for name in split_pair(part))
+    def pair_of(names):
+        return tuple(parse_material_spec(name, cfg.materials) for name in names)
 
-    return MaterialPairDifferential(token, pair_of(pair_part), pair_of(ref_part))
+    return MaterialPairDifferential(token, pair_of(pair), pair_of(ref))
 
 
 def _cmd_scan(args):
-    cfg = load_device_config(args.config)
-    theory = _parse_theory(args.theory, cfg)
-    tmin = parse_temperature(args.tmin)
-    tmax = parse_temperature(args.tmax)
+    tmin, tmax = args.tmin, args.tmax
     if not (tmin < tmax and args.points >= 2):
-        raise CasimirChipError("need tmin < tmax and at least 2 grid points")
+        raise argparse.ArgumentError(None, "need tmin < tmax and at least 2 grid points")
+    cfg = load_device_config(args.config)
+    theory = _resolve_theory(args.theory, cfg)
     step = (tmax - tmin) / (args.points - 1)
     grid = [tmin + i * step for i in range(args.points)]
     points = simulate_temperature_scan(cfg.geometry, cfg.cavity, cfg.calib,
@@ -316,7 +340,7 @@ def _cmd_tc(args):
 
 def _cmd_transduce(args):
     cfg = load_device_config(args.config)
-    pressure = parse_pressure(args.pressure)
+    pressure = args.pressure
     gap_change = pressure_to_gap_change(pressure, cfg.geometry)
     shift = gap_change_to_frequency_shift(-gap_change, cfg.cavity)
     voltage = pdh_voltage(shift, cfg.calib)
@@ -373,9 +397,8 @@ def _cmd_validate(args):
                  f"{floor.gap_change * 1e15:.0f} fm")
     ratio = cfg.calib.min_resolvable_shift / (cavity.kappa / (2.0 * math.pi))
     lines.append(f"min shift / linewidth: {ratio:.2%}")
-    roughness = BeamFaceGeometry.ROUGHNESS_SCALE
-    if cfg.geometry.gap <= roughness:
-        lines.append(f"warning: gap is at or below the {roughness * 1e9:.0f} nm "
+    if cfg.geometry.gap <= ROUGHNESS_SCALE:
+        lines.append(f"warning: gap is at or below the {ROUGHNESS_SCALE * 1e9:.0f} nm "
                      "roughness scale")
     for name, value in cfg.annotations.items():
         lines.append(f"annotation {name} = {fmt(value)}")
@@ -406,6 +429,10 @@ def main(argv=None):
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except argparse.ArgumentError as exc:
+        # A command-line value the handler rejects, e.g. --tmin >= --tmax.
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except CasimirChipError as exc:
         print(f"error: {exc}", file=sys.stderr)

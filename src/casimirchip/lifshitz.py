@@ -28,7 +28,10 @@ k-integration error estimate.  That difference is the coarser rule's
 error, so it is an upper bound on the finer rule's, and a loose one: at
 100 nm it is ~5e-10 P, the error of the 65-node rule, while the 129-node
 sum sits within ~3e-16 P of a 1025-node rule.  All rows of a call climb
-the ladder together, so it stops when every row has converged.
+the ladder together, so it stops when every row has converged.  Each
+polarization's t/(1 - t) is sampled as r_a r_b / (e^y - r_a r_b), one exp
+per sample, with r_TE in a form free of the kappa - kappa_m cancellation;
+every pass over a call's (rows, nodes) grid runs in place.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -37,24 +40,31 @@ is replaced by its Euler-Maclaurin form
     sum_{n>N} f(n) = (1/xi_1) int_{(N+1/2) xi_1}^inf J dxi + f'(N+1/2)/24 + R_N
 
 with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done by
-Gauss-Legendre in ln(xi) up to 60 c / 2a, where J vanishes under the y
-cutoff.  Its nodes double from 32 until two successive rules agree to the
-quadrature tolerance, at most up to 2 * t_zero_nodes; the finer rule is
-used and the difference joins the quadrature estimate.  The result is
-P(2N), and only its tail is computed.  The two-sided truncation estimate
-|P(N) - P(2N)| comes from the difference of the two Euler-Maclaurin forms,
+Clenshaw-Curtis in ln(xi) up to 60 c / 2a, where J vanishes under the y
+cutoff.  Its rungs are nested like the k-rule's: the CC-64 rule (65 nodes)
+is evaluated first and CC-32 is the same samples at even indices; while the
+two disagree beyond the quadrature tolerance the order doubles, each rung
+evaluating only its new odd nodes, up to the last order <= 2 * t_zero_nodes
+(256 at the default).  The finer rule is used and the difference joins the
+quadrature estimate.  The result is P(2N), and only its tail is computed.
+The two-sided truncation estimate |P(N) - P(2N)| comes from the difference
+of the two Euler-Maclaurin forms,
 
     P(N) - P(2N) = xi_1 [(f'(N+1/2) - f'(2N+1/2))/24 - sum_{N<m<=2N} f(m)] + B,
 
-where B = int J dxi over [(N+1/2) xi_1, (2N+1/2) xi_1] is a 16-node
-Gauss-Legendre rule in ln(xi) and |B_16 - B_8| is added to the estimate.
-N doubles from 64 while the estimate exceeds the series tolerance, the
-k-integration error and the frequency-rule error, and still shrinks.  Where
-no term below the y cutoff lies beyond 2N, the plain sum is exact.  T = 0,
-and any T whose explicit terms all lie below the grid's lower end
-1e-9 c / 2a, is the case with no explicit terms.  The cost does not grow
-as T falls, and the evaluation order is fixed, so results are bit-stable
-regardless of how callers parallelize.
+where B = int J dxi over [(N+1/2) xi_1, (2N+1/2) xi_1] is the CC-32 rule in
+ln(xi), one 33-node evaluation, and |B_33 - B_17| against the CC-16 rule at
+its even indices is added to the estimate.  N doubles from 64 while the
+estimate exceeds the series tolerance, the k-integration error and the
+frequency-rule error, and still shrinks.  Where no term below the y cutoff
+lies beyond 2N, the plain sum is exact.  T = 0, and any T whose explicit
+terms all lie below the grid's lower end 1e-9 c / 2a, is the case with no
+explicit terms.  At default numerics a call at 100 nm evaluates 228
+k-integral rows at finite T (130 explicit terms, the 65-node tail rule and
+the 33-node block) and 130 at T = 0 (the 65- and 129-node rungs and the
+piece below the grid).  The cost does not grow as T falls, and the
+evaluation order is fixed, so results are bit-stable regardless of how
+callers parallelize.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -64,7 +74,6 @@ plasma descriptions of the TE zero mode part ways.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,12 +91,16 @@ from .materials import (
 _Y_CUT = 60.0
 # Width of the piece [y_lo, y_lo + _Y_SLIVER] below the mapped k-rule.
 _Y_SLIVER = 1e-9
-# Orders of the coarse k-rung (the 65-node rule, nested in the first
-# 129-node rule) and of the first frequency rule.
+# Order of the coarse k-rung (the 65-node rule, nested in the first
+# 129-node rule).
 _K_ORDER_START = 64
-_FREQ_NODES_START = 32
 # The mapped k-rule converges by order 256 down to rel_tol_quadrature 1e-11.
 _K_ORDER_MAX = 256
+# Order of the first frequency rung (CC-32 nested in it) and of the
+# truncation block (CC-16 nested in it).  A CC-16 block would add
+# |B_17 - B_9|, ~1000x the error the two-tail identity allows, to the estimate.
+_FREQ_ORDER_START = 64
+_BLOCK_ORDER = 32
 _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
@@ -119,16 +132,16 @@ class PressureResult:
 
     ``pressure`` is the attractive magnitude in Pa.  ``terms_used`` counts
     the k-integral rows behind it: explicit Matsubara terms plus the nodes
-    of the finer frequency rule (the coarser rungs of its node doubling
-    and the nodes of the block behind the truncation estimate are not
-    counted).  ``truncation_estimate`` is |P(N) - P(2N)| for the
-    Euler-Maclaurin tail, or at T = 0 the piece below the frequency grid;
-    ``quadrature_estimate`` adds the k-integration error estimate and the
-    difference between the last two frequency rules.  Both are in Pa.  The
-    k-part is |finer - coarser| of the last k-rungs (at default numerics
-    the 129- and 65-node rules) plus a round-off floor, so it is the
-    coarser rule's error: an upper bound on the returned rule's error, not
-    the error itself.
+    of the finer frequency rule, order + 1 for a Clenshaw-Curtis rule of
+    that order (the coarser rungs nested in it and the nodes of the block
+    behind the truncation estimate are not counted).
+    ``truncation_estimate`` is |P(N) - P(2N)| for the Euler-Maclaurin tail,
+    or at T = 0 the piece below the frequency grid; ``quadrature_estimate``
+    adds the k-integration error estimate and the difference between the
+    last two frequency rules.  Both are in Pa.  The k-part is |finer -
+    coarser| of the last k-rungs (at default numerics the 129- and 65-node
+    rules) plus a round-off floor, so it is the coarser rule's error: an
+    upper bound on the returned rule's error, not the error itself.
     """
 
     pressure: float
@@ -137,68 +150,10 @@ class PressureResult:
     quadrature_estimate: float
 
 
-@dataclass(frozen=True)
-class BeamFaceGeometry:
-    """The facing metalized side walls of the beam pair."""
-
-    face_height: float          # m
-    face_length: float          # m
-    gap: float                  # m
-    parallelism_jitter: float   # m, half-width of the local gap spread
-
-    # Surfaces rougher than ~5 nm rms invalidate the local-gap average.
-    ROUGHNESS_SCALE = 5e-9
-
-    def __post_init__(self):
-        if not (self.face_height > 0 and self.face_length > 0):
-            raise DomainError("face dimensions must be > 0")
-        if not (self.gap > self.ROUGHNESS_SCALE):
-            raise DomainError(
-                f"gap must exceed the {self.ROUGHNESS_SCALE * 1e9:.0f} nm roughness scale"
-            )
-        if not (0.0 <= self.parallelism_jitter < self.gap):
-            raise DomainError("parallelism_jitter must lie in [0, gap)")
-
-
 def ideal_pressure_closed_form(gap):
     """Zero-temperature perfect-conductor pressure pi^2 hbar c / (240 a^4) in Pa."""
     require_positive("gap", gap)
     return math.pi**2 * HBAR * C / (240.0 * gap**4)
-
-
-def _legendre_pair(order, x):
-    """(P_{order-1}(x), P_order(x)) by the three-term recurrence, written as
-    P_{j+1} = x P_j + j / (j + 1) (x P_j - P_{j-1})."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(1, order):
-        xp = x * p
-        p_prev, p = p, xp + (j / (j + 1)) * (xp - p_prev)
-    return p_prev, p
-
-
-@lru_cache(maxsize=32)
-def _leggauss(order):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on the Legendre recurrence, started from Tricomi's
-    asymptotic roots (Hale & Townsend, SIAM J. Sci. Comput. 2013); three
-    steps bring every node to within about an ulp, with no eigensolver.
-    Only the positive roots are computed and mirrored; odd orders keep
-    the exact 0 node.  With (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n), the
-    weights are 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2.
-    """
-    half = order // 2
-    theta = math.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * order + 2.0)
-    x = (1.0 - (order - 1.0) / (8.0 * order**3)
-         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * order**4)) * np.cos(theta)
-    x = np.append(x, np.zeros(order % 2))
-    for _ in range(3):
-        p_prev, p = _legendre_pair(order, x)
-        x = x - p * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p))
-    p_prev, p = _legendre_pair(order, x)
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p)) ** 2
-    # x runs from the largest root down to the smallest (0 for odd orders).
-    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 @lru_cache(maxsize=8)
@@ -210,44 +165,61 @@ def _clenshaw_curtis(order):
     sample.  For even n the weights are (c_j / n) [1 - sum_{k=1}^{n/2}
     b_k cos(2 pi k j / n) / (4k^2 - 1)] with c_j = 1 at the ends and 2
     inside, and b_k = 1 at k = n/2 and 2 below (Trefethen, SIAM Rev. 2008).
+    The sum runs one k at a time, so memory stays linear in the order.
     """
     j = np.arange(order + 1)
-    k = np.arange(1, order // 2 + 1)[:, None]
-    b = np.where(k == order // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
-    w = (1.0 - np.sum(b * np.cos(2.0 * np.pi * k * j / order), axis=0)) * (2.0 / order)
+    total = np.zeros(order + 1)
+    for k in range(1, order // 2 + 1):
+        b = (1.0 if k == order // 2 else 2.0) / (4.0 * k * k - 1.0)
+        total += b * np.cos(2.0 * np.pi * k * j / order)
+    w = (1.0 - total) * (2.0 / order)
     w[[0, -1]] *= 0.5
     return np.cos(np.pi * j / order), w
+
+
+def _nest(even, odd):
+    """Samples of the order-2n rule from the order-n ones and the new odd-index ones."""
+    out = np.empty(even.shape[:-1] + (even.shape[-1] + odd.shape[-1],))
+    out[..., ::2] = even
+    out[..., 1::2] = odd
+    return out
 
 
 def _fresnel(model, xi_col, kappa, temperature):
     """(r_TE, r_TM) on a (rows, nodes) grid; xi_col is the (rows, 1) frequency column.
 
-    Rows with xi = 0 use the analytic zero-frequency limits, assigned into
-    those rows only; rows with xi > 0 use the imaginary-frequency Fresnel
-    coefficients.  kappa is the full transverse decay constant
-    sqrt(k^2 + xi^2/c^2), which the y substitution supplies directly.
+    kappa is the full transverse decay constant sqrt(k^2 + xi^2/c^2), which
+    the y substitution supplies directly, and kappa_m^2 = kappa^2 + chi with
+    chi = (eps - 1) xi^2/c^2.  r_TE = (kappa - kappa_m)/(kappa + kappa_m) is
+    evaluated as -chi / (kappa + kappa_m)^2, which has no kappa - kappa_m
+    cancellation where |r_TE| << 1.  Rows with xi = 0 use the analytic
+    zero-frequency limits: r_TM = 1, and r_TE the same formula with chi the
+    model's residual zero-frequency plasma weight over c^2.  Both returned
+    arrays are fresh, so callers may overwrite them.
     """
     if isinstance(model, IdealMetal):
         shape = np.broadcast_shapes(np.shape(xi_col), np.shape(kappa))
         return -np.ones(shape), np.ones(shape)
 
     pos = xi_col > 0.0
-    xi_safe = np.where(pos, xi_col, 1.0)
-    eps = eps_imag_freq(model, xi_safe, temperature)
-    q2 = (xi_col / C) ** 2
-    kappa_m = np.sqrt(kappa**2 + (eps - 1.0) * q2)
-    r_te = (kappa - kappa_m) / (kappa + kappa_m)
-    r_tm = (eps * kappa - kappa_m) / (eps * kappa + kappa_m)
-
+    eps = eps_imag_freq(model, np.where(pos, xi_col, 1.0), temperature)
+    chi = (eps - 1.0) * (xi_col / C) ** 2
     zero = ~pos[:, 0]
     if zero.any():
         # xi = 0: all these metals reflect TM perfectly; the TE coefficient
         # keeps only the model's residual zero-frequency plasma weight.
-        w2 = zero_frequency_plasma_weight(model, temperature)
-        k = kappa[zero]  # kappa = k when xi = 0
-        s = np.sqrt(k**2 + w2 / C**2)
-        r_te[zero] = (k - s) / (k + s)
-        r_tm[zero] = 1.0
+        chi[zero] = zero_frequency_plasma_weight(model, temperature) / C**2
+    kappa_m = np.multiply(kappa, kappa)
+    kappa_m += chi
+    np.sqrt(kappa_m, out=kappa_m)
+    r_te = np.add(kappa, kappa_m)
+    r_te *= r_te
+    np.divide(-chi, r_te, out=r_te)
+    r_tm = np.multiply(eps, kappa)
+    den = np.add(r_tm, kappa_m)
+    r_tm -= kappa_m
+    r_tm /= den
+    r_tm[zero] = 1.0
     return r_te, r_tm
 
 
@@ -274,19 +246,29 @@ def reflection_coefficients(model, xi, k, temperature=0.0):
 def _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y):
     """y^2 F(y) on a (rows, nodes) grid of y; xi_col is the (rows, 1) frequency column.
 
-    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}.  Every
-    k-integral sample passes through here once.
+    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}, taken
+    as r_a r_b / (e^y - r_a r_b) so that one exp serves both.  Every
+    k-integral sample passes through here once; the grid passes run in
+    place on the Fresnel arrays.
     """
     kappa = y / (2.0 * gap)
-    r_te_a, r_tm_a = _fresnel(mat_a, xi_col, kappa, temperature)
+    r_te, r_tm = _fresnel(mat_a, xi_col, kappa, temperature)
     if mat_b == mat_a:
-        r_te_b, r_tm_b = r_te_a, r_tm_a
+        r_te *= r_te
+        r_tm *= r_tm
     else:
         r_te_b, r_tm_b = _fresnel(mat_b, xi_col, kappa, temperature)
-    emy = np.exp(-y)
-    t_te = r_te_a * r_te_b * emy
-    t_tm = r_tm_a * r_tm_b * emy
-    return y * y * (t_te / (1.0 - t_te) + t_tm / (1.0 - t_tm))
+        r_te *= r_te_b
+        r_tm *= r_tm_b
+    exp_y = np.exp(y)
+    den = np.subtract(exp_y, r_te, out=kappa)
+    r_te /= den
+    np.subtract(exp_y, r_tm, out=den)
+    r_tm /= den
+    r_te += r_tm
+    np.multiply(y, y, out=den)
+    r_te *= den
+    return r_te
 
 
 def _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num):
@@ -325,11 +307,8 @@ def _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num):
         if np.all(err <= num.rel_tol_quadrature * scale) or order >= _K_ORDER_MAX:
             return fine / (8.0 * gap**3), err / (8.0 * gap**3)
         coarse, order = fine, 2 * order
-        nested = np.empty((len(g), order + 1))
-        nested[:, ::2] = g
         f, jac = samples(_clenshaw_curtis(order)[0][1::2])
-        nested[:, 1::2] = f * jac
-        g = nested
+        g = _nest(g, f * jac)
 
 
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
@@ -372,11 +351,15 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     def truncation(n):
         # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
         # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
-        # taken as a 16-node rule with |16-node - 8-node| added as its error.
-        (b8, _), (b16, _) = _log_rules((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, (8, 16), args)
+        # taken as the 33-node CC-32 rule with |CC-32 - CC-16| added as its
+        # error; CC-16 is the same samples at even indices.
+        g, _ = _log_samples((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1,
+                            _clenshaw_curtis(_BLOCK_ORDER)[0], args)
+        block = float(np.sum(g * _clenshaw_curtis(_BLOCK_ORDER)[1]))
+        coarse = float(np.sum(g[::2] * _clenshaw_curtis(_BLOCK_ORDER // 2)[1]))
         slopes = (f[n + 1] - f[n] - f[2 * n + 1] + f[2 * n]) / 24.0
-        diff = xi_1 * float(slopes - np.sum(f[n + 1 : 2 * n + 1])) + b16
-        return abs(diff) + abs(b16 - b8)
+        diff = xi_1 * float(slopes - np.sum(f[n + 1 : 2 * n + 1])) + block
+        return abs(diff) + abs(block - coarse)
 
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.
@@ -405,50 +388,45 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
                           pref * xi_1 * float(np.sum(err)))
 
 
-def _log_grid_integral(xi_lo, args):
-    """int_{xi_lo}^inf J(xi) dxi by Gauss-Legendre on u = ln(xi) with node doubling.
+def _log_samples(xi_lo, xi_hi, x, args):
+    """J(xi) and its k-integration error at the nodes x of a rule on [-1, 1],
+    mapped to u = ln(xi) over [ln xi_lo, ln xi_hi] and each times the map's
+    Jacobian xi du/dx: the rule's weights times either sum to int dxi."""
+    gap, temperature, mat_a, mat_b, num = args
+    u_lo = math.log(xi_lo)
+    half = 0.5 * (math.log(xi_hi) - u_lo)
+    xi = np.exp(u_lo + (x + 1.0) * half)
+    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
+    jac = xi * half
+    return vals * jac, errs * jac
 
-    The nodes double from min(32, t_zero_nodes) until two successive rules
-    agree to rel_tol_quadrature, or until the finer one reaches the ceiling
-    2 t_zero_nodes.  Returns (finer rule, its k-integration error,
+
+def _log_grid_integral(xi_lo, args):
+    """int_{xi_lo}^inf J(xi) dxi by nested Clenshaw-Curtis rules in u = ln(xi).
+
+    The first rung evaluates the CC-64 rule, 65 nodes, and CC-32 is the same
+    samples at even indices.  While two successive rules disagree beyond
+    rel_tol_quadrature the order doubles, each rung evaluating only its new
+    odd nodes, up to the last order <= 2 t_zero_nodes (a smaller ceiling
+    starts the ladder there).  Returns (finer rule, its k-integration error,
     |finer - coarser|, finer node count).  J vanishes under the y cutoff
     beyond Y_CUT c / 2a, the upper end of the grid.  Material response is
     evaluated at the requested temperature.
     """
     gap, num = args[0], args[-1]
     xi_hi = _Y_CUT * C / (2.0 * gap)
-
-    def rule(nodes):
-        return _log_rules(xi_lo, xi_hi, (nodes,), args)[0]
-
-    ceiling = 2 * num.t_zero_nodes
-    nodes = min(_FREQ_NODES_START, num.t_zero_nodes)
-    coarse, _ = rule(nodes)
+    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
+    order = min(_FREQ_ORDER_START, ceiling)
+    g, e = _log_samples(xi_lo, xi_hi, _clenshaw_curtis(order)[0], args)
+    coarse = float(np.sum(g[::2] * _clenshaw_curtis(order // 2)[1]))
     while True:
-        nodes = min(2 * nodes, ceiling)
-        fine, fine_err = rule(nodes)
-        if abs(fine - coarse) <= num.rel_tol_quadrature * abs(fine) or nodes == ceiling:
-            return fine, fine_err, abs(fine - coarse), nodes
-        coarse = fine
-
-
-def _log_rules(xi_lo, xi_hi, orders, args):
-    """int_{xi_lo}^{xi_hi} J(xi) dxi by one Gauss-Legendre rule in u = ln(xi)
-    per entry of ``orders``, all nodes in one k-integral call.  Returns a
-    list of (value, k-integration error), one per rule."""
-    gap, temperature, mat_a, mat_b, num = args
-    u_lo = math.log(xi_lo)
-    half = 0.5 * (math.log(xi_hi) - u_lo)
-    rules = [_leggauss(order) for order in orders]
-    xi = np.exp(u_lo + (np.concatenate([x for x, _ in rules]) + 1.0) * half)
-    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
-    out, start = [], 0
-    for _, w in rules:
-        part = slice(start, start + len(w))
-        start = part.stop
-        out.append((float(np.sum(w * xi[part] * vals[part]) * half),
-                    float(np.sum(w * xi[part] * errs[part]) * half)))
-    return out
+        w = _clenshaw_curtis(order)[1]
+        fine = float(np.sum(g * w))
+        if abs(fine - coarse) <= num.rel_tol_quadrature * abs(fine) or order >= ceiling:
+            return fine, float(np.sum(e * w)), abs(fine - coarse), order + 1
+        coarse, order = fine, 2 * order
+        g_odd, e_odd = _log_samples(xi_lo, xi_hi, _clenshaw_curtis(order)[0][1::2], args)
+        g, e = _nest(g, g_odd), _nest(e, e_odd)
 
 
 def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT_NUMERICS):
@@ -462,43 +440,3 @@ def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT
     p = plate_pressure(gap, temperature, mat_a, mat_b, num)
     p_ref = plate_pressure(gap, temperature, ref_a, ref_b, num)
     return p.pressure - p_ref.pressure
-
-
-def beam_pfa_pressure(face, temperature, mats, num=DEFAULT_NUMERICS, eta=1.0):
-    """Proximity-force effective pressure over the nominal facing area.
-
-    Averages ``plate_pressure`` over the uniform local-gap distribution
-    gap +/- parallelism_jitter and applies the finite-size reduction factor
-    ``eta`` in (0, 1].  eta = 1 is the plain PFA; simulations of comparable
-    beam geometries support values down to ~0.1, offered as a documented
-    preset rather than applied silently.
-    """
-    if not isinstance(face, BeamFaceGeometry):
-        raise DomainError("face must be a BeamFaceGeometry")
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
-    mat_a, mat_b = mats
-    if face.gap > face.face_height:
-        warnings.warn(
-            "PFA validity is marginal: gap exceeds the face height",
-            stacklevel=2,
-        )
-    if face.parallelism_jitter == 0.0:
-        base = plate_pressure(face.gap, temperature, mat_a, mat_b, num)
-        return PressureResult(
-            eta * base.pressure, base.terms_used,
-            eta * base.truncation_estimate, eta * base.quadrature_estimate,
-        )
-    x, w = _leggauss(9)
-    gaps = face.gap + x * face.parallelism_jitter
-    pressure = 0.0
-    trunc = 0.0
-    quad_err = 0.0
-    terms = 0
-    for g, wi in zip(gaps, w):
-        res = plate_pressure(float(g), temperature, mat_a, mat_b, num)
-        pressure += 0.5 * wi * res.pressure
-        trunc += 0.5 * wi * res.truncation_estimate
-        quad_err += 0.5 * wi * res.quadrature_estimate
-        terms = max(terms, res.terms_used)
-    return PressureResult(eta * pressure, terms, eta * trunc, eta * quad_err)

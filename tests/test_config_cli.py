@@ -270,6 +270,27 @@ def test_cli_pressure_rejects_duplicate_inline_key(capsys):
     assert err == f"error: duplicate material parameter 'omega_p_eV' in {spec!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--config", EXAMPLE, "--tmin", "0.5K", "--tmax", "1K",
+      "--theory", "al_sc-vs-al_drude"],
+     "argument --theory: material pair must be 'A/B', got 'al_sc'"),
+    (["scan", "--config", EXAMPLE, "--tmin", "1K", "--tmax", "0.5K",
+      "--theory", "grav-casimir"],
+     "usage error: need tmin < tmax and at least 2 grid points"),
+    (["scan", "--config", EXAMPLE, "--tmin", "0.5K", "--tmax", "1K", "--points", "1",
+      "--theory", "grav-casimir"],
+     "usage error: need tmin < tmax and at least 2 grid points"),
+    (["pressure", "--gap", "100xx", "--temp", "0", "--model-a", "ideal", "--model-b", "ideal"],
+     "argument --gap: length unit must be one of fm/pm/nm/um/mm/m, got 'xx'"),
+    (["sweep", "--config", EXAMPLE, "--workers", "0"],
+     "usage error: --workers must be >= 1, got 0"),
+], ids=["theory-pair", "tmin-above-tmax", "one-point", "gap-unit", "zero-workers"])
+def test_cli_malformed_value_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.filterwarnings("ignore:frequency shift")
 def test_cli_sweep_with_spec_file(capsys, tmp_path):
     spec = tmp_path / "sweep.cfg"

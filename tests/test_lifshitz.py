@@ -7,14 +7,12 @@ from scipy.integrate import quad
 
 from casimirchip import (
     DEFAULT_NUMERICS,
-    BeamFaceGeometry,
     DomainError,
     Drude,
     IdealMetal,
     LifshitzNumerics,
     Plasma,
     SuperconductorTwoFluid,
-    beam_pfa_pressure,
     differential_pressure,
     ideal_pressure_closed_form,
     plate_pressure,
@@ -27,7 +25,6 @@ from casimirchip.lifshitz import (
     _N_EXPLICIT,
     _clenshaw_curtis,
     _k_integrals_adaptive,
-    _leggauss,
 )
 
 OMEGA_P = 1.83e16
@@ -331,80 +328,6 @@ def test_k_integral_against_scipy_quad_for_drude():
     assert val == pytest.approx(brute, rel=1e-9)
 
 
-# ----------------------------------------------------------------------- PFA
-
-def make_face(gap=100e-9, jitter=10e-9):
-    return BeamFaceGeometry(face_height=350e-9, face_length=220e-6,
-                            gap=gap, parallelism_jitter=jitter)
-
-
-def test_pfa_degenerate_jitter_matches_plate():
-    face = make_face(jitter=0.0)
-    res = beam_pfa_pressure(face, 1.0, (DRUDE, DRUDE))
-    plain = plate_pressure(100e-9, 1.0, DRUDE, DRUDE)
-    assert res.pressure == plain.pressure
-
-
-def test_pfa_jitter_raises_pressure_by_convexity():
-    face = make_face(jitter=10e-9)
-    res = beam_pfa_pressure(face, 1.0, (DRUDE, DRUDE))
-    plain = plate_pressure(100e-9, 1.0, DRUDE, DRUDE).pressure
-    assert res.pressure > plain
-    # 3-point Gauss-Legendre oracle over the uniform gap distribution.
-    nodes, weights = np.polynomial.legendre.leggauss(3)
-    oracle = sum(
-        0.5 * w * plate_pressure(100e-9 + x * 10e-9, 1.0, DRUDE, DRUDE).pressure
-        for x, w in zip(nodes, weights)
-    )
-    assert res.pressure == pytest.approx(oracle, rel=2e-3)
-
-
-def test_pfa_eta_scales_linearly():
-    face = make_face(jitter=5e-9)
-    full = beam_pfa_pressure(face, 1.0, (DRUDE, DRUDE), eta=1.0)
-    tenth = beam_pfa_pressure(face, 1.0, (DRUDE, DRUDE), eta=0.1)
-    assert tenth.pressure == pytest.approx(0.1 * full.pressure, rel=1e-12)
-
-
-def test_pfa_warns_when_gap_exceeds_face_height():
-    face = BeamFaceGeometry(face_height=350e-9, face_length=220e-6,
-                            gap=400e-9, parallelism_jitter=0.0)
-    with pytest.warns(UserWarning, match="PFA validity"):
-        beam_pfa_pressure(face, 1.0, (DRUDE, DRUDE))
-
-
-def test_pfa_rejects_bad_eta():
-    with pytest.raises(DomainError):
-        beam_pfa_pressure(make_face(), 1.0, (DRUDE, DRUDE), eta=0.0)
-
-
-def test_face_geometry_validation():
-    with pytest.raises(DomainError):
-        BeamFaceGeometry(350e-9, 220e-6, gap=4e-9, parallelism_jitter=0.0)
-    with pytest.raises(DomainError):
-        BeamFaceGeometry(350e-9, 220e-6, gap=100e-9, parallelism_jitter=150e-9)
-
-
-# ---------------------------------------------------------- Gauss-Legendre
-
-@pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 32, 63, 64])
-def test_leggauss_matches_numpy(order):
-    x, w = _leggauss(order)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
-    assert np.max(np.abs(x - x_ref)) <= 1e-14
-    assert np.max(np.abs(w - w_ref)) <= 1e-14
-
-
-@pytest.mark.parametrize("order", [9, 64, 1024])
-def test_leggauss_exact_on_even_monomials(order):
-    # An order-n rule integrates every polynomial of degree < 2n exactly;
-    # the degree-0 case is the weights summing to 2.
-    x, w = _leggauss(order)
-    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
-    for k in range(order):
-        assert np.sum(w * x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
-
-
 # ------------------------------------------------------ frequency-rule bars
 
 def _log_grid_integral_800(xi_lo, args):
@@ -435,34 +358,48 @@ def test_error_bars_cover_800_node_frequency_rule(monkeypatch, model, temp):
 
 @pytest.mark.parametrize("temp", [0.0, 4.0])
 def test_error_bars_cover_800_node_rule_at_binding_ceiling(monkeypatch, temp):
-    # t_zero_nodes = 8 stops the doubling at 8 -> 16 nodes, far from
-    # converged.  The bar carries |16-node - 8-node| rule, the coarser
-    # rule's error; the returned finer rule sits well inside it.
+    # t_zero_nodes = 8 stops the doubling at CC-8 -> CC-16 (17 nodes), far
+    # from converged.  The bar carries |CC-16 - CC-8|, the coarser rule's
+    # error; the returned finer rule sits well inside it.
     num = LifshitzNumerics(t_zero_nodes=8)
     res = plate_pressure(100e-9, temp, DRUDE, DRUDE, num)
     p_800 = _pressure_800(monkeypatch, 100e-9, temp, DRUDE, num)
     assert abs(res.pressure - p_800) <= 0.5 * (res.truncation_estimate + res.quadrature_estimate)
 
 
+def _rows(calls):
+    # k-integral rows evaluated by the hooked _k_integrand calls.
+    return sum(call[-1].shape[0] for call in calls)
+
+
 @pytest.mark.parametrize("gap", [10e-9, 100e-9, 1e-6])
 @pytest.mark.parametrize("model", [PLASMA, DRUDE, TWOFLUID], ids=["plasma", "drude", "two-fluid"])
-def test_default_cost_in_k_integral_rows(model, gap):
-    # Counts, not timings: the frequency rule stops at the first converged
-    # rung, so the finer rule stays at or below 128 nodes on this grid.
-    for temp in (0.05, 4.0):
-        assert plate_pressure(gap, temp, model, model).terms_used <= 2 * _N_EXPLICIT + 2 + 128
-    assert plate_pressure(gap, 0.0, model, model).terms_used <= 256
+def test_default_cost_in_k_integral_rows(monkeypatch, model, gap):
+    # Counts, not timings, of every row evaluated, the coarser frequency
+    # rungs and the truncation block included.  At finite T, N stays at 64
+    # and the frequency ladder stops by its 129-node rung: 130 explicit
+    # terms, 129 tail nodes and the 33-node block.  At T = 0 the ladder
+    # stops by its 257-node rung, plus the one row below the grid.
+    calls = _hook_k_integrand(monkeypatch)
+    for temp, budget in ((0.05, 2 * _N_EXPLICIT + 2 + 129 + 33),
+                         (4.0, 2 * _N_EXPLICIT + 2 + 129 + 33),
+                         (0.0, 1 + 257)):
+        calls.clear()
+        plate_pressure(gap, temp, model, model)
+        assert _rows(calls) <= budget
 
 
-def test_binding_frequency_ceiling_stops_the_n_doubling():
+def test_binding_frequency_ceiling_stops_the_n_doubling(monkeypatch):
     # At t_zero_nodes = 8 the two tail rules behind P(N) and P(2N) are both
     # unconverged, and their difference is frequency-rule error, not
-    # truncation: N must stay at 64 and the bars must still cover the
-    # converged value.
+    # truncation: N must stay at 64, which leaves 130 explicit terms, the
+    # 17-node tail rule and the 33-node block, and the bars must still
+    # cover the converged value.
     num = LifshitzNumerics(t_zero_nodes=8)
+    calls = _hook_k_integrand(monkeypatch)
     res = plate_pressure(100e-9, 0.5, DRUDE, DRUDE, num)
+    assert _rows(calls) <= 2 * _N_EXPLICIT + 2 + 17 + 33
     ref = plate_pressure(100e-9, 0.5, DRUDE, DRUDE, LifshitzNumerics(t_zero_nodes=200))
-    assert res.terms_used <= 2 * _N_EXPLICIT + 2 + 16
     assert abs(res.pressure - ref.pressure) <= res.truncation_estimate + res.quadrature_estimate
 
 
@@ -559,29 +496,30 @@ def test_k_rule_converges_geometrically(model, gap):
 
 def _hook_k_integrand(monkeypatch):
     # Hooks the one integrand evaluation; returns the list that collects
-    # each call's (rows, nodes) grid of y.
-    inner, grids = lifshitz._k_integrand, []
+    # each call's arguments, (mat_a, mat_b, xi_col, gap, temperature, y)
+    # with y the (rows, nodes) grid.
+    inner, calls = lifshitz._k_integrand, []
 
     def k_integrand(*args):
-        grids.append(args[-1])
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
-    return grids
+    return calls
 
 
 def _record_k_ladders(monkeypatch, num):
     # Runs plate_pressure over the grid and returns, per k-ladder, the last
     # order evaluated and the rows' error in units of tol * scale.  A row
     # evaluates order + 2 points: the nested rungs' nodes and the sliver.
-    ladders, grids = [], _hook_k_integrand(monkeypatch)
+    ladders, calls = [], _hook_k_integrand(monkeypatch)
     adaptive = lifshitz._k_integrals_adaptive
 
     def k_integrals_adaptive(mat_a, mat_b, xi_col, *args):
-        grids.clear()
+        calls.clear()
         cur, err = adaptive(mat_a, mat_b, xi_col, *args)
         scale = np.maximum(np.abs(cur), np.max(np.abs(cur), initial=0.0) * 1e-12)
-        order = sum(y.size for y in grids) // np.size(xi_col) - 2
+        order = sum(call[-1].size for call in calls) // np.size(xi_col) - 2
         ladders.append((order, float(np.max(err / (num.rel_tol_quadrature * scale)))))
         return cur, err
 
@@ -606,8 +544,10 @@ def test_k_ladders_converge_below_the_cap_at_tight_tolerance(monkeypatch):
 def test_default_k_ladders_end_by_order_128(monkeypatch):
     # Counts, not timings: at default numerics every k-ladder stops at the
     # first fine rung, the 129-node rule with the 65-node rule nested in it.
+    # The grid's 27 calls make 90 ladders: one per block of rows evaluated
+    # together (explicit terms, each frequency rung, each truncation block).
     ladders = _record_k_ladders(monkeypatch, DEFAULT_NUMERICS)
-    assert len(ladders) > 100
+    assert len(ladders) == 90
     assert {order for order, _ in ladders} == {2 * _K_ORDER_START}
 
 
@@ -615,12 +555,12 @@ def test_default_k_ladders_end_by_order_128(monkeypatch):
 def test_k_integrand_evaluations_per_call(monkeypatch, model):
     # Counts, not timings: every row of a call at 100 nm evaluates the
     # 129-node rule and the sliver once, 130 points, and nothing else.
-    grids = _hook_k_integrand(monkeypatch)
-    for temp, budget in ((1.0, 32_500), (0.0, 29_250)):
-        grids.clear()
+    calls = _hook_k_integrand(monkeypatch)
+    for temp, budget in ((1.0, 29_640), (0.0, 16_900)):
+        calls.clear()
         plate_pressure(100e-9, temp, model, model)
-        assert sum(y.size for y in grids) <= budget
-        assert {y.shape[1] for y in grids} == {2 * _K_ORDER_START + 2}
+        assert sum(call[-1].size for call in calls) <= budget
+        assert {call[-1].shape[1] for call in calls} == {2 * _K_ORDER_START + 2}
 
 
 def test_k_ladder_rungs_are_nested(monkeypatch):
@@ -630,11 +570,65 @@ def test_k_ladder_rungs_are_nested(monkeypatch):
     # 128 odd nodes of the 257-node rule.
     for order in (64, 128):
         assert np.array_equal(_clenshaw_curtis(order)[0], _clenshaw_curtis(2 * order)[0][::2])
-    grids = _hook_k_integrand(monkeypatch)
+    calls = _hook_k_integrand(monkeypatch)
     num = LifshitzNumerics(rel_tol_quadrature=1e-300)
     xi = np.array([0.0, 1e12, 1e14])
     _k_integrals_adaptive(DRUDE, DRUDE, xi, 100e-9, 1.0, num)
-    assert [y.shape for y in grids] == [(3, 130), (3, 128)]
-    y = np.concatenate(grids, axis=1)
+    assert [call[-1].shape for call in calls] == [(3, 130), (3, 128)]
+    y = np.concatenate([call[-1] for call in calls], axis=1)
     assert all(len(np.unique(row)) == 258 for row in y)
 
+
+def test_frequency_ladder_rungs_are_nested(monkeypatch):
+    # The CC-32 xi nodes are the CC-64 xi nodes at even indices, bit for
+    # bit, so a ladder driven to its ceiling evaluates each xi node once:
+    # the 65 nodes of the CC-64 rule, then only the 64 and 128 odd nodes of
+    # the 129- and 257-node rules.
+    calls = _hook_k_integrand(monkeypatch)
+    gap = 100e-9
+    xi_min = 1e-9 * sc.c / (2 * gap)
+
+    def xi_rows(t_zero_nodes, tol):
+        calls.clear()
+        num = LifshitzNumerics(rel_tol_quadrature=tol, t_zero_nodes=t_zero_nodes)
+        nodes = lifshitz._log_grid_integral(xi_min, (gap, 0.0, DRUDE, DRUDE, num))[3]
+        # Each k-ladder's first call holds the rows; at 1e-300 it climbs on.
+        return nodes, [call[2][:, 0] for call in calls
+                       if call[-1].shape[1] == 2 * _K_ORDER_START + 2]
+
+    # Ceilings 2 t_zero_nodes = 32 and 64 stop the ladder at its first rung.
+    assert xi_rows(16, 1e-8)[0] == 33 and xi_rows(32, 1e-8)[0] == 65
+    (cc32,), (cc64,) = xi_rows(16, 1e-8)[1], xi_rows(32, 1e-8)[1]
+    assert np.array_equal(cc64[::2], cc32)
+    nodes, rungs = xi_rows(128, 1e-300)
+    assert nodes == 257 and [len(xi) for xi in rungs] == [65, 64, 128]
+    assert len(np.unique(np.concatenate(rungs))) == 257
+
+
+def test_finite_t_call_evaluates_terms_tail_rung_and_33_row_block(monkeypatch):
+    # At 100 nm and 1 K: the 130 explicit terms, the 65-node tail rule, and
+    # the truncation block as one 33-node CC-32 evaluation over
+    # [(N + 1/2) xi_1, (2N + 1/2) xi_1], CC-16 being its even indices.
+    calls = _hook_k_integrand(monkeypatch)
+    plate_pressure(100e-9, 1.0, DRUDE, DRUDE)
+    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2, 65, 33]
+    xi_1 = 2 * math.pi * K_B * 1.0 / HBAR
+    block = calls[-1][2][:, 0]
+    assert block.min() == pytest.approx((_N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
+    assert block.max() == pytest.approx((2 * _N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
+
+
+@pytest.mark.parametrize("gap", GRID_GAPS)
+@pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
+def test_k_integrand_matches_local_formulas(model, gap):
+    # Pointwise from the pole at y_lo to the cutoff, where |r_TE| falls
+    # far below 1.  Both sides round t = r^2 e^{-y}, and t/(1 - t) magnifies
+    # that by 1/(1 - t) <= 1 + F(y), which is ~1 away from the pole: there
+    # the bound is 1e-13 relative.
+    for n in (0, 1, 10, 100, 1000):
+        xi = 2 * math.pi * n * K_B * 1.0 / HBAR
+        y_lo = 2 * gap * xi / sc.c
+        y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
+        vals = lifshitz._k_integrand(model, model, np.array([[xi]]), gap, 1.0, y[None, :])[0]
+        ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
+        assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n

@@ -156,6 +156,41 @@ def ideal_pressure_closed_form(gap):
     return math.pi**2 * HBAR * C / (240.0 * gap**4)
 
 
+def _legendre_pair(order, x):
+    """(P_{order-1}(x), P_order(x)) by the three-term recurrence, written as
+    P_{j+1} = x P_j + j / (j + 1) (x P_j - P_{j-1})."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, order):
+        xp = x * p
+        p_prev, p = p, xp + (j / (j + 1)) * (xp - p_prev)
+    return p_prev, p
+
+
+@lru_cache(maxsize=32)
+def _leggauss(order):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the Legendre recurrence, started from Tricomi's
+    asymptotic roots (Hale & Townsend, SIAM J. Sci. Comput. 2013); three
+    steps bring every node to within about an ulp, with no eigensolver.
+    Only the positive roots are computed and mirrored; odd orders keep
+    the exact 0 node.  With (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n), the
+    weights are 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2.
+    """
+    half = order // 2
+    theta = math.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * order + 2.0)
+    x = (1.0 - (order - 1.0) / (8.0 * order**3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * order**4)) * np.cos(theta)
+    x = np.append(x, np.zeros(order % 2))
+    for _ in range(3):
+        p_prev, p = _legendre_pair(order, x)
+        x = x - p * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p))
+    p_prev, p = _legendre_pair(order, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p)) ** 2
+    # x runs from the largest root down to the smallest (0 for odd orders).
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+
+
 @lru_cache(maxsize=8)
 def _clenshaw_curtis(order):
     """Clenshaw-Curtis nodes cos(pi j / order), j = 0..order, and weights on [-1, 1].

@@ -25,6 +25,7 @@ from casimirchip.lifshitz import (
     _N_EXPLICIT,
     _clenshaw_curtis,
     _k_integrals_adaptive,
+    _leggauss,
 )
 
 OMEGA_P = 1.83e16
@@ -326,6 +327,26 @@ def test_k_integral_against_scipy_quad_for_drude():
     brute /= 8 * a**3
     val = float(_k_integrals_adaptive(DRUDE, DRUDE, xi, a, temp, DEFAULT_NUMERICS)[0][0])
     assert val == pytest.approx(brute, rel=1e-9)
+
+
+# ---------------------------------------------------------- Gauss-Legendre
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 32, 63, 64])
+def test_leggauss_matches_numpy(order):
+    x, w = _leggauss(order)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(x - x_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [9, 64, 1024])
+def test_leggauss_exact_on_even_monomials(order):
+    # An order-n rule integrates every polynomial of degree < 2n exactly;
+    # the degree-0 case is the weights summing to 2.
+    x, w = _leggauss(order)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    for k in range(order):
+        assert np.sum(w * x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
 
 
 # ------------------------------------------------------ frequency-rule bars

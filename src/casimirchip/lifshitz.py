@@ -10,28 +10,30 @@ term half weight.  At T = 0 the sum becomes (hbar / 2 pi^2) int dxi of the
 same k-integral.  Pressures are returned as positive-attractive
 magnitudes; differentials are signed.
 
-Numerics: the k-integral J(xi) is substituted to y = 2 kappa a and
-integrated over [y_lo, 60], y_lo = 2 xi a / c (the integrand carries
-e^{-y}, so the y = 60 cutoff is below double precision).  Near y_lo both
-reflection coefficients are close to 1, so the integrand has a pole just
-left of y_lo.  The rule is therefore Clenshaw-Curtis in u = ln(y - y_lo)
-on [ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
-geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node.
-The rungs are nested: the integrand is evaluated once on the 129-node rule
-(130 points with the sliver), and the 65-node rule is the same samples at
-even indices.  While two successive rules disagree beyond the quadrature
-tolerance the order doubles, adding only the new odd nodes, up to the
-257-node rule (at the default 1e-8 every ladder stops at 129 nodes; down
-to 1e-11 none stops unconverged at 257).  The finer rule is returned with
-|finer - coarser| plus the finer sum's round-off bound as its
-k-integration error estimate.  That difference is the coarser rule's
-error, so it is an upper bound on the finer rule's, and a loose one: at
-100 nm it is ~5e-10 P, the error of the 65-node rule, while the 129-node
-sum sits within ~3e-16 P of a 1025-node rule.  All rows of a call climb
-the ladder together, so it stops when every row has converged.  Each
-polarization's t/(1 - t) is sampled as r_a r_b / (e^y - r_a r_b), one exp
-per sample, with r_TE in a form free of the kappa - kappa_m cancellation;
-every pass over a call's (rows, nodes) grid runs in place.
+Numerics: every integral here runs on one ladder of nested Clenshaw-Curtis
+rules (`_nested_cc`): the order-n rule is the order-2n samples at even
+indices, so each doubling evaluates only the new odd nodes.  The finer rule
+is returned with |finer - coarser| plus its round-off bound (order + 2) eps
+sum |terms| as its error, and the order doubles while that exceeds the
+quadrature tolerance, up to a ceiling.  That is the coarser rule's error, a
+loose bound on the finer rule's: at 100 nm the k-part is ~5e-10 P, while the
+129-node k-sum sits within ~3e-16 P of a 1025-node rule.
+
+The k-integral J(xi) is substituted to y = 2 kappa a and integrated over
+[y_lo, 60], y_lo = 2 xi a / c (the integrand carries e^{-y}, so the
+y = 60 cutoff is below double precision).  Near y_lo both reflection
+coefficients are close to 1, so the integrand has a pole just left of
+y_lo.  The rule is therefore Clenshaw-Curtis in u = ln(y - y_lo) on
+[ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
+geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node
+outside the rule.  The ladder starts at the 129-node rule (130 points with
+the sliver) and stops by the 257-node rule (at the default 1e-8 every
+ladder stops at 129 nodes; down to 1e-11 none stops unconverged at 257).
+All rows of a call climb together, so it stops when every row has
+converged.  Each polarization's t/(1 - t) is sampled as
+r_a r_b / (e^y - r_a r_b), one exp per sample, with r_TE in a form free of
+the kappa - kappa_m cancellation; every pass over a call's (rows, nodes)
+grid runs in place.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -39,32 +41,31 @@ is replaced by its Euler-Maclaurin form
 
     sum_{n>N} f(n) = (1/xi_1) int_{(N+1/2) xi_1}^inf J dxi + f'(N+1/2)/24 + R_N
 
-with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done by
-Clenshaw-Curtis in ln(xi) up to 60 c / 2a, where J vanishes under the y
-cutoff.  Its rungs are nested like the k-rule's: the CC-64 rule (65 nodes)
-is evaluated first and CC-32 is the same samples at even indices; while the
-two disagree beyond the quadrature tolerance the order doubles, each rung
-evaluating only its new odd nodes, up to the last order <= 2 * t_zero_nodes
-(256 at the default).  The finer rule is used and the difference joins the
+with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done in
+ln(xi) up to 60 c / 2a, where J vanishes under the y cutoff.  Its ladder
+starts at the CC-64 rule (65 nodes) and stops by the last order
+<= 2 * t_zero_nodes (256 at the default); the rule's error joins the
 quadrature estimate.  The result is P(2N), and only its tail is computed.
 The two-sided truncation estimate |P(N) - P(2N)| comes from the difference
 of the two Euler-Maclaurin forms,
 
     P(N) - P(2N) = xi_1 [(f'(N+1/2) - f'(2N+1/2))/24 - sum_{N<m<=2N} f(m)] + B,
 
-where B = int J dxi over [(N+1/2) xi_1, (2N+1/2) xi_1] is the CC-32 rule in
-ln(xi), one 33-node evaluation, and |B_33 - B_17| against the CC-16 rule at
-its even indices is added to the estimate.  N doubles from 64 while the
-estimate exceeds the series tolerance, the k-integration error and the
-frequency-rule error, and still shrinks.  Where no term below the y cutoff
-lies beyond 2N, the plain sum is exact.  T = 0, and any T whose explicit
-terms all lie below the grid's lower end 1e-9 c / 2a, is the case with no
-explicit terms.  At default numerics a call at 100 nm evaluates 228
-k-integral rows at finite T (130 explicit terms, the 65-node tail rule and
-the 33-node block) and 130 at T = 0 (the 65- and 129-node rungs and the
-piece below the grid).  The cost does not grow as T falls, and the
-evaluation order is fixed, so results are bit-stable regardless of how
-callers parallelize.
+where B = int J dxi over [(N+1/2) xi_1, (2N+1/2) xi_1] is the same ln(xi)
+integral with the ladder started and stopped at CC-32 (33 nodes, CC-16 at
+its even indices), and its error is added to the estimate.  N doubles
+from 64 while the estimate exceeds the series tolerance, the k-integration
+error and the frequency-rule error, and still shrinks.  Where no term
+below the y cutoff lies beyond 2N, the plain sum is exact.  T = 0, and any
+T whose explicit terms all lie below the grid's lower end
+xi_min = 1e-9 c / 2a, is the case with no explicit terms; J is flat below
+xi_min, so the piece under it is xi_min J(xi_min), taken from the
+frequency rule's x = -1 end node and counted in full as the truncation
+estimate.  At default numerics a call at 100 nm evaluates 228 k-integral
+rows at finite T (130 explicit terms, the 65-node tail rule and the
+33-node block) and 129 at T = 0 (the 65- and 129-node rungs).  The cost
+does not grow as T falls, and the evaluation order is fixed, so results
+are bit-stable regardless of how callers parallelize.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -81,18 +82,13 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .errors import DomainError, require_nonnegative, require_positive
-from .materials import (
-    IdealMetal,
-    eps_imag_freq,
-    zero_frequency_plasma_weight,
-)
+from .materials import IdealMetal, eps_imag_freq, zero_frequency_plasma_weight
 
 # e^{-60} ~ 9e-27: the neglected y-tail is far below double precision.
 _Y_CUT = 60.0
 # Width of the piece [y_lo, y_lo + _Y_SLIVER] below the mapped k-rule.
 _Y_SLIVER = 1e-9
-# Order of the coarse k-rung (the 65-node rule, nested in the first
-# 129-node rule).
+# Order of the coarse k-rung: the 65-node rule, nested in the 129-node one.
 _K_ORDER_START = 64
 # The mapped k-rule converges by order 256 down to rel_tol_quadrature 1e-11.
 _K_ORDER_MAX = 256
@@ -119,8 +115,9 @@ class LifshitzNumerics:
             val = getattr(self, name)
             if not (0.0 < val < 1e-3):
                 raise DomainError(f"{name} must lie in (0, 1e-3), got {val!r}")
-        if self.t_zero_nodes < 8:
-            raise DomainError("t_zero_nodes must be >= 8")
+        nodes = self.t_zero_nodes
+        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 8:
+            raise DomainError(f"t_zero_nodes must be an int >= 8, got {nodes!r}")
 
 
 DEFAULT_NUMERICS = LifshitzNumerics()
@@ -135,13 +132,15 @@ class PressureResult:
     of the finer frequency rule, order + 1 for a Clenshaw-Curtis rule of
     that order (the coarser rungs nested in it and the nodes of the block
     behind the truncation estimate are not counted).
-    ``truncation_estimate`` is |P(N) - P(2N)| for the Euler-Maclaurin tail,
-    or at T = 0 the piece below the frequency grid; ``quadrature_estimate``
-    adds the k-integration error estimate and the difference between the
-    last two frequency rules.  Both are in Pa.  The k-part is |finer -
-    coarser| of the last k-rungs (at default numerics the 129- and 65-node
-    rules) plus a round-off floor, so it is the coarser rule's error: an
-    upper bound on the returned rule's error, not the error itself.
+    ``truncation_estimate`` is |P(N) - P(2N)| for the Euler-Maclaurin tail
+    plus the error of the block behind it, or at T = 0 the piece below the
+    frequency grid; ``quadrature_estimate`` adds the k-integration error
+    estimate and the frequency rule's error.  Both are in Pa.  Every rule
+    error, of the k-rule, the frequency rule and the block alike, is
+    |finer - coarser| of the last two rungs (at default numerics the 129-
+    and 65-node k-rules) plus the finer sum's round-off floor, so it is the
+    coarser rule's error: an upper bound on the returned rule's error, not
+    the error itself.
     """
 
     pressure: float
@@ -154,41 +153,6 @@ def ideal_pressure_closed_form(gap):
     """Zero-temperature perfect-conductor pressure pi^2 hbar c / (240 a^4) in Pa."""
     require_positive("gap", gap)
     return math.pi**2 * HBAR * C / (240.0 * gap**4)
-
-
-def _legendre_pair(order, x):
-    """(P_{order-1}(x), P_order(x)) by the three-term recurrence, written as
-    P_{j+1} = x P_j + j / (j + 1) (x P_j - P_{j-1})."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(1, order):
-        xp = x * p
-        p_prev, p = p, xp + (j / (j + 1)) * (xp - p_prev)
-    return p_prev, p
-
-
-@lru_cache(maxsize=32)
-def _leggauss(order):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on the Legendre recurrence, started from Tricomi's
-    asymptotic roots (Hale & Townsend, SIAM J. Sci. Comput. 2013); three
-    steps bring every node to within about an ulp, with no eigensolver.
-    Only the positive roots are computed and mirrored; odd orders keep
-    the exact 0 node.  With (1 - x^2) P_n'(x) = n (P_{n-1} - x P_n), the
-    weights are 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2.
-    """
-    half = order // 2
-    theta = math.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * order + 2.0)
-    x = (1.0 - (order - 1.0) / (8.0 * order**3)
-         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * order**4)) * np.cos(theta)
-    x = np.append(x, np.zeros(order % 2))
-    for _ in range(3):
-        p_prev, p = _legendre_pair(order, x)
-        x = x - p * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p))
-    p_prev, p = _legendre_pair(order, x)
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (order * (p_prev - x * p)) ** 2
-    # x runs from the largest root down to the smallest (0 for odd orders).
-    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 @lru_cache(maxsize=8)
@@ -218,6 +182,34 @@ def _nest(even, odd):
     out[..., ::2] = even
     out[..., 1::2] = odd
     return out
+
+
+def _nested_cc(g, sample, ceiling, tol, const=0.0):
+    """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
+
+    g[0] holds the integrand rows at the nodes of the starting rule (last
+    axis) and g[1:] any companions that the same rule integrates; sample(x)
+    returns such a sequence at new nodes x.  The coarser rule is the
+    samples at even indices, and each doubling evaluates only the new odd
+    nodes.  const is a piece outside the rule, added to both sums.  The
+    error is |fine - coarse| plus the fine sum's round-off bound, eps per
+    node times the sum of |terms|, and the order doubles while some row's
+    error exceeds tol times its |fine| (floored at 1e-12 of the largest
+    row).  Returns (fine, error, order, the companions' fine sums).
+    """
+    order = g[0].shape[-1] - 1
+    coarse = (g[0][..., ::2] * _clenshaw_curtis(order // 2)[1]).sum(axis=-1) + const
+    while True:
+        w = _clenshaw_curtis(order)[1]
+        terms = g[0] * w
+        fine = terms.sum(axis=-1) + const
+        roundoff = (order + 2) * _EPS * (abs(terms).sum(axis=-1) + abs(const))
+        err = abs(fine - coarse) + roundoff
+        size = abs(fine)
+        if (err <= tol * np.maximum(size, size.max(initial=0.0) * 1e-12)).all() or order >= ceiling:
+            return fine, err, order, [(c * w).sum(axis=-1) for c in g[1:]]
+        coarse, order = fine, 2 * order
+        g = [_nest(a, b) for a, b in zip(g, sample(_clenshaw_curtis(order)[0][1::2]))]
 
 
 def _fresnel(model, xi_col, kappa, temperature):
@@ -307,43 +299,56 @@ def _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y):
 
 
 def _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num):
-    """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each xi, by nested Clenshaw-Curtis rungs.
+    """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each xi, by the nested Clenshaw-Curtis ladder.
 
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
-    node, 1e-9 F(y_lo + 5e-10) (see the module docstring).  Each rung
-    evaluates only the nodes its predecessor lacks.  Returns the finer rule
-    and |finer - coarser| plus the finer sum's round-off bound, eps per
-    node times the sum of |terms|.  Rows whose lower limit reaches the
-    cutoff are exactly zero.
+    node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
+    rung (see the module docstring).  Returns the finer rule and its error.
+    Rows whose lower limit reaches the cutoff are exactly zero.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
     u_lo = math.log(_Y_SLIVER)
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
 
-    def samples(x, *extra):
+    def sample(x, *extra):
         # Integrand and Jacobian at the nodes x, then at any extra y - y_lo columns.
         dy = np.exp(u_lo + (x + 1.0) * half)
         y = y_lo + np.concatenate((dy, *extra), axis=1)
         return _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y), dy * half
 
-    order = 2 * _K_ORDER_START
-    f, jac = samples(_clenshaw_curtis(order)[0], np.full_like(y_lo, 0.5 * _Y_SLIVER))
+    f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], np.full_like(y_lo, 0.5 * _Y_SLIVER))
     # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
-    g, sliver = f[:, :-1] * jac, f[:, -1] * np.where(y_lo[:, 0] < _Y_CUT, _Y_SLIVER, 0.0)
-    coarse = np.sum(g[:, ::2] * _clenshaw_curtis(_K_ORDER_START)[1], axis=1) + sliver
-    while True:
-        terms = g * _clenshaw_curtis(order)[1]
-        fine = np.sum(terms, axis=1) + sliver
-        roundoff = (order + 2) * _EPS * (np.sum(np.abs(terms), axis=1) + np.abs(sliver))
-        err = np.abs(fine - coarse) + roundoff
-        scale = np.maximum(np.abs(fine), np.max(np.abs(fine), initial=0.0) * 1e-12)
-        if np.all(err <= num.rel_tol_quadrature * scale) or order >= _K_ORDER_MAX:
-            return fine / (8.0 * gap**3), err / (8.0 * gap**3)
-        coarse, order = fine, 2 * order
-        f, jac = samples(_clenshaw_curtis(order)[0][1::2])
-        g = _nest(g, f * jac)
+    sliver = f[:, -1] * np.where(y_lo[:, 0] < _Y_CUT, _Y_SLIVER, 0.0)
+    fine, err, _, _ = _nested_cc([f[:, :-1] * jac], lambda x: [np.multiply(*sample(x))],
+                                 _K_ORDER_MAX, num.rel_tol_quadrature, sliver)
+    return fine / (8.0 * gap**3), err / (8.0 * gap**3)
+
+
+def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args):
+    """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
+
+    The ladder starts at the given order and stops by ceiling.  The k-errors
+    ride along under the same rule.  Returns (finer rule, its k-integration
+    error, its rule error, its node count, xi_lo J(xi_lo)), the last from
+    the x = -1 end node.  Material response is evaluated at the requested
+    temperature.
+    """
+    gap, temperature, mat_a, mat_b, num = args
+    u_lo = math.log(xi_lo)
+    half = 0.5 * (math.log(xi_hi) - u_lo)
+
+    def sample(x):
+        # J and its k-error at the nodes x, each times the Jacobian xi du/dx.
+        xi = np.exp(u_lo + (x + 1.0) * half)
+        vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
+        jac = xi * half
+        return vals * jac, errs * jac
+
+    g = sample(_clenshaw_curtis(order)[0])
+    value, err, order, k_err = _nested_cc(g, sample, ceiling, num.rel_tol_quadrature)
+    return float(value), float(k_err[0]), float(err), order + 1, float(g[0][-1] / half)
 
 
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
@@ -361,9 +366,11 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
-    # Lower end of the log grid.  J is flat below it, so the piece under it
-    # is xi_min J(xi_min), counted in full as its truncation error.
-    xi_min = 1e-9 * C / (2.0 * gap)
+    # The frequency grid ends where J vanishes under the y cutoff and starts
+    # at xi_min, below which J is flat.
+    xi_min, xi_hi = 1e-9 * C / (2.0 * gap), _Y_CUT * C / (2.0 * gap)
+    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
+    rule = (xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling, args)
     f = err = np.zeros(0)
 
     def extend(count):
@@ -378,7 +385,7 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     def euler_maclaurin(n):
         # xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24] + int_{(n+1/2) xi_1} J dxi as
         # (value, k-integration error, frequency-rule error, frequency nodes).
-        tail, tail_err, rule_err, nodes = _log_grid_integral((n + 0.5) * xi_1, args)
+        tail, tail_err, rule_err, nodes, _ = _log_grid_integral((n + 0.5) * xi_1, *rule)
         head = float(np.sum(f[: n + 1]) + (f[n + 1] - f[n]) / 24.0)
         return (xi_1 * head + tail, xi_1 * float(np.sum(err[: n + 2])) + tail_err,
                 rule_err, nodes)
@@ -386,24 +393,20 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     def truncation(n):
         # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
         # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
-        # taken as the 33-node CC-32 rule with |CC-32 - CC-16| added as its
-        # error; CC-16 is the same samples at even indices.
-        g, _ = _log_samples((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1,
-                            _clenshaw_curtis(_BLOCK_ORDER)[0], args)
-        block = float(np.sum(g * _clenshaw_curtis(_BLOCK_ORDER)[1]))
-        coarse = float(np.sum(g[::2] * _clenshaw_curtis(_BLOCK_ORDER // 2)[1]))
+        # the CC-32 rule with its error added.
+        block, _, block_err, _, _ = _log_grid_integral(
+            (n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER, args)
         slopes = (f[n + 1] - f[n] - f[2 * n + 1] + f[2 * n]) / 24.0
         diff = xi_1 * float(slopes - np.sum(f[n + 1 : 2 * n + 1])) + block
-        return abs(diff) + abs(block - coarse)
+        return abs(diff) + block_err
 
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.
-        low = xi_min * float(_k_integrals_adaptive(mat_a, mat_b, xi_min, gap, temperature, num)[0][0])
-        value, quad_err, rule_err, nodes = _log_grid_integral(xi_min, args)
+        value, quad_err, rule_err, nodes, low = _log_grid_integral(xi_min, *rule)
         return PressureResult(pref * (value + low), nodes, pref * low,
                               pref * (quad_err + rule_err))
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
-    n_ceiling = _Y_CUT * C / (2.0 * gap) // xi_1 + 2
+    n_ceiling = xi_hi // xi_1 + 2
     n = _N_EXPLICIT
     extend(min(n_ceiling, 2 * n + 1) + 1)
     trunc = math.inf
@@ -421,47 +424,6 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
     return PressureResult(pref * xi_1 * float(np.sum(f)), len(f), 0.0,
                           pref * xi_1 * float(np.sum(err)))
-
-
-def _log_samples(xi_lo, xi_hi, x, args):
-    """J(xi) and its k-integration error at the nodes x of a rule on [-1, 1],
-    mapped to u = ln(xi) over [ln xi_lo, ln xi_hi] and each times the map's
-    Jacobian xi du/dx: the rule's weights times either sum to int dxi."""
-    gap, temperature, mat_a, mat_b, num = args
-    u_lo = math.log(xi_lo)
-    half = 0.5 * (math.log(xi_hi) - u_lo)
-    xi = np.exp(u_lo + (x + 1.0) * half)
-    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
-    jac = xi * half
-    return vals * jac, errs * jac
-
-
-def _log_grid_integral(xi_lo, args):
-    """int_{xi_lo}^inf J(xi) dxi by nested Clenshaw-Curtis rules in u = ln(xi).
-
-    The first rung evaluates the CC-64 rule, 65 nodes, and CC-32 is the same
-    samples at even indices.  While two successive rules disagree beyond
-    rel_tol_quadrature the order doubles, each rung evaluating only its new
-    odd nodes, up to the last order <= 2 t_zero_nodes (a smaller ceiling
-    starts the ladder there).  Returns (finer rule, its k-integration error,
-    |finer - coarser|, finer node count).  J vanishes under the y cutoff
-    beyond Y_CUT c / 2a, the upper end of the grid.  Material response is
-    evaluated at the requested temperature.
-    """
-    gap, num = args[0], args[-1]
-    xi_hi = _Y_CUT * C / (2.0 * gap)
-    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
-    order = min(_FREQ_ORDER_START, ceiling)
-    g, e = _log_samples(xi_lo, xi_hi, _clenshaw_curtis(order)[0], args)
-    coarse = float(np.sum(g[::2] * _clenshaw_curtis(order // 2)[1]))
-    while True:
-        w = _clenshaw_curtis(order)[1]
-        fine = float(np.sum(g * w))
-        if abs(fine - coarse) <= num.rel_tol_quadrature * abs(fine) or order >= ceiling:
-            return fine, float(np.sum(e * w)), abs(fine - coarse), order + 1
-        coarse, order = fine, 2 * order
-        g_odd, e_odd = _log_samples(xi_lo, xi_hi, _clenshaw_curtis(order)[0][1::2], args)
-        g, e = _nest(g, g_odd), _nest(e, e_odd)
 
 
 def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT_NUMERICS):

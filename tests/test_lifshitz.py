@@ -25,7 +25,6 @@ from casimirchip.lifshitz import (
     _N_EXPLICIT,
     _clenshaw_curtis,
     _k_integrals_adaptive,
-    _leggauss,
 )
 
 OMEGA_P = 1.83e16
@@ -274,6 +273,14 @@ def test_numerics_validation():
         LifshitzNumerics(rel_tol_series=1e-2)
 
 
+@pytest.mark.parametrize("nodes", [100.0, math.nan, True, 7])
+def test_t_zero_nodes_must_be_an_int_of_at_least_8(nodes):
+    # A float or NaN used to pass construction and fail later in
+    # plate_pressure with an AttributeError.
+    with pytest.raises(DomainError):
+        LifshitzNumerics(t_zero_nodes=nodes)
+
+
 # -------------------------------------------------------------- differential
 
 def test_differential_identical_pairs_is_zero():
@@ -329,38 +336,21 @@ def test_k_integral_against_scipy_quad_for_drude():
     assert val == pytest.approx(brute, rel=1e-9)
 
 
-# ---------------------------------------------------------- Gauss-Legendre
-
-@pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 32, 63, 64])
-def test_leggauss_matches_numpy(order):
-    x, w = _leggauss(order)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
-    assert np.max(np.abs(x - x_ref)) <= 1e-14
-    assert np.max(np.abs(w - w_ref)) <= 1e-14
-
-
-@pytest.mark.parametrize("order", [9, 64, 1024])
-def test_leggauss_exact_on_even_monomials(order):
-    # An order-n rule integrates every polynomial of degree < 2n exactly;
-    # the degree-0 case is the weights summing to 2.
-    x, w = _leggauss(order)
-    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
-    for k in range(order):
-        assert np.sum(w * x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
-
-
 # ------------------------------------------------------ frequency-rule bars
 
-def _log_grid_integral_800(xi_lo, args):
+def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args):
     # Reference for the ln-xi frequency integral: one fixed 800-node rule
-    # from numpy, no node doubling and no rule error of its own.
+    # from numpy, no node doubling and no rule error of its own, and
+    # xi_lo J(xi_lo), the piece below a T = 0 grid.
     gap, temperature, mat_a, mat_b, num = args
-    u_lo, u_hi = math.log(xi_lo), math.log(60.0 * sc.c / (2.0 * gap))
+    u_lo, u_hi = math.log(xi_lo), math.log(xi_hi)
     x, w = np.polynomial.legendre.leggauss(800)
     half = 0.5 * (u_hi - u_lo)
     xi = np.exp(u_lo + (x + 1.0) * half)
     vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
-    return float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half), 0.0, 800
+    low = xi_lo * float(_k_integrals_adaptive(mat_a, mat_b, xi_lo, gap, temperature, num)[0][0])
+    return (float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half), 0.0, 800,
+            low)
 
 
 def _pressure_800(monkeypatch, gap, temp, model, num):
@@ -400,14 +390,27 @@ def test_default_cost_in_k_integral_rows(monkeypatch, model, gap):
     # rungs and the truncation block included.  At finite T, N stays at 64
     # and the frequency ladder stops by its 129-node rung: 130 explicit
     # terms, 129 tail nodes and the 33-node block.  At T = 0 the ladder
-    # stops by its 257-node rung, plus the one row below the grid.
+    # stops by its 257-node rung, whose x = -1 end node also gives the
+    # piece below the grid.
     calls = _hook_k_integrand(monkeypatch)
     for temp, budget in ((0.05, 2 * _N_EXPLICIT + 2 + 129 + 33),
                          (4.0, 2 * _N_EXPLICIT + 2 + 129 + 33),
-                         (0.0, 1 + 257)):
+                         (0.0, 257)):
         calls.clear()
         plate_pressure(gap, temp, model, model)
         assert _rows(calls) <= budget
+
+
+@pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
+def test_t_zero_piece_below_the_grid_is_xi_min_j_of_xi_min(model):
+    # The frequency rule's x = -1 end node supplies xi_min J(xi_min); it
+    # must match a k-integral taken at xi_min on its own.
+    gap = 100e-9
+    xi_min = 1e-9 * sc.c / (2 * gap)
+    j = float(_k_integrals_adaptive(model, model, xi_min, gap, 0.0, DEFAULT_NUMERICS)[0][0])
+    res = plate_pressure(gap, 0.0, model, model)
+    low = HBAR / (2 * math.pi**2) * xi_min * j
+    assert res.truncation_estimate == pytest.approx(low, rel=1e-13)
 
 
 def test_binding_frequency_ceiling_stops_the_n_doubling(monkeypatch):
@@ -430,14 +433,16 @@ def _two_tail_truncation(gap, temp, model, num, terms_used):
     # the tolerance the two tails' rule and k errors allow.
     args = (gap, temp, model, model, num)
     xi_1 = 2 * math.pi * K_B * temp / HBAR
+    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
+    rule = (60.0 * sc.c / (2.0 * gap), min(64, ceiling), ceiling, args)
     n = _N_EXPLICIT
     while True:
-        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, args)
+        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, *rule)
         if 2 * n + 2 + upper[3] == terms_used:
             break
         assert n < 4 * _N_EXPLICIT
         n *= 2
-    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, args)
+    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, *rule)
     f, err = _k_integrals_adaptive(model, model, np.arange(2 * n + 2) * xi_1, gap, temp, num)
     f[0] *= 0.5
 
@@ -565,10 +570,10 @@ def test_k_ladders_converge_below_the_cap_at_tight_tolerance(monkeypatch):
 def test_default_k_ladders_end_by_order_128(monkeypatch):
     # Counts, not timings: at default numerics every k-ladder stops at the
     # first fine rung, the 129-node rule with the 65-node rule nested in it.
-    # The grid's 27 calls make 90 ladders: one per block of rows evaluated
+    # The grid's 27 calls make 81 ladders: one per block of rows evaluated
     # together (explicit terms, each frequency rung, each truncation block).
     ladders = _record_k_ladders(monkeypatch, DEFAULT_NUMERICS)
-    assert len(ladders) == 90
+    assert len(ladders) == 81
     assert {order for order, _ in ladders} == {2 * _K_ORDER_START}
 
 
@@ -577,7 +582,7 @@ def test_k_integrand_evaluations_per_call(monkeypatch, model):
     # Counts, not timings: every row of a call at 100 nm evaluates the
     # 129-node rule and the sliver once, 130 points, and nothing else.
     calls = _hook_k_integrand(monkeypatch)
-    for temp, budget in ((1.0, 29_640), (0.0, 16_900)):
+    for temp, budget in ((1.0, 29_640), (0.0, 16_770)):
         calls.clear()
         plate_pressure(100e-9, temp, model, model)
         assert sum(call[-1].size for call in calls) <= budget
@@ -607,21 +612,22 @@ def test_frequency_ladder_rungs_are_nested(monkeypatch):
     # the 129- and 257-node rules.
     calls = _hook_k_integrand(monkeypatch)
     gap = 100e-9
-    xi_min = 1e-9 * sc.c / (2 * gap)
+    xi_min, xi_hi = 1e-9 * sc.c / (2 * gap), 60.0 * sc.c / (2 * gap)
 
-    def xi_rows(t_zero_nodes, tol):
+    def xi_rows(ceiling, tol):
         calls.clear()
-        num = LifshitzNumerics(rel_tol_quadrature=tol, t_zero_nodes=t_zero_nodes)
-        nodes = lifshitz._log_grid_integral(xi_min, (gap, 0.0, DRUDE, DRUDE, num))[3]
+        num = LifshitzNumerics(rel_tol_quadrature=tol)
+        args = (gap, 0.0, DRUDE, DRUDE, num)
+        nodes = lifshitz._log_grid_integral(xi_min, xi_hi, min(64, ceiling), ceiling, args)[3]
         # Each k-ladder's first call holds the rows; at 1e-300 it climbs on.
         return nodes, [call[2][:, 0] for call in calls
                        if call[-1].shape[1] == 2 * _K_ORDER_START + 2]
 
-    # Ceilings 2 t_zero_nodes = 32 and 64 stop the ladder at its first rung.
-    assert xi_rows(16, 1e-8)[0] == 33 and xi_rows(32, 1e-8)[0] == 65
-    (cc32,), (cc64,) = xi_rows(16, 1e-8)[1], xi_rows(32, 1e-8)[1]
+    # Ceilings 32 and 64 stop the ladder at its first rung.
+    assert xi_rows(32, 1e-8)[0] == 33 and xi_rows(64, 1e-8)[0] == 65
+    (cc32,), (cc64,) = xi_rows(32, 1e-8)[1], xi_rows(64, 1e-8)[1]
     assert np.array_equal(cc64[::2], cc32)
-    nodes, rungs = xi_rows(128, 1e-300)
+    nodes, rungs = xi_rows(256, 1e-300)
     assert nodes == 257 and [len(xi) for xi in rungs] == [65, 64, 128]
     assert len(np.unique(np.concatenate(rungs))) == 257
 

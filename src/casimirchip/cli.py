@@ -9,6 +9,7 @@ error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -75,6 +76,15 @@ def _theory(text):
     return token, split_pair(pair_part), split_pair(ref_part)
 
 
+def _signal(text):
+    """('NAME', pressure) from a 'NAME=PRESSURE' token."""
+    name, eq, value = text.partition("=")
+    name = name.strip()
+    if not (eq and name):
+        raise DomainError(f"signal must be NAME=PRESSURE, got {text!r}")
+    return name, parse_pressure(value)
+
+
 def _add_config_arg(parser, required):
     parser.add_argument(
         "--config", required=required, metavar="FILE",
@@ -107,7 +117,10 @@ def _numerics(args):
     )
 
 
+@functools.cache
 def _build_parser():
+    """The CLI's argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="casimirchip",
         description="Measurement-chain modeling for on-chip Casimir experiments "
@@ -182,7 +195,8 @@ def _build_parser():
 
     p = sub.add_parser("detect", help="detectability verdicts vs the chain floor")
     _add_config_arg(p, required=True)
-    p.add_argument("--signal", action="append", default=[], metavar="NAME=PRESSURE",
+    p.add_argument("--signal", action="append", type=_text_value(_signal),
+                   metavar="NAME=PRESSURE",
                    help="named signal, e.g. grav=0.5Pa (repeatable; defaults to "
                         "the config [signals] section)")
 
@@ -355,14 +369,7 @@ def _cmd_transduce(args):
 
 def _cmd_detect(args):
     cfg = load_device_config(args.config)
-    signals = []
-    for item in args.signal:
-        name, eq, value = item.partition("=")
-        if not eq:
-            raise CasimirChipError(f"--signal must be NAME=PRESSURE, got {item!r}")
-        signals.append((name.strip(), parse_pressure(value)))
-    if not signals:
-        signals = list(cfg.signals)
+    signals = args.signal or list(cfg.signals)
     if not signals:
         raise ConfigError(["no signals: give --signal or a [signals] section"])
     verdicts = detectability_report(signals, cfg.geometry, cfg.cavity, cfg.calib)

@@ -14,10 +14,12 @@ library never sees nm, GHz, mK or eV.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 from .constants import E_CHARGE, HBAR
 from .designer import SweepSpec
@@ -219,35 +221,36 @@ def _build_material(kind, values, where):
         raise ConfigError([f"{where}: {exc}"]) from None
 
 
-def _parse_section(parser, section, schema, problems):
+def _parse_section(ini, section, schema, problems):
     """Converted values of ``section`` keyed by field; every problem found
     is appended to ``problems``."""
     values = {}
-    if not parser.has_section(section):
+    if section not in ini:
         if any(required for _, _, required in schema.values()):
             problems.append(f"missing section [{section}]")
         return values
-    for key in parser.options(section):
+    entries = ini[section]
+    for key, text in entries.items():
         if key not in schema:
             problems.append(f"[{section}]: unknown key '{key}' (unit suffix missing or typo?)")
             continue
         name, converter, _ = schema[key]
         try:
-            values[name] = converter(parser.get(section, key), f"[{section}] {key}")
+            values[name] = converter(text, f"[{section}] {key}")
         except ConfigError as exc:
             problems.extend(exc.problems)
     for key, (_, _, required) in schema.items():
-        if required and not parser.has_option(section, key):
+        if required and key not in entries:
             problems.append(f"[{section}]: missing required key '{key}'")
     return values
 
 
-def _parse_sweep(parser, materials, defined, problems):
+def _parse_sweep(ini, materials, defined, problems):
     """SweepSpec from the [sweep] section, or None when a key is missing or
     malformed; every problem found, the SweepSpec range check included, is
     appended to ``problems``.  Pair names other than 'ideal' must be in
     ``defined``; each pair resolves through ``materials``."""
-    values = _parse_section(parser, "sweep", _SWEEP_SCHEMA, problems)
+    values = _parse_section(ini, "sweep", _SWEEP_SCHEMA, problems)
     names = values.get("pairs", ())
     undefined = dict.fromkeys(name for pair in names for name in pair
                               if name != "ideal" and name not in defined)
@@ -267,20 +270,43 @@ def _parse_sweep(parser, materials, defined, problems):
         return None
 
 
-def _read_config(path):
-    """INI parser holding ``path``; unreadable or malformed files raise ConfigError."""
+# Distinct config texts whose parsed INI stays memoized.
+_INI_MEMO_SIZE = 8
+
+# configparser names its source in every syntax error it raises; the memo
+# parses under this stand-in and _read_config puts the file's name back.
+_UNNAMED_SOURCE = "<config>"
+
+
+@functools.lru_cache(maxsize=_INI_MEMO_SIZE)
+def _parse_ini(text):
+    """Read-only {section: {key: value}} of INI ``text``, in file order;
+    raises configparser.Error.  Keyed by the text, so an edited file is
+    parsed again and two files with one text share an entry."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",), strict=True
     )
     parser.optionxform = str
+    parser.read_string(text, source=_UNNAMED_SOURCE)
+    return MappingProxyType({section: MappingProxyType(dict(parser[section]))
+                             for section in parser.sections()})
+
+
+def _read_config(path):
+    """Parsed INI of the file at ``path`` (see ``_parse_ini``), read afresh
+    on every call; unreadable or malformed files raise ConfigError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
+            # line by line, as configparser reads a file, so a decoding
+            # error reports the same byte position
+            text = "".join(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from None
+    try:
+        return _parse_ini(text)
     except configparser.Error as exc:
-        raise ConfigError([f"config syntax: {exc}"]) from None
-    return parser
+        message = str(exc).replace(repr(_UNNAMED_SOURCE), repr(handle.name), 1)
+        raise ConfigError([f"config syntax: {message}"]) from None
 
 
 def load_sweep_spec(path, materials):
@@ -288,9 +314,9 @@ def load_sweep_spec(path, materials):
     ``load_device_config`` checks it, with pair names looked up in
     ``materials`` (e.g. the loaded device config's); raises ConfigError
     with every problem found.  Other sections are not read."""
-    parser = _read_config(path)
+    ini = _read_config(path)
     problems = []
-    spec = _parse_sweep(parser, materials, materials, problems)
+    spec = _parse_sweep(ini, materials, materials, problems)
     if problems:
         raise ConfigError(problems)
     return spec
@@ -299,18 +325,18 @@ def load_sweep_spec(path, materials):
 def load_device_config(path):
     """Parse and assemble a device config file; raises ConfigError with
     every problem found."""
-    parser = _read_config(path)
+    ini = _read_config(path)
 
     problems = []
     known = set(_SCHEMA) | {"sweep", "signals"}
-    for section in parser.sections():
+    for section in ini:
         if section in known or section.startswith("material."):
             continue
         problems.append(f"unknown section [{section}]")
 
     parts = {}
     for section, (target, cls, schema) in _SCHEMA.items():
-        values = _parse_section(parser, section, schema, problems)
+        values = _parse_section(ini, section, schema, problems)
         required = [name for name, _, req in schema.values() if req]
         args = {name: values.pop(name) for name in required if name in values}
         if section in _SIDE_TABLES:
@@ -330,11 +356,10 @@ def load_device_config(path):
             problems.append(f"[{section}]: {exc}")
 
     materials = {}
-    material_names = [s[len("material."):] for s in parser.sections()
-                      if s.startswith("material.")]
+    material_names = [s[len("material."):] for s in ini if s.startswith("material.")]
     for name in material_names:
         section = f"material.{name}"
-        mat_values = _parse_section(parser, section, _MATERIAL_SCHEMA, problems)
+        mat_values = _parse_section(ini, section, _MATERIAL_SCHEMA, problems)
         kind = mat_values.pop("model", None)
         if kind is None:
             continue
@@ -344,19 +369,19 @@ def load_device_config(path):
             problems.extend(exc.problems)
 
     sweep = None
-    if parser.has_section("sweep"):
+    if "sweep" in ini:
         # a section that failed to build still counts as defined: its own
         # problems are reported already
-        sweep = _parse_sweep(parser, materials, material_names, problems)
+        sweep = _parse_sweep(ini, materials, material_names, problems)
 
     signals = []
-    if parser.has_section("signals"):
-        for key in parser.options("signals"):
+    if "signals" in ini:
+        for key, text in ini["signals"].items():
             if not key.endswith("_Pa"):
                 problems.append(f"[signals]: key '{key}' must carry a _Pa suffix")
                 continue
             try:
-                value = float(parser.get("signals", key))
+                value = float(text)
             except ValueError:
                 problems.append(f"[signals] {key}: expected a number")
                 continue

@@ -1,8 +1,8 @@
-"""Text, JSON and CSV emission plus the reader for emitted CSV tables.
+"""Text, JSON and CSV emission.
 
 Numeric CSV fields are written with 17 significant digits so every emitted
 table re-ingests losslessly.  ``#``-prefixed lines are comments in every
-format handled here.
+format emitted here.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import csv
 import io
 import json
 import math
-
-from .errors import DomainError
 
 SWEEP_CSV_HEADER = (
     "gap_m", "temperature_K", "pair", "pressure_Pa", "gap_change_m",
@@ -93,12 +91,3 @@ def verdicts_csv(verdicts):
         ])
     return out.getvalue()
 
-
-def read_csv_table(text):
-    """(header, rows) from emitted CSV text, skipping comment lines."""
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    reader = csv.reader(lines)
-    rows = list(reader)
-    if not rows:
-        raise DomainError("empty CSV table")
-    return tuple(rows[0]), rows[1:]

@@ -1,5 +1,8 @@
+import argparse
+import csv
 import inspect
 import math
+import os
 import re
 
 import numpy as np
@@ -19,12 +22,19 @@ from casimirchip import (
     load_device_config,
     parse_material_spec,
 )
-from casimirchip import config
+from casimirchip import cli, config
 from casimirchip.cli import _build_parser, _numerics, main
 from casimirchip.config import parse_length, parse_pressure, parse_temperature
-from casimirchip.serialize import fmt, read_csv_table, scan_csv
+from casimirchip.serialize import fmt, scan_csv
 
 EXAMPLE = str(example_config_path())
+
+
+def csv_table(text):
+    """(header, rows) of an emitted CSV table, ``#`` comment lines skipped."""
+    header, *rows = csv.reader(line for line in text.splitlines()
+                               if not line.startswith("#"))
+    return tuple(header), rows
 
 
 # ------------------------------------------------------------------- config
@@ -103,6 +113,47 @@ def test_config_rejects_unknown_section(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_device_config(str(bad))
     assert any("unknown section" in p for p in excinfo.value.problems)
+
+
+def test_config_rewritten_with_same_size_and_mtime_is_read_again(tmp_path):
+    path = tmp_path / "device.cfg"
+    path.write_text(example_config_path().read_text())
+    assert load_device_config(path).geometry.gap == pytest.approx(100e-9)
+    before = path.stat()
+    path.write_text(path.read_text().replace("gap_nm = 100", "gap_nm = 200"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_device_config(path).geometry.gap == pytest.approx(200e-9)
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[geometry]\ngap_nm = 1\n[geometry]\n",
+     "config syntax: While reading from {path!r} [line  3]: "
+     "section 'geometry' already exists"),
+    ("[typo]\n", "unknown section [typo]"),
+], ids=["syntax", "schema"])
+def test_broken_config_raises_the_same_problems_on_every_call(tmp_path, text, problem):
+    # the same text under two names: a syntax error names the file it is in
+    for name in ("a.cfg", "b.cfg"):
+        path = tmp_path / name
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as excinfo:
+                load_device_config(str(path))
+            assert problem.format(path=str(path)) in excinfo.value.problems
+
+
+def test_config_loads_share_no_mutable_state():
+    first = load_device_config(EXAMPLE)
+    first.materials.clear()
+    first.film_measured.clear()
+    first.annotations.clear()
+    second = load_device_config(EXAMPLE)
+    assert set(second.materials) == {"al_plasma", "al_drude", "al_sc"}
+    assert "sigma_4k" in second.film_measured and second.annotations
+    with pytest.raises(TypeError):
+        config._read_config(EXAMPLE)["geometry"]["gap_nm"] = "1"
 
 
 def test_signals_require_pa_suffix(tmp_path):
@@ -201,7 +252,7 @@ def test_scan_csv_round_trip_and_bands():
     points = [(0.5, -6.1e8), (0.9, 0.0), (1.2, 1.0 / 3.0)]
     text = scan_csv(points, resolution_band=1e7, drift_band=3e7)
     assert "# resolution_band_Hz = 10000000" in text
-    header, rows = read_csv_table(text)
+    header, rows = csv_table(text)
     assert header == ("temperature_K", "freq_shift_Hz")
     parsed = [(float(t), float(s)) for t, s in rows]
     assert parsed == points
@@ -302,7 +353,7 @@ def test_cli_sweep_with_spec_file(capsys, tmp_path):
         capsys, "sweep", "--config", EXAMPLE, "--spec", str(spec), "--workers", "2",
     )
     assert code == 0 and err == ""
-    header, rows = read_csv_table(out)
+    header, rows = csv_table(out)
     assert header[0] == "gap_m"
     assert len(rows) == 3
     gaps = [float(r[0]) for r in rows]
@@ -399,7 +450,7 @@ def test_cli_scan_grav_stub(capsys):
     )
     assert code == 0 and err == ""
     assert "# resolution_band_Hz" in out and "# drift_band_Hz" in out
-    header, rows = read_csv_table(out)
+    header, rows = csv_table(out)
     assert header == ("temperature_K", "freq_shift_Hz")
     assert len(rows) == 8
     shifts = [float(s) for _, s in rows]
@@ -482,7 +533,7 @@ def test_cli_transduce(capsys):
 def test_cli_detect_default_signals(capsys):
     code, out, err = run_cli(capsys, "detect", "--config", EXAMPLE)
     assert code == 0 and err == ""
-    header, rows = read_csv_table(out)
+    header, rows = csv_table(out)
     assert header[0] == "name"
     row = dict(zip(header, rows[0]))
     assert row["name"] == "gravitational_casimir"
@@ -495,9 +546,23 @@ def test_cli_detect_custom_signal(capsys):
         capsys, "detect", "--config", EXAMPLE, "--signal", "faint=1mPa",
     )
     assert code == 0
-    _, rows = read_csv_table(out)
+    _, rows = csv_table(out)
     assert rows[0][0] == "faint"
     assert rows[0][4] == "false"
+
+
+@pytest.mark.parametrize("signal, code, message", [
+    ("noeq", 2, "argument --signal: signal must be NAME=PRESSURE, got 'noeq'"),
+    ("=1Pa", 2, "argument --signal: signal must be NAME=PRESSURE, got '=1Pa'"),
+    ("a=xyz", 2, "argument --signal: cannot parse pressure 'xyz'"),
+    ("a=-1Pa", 1, "error: signal 'a' must be finite and >= 0, got -1.0"),
+], ids=["no-equals", "empty-name", "bad-pressure", "negative-pressure"])
+def test_cli_detect_malformed_signal(capsys, signal, code, message):
+    # text that does not parse is a usage error; a parsed value out of
+    # range is a domain error
+    got, out, err = run_cli(capsys, "detect", "--config", EXAMPLE, "--signal", signal)
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["validate", "detect"])
@@ -550,3 +615,71 @@ def test_cli_help_documents_units(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "100nm" in out and "10mK" in out
+
+
+def test_cli_validate_warns_on_every_call(capsys, tmp_path):
+    path = tmp_path / "mismatch.cfg"
+    path.write_text(example_config_path().read_text().replace(
+        "q_optical = 4.5e4", "q_optical = 9e4"))
+    first, second = (run_cli(capsys, "validate", "--config", str(path)) for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith("warning: q_optical = 9e+04 differs")
+
+
+# One process, one parser: a usage error, then commands that succeed, the
+# same --signal twice, and every help text.
+REENTRANT_ARGV = [
+    ["pressure", "--gap", "100nm"],
+    ["pressure", "--gap", "100nm", "--temp", "0", "--model-a", "ideal", "--model-b", "ideal"],
+    ["transduce", "--config", EXAMPLE, "--pressure", "0.5Pa", "--format", "json"],
+    ["validate", "--config", EXAMPLE],
+    ["detect", "--config", EXAMPLE, "--signal", "a=1Pa"],
+    ["detect", "--config", EXAMPLE, "--signal", "a=1Pa"],
+    ["detect", "--config", EXAMPLE],
+    ["-h"],
+    *([command, "-h"] for command in cli._HANDLERS),
+]
+
+
+def test_cli_main_is_reentrant(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run_all(fresh_parser):
+        results = []
+        for argv in REENTRANT_ARGV:
+            if fresh_parser:
+                _build_parser.cache_clear()
+            results.append(run_cli(capsys, *argv))
+        return results
+
+    _build_parser()
+    reused = run_all(fresh_parser=False)
+    assert reused == run_all(fresh_parser=True)
+    codes = [code for code, _, _ in reused]
+    assert codes == [2] + [0] * (len(REENTRANT_ARGV) - 1)
+    one_row = reused[4][1]
+    assert one_row.splitlines()[1].startswith("a,") and one_row.count("\n") == 2
+    assert reused[5] == reused[4]
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    try:
+        codes = [main(argv) for argv in (["validate", "--config", EXAMPLE],
+                                         ["pressure", "--gap", "100nm"],
+                                         ["detect", "-h"])]
+    finally:
+        _build_parser.cache_clear()
+    capsys.readouterr()
+    assert codes == [0, 2, 0]
+    assert built.count("casimirchip") == 1
+    assert len(built) == 1 + len(cli._HANDLERS)

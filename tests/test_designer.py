@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -105,13 +107,11 @@ def test_sweep_verdict_consistency():
 
 @pytest.mark.filterwarnings("ignore:frequency shift")
 def test_sweep_csv_reingests_losslessly():
-    from casimirchip.serialize import read_csv_table
-
     spec = SweepSpec(100e-9, 110e-9, 10e-9, (1.3,), (("d/d", DRUDE, DRUDE),))
     rows = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB)
-    header, parsed = read_csv_table(sweep_csv(rows))
-    for row, cells in zip(rows, parsed):
-        record = dict(zip(header, cells))
+    records = list(csv.DictReader(io.StringIO(sweep_csv(rows))))
+    assert len(records) == len(rows)
+    for row, record in zip(rows, records):
         assert float(record["gap_m"]) == row.gap
         assert float(record["pressure_Pa"]) == row.pressure
         assert float(record["freq_shift_Hz"]) == row.freq_shift

@@ -29,11 +29,10 @@ geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node
 outside the rule.  The ladder starts at the 129-node rule (130 points with
 the sliver) and stops by the 257-node rule (at the default 1e-8 every
 ladder stops at 129 nodes; down to 1e-11 none stops unconverged at 257).
-All rows of a call climb together, so it stops when every row has
-converged.  Each polarization's t/(1 - t) is sampled as
+All rows of a pair climb together, so its ladder stops when every one of
+its rows has converged.  Each polarization's t/(1 - t) is sampled as
 r_a r_b / (e^y - r_a r_b), one exp per sample, with r_TE in a form free of
-the kappa - kappa_m cancellation; every pass over a call's (rows, nodes)
-grid runs in place.
+the kappa - kappa_m cancellation.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -67,6 +66,27 @@ rows at finite T (130 explicit terms, the 65-node tail rule and the
 does not grow as T falls, and the evaluation order is fixed, so results
 are bit-stable regardless of how callers parallelize.
 
+Material pairs are evaluated in batches at one (gap, T): plate_pressure
+is a batch of one pair and differential_pressure one of two.  The pairs
+share every xi_n and every y grid, so kappa, e^y and y^2 are computed once
+per grid and each distinct response (``materials.response``: omega_p,
+gamma and f_s at T, or a perfect conductor) goes through the Fresnel
+coefficients once per grid; per pair only the products r_a r_b, the two
+divisions and the y^2 multiply remain.  Every stop decision is per pair: a
+pair whose rows have converged is frozen at that rung while the others
+climb on, and a pair whose Matsubara sum has stopped leaves the batch, so
+each pair's result is bit for bit the one it gets alone.  Two pairs with
+the same responses at T (a superconductor above t_c against its normal
+state) differ by exactly 0.0, which a differential returns without
+evaluating either.  Every pass over a (rows, nodes) grid writes into a
+per-thread workspace whose arrays the thread's next call reuses, instead
+of allocating (and page-faulting) fresh ones: 1.2 MB per thread for one
+pair and 1.8 MB for two at default numerics, which a thread's first call
+pays for.  A block larger than the largest a call at
+default numerics evaluates (130 rows x 130 nodes per pair) gets arrays of
+its own, so tighter numerics leave nothing larger behind, and nothing the
+engine returns is a view of the workspace.
+
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
 plasma descriptions of the TE zero mode part ways.
@@ -75,6 +95,7 @@ plasma descriptions of the TE zero mode part ways.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,7 +103,7 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .errors import DomainError, require_nonnegative, require_positive
-from .materials import IdealMetal, eps_imag_freq, zero_frequency_plasma_weight
+from .materials import IdealMetal, eps_imag_freq, response, zero_frequency_plasma_weight
 
 # e^{-60} ~ 9e-27: the neglected y-tail is far below double precision.
 _Y_CUT = 60.0
@@ -100,6 +121,42 @@ _BLOCK_ORDER = 32
 _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
+# The largest (rows, nodes) block a call at default numerics evaluates: the
+# 2 N + 2 explicit terms on the 129-node rule and the sliver node.
+_KEPT_BLOCK = (2 * _N_EXPLICIT + 2) * (2 * _K_ORDER_START + 2)
+
+
+class _Workspace(threading.local):
+    """Scratch arrays of one thread, reused by every call it makes.
+
+    take(name, shape) returns an uninitialised array over the flat buffer
+    kept under name, grown when a block needs more; the views are kept by
+    shape, so a shape seen before costs one lookup.  A request whose last
+    two axes (rows, nodes) span more than _KEPT_BLOCK, which only tighter
+    numerics make, gets an array of its own instead, so such a call leaves
+    no larger buffer behind.  An array stays valid until the next take of its name;
+    nothing the engine returns is a view of one.
+    """
+
+    def __init__(self):
+        self.buffers, self.views = {}, {}
+
+    def take(self, name, shape):
+        view = self.views.get((name, shape))
+        if view is not None:
+            return view
+        if shape[-2] * shape[-1] > _KEPT_BLOCK:
+            return np.empty(shape)
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+            self.views = {key: v for key, v in self.views.items() if key[0] != name}
+        view = self.views[name, shape] = buf[:size].reshape(shape)
+        return view
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -184,70 +241,110 @@ def _nest(even, odd):
     return out
 
 
+def _weighted(samples, w):
+    """samples * w in the workspace, contiguous in the shape of samples."""
+    return np.multiply(samples, w, out=_WORKSPACE.take("terms", samples.shape))
+
+
 def _nested_cc(g, sample, ceiling, tol, const=0.0):
     """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
 
-    g[0] holds the integrand rows at the nodes of the starting rule (last
-    axis) and g[1:] any companions that the same rule integrates; sample(x)
-    returns such a sequence at new nodes x.  The coarser rule is the
-    samples at even indices, and each doubling evaluates only the new odd
-    nodes.  const is a piece outside the rule, added to both sums.  The
+    g[0] holds the integrand as (pairs, rows, nodes) or, with one row per
+    pair, (pairs, nodes): per material pair, rows integrated alike at the
+    nodes of the starting rule; g[1:] hold any companions that the same
+    rule integrates.  sample(x, active) returns such a sequence at new
+    nodes x for the pairs whose indices are in active, and may reuse the
+    memory of g and of the workspace array "terms".  The coarser rule is
+    the samples at even indices, and each doubling evaluates only the new
+    odd nodes.  const is a piece outside the rule, added to both sums.  The
     error is |fine - coarse| plus the fine sum's round-off bound, eps per
-    node times the sum of |terms|, and the order doubles while some row's
-    error exceeds tol times its |fine| (floored at 1e-12 of the largest
-    row).  Returns (fine, error, order, the companions' fine sums).
+    node times the sum of |terms|.  Each pair climbs on its own: it stops
+    once every one of its rows has an error within tol times its |fine|
+    (floored at 1e-12 of the pair's largest row; a single row is its own
+    floor), or at ceiling, and is then frozen at that rung while the rest
+    climb on, so no pair's result depends on the others.  Returns (fine,
+    error, order, the companions' fine sums), each per pair.
     """
-    order = g[0].shape[-1] - 1
-    coarse = (g[0][..., ::2] * _clenshaw_curtis(order // 2)[1]).sum(axis=-1) + const
+    count, order = len(g[0]), g[0].shape[-1] - 1
+    # out holds the results per pair once one has stopped before the rest.
+    active, out = list(range(count)), None
+    coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]).sum(axis=-1) + const
     while True:
         w = _clenshaw_curtis(order)[1]
-        terms = g[0] * w
+        terms = _weighted(g[0], w)
         fine = terms.sum(axis=-1) + const
-        roundoff = (order + 2) * _EPS * (abs(terms).sum(axis=-1) + abs(const))
+        roundoff = (order + 2) * _EPS * (np.abs(terms, out=terms).sum(axis=-1) + abs(const))
         err = abs(fine - coarse) + roundoff
         size = abs(fine)
-        if (err <= tol * np.maximum(size, size.max(initial=0.0) * 1e-12)).all() or order >= ceiling:
-            return fine, err, order, [(c * w).sum(axis=-1) for c in g[1:]]
+        if size.ndim > 1:
+            size = np.maximum(size, size.max(axis=-1, initial=0.0, keepdims=True) * 1e-12)
+        stop = (err <= tol * size).reshape(len(size), -1).all(axis=1).tolist()
+        if order >= ceiling:
+            stop = [True] * len(stop)
+        sums = [fine, err] + [(c * w).sum(axis=-1) for c in g[1:]]
+        if out is None and all(stop):
+            return fine, err, [order] * count, sums[2:]
+        if any(stop):
+            if out is None:
+                out = [np.empty((count,) + a.shape[1:]) for a in sums]
+                orders = [order] * count
+            done = [i for i, s in enumerate(stop) if s]
+            for dst, src in zip(out, sums):
+                dst[[active[i] for i in done]] = src[done]
+            for i in done:
+                orders[active[i]] = order
+            if all(stop):
+                return out[0], out[1], orders, out[2:]
+            keep = [i for i, s in enumerate(stop) if not s]
+            active, fine, g = [active[i] for i in keep], fine[keep], [a[keep] for a in g]
+            if np.ndim(const):
+                const = const[keep]
+        else:
+            g = [a.copy() for a in g]
         coarse, order = fine, 2 * order
-        g = [_nest(a, b) for a, b in zip(g, sample(_clenshaw_curtis(order)[0][1::2]))]
+        g = [_nest(a, b) for a, b in zip(g, sample(_clenshaw_curtis(order)[0][1::2], active))]
 
 
-def _fresnel(model, xi_col, kappa, temperature):
-    """(r_TE, r_TM) on a (rows, nodes) grid; xi_col is the (rows, 1) frequency column.
+def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
+    """(r_TE, r_TM) on a (rows, nodes) grid, written into r_te and r_tm.
 
-    kappa is the full transverse decay constant sqrt(k^2 + xi^2/c^2), which
-    the y substitution supplies directly, and kappa_m^2 = kappa^2 + chi with
-    chi = (eps - 1) xi^2/c^2.  r_TE = (kappa - kappa_m)/(kappa + kappa_m) is
-    evaluated as -chi / (kappa + kappa_m)^2, which has no kappa - kappa_m
-    cancellation where |r_TE| << 1.  Rows with xi = 0 use the analytic
-    zero-frequency limits: r_TM = 1, and r_TE the same formula with chi the
-    model's residual zero-frequency plasma weight over c^2.  Both returned
-    arrays are fresh, so callers may overwrite them.
+    xi_col is the (rows, 1) frequency column.  kappa is the full transverse
+    decay constant sqrt(k^2 + xi^2/c^2), which the y substitution supplies
+    directly, and kappa_m^2 = kappa^2 + chi with chi = (eps - 1) xi^2/c^2.
+    r_TE = (kappa - kappa_m)/(kappa + kappa_m) is evaluated as
+    -chi / (kappa + kappa_m)^2, which has no kappa - kappa_m cancellation
+    where |r_TE| << 1.  Rows with xi = 0 use the analytic zero-frequency
+    limits: r_TM = 1, and r_TE the same formula with chi the model's
+    residual zero-frequency plasma weight over c^2.  kappa_m is scratch of
+    the grid's shape, so no pass allocates.
     """
     if isinstance(model, IdealMetal):
-        shape = np.broadcast_shapes(np.shape(xi_col), np.shape(kappa))
-        return -np.ones(shape), np.ones(shape)
+        r_te.fill(-1.0)
+        r_tm.fill(1.0)
+        return
 
     pos = xi_col > 0.0
     eps = eps_imag_freq(model, np.where(pos, xi_col, 1.0), temperature)
     chi = (eps - 1.0) * (xi_col / C) ** 2
     zero = ~pos[:, 0]
-    if zero.any():
+    any_zero = zero.any()
+    if any_zero:
         # xi = 0: all these metals reflect TM perfectly; the TE coefficient
         # keeps only the model's residual zero-frequency plasma weight.
         chi[zero] = zero_frequency_plasma_weight(model, temperature) / C**2
-    kappa_m = np.multiply(kappa, kappa)
+    np.multiply(kappa, kappa, out=kappa_m)
     kappa_m += chi
     np.sqrt(kappa_m, out=kappa_m)
-    r_te = np.add(kappa, kappa_m)
+    # r_te holds the TM denominator until r_tm is done.
+    np.multiply(eps, kappa, out=r_tm)
+    np.add(r_tm, kappa_m, out=r_te)
+    r_tm -= kappa_m
+    r_tm /= r_te
+    if any_zero:
+        r_tm[zero] = 1.0
+    np.add(kappa, kappa_m, out=r_te)
     r_te *= r_te
     np.divide(-chi, r_te, out=r_te)
-    r_tm = np.multiply(eps, kappa)
-    den = np.add(r_tm, kappa_m)
-    r_tm -= kappa_m
-    r_tm /= den
-    r_tm[zero] = 1.0
-    return r_te, r_tm
 
 
 def reflection_coefficients(model, xi, k, temperature=0.0):
@@ -266,62 +363,87 @@ def reflection_coefficients(model, xi, k, temperature=0.0):
     require_positive("transverse wavenumber k", k)
     require_nonnegative("xi", xi)
     kappa = math.sqrt(k**2 + (xi / C) ** 2)
-    r_te, r_tm = _fresnel(model, np.full((1, 1), float(xi)), np.full((1, 1), kappa), temperature)
-    return r_te.item(), r_tm.item()
+    r = np.empty((3, 1, 1))
+    _fresnel(model, np.full((1, 1), float(xi)), np.full((1, 1), kappa), temperature, *r)
+    return r[0].item(), r[1].item()
 
 
-def _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y):
-    """y^2 F(y) on a (rows, nodes) grid of y; xi_col is the (rows, 1) frequency column.
+def _k_integrand(pairs, xi_col, gap, temperature, y):
+    """y^2 F(y) of each material pair on one (rows, nodes) grid of y, as (pairs, rows, nodes).
 
-    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}, taken
-    as r_a r_b / (e^y - r_a r_b) so that one exp serves both.  Every
-    k-integral sample passes through here once; the grid passes run in
-    place on the Fresnel arrays.
+    xi_col is the (rows, 1) frequency column.  F sums t/(1-t) over both
+    polarizations with t = r_a r_b e^{-y}, taken as r_a r_b / (e^y - r_a r_b)
+    so that one exp serves both.  kappa, e^y and y^2 are computed once for
+    the grid and each distinct model object goes through _fresnel once
+    (_pressures passes one object per response); per pair only the
+    products r_a r_b, the two divisions and the y^2 multiply remain.  Every
+    k-integral sample passes through here once.  The result and every pass
+    live in the thread's workspace: the result is valid until the next call.
     """
-    kappa = y / (2.0 * gap)
-    r_te, r_tm = _fresnel(mat_a, xi_col, kappa, temperature)
-    if mat_b == mat_a:
-        r_te *= r_te
-        r_tm *= r_tm
-    else:
-        r_te_b, r_tm_b = _fresnel(mat_b, xi_col, kappa, temperature)
-        r_te *= r_te_b
-        r_tm *= r_tm_b
-    exp_y = np.exp(y)
-    den = np.subtract(exp_y, r_te, out=kappa)
-    r_te /= den
-    np.subtract(exp_y, r_tm, out=den)
-    r_tm /= den
-    r_te += r_tm
-    np.multiply(y, y, out=den)
-    r_te *= den
-    return r_te
+    shape = y.shape
+    models = {id(m): m for pair in pairs for m in pair}
+    slot = {key: i for i, key in enumerate(models)}
+    kappa, kappa_m, r_tm = _WORKSPACE.take("grid", (3,) + shape)
+    np.divide(y, 2.0 * gap, out=kappa)
+    r = _WORKSPACE.take("fresnel", (len(models), 2) + shape)
+    for model, r_model in zip(models.values(), r):
+        _fresnel(model, xi_col, kappa, temperature, *r_model, kappa_m)
+    # kappa and kappa_m are free again, and the ladder's scratch is free
+    # while the integrand is sampled.
+    exp_y = np.exp(y, out=kappa)
+    y_sq = np.multiply(y, y, out=kappa_m)
+    out = _WORKSPACE.take("integrand", (len(pairs),) + shape)
+    den = _WORKSPACE.take("terms", shape)
+    for r_te, (a, b) in zip(out, pairs):
+        r_a, r_b = r[slot[id(a)]], r[slot[id(b)]]
+        np.multiply(r_a[0], r_b[0], out=r_te)
+        np.multiply(r_a[1], r_b[1], out=r_tm)
+        np.subtract(exp_y, r_te, out=den)
+        r_te /= den
+        np.subtract(exp_y, r_tm, out=den)
+        r_tm /= den
+        r_te += r_tm
+        r_te *= y_sq
+    return out
 
 
-def _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num):
-    """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy for each xi, by the nested Clenshaw-Curtis ladder.
+def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
+    """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy per pair and xi, by the nested Clenshaw-Curtis ladder.
 
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
     node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
-    rung (see the module docstring).  Returns the finer rule and its error.
-    Rows whose lower limit reaches the cutoff are exactly zero.
+    rung (see the module docstring).  Every pair shares the y grid; each
+    climbs its own ladder.  Returns the finer rule and its error as
+    (pairs, rows) arrays.  Rows whose lower limit reaches the cutoff are
+    exactly zero.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
     u_lo = math.log(_Y_SLIVER)
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
+    rows = len(xi_col)
 
-    def sample(x, *extra):
-        # Integrand and Jacobian at the nodes x, then at any extra y - y_lo columns.
-        dy = np.exp(u_lo + (x + 1.0) * half)
-        y = y_lo + np.concatenate((dy, *extra), axis=1)
-        return _k_integrand(mat_a, mat_b, xi_col, gap, temperature, y), dy * half
+    def sample(x, active, sliver=False):
+        # The integrand of the active pairs at the nodes x, then, if asked,
+        # at the sliver's midpoint, and the Jacobian at the nodes x.
+        nodes = len(x)
+        dy = np.multiply(x + 1.0, half, out=_WORKSPACE.take("dy", (rows, nodes)))
+        dy += u_lo
+        np.exp(dy, out=dy)
+        y = _WORKSPACE.take("y", (rows, nodes + sliver))
+        np.add(y_lo, dy, out=y[:, :nodes])
+        if sliver:
+            y[:, nodes] = y_lo[:, 0] + 0.5 * _Y_SLIVER
+        f = _k_integrand([pairs[p] for p in active], xi_col, gap, temperature, y)
+        return f, np.multiply(dy, half, out=dy)
 
-    f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], np.full_like(y_lo, 0.5 * _Y_SLIVER))
+    f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], range(len(pairs)), sliver=True)
     # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
-    sliver = f[:, -1] * np.where(y_lo[:, 0] < _Y_CUT, _Y_SLIVER, 0.0)
-    fine, err, _, _ = _nested_cc([f[:, :-1] * jac], lambda x: [np.multiply(*sample(x))],
+    sliver = f[..., -1] * np.where(y_lo[:, 0] < _Y_CUT, _Y_SLIVER, 0.0)
+    g = f[..., :-1]
+    g *= jac
+    fine, err, _, _ = _nested_cc([g], lambda x, active: [np.multiply(*sample(x, active))],
                                  _K_ORDER_MAX, num.rel_tol_quadrature, sliver)
     return fine / (8.0 * gap**3), err / (8.0 * gap**3)
 
@@ -329,26 +451,130 @@ def _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num):
 def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args):
     """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
 
-    The ladder starts at the given order and stops by ceiling.  The k-errors
-    ride along under the same rule.  Returns (finer rule, its k-integration
-    error, its rule error, its node count, xi_lo J(xi_lo)), the last from
-    the x = -1 end node.  Material response is evaluated at the requested
-    temperature.
+    args is (gap, temperature, pairs, num).  The ladder starts at the given
+    order and stops by ceiling, for each pair on its own.  The k-errors
+    ride along under the same rule.  Returns, per pair, (finer rule, its
+    k-integration error, its rule error, its node count, xi_lo J(xi_lo)) as
+    Python numbers, the last from the x = -1 end node.  Material response
+    is evaluated at the requested temperature.
     """
-    gap, temperature, mat_a, mat_b, num = args
+    gap, temperature, pairs, num = args
     u_lo = math.log(xi_lo)
     half = 0.5 * (math.log(xi_hi) - u_lo)
 
-    def sample(x):
+    def sample(x, active):
         # J and its k-error at the nodes x, each times the Jacobian xi du/dx.
         xi = np.exp(u_lo + (x + 1.0) * half)
-        vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
+        vals, errs = _k_integrals_adaptive([pairs[p] for p in active], xi, gap, temperature, num)
         jac = xi * half
         return vals * jac, errs * jac
 
-    g = sample(_clenshaw_curtis(order)[0])
+    g = sample(_clenshaw_curtis(order)[0], range(len(pairs)))
     value, err, order, k_err = _nested_cc(g, sample, ceiling, num.rel_tol_quadrature)
-    return float(value), float(k_err[0]), float(err), order + 1, float(g[0][-1] / half)
+    return list(zip(value.tolist(), k_err[0].tolist(), err.tolist(), [o + 1 for o in order],
+                    (g[0][:, -1] / half).tolist()))
+
+
+def _pressures(gap, temperature, pairs, num):
+    """The PressureResult of each material pair at one (gap, T), evaluated as one batch.
+
+    The pairs share every frequency, y grid and k-integrand pass (see
+    _k_integrand), but every stop decision is per pair: each k- and
+    frequency ladder stops per pair, and a pair whose Matsubara sum has
+    stopped leaves the batch.  So each result is bit for bit the one its
+    pair gets alone.
+    """
+    # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
+    pref = HBAR / (2.0 * math.pi**2)
+    xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
+    # The frequency grid ends where J vanishes under the y cutoff and starts
+    # at xi_min, below which J is flat.
+    xi_min, xi_hi = 1e-9 * C / (2.0 * gap), _Y_CUT * C / (2.0 * gap)
+    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
+    # One model object per response (materials.response), which is how
+    # _k_integrand tells the distinct ones apart.
+    models = {}
+    pairs = [tuple(models.setdefault(response(m, temperature), m) for m in pair)
+             for pair in pairs]
+    results = [None] * len(pairs)
+    active = list(range(len(pairs)))
+    f = [np.zeros(0) for _ in pairs]
+    err = [np.zeros(0) for _ in pairs]
+
+    def integral(lo, hi, order, top):
+        # The ln(xi) integral over [lo, hi] of each active pair.
+        return _log_grid_integral(lo, hi, order, top,
+                                  (gap, temperature, [pairs[p] for p in active], num))
+
+    def extend(count):
+        # Terms n < count of the active pairs, the n = 0 term at half weight.
+        start = len(f[active[0]])
+        ns = np.arange(start, int(count), dtype=float)
+        new, new_err = _k_integrals_adaptive([pairs[p] for p in active], ns * xi_1, gap,
+                                             temperature, num)
+        if start == 0:
+            new[:, 0], new_err[:, 0] = 0.5 * new[:, 0], 0.5 * new_err[:, 0]
+        for p, row, row_err in zip(active, new, new_err):
+            f[p], err[p] = np.concatenate((f[p], row)), np.concatenate((err[p], row_err))
+
+    def euler_maclaurin(n):
+        # xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24] + int_{(n+1/2) xi_1} J dxi as
+        # (value, k-integration error, frequency-rule error, frequency nodes).
+        tails = integral((n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling)
+        out = []
+        for p, (tail, tail_err, rule_err, nodes, _) in zip(active, tails):
+            head = float(np.sum(f[p][: n + 1]) + (f[p][n + 1] - f[p][n]) / 24.0)
+            out.append((xi_1 * head + tail, xi_1 * float(np.sum(err[p][: n + 2])) + tail_err,
+                        rule_err, nodes))
+        return out
+
+    def truncation(n):
+        # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
+        # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
+        # the CC-32 rule with its error added.
+        blocks = integral((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER)
+        out = []
+        for p, (block, _, block_err, _, _) in zip(active, blocks):
+            fp = f[p]
+            slopes = (fp[n + 1] - fp[n] - fp[2 * n + 1] + fp[2 * n]) / 24.0
+            diff = xi_1 * float(slopes - np.sum(fp[n + 1 : 2 * n + 1])) + block
+            out.append(abs(diff) + block_err)
+        return out
+
+    if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
+        # T = 0, or so cold that every explicit term lies below xi_min.
+        return [PressureResult(pref * (value + low), nodes, pref * low,
+                               pref * (quad_err + rule_err))
+                for value, quad_err, rule_err, nodes, low
+                in integral(xi_min, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling)]
+    # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
+    n_ceiling = xi_hi // xi_1 + 2
+    n = _N_EXPLICIT
+    extend(min(n_ceiling, 2 * n + 1) + 1)
+    trunc = [math.inf] * len(pairs)
+    while n_ceiling > 2 * n:
+        climbing = []
+        for p, (value, quad_err, rule_err, nodes), estimate in zip(
+                active, euler_maclaurin(2 * n), truncation(n)):
+            prev, trunc[p] = trunc[p], estimate
+            # Stop at the series tolerance, or where more explicit terms
+            # cannot help: the k-quadrature or frequency-rule error
+            # dominates, or the estimate stops shrinking.
+            if estimate > max(num.rel_tol_series * value, quad_err, rule_err) and estimate < prev:
+                climbing.append(p)
+            else:
+                results[p] = PressureResult(pref * value, len(f[p]) + nodes, pref * estimate,
+                                            pref * (quad_err + rule_err))
+        active = climbing
+        if not active:
+            return results
+        n *= 2
+        extend(min(n_ceiling, 2 * n + 1) + 1)
+    # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
+    for p in active:
+        results[p] = PressureResult(pref * xi_1 * float(np.sum(f[p])), len(f[p]), 0.0,
+                                    pref * xi_1 * float(np.sum(err[p])))
+    return results
 
 
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
@@ -362,68 +588,7 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     """
     require_positive("gap", gap)
     require_nonnegative("temperature", temperature)
-    args = (gap, temperature, mat_a, mat_b, num)
-    # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
-    pref = HBAR / (2.0 * math.pi**2)
-    xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
-    # The frequency grid ends where J vanishes under the y cutoff and starts
-    # at xi_min, below which J is flat.
-    xi_min, xi_hi = 1e-9 * C / (2.0 * gap), _Y_CUT * C / (2.0 * gap)
-    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
-    rule = (xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling, args)
-    f = err = np.zeros(0)
-
-    def extend(count):
-        # Terms n < count, the n = 0 term at half weight.
-        nonlocal f, err
-        ns = np.arange(len(f), int(count), dtype=float)
-        new, new_err = _k_integrals_adaptive(mat_a, mat_b, ns * xi_1, gap, temperature, num)
-        if len(f) == 0:
-            new[0], new_err[0] = 0.5 * new[0], 0.5 * new_err[0]
-        f, err = np.concatenate((f, new)), np.concatenate((err, new_err))
-
-    def euler_maclaurin(n):
-        # xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24] + int_{(n+1/2) xi_1} J dxi as
-        # (value, k-integration error, frequency-rule error, frequency nodes).
-        tail, tail_err, rule_err, nodes, _ = _log_grid_integral((n + 0.5) * xi_1, *rule)
-        head = float(np.sum(f[: n + 1]) + (f[n + 1] - f[n]) / 24.0)
-        return (xi_1 * head + tail, xi_1 * float(np.sum(err[: n + 2])) + tail_err,
-                rule_err, nodes)
-
-    def truncation(n):
-        # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
-        # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
-        # the CC-32 rule with its error added.
-        block, _, block_err, _, _ = _log_grid_integral(
-            (n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER, args)
-        slopes = (f[n + 1] - f[n] - f[2 * n + 1] + f[2 * n]) / 24.0
-        diff = xi_1 * float(slopes - np.sum(f[n + 1 : 2 * n + 1])) + block
-        return abs(diff) + block_err
-
-    if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
-        # T = 0, or so cold that every explicit term lies below xi_min.
-        value, quad_err, rule_err, nodes, low = _log_grid_integral(xi_min, *rule)
-        return PressureResult(pref * (value + low), nodes, pref * low,
-                              pref * (quad_err + rule_err))
-    # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
-    n_ceiling = xi_hi // xi_1 + 2
-    n = _N_EXPLICIT
-    extend(min(n_ceiling, 2 * n + 1) + 1)
-    trunc = math.inf
-    while n_ceiling > 2 * n:
-        value, quad_err, rule_err, nodes = euler_maclaurin(2 * n)
-        prev, trunc = trunc, truncation(n)
-        # Stop at the series tolerance, or where more explicit terms cannot
-        # help: the k-quadrature or frequency-rule error dominates, or the
-        # estimate stops shrinking.
-        if not (trunc > max(num.rel_tol_series * value, quad_err, rule_err) and trunc < prev):
-            return PressureResult(pref * value, len(f) + nodes, pref * trunc,
-                                  pref * (quad_err + rule_err))
-        n *= 2
-        extend(min(n_ceiling, 2 * n + 1) + 1)
-    # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
-    return PressureResult(pref * xi_1 * float(np.sum(f)), len(f), 0.0,
-                          pref * xi_1 * float(np.sum(err)))
+    return _pressures(gap, temperature, [(mat_a, mat_b)], num)[0]
 
 
 def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT_NUMERICS):
@@ -431,9 +596,16 @@ def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT
 
     ``reference`` is a (model, model) tuple evaluated at the same gap and
     temperature; used for plasma-vs-Drude and superconducting-vs-normal
-    differentials.
+    differentials.  Both pairs are evaluated as one batch, each exactly as
+    plate_pressure would; pairs whose responses at this temperature are
+    the same (a superconductor above t_c against its normal state) differ
+    by exactly 0.0, which is returned without evaluating either.
     """
     ref_a, ref_b = reference
-    p = plate_pressure(gap, temperature, mat_a, mat_b, num)
-    p_ref = plate_pressure(gap, temperature, ref_a, ref_b, num)
+    require_positive("gap", gap)
+    require_nonnegative("temperature", temperature)
+    key = (response(mat_a, temperature), response(mat_b, temperature))
+    if (response(ref_a, temperature), response(ref_b, temperature)) in (key, key[::-1]):
+        return 0.0
+    p, p_ref = _pressures(gap, temperature, [(mat_a, mat_b), (ref_a, ref_b)], num)
     return p.pressure - p_ref.pressure

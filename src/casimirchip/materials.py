@@ -114,6 +114,19 @@ def _free_electron(model, temperature):
     raise TypeError(f"unknown material model: {model!r}")
 
 
+def response(model, temperature):
+    """What sets a model's reflection at ``temperature``.
+
+    (omega_p, gamma, f_s) for the free-electron models, None for
+    IdealMetal.  eps(i xi) and the zero-frequency plasma weight depend on
+    nothing else, so two models with equal responses reflect identically,
+    bit for bit (above t_c the two-fluid superconductor has Drude's).
+    """
+    if isinstance(model, IdealMetal):
+        return None
+    return _free_electron(model, temperature)
+
+
 def eps_imag_freq(model, xi, temperature=None):
     """Permittivity eps(i xi) of ``model`` at imaginary frequency xi (rad/s).
 

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -149,8 +153,8 @@ def test_half_weight_regression():
     a, num = 100e-9, LifshitzNumerics()
     temp = 10 * sc.hbar * sc.c / (a * sc.Boltzmann)
     res = plate_pressure(a, temp, IDEAL, IDEAL, num)
-    term0, _ = _k_integrals_adaptive(IDEAL, IDEAL, 0.0, a, temp, num)
-    classical = 0.5 * sc.Boltzmann * temp / math.pi * float(term0[0])
+    term0, _ = _k_integrals_adaptive([(IDEAL, IDEAL)], 0.0, a, temp, num)
+    classical = 0.5 * sc.Boltzmann * temp / math.pi * float(term0[0, 0])
     assert res.pressure == pytest.approx(classical, rel=1e-10)
     full_weight = res.pressure + classical
     assert full_weight == pytest.approx(2 * res.pressure, rel=1e-10)
@@ -306,7 +310,7 @@ def test_k_integral_against_mode_sum():
     # Ideal plates at zero frequency: the engine's k-integral equals the
     # brute-force round-trip mode sum (1/8a^3) * 2 * sum_m 2/m^3.
     a = 100e-9
-    val = float(_k_integrals_adaptive(IDEAL, IDEAL, 0.0, a, 0.0, DEFAULT_NUMERICS)[0][0])
+    val = float(_k_integrals_adaptive([(IDEAL, IDEAL)], 0.0, a, 0.0, DEFAULT_NUMERICS)[0][0, 0])
     brute = 2.0 * sum(2.0 / m**3 for m in range(1, 4000)) / (8 * a**3)
     assert val == pytest.approx(brute, rel=1e-6)
 
@@ -332,7 +336,7 @@ def test_k_integral_against_scipy_quad_for_drude():
     y_lo = 2 * a * xi / sc.c
     brute, _ = quad(integrand, y_lo, 60.0, limit=300)
     brute /= 8 * a**3
-    val = float(_k_integrals_adaptive(DRUDE, DRUDE, xi, a, temp, DEFAULT_NUMERICS)[0][0])
+    val = float(_k_integrals_adaptive([(DRUDE, DRUDE)], xi, a, temp, DEFAULT_NUMERICS)[0][0, 0])
     assert val == pytest.approx(brute, rel=1e-9)
 
 
@@ -341,16 +345,17 @@ def test_k_integral_against_scipy_quad_for_drude():
 def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args):
     # Reference for the ln-xi frequency integral: one fixed 800-node rule
     # from numpy, no node doubling and no rule error of its own, and
-    # xi_lo J(xi_lo), the piece below a T = 0 grid.
-    gap, temperature, mat_a, mat_b, num = args
+    # xi_lo J(xi_lo), the piece below a T = 0 grid, each per pair.
+    gap, temperature, pairs, num = args
     u_lo, u_hi = math.log(xi_lo), math.log(xi_hi)
     x, w = np.polynomial.legendre.leggauss(800)
     half = 0.5 * (u_hi - u_lo)
     xi = np.exp(u_lo + (x + 1.0) * half)
-    vals, errs = _k_integrals_adaptive(mat_a, mat_b, xi, gap, temperature, num)
-    low = xi_lo * float(_k_integrals_adaptive(mat_a, mat_b, xi_lo, gap, temperature, num)[0][0])
-    return (float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half), 0.0, 800,
-            low)
+    vals, errs = _k_integrals_adaptive(pairs, xi, gap, temperature, num)
+    low = xi_lo * _k_integrals_adaptive(pairs, xi_lo, gap, temperature, num)[0][:, 0]
+    return list(zip((np.sum(w * xi * vals, axis=-1) * half).tolist(),
+                    (np.sum(w * xi * errs, axis=-1) * half).tolist(), [0.0] * len(pairs),
+                    [800] * len(pairs), low.tolist()))
 
 
 def _pressure_800(monkeypatch, gap, temp, model, num):
@@ -407,7 +412,7 @@ def test_t_zero_piece_below_the_grid_is_xi_min_j_of_xi_min(model):
     # must match a k-integral taken at xi_min on its own.
     gap = 100e-9
     xi_min = 1e-9 * sc.c / (2 * gap)
-    j = float(_k_integrals_adaptive(model, model, xi_min, gap, 0.0, DEFAULT_NUMERICS)[0][0])
+    j = float(_k_integrals_adaptive([(model, model)], xi_min, gap, 0.0, DEFAULT_NUMERICS)[0][0, 0])
     res = plate_pressure(gap, 0.0, model, model)
     low = HBAR / (2 * math.pi**2) * xi_min * j
     assert res.truncation_estimate == pytest.approx(low, rel=1e-13)
@@ -431,19 +436,20 @@ def _two_tail_truncation(gap, temp, model, num, terms_used):
     # |P(N) - P(2N)| from two full Euler-Maclaurin tails at (N+1/2) xi_1 and
     # (2N+1/2) xi_1, with N read off terms_used = 2N + 2 + tail nodes, and
     # the tolerance the two tails' rule and k errors allow.
-    args = (gap, temp, model, model, num)
+    args = (gap, temp, [(model, model)], num)
     xi_1 = 2 * math.pi * K_B * temp / HBAR
     ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
     rule = (60.0 * sc.c / (2.0 * gap), min(64, ceiling), ceiling, args)
     n = _N_EXPLICIT
     while True:
-        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, *rule)
+        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, *rule)[0]
         if 2 * n + 2 + upper[3] == terms_used:
             break
         assert n < 4 * _N_EXPLICIT
         n *= 2
-    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, *rule)
-    f, err = _k_integrals_adaptive(model, model, np.arange(2 * n + 2) * xi_1, gap, temp, num)
+    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, *rule)[0]
+    f, err = (v[0] for v in _k_integrals_adaptive([(model, model)], np.arange(2 * n + 2) * xi_1,
+                                                  gap, temp, num))
     f[0] *= 0.5
 
     def p_em(m, tail):
@@ -515,19 +521,21 @@ def test_k_rule_converges_geometrically(model, gap):
         ref, _ = quad(_local_k_integrand(model, xi, gap), 2 * gap * xi / sc.c, 60.0,
                       epsabs=0.0, epsrel=1e-13, limit=500)
         ref /= 8 * gap**3
-        val, err = _k_integrals_adaptive(model, model, xi, gap, 1.0, DEFAULT_NUMERICS)
+        val, err = (v[0] for v in _k_integrals_adaptive([(model, model)], xi, gap, 1.0,
+                                                        DEFAULT_NUMERICS))
         assert val[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
         assert abs(val[0] - ref) <= err[0]
 
 
 def _hook_k_integrand(monkeypatch):
     # Hooks the one integrand evaluation; returns the list that collects
-    # each call's arguments, (mat_a, mat_b, xi_col, gap, temperature, y)
-    # with y the (rows, nodes) grid.
+    # each call's arguments, (pairs, xi_col, gap, temperature, y) with y
+    # the (rows, nodes) grid.  The arrays are copied: the engine reuses
+    # their memory in later calls.
     inner, calls = lifshitz._k_integrand, []
 
     def k_integrand(*args):
-        calls.append(args)
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
         return inner(*args)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
@@ -541,9 +549,9 @@ def _record_k_ladders(monkeypatch, num):
     ladders, calls = [], _hook_k_integrand(monkeypatch)
     adaptive = lifshitz._k_integrals_adaptive
 
-    def k_integrals_adaptive(mat_a, mat_b, xi_col, *args):
+    def k_integrals_adaptive(pairs, xi_col, *args):
         calls.clear()
-        cur, err = adaptive(mat_a, mat_b, xi_col, *args)
+        cur, err = adaptive(pairs, xi_col, *args)
         scale = np.maximum(np.abs(cur), np.max(np.abs(cur), initial=0.0) * 1e-12)
         order = sum(call[-1].size for call in calls) // np.size(xi_col) - 2
         ladders.append((order, float(np.max(err / (num.rel_tol_quadrature * scale)))))
@@ -599,7 +607,7 @@ def test_k_ladder_rungs_are_nested(monkeypatch):
     calls = _hook_k_integrand(monkeypatch)
     num = LifshitzNumerics(rel_tol_quadrature=1e-300)
     xi = np.array([0.0, 1e12, 1e14])
-    _k_integrals_adaptive(DRUDE, DRUDE, xi, 100e-9, 1.0, num)
+    _k_integrals_adaptive([(DRUDE, DRUDE)], xi, 100e-9, 1.0, num)
     assert [call[-1].shape for call in calls] == [(3, 130), (3, 128)]
     y = np.concatenate([call[-1] for call in calls], axis=1)
     assert all(len(np.unique(row)) == 258 for row in y)
@@ -617,10 +625,10 @@ def test_frequency_ladder_rungs_are_nested(monkeypatch):
     def xi_rows(ceiling, tol):
         calls.clear()
         num = LifshitzNumerics(rel_tol_quadrature=tol)
-        args = (gap, 0.0, DRUDE, DRUDE, num)
-        nodes = lifshitz._log_grid_integral(xi_min, xi_hi, min(64, ceiling), ceiling, args)[3]
+        args = (gap, 0.0, [(DRUDE, DRUDE)], num)
+        nodes = lifshitz._log_grid_integral(xi_min, xi_hi, min(64, ceiling), ceiling, args)[0][3]
         # Each k-ladder's first call holds the rows; at 1e-300 it climbs on.
-        return nodes, [call[2][:, 0] for call in calls
+        return nodes, [call[1][:, 0] for call in calls
                        if call[-1].shape[1] == 2 * _K_ORDER_START + 2]
 
     # Ceilings 32 and 64 stop the ladder at its first rung.
@@ -640,7 +648,7 @@ def test_finite_t_call_evaluates_terms_tail_rung_and_33_row_block(monkeypatch):
     plate_pressure(100e-9, 1.0, DRUDE, DRUDE)
     assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2, 65, 33]
     xi_1 = 2 * math.pi * K_B * 1.0 / HBAR
-    block = calls[-1][2][:, 0]
+    block = calls[-1][1][:, 0]
     assert block.min() == pytest.approx((_N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
     assert block.max() == pytest.approx((2 * _N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
 
@@ -656,6 +664,135 @@ def test_k_integrand_matches_local_formulas(model, gap):
         xi = 2 * math.pi * n * K_B * 1.0 / HBAR
         y_lo = 2 * gap * xi / sc.c
         y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
-        vals = lifshitz._k_integrand(model, model, np.array([[xi]]), gap, 1.0, y[None, :])[0]
+        vals = lifshitz._k_integrand([(model, model)], np.array([[xi]]), gap, 1.0, y[None, :])[0, 0]
         ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n
+
+
+# ------------------------------------------------------- batches of pairs
+
+BATCH_CASES = [
+    # At 10 nm and T = 0 the ideal pair's frequency ladder stops at 129
+    # nodes and the Drude pair's climbs on to 257.
+    pytest.param(10e-9, 0.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)], DEFAULT_NUMERICS,
+                 id="10nm-0K-ideal-drude"),
+    pytest.param(100e-9, 0.5, [(TWOFLUID, TWOFLUID), (DRUDE, DRUDE)],
+                 LifshitzNumerics(rel_tol_quadrature=1e-11), id="100nm-0.5K-1e-11"),
+    # At 1 um and 10 K the ideal pair's Matsubara sum stops at N = 128 and
+    # leaves the batch; the Drude pair's doubles on to N = 256.
+    pytest.param(1e-6, 10.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)],
+                 LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
+                 id="1um-10K-1e-11-ideal-drude"),
+    pytest.param(100e-9, 1.0, [(PLASMA, DRUDE), (DRUDE, DRUDE), (IDEAL, PLASMA)],
+                 DEFAULT_NUMERICS, id="100nm-1K-three-pairs"),
+]
+
+
+def _fields(result):
+    # Every PressureResult field as its exact text, so that equal means
+    # bit for bit.
+    return tuple(repr(value) for value in vars(result).values())
+
+
+def _solo(gap, temp, pairs, num):
+    return [_fields(plate_pressure(gap, temp, a, b, num)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("gap,temp,pairs,num", BATCH_CASES)
+def test_batch_equals_solo(gap, temp, pairs, num):
+    batch = [_fields(result) for result in lifshitz._pressures(gap, temp, pairs, num)]
+    assert batch == _solo(gap, temp, pairs, num)
+
+
+@pytest.mark.parametrize("gap,temp,num,terms", [
+    (10e-9, 0.0, DEFAULT_NUMERICS, (129, 257)),
+    (1e-6, 10.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11), (323, 579)),
+], ids=["frequency-ladder", "matsubara-sum"])
+def test_batch_stops_each_pair_where_it_stops_alone(gap, temp, num, terms):
+    # The cases above where the stop points differ: each pair keeps its own
+    # count, and the differential is the difference of solo calls.
+    ideal, drude = (plate_pressure(gap, temp, m, m, num) for m in (IDEAL, DRUDE))
+    assert (ideal.terms_used, drude.terms_used) == terms
+    diff = differential_pressure(gap, temp, IDEAL, IDEAL, (DRUDE, DRUDE), num)
+    assert repr(diff) == repr(ideal.pressure - drude.pressure)
+
+
+def test_batches_from_a_thread_pool_equal_solo():
+    # The workspace is per thread: four threads on two or more cores, the
+    # switch interval shortened so that they interleave inside calls.
+    expected = [_solo(*case.values) for case in BATCH_CASES]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lifshitz._pressures, *case.values)
+                       for _ in range(3) for case in BATCH_CASES]
+            results = [[_fields(r) for r in future.result(timeout=120)] for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 3
+
+
+def test_differential_evaluates_one_batch(monkeypatch):
+    # Counts, not timings: a differential at 100 nm and 1 K evaluates the
+    # grids of one plate_pressure call, 130, 65 and 33 rows, each for both
+    # pairs at once, and each distinct material once per grid.
+    calls = _hook_k_integrand(monkeypatch)
+    fresnel, responses = lifshitz._fresnel, []
+
+    def hooked_fresnel(model, *args):
+        responses.append(model)
+        return fresnel(model, *args)
+
+    monkeypatch.setattr(lifshitz, "_fresnel", hooked_fresnel)
+    diff = differential_pressure(100e-9, 1.0, PLASMA, DRUDE, (DRUDE, DRUDE))
+    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2, 65, 33]
+    assert [len(call[0]) for call in calls] == [2, 2, 2]
+    assert responses == [PLASMA, DRUDE] * 3
+    assert diff == (plate_pressure(100e-9, 1.0, PLASMA, DRUDE).pressure
+                    - plate_pressure(100e-9, 1.0, DRUDE, DRUDE).pressure)
+
+
+@pytest.mark.parametrize("temp", [0.9636, 1.05])
+def test_same_responses_differ_by_zero_without_evaluation(monkeypatch, temp):
+    # Above t_c the two-fluid film responds as its normal state, so the
+    # scan's hot points cost nothing, in either order of the pair.
+    calls = _hook_k_integrand(monkeypatch)
+    assert differential_pressure(100e-9, temp, TWOFLUID, TWOFLUID, (DRUDE, DRUDE)) == 0.0
+    assert differential_pressure(100e-9, temp, TWOFLUID, DRUDE, (DRUDE, TWOFLUID)) == 0.0
+    assert calls == []
+    with pytest.raises(DomainError):
+        differential_pressure(-1e-9, temp, TWOFLUID, TWOFLUID, (DRUDE, DRUDE))
+
+
+def _numpy_bytes_held():
+    # Bytes of NumPy array data allocated since tracing began and still held.
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(trace.size for trace in snapshot.traces)
+
+
+def test_extreme_call_keeps_no_more_memory_than_a_default_call():
+    # The workspace keeps its arrays for the next call, but the 1,024-row
+    # blocks of a 1e-300 call at 1 um must not stay behind.  A fresh thread
+    # starts with an empty workspace; the rule cache is filled first.
+    extreme = LifshitzNumerics(rel_tol_quadrature=1e-300, rel_tol_series=1e-300)
+    plate_pressure(1e-6, 4.0, DRUDE, DRUDE, extreme)
+    held = []
+
+    def run():
+        plate_pressure(100e-9, 1.0, DRUDE, DRUDE)
+        held.append(_numpy_bytes_held())
+        plate_pressure(1e-6, 4.0, DRUDE, DRUDE, extreme)
+        held.append(_numpy_bytes_held())
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive()
+    assert len(held) == 2
+    assert 0 < held[1] <= held[0]

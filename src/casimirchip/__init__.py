@@ -38,7 +38,7 @@ from .lifshitz import (
     differential_pressure,
     ideal_pressure_closed_form,
     plate_pressure,
-    reflection_coefficients,
+    plate_pressures,
 )
 from .config import (
     DeviceConfig,

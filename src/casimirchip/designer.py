@@ -1,9 +1,12 @@
 """Orchestration layer: gap sweeps, simulated temperature scans, and
 detectability verdicts.
 
-Every grid evaluation is pure, so rows may be computed concurrently; the
-output is always assembled in lexicographic (gap, temperature, pair) order
-and is therefore byte-identical regardless of the worker count.
+A gap sweep evaluates each (gap, temperature) cell's material pairs as one
+engine batch (lifshitz.plate_pressures), each pair's pressure bit for bit
+the one plate_pressure gives it alone.  Every cell is pure, so cells may be
+computed concurrently; the output is always assembled in lexicographic
+(gap, temperature, pair) order and is therefore byte-identical regardless
+of the worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CasimirChipError, DomainError, require_nonnegative, require_positive
-from .lifshitz import DEFAULT_NUMERICS, differential_pressure, plate_pressure
+from .lifshitz import DEFAULT_NUMERICS, differential_pressure, plate_pressure, plate_pressures
 from .mechanics import pressure_to_gap_change
 from .readout import (
     gap_change_to_frequency_shift,
@@ -123,26 +126,30 @@ def _chain_shift(delta_pressure, geometry, cavity):
 def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1):
     """Evaluate the full (gap, temperature, pair) grid into SweepRow records.
 
-    A failed engine evaluation marks its row's ``error`` column and the
-    sweep continues.  Rows are returned in lexicographic (gap, temperature,
-    pair index) order regardless of ``workers``, which must be >= 1.
+    Each (gap, temperature) cell is one plate_pressures batch over all of
+    ``spec.pairs``, and ``workers`` threads, which must be >= 1, evaluate
+    the cells.  If a cell's batch raises, its pairs are evaluated one at a
+    time by plate_pressure, so a failed evaluation marks only its own row's
+    ``error`` column and the sweep continues.  Rows are returned in
+    lexicographic (gap, temperature, pair index) order regardless of
+    ``workers``.
     """
     require_positive("workers", workers)
     floor = min_detectable_pressure(geometry, cavity, calib).pressure
-    jobs = [
-        (gap, temp, label, mat_a, mat_b)
-        for gap in spec.gaps()
-        for temp in spec.temperatures
-        for (label, mat_a, mat_b) in spec.pairs
-    ]
+    pairs = [(mat_a, mat_b) for _, mat_a, mat_b in spec.pairs]
+    cells = [(gap, temp) for gap in spec.gaps() for temp in spec.temperatures]
 
-    def evaluate(job):
-        gap, temp, label, mat_a, mat_b = job
+    def solo(gap, temp, mat_a, mat_b):
         try:
-            pressure = plate_pressure(gap, temp, mat_a, mat_b, num).pressure
+            return plate_pressure(gap, temp, mat_a, mat_b, num)
         except CasimirChipError as exc:
+            return exc
+
+    def row(gap, temp, label, result):
+        if isinstance(result, CasimirChipError):
             return SweepRow(gap, temp, label, math.nan, math.nan, math.nan,
-                            math.nan, False, math.nan, error=str(exc))
+                            math.nan, False, math.nan, error=str(result))
+        pressure = result.pressure
         gap_change = pressure_to_gap_change(pressure, geometry)
         freq_shift = gap_change_to_frequency_shift(-gap_change, cavity)
         voltage = pdh_voltage(freq_shift, calib)
@@ -150,8 +157,17 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
         return SweepRow(gap, temp, label, pressure, gap_change, freq_shift,
                         voltage, margin >= 1.0, margin)
 
+    def evaluate(cell):
+        gap, temp = cell
+        try:
+            results = plate_pressures(gap, temp, pairs, num)
+        except CasimirChipError:
+            results = [solo(gap, temp, *pair) for pair in pairs]
+        return [row(gap, temp, label, result)
+                for (label, _, _), result in zip(spec.pairs, results)]
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, jobs))
+        return [r for rows in pool.map(evaluate, cells) for r in rows]
 
 
 def simulate_temperature_scan(geometry, cavity, calib, t_grid, theory,

@@ -66,26 +66,28 @@ rows at finite T (130 explicit terms, the 65-node tail rule and the
 does not grow as T falls, and the evaluation order is fixed, so results
 are bit-stable regardless of how callers parallelize.
 
-Material pairs are evaluated in batches at one (gap, T): plate_pressure
-is a batch of one pair and differential_pressure one of two.  The pairs
-share every xi_n and every y grid, so kappa, e^y and y^2 are computed once
-per grid and each distinct response (``materials.response``: omega_p,
-gamma and f_s at T, or a perfect conductor) goes through the Fresnel
-coefficients once per grid; per pair only the products r_a r_b, the two
-divisions and the y^2 multiply remain.  Every stop decision is per pair: a
-pair whose rows have converged is frozen at that rung while the others
-climb on, and a pair whose Matsubara sum has stopped leaves the batch, so
-each pair's result is bit for bit the one it gets alone.  Two pairs with
-the same responses at T (a superconductor above t_c against its normal
-state) differ by exactly 0.0, which a differential returns without
-evaluating either.  Every pass over a (rows, nodes) grid writes into a
-per-thread workspace whose arrays the thread's next call reuses, instead
-of allocating (and page-faulting) fresh ones: 1.2 MB per thread for one
-pair and 1.8 MB for two at default numerics, which a thread's first call
-pays for.  A block larger than the largest a call at
-default numerics evaluates (130 rows x 130 nodes per pair) gets arrays of
-its own, so tighter numerics leave nothing larger behind, and nothing the
-engine returns is a view of the workspace.
+Material pairs are evaluated in batches at one (gap, T) by plate_pressures:
+plate_pressure is a batch of one pair, differential_pressure one of two,
+and a (gap, T) cell of designer.run_gap_sweep one of all len(pairs) pairs
+of the sweep.  The pairs share every xi_n and every y grid, so kappa, e^y
+and y^2 are computed once per grid and each distinct response
+(``materials.response``: omega_p, gamma and f_s at T, or a perfect
+conductor) goes through the Fresnel coefficients once per grid; per pair
+only the products r_a r_b, the two divisions and the y^2 multiply remain.
+Every stop decision is per pair: a pair whose rows have converged is frozen
+at that rung while the others climb on, and a pair whose Matsubara sum has
+stopped leaves the batch, so each pair's result is bit for bit the one it
+gets alone.  Two pairs with the same responses at T (a superconductor above
+t_c against its normal state) differ by exactly 0.0, which a differential
+returns without evaluating either.  Every pass over a (rows, nodes) grid
+writes into a per-thread workspace whose arrays the thread's next call
+reuses, instead of allocating (and page-faulting) fresh ones: 1.2 MB per
+thread for one pair and 1.8 MB for two at default numerics (so a thread of
+the bundled two-pair sweep holds 1.8 MB), which a thread's first call pays
+for.  A block larger than the largest a call at default numerics evaluates
+(130 rows x 130 nodes per pair) gets arrays of its own, so tighter numerics
+leave nothing larger behind, and nothing the engine returns is a view of
+the workspace.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -347,27 +349,6 @@ def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
     np.divide(-chi, r_te, out=r_te)
 
 
-def reflection_coefficients(model, xi, k, temperature=0.0):
-    """Imaginary-frequency Fresnel coefficients (r_TE, r_TM) for one surface.
-
-    kappa = sqrt(k^2 + xi^2/c^2), kappa_m = sqrt(k^2 + eps xi^2/c^2);
-    r_TM = (eps kappa - kappa_m)/(eps kappa + kappa_m),
-    r_TE = (kappa - kappa_m)/(kappa + kappa_m).
-
-    At xi = 0 the analytic limits are used: IdealMetal -> (-1, 1); Plasma
-    keeps a finite TE reflection set by omega_p; Drude's TE zero mode
-    vanishes; the two-fluid superconductor below t_c keeps the
-    superfluid-weighted plasma limit.  ``temperature`` only matters for the
-    two-fluid model.
-    """
-    require_positive("transverse wavenumber k", k)
-    require_nonnegative("xi", xi)
-    kappa = math.sqrt(k**2 + (xi / C) ** 2)
-    r = np.empty((3, 1, 1))
-    _fresnel(model, np.full((1, 1), float(xi)), np.full((1, 1), kappa), temperature, *r)
-    return r[0].item(), r[1].item()
-
-
 def _k_integrand(pairs, xi_col, gap, temperature, y):
     """y^2 F(y) of each material pair on one (rows, nodes) grid of y, as (pairs, rows, nodes).
 
@@ -375,7 +356,7 @@ def _k_integrand(pairs, xi_col, gap, temperature, y):
     polarizations with t = r_a r_b e^{-y}, taken as r_a r_b / (e^y - r_a r_b)
     so that one exp serves both.  kappa, e^y and y^2 are computed once for
     the grid and each distinct model object goes through _fresnel once
-    (_pressures passes one object per response); per pair only the
+    (plate_pressures passes one object per response); per pair only the
     products r_a r_b, the two divisions and the y^2 multiply remain.  Every
     k-integral sample passes through here once.  The result and every pass
     live in the thread's workspace: the result is valid until the next call.
@@ -475,15 +456,20 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args):
                     (g[0][:, -1] / half).tolist()))
 
 
-def _pressures(gap, temperature, pairs, num):
-    """The PressureResult of each material pair at one (gap, T), evaluated as one batch.
+def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
+    """The PressureResult of each (mat_a, mat_b) pair at one (gap, T), as one batch.
 
     The pairs share every frequency, y grid and k-integrand pass (see
     _k_integrand), but every stop decision is per pair: each k- and
     frequency ladder stops per pair, and a pair whose Matsubara sum has
     stopped leaves the batch.  So each result is bit for bit the one its
-    pair gets alone.
+    pair gets alone, from plate_pressure.  Raises DomainError for a gap or
+    temperature outside its domain before evaluating anything.
     """
+    require_positive("gap", gap)
+    require_nonnegative("temperature", temperature)
+    if not pairs:
+        return []
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
@@ -583,12 +569,10 @@ def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):
     Sums the Matsubara terms n <= N explicitly and replaces the rest by the
     frequency integral of the same k-integral (see the module docstring);
     at T = 0 there are no explicit terms.  Only the stop rule and the y
-    cutoff bound N; there is no term budget.  Raises DomainError for a gap
-    or temperature outside its domain.
+    cutoff bound N; there is no term budget.  The one-pair case of
+    plate_pressures, whose DomainError it raises.
     """
-    require_positive("gap", gap)
-    require_nonnegative("temperature", temperature)
-    return _pressures(gap, temperature, [(mat_a, mat_b)], num)[0]
+    return plate_pressures(gap, temperature, [(mat_a, mat_b)], num)[0]
 
 
 def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT_NUMERICS):
@@ -596,10 +580,12 @@ def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT
 
     ``reference`` is a (model, model) tuple evaluated at the same gap and
     temperature; used for plasma-vs-Drude and superconducting-vs-normal
-    differentials.  Both pairs are evaluated as one batch, each exactly as
-    plate_pressure would; pairs whose responses at this temperature are
-    the same (a superconductor above t_c against its normal state) differ
-    by exactly 0.0, which is returned without evaluating either.
+    differentials.  Both pairs are one plate_pressures batch, each
+    evaluated exactly as plate_pressure would; pairs whose responses at
+    this temperature are the same (a superconductor above t_c against its
+    normal state) differ by exactly 0.0, which is returned without
+    evaluating either, though a gap or temperature outside its domain
+    still raises DomainError.
     """
     ref_a, ref_b = reference
     require_positive("gap", gap)
@@ -607,5 +593,5 @@ def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT
     key = (response(mat_a, temperature), response(mat_b, temperature))
     if (response(ref_a, temperature), response(ref_b, temperature)) in (key, key[::-1]):
         return 0.0
-    p, p_ref = _pressures(gap, temperature, [(mat_a, mat_b), (ref_a, ref_b)], num)
+    p, p_ref = plate_pressures(gap, temperature, [(mat_a, mat_b), (ref_a, ref_b)], num)
     return p.pressure - p_ref.pressure

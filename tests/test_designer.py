@@ -20,9 +20,11 @@ from casimirchip import (
     detectability_report,
     min_detectable_pressure,
     plate_pressure,
+    plate_pressures,
     run_gap_sweep,
     simulate_temperature_scan,
 )
+from casimirchip import lifshitz
 from casimirchip.serialize import sweep_csv
 
 TWO_PI = 2 * math.pi
@@ -73,12 +75,18 @@ def test_empty_temperature_list_gives_empty_table():
 
 @pytest.mark.filterwarnings("ignore:frequency shift")
 def test_sweep_row_error_column_keeps_sweep_alive(monkeypatch):
-    def failing_at_1p3_k(gap, temperature, *args):
-        if temperature == 1.3:
-            raise DomainError("no pressure at 1.3 K")
-        return plate_pressure(gap, temperature, *args)
+    # Both engine entry points of the sweep fail at 1.3 K: the cell's
+    # batch and the one-pair calls it falls back to.
+    def failing_at_1p3_k(evaluate):
+        def call(gap, temperature, *args):
+            if temperature == 1.3:
+                raise DomainError("no pressure at 1.3 K")
+            return evaluate(gap, temperature, *args)
+        return call
 
-    monkeypatch.setattr("casimirchip.designer.plate_pressure", failing_at_1p3_k)
+    monkeypatch.setattr("casimirchip.designer.plate_pressure", failing_at_1p3_k(plate_pressure))
+    monkeypatch.setattr("casimirchip.designer.plate_pressures",
+                        failing_at_1p3_k(plate_pressures))
     spec = SweepSpec(100e-9, 110e-9, 10e-9, (1.3, 0.0),
                      (("drude/drude", DRUDE, DRUDE),))
     rows = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB)
@@ -88,6 +96,63 @@ def test_sweep_row_error_column_keeps_sweep_alive(monkeypatch):
     assert len(failed) == 2 and all(math.isnan(r.pressure) for r in failed)
     assert all(r.error == "no pressure at 1.3 K" for r in failed)
     assert len(passed) == 2 and all(r.pressure > 0 for r in passed)
+
+
+@pytest.mark.filterwarnings("ignore:frequency shift")
+def test_sweep_error_marks_only_the_failing_pair_of_a_cell(monkeypatch):
+    # One pair of a two-pair cell fails: the cell's batch raises, and the
+    # pairs evaluated one at a time give the other row its own pressure.
+    def pressure(gap, temperature, mat_a, mat_b, *args):
+        if mat_a is PLASMA:
+            raise DomainError("no plasma pressure")
+        return plate_pressure(gap, temperature, mat_a, mat_b, *args)
+
+    def pressures(gap, temperature, pairs, *args):
+        if any(mat_a is PLASMA for mat_a, _ in pairs):
+            raise DomainError("no plasma pressure")
+        return plate_pressures(gap, temperature, pairs, *args)
+
+    monkeypatch.setattr("casimirchip.designer.plate_pressure", pressure)
+    monkeypatch.setattr("casimirchip.designer.plate_pressures", pressures)
+    spec = SweepSpec(100e-9, 100e-9, 10e-9, (1.3,),
+                     (("p/p", PLASMA, PLASMA), ("d/d", DRUDE, DRUDE)))
+    failed, passed = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB)
+    assert (failed.pair, failed.error) == ("p/p", "no plasma pressure")
+    assert math.isnan(failed.pressure) and not failed.detectable
+    assert (passed.pair, passed.error) == ("d/d", "")
+    assert passed.pressure == plate_pressure(100e-9, 1.3, DRUDE, DRUDE).pressure
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_sweep_pressures_equal_solo_calls_where_pairs_stop_apart(workers):
+    # At 1 um and 10 K with both tolerances at 1e-11 the ideal pair's
+    # Matsubara sum stops at N = 128 and the Drude pairs' double on: each
+    # row of the cell's batch is bit for bit its pair's own call.
+    num = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
+    pairs = (("i/i", IDEAL, IDEAL), ("d/d", DRUDE, DRUDE), ("p/d", PLASMA, DRUDE))
+    spec = SweepSpec(1e-6, 1e-6, 10e-9, (10.0,), pairs)
+    rows = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, num, workers=workers)
+    assert [row.pair for row in rows] == ["i/i", "d/d", "p/d"]
+    assert [repr(row.pressure) for row in rows] == [
+        repr(plate_pressure(1e-6, 10.0, a, b, num).pressure) for _, a, b in pairs]
+
+
+@pytest.mark.filterwarnings("ignore:frequency shift")
+def test_sweep_evaluates_each_cell_as_one_batch(monkeypatch):
+    # Counts, not timings: 3 gaps x 1 T make 3 cells, and each cell
+    # evaluates the grids of one call (explicit terms, tail rule and
+    # truncation block) once for both pairs.
+    inner, calls = lifshitz._k_integrand, []
+
+    def k_integrand(pairs, *args):
+        calls.append(len(pairs))
+        return inner(pairs, *args)
+
+    monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
+    spec = SweepSpec(100e-9, 120e-9, 10e-9, (1.3,),
+                     (("p/p", PLASMA, PLASMA), ("d/d", DRUDE, DRUDE)))
+    assert len(run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, workers=2)) == 6
+    assert calls == [2] * 9
 
 
 @pytest.mark.filterwarnings("ignore:frequency shift")

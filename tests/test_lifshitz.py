@@ -20,10 +20,10 @@ from casimirchip import (
     differential_pressure,
     ideal_pressure_closed_form,
     plate_pressure,
-    reflection_coefficients,
+    plate_pressures,
 )
 from casimirchip import lifshitz
-from casimirchip.constants import HBAR, K_B
+from casimirchip.constants import C, HBAR, K_B
 from casimirchip.lifshitz import (
     _K_ORDER_START,
     _N_EXPLICIT,
@@ -43,22 +43,31 @@ TWOFLUID = SuperconductorTwoFluid(OMEGA_P, GAMMA, 0.9)
 
 # ---------------------------------------------------------------- reflection
 
+def _reflection(model, xi, k, temperature=0.0):
+    # (r_TE, r_TM) of one surface at one (xi, k) from _fresnel, which the
+    # engine runs on (rows, nodes) grids of kappa = sqrt(k^2 + xi^2/c^2).
+    r = np.empty((3, 1, 1))
+    kappa = np.full((1, 1), math.sqrt(k**2 + (xi / C) ** 2))
+    lifshitz._fresnel(model, np.full((1, 1), float(xi)), kappa, temperature, *r)
+    return r[0].item(), r[1].item()
+
+
 def test_ideal_metal_reflection_everywhere():
     for xi in (0.0, 1e10, 1e14, 1e17):
         for k in (1e3, 1e6, 1e8):
-            assert reflection_coefficients(IDEAL, xi, k) == (-1.0, 1.0)
+            assert _reflection(IDEAL, xi, k) == (-1.0, 1.0)
 
 
 def test_drude_te_zero_mode_vanishes():
     for k in (1e4, 1e6, 1e8):
-        r_te, r_tm = reflection_coefficients(DRUDE, 0.0, k)
+        r_te, r_tm = _reflection(DRUDE, 0.0, k)
         assert r_te == 0.0
         assert r_tm == 1.0
 
 
 def test_plasma_zero_frequency_te_limit():
     k = 1e7
-    r_te, r_tm = reflection_coefficients(PLASMA, 0.0, k)
+    r_te, r_tm = _reflection(PLASMA, 0.0, k)
     s = math.sqrt(k**2 + OMEGA_P**2 / sc.c**2)
     assert r_te == pytest.approx((k - s) / (k + s), rel=1e-12)
     assert r_tm == 1.0
@@ -68,10 +77,10 @@ def test_two_fluid_zero_frequency_weighted_by_superfluid_fraction():
     k = 1e7
     f_s = 1.0 - (0.45 / 0.9) ** 4
     s = math.sqrt(k**2 + f_s * OMEGA_P**2 / sc.c**2)
-    r_te, _ = reflection_coefficients(TWOFLUID, 0.0, k, temperature=0.45)
+    r_te, _ = _reflection(TWOFLUID, 0.0, k, temperature=0.45)
     assert r_te == pytest.approx((k - s) / (k + s), rel=1e-12)
     # At and above t_c the TE zero mode is gone, as for Drude.
-    r_te_hot, r_tm_hot = reflection_coefficients(TWOFLUID, 0.0, k, temperature=0.9)
+    r_te_hot, r_tm_hot = _reflection(TWOFLUID, 0.0, k, temperature=0.9)
     assert r_te_hot == 0.0
     assert r_tm_hot == 1.0
 
@@ -79,7 +88,7 @@ def test_two_fluid_zero_frequency_weighted_by_superfluid_fraction():
 def test_vacuum_limit_no_reflection():
     # eps -> 1 (omega_p much below xi) drives both coefficients to zero.
     weak = Plasma(1e6)
-    r_te, r_tm = reflection_coefficients(weak, 1e15, 1e6)
+    r_te, r_tm = _reflection(weak, 1e15, 1e6)
     assert abs(r_te) < 1e-12
     assert abs(r_tm) < 1e-12
 
@@ -90,16 +99,9 @@ def test_reflection_magnitudes_bounded():
         xi = 10 ** rng.uniform(8, 18)
         k = 10 ** rng.uniform(2, 9)
         for model in (IDEAL, PLASMA, DRUDE, TWOFLUID):
-            r_te, r_tm = reflection_coefficients(model, xi, k, temperature=0.5)
+            r_te, r_tm = _reflection(model, xi, k, temperature=0.5)
             assert abs(r_te) <= 1.0 + 1e-12
             assert abs(r_tm) <= 1.0 + 1e-12
-
-
-def test_reflection_rejects_bad_k():
-    with pytest.raises(DomainError):
-        reflection_coefficients(IDEAL, 1e12, 0.0)
-    with pytest.raises(DomainError):
-        reflection_coefficients(IDEAL, 1e12, -1.0)
 
 
 # ------------------------------------------------------------- closed form
@@ -270,6 +272,18 @@ def test_pressure_rejects_bad_arguments():
         plate_pressure(0.0, 1.0, IDEAL, IDEAL)
     with pytest.raises(DomainError):
         plate_pressure(100e-9, -1.0, IDEAL, IDEAL)
+
+
+@pytest.mark.parametrize("gap,temp", [(0.0, 1.0), (-1e-9, 1.0), (100e-9, -1.0)])
+def test_batch_rejects_bad_arguments_before_evaluating(monkeypatch, gap, temp):
+    calls = _hook_k_integrand(monkeypatch)
+    with pytest.raises(DomainError):
+        plate_pressures(gap, temp, [(DRUDE, DRUDE), (IDEAL, PLASMA)])
+    assert calls == []
+
+
+def test_batch_of_no_pairs_is_empty():
+    assert plate_pressures(100e-9, 1.0, []) == []
 
 
 def test_numerics_validation():
@@ -700,7 +714,7 @@ def _solo(gap, temp, pairs, num):
 
 @pytest.mark.parametrize("gap,temp,pairs,num", BATCH_CASES)
 def test_batch_equals_solo(gap, temp, pairs, num):
-    batch = [_fields(result) for result in lifshitz._pressures(gap, temp, pairs, num)]
+    batch = [_fields(result) for result in plate_pressures(gap, temp, pairs, num)]
     assert batch == _solo(gap, temp, pairs, num)
 
 
@@ -725,7 +739,7 @@ def test_batches_from_a_thread_pool_equal_solo():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lifshitz._pressures, *case.values)
+            futures = [pool.submit(plate_pressures, *case.values)
                        for _ in range(3) for case in BATCH_CASES]
             results = [[_fields(r) for r in future.result(timeout=120)] for future in futures]
     finally:

@@ -2,9 +2,11 @@
 of the package, what one module needs from another is public there; no
 module imports a name it never uses; no module-level constant, function
 the package does not export, or exception type is dead; and the wording
-of the positivity rule lives in errors.py alone."""
+of the positivity rule lives in errors.py alone; and every binding the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -154,3 +156,18 @@ def test_every_private_function_is_called():
     assert len(exported) > 40
     assert len(defined) > 50
     assert sorted(defined - called) == []
+
+
+def test_every_benchmark_tracer_binding_resolves():
+    # The benchmark's tracer wraps each (module, attribute) of its TARGETS
+    # at install; one that no longer resolves kills every traced run.  The
+    # table is read from the source, so the benchmark is not imported.
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    assert len(targets) > 10
+    missing = [f"{module}.{attr}" for module, attr, _ in targets
+               if not hasattr(importlib.import_module(f"casimirchip.{module}"), attr)]
+    assert missing == []

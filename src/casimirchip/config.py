@@ -125,7 +125,6 @@ _SCHEMA = {
         "metal_segment_length_um": ("metal_segment_length", _num("um"), True),
         "plate_height_nm": ("plate_height", _num("nm"), True),
         "gap_nm": ("gap", _num("nm"), True),
-        "parallelism_jitter_nm": ("parallelism_jitter", _num("nm"), True),
         "film_stress_GPa": ("film_stress", _num("GPa"), True),
         "density_sin_kg_per_m3": ("density_sin", _num("kg_per_m3"), True),
         "density_al_kg_per_m3": ("density_al", _num("kg_per_m3"), True),

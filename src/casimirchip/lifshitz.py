@@ -14,8 +14,9 @@ Numerics: every integral here runs on one ladder of nested Clenshaw-Curtis
 rules (`_nested_cc`): the order-n rule is the order-2n samples at even
 indices, so each doubling evaluates only the new odd nodes.  The finer rule
 is returned with |finer - coarser| plus its round-off bound (order + 2) eps
-sum |terms| as its error, and the order doubles while that exceeds the
-quadrature tolerance, up to a ceiling.  That is the coarser rule's error, a
+|finer| as its error (every sample is >= 0, so |finer| is the sum of
+|terms|), and the order doubles while that exceeds the quadrature
+tolerance, up to a ceiling.  That is the coarser rule's error, a
 loose bound on the finer rule's: at 100 nm the k-part is ~5e-10 P, while the
 129-node k-sum sits within ~3e-16 P of a 1025-node rule.
 
@@ -60,11 +61,17 @@ T whose explicit terms all lie below the grid's lower end
 xi_min = 1e-9 c / 2a, is the case with no explicit terms; J is flat below
 xi_min, so the piece under it is xi_min J(xi_min), taken from the
 frequency rule's x = -1 end node and counted in full as the truncation
-estimate.  At default numerics a call at 100 nm evaluates 228 k-integral
-rows at finite T (130 explicit terms, the 65-node tail rule and the
-33-node block) and 129 at T = 0 (the 65- and 129-node rungs).  The cost
-does not grow as T falls, and the evaluation order is fixed, so results
-are bit-stable regardless of how callers parallelize.
+estimate.  Every default call at T = 0 climbs past the 65-node rung, so
+that ladder starts at the 129-node one (CC-64 at its even indices).
+
+Each Matsubara step is one k-integral pass: the step that extends the
+explicit terms to 2N + 1 also evaluates the first rungs of the tail behind
+P(2N) and of the block, so at default numerics a call at 100 nm evaluates
+228 k-integral rows in one pass at finite T (130 explicit terms, the
+65-node tail rung and the 33-node block) and 129 at T = 0.  Further passes
+come only from the rungs a frequency ladder climbs to and from doubling N.
+The cost does not grow as T falls, and the evaluation order is fixed, so
+results are bit-stable regardless of how callers parallelize.
 
 Material pairs are evaluated in batches at one (gap, T) by plate_pressures:
 plate_pressure is a batch of one pair, differential_pressure one of two,
@@ -81,11 +88,12 @@ gets alone.  Two pairs with the same responses at T (a superconductor above
 t_c against its normal state) differ by exactly 0.0, which a differential
 returns without evaluating either.  Every pass over a (rows, nodes) grid
 writes into a per-thread workspace whose arrays the thread's next call
-reuses, instead of allocating (and page-faulting) fresh ones: 1.2 MB per
-thread for one pair and 1.8 MB for two at default numerics (so a thread of
-the bundled two-pair sweep holds 1.8 MB), which a thread's first call pays
-for.  A block larger than the largest a call at default numerics evaluates
-(130 rows x 130 nodes per pair) gets arrays of its own, so tighter numerics
+reuses, instead of allocating (and page-faulting) fresh ones: 2.1 MB per
+thread for one pair and 3.1 MB for two with two responses at default
+numerics (so a thread of the bundled two-pair sweep holds 3.1 MB), which a
+thread's first call pays for.  A block larger than the largest a call at
+default numerics evaluates (228 rows x 130 nodes per pair, the first
+Matsubara step) gets arrays of its own, so tighter numerics
 leave nothing larger behind, and nothing the engine returns is a view of
 the workspace.
 
@@ -124,8 +132,10 @@ _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
 # The largest (rows, nodes) block a call at default numerics evaluates: the
-# 2 N + 2 explicit terms on the 129-node rule and the sliver node.
-_KEPT_BLOCK = (2 * _N_EXPLICIT + 2) * (2 * _K_ORDER_START + 2)
+# first Matsubara step's 2 N + 2 explicit terms, 65-node tail rung and
+# 33-node block, on the 129-node rule and the sliver node.
+_KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
+               * (2 * _K_ORDER_START + 2))
 
 
 class _Workspace(threading.local):
@@ -190,16 +200,17 @@ class PressureResult:
     the k-integral rows behind it: explicit Matsubara terms plus the nodes
     of the finer frequency rule, order + 1 for a Clenshaw-Curtis rule of
     that order (the coarser rungs nested in it and the nodes of the block
-    behind the truncation estimate are not counted).
+    behind the truncation estimate are not counted, though the block's are
+    evaluated in the same pass as the terms).
     ``truncation_estimate`` is |P(N) - P(2N)| for the Euler-Maclaurin tail
     plus the error of the block behind it, or at T = 0 the piece below the
     frequency grid; ``quadrature_estimate`` adds the k-integration error
     estimate and the frequency rule's error.  Both are in Pa.  Every rule
     error, of the k-rule, the frequency rule and the block alike, is
     |finer - coarser| of the last two rungs (at default numerics the 129-
-    and 65-node k-rules) plus the finer sum's round-off floor, so it is the
-    coarser rule's error: an upper bound on the returned rule's error, not
-    the error itself.
+    and 65-node k-rules) plus the finer sum's round-off floor,
+    (order + 2) eps |finer|, so it is the coarser rule's error: an upper
+    bound on the returned rule's error, not the error itself.
     """
 
     pressure: float
@@ -260,7 +271,9 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     the samples at even indices, and each doubling evaluates only the new
     odd nodes.  const is a piece outside the rule, added to both sums.  The
     error is |fine - coarse| plus the fine sum's round-off bound, eps per
-    node times the sum of |terms|.  Each pair climbs on its own: it stops
+    node times |fine|: every sample and const is >= 0 (0 <= r_a r_b <= 1,
+    and the weights and Jacobians are positive), so |fine| is the sum of
+    |terms| bit for bit.  Each pair climbs on its own: it stops
     once every one of its rows has an error within tol times its |fine|
     (floored at 1e-12 of the pair's largest row; a single row is its own
     floor), or at ceiling, and is then frozen at that rung while the rest
@@ -273,11 +286,9 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]).sum(axis=-1) + const
     while True:
         w = _clenshaw_curtis(order)[1]
-        terms = _weighted(g[0], w)
-        fine = terms.sum(axis=-1) + const
-        roundoff = (order + 2) * _EPS * (np.abs(terms, out=terms).sum(axis=-1) + abs(const))
-        err = abs(fine - coarse) + roundoff
+        fine = _weighted(g[0], w).sum(axis=-1) + const
         size = abs(fine)
+        err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim > 1:
             size = np.maximum(size, size.max(axis=-1, initial=0.0, keepdims=True) * 1e-12)
         stop = (err <= tol * size).reshape(len(size), -1).all(axis=1).tolist()
@@ -429,28 +440,41 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     return fine / (8.0 * gap**3), err / (8.0 * gap**3)
 
 
-def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args):
+def _log_nodes(xi_lo, xi_hi, x):
+    """The frequencies at the nodes x of [-1, 1] mapped linearly onto [ln xi_lo, ln xi_hi].
+
+    Returns them with the half-width of that range, du/dx.
+    """
+    u_lo = math.log(xi_lo)
+    half = 0.5 * (math.log(xi_hi) - u_lo)
+    return np.exp(u_lo + (x + 1.0) * half), half
+
+
+def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
     """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
 
     args is (gap, temperature, pairs, num).  The ladder starts at the given
-    order and stops by ceiling, for each pair on its own.  The k-errors
-    ride along under the same rule.  Returns, per pair, (finer rule, its
-    k-integration error, its rule error, its node count, xi_lo J(xi_lo)) as
-    Python numbers, the last from the x = -1 end node.  Material response
-    is evaluated at the requested temperature.
+    order and stops by ceiling, for each pair on its own.  first, if given,
+    is the (values, errors) that _k_integrals_adaptive returns for the
+    pairs at the starting rule's nodes (_log_nodes), which are then not
+    sampled again.  The k-errors ride along under the same rule.  Returns,
+    per pair, (finer rule, its k-integration error, its rule error, its
+    node count, xi_lo J(xi_lo)) as Python numbers, the last from the
+    x = -1 end node.  Material response is evaluated at the requested
+    temperature.
     """
     gap, temperature, pairs, num = args
-    u_lo = math.log(xi_lo)
-    half = 0.5 * (math.log(xi_hi) - u_lo)
 
-    def sample(x, active):
+    def sample(x, active, k=None):
         # J and its k-error at the nodes x, each times the Jacobian xi du/dx.
-        xi = np.exp(u_lo + (x + 1.0) * half)
-        vals, errs = _k_integrals_adaptive([pairs[p] for p in active], xi, gap, temperature, num)
+        xi, half = _log_nodes(xi_lo, xi_hi, x)
+        vals, errs = k or _k_integrals_adaptive([pairs[p] for p in active], xi, gap,
+                                                 temperature, num)
         jac = xi * half
         return vals * jac, errs * jac
 
-    g = sample(_clenshaw_curtis(order)[0], range(len(pairs)))
+    g = sample(_clenshaw_curtis(order)[0], range(len(pairs)), first)
+    half = _log_nodes(xi_lo, xi_hi, 0.0)[1]
     value, err, order, k_err = _nested_cc(g, sample, ceiling, num.rel_tol_quadrature)
     return list(zip(value.tolist(), k_err[0].tolist(), err.tolist(), [o + 1 for o in order],
                     (g[0][:, -1] / half).tolist()))
@@ -487,26 +511,38 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     f = [np.zeros(0) for _ in pairs]
     err = [np.zeros(0) for _ in pairs]
 
-    def integral(lo, hi, order, top):
+    def integral(lo, hi, order, top, first=None):
         # The ln(xi) integral over [lo, hi] of each active pair.
         return _log_grid_integral(lo, hi, order, top,
-                                  (gap, temperature, [pairs[p] for p in active], num))
+                                  (gap, temperature, [pairs[p] for p in active], num), first)
 
-    def extend(count):
-        # Terms n < count of the active pairs, the n = 0 term at half weight.
+    def step(n):
+        # One k-integral pass of the active pairs for the Matsubara step at n:
+        # the terms up to 2n + 1 (n_ceiling at most), the n = 0 term at half
+        # weight, and while terms lie beyond 2n, the first rungs of the tail
+        # behind P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block over
+        # [(n+1/2), (2n+1/2)] xi_1.  Returns the two integrals, or () once the
+        # terms reach n_ceiling.
         start = len(f[active[0]])
-        ns = np.arange(start, int(count), dtype=float)
-        new, new_err = _k_integrals_adaptive([pairs[p] for p in active], ns * xi_1, gap,
-                                             temperature, num)
+        ns = np.arange(start, min(n_ceiling, 2 * n + 1) + 1, dtype=float)
+        rules = () if n_ceiling <= 2 * n else (
+            ((2 * n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling),
+            ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
+        xi = [ns * xi_1] + [_log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
+                            for lo, hi, order, _ in rules]
+        vals, errs = _k_integrals_adaptive([pairs[p] for p in active], np.concatenate(xi), gap,
+                                           temperature, num)
         if start == 0:
-            new[:, 0], new_err[:, 0] = 0.5 * new[:, 0], 0.5 * new_err[:, 0]
-        for p, row, row_err in zip(active, new, new_err):
+            vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
+        cuts = np.cumsum([len(x) for x in xi])[:-1]
+        vals, errs = np.split(vals, cuts, axis=1), np.split(errs, cuts, axis=1)
+        for p, row, row_err in zip(active, vals[0], errs[0]):
             f[p], err[p] = np.concatenate((f[p], row)), np.concatenate((err[p], row_err))
+        return [integral(*rule, first) for rule, first in zip(rules, zip(vals[1:], errs[1:]))]
 
-    def euler_maclaurin(n):
+    def euler_maclaurin(n, tails):
         # xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24] + int_{(n+1/2) xi_1} J dxi as
         # (value, k-integration error, frequency-rule error, frequency nodes).
-        tails = integral((n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling)
         out = []
         for p, (tail, tail_err, rule_err, nodes, _) in zip(active, tails):
             head = float(np.sum(f[p][: n + 1]) + (f[p][n + 1] - f[p][n]) / 24.0)
@@ -514,11 +550,10 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
                         rule_err, nodes))
         return out
 
-    def truncation(n):
+    def truncation(n, blocks):
         # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
         # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
         # the CC-32 rule with its error added.
-        blocks = integral((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER)
         out = []
         for p, (block, _, block_err, _, _) in zip(active, blocks):
             fp = f[p]
@@ -528,20 +563,21 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
         return out
 
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
-        # T = 0, or so cold that every explicit term lies below xi_min.
+        # T = 0, or so cold that every explicit term lies below xi_min.  Every
+        # such ladder at default numerics climbs past CC-64, so it starts at CC-128.
         return [PressureResult(pref * (value + low), nodes, pref * low,
                                pref * (quad_err + rule_err))
                 for value, quad_err, rule_err, nodes, low
-                in integral(xi_min, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling)]
+                in integral(xi_min, xi_hi, min(2 * _FREQ_ORDER_START, ceiling), ceiling)]
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
     n_ceiling = xi_hi // xi_1 + 2
     n = _N_EXPLICIT
-    extend(min(n_ceiling, 2 * n + 1) + 1)
+    integrals = step(n)
     trunc = [math.inf] * len(pairs)
-    while n_ceiling > 2 * n:
+    while integrals:
         climbing = []
         for p, (value, quad_err, rule_err, nodes), estimate in zip(
-                active, euler_maclaurin(2 * n), truncation(n)):
+                active, euler_maclaurin(2 * n, integrals[0]), truncation(n, integrals[1])):
             prev, trunc[p] = trunc[p], estimate
             # Stop at the series tolerance, or where more explicit terms
             # cannot help: the k-quadrature or frequency-rule error
@@ -555,7 +591,7 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
         if not active:
             return results
         n *= 2
-        extend(min(n_ceiling, 2 * n + 1) + 1)
+        integrals = step(n)
     # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
     for p in active:
         results[p] = PressureResult(pref * xi_1 * float(np.sum(f[p])), len(f[p]), 0.0,

@@ -42,7 +42,6 @@ class DeviceGeometry:
     metal_segment_length: float   # m, centered on the string
     plate_height: float           # m, height of the facing metalized walls
     gap: float                    # m
-    parallelism_jitter: float     # m
     film_stress: float            # Pa, tensile
     density_sin: float            # kg/m^3
     density_al: float             # kg/m^3
@@ -55,7 +54,6 @@ class DeviceGeometry:
         )
         for name in positive:
             require_positive(name, getattr(self, name))
-        require_nonnegative("parallelism_jitter", self.parallelism_jitter)
         if self.metal_segment_length > self.effective_length:
             raise DomainError("metal_segment_length must not exceed effective_length")
         if self.effective_length > self.string_length:

@@ -586,14 +586,16 @@ def test_cli_validate(capsys):
     assert "fundamental frequency" in out
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
-def test_cli_validate_rejects_bad_parallelism_jitter(capsys, tmp_path, value):
+def test_cli_validate_rejects_the_retired_parallelism_jitter_key(capsys, tmp_path):
+    # Nothing reads the key since the PFA average went: a config that still
+    # sets it gets the loader's unknown-key error, which names it.
     bad = tmp_path / "bad.cfg"
     bad.write_text(example_config_path().read_text().replace(
-        "parallelism_jitter_nm = 10", f"parallelism_jitter_nm = {value}"))
+        "gap_nm = 100\n", "gap_nm = 100\nparallelism_jitter_nm = 10\n"))
     code, out, err = run_cli(capsys, "validate", "--config", str(bad))
     assert code == 2 and out == ""
-    assert err.startswith("config error: [geometry]: parallelism_jitter must be finite and >= 0")
+    assert err == ("config error: [geometry]: unknown key 'parallelism_jitter_nm' "
+                   "(unit suffix missing or typo?)\n")
 
 
 def test_cli_validate_bad_config_exits_two(capsys, tmp_path):

@@ -34,7 +34,7 @@ GAMMA = 7.6e13
 GEOMETRY = DeviceGeometry(
     string_length=384e-6, effective_length=340e-6, width=926e-9,
     thickness=300e-9, metal_eff_thickness=18e-9, metal_segment_length=220e-6,
-    plate_height=350e-9, gap=100e-9, parallelism_jitter=10e-9,
+    plate_height=350e-9, gap=100e-9,
     film_stress=1.3e9, density_sin=3100.0, density_al=2700.0,
 )
 CAVITY = CavityParams(1586.3e-9, TWO_PI * 4.2e9, TWO_PI * 0.5e9, 4.5e4,
@@ -140,8 +140,8 @@ def test_sweep_pressures_equal_solo_calls_where_pairs_stop_apart(workers):
 @pytest.mark.filterwarnings("ignore:frequency shift")
 def test_sweep_evaluates_each_cell_as_one_batch(monkeypatch):
     # Counts, not timings: 3 gaps x 1 T make 3 cells, and each cell
-    # evaluates the grids of one call (explicit terms, tail rule and
-    # truncation block) once for both pairs.
+    # evaluates the one grid of a call (explicit terms, tail rule and
+    # truncation block together) once for both pairs.
     inner, calls = lifshitz._k_integrand, []
 
     def k_integrand(pairs, *args):
@@ -152,7 +152,7 @@ def test_sweep_evaluates_each_cell_as_one_batch(monkeypatch):
     spec = SweepSpec(100e-9, 120e-9, 10e-9, (1.3,),
                      (("p/p", PLASMA, PLASMA), ("d/d", DRUDE, DRUDE)))
     assert len(run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, workers=2)) == 6
-    assert calls == [2] * 9
+    assert calls == [2] * 3
 
 
 @pytest.mark.filterwarnings("ignore:frequency shift")

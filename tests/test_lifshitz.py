@@ -356,10 +356,11 @@ def test_k_integral_against_scipy_quad_for_drude():
 
 # ------------------------------------------------------ frequency-rule bars
 
-def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args):
+def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args, first=None):
     # Reference for the ln-xi frequency integral: one fixed 800-node rule
     # from numpy, no node doubling and no rule error of its own, and
-    # xi_lo J(xi_lo), the piece below a T = 0 grid, each per pair.
+    # xi_lo J(xi_lo), the piece below a T = 0 grid, each per pair.  The
+    # first rung that plate_pressures samples for the engine's rule is ignored.
     gap, temperature, pairs, num = args
     u_lo, u_hi = math.log(xi_lo), math.log(xi_hi)
     x, w = np.polynomial.legendre.leggauss(800)
@@ -585,30 +586,36 @@ def test_k_ladders_converge_below_the_cap_at_tight_tolerance(monkeypatch):
     # cap hit.
     num = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
     ladders = _record_k_ladders(monkeypatch, num)
-    assert len(ladders) > 100
+    assert len(ladders) > 50
     assert max(excess for _, excess in ladders) <= 1.0
 
 
 def test_default_k_ladders_end_by_order_128(monkeypatch):
     # Counts, not timings: at default numerics every k-ladder stops at the
     # first fine rung, the 129-node rule with the 65-node rule nested in it.
-    # The grid's 27 calls make 81 ladders: one per block of rows evaluated
-    # together (explicit terms, each frequency rung, each truncation block).
+    # The grid's 27 calls make 36 ladders: one per call, for the Matsubara
+    # step's explicit terms, tail rung and truncation block together (or the
+    # T = 0 rule's 129 nodes), and one per frequency rung climbed to: the
+    # 257-node T = 0 rung at 10 nm and the 129-node tail rung at 50 mK below
+    # 1 um, three models each.
     ladders = _record_k_ladders(monkeypatch, DEFAULT_NUMERICS)
-    assert len(ladders) == 81
+    assert len(ladders) == 36
     assert {order for order, _ in ladders} == {2 * _K_ORDER_START}
 
 
 @pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
 def test_k_integrand_evaluations_per_call(monkeypatch, model):
     # Counts, not timings: every row of a call at 100 nm evaluates the
-    # 129-node rule and the sliver once, 130 points, and nothing else.
+    # 129-node rule and the sliver once, 130 points, and nothing else.  The
+    # call is one pass: at T = 0 the frequency ladder starts at its 129-node
+    # rung, where two rungs of 65 and 64 rows gave the same bits.
     calls = _hook_k_integrand(monkeypatch)
-    for temp, budget in ((1.0, 29_640), (0.0, 16_770)):
+    for temp, budget, rows in ((1.0, 29_640, 228), (0.0, 16_770, 129)):
         calls.clear()
         plate_pressure(100e-9, temp, model, model)
         assert sum(call[-1].size for call in calls) <= budget
         assert {call[-1].shape[1] for call in calls} == {2 * _K_ORDER_START + 2}
+        assert [call[-1].shape[0] for call in calls] == [rows]
 
 
 def test_k_ladder_rungs_are_nested(monkeypatch):
@@ -655,16 +662,74 @@ def test_frequency_ladder_rungs_are_nested(monkeypatch):
 
 
 def test_finite_t_call_evaluates_terms_tail_rung_and_33_row_block(monkeypatch):
-    # At 100 nm and 1 K: the 130 explicit terms, the 65-node tail rule, and
-    # the truncation block as one 33-node CC-32 evaluation over
+    # At 100 nm and 1 K the Matsubara step is one 228-row pass: the 130
+    # explicit terms, the 65-node tail rule over [(2N + 1/2) xi_1, xi_hi],
+    # and the truncation block as one 33-node CC-32 evaluation over
     # [(N + 1/2) xi_1, (2N + 1/2) xi_1], CC-16 being its even indices.
     calls = _hook_k_integrand(monkeypatch)
     plate_pressure(100e-9, 1.0, DRUDE, DRUDE)
-    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2, 65, 33]
+    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2 + 65 + 33]
     xi_1 = 2 * math.pi * K_B * 1.0 / HBAR
-    block = calls[-1][1][:, 0]
+    xi = calls[0][1][:, 0]
+    assert np.array_equal(xi[: 2 * _N_EXPLICIT + 2], np.arange(2 * _N_EXPLICIT + 2) * xi_1)
+    tail, block = xi[2 * _N_EXPLICIT + 2 : -33], xi[-33:]
+    assert tail.min() == pytest.approx((2 * _N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
+    assert tail.max() == pytest.approx(60.0 * C / (2 * 100e-9), rel=1e-14)
     assert block.min() == pytest.approx((_N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
     assert block.max() == pytest.approx((2 * _N_EXPLICIT + 0.5) * xi_1, rel=1e-14)
+
+
+@pytest.mark.parametrize("pairs", [[(DRUDE, DRUDE)], [(PLASMA, DRUDE), (TWOFLUID, TWOFLUID)]],
+                         ids=["one-pair", "two-pairs"])
+@pytest.mark.parametrize("temp", [0.05, 1.0])
+def test_frequency_ladder_fed_its_first_rung_returns_the_same_bits(pairs, temp):
+    # The tail and the block of the first Matsubara step at 100 nm, each
+    # sampled by its own ladder or fed the k-integrals at its first rung's
+    # nodes, as plate_pressures feeds them.  At 50 mK the tail climbs on
+    # from the fed rung to its 129-node rung.
+    gap, n = 100e-9, _N_EXPLICIT
+    xi_1 = 2 * math.pi * K_B * temp / HBAR
+    args = (gap, temp, pairs, DEFAULT_NUMERICS)
+    nodes = []
+    for lo, hi, order, ceiling in (((2 * n + 0.5) * xi_1, 60.0 * C / (2 * gap), 64, 256),
+                                   ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, 32, 32)):
+        xi = lifshitz._log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
+        first = _k_integrals_adaptive(pairs, xi, gap, temp, DEFAULT_NUMERICS)
+        fed = lifshitz._log_grid_integral(lo, hi, order, ceiling, args, first)
+        assert repr(fed) == repr(lifshitz._log_grid_integral(lo, hi, order, ceiling, args))
+        nodes.append([result[3] for result in fed])
+    assert nodes == [[129 if temp == 0.05 else 65] * len(pairs), [33] * len(pairs)]
+
+
+@pytest.mark.parametrize("num", [
+    DEFAULT_NUMERICS, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)],
+    ids=["default", "1e-11"])
+def test_every_ladder_sample_is_nonnegative(monkeypatch, num):
+    # The premise of _nested_cc's round-off floor (order + 2) eps |fine|:
+    # with every sample and const >= 0, |fine| is the sum of |terms| bit for
+    # bit.  Checked on every rung of every k- and frequency ladder.
+    nested, samples = lifshitz._nested_cc, []
+
+    def check(g, const):
+        samples.append(g[0].size)
+        assert np.all(g[0] >= 0.0) and np.all(np.asarray(const) >= 0.0)
+
+    def nested_cc(g, sample, ceiling, tol, const=0.0):
+        check(g, const)
+
+        def checked(x, active):
+            new = sample(x, active)
+            check(new, 0.0)
+            return new
+
+        return nested(g, checked, ceiling, tol, const)
+
+    monkeypatch.setattr(lifshitz, "_nested_cc", nested_cc)
+    for gap in GRID_GAPS:
+        for temp in GRID_TEMPS:
+            for model in GRID_MODELS:
+                plate_pressure(gap, temp, model, model, num)
+    assert len(samples) > 50
 
 
 @pytest.mark.parametrize("gap", GRID_GAPS)
@@ -749,8 +814,8 @@ def test_batches_from_a_thread_pool_equal_solo():
 
 def test_differential_evaluates_one_batch(monkeypatch):
     # Counts, not timings: a differential at 100 nm and 1 K evaluates the
-    # grids of one plate_pressure call, 130, 65 and 33 rows, each for both
-    # pairs at once, and each distinct material once per grid.
+    # one 228-row grid of a plate_pressure call for both pairs at once, and
+    # each distinct material once on it.
     calls = _hook_k_integrand(monkeypatch)
     fresnel, responses = lifshitz._fresnel, []
 
@@ -760,9 +825,9 @@ def test_differential_evaluates_one_batch(monkeypatch):
 
     monkeypatch.setattr(lifshitz, "_fresnel", hooked_fresnel)
     diff = differential_pressure(100e-9, 1.0, PLASMA, DRUDE, (DRUDE, DRUDE))
-    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2, 65, 33]
-    assert [len(call[0]) for call in calls] == [2, 2, 2]
-    assert responses == [PLASMA, DRUDE] * 3
+    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2 + 65 + 33]
+    assert [len(call[0]) for call in calls] == [2]
+    assert responses == [PLASMA, DRUDE]
     assert diff == (plate_pressure(100e-9, 1.0, PLASMA, DRUDE).pressure
                     - plate_pressure(100e-9, 1.0, DRUDE, DRUDE).pressure)
 
@@ -784,6 +849,30 @@ def _numpy_bytes_held():
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     return sum(trace.size for trace in snapshot.traces)
+
+
+def test_default_two_pair_call_keeps_one_228_row_block_per_array():
+    # What a fresh thread keeps after a default differential at 100 nm and
+    # 1 K with two responses: one array of 228 rows x 130 nodes each for
+    # kappa, kappa_m and r_TM scratch (3), r_TE and r_TM of each response (4),
+    # each pair's integrand (2) and y (1), and of 228 x 129 for dy (1) and
+    # the ladder's weighted terms of both pairs (2).  The rule cache is
+    # filled first.
+    differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
+    held = []
+
+    def run():
+        differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
+        held.append(_numpy_bytes_held())
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        tracemalloc.stop()
+    assert held == [8 * 228 * (130 * (3 + 4 + 2 + 1) + 129 * (1 + 2))]
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():

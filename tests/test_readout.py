@@ -34,7 +34,7 @@ def reference_geometry():
     return DeviceGeometry(
         string_length=384e-6, effective_length=340e-6, width=926e-9,
         thickness=300e-9, metal_eff_thickness=18e-9, metal_segment_length=220e-6,
-        plate_height=350e-9, gap=100e-9, parallelism_jitter=10e-9,
+        plate_height=350e-9, gap=100e-9,
         film_stress=1.3e9, density_sin=3100.0, density_al=2700.0,
     )
 

@@ -149,7 +149,7 @@ def _build_parser():
                    help="config file whose [sweep] section overrides the device "
                         "config's (gap_*_nm, temperatures_K, pairs)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel evaluators; the CSV is byte-identical for any value")
+                   help="parallel evaluators; CSV and warnings are byte-identical for any value")
     _add_numerics_args(p)
     p.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
 

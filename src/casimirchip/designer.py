@@ -4,9 +4,9 @@ detectability verdicts.
 A gap sweep evaluates each (gap, temperature) cell's material pairs as one
 engine batch (lifshitz.plate_pressures), each pair's pressure bit for bit
 the one plate_pressure gives it alone.  Every cell is pure, so cells may be
-computed concurrently; the output is always assembled in lexicographic
-(gap, temperature, pair) order and is therefore byte-identical regardless
-of the worker count.
+computed concurrently; the rows are always built in lexicographic (gap,
+temperature, pair) order in the calling thread, so the output and its
+warnings come out in that order for any worker count.
 """
 
 from __future__ import annotations
@@ -130,9 +130,10 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
     ``spec.pairs``, and ``workers`` threads, which must be >= 1, evaluate
     the cells.  If a cell's batch raises, its pairs are evaluated one at a
     time by plate_pressure, so a failed evaluation marks only its own row's
-    ``error`` column and the sweep continues.  Rows are returned in
-    lexicographic (gap, temperature, pair index) order regardless of
-    ``workers``.
+    ``error`` column and the sweep continues.  The threads return only the
+    engine's results: the calling thread builds the rows, so they and
+    pdh_voltage's clamp warnings come out in lexicographic (gap,
+    temperature, pair index) order regardless of ``workers``.
     """
     require_positive("workers", workers)
     floor = min_detectable_pressure(geometry, cavity, calib).pressure
@@ -158,16 +159,16 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
                         voltage, margin >= 1.0, margin)
 
     def evaluate(cell):
-        gap, temp = cell
         try:
-            results = plate_pressures(gap, temp, pairs, num)
+            return plate_pressures(*cell, pairs, num)
         except CasimirChipError:
-            results = [solo(gap, temp, *pair) for pair in pairs]
-        return [row(gap, temp, label, result)
-                for (label, _, _), result in zip(spec.pairs, results)]
+            return [solo(*cell, *pair) for pair in pairs]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [r for rows in pool.map(evaluate, cells) for r in rows]
+        results = list(pool.map(evaluate, cells))
+    return [row(gap, temp, label, result)
+            for (gap, temp), cell in zip(cells, results)
+            for (label, _, _), result in zip(spec.pairs, cell)]
 
 
 def simulate_temperature_scan(geometry, cavity, calib, t_grid, theory,

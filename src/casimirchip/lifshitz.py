@@ -485,9 +485,11 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
 
     The pairs share every frequency, y grid and k-integrand pass (see
     _k_integrand), but every stop decision is per pair: each k- and
-    frequency ladder stops per pair, and a pair whose Matsubara sum has
-    stopped leaves the batch.  So each result is bit for bit the one its
-    pair gets alone, from plate_pressure.  Raises DomainError for a gap or
+    frequency ladder stops per pair, and so does the Matsubara sum: each
+    pair's terms and k-errors are rows of two (pairs, terms) arrays, and a
+    pair whose sum has stopped gets its result and leaves the batch as its
+    rows are dropped.  So each result is bit for bit the one its pair gets
+    alone, from plate_pressure.  Raises DomainError for a gap or
     temperature outside its domain before evaluating anything.
     """
     require_positive("gap", gap)
@@ -506,96 +508,73 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     models = {}
     pairs = [tuple(models.setdefault(response(m, temperature), m) for m in pair)
              for pair in pairs]
-    results = [None] * len(pairs)
-    active = list(range(len(pairs)))
-    f = [np.zeros(0) for _ in pairs]
-    err = [np.zeros(0) for _ in pairs]
-
-    def integral(lo, hi, order, top, first=None):
-        # The ln(xi) integral over [lo, hi] of each active pair.
-        return _log_grid_integral(lo, hi, order, top,
-                                  (gap, temperature, [pairs[p] for p in active], num), first)
-
-    def step(n):
-        # One k-integral pass of the active pairs for the Matsubara step at n:
-        # the terms up to 2n + 1 (n_ceiling at most), the n = 0 term at half
-        # weight, and while terms lie beyond 2n, the first rungs of the tail
-        # behind P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block over
-        # [(n+1/2), (2n+1/2)] xi_1.  Returns the two integrals, or () once the
-        # terms reach n_ceiling.
-        start = len(f[active[0]])
-        ns = np.arange(start, min(n_ceiling, 2 * n + 1) + 1, dtype=float)
-        rules = () if n_ceiling <= 2 * n else (
-            ((2 * n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling),
-            ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
-        xi = [ns * xi_1] + [_log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
-                            for lo, hi, order, _ in rules]
-        vals, errs = _k_integrals_adaptive([pairs[p] for p in active], np.concatenate(xi), gap,
-                                           temperature, num)
-        if start == 0:
-            vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
-        cuts = np.cumsum([len(x) for x in xi])[:-1]
-        vals, errs = np.split(vals, cuts, axis=1), np.split(errs, cuts, axis=1)
-        for p, row, row_err in zip(active, vals[0], errs[0]):
-            f[p], err[p] = np.concatenate((f[p], row)), np.concatenate((err[p], row_err))
-        return [integral(*rule, first) for rule, first in zip(rules, zip(vals[1:], errs[1:]))]
-
-    def euler_maclaurin(n, tails):
-        # xi_1 [sum_{m<=n} f_m + f'(n+1/2)/24] + int_{(n+1/2) xi_1} J dxi as
-        # (value, k-integration error, frequency-rule error, frequency nodes).
-        out = []
-        for p, (tail, tail_err, rule_err, nodes, _) in zip(active, tails):
-            head = float(np.sum(f[p][: n + 1]) + (f[p][n + 1] - f[p][n]) / 24.0)
-            out.append((xi_1 * head + tail, xi_1 * float(np.sum(err[p][: n + 2])) + tail_err,
-                        rule_err, nodes))
-        return out
-
-    def truncation(n, blocks):
-        # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
-        # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
-        # the CC-32 rule with its error added.
-        out = []
-        for p, (block, _, block_err, _, _) in zip(active, blocks):
-            fp = f[p]
-            slopes = (fp[n + 1] - fp[n] - fp[2 * n + 1] + fp[2 * n]) / 24.0
-            diff = xi_1 * float(slopes - np.sum(fp[n + 1 : 2 * n + 1])) + block
-            out.append(abs(diff) + block_err)
-        return out
-
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.  Every
         # such ladder at default numerics climbs past CC-64, so it starts at CC-128.
         return [PressureResult(pref * (value + low), nodes, pref * low,
                                pref * (quad_err + rule_err))
                 for value, quad_err, rule_err, nodes, low
-                in integral(xi_min, xi_hi, min(2 * _FREQ_ORDER_START, ceiling), ceiling)]
+                in _log_grid_integral(xi_min, xi_hi, min(2 * _FREQ_ORDER_START, ceiling),
+                                      ceiling, (gap, temperature, pairs, num))]
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
     n_ceiling = xi_hi // xi_1 + 2
-    n = _N_EXPLICIT
-    integrals = step(n)
-    trunc = [math.inf] * len(pairs)
-    while integrals:
-        climbing = []
-        for p, (value, quad_err, rule_err, nodes), estimate in zip(
-                active, euler_maclaurin(2 * n, integrals[0]), truncation(n, integrals[1])):
+    n, results, trunc = _N_EXPLICIT, [None] * len(pairs), [math.inf] * len(pairs)
+    # Row i of f (the terms f(n)) and of err (their k-errors) is pair active[i].
+    active = list(range(len(pairs)))
+    f = err = np.zeros((len(pairs), 0))
+    while True:
+        # One k-integral pass of the active pairs for the Matsubara step at n:
+        # the terms up to 2n + 1 (n_ceiling at most), the n = 0 term at half
+        # weight, and while terms lie beyond 2n, the first rungs of the tail
+        # behind P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block over
+        # [(n+1/2), (2n+1/2)] xi_1.
+        ns = np.arange(f.shape[1], min(n_ceiling, 2 * n + 1) + 1, dtype=float)
+        rules = () if n_ceiling <= 2 * n else (
+            ((2 * n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling),
+            ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
+        xi = [ns * xi_1] + [_log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
+                            for lo, hi, order, _ in rules]
+        batch = [pairs[p] for p in active]
+        vals, errs = _k_integrals_adaptive(batch, np.concatenate(xi), gap, temperature, num)
+        if n == _N_EXPLICIT:
+            vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
+        cuts = np.cumsum([len(x) for x in xi])[:-1]
+        vals, errs = np.split(vals, cuts, axis=1), np.split(errs, cuts, axis=1)
+        f, err = np.concatenate((f, vals[0]), axis=1), np.concatenate((err, errs[0]), axis=1)
+        if not rules:
+            break
+        tails, blocks = (_log_grid_integral(*rule, (gap, temperature, batch, num), first)
+                         for rule, first in zip(rules, zip(vals[1:], errs[1:])))
+        keep = []
+        for i, (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) in zip(
+                range(len(active)), tails, blocks):
+            p, fp = active[i], f[i]
+            # P(2n) = xi_1 [sum_{m<=2n} f_m + f'(2n+1/2)/24] + int_{(2n+1/2) xi_1} J dxi,
+            # and its k-integration error.
+            value = xi_1 * float(fp[: 2 * n + 1].sum() + (fp[2 * n + 1] - fp[2 * n]) / 24.0) + tail
+            quad_err = xi_1 * float(err[i][: 2 * n + 2].sum()) + tail_err
+            # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
+            # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
+            # the CC-32 rule with its error added.
+            slopes = (fp[n + 1] - fp[n] - fp[2 * n + 1] + fp[2 * n]) / 24.0
+            estimate = abs(xi_1 * float(slopes - fp[n + 1 : 2 * n + 1].sum()) + block) + block_err
             prev, trunc[p] = trunc[p], estimate
             # Stop at the series tolerance, or where more explicit terms
             # cannot help: the k-quadrature or frequency-rule error
             # dominates, or the estimate stops shrinking.
             if estimate > max(num.rel_tol_series * value, quad_err, rule_err) and estimate < prev:
-                climbing.append(p)
+                keep.append(i)
             else:
-                results[p] = PressureResult(pref * value, len(f[p]) + nodes, pref * estimate,
+                results[p] = PressureResult(pref * value, f.shape[1] + nodes, pref * estimate,
                                             pref * (quad_err + rule_err))
-        active = climbing
-        if not active:
+        if not keep:
             return results
+        active, f, err = [active[i] for i in keep], f[keep], err[keep]
         n *= 2
-        integrals = step(n)
     # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
-    for p in active:
-        results[p] = PressureResult(pref * xi_1 * float(np.sum(f[p])), len(f[p]), 0.0,
-                                    pref * xi_1 * float(np.sum(err[p])))
+    for p, fp, ep in zip(active, f, err):
+        results[p] = PressureResult(pref * xi_1 * float(fp.sum()), f.shape[1], 0.0,
+                                    pref * xi_1 * float(ep.sum()))
     return results
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import pytest
 
@@ -18,6 +19,8 @@ from casimirchip import (
     SuperconductorTwoFluid,
     SweepSpec,
     detectability_report,
+    example_config_path,
+    load_device_config,
     min_detectable_pressure,
     plate_pressure,
     plate_pressures,
@@ -191,6 +194,16 @@ def test_sweep_byte_identical_across_worker_counts():
     serial = sweep_csv(run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, workers=1))
     threaded = sweep_csv(run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, workers=4))
     assert serial == threaded
+    # The clamp warnings of the bundled 21-cell sweep come out in row order
+    # too, however the pool threads interleave.
+    cfg = load_device_config(example_config_path())
+    messages = []
+    for workers in (1, 4) * 3:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_gap_sweep(cfg.sweep, cfg.geometry, cfg.cavity, cfg.calib, workers=workers)
+        messages.append([str(w.message) for w in caught])
+    assert messages[0] and all(m == messages[0] for m in messages)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -764,6 +764,16 @@ BATCH_CASES = [
                  id="1um-10K-1e-11-ideal-drude"),
     pytest.param(100e-9, 1.0, [(PLASMA, DRUDE), (DRUDE, DRUDE), (IDEAL, PLASMA)],
                  DEFAULT_NUMERICS, id="100nm-1K-three-pairs"),
+    # At 1 um and 50 K the Drude and plasma/Drude pairs leave at 195 terms;
+    # the ideal pair doubles on until its terms reach every one below the
+    # y cutoff (221) and ends in the plain sum.
+    pytest.param(1e-6, 50.0, [(IDEAL, IDEAL), (DRUDE, DRUDE), (PLASMA, DRUDE)],
+                 LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
+                 id="1um-50K-1e-11-plain-sum-exit"),
+    # At 3 um and 40 K the first pass already reaches the cutoff (94 terms):
+    # every pair ends in the plain sum.
+    pytest.param(3e-6, 40.0, [(IDEAL, IDEAL), (PLASMA, PLASMA), (TWOFLUID, DRUDE)],
+                 DEFAULT_NUMERICS, id="3um-40K-first-pass-plain-sum"),
 ]
 
 
@@ -794,6 +804,17 @@ def test_batch_stops_each_pair_where_it_stops_alone(gap, temp, num, terms):
     assert (ideal.terms_used, drude.terms_used) == terms
     diff = differential_pressure(gap, temp, IDEAL, IDEAL, (DRUDE, DRUDE), num)
     assert repr(diff) == repr(ideal.pressure - drude.pressure)
+
+
+@pytest.mark.parametrize("case,terms", [(BATCH_CASES[4], (221, 195, 195)),
+                                        (BATCH_CASES[5], (94, 94, 94))],
+                         ids=["1um-50K-1e-11", "3um-40K"])
+def test_batch_reaches_the_plain_sum_exit(case, terms):
+    # The pairs that reach the y cutoff's last term report an exact sum.
+    results = plate_pressures(*case.values)
+    assert tuple(r.terms_used for r in results) == terms
+    assert [r.truncation_estimate == 0.0 for r in results] == [t == max(terms) for t in terms]
+    assert {type(v) for r in results for v in vars(r).values()} == {float, int}
 
 
 def test_batches_from_a_thread_pool_equal_solo():

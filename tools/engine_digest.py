@@ -1,0 +1,76 @@
+"""Print a count and a sha256 digest of the engine's results on a fixed grid.
+
+Two checkouts whose engines agree bit for bit print the same two lines, so
+a refactor of lifshitz.py can be checked against its parent with
+
+    PYTHONPATH=src python tools/engine_digest.py
+
+run in each checkout on one machine.  The package is imported from
+PYTHONPATH, not from this file's checkout.
+
+The grid crosses gaps from 20 nm to 1 um; temperatures from T = 0 through
+the 1 mK crossover and T_c = 0.9 K (0.8999 K lies just below it) up to
+300 K; the 15 unordered pairs of an ideal metal, plasma, Drude, a two-fluid
+superconductor and a second Drude metal; and four numerics: the default,
+both tolerances at 1e-11, the smallest frequency rule and a tight series
+tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
+plate_pressure, all pairs as one plate_pressures batch, and every pair as
+the first operand of a differential_pressure against the next pair.  The
+digest covers the repr of each PressureResult and of each differential, in
+that order.
+"""
+
+import hashlib
+import itertools
+
+from casimirchip import (
+    DEFAULT_NUMERICS,
+    Drude,
+    IdealMetal,
+    LifshitzNumerics,
+    Plasma,
+    SuperconductorTwoFluid,
+    differential_pressure,
+    plate_pressure,
+    plate_pressures,
+)
+
+GAPS = (20e-9, 100e-9, 300e-9, 1e-6)
+TEMPERATURES = (0.0, 1e-9, 0.01, 0.1, 0.5, 0.8999, 0.95, 1.3, 4.0, 10.0, 300.0)
+MATERIALS = (
+    IdealMetal(),
+    Plasma(1.83e16),
+    Drude(1.83e16, 7.6e13),
+    SuperconductorTwoFluid(1.83e16, 7.6e13, t_c=0.9),
+    Drude(1.37e16, 5.32e13),
+)
+PAIRS = list(itertools.combinations_with_replacement(MATERIALS, 2))
+NUMERICS = (
+    DEFAULT_NUMERICS,
+    LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
+    LifshitzNumerics(t_zero_nodes=8),
+    LifshitzNumerics(rel_tol_series=1e-9),
+)
+
+
+def results():
+    """Every result on the grid, in a fixed order."""
+    for gap, temp, num in itertools.product(GAPS, TEMPERATURES, NUMERICS):
+        for mat_a, mat_b in PAIRS:
+            yield plate_pressure(gap, temp, mat_a, mat_b, num)
+        yield from plate_pressures(gap, temp, PAIRS, num)
+        for (mat_a, mat_b), reference in zip(PAIRS, PAIRS[1:] + PAIRS[:1]):
+            yield differential_pressure(gap, temp, mat_a, mat_b, reference, num)
+
+
+def main():
+    digest, count = hashlib.sha256(), 0
+    for result in results():
+        digest.update(repr(result).encode() + b"\n")
+        count += 1
+    print(f"results {count}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,8 +2,15 @@
 
 Quantities on the command line carry unit suffixes (``100nm``, ``10mK``,
 ``0.5Pa``); a bare ``0`` is accepted where zero is unambiguous.  All output
-goes to stdout, all errors to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage or config error.
+goes to stdout, all errors and warnings to stderr, each warning as one
+``warning: <message>`` line.  Exit codes: 0 success, 1 domain error, 2
+usage or config error.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set already: no command
+calls BLAS, so OpenBLAS's thread pool would only add start-up time and
+idle threads.  The package itself (``import casimirchip``) leaves the
+environment alone.
 """
 
 from __future__ import annotations
@@ -11,8 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import warnings
+
+# Before the first package import below, which loads numpy and its BLAS.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import (
     load_device_config,
@@ -425,28 +437,37 @@ _HANDLERS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one ``warning: <message>`` line on stderr, the form
+    ``validate`` reports config warnings in: no source path or line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _HANDLERS[args.command](args)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-    except argparse.ArgumentError as exc:
-        # A command-line value the handler rejects, e.g. --tmin >= --tmax.
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except CasimirChipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # the caller's filters stay; only the display changes
+        warnings.showwarning = _show_warning
+        try:
+            return _HANDLERS[args.command](args)
+        except ConfigError as exc:
+            for problem in exc.problems:
+                print(f"config error: {problem}", file=sys.stderr)
+            return 2
+        except argparse.ArgumentError as exc:
+            # A command-line value the handler rejects, e.g. --tmin >= --tmax.
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except CasimirChipError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ reported together, not first-failure.
 
 Everything is converted to SI here, at the boundary; the rest of the
 library never sees nm, GHz, mK or eV.
+
+Loading a config imports neither numpy nor the pressure engine: the
+[sweep] section's ``SweepSpec`` is defined here, and the modules whose
+classes a config builds import numpy only inside their array functions.
 """
 
 from __future__ import annotations
@@ -22,8 +26,13 @@ from importlib import resources
 from types import MappingProxyType
 
 from .constants import E_CHARGE, HBAR
-from .designer import SweepSpec
-from .errors import NONNEGATIVE, ConfigError, DomainError
+from .errors import (
+    NONNEGATIVE,
+    ConfigError,
+    DomainError,
+    require_nonnegative,
+    require_positive,
+)
 from .film import FilmParams
 from .materials import Drude, IdealMetal, Plasma, SuperconductorTwoFluid
 from .mechanics import DeviceGeometry
@@ -186,6 +195,36 @@ _SWEEP_SCHEMA = {
     "temperatures_K": ("temperatures", _list(_num("K")), True),
     "pairs": ("pairs", _list(_pair), True),
 }
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Grid of gaps, temperatures and material pairs to evaluate.
+
+    ``pairs`` holds (label, material_a, material_b) triples; the label is
+    carried into the output table.  Built from a [sweep] section by
+    ``_parse_sweep`` and evaluated by ``designer.run_gap_sweep``; it lives
+    here, beside its loader, so that loading a config needs no engine.
+    """
+
+    gap_min: float       # m
+    gap_max: float       # m
+    gap_step: float      # m
+    temperatures: tuple  # K
+    pairs: tuple         # of (label, MaterialModel, MaterialModel)
+
+    def __post_init__(self):
+        if not (0 < self.gap_min <= self.gap_max):
+            raise DomainError("need 0 < gap_min <= gap_max")
+        require_positive("gap_max", self.gap_max)
+        require_positive("gap_step", self.gap_step)
+        for t in self.temperatures:
+            require_nonnegative("temperatures", t)
+
+    def gaps(self):
+        n = int(round((self.gap_max - self.gap_min) / self.gap_step))
+        out = [self.gap_min + i * self.gap_step for i in range(n + 1)]
+        return tuple(g for g in out if g <= self.gap_max * (1 + 1e-12))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Orchestration layer: gap sweeps, simulated temperature scans, and
 detectability verdicts.
 
-A gap sweep evaluates each (gap, temperature) cell's material pairs as one
-engine batch (lifshitz.plate_pressures), each pair's pressure bit for bit
-the one plate_pressure gives it alone.  Every cell is pure, so cells may be
+A gap sweep evaluates the grid of a ``config.SweepSpec`` (defined beside
+its loader, so that loading a config needs no engine).  Each (gap,
+temperature) cell's material pairs are one engine batch
+(lifshitz.plate_pressures), each pair's pressure bit for bit the one
+plate_pressure gives it alone.  Every cell is pure, so cells may be
 computed concurrently; the rows are always built in lexicographic (gap,
 temperature, pair) order in the calling thread, so the output and its
 warnings come out in that order for any worker count.
@@ -23,34 +25,6 @@ from .readout import (
     min_detectable_pressure,
     pdh_voltage,
 )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of gaps, temperatures and material pairs to evaluate.
-
-    ``pairs`` holds (label, material_a, material_b) triples; the label is
-    carried into the output table.
-    """
-
-    gap_min: float       # m
-    gap_max: float       # m
-    gap_step: float      # m
-    temperatures: tuple  # K
-    pairs: tuple         # of (label, MaterialModel, MaterialModel)
-
-    def __post_init__(self):
-        if not (0 < self.gap_min <= self.gap_max):
-            raise DomainError("need 0 < gap_min <= gap_max")
-        require_positive("gap_max", self.gap_max)
-        require_positive("gap_step", self.gap_step)
-        for t in self.temperatures:
-            require_nonnegative("temperatures", t)
-
-    def gaps(self):
-        n = int(round((self.gap_max - self.gap_min) / self.gap_step))
-        out = [self.gap_min + i * self.gap_step for i in range(n + 1)]
-        return tuple(g for g in out if g <= self.gap_max * (1 + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -126,14 +100,15 @@ def _chain_shift(delta_pressure, geometry, cavity):
 def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1):
     """Evaluate the full (gap, temperature, pair) grid into SweepRow records.
 
-    Each (gap, temperature) cell is one plate_pressures batch over all of
-    ``spec.pairs``, and ``workers`` threads, which must be >= 1, evaluate
-    the cells.  If a cell's batch raises, its pairs are evaluated one at a
-    time by plate_pressure, so a failed evaluation marks only its own row's
-    ``error`` column and the sweep continues.  The threads return only the
-    engine's results: the calling thread builds the rows, so they and
-    pdh_voltage's clamp warnings come out in lexicographic (gap,
-    temperature, pair index) order regardless of ``workers``.
+    ``spec`` is a ``config.SweepSpec``.  Each (gap, temperature) cell is one
+    plate_pressures batch over all of ``spec.pairs``, and ``workers``
+    threads, which must be >= 1, evaluate the cells.  If a cell's batch
+    raises, its pairs are evaluated one at a time by plate_pressure, so a
+    failed evaluation marks only its own row's ``error`` column and the
+    sweep continues.  The threads return only the engine's results: the
+    calling thread builds the rows, so they and pdh_voltage's clamp
+    warnings come out in lexicographic (gap, temperature, pair index)
+    order regardless of ``workers``.
     """
     require_positive("workers", workers)
     floor = min_detectable_pressure(geometry, cavity, calib).pressure

@@ -21,8 +21,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, TransitionNotFoundError, require_positive
 
 RT_CSV_HEADER = ("temperature_K", "resistance_ohm")
@@ -139,6 +137,8 @@ def ingest_rt_table(raw):
     temperatures are averaged with a warning.  Undecodable bytes and
     malformed rows raise DomainError, the latter with their line numbers.
     """
+    import numpy as np
+
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -242,6 +242,8 @@ def extract_tc(curve, threshold_fraction=0.5):
     separately as ``threshold_crossing``.  Curves with more than one step
     set ``multi_step``.
     """
+    import numpy as np
+
     if len(curve) < 10:
         raise DomainError(f"need at least 10 points, got {len(curve)}")
     if not (0.0 < threshold_fraction < 1.0):

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import POSITIVE, DomainError, require_nonnegative, require_positive
 
 
@@ -136,6 +134,8 @@ def eps_imag_freq(model, xi, temperature=None):
     two-fluid model and ignored otherwise.  Accepts scalars or numpy arrays
     of xi.
     """
+    import numpy as np
+
     omega_p, gamma, f_s = _free_electron(model, temperature)
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi_arr)) or np.any(xi_arr <= 0.0):

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, require_nonnegative, require_positive
 
 
@@ -112,6 +110,8 @@ def deflection_profile(q, load_span, length, tension):
     slope_right = mu * c * xbar / length
 
     def profile(x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         left = slope_left * x
         mid = slope_left * x - 0.5 * mu * (x - x1) ** 2

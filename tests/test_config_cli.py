@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -528,6 +529,21 @@ def test_cli_transduce(capsys):
     assert 10e-12 <= float(lines["gap_closing_m"]) <= 30e-12
     assert -4.5e9 <= float(lines["freq_shift_Hz"]) <= -0.5e9
     assert float(lines["pdh_voltage_V"]) < 0
+
+
+def test_cli_repeats_each_warning_as_a_fresh_process_would(capsys):
+    # Under the interpreter's default filters a warning shows once per
+    # source line; each main call still prints its clamp warning, as a
+    # message line.
+    argv = ("transduce", "--config", EXAMPLE, "--pressure", "500Pa")
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert first == second
+    code, out, err = first
+    assert code == 0 and "pdh_voltage_V" in out
+    assert err.startswith("warning: frequency shift") and err.count("\n") == 1
 
 
 def test_cli_detect_default_signals(capsys):

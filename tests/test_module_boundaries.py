@@ -138,10 +138,14 @@ def test_every_private_function_is_called():
     # is private to it, whatever its name, and must be referenced in the
     # package outside its own def: called or passed in its module, or
     # imported by another one.  A helper that only tests call is dead code.
+    # The exports are the keys of __init__'s lazy table, read from source.
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    defined, called = set(), set()
+    exported = set(next(ast.literal_eval(node.value) for node in init.body
+                        if isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]))
+    # A module's __getattr__ and __dir__ (PEP 562) are called by the
+    # interpreter, by name, on attribute lookup and dir().
+    defined, called = set(), {"__getattr__", "__dir__"}
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None

@@ -59,10 +59,10 @@ _EXPORTS = {
     "BeamMechanicsDerived": "mechanics",
     "DeviceGeometry": "mechanics",
     "axial_tension": "mechanics",
-    "deflection_profile": "mechanics",
     "derive_mechanics": "mechanics",
     "effective_stiffness": "mechanics",
     "fundamental_frequency": "mechanics",
+    "midpoint_deflection": "mechanics",
     "pressure_to_gap_change": "mechanics",
     "CavityParams": "readout",
     "PressureFloor": "readout",

@@ -113,19 +113,12 @@ def _add_numerics_args(parser):
                         default=DEFAULT_NUMERICS.rel_tol_quadrature,
                         help="relative tolerance of the k-integration and of the "
                              "frequency integral (dimensionless)")
-    parser.add_argument("--t-zero-nodes", type=int,
-                        default=DEFAULT_NUMERICS.t_zero_nodes,
-                        help="ceiling of the frequency-integral order doubling (T = 0 "
-                             "and the Matsubara tail): the nested Clenshaw-Curtis "
-                             "rules stop at the last order <= twice this value, "
-                             "order + 1 nodes")
 
 
 def _numerics(args):
     return LifshitzNumerics(
         rel_tol_quadrature=args.rel_tol_quadrature,
         rel_tol_series=args.rel_tol_series,
-        t_zero_nodes=args.t_zero_nodes,
     )
 
 

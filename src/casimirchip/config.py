@@ -11,8 +11,9 @@ Everything is converted to SI here, at the boundary; the rest of the
 library never sees nm, GHz, mK or eV.
 
 Loading a config imports neither numpy nor the pressure engine: the
-[sweep] section's ``SweepSpec`` is defined here, and the modules whose
-classes a config builds import numpy only inside their array functions.
+[sweep] section's ``SweepSpec`` is defined here, and of the modules whose
+classes a config builds only ``materials`` uses numpy, inside
+``eps_imag_freq``.
 """
 
 from __future__ import annotations

@@ -11,10 +11,14 @@ material constant rho * ell.  Both the exact (prefactor + temperature
 divergence) and approximate (plateau) forms are exposed, and every report
 states which one produced a number: quoted film parameters in the
 literature mix the two conventions.
+
+R(T) tables are read into tuples of Python floats, and the T_c extraction
+runs on them directly: the module imports no numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -108,7 +112,7 @@ def coherence_length(xi0, ell, temperature=0.0, t_c=None, mode="approx"):
 
     approx: sqrt(xi0 ell); exact: 0.85 sqrt(xi0 ell) sqrt(T_c/(T_c - T)).
     """
-    _dirty_limit_args(xi0, ell, temperature, t_c if t_c is not None else 1.0, mode)
+    _dirty_limit_args(xi0, ell, temperature, t_c, mode)
     base = math.sqrt(xi0 * ell)
     if mode == "approx":
         return base
@@ -122,7 +126,7 @@ def penetration_depth(lambda_l, xi0, ell, temperature=0.0, t_c=None, mode="appro
     sqrt(T_c/(T_c - T)).
     """
     require_positive("lambda_l", lambda_l)
-    _dirty_limit_args(xi0, ell, temperature, t_c if t_c is not None else 1.0, mode)
+    _dirty_limit_args(xi0, ell, temperature, t_c, mode)
     base = lambda_l * math.sqrt(xi0 / ell)
     if mode == "approx":
         return base
@@ -137,8 +141,6 @@ def ingest_rt_table(raw):
     temperatures are averaged with a warning.  Undecodable bytes and
     malformed rows raise DomainError, the latter with their line numbers.
     """
-    import numpy as np
-
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -161,7 +163,7 @@ def ingest_rt_table(raw):
         )
 
     bad = []
-    temps, res = [], []
+    rows = []
     for lineno, line in data_lines[1:]:
         fields = next(csv.reader(io.StringIO(line)))
         if len(fields) != 2:
@@ -175,26 +177,33 @@ def ingest_rt_table(raw):
         if not (math.isfinite(t) and math.isfinite(r)) or r < 0:
             bad.append(f"line {lineno}: non-finite or negative value in '{line}'")
             continue
-        temps.append(t)
-        res.append(r)
+        rows.append((t, r))
     if bad:
         raise DomainError("malformed R(T) rows: " + "; ".join(bad))
-    if not temps:
+    if not rows:
         raise DomainError("R(T) table contains no data rows")
 
-    order = np.argsort(temps, kind="stable")
-    t_sorted = np.asarray(temps)[order]
-    r_sorted = np.asarray(res)[order]
-    t_unique, inverse, counts = np.unique(t_sorted, return_inverse=True,
-                                          return_counts=True)
-    r_avg = np.bincount(inverse, weights=r_sorted) / counts
-    duplicates = int(len(t_sorted) - len(t_unique))
+    # Each temperature's resistances, in file order.
+    groups = {}
+    for t, r in rows:
+        groups.setdefault(t, []).append(r)
+    duplicates = len(rows) - len(groups)
     if duplicates:
         warnings.warn(f"averaged {duplicates} duplicate-temperature rows", stacklevel=2)
+    temperature = sorted(groups)
     return RTCurve(
-        temperature=tuple(float(t) for t in t_unique),
-        resistance=tuple(float(r) for r in r_avg),
+        temperature=tuple(temperature),
+        resistance=tuple(sum(groups[t]) / len(groups[t]) for t in temperature),
     )
+
+
+def _median(ordered):
+    """Median of a non-empty sorted sequence; the mean of the middle pair
+    for an even count."""
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _first_crossing(t_desc, r_desc, level):
@@ -242,35 +251,33 @@ def extract_tc(curve, threshold_fraction=0.5):
     separately as ``threshold_crossing``.  Curves with more than one step
     set ``multi_step``.
     """
-    import numpy as np
-
     if len(curve) < 10:
         raise DomainError(f"need at least 10 points, got {len(curve)}")
     if not (0.0 < threshold_fraction < 1.0):
         raise DomainError("threshold_fraction must lie in (0, 1)")
-    r_all = np.asarray(curve.resistance, dtype=float)
-    t_all = np.asarray(curve.temperature, dtype=float)
-    r_min = float(np.min(r_all))
-    r_max = float(np.max(r_all))
+    r_min = min(curve.resistance)
+    r_max = max(curve.resistance)
     if r_max <= 0.0 or (r_min > 0.0 and r_max / r_min <= 2.0):
         raise TransitionNotFoundError(
             "curve does not span a transition (max R / min R <= 2)"
         )
 
     # Descending temperature: scan from the normal state into the transition.
-    t_desc = t_all[::-1]
-    r_desc = r_all[::-1]
+    t_desc = curve.temperature[::-1]
+    r_desc = curve.resistance[::-1]
 
     # Normal-state plateau: longest suffix from the hottest point with
     # < 5% relative variation.
+    # ``window`` is r_desc[:plateau_end + 1] kept sorted.
+    window = [r_desc[0]]
     plateau_end = 1
     while plateau_end < len(r_desc):
-        window = r_desc[: plateau_end + 1]
-        mid = float(np.median(window))
-        if mid <= 0.0 or (np.max(window) - np.min(window)) > _PLATEAU_REL_VARIATION * mid:
+        bisect.insort(window, r_desc[plateau_end])
+        mid = _median(window)
+        if mid <= 0.0 or (window[-1] - window[0]) > _PLATEAU_REL_VARIATION * mid:
             break
         plateau_end += 1
-    r_normal = float(np.median(r_desc[:plateau_end]))
+    r_normal = _median(sorted(r_desc[:plateau_end]))
     if plateau_end < 2 or r_normal <= 0.0:
         raise TransitionNotFoundError("no high-temperature plateau detected")
 
@@ -297,7 +304,7 @@ def extract_tc(curve, threshold_fraction=0.5):
                                      local_mid)
             if t_step is None:
                 t_step = 0.5 * (t_desc[e0 - 1] + t_desc[s1])
-            steps.append((float(t_step), float(lvl0), float(lvl1)))
+            steps.append((t_step, lvl0, lvl1))
     if not steps:
         raise TransitionNotFoundError("no resistance step exceeds 25% of R_normal")
 
@@ -316,5 +323,5 @@ def extract_tc(curve, threshold_fraction=0.5):
         r_residual=r_residual,
         steps=tuple(steps),
         multi_step=len(steps) > 1,
-        threshold_crossing=float(threshold_crossing),
+        threshold_crossing=threshold_crossing,
     )

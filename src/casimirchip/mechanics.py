@@ -8,9 +8,12 @@ the string equation
 
     -S w''(x) = q * 1_[x1, x2](x),   w(0) = w(L) = 0
 
-replaces a full finite-element treatment.  The evaporated metal loads the
-strings with mass but carries no tension: the film is deposited after the
-nitride stress is set and relaxes when the structure is released.
+replaces a full finite-element treatment.  Its solution is piecewise
+quadratic, and the readout chain needs only its midpoint value
+(``midpoint_deflection``), so the module is scalar arithmetic on Python
+floats.  The evaporated metal loads the strings with mass but carries no
+tension: the film is deposited after the nitride stress is set and relaxes
+when the structure is released.
 """
 
 from __future__ import annotations
@@ -89,14 +92,13 @@ def _mass_per_length(geometry):
     return mu_sin + mu_al
 
 
-def deflection_profile(q, load_span, length, tension):
-    """Static profile of a pinned string under a uniform line load q over a span.
+def midpoint_deflection(q, load_span, length, tension):
+    """Midpoint deflection (m) of a pinned string under a uniform line load
+    q over a span.
 
-    Returns ``(profile, w_mid)`` where ``profile`` maps position (m, scalar
-    or array) to deflection (m) and ``w_mid`` is the midpoint value.  The
-    closed form is piecewise quadratic; for a full-span load the midpoint
-    is q L^2 / (8 S), and for a centered span of length c it is
-    (q c / 8 S)(2 L - c).
+    The profile is piecewise quadratic (linear outside the span); this is
+    its value at L/2.  For a full-span load it is q L^2 / (8 S), and for a
+    centered span of length c it is (q c / 8 S)(2 L - c).
     """
     x1, x2 = load_span
     if not (0.0 <= x1 < x2 <= length):
@@ -107,19 +109,12 @@ def deflection_profile(q, load_span, length, tension):
     xbar = 0.5 * (x1 + x2)
     mu = q / tension
     slope_left = mu * c * (length - xbar) / length
-    slope_right = mu * c * xbar / length
-
-    def profile(x):
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        left = slope_left * x
-        mid = slope_left * x - 0.5 * mu * (x - x1) ** 2
-        right = slope_right * (length - x)
-        out = np.where(x < x1, left, np.where(x <= x2, mid, right))
-        return out if out.ndim else float(out)
-
-    return profile, profile(0.5 * length)
+    x = 0.5 * length
+    if x < x1:
+        return slope_left * x
+    if x <= x2:
+        return slope_left * x - 0.5 * mu * (x - x1) ** 2
+    return mu * c * xbar / length * (length - x)
 
 
 def fundamental_frequency(geometry):
@@ -170,5 +165,4 @@ def pressure_to_gap_change(pressure, geometry):
     length = geometry.effective_length
     c = geometry.metal_segment_length
     x1 = 0.5 * (length - c)
-    _, w_mid = deflection_profile(q, (x1, x1 + c), length, tension)
-    return 2.0 * w_mid
+    return 2.0 * midpoint_deflection(q, (x1, x1 + c), length, tension)

@@ -27,7 +27,6 @@ from casimirchip import (
     SweepSpec,
     coherence_length,
     detectability_report,
-    deflection_profile,
     example_config_path,
     extract_tc,
     fundamental_frequency,
@@ -35,6 +34,7 @@ from casimirchip import (
     ingest_rt_table,
     load_device_config,
     mean_free_path,
+    midpoint_deflection,
     min_detectable_pressure,
     pdh_voltage,
     penetration_depth,
@@ -208,7 +208,7 @@ def test_criterion_8_mechanics():
         q = 10 ** rng.uniform(-9, -5)
         x1 = rng.uniform(0.0, 0.45) * length
         x2 = rng.uniform(0.55, 1.0) * length
-        _, w_mid = deflection_profile(q, (x1, x2), length, tension)
+        w_mid = midpoint_deflection(q, (x1, x2), length, tension)
         nodes = 10_000
         h = length / (nodes + 1)
         x = np.linspace(h, length - h, nodes)

@@ -444,6 +444,15 @@ def test_cli_numerics_default_to_library_defaults(argv):
     assert _numerics(_build_parser().parse_args(argv)) == DEFAULT_NUMERICS
 
 
+def test_cli_has_no_t_zero_nodes_flag(capsys):
+    code, out, err = run_cli(
+        capsys, "pressure", "--gap", "100nm", "--temp", "0", "--model-a", "ideal",
+        "--model-b", "ideal", "--t-zero-nodes", "64",
+    )
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --t-zero-nodes 64" in err
+
+
 def test_cli_scan_grav_stub(capsys):
     code, out, err = run_cli(
         capsys, "scan", "--config", EXAMPLE, "--tmin", "500mK", "--tmax", "1.2K",

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from casimirchip import (
     DomainError,
+    TcResult,
     TransitionNotFoundError,
     coherence_length,
     conductivity_from_four_point,
@@ -63,6 +65,11 @@ def test_coherence_length_diverges_at_tc():
     assert near > 1e3 * approx
     with pytest.raises(DomainError):
         coherence_length(XI0, ELL_QUOTED, t_c, t_c, mode="exact")
+    # Exact mode needs a real T_c; a missing one is a domain error.
+    with pytest.raises(DomainError, match="t_c"):
+        coherence_length(XI0, ELL_QUOTED, 0.0, None, mode="exact")
+    with pytest.raises(DomainError, match="t_c"):
+        penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, 0.0, None, mode="exact")
 
 
 def test_penetration_depth_values():
@@ -188,6 +195,10 @@ def test_two_step_curve_finds_both_steps():
     assert after1 == pytest.approx(20.0, rel=0.05)
     assert t2 == pytest.approx(0.9, abs=0.02)
     assert after2 == pytest.approx(1.0, abs=0.5)
+    float_fields = [f.name for f in fields(TcResult) if f.type == "float"]
+    assert len(float_fields) == 5
+    assert all(type(getattr(result, name)) is float for name in float_fields)
+    assert all(type(value) is float for step in result.steps for value in step)
     # Device T_c comes from the final step into the residual state; the
     # naive global 50% crossing sits at the hotter parasitic step and is
     # reported alongside.
@@ -236,3 +247,12 @@ def test_extract_tc_requires_enough_points():
     r = np.where(t > 1.0, 45.0, 1.0)
     with pytest.raises(DomainError):
         extract_tc(curve_from_arrays(t, r))
+
+
+def test_r_normal_is_the_median_of_the_normal_plateau():
+    # An even-sized plateau: the median is the mean of its middle pair.
+    t = [0.5 + 0.1 * i for i in range(10)]
+    r = [1.0] * 6 + [45.0, 45.5, 46.0, 46.5]
+    result = extract_tc(curve_from_arrays(t, r))
+    assert result.r_normal == 45.75
+    assert result.steps == ((result.t_c, 45.75, 1.0),)

@@ -8,10 +8,10 @@ from casimirchip import (
     DeviceGeometry,
     DomainError,
     axial_tension,
-    deflection_profile,
     derive_mechanics,
     effective_stiffness,
     fundamental_frequency,
+    midpoint_deflection,
     pressure_to_gap_change,
 )
 
@@ -73,24 +73,37 @@ def test_geometry_validation():
 
 def test_full_span_midpoint_closed_form():
     q, length, tension = 1e-6, 300e-6, 4e-4
-    _, w_mid = deflection_profile(q, (0.0, length), length, tension)
+    w_mid = midpoint_deflection(q, (0.0, length), length, tension)
     assert w_mid == pytest.approx(q * length**2 / (8 * tension), rel=1e-12)
 
 
 def test_centered_span_midpoint_closed_form():
     q, length, tension, c = 2e-7, 340e-6, 3.6e-4, 220e-6
     x1 = 0.5 * (length - c)
-    _, w_mid = deflection_profile(q, (x1, x1 + c), length, tension)
+    w_mid = midpoint_deflection(q, (x1, x1 + c), length, tension)
     assert w_mid == pytest.approx(q * c * (2 * length - c) / (8 * tension), rel=1e-12)
 
 
+def test_off_center_span_midpoint_closed_form():
+    # Right of a span [x1, x2] < L/2 the string is straight, so the midpoint
+    # deflection is that of the resultant q c at the span's centre xbar:
+    # w(L/2) = q c xbar / (2 S).
+    q, length, tension = 1e-6, 3e-4, 2e-4
+    x1, x2 = 0.1 * length, 0.3 * length
+    w_left = midpoint_deflection(q, (x1, x2), length, tension)
+    c, xbar = x2 - x1, 0.5 * (x1 + x2)
+    assert w_left == pytest.approx(q * c * xbar / (2 * tension), rel=1e-12)
+    # The mirrored span gives the same midpoint deflection.
+    mirrored = midpoint_deflection(q, (length - x2, length - x1), length, tension)
+    assert mirrored == pytest.approx(w_left, rel=1e-12)
+
+
 def test_zero_load_gives_zero_profile():
-    profile, w_mid = deflection_profile(0.0, (0.0, 1e-4), 3e-4, 1e-4)
-    assert w_mid == 0.0
-    assert np.all(profile(np.linspace(0, 3e-4, 11)) == 0.0)
+    for span in ((0.0, 1e-4), (1e-4, 2e-4), (2e-4, 3e-4)):
+        assert midpoint_deflection(0.0, span, 3e-4, 1e-4) == 0.0
 
 
-def test_profile_matches_finite_difference_oracle():
+def test_midpoint_matches_finite_difference_oracle():
     rng = np.random.default_rng(20260810)
     for _ in range(20):
         length = 10 ** rng.uniform(-4.5, -3.0)
@@ -98,33 +111,23 @@ def test_profile_matches_finite_difference_oracle():
         q = 10 ** rng.uniform(-9, -5)
         x1 = rng.uniform(0.0, 0.45) * length
         x2 = rng.uniform(0.55, 1.0) * length
-        _, w_mid = deflection_profile(q, (x1, x2), length, tension)
+        w_mid = midpoint_deflection(q, (x1, x2), length, tension)
+        oracle = finite_difference_midpoint(q, x1, x2, length, tension)
+        assert abs(w_mid - oracle) / oracle < 1e-6
+    # Spans off L/2 on either side of it, and spans ending at it.
+    length, tension, q = 3e-4, 2e-4, 1e-6
+    for x1, x2 in ((0.05, 0.4), (0.2, 0.5), (0.5, 0.7), (0.6, 0.95)):
+        x1, x2 = x1 * length, x2 * length
+        w_mid = midpoint_deflection(q, (x1, x2), length, tension)
         oracle = finite_difference_midpoint(q, x1, x2, length, tension)
         assert abs(w_mid - oracle) / oracle < 1e-6
 
 
-def test_profile_symmetric_for_centered_load():
-    length, tension, q, c = 3e-4, 2e-4, 1e-6, 1e-4
-    x1 = 0.5 * (length - c)
-    profile, _ = deflection_profile(q, (x1, x1 + c), length, tension)
-    x = np.linspace(0, length, 101)
-    assert np.allclose(profile(x), profile(length - x)[::], rtol=0, atol=1e-18)
-
-
-def test_profile_continuous_at_span_edges():
-    length, tension, q = 3e-4, 2e-4, 1e-6
-    x1, x2 = 0.3 * length, 0.55 * length
-    profile, _ = deflection_profile(q, (x1, x2), length, tension)
-    for edge in (x1, x2):
-        below, above = profile(edge - 1e-12), profile(edge + 1e-12)
-        assert below == pytest.approx(above, rel=1e-6)
-
-
 def test_invalid_span_rejected():
     with pytest.raises(DomainError):
-        deflection_profile(1e-6, (2e-4, 1e-4), 3e-4, 1e-4)
+        midpoint_deflection(1e-6, (2e-4, 1e-4), 3e-4, 1e-4)
     with pytest.raises(DomainError):
-        deflection_profile(1e-6, (0.0, 4e-4), 3e-4, 1e-4)
+        midpoint_deflection(1e-6, (0.0, 4e-4), 3e-4, 1e-4)
 
 
 def test_fundamental_frequency_near_950_khz():
@@ -182,7 +185,7 @@ def test_line_vs_modal_stiffness_band():
     derived = derive_mechanics(geo)
     length, tension = geo.effective_length, derived.tension
     q = 1e-6
-    _, w_mid = deflection_profile(q, (0.0, length), length, tension)
+    w_mid = midpoint_deflection(q, (0.0, length), length, tension)
     k_line = q * length / w_mid
     modal_force = 2 * q * length / math.pi
     modal_mid = modal_force / derived.k_eff

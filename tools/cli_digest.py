@@ -1,0 +1,107 @@
+"""Print a short hash of each CLI command's output on the example config,
+then a sha256 digest over all of them.
+
+Two checkouts whose commands agree byte for byte print the same lines, so a
+change can be checked against its parent with
+
+    PYTHONPATH=src python tools/cli_digest.py
+
+run in each checkout on one machine.  The package is imported from
+PYTHONPATH, not from this file's checkout.
+
+Each command runs through ``casimirchip.cli.main`` in this process, in a
+temporary directory that holds a copy of the example config and the R(T)
+tables, so no checkout's path reaches the output; its stdout, stderr
+(warnings included) and exit code are hashed together.  The commands: ``pressure`` at 0 K, 50 mK and 1.2 K in text and JSON; ``sweep``
+at one and two workers; a ``grav-casimir`` and a material-pair ``scan``;
+``transduce`` inside the PDH window and at a clamping pressure; ``detect``;
+``validate``; ``film`` from the config's conductivity, ``--sigma`` and
+``--r4k``; and ``tc`` on a generated single-step and two-step R(T) table.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import shutil
+import tempfile
+
+from casimirchip import cli, example_config_path
+
+CONFIG = "example_device.cfg"
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
+def _rt_table(resistance, t_lo, t_hi, points):
+    """R(T) CSV text of ``resistance(T)`` on an even temperature grid."""
+    step = (t_hi - t_lo) / (points - 1)
+    rows = "".join(f"{t!r},{resistance(t)!r}\n"
+                   for t in (t_lo + i * step for i in range(points)))
+    return "temperature_K,resistance_ohm\n" + rows
+
+
+RT_TABLES = {
+    "single_step": _rt_table(lambda t: 45.0 * _sigmoid((t - 0.95) / 0.01), 0.7, 1.2, 120),
+    "two_step": _rt_table(lambda t: 1.0 + 19.0 * _sigmoid((t - 0.9) / 0.003)
+                          + 25.0 * _sigmoid((t - 1.2) / 0.003), 0.6, 1.6, 160),
+}
+
+
+def commands():
+    """Every digested argv, in a fixed order, with paths relative to the
+    directory that holds the config and the tables."""
+    config = ["--config", CONFIG]
+    for temp in ("0", "50mK", "1.2K"):
+        for fmt in ("text", "json"):
+            yield ["pressure", "--gap", "100nm", "--temp", temp, "--model-a", "al_sc",
+                   "--model-b", "al_drude", *config, "--format", fmt]
+    for workers in ("1", "2"):
+        yield ["sweep", *config, "--workers", workers]
+    for theory in ("grav-casimir", "al_sc/al_sc-vs-al_drude/al_drude"):
+        yield ["scan", *config, "--tmin", "100mK", "--tmax", "1.2K", "--points", "12",
+               "--theory", theory]
+    for pressure in ("6mPa", "500Pa"):
+        yield ["transduce", *config, "--pressure", pressure]
+    yield ["detect", *config]
+    yield ["validate", *config]
+    yield ["film", *config]
+    yield ["film", *config, "--sigma", "4.1e7"]
+    yield ["film", *config, "--r4k", "45"]
+    for name in RT_TABLES:
+        yield ["tc", "--input", f"{name}.csv"]
+
+
+def run(argv):
+    """(stdout, stderr, exit code) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def main():
+    total = hashlib.sha256()
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work_dir:
+        shutil.copyfile(example_config_path(), os.path.join(work_dir, CONFIG))
+        for name, text in RT_TABLES.items():
+            with open(os.path.join(work_dir, f"{name}.csv"), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        os.chdir(work_dir)
+        try:
+            for argv in commands():
+                digest = hashlib.sha256(json.dumps(run(argv)).encode()).hexdigest()
+                total.update(digest.encode() + b"\n")
+                print(f"{digest[:12]}  {' '.join(argv)}")
+        finally:
+            os.chdir(start)
+    print(f"sha256 {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -273,8 +273,8 @@ def _cmd_scan(args):
     theory = _resolve_theory(args.theory, cfg)
     step = (tmax - tmin) / (args.points - 1)
     grid = [tmin + i * step for i in range(args.points)]
-    points = simulate_temperature_scan(cfg.geometry, cfg.cavity, cfg.calib,
-                                       grid, theory, _numerics(args))
+    points = simulate_temperature_scan(cfg.geometry, cfg.cavity, grid, theory,
+                                       _numerics(args))
     _write_output(scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
                            drift_band=cfg.calib.drift_bound), args.output)
     return 0

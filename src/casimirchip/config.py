@@ -309,24 +309,19 @@ def _parse_sweep(ini, materials, defined, problems):
         return None
 
 
-# Distinct config texts whose parsed INI stays memoized.
+# Distinct (config text, file name) pairs whose parsed INI stays memoized.
 _INI_MEMO_SIZE = 8
 
-# configparser names its source in every syntax error it raises; the memo
-# parses under this stand-in and _read_config puts the file's name back.
-_UNNAMED_SOURCE = "<config>"
-
-
 @functools.lru_cache(maxsize=_INI_MEMO_SIZE)
-def _parse_ini(text):
+def _parse_ini(text, source):
     """Read-only {section: {key: value}} of INI ``text``, in file order;
-    raises configparser.Error.  Keyed by the text, so an edited file is
-    parsed again and two files with one text share an entry."""
+    raises configparser.Error, whose message names ``source``.  Keyed by
+    the text and the name, so an edited file is parsed again."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",), strict=True
     )
     parser.optionxform = str
-    parser.read_string(text, source=_UNNAMED_SOURCE)
+    parser.read_string(text, source=source)
     return MappingProxyType({section: MappingProxyType(dict(parser[section]))
                              for section in parser.sections()})
 
@@ -342,10 +337,9 @@ def _read_config(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from None
     try:
-        return _parse_ini(text)
+        return _parse_ini(text, handle.name)
     except configparser.Error as exc:
-        message = str(exc).replace(repr(_UNNAMED_SOURCE), repr(handle.name), 1)
-        raise ConfigError([f"config syntax: {message}"]) from None
+        raise ConfigError([f"config syntax: {exc}"]) from None
 
 
 def load_sweep_spec(path, materials):

@@ -146,8 +146,7 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
             for (label, _, _), result in zip(spec.pairs, cell)]
 
 
-def simulate_temperature_scan(geometry, cavity, calib, t_grid, theory,
-                              num=DEFAULT_NUMERICS):
+def simulate_temperature_scan(geometry, cavity, t_grid, theory, num=DEFAULT_NUMERICS):
     """Predicted cavity shift vs temperature, relative to the hottest point.
 
     Mirrors the measured observable: shift(T) = chain(dP(T) - dP(T_base))

@@ -7,6 +7,7 @@ and usage problems exit 2.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 
@@ -47,3 +48,9 @@ def require_nonnegative(name, value):
     """Raise DomainError unless ``value`` is a finite real number >= 0."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise DomainError(f"{name} {NONNEGATIVE}, got {value!r}")
+
+
+def require_positive_fields(record):
+    """require_positive for every field of the dataclass ``record``, in field order."""
+    for field in dataclasses.fields(record):
+        require_positive(field.name, getattr(record, field.name))

@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, TransitionNotFoundError, require_positive
+from .errors import DomainError, TransitionNotFoundError, require_positive, require_positive_fields
 
 RT_CSV_HEADER = ("temperature_K", "resistance_ohm")
 
@@ -49,9 +49,7 @@ class FilmParams:
     t_c: float          # K
 
     def __post_init__(self):
-        for name in ("xi0", "lambda_l", "rho_ell", "wire_length",
-                     "cross_section", "t_c"):
-            require_positive(name, getattr(self, name))
+        require_positive_fields(self)
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def _first_crossing(t_desc, r_desc, level):
     return None
 
 
-def _plateau_segments(t_desc, r_desc, band):
+def _plateau_segments(r_desc, band):
     """Quasi-constant segments (descending T) separated by resistance steps.
 
     A segment extends while each point stays within ``band`` of the
@@ -293,7 +291,7 @@ def extract_tc(curve, threshold_fraction=0.5):
     # spawn spurious intermediate steps; everything between two plateaus is
     # a single step located at its local mid-level crossing.
     band = max(_PLATEAU_REL_VARIATION * r_normal, 1e-12)
-    segments = _plateau_segments(t_desc, r_desc, band)
+    segments = _plateau_segments(r_desc, band)
     plateaus = [(s, e, lvl) for (s, e, lvl) in segments if e - s >= 3]
     steps = []
     for (s0, e0, lvl0), (s1, e1, lvl1) in zip(plateaus, plateaus[1:]):

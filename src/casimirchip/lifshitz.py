@@ -142,8 +142,7 @@ class _Workspace(threading.local):
     """Scratch arrays of one thread, reused by every call it makes.
 
     take(name, shape) returns an uninitialised array over the flat buffer
-    kept under name, grown when a block needs more; the views are kept by
-    shape, so a shape seen before costs one lookup.  A request whose last
+    kept under name, grown when a block needs more.  A request whose last
     two axes (rows, nodes) span more than _KEPT_BLOCK, which only tighter
     numerics make, gets an array of its own instead, so such a call leaves
     no larger buffer behind.  An array stays valid until the next take of its name;
@@ -151,21 +150,16 @@ class _Workspace(threading.local):
     """
 
     def __init__(self):
-        self.buffers, self.views = {}, {}
+        self.buffers = {}
 
     def take(self, name, shape):
-        view = self.views.get((name, shape))
-        if view is not None:
-            return view
         if shape[-2] * shape[-1] > _KEPT_BLOCK:
             return np.empty(shape)
         size = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
             buf = self.buffers[name] = np.empty(size)
-            self.views = {key: v for key, v in self.views.items() if key[0] != name}
-        view = self.views[name, shape] = buf[:size].reshape(shape)
-        return view
+        return buf[:size].reshape(shape)
 
 
 _WORKSPACE = _Workspace()
@@ -408,10 +402,13 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     rung (see the module docstring).  Every pair shares the y grid; each
     climbs its own ladder.  Returns the finer rule and its error as
     (pairs, rows) arrays.  Rows whose lower limit reaches the cutoff are
-    exactly zero.
+    exactly zero.  They are sampled at xi = 0, since at a hot enough
+    temperature their own frequencies overflow the material formulas.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
+    live = y_lo < _Y_CUT
+    xi_col = np.where(live, xi_col, 0.0)
     u_lo = math.log(_Y_SLIVER)
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
     rows = len(xi_col)
@@ -432,7 +429,7 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
 
     f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], range(len(pairs)), sliver=True)
     # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
-    sliver = f[..., -1] * np.where(y_lo[:, 0] < _Y_CUT, _Y_SLIVER, 0.0)
+    sliver = f[..., -1] * np.where(live[:, 0], _Y_SLIVER, 0.0)
     g = f[..., :-1]
     g *= jac
     fine, err, _, _ = _nested_cc([g], lambda x, active: [np.multiply(*sample(x, active))],
@@ -490,12 +487,22 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     pair whose sum has stopped gets its result and leaves the batch as its
     rows are dropped.  So each result is bit for bit the one its pair gets
     alone, from plate_pressure.  Raises DomainError for a gap or
-    temperature outside its domain before evaluating anything.
+    temperature outside its domain before evaluating anything, and where
+    the frequencies or a result overflow, so every number returned is finite.
     """
     require_positive("gap", gap)
     require_nonnegative("temperature", temperature)
-    if not pairs:
-        return []
+    results = _plate_pressures(gap, temperature, pairs, num) if pairs else []
+    for r in results:
+        if not all(map(math.isfinite, (r.pressure, r.truncation_estimate,
+                                       r.quadrature_estimate))):
+            raise DomainError(f"the pressure at gap {gap!r} m and temperature "
+                              f"{temperature!r} K overflows")
+    return results
+
+
+def _plate_pressures(gap, temperature, pairs, num):
+    """plate_pressures for checked arguments and at least one pair."""
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
@@ -518,6 +525,11 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
                                       ceiling, (gap, temperature, pairs, num))]
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
     n_ceiling = xi_hi // xi_1 + 2
+    # 2 a xi_n of the highest term, the product _k_integrals_adaptive forms
+    # first: it and xi_n must not overflow.
+    if not math.isfinite(2.0 * gap * (n_ceiling * xi_1)):
+        raise DomainError(f"the Matsubara frequencies at gap {gap!r} m and temperature "
+                          f"{temperature!r} K overflow")
     n, results, trunc = _N_EXPLICIT, [None] * len(pairs), [math.inf] * len(pairs)
     # Row i of f (the terms f(n)) and of err (their k-errors) is pair active[i].
     active = list(range(len(pairs)))

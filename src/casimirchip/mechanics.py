@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_nonnegative, require_positive
+from .errors import DomainError, require_nonnegative, require_positive, require_positive_fields
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,7 @@ class DeviceGeometry:
     density_al: float             # kg/m^3
 
     def __post_init__(self):
-        positive = (
-            "string_length", "effective_length", "width", "thickness",
-            "metal_eff_thickness", "metal_segment_length", "plate_height",
-            "gap", "film_stress", "density_sin", "density_al",
-        )
-        for name in positive:
-            require_positive(name, getattr(self, name))
+        require_positive_fields(self)
         if self.metal_segment_length > self.effective_length:
             raise DomainError("metal_segment_length must not exceed effective_length")
         if self.effective_length > self.string_length:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_positive_fields
 from .mechanics import pressure_to_gap_change
 
 # relative q_optical vs omega_c / kappa mismatch above which CavityParams warns
@@ -38,8 +38,7 @@ class CavityParams:
     g_om: float         # rad/s per m
 
     def __post_init__(self):
-        for name in ("lambda_res", "kappa", "kappa_e", "q_optical", "g_om"):
-            require_positive(name, getattr(self, name))
+        require_positive_fields(self)
         if self.kappa_e > self.kappa:
             raise DomainError("kappa_e must not exceed kappa")
         q_from_kappa = self.omega_c / self.kappa
@@ -71,9 +70,7 @@ class ReadoutCalibration:
     linear_window: float          # Hz
 
     def __post_init__(self):
-        for name in ("pdh_slope", "min_resolvable_shift", "drift_bound",
-                     "linear_window"):
-            require_positive(name, getattr(self, name))
+        require_positive_fields(self)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,6 @@ def kv_json(pairs):
     def jsonable(value):
         if isinstance(value, float) and math.isnan(value):
             return None
-        if isinstance(value, tuple):
-            return [jsonable(v) for v in value]
         return value
 
     return json.dumps({k: jsonable(v) for k, v in pairs}, indent=2) + "\n"
@@ -55,39 +53,35 @@ def render_kv(pairs, fmt_name):
     return kv_text(pairs)
 
 
-def sweep_csv(rows):
+def _table(header, rows, comments=()):
+    """CSV text: ``# key = value`` lines from the (key, value) pairs in
+    ``comments``, then the header, then the rows."""
     out = io.StringIO()
+    for key, value in comments:
+        out.write(f"# {key} = {fmt(value)}\n")
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            fmt(row.gap), fmt(row.temperature), row.pair, fmt(row.pressure),
-            fmt(row.gap_change), fmt(row.freq_shift), fmt(row.voltage),
-            fmt(row.detectable), fmt(row.margin), row.error,
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def sweep_csv(rows):
+    return _table(SWEEP_CSV_HEADER, (
+        (fmt(row.gap), fmt(row.temperature), row.pair, fmt(row.pressure),
+         fmt(row.gap_change), fmt(row.freq_shift), fmt(row.voltage),
+         fmt(row.detectable), fmt(row.margin), row.error)
+        for row in rows))
 
 
 def scan_csv(points, resolution_band, drift_band):
     """Plot-ready two-column trace; noise bands ride along as comments."""
-    out = io.StringIO()
-    out.write(f"# resolution_band_Hz = {fmt(resolution_band)}\n")
-    out.write(f"# drift_band_Hz = {fmt(drift_band)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCAN_CSV_HEADER)
-    for temperature, shift in points:
-        writer.writerow([fmt(temperature), fmt(shift)])
-    return out.getvalue()
+    return _table(SCAN_CSV_HEADER,
+                  ((fmt(temperature), fmt(shift)) for temperature, shift in points),
+                  (("resolution_band_Hz", resolution_band), ("drift_band_Hz", drift_band)))
 
 
 def verdicts_csv(verdicts):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(VERDICT_CSV_HEADER)
-    for v in verdicts:
-        writer.writerow([
-            v.name, fmt(v.signal), fmt(v.floor), fmt(v.freq_shift),
-            fmt(v.detectable), fmt(v.margin),
-        ])
-    return out.getvalue()
-
+    return _table(VERDICT_CSV_HEADER, (
+        (v.name, fmt(v.signal), fmt(v.floor), fmt(v.freq_shift),
+         fmt(v.detectable), fmt(v.margin))
+        for v in verdicts))

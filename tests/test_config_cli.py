@@ -312,6 +312,15 @@ def test_cli_pressure_domain_error(capsys):
     assert code == 1 and out == "" and "error" in err
 
 
+def test_cli_pressure_past_the_float_range_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "pressure", "--gap", "100nm", "--temp", "1e300K",
+        "--model-a", "ideal", "--model-b", "ideal",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+
+
 def test_cli_pressure_rejects_duplicate_inline_key(capsys):
     spec = "plasma:omega_p_eV=12,omega_p_eV=1"
     code, out, err = run_cli(

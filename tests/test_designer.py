@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -28,7 +29,8 @@ from casimirchip import (
     simulate_temperature_scan,
 )
 from casimirchip import lifshitz
-from casimirchip.serialize import sweep_csv
+from casimirchip.designer import DetectabilityVerdict, SweepRow
+from casimirchip.serialize import SWEEP_CSV_HEADER, VERDICT_CSV_HEADER, sweep_csv, verdicts_csv
 
 TWO_PI = 2 * math.pi
 OMEGA_P = 1.83e16
@@ -99,6 +101,18 @@ def test_sweep_row_error_column_keeps_sweep_alive(monkeypatch):
     assert len(failed) == 2 and all(math.isnan(r.pressure) for r in failed)
     assert all(r.error == "no pressure at 1.3 K" for r in failed)
     assert len(passed) == 2 and all(r.pressure > 0 for r in passed)
+
+
+def test_sweep_past_the_float_range_writes_error_rows():
+    # At 1e300 K the Matsubara frequencies overflow: each pair's row gets
+    # the engine's DomainError, and the sweep goes on.
+    spec = SweepSpec(100e-9, 100e-9, 10e-9, (1e300,),
+                     (("i/i", IDEAL, IDEAL), ("d/d", DRUDE, DRUDE)))
+    rows = run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB)
+    assert [row.pair for row in rows] == ["i/i", "d/d"]
+    for row in rows:
+        assert "overflow" in row.error and "1e+300 K" in row.error
+        assert math.isnan(row.pressure) and not row.detectable
 
 
 @pytest.mark.filterwarnings("ignore:frequency shift")
@@ -187,6 +201,24 @@ def test_sweep_csv_reingests_losslessly():
         assert (record["detectable"] == "true") == row.detectable
 
 
+def test_csv_headers_have_one_column_per_record_field():
+    assert len(SWEEP_CSV_HEADER) == len(dataclasses.fields(SweepRow))
+    assert len(VERDICT_CSV_HEADER) == len(dataclasses.fields(DetectabilityVerdict))
+
+
+def test_verdicts_csv_reingests_losslessly():
+    verdicts = detectability_report([("grav", 0.5), ("faint", 1e-3)], GEOMETRY, CAVITY, CALIB)
+    records = list(csv.DictReader(io.StringIO(verdicts_csv(verdicts))))
+    assert len(records) == len(verdicts)
+    for verdict, record in zip(verdicts, records):
+        assert record["name"] == verdict.name
+        assert float(record["signal_Pa"]) == verdict.signal
+        assert float(record["floor_Pa"]) == verdict.floor
+        assert float(record["freq_shift_Hz"]) == verdict.freq_shift
+        assert float(record["margin"]) == verdict.margin
+        assert (record["detectable"] == "true") == verdict.detectable
+
+
 @pytest.mark.filterwarnings("ignore:frequency shift")
 def test_sweep_byte_identical_across_worker_counts():
     spec = SweepSpec(100e-9, 120e-9, 10e-9, (1.3,),
@@ -216,7 +248,7 @@ def test_sweep_rejects_nonpositive_workers(workers):
 def test_scan_identical_theory_is_identically_zero():
     theory = MaterialPairDifferential("null", (DRUDE, DRUDE), (DRUDE, DRUDE))
     grid = [0.5, 0.8, 1.1]
-    points = simulate_temperature_scan(GEOMETRY, CAVITY, CALIB, grid, theory)
+    points = simulate_temperature_scan(GEOMETRY, CAVITY, grid, theory)
     assert [t for t, _ in points] == grid
     assert all(shift == 0.0 for _, shift in points)
 
@@ -224,7 +256,7 @@ def test_scan_identical_theory_is_identically_zero():
 def test_scan_step_signal_magnitude():
     theory = StepPressureSignal("step", 0.5, t_c=0.9)
     grid = [0.5, 0.8, 1.0, 1.2]
-    points = simulate_temperature_scan(GEOMETRY, CAVITY, CALIB, grid, theory)
+    points = simulate_temperature_scan(GEOMETRY, CAVITY, grid, theory)
     shifts = dict(points)
     assert shifts[1.2] == 0.0 and shifts[1.0] == 0.0
     # Cold side: a single step whose size lands within a factor 3 of 1.5 GHz.
@@ -237,7 +269,7 @@ def test_scan_step_signal_magnitude():
 def test_scan_requires_grid_spanning_tc():
     theory = StepPressureSignal("step", 0.5, t_c=0.9)
     with pytest.raises(DomainError):
-        simulate_temperature_scan(GEOMETRY, CAVITY, CALIB, [1.0, 1.2], theory)
+        simulate_temperature_scan(GEOMETRY, CAVITY, [1.0, 1.2], theory)
 
 
 def test_scan_two_fluid_vs_drude_trace():
@@ -245,7 +277,7 @@ def test_scan_two_fluid_vs_drude_trace():
                                       (DRUDE, DRUDE))
     num = LifshitzNumerics(rel_tol_series=1e-6)
     grid = [0.55, 0.88, 0.9, 1.05]
-    points = simulate_temperature_scan(GEOMETRY, CAVITY, CALIB, grid, theory, num)
+    points = simulate_temperature_scan(GEOMETRY, CAVITY, grid, theory, num)
     shifts = dict(points)
     # Continuous at t_c (zero there), growing magnitude on cooling; the
     # superconducting side is more attractive, so the trace goes negative.

@@ -282,6 +282,29 @@ def test_batch_rejects_bad_arguments_before_evaluating(monkeypatch, gap, temp):
     assert calls == []
 
 
+@pytest.mark.parametrize("temp", [1e150, 1e151, 1e200, 1e296, 2e296, 1e297, 1e300])
+@pytest.mark.parametrize("gap", [20e-9, 100e-9, 1e-6])
+def test_extreme_temperatures_give_finite_results_or_domain_error(gap, temp):
+    # The n >= 1 rows lie past the y cutoff here; from ~1e151 K the squares
+    # of their frequencies overflow, and from ~2e296 K xi_1 itself does.  A
+    # numpy warning fails the test (filterwarnings = error).
+    for model in (IDEAL, PLASMA, DRUDE, TWOFLUID):
+        try:
+            result = plate_pressure(gap, temp, model, model)
+        except DomainError as exc:
+            assert repr(gap) in str(exc) and repr(temp) in str(exc)
+            assert temp > 1e296
+            continue
+        assert all(map(math.isfinite, (result.pressure, result.truncation_estimate,
+                                       result.quadrature_estimate)))
+
+
+def test_pressure_past_the_float_range_raises():
+    # Finite frequencies, but k_B T / (8 pi a^3) exceeds the largest float.
+    with pytest.raises(DomainError, match="temperature 1e[+]290 K overflows"):
+        plate_pressures(1e-15, 1e290, [(IDEAL, IDEAL), (DRUDE, DRUDE)])
+
+
 def test_batch_of_no_pairs_is_empty():
     assert plate_pressures(100e-9, 1.0, []) == []
 

@@ -16,7 +16,9 @@ tables, so no checkout's path reaches the output; its stdout, stderr
 at one and two workers; a ``grav-casimir`` and a material-pair ``scan``;
 ``transduce`` inside the PDH window and at a clamping pressure; ``detect``;
 ``validate``; ``film`` from the config's conductivity, ``--sigma`` and
-``--r4k``; and ``tc`` on a generated single-step and two-step R(T) table.
+``--r4k``; ``tc`` on a generated single-step and two-step R(T) table; and
+``pressure`` and a ``sweep --spec`` at 1e300 K, where the Matsubara
+frequencies overflow and the engine's error is the output.
 """
 
 import contextlib
@@ -51,6 +53,15 @@ RT_TABLES = {
                           + 25.0 * _sigmoid((t - 1.2) / 0.003), 0.6, 1.6, 160),
 }
 
+# A one-cell sweep past the float range: each pair's row carries the error.
+HOT_SPEC = """[sweep]
+gap_min_nm = 100
+gap_max_nm = 100
+gap_step_nm = 10
+temperatures_K = 1e300
+pairs = ideal/ideal, al_drude/al_drude
+"""
+
 
 def commands():
     """Every digested argv, in a fixed order, with paths relative to the
@@ -74,6 +85,9 @@ def commands():
     yield ["film", *config, "--r4k", "45"]
     for name in RT_TABLES:
         yield ["tc", "--input", f"{name}.csv"]
+    yield ["pressure", "--gap", "100nm", "--temp", "1e300K", "--model-a", "ideal",
+           "--model-b", "ideal"]
+    yield ["sweep", *config, "--spec", "hot_spec.cfg"]
 
 
 def run(argv):
@@ -89,8 +103,10 @@ def main():
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work_dir:
         shutil.copyfile(example_config_path(), os.path.join(work_dir, CONFIG))
-        for name, text in RT_TABLES.items():
-            with open(os.path.join(work_dir, f"{name}.csv"), "w", encoding="utf-8") as handle:
+        files = {f"{name}.csv": text for name, text in RT_TABLES.items()}
+        files["hot_spec.cfg"] = HOT_SPEC
+        for name, text in files.items():
+            with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)
         os.chdir(work_dir)
         try:

@@ -81,19 +81,20 @@ and y^2 are computed once per grid and each distinct response
 (``materials.response``: omega_p, gamma and f_s at T, or a perfect
 conductor) goes through the Fresnel coefficients once per grid; per pair
 only the products r_a r_b, the two divisions and the y^2 multiply remain.
-Every stop decision is per pair: a pair whose rows have converged is frozen
-at that rung while the others climb on, and a pair whose Matsubara sum has
-stopped leaves the batch, so each pair's result is bit for bit the one it
-gets alone.  Two pairs with the same responses at T (a superconductor above
-t_c against its normal state) differ by exactly 0.0, which a differential
-returns without evaluating either.  Every pass over a (rows, nodes) grid
-writes into a per-thread workspace whose arrays the thread's next call
-reuses, instead of allocating (and page-faulting) fresh ones: 2.1 MB per
-thread for one pair and 3.1 MB for two with two responses at default
-numerics (so a thread of the bundled two-pair sweep holds 3.1 MB), which a
-thread's first call pays for.  A block larger than the largest a call at
-default numerics evaluates (228 rows x 130 nodes per pair, the first
-Matsubara step) gets arrays of its own, so tighter numerics
+The batch climbs together, until its last pair has stopped, and each pair's
+sums are taken where it stops alone: at the first rung where its rows have
+converged, and at the first N where its Matsubara sum stops; a pair that
+has stopped rides along.  Every sum is per row, so each pair's result is
+bit for bit the one it gets alone.  Two pairs with the same responses at T
+(a superconductor above t_c against its normal state) differ by exactly
+0.0, which a differential returns without evaluating either.  Every pass
+over a (rows, nodes) grid writes into a per-thread workspace whose arrays
+the thread's next call reuses, instead of allocating (and page-faulting)
+fresh ones: 2.1 MB per thread for one pair and 3.1 MB for two with two
+responses at default numerics (so a thread of the bundled two-pair sweep
+holds 3.1 MB), which a thread's first call pays for.  A block larger than
+the largest a call at default numerics evaluates (228 rows x 130 nodes per
+pair, the first Matsubara step) gets arrays of its own, so tighter numerics
 leave nothing larger behind, and nothing the engine returns is a view of
 the workspace.
 
@@ -259,24 +260,25 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     g[0] holds the integrand as (pairs, rows, nodes) or, with one row per
     pair, (pairs, nodes): per material pair, rows integrated alike at the
     nodes of the starting rule; g[1:] hold any companions that the same
-    rule integrates.  sample(x, active) returns such a sequence at new
-    nodes x for the pairs whose indices are in active, and may reuse the
-    memory of g and of the workspace array "terms".  The coarser rule is
-    the samples at even indices, and each doubling evaluates only the new
-    odd nodes.  const is a piece outside the rule, added to both sums.  The
-    error is |fine - coarse| plus the fine sum's round-off bound, eps per
-    node times |fine|: every sample and const is >= 0 (0 <= r_a r_b <= 1,
-    and the weights and Jacobians are positive), so |fine| is the sum of
-    |terms| bit for bit.  Each pair climbs on its own: it stops
-    once every one of its rows has an error within tol times its |fine|
-    (floored at 1e-12 of the pair's largest row; a single row is its own
-    floor), or at ceiling, and is then frozen at that rung while the rest
-    climb on, so no pair's result depends on the others.  Returns (fine,
+    rule integrates.  sample(x) returns such a sequence at new nodes x for
+    every pair, and may reuse the memory of g and of the workspace array
+    "terms".  The coarser rule is the samples at even indices, and each
+    doubling evaluates only the new odd nodes.  const is a piece outside
+    the rule, added to both sums.  The error is |fine - coarse| plus the
+    fine sum's round-off bound, eps per node times |fine|: every sample and
+    const is >= 0 (0 <= r_a r_b <= 1, and the weights and Jacobians are
+    positive), so |fine| is the sum of |terms| bit for bit.  The batch
+    climbs until its last pair has stopped, and each pair's sums are taken
+    at the first rung where it stops: where every one of its rows has an
+    error within tol times its |fine| (floored at 1e-12 of the pair's
+    largest row; a single row is its own floor), or at ceiling.  Every sum
+    is per row, so no pair's result depends on the others.  Returns (fine,
     error, order, the companions' fine sums), each per pair.
     """
     count, order = len(g[0]), g[0].shape[-1] - 1
-    # out holds the results per pair once one has stopped before the rest.
-    active, out = list(range(count)), None
+    # orders[p] is the order pair p stopped at, 0 while it climbs; out holds
+    # the sums of the pairs that have stopped.
+    orders, out = [0] * count, None
     coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]).sum(axis=-1) + const
     while True:
         w = _clenshaw_curtis(order)[1]
@@ -286,30 +288,22 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
         if size.ndim > 1:
             size = np.maximum(size, size.max(axis=-1, initial=0.0, keepdims=True) * 1e-12)
         stop = (err <= tol * size).reshape(len(size), -1).all(axis=1).tolist()
-        if order >= ceiling:
-            stop = [True] * len(stop)
+        stopped = [p for p, s in enumerate(stop) if not orders[p] and (s or order >= ceiling)]
         sums = [fine, err] + [(c * w).sum(axis=-1) for c in g[1:]]
-        if out is None and all(stop):
+        if len(stopped) == count:
             return fine, err, [order] * count, sums[2:]
-        if any(stop):
-            if out is None:
-                out = [np.empty((count,) + a.shape[1:]) for a in sums]
-                orders = [order] * count
-            done = [i for i, s in enumerate(stop) if s]
+        if stopped:
+            out = out or [np.empty_like(a) for a in sums]
             for dst, src in zip(out, sums):
-                dst[[active[i] for i in done]] = src[done]
-            for i in done:
-                orders[active[i]] = order
-            if all(stop):
+                dst[stopped] = src[stopped]
+            for p in stopped:
+                orders[p] = order
+            if all(orders):
                 return out[0], out[1], orders, out[2:]
-            keep = [i for i, s in enumerate(stop) if not s]
-            active, fine, g = [active[i] for i in keep], fine[keep], [a[keep] for a in g]
-            if np.ndim(const):
-                const = const[keep]
-        else:
-            g = [a.copy() for a in g]
+        # sample may reuse the memory that the first rung's g lives in.
+        g = [a.copy() for a in g]
         coarse, order = fine, 2 * order
-        g = [_nest(a, b) for a, b in zip(g, sample(_clenshaw_curtis(order)[0][1::2], active))]
+        g = [_nest(a, b) for a, b in zip(g, sample(_clenshaw_curtis(order)[0][1::2]))]
 
 
 def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
@@ -399,9 +393,9 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
     node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
-    rung (see the module docstring).  Every pair shares the y grid; each
-    climbs its own ladder.  Returns the finer rule and its error as
-    (pairs, rows) arrays.  Rows whose lower limit reaches the cutoff are
+    rung (see the module docstring).  Every pair shares the y grid and
+    each rung; each stops where it stops alone.  Returns the finer rule and
+    its error as (pairs, rows) arrays.  Rows whose lower limit reaches the cutoff are
     exactly zero.  They are sampled at xi = 0, since at a hot enough
     temperature their own frequencies overflow the material formulas.
     """
@@ -413,9 +407,9 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
     rows = len(xi_col)
 
-    def sample(x, active, sliver=False):
-        # The integrand of the active pairs at the nodes x, then, if asked,
-        # at the sliver's midpoint, and the Jacobian at the nodes x.
+    def sample(x, sliver=False):
+        # The integrand at the nodes x, then, if asked, at the sliver's
+        # midpoint, and the Jacobian at the nodes x.
         nodes = len(x)
         dy = np.multiply(x + 1.0, half, out=_WORKSPACE.take("dy", (rows, nodes)))
         dy += u_lo
@@ -424,16 +418,16 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
         np.add(y_lo, dy, out=y[:, :nodes])
         if sliver:
             y[:, nodes] = y_lo[:, 0] + 0.5 * _Y_SLIVER
-        f = _k_integrand([pairs[p] for p in active], xi_col, gap, temperature, y)
+        f = _k_integrand(pairs, xi_col, gap, temperature, y)
         return f, np.multiply(dy, half, out=dy)
 
-    f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], range(len(pairs)), sliver=True)
+    f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
     # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
     sliver = f[..., -1] * np.where(live[:, 0], _Y_SLIVER, 0.0)
     g = f[..., :-1]
     g *= jac
-    fine, err, _, _ = _nested_cc([g], lambda x, active: [np.multiply(*sample(x, active))],
-                                 _K_ORDER_MAX, num.rel_tol_quadrature, sliver)
+    fine, err, _, _ = _nested_cc([g], lambda x: [np.multiply(*sample(x))], _K_ORDER_MAX,
+                                 num.rel_tol_quadrature, sliver)
     return fine / (8.0 * gap**3), err / (8.0 * gap**3)
 
 
@@ -451,7 +445,7 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
     """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
 
     args is (gap, temperature, pairs, num).  The ladder starts at the given
-    order and stops by ceiling, for each pair on its own.  first, if given,
+    order and stops by ceiling, each pair where it stops alone.  first, if given,
     is the (values, errors) that _k_integrals_adaptive returns for the
     pairs at the starting rule's nodes (_log_nodes), which are then not
     sampled again.  The k-errors ride along under the same rule.  Returns,
@@ -462,15 +456,14 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
     """
     gap, temperature, pairs, num = args
 
-    def sample(x, active, k=None):
+    def sample(x, k=None):
         # J and its k-error at the nodes x, each times the Jacobian xi du/dx.
         xi, half = _log_nodes(xi_lo, xi_hi, x)
-        vals, errs = k or _k_integrals_adaptive([pairs[p] for p in active], xi, gap,
-                                                 temperature, num)
+        vals, errs = k or _k_integrals_adaptive(pairs, xi, gap, temperature, num)
         jac = xi * half
         return vals * jac, errs * jac
 
-    g = sample(_clenshaw_curtis(order)[0], range(len(pairs)), first)
+    g = sample(_clenshaw_curtis(order)[0], first)
     half = _log_nodes(xi_lo, xi_hi, 0.0)[1]
     value, err, order, k_err = _nested_cc(g, sample, ceiling, num.rel_tol_quadrature)
     return list(zip(value.tolist(), k_err[0].tolist(), err.tolist(), [o + 1 for o in order],
@@ -481,23 +474,30 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     """The PressureResult of each (mat_a, mat_b) pair at one (gap, T), as one batch.
 
     The pairs share every frequency, y grid and k-integrand pass (see
-    _k_integrand), but every stop decision is per pair: each k- and
-    frequency ladder stops per pair, and so does the Matsubara sum: each
-    pair's terms and k-errors are rows of two (pairs, terms) arrays, and a
-    pair whose sum has stopped gets its result and leaves the batch as its
-    rows are dropped.  So each result is bit for bit the one its pair gets
-    alone, from plate_pressure.  Raises DomainError for a gap or
+    _k_integrand), and the batch climbs every ladder and doubles N until its
+    last pair has stopped, but every stop decision is per pair: each
+    pair's sums are taken at the first k- and frequency rung where it
+    stops, and its result at the first N where its Matsubara sum stops,
+    after which it rides along.  Each pair's terms and k-errors are one row
+    of two (pairs, terms) arrays, so each result is bit for bit the one its
+    pair gets alone, from plate_pressure.  Raises DomainError for a gap or
     temperature outside its domain before evaluating anything, and where
-    the frequencies or a result overflow, so every number returned is finite.
+    the frequencies, a numpy pass or a result overflow, so every number
+    returned is finite and no numpy warning is printed.
     """
     require_positive("gap", gap)
     require_nonnegative("temperature", temperature)
-    results = _plate_pressures(gap, temperature, pairs, num) if pairs else []
-    for r in results:
-        if not all(map(math.isfinite, (r.pressure, r.truncation_estimate,
-                                       r.quadrature_estimate))):
-            raise DomainError(f"the pressure at gap {gap!r} m and temperature "
-                              f"{temperature!r} K overflows")
+    try:
+        # An overflow inside numpy raises here instead of printing a warning.
+        with np.errstate(over="raise", invalid="raise"):
+            results = _plate_pressures(gap, temperature, pairs, num) if pairs else []
+        finite = all(math.isfinite(v) for r in results
+                     for v in (r.pressure, r.truncation_estimate, r.quadrature_estimate))
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise DomainError(f"the pressure at gap {gap!r} m and temperature "
+                          f"{temperature!r} K overflows")
     return results
 
 
@@ -531,14 +531,13 @@ def _plate_pressures(gap, temperature, pairs, num):
         raise DomainError(f"the Matsubara frequencies at gap {gap!r} m and temperature "
                           f"{temperature!r} K overflow")
     n, results, trunc = _N_EXPLICIT, [None] * len(pairs), [math.inf] * len(pairs)
-    # Row i of f (the terms f(n)) and of err (their k-errors) is pair active[i].
-    active = list(range(len(pairs)))
+    # Row p of f (the terms f(n)) and of err (their k-errors) is pair p.
     f = err = np.zeros((len(pairs), 0))
     while True:
-        # One k-integral pass of the active pairs for the Matsubara step at n:
-        # the terms up to 2n + 1 (n_ceiling at most), the n = 0 term at half
-        # weight, and while terms lie beyond 2n, the first rungs of the tail
-        # behind P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block over
+        # One k-integral pass for the Matsubara step at n: the terms up to
+        # 2n + 1 (n_ceiling at most), the n = 0 term at half weight, and
+        # while terms lie beyond 2n, the first rungs of the tail behind
+        # P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block over
         # [(n+1/2), (2n+1/2)] xi_1.
         ns = np.arange(f.shape[1], min(n_ceiling, 2 * n + 1) + 1, dtype=float)
         rules = () if n_ceiling <= 2 * n else (
@@ -546,8 +545,7 @@ def _plate_pressures(gap, temperature, pairs, num):
             ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
         xi = [ns * xi_1] + [_log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
                             for lo, hi, order, _ in rules]
-        batch = [pairs[p] for p in active]
-        vals, errs = _k_integrals_adaptive(batch, np.concatenate(xi), gap, temperature, num)
+        vals, errs = _k_integrals_adaptive(pairs, np.concatenate(xi), gap, temperature, num)
         if n == _N_EXPLICIT:
             vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
         cuts = np.cumsum([len(x) for x in xi])[:-1]
@@ -555,16 +553,18 @@ def _plate_pressures(gap, temperature, pairs, num):
         f, err = np.concatenate((f, vals[0]), axis=1), np.concatenate((err, errs[0]), axis=1)
         if not rules:
             break
-        tails, blocks = (_log_grid_integral(*rule, (gap, temperature, batch, num), first)
+        tails, blocks = (_log_grid_integral(*rule, (gap, temperature, pairs, num), first)
                          for rule, first in zip(rules, zip(vals[1:], errs[1:])))
-        keep = []
-        for i, (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) in zip(
-                range(len(active)), tails, blocks):
-            p, fp = active[i], f[i]
+        for p, (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) in zip(
+                range(len(pairs)), tails, blocks):
+            # A pair whose sum has stopped rides along with its result kept.
+            if results[p]:
+                continue
+            fp = f[p]
             # P(2n) = xi_1 [sum_{m<=2n} f_m + f'(2n+1/2)/24] + int_{(2n+1/2) xi_1} J dxi,
             # and its k-integration error.
             value = xi_1 * float(fp[: 2 * n + 1].sum() + (fp[2 * n + 1] - fp[2 * n]) / 24.0) + tail
-            quad_err = xi_1 * float(err[i][: 2 * n + 2].sum()) + tail_err
+            quad_err = xi_1 * float(err[p][: 2 * n + 2].sum()) + tail_err
             # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
             # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
             # the CC-32 rule with its error added.
@@ -574,20 +574,17 @@ def _plate_pressures(gap, temperature, pairs, num):
             # Stop at the series tolerance, or where more explicit terms
             # cannot help: the k-quadrature or frequency-rule error
             # dominates, or the estimate stops shrinking.
-            if estimate > max(num.rel_tol_series * value, quad_err, rule_err) and estimate < prev:
-                keep.append(i)
-            else:
+            if not (estimate > max(num.rel_tol_series * value, quad_err, rule_err)
+                    and estimate < prev):
                 results[p] = PressureResult(pref * value, f.shape[1] + nodes, pref * estimate,
                                             pref * (quad_err + rule_err))
-        if not keep:
+        if all(results):
             return results
-        active, f, err = [active[i] for i in keep], f[keep], err[keep]
         n *= 2
     # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
-    for p, fp, ep in zip(active, f, err):
-        results[p] = PressureResult(pref * xi_1 * float(fp.sum()), f.shape[1], 0.0,
-                                    pref * xi_1 * float(ep.sum()))
-    return results
+    return [r or PressureResult(pref * xi_1 * float(fp.sum()), f.shape[1], 0.0,
+                                pref * xi_1 * float(ep.sum()))
+            for r, fp, ep in zip(results, f, err)]
 
 
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):

@@ -299,6 +299,26 @@ def test_extreme_temperatures_give_finite_results_or_domain_error(gap, temp):
                                        result.quadrature_estimate)))
 
 
+@pytest.mark.parametrize("temp", [0.0, 1.0])
+@pytest.mark.parametrize("gap", [1e-100, 1e-90, 1e-80, 1e-78, 1e-76, 1e-74, 1e-72, 1e-70])
+def test_tiny_gaps_give_finite_results_or_domain_error(gap, temp):
+    # The k-integrals scale as 1/a^3 and the frequency Jacobian as 1/a, so
+    # from ~1e-76 m the ideal pair's rule overflows inside numpy.  That must
+    # raise the overflow DomainError, not a numpy warning (filterwarnings =
+    # error).
+    for model in (IDEAL, PLASMA, DRUDE, TWOFLUID):
+        try:
+            result = plate_pressure(gap, temp, model, model)
+        except DomainError as exc:
+            assert str(exc) == (f"the pressure at gap {gap!r} m and temperature "
+                                f"{temp!r} K overflows")
+            assert model is IDEAL and gap <= 1e-76
+            continue
+        assert all(map(math.isfinite, (result.pressure, result.truncation_estimate,
+                                       result.quadrature_estimate)))
+        assert not (model is IDEAL and gap <= 1e-76)
+
+
 def test_pressure_past_the_float_range_raises():
     # Finite frequencies, but k_B T / (8 pi a^3) exceeds the largest float.
     with pytest.raises(DomainError, match="temperature 1e[+]290 K overflows"):
@@ -740,8 +760,8 @@ def test_every_ladder_sample_is_nonnegative(monkeypatch, num):
     def nested_cc(g, sample, ceiling, tol, const=0.0):
         check(g, const)
 
-        def checked(x, active):
-            new = sample(x, active)
+        def checked(x):
+            new = sample(x)
             check(new, 0.0)
             return new
 
@@ -781,15 +801,15 @@ BATCH_CASES = [
     pytest.param(100e-9, 0.5, [(TWOFLUID, TWOFLUID), (DRUDE, DRUDE)],
                  LifshitzNumerics(rel_tol_quadrature=1e-11), id="100nm-0.5K-1e-11"),
     # At 1 um and 10 K the ideal pair's Matsubara sum stops at N = 128 and
-    # leaves the batch; the Drude pair's doubles on to N = 256.
+    # rides along; the Drude pair's doubles on to N = 256.
     pytest.param(1e-6, 10.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)],
                  LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
                  id="1um-10K-1e-11-ideal-drude"),
     pytest.param(100e-9, 1.0, [(PLASMA, DRUDE), (DRUDE, DRUDE), (IDEAL, PLASMA)],
                  DEFAULT_NUMERICS, id="100nm-1K-three-pairs"),
-    # At 1 um and 50 K the Drude and plasma/Drude pairs leave at 195 terms;
-    # the ideal pair doubles on until its terms reach every one below the
-    # y cutoff (221) and ends in the plain sum.
+    # At 1 um and 50 K the Drude and plasma/Drude pairs stop at 195 terms
+    # and ride along; the ideal pair doubles on until its terms reach every
+    # one below the y cutoff (221) and ends in the plain sum.
     pytest.param(1e-6, 50.0, [(IDEAL, IDEAL), (DRUDE, DRUDE), (PLASMA, DRUDE)],
                  LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
                  id="1um-50K-1e-11-plain-sum-exit"),
@@ -838,6 +858,33 @@ def test_batch_reaches_the_plain_sum_exit(case, terms):
     assert tuple(r.terms_used for r in results) == terms
     assert [r.truncation_estimate == 0.0 for r in results] == [t == max(terms) for t in terms]
     assert {type(v) for r in results for v in vars(r).values()} == {float, int}
+
+
+def _samples(calls):
+    # k-integrand samples of the hooked calls: pairs x rows x nodes.
+    return sum(len(call[0]) * call[-1].size for call in calls)
+
+
+@pytest.mark.parametrize("gap,temp,pairs,extra", [
+    (100e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)], False),
+    (300e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)], False),
+    (100e-9, 0.5, [(TWOFLUID, TWOFLUID), (DRUDE, DRUDE)], False),
+    (10e-9, 0.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)], True),
+], ids=["sweep-100nm", "sweep-300nm", "cold-scan-0.5K", "10nm-0K-stop-apart"])
+def test_batch_costs_its_solo_calls_unless_its_pairs_stop_apart(monkeypatch, gap, temp,
+                                                                  pairs, extra):
+    # Counts, not timings.  The pairs of a bundled-sweep cell and of a
+    # cold-scan point stop on the same rungs, so riding along adds no
+    # sample; at 10 nm and T = 0 the ideal pair rides along to the Drude
+    # pair's 257-node frequency rung.
+    calls = _hook_k_integrand(monkeypatch)
+    plate_pressures(gap, temp, pairs)
+    batch, solo = _samples(calls), 0
+    for a, b in pairs:
+        calls.clear()
+        plate_pressure(gap, temp, a, b)
+        solo += _samples(calls)
+    assert batch > solo if extra else batch == solo
 
 
 def test_batches_from_a_thread_pool_equal_solo():

@@ -16,9 +16,12 @@ tables, so no checkout's path reaches the output; its stdout, stderr
 at one and two workers; a ``grav-casimir`` and a material-pair ``scan``;
 ``transduce`` inside the PDH window and at a clamping pressure; ``detect``;
 ``validate``; ``film`` from the config's conductivity, ``--sigma`` and
-``--r4k``; ``tc`` on a generated single-step and two-step R(T) table; and
+``--r4k``; ``tc`` on a generated single-step and two-step R(T) table;
 ``pressure`` and a ``sweep --spec`` at 1e300 K, where the Matsubara
-frequencies overflow and the engine's error is the output.
+frequencies overflow and the engine's error is the output; a ``sweep
+--spec`` cell at 10 nm and T = 0 whose two pairs stop on different
+frequency rungs (129 and 257 nodes); and ``pressure`` at a 1e-80 m gap,
+where the k-integrals overflow and the engine's error is the output.
 """
 
 import contextlib
@@ -62,6 +65,15 @@ temperatures_K = 1e300
 pairs = ideal/ideal, al_drude/al_drude
 """
 
+# One cell whose ideal pair stops before the Drude pair and rides along.
+APART_SPEC = """[sweep]
+gap_min_nm = 10
+gap_max_nm = 10
+gap_step_nm = 10
+temperatures_K = 0
+pairs = ideal/ideal, al_drude/al_drude
+"""
+
 
 def commands():
     """Every digested argv, in a fixed order, with paths relative to the
@@ -88,6 +100,9 @@ def commands():
     yield ["pressure", "--gap", "100nm", "--temp", "1e300K", "--model-a", "ideal",
            "--model-b", "ideal"]
     yield ["sweep", *config, "--spec", "hot_spec.cfg"]
+    yield ["sweep", *config, "--spec", "apart_spec.cfg"]
+    yield ["pressure", "--gap", "1e-80m", "--temp", "0", "--model-a", "ideal",
+           "--model-b", "ideal"]
 
 
 def run(argv):
@@ -105,6 +120,7 @@ def main():
         shutil.copyfile(example_config_path(), os.path.join(work_dir, CONFIG))
         files = {f"{name}.csv": text for name, text in RT_TABLES.items()}
         files["hot_spec.cfg"] = HOT_SPEC
+        files["apart_spec.cfg"] = APART_SPEC
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -51,7 +51,6 @@ _EXPORTS = {
     "parse_material_spec": "config",
     "Drude": "materials",
     "IdealMetal": "materials",
-    "MaterialModel": "materials",
     "Plasma": "materials",
     "SuperconductorTwoFluid": "materials",
     "eps_imag_freq": "materials",

@@ -156,7 +156,6 @@ def _build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="parallel evaluators; CSV and warnings are byte-identical for any value")
     _add_numerics_args(p)
-    p.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
 
     p = sub.add_parser("scan", help="simulated temperature scan of the cavity shift")
     _add_config_arg(p, required=True)
@@ -170,14 +169,13 @@ def _build_parser():
                         "'A/B-vs-C/D' with material names/inline specs, e.g. "
                         "al_sc/al_sc-vs-al_drude/al_drude")
     _add_numerics_args(p)
-    p.add_argument("--output", metavar="FILE", help="write CSV here instead of stdout")
 
     p = sub.add_parser("film", help="dirty-limit film parameters (xi, lambda, ell)")
     _add_config_arg(p, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--sigma", type=float, metavar="S",
                        help="measured 4 K conductivity in (ohm m)^-1; default: "
-                            "sigma_4k_per_ohm_m from the config")
+                            "sigma_4k_per_ohm_m from the config, else its r4k_ohm")
     group.add_argument("--r4k", type=float, metavar="OHM",
                        help="measured 4 K wire resistance in ohm (uses the config "
                             "wire length and cross section)")
@@ -226,15 +224,6 @@ def _cmd_pressure(args):
     return 0
 
 
-def _write_output(text, path):
-    """``text`` to the file at ``path``, or to stdout when no path is given."""
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_sweep(args):
     if args.workers < 1:
         raise argparse.ArgumentError(None, f"--workers must be >= 1, got {args.workers}")
@@ -244,7 +233,7 @@ def _cmd_sweep(args):
         raise ConfigError(["config has no [sweep] section and no --spec was given"])
     rows = run_gap_sweep(spec, cfg.geometry, cfg.cavity, cfg.calib,
                          _numerics(args), workers=args.workers)
-    _write_output(sweep_csv(rows), args.output)
+    sys.stdout.write(sweep_csv(rows))
     return 0
 
 
@@ -275,28 +264,30 @@ def _cmd_scan(args):
     grid = [tmin + i * step for i in range(args.points)]
     points = simulate_temperature_scan(cfg.geometry, cfg.cavity, grid, theory,
                                        _numerics(args))
-    _write_output(scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
-                           drift_band=cfg.calib.drift_bound), args.output)
+    sys.stdout.write(scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
+                              drift_band=cfg.calib.drift_bound))
     return 0
 
 
 def _cmd_film(args):
     cfg = load_device_config(args.config)
-    film = cfg.film
-    if args.r4k is not None:
-        sigma = conductivity_from_four_point(film.wire_length, film.cross_section,
-                                             args.r4k)
-        source = f"r4k = {args.r4k} ohm"
-    elif args.sigma is not None:
-        sigma = args.sigma
+    film, measured = cfg.film, cfg.film_measured
+    # The first of --r4k, --sigma, sigma_4k_per_ohm_m and r4k_ohm that is given.
+    sigma, r_4k = args.sigma, args.r4k
+    if r_4k is not None:
+        source = f"r4k = {r_4k} ohm"
+    elif sigma is not None:
         source = "--sigma"
+    elif "sigma_4k" in measured:
+        sigma, source = measured["sigma_4k"], "config sigma_4k_per_ohm_m"
+    elif "r_4k" in measured:
+        r_4k = measured["r_4k"]
+        source = f"config r4k_ohm = {r_4k} ohm"
     else:
-        sigma = cfg.film_measured.get("sigma_4k")
-        if sigma is None:
-            raise ConfigError(
-                ["no conductivity: give --sigma/--r4k or set sigma_4k_per_ohm_m"]
-            )
-        source = "config sigma_4k_per_ohm_m"
+        raise ConfigError(["no conductivity: give --sigma/--r4k or set "
+                           "sigma_4k_per_ohm_m or r4k_ohm"])
+    if sigma is None:
+        sigma = conductivity_from_four_point(film.wire_length, film.cross_section, r_4k)
 
     ell = mean_free_path(sigma, film.rho_ell)
     pairs = [
@@ -305,7 +296,7 @@ def _cmd_film(args):
         ("rho_ell_ohm_m2", film.rho_ell),
         ("mean_free_path_from_sigma_nm", ell * 1e9),
     ]
-    quoted = cfg.film_measured.get("quoted_mean_free_path")
+    quoted = measured.get("quoted_mean_free_path")
     ells = [("from_sigma", ell)]
     if quoted is not None:
         pairs.append(("quoted_mean_free_path_nm", quoted * 1e9))

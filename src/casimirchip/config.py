@@ -212,7 +212,7 @@ class SweepSpec:
     gap_max: float       # m
     gap_step: float      # m
     temperatures: tuple  # K
-    pairs: tuple         # of (label, MaterialModel, MaterialModel)
+    pairs: tuple         # of (label, material model, material model)
 
     def __post_init__(self):
         if not (0 < self.gap_min <= self.gap_max):

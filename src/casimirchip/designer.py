@@ -58,8 +58,8 @@ class MaterialPairDifferential:
     """Theory input: Lifshitz pressure difference between two material pairs."""
 
     name: str
-    pair: tuple       # (MaterialModel, MaterialModel)
-    reference: tuple  # (MaterialModel, MaterialModel)
+    pair: tuple       # (material model, material model)
+    reference: tuple  # (material model, material model)
 
     def delta_pressure(self, gap, temperature, num=DEFAULT_NUMERICS):
         mat_a, mat_b = self.pair

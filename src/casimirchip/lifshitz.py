@@ -480,13 +480,22 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     stops, and its result at the first N where its Matsubara sum stops,
     after which it rides along.  Each pair's terms and k-errors are one row
     of two (pairs, terms) arrays, so each result is bit for bit the one its
-    pair gets alone, from plate_pressure.  Raises DomainError for a gap or
-    temperature outside its domain before evaluating anything, and where
-    the frequencies, a numpy pass or a result overflow, so every number
+    pair gets alone, from plate_pressure.  Raises DomainError before
+    evaluating anything for a gap or temperature outside its domain, and for
+    a gap at which a free-electron model's response vanishes from eps: where
+    eps(i c/2a) - 1, at the frequency whose y_lo is 1, rounds to 0 (below
+    ~9e-17 m for aluminium), or c/2a itself overflows.  The pressure there
+    would be silently wrong, and exactly 0 with zero bars further down.
+    Raises it too where a numpy pass or a result overflows, so every number
     returned is finite and no numpy warning is printed.
     """
     require_positive("gap", gap)
     require_nonnegative("temperature", temperature)
+    xi_gap = C / (2.0 * gap)
+    for model in {m for pair in pairs for m in pair if not isinstance(m, IdealMetal)}:
+        if not (math.isfinite(xi_gap) and eps_imag_freq(model, xi_gap, temperature) > 1.0):
+            raise DomainError(f"the material response vanishes at gap {gap!r} m: "
+                              "eps(i c/2a) - 1 rounds to 0")
     try:
         # An overflow inside numpy raises here instead of printing a warning.
         with np.errstate(over="raise", invalid="raise"):
@@ -525,11 +534,6 @@ def _plate_pressures(gap, temperature, pairs, num):
                                       ceiling, (gap, temperature, pairs, num))]
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
     n_ceiling = xi_hi // xi_1 + 2
-    # 2 a xi_n of the highest term, the product _k_integrals_adaptive forms
-    # first: it and xi_n must not overflow.
-    if not math.isfinite(2.0 * gap * (n_ceiling * xi_1)):
-        raise DomainError(f"the Matsubara frequencies at gap {gap!r} m and temperature "
-                          f"{temperature!r} K overflow")
     n, results, trunc = _N_EXPLICIT, [None] * len(pairs), [math.inf] * len(pairs)
     # Row p of f (the terms f(n)) and of err (their k-errors) is pair p.
     f = err = np.zeros((len(pairs), 0))

@@ -23,7 +23,6 @@ arithmetic is needed anywhere in the pressure engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import POSITIVE, DomainError, require_nonnegative, require_positive
 
@@ -77,9 +76,6 @@ class SuperconductorTwoFluid:
 
     def __post_init__(self):
         _check_parameters(self)
-
-
-MaterialModel = Union[IdealMetal, Plasma, Drude, SuperconductorTwoFluid]
 
 
 def superfluid_fraction(temperature, t_c):

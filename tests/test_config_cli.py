@@ -15,6 +15,7 @@ from casimirchip import (
     DomainError,
     Drude,
     IdealMetal,
+    MaterialPairDifferential,
     Plasma,
     ReadoutCalibration,
     SuperconductorTwoFluid,
@@ -22,6 +23,7 @@ from casimirchip import (
     example_config_path,
     load_device_config,
     parse_material_spec,
+    simulate_temperature_scan,
 )
 from casimirchip import cli, config
 from casimirchip.cli import _build_parser, _numerics, main
@@ -335,6 +337,8 @@ def test_cli_pressure_rejects_duplicate_inline_key(capsys):
     (["scan", "--config", EXAMPLE, "--tmin", "0.5K", "--tmax", "1K",
       "--theory", "al_sc-vs-al_drude"],
      "argument --theory: material pair must be 'A/B', got 'al_sc'"),
+    (["scan", "--config", EXAMPLE, "--tmin", "0.5K", "--tmax", "1K", "--theory", "al_sc"],
+     "argument --theory: theory must be 'grav-casimir' or 'A/B-vs-C/D', got 'al_sc'"),
     (["scan", "--config", EXAMPLE, "--tmin", "1K", "--tmax", "0.5K",
       "--theory", "grav-casimir"],
      "usage error: need tmin < tmax and at least 2 grid points"),
@@ -345,7 +349,8 @@ def test_cli_pressure_rejects_duplicate_inline_key(capsys):
      "argument --gap: length unit must be one of fm/pm/nm/um/mm/m, got 'xx'"),
     (["sweep", "--config", EXAMPLE, "--workers", "0"],
      "usage error: --workers must be >= 1, got 0"),
-], ids=["theory-pair", "tmin-above-tmax", "one-point", "gap-unit", "zero-workers"])
+], ids=["theory-pair", "theory-without-vs", "tmin-above-tmax", "one-point", "gap-unit",
+        "zero-workers"])
 def test_cli_malformed_value_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -462,6 +467,18 @@ def test_cli_has_no_t_zero_nodes_flag(capsys):
     assert "unrecognized arguments: --t-zero-nodes 64" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--config", EXAMPLE],
+    ["scan", "--config", EXAMPLE, "--tmin", "0.5K", "--tmax", "1K", "--theory", "grav-casimir"],
+], ids=["sweep", "scan"])
+def test_cli_has_no_output_flag(capsys, tmp_path, command):
+    # CSV goes to stdout, like every other command's output.
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *command, "--output", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert f"unrecognized arguments: --output {path}" in err
+
+
 def test_cli_scan_grav_stub(capsys):
     code, out, err = run_cli(
         capsys, "scan", "--config", EXAMPLE, "--tmin", "500mK", "--tmax", "1.2K",
@@ -499,6 +516,98 @@ def test_cli_film_with_r4k(capsys):
     assert code == 0
     lines = dict(l.split(" = ", 1) for l in out.splitlines() if " = " in l)
     assert float(lines["sigma_4k_per_ohm_m"]) == pytest.approx(4.1e7, rel=1e-3)
+
+
+def _example_without(tmp_path, *, sections=(), keys=(), replace=None):
+    """Path of a copy of the example config without the named sections and
+    keys, and with ``replace`` (old, new) applied to its text."""
+    text = example_config_path().read_text()
+    for name in sections:
+        text = re.sub(rf"(?ms)^\[{name}\]\n.*?(?=^\[|\Z)", "", text)
+    for key in keys:
+        text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+    if replace:
+        text = text.replace(*replace)
+    path = tmp_path / "device.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_film_falls_back_to_the_config_r4k(capsys, tmp_path):
+    # r4k_ohm is the last conductivity source, after --r4k, --sigma and
+    # sigma_4k_per_ohm_m: through the wire geometry it gives --r4k 45's sigma.
+    config_path = _example_without(tmp_path, keys=["sigma_4k_per_ohm_m"])
+    code, out, err = run_cli(capsys, "film", "--config", config_path)
+    assert code == 0 and err == ""
+    lines = dict(l.split(" = ", 1) for l in out.splitlines() if " = " in l)
+    assert lines["conductivity_source"] == "config r4k_ohm = 45.0 ohm"
+    _, via_flag, _ = run_cli(capsys, "film", "--config", EXAMPLE, "--r4k", "45")
+    assert out.splitlines()[1:] == via_flag.splitlines()[1:]
+    # Both keys given: sigma_4k_per_ohm_m wins, as before.
+    _, out, _ = run_cli(capsys, "film", "--config", EXAMPLE)
+    assert "conductivity_source = config sigma_4k_per_ohm_m\n" in out
+
+
+def test_cli_film_without_any_conductivity_exits_two(capsys, tmp_path):
+    config_path = _example_without(tmp_path, keys=["sigma_4k_per_ohm_m", "r4k_ohm"])
+    code, out, err = run_cli(capsys, "film", "--config", config_path)
+    assert code == 2 and out == ""
+    assert err == ("config error: no conductivity: give --sigma/--r4k or set "
+                   "sigma_4k_per_ohm_m or r4k_ohm\n")
+
+
+def test_cli_scan_material_pair_theory_is_the_library_scan(capsys):
+    # The paper's observable: the superconducting pair against its normal
+    # state, read as a cavity shift relative to the hottest point.
+    code, out, err = run_cli(
+        capsys, "scan", "--config", EXAMPLE, "--tmin", "500mK", "--tmax", "1.2K",
+        "--points", "7", "--theory", "al_sc/al_sc-vs-al_drude/al_drude",
+    )
+    assert code == 0 and err == ""
+    cfg = load_device_config(EXAMPLE)
+    pair = (cfg.materials["al_sc"],) * 2
+    reference = (cfg.materials["al_drude"],) * 2
+    theory = MaterialPairDifferential("al_sc/al_sc-vs-al_drude/al_drude", pair, reference)
+    tmin, tmax = parse_temperature("500mK"), parse_temperature("1.2K")
+    step = (tmax - tmin) / 6
+    grid = [tmin + i * step for i in range(7)]
+    points = simulate_temperature_scan(cfg.geometry, cfg.cavity, grid, theory)
+    assert out == scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
+                           drift_band=cfg.calib.drift_bound)
+    rows = [(float(t), float(shift)) for t, shift in csv_table(out)[1]]
+    assert rows[-1][1] == 0.0
+    below = [shift for t, shift in rows if t < cfg.film.t_c]
+    assert len(below) == 4 and all(shift < 0.0 for shift in below)
+
+
+@pytest.mark.parametrize("argv, section, message", [
+    (["sweep"], "sweep", "config has no [sweep] section and no --spec was given"),
+    (["scan", "--tmin", "0.5K", "--tmax", "1K", "--theory", "grav-casimir"], "signals",
+     "theory grav-casimir needs gravitational_casimir_Pa in [signals]"),
+    (["detect"], "signals", "no signals: give --signal or a [signals] section"),
+], ids=["sweep", "scan-grav-casimir", "detect"])
+def test_cli_command_without_its_config_section_exits_two(capsys, tmp_path, argv,
+                                                          section, message):
+    config_path = _example_without(tmp_path, sections=[section])
+    code, out, err = run_cli(capsys, argv[0], "--config", config_path, *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"config error: {message}\n"
+
+
+def test_cli_tc_missing_input_exits_one(capsys, tmp_path):
+    path = tmp_path / "missing.csv"
+    code, out, err = run_cli(capsys, "tc", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: [Errno 2] ") and str(path) in err
+
+
+def test_cli_validate_warns_at_the_roughness_scale(capsys, tmp_path):
+    config_path = _example_without(tmp_path, replace=("gap_nm = 100\n", "gap_nm = 4\n"))
+    code, out, err = run_cli(capsys, "validate", "--config", config_path)
+    assert code == 0 and err == ""
+    assert "warning: gap is at or below the 5 nm roughness scale" in out.splitlines()
+    _, out, _ = run_cli(capsys, "validate", "--config", EXAMPLE)
+    assert "roughness" not in out
 
 
 def test_cli_tc_two_step(capsys, tmp_path):

@@ -256,3 +256,19 @@ def test_r_normal_is_the_median_of_the_normal_plateau():
     result = extract_tc(curve_from_arrays(t, r))
     assert result.r_normal == 45.75
     assert result.steps == ((result.t_c, 45.75, 1.0),)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the plateau rule counts points, "
+                   "so T_c depends on sampling density and noise")
+def test_extract_tc_does_not_depend_on_sampling_density():
+    # A clean logistic over 0.5-1.5 K gives T_c within 1 mK at 120 points,
+    # but from ~800 points the edge is cut into steps below 25% of R_n.  With
+    # 1% noise, 500 points land 5.6 mK off.
+    for n in (120, 800, 2000, 10000):
+        t, r = logistic_curve(lo=0.5, hi=1.5, n=n)
+        assert extract_tc(curve_from_arrays(t, r)).t_c == pytest.approx(0.95, abs=1e-3)
+    for n in (120, 500):
+        t, r = logistic_curve(lo=0.5, hi=1.5, n=n)
+        noisy = r + np.random.default_rng(500).normal(0.0, 0.01 * 45.0, size=n)
+        result = extract_tc(curve_from_arrays(t, np.clip(noisy, 0.0, None)))
+        assert result.t_c == pytest.approx(0.95, abs=1e-3)

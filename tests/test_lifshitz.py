@@ -305,18 +305,44 @@ def test_tiny_gaps_give_finite_results_or_domain_error(gap, temp):
     # The k-integrals scale as 1/a^3 and the frequency Jacobian as 1/a, so
     # from ~1e-76 m the ideal pair's rule overflows inside numpy.  That must
     # raise the overflow DomainError, not a numpy warning (filterwarnings =
-    # error).
+    # error).  The free-electron responses have long vanished from eps at
+    # these gaps, which is refused before anything is evaluated.
     for model in (IDEAL, PLASMA, DRUDE, TWOFLUID):
         try:
             result = plate_pressure(gap, temp, model, model)
         except DomainError as exc:
-            assert str(exc) == (f"the pressure at gap {gap!r} m and temperature "
-                                f"{temp!r} K overflows")
-            assert model is IDEAL and gap <= 1e-76
+            if model is IDEAL:
+                assert str(exc) == (f"the pressure at gap {gap!r} m and temperature "
+                                    f"{temp!r} K overflows")
+                assert gap <= 1e-76
+            else:
+                assert str(exc) == (f"the material response vanishes at gap {gap!r} m: "
+                                    "eps(i c/2a) - 1 rounds to 0")
             continue
         assert all(map(math.isfinite, (result.pressure, result.truncation_estimate,
                                        result.quadrature_estimate)))
-        assert not (model is IDEAL and gap <= 1e-76)
+        assert result.pressure > 0.0
+        assert model is IDEAL and gap > 1e-76
+
+
+@pytest.mark.parametrize("model", [PLASMA, DRUDE, TWOFLUID], ids=["plasma", "drude", "twofluid"])
+def test_vanished_material_response_raises_instead_of_a_silent_zero(model):
+    # eps(i c/2a) - 1 = omega_p^2 (2a/c)^2 for plasma is 2.2e-16 at 1e-16 m
+    # and rounds to 0 below: the pressure then fell 1000x low by 1e-18 m and
+    # to exactly 0 with zero bars by 1e-30 m.
+    for gap in (1e-18, 1e-30):
+        for temp in (0.0, 1.0):
+            with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
+                plate_pressure(gap, temp, model, model)
+            with pytest.raises(DomainError, match="vanishes"):
+                plate_pressures(gap, temp, [(IDEAL, IDEAL), (model, IDEAL)])
+    # Down to 1e-16 m the non-retarded P a^3 holds at T = 0, each value within
+    # its own bar of the 1e-12 m one.
+    ref = plate_pressure(1e-12, 0.0, model, model).pressure * 1e-36
+    for gap in (1e-13, 1e-14, 1e-15, 1e-16):
+        result = plate_pressure(gap, 0.0, model, model)
+        bar = result.truncation_estimate + result.quadrature_estimate
+        assert abs(result.pressure * gap**3 - ref) <= bar * gap**3
 
 
 def test_pressure_past_the_float_range_raises():

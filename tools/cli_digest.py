@@ -17,11 +17,14 @@ at one and two workers; a ``grav-casimir`` and a material-pair ``scan``;
 ``transduce`` inside the PDH window and at a clamping pressure; ``detect``;
 ``validate``; ``film`` from the config's conductivity, ``--sigma`` and
 ``--r4k``; ``tc`` on a generated single-step and two-step R(T) table;
-``pressure`` and a ``sweep --spec`` at 1e300 K, where the Matsubara
-frequencies overflow and the engine's error is the output; a ``sweep
---spec`` cell at 10 nm and T = 0 whose two pairs stop on different
-frequency rungs (129 and 257 nodes); and ``pressure`` at a 1e-80 m gap,
-where the k-integrals overflow and the engine's error is the output.
+``pressure`` and a ``sweep --spec`` at 1e300 K, where the pressure
+overflows and the engine's error is the output; a ``sweep --spec`` cell at
+10 nm and T = 0 whose two pairs stop on different frequency rungs (129 and
+257 nodes); ``pressure`` at a 1e-80 m gap, where the k-integrals overflow,
+and plasma ``pressure`` at 1e-18 m, where the material response has
+vanished from eps, each with the engine's error as the output; and ``film``
+on a copy of the config without ``sigma_4k_per_ohm_m``, which falls back to
+its ``r4k_ohm``.
 """
 
 import contextlib
@@ -103,6 +106,9 @@ def commands():
     yield ["sweep", *config, "--spec", "apart_spec.cfg"]
     yield ["pressure", "--gap", "1e-80m", "--temp", "0", "--model-a", "ideal",
            "--model-b", "ideal"]
+    yield ["pressure", "--gap", "1e-18m", "--temp", "0", "--model-a", "al_plasma",
+           "--model-b", "al_plasma", *config]
+    yield ["film", "--config", "no_sigma.cfg"]
 
 
 def run(argv):
@@ -121,6 +127,9 @@ def main():
         files = {f"{name}.csv": text for name, text in RT_TABLES.items()}
         files["hot_spec.cfg"] = HOT_SPEC
         files["apart_spec.cfg"] = APART_SPEC
+        files["no_sigma.cfg"] = "".join(
+            line for line in example_config_path().read_text().splitlines(keepends=True)
+            if not line.startswith("sigma_4k_per_ohm_m"))
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

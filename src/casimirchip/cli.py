@@ -78,14 +78,14 @@ def _text_value(parse):
 
 
 def _theory(text):
-    """'grav-casimir', or the 'A/B-vs-C/D' token as its two name pairs."""
+    """'grav-casimir', or an 'A/B-vs-C/D' token's two name pairs."""
     token = text.strip()
     if token == "grav-casimir":
         return token
     pair_part, sep, ref_part = token.partition("-vs-")
     if not sep:
         raise DomainError(f"theory must be 'grav-casimir' or 'A/B-vs-C/D', got {text!r}")
-    return token, split_pair(pair_part), split_pair(ref_part)
+    return split_pair(pair_part), split_pair(ref_part)
 
 
 def _signal(text):
@@ -245,13 +245,13 @@ def _resolve_theory(theory, cfg):
             raise ConfigError(
                 ["theory grav-casimir needs gravitational_casimir_Pa in [signals]"]
             )
-        return StepPressureSignal("grav-casimir", magnitude, cfg.film.t_c)
-    token, pair, ref = theory
+        return StepPressureSignal(magnitude, cfg.film.t_c)
+    pair, ref = theory
 
     def pair_of(names):
         return tuple(parse_material_spec(name, cfg.materials) for name in names)
 
-    return MaterialPairDifferential(token, pair_of(pair), pair_of(ref))
+    return MaterialPairDifferential(pair_of(pair), pair_of(ref))
 
 
 def _cmd_scan(args):

@@ -22,7 +22,7 @@ import configparser
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 
@@ -44,12 +44,12 @@ TWO_PI = 2.0 * math.pi
 # SI factor per unit suffix
 _UNIT_FACTORS = {
     "fm": 1e-15, "pm": 1e-12, "nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0,
-    "nm2": 1e-18, "um2": 1e-12, "m2": 1.0,
+    "um2": 1e-12,
     "mK": 1e-3, "K": 1.0,
-    "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12,
+    "MHz": 1e6, "GHz": 1e9,
     "mPa": 1e-3, "Pa": 1.0, "MPa": 1e6, "GPa": 1e9,
-    "pg": 1e-15, "ng": 1e-12, "kg": 1.0,
-    "nW": 1e-9, "uW": 1e-6, "mW": 1e-3, "W": 1.0,
+    "pg": 1e-15,
+    "nW": 1e-9, "uW": 1e-6,
     "ohm": 1.0, "ohm_m2": 1.0, "per_ohm_m": 1.0,
     "kg_per_m3": 1.0,
     "GHz_per_nm": 1e18,        # Hz per m
@@ -76,7 +76,7 @@ def _num(unit, scale=1.0):
 
 def _text(options):
     def convert(text, where):
-        if options and text not in options:
+        if text not in options:
             raise ConfigError(
                 [f"{where}: expected one of {sorted(options)}, got {text!r}"]
             )
@@ -120,11 +120,16 @@ def _list(item):
     return convert
 
 
+def _modal_mass(m_eff):
+    """[mechanics]'s m_eff, checked at load as the classes check theirs."""
+    require_positive("m_eff", m_eff)
+    return m_eff
+
+
 # section -> (DeviceConfig field, class it builds, key -> (field, converter,
 # required)); the one place a device key is named.  Required keys are the
 # constructor arguments; an optional key lands in the section's entry of
-# _SIDE_TABLES under its field name.  [mechanics] builds no class: its
-# field is the DeviceConfig field itself.
+# _SIDE_TABLES under its field name.  _modal_mass stands in for a class.
 _SCHEMA = {
     "geometry": ("geometry", DeviceGeometry, {
         "string_length_um": ("string_length", _num("um"), True),
@@ -139,7 +144,7 @@ _SCHEMA = {
         "density_sin_kg_per_m3": ("density_sin", _num("kg_per_m3"), True),
         "density_al_kg_per_m3": ("density_al", _num("kg_per_m3"), True),
     }),
-    "mechanics": (None, None, {
+    "mechanics": ("m_eff", _modal_mass, {
         "m_eff_pg": ("m_eff", _num("pg"), True),
     }),
     "cavity": ("cavity", CavityParams, {
@@ -237,11 +242,11 @@ class DeviceConfig:
     cavity: CavityParams
     calib: ReadoutCalibration
     film: FilmParams
-    film_measured: dict = field(default_factory=dict)
-    materials: dict = field(default_factory=dict)
-    sweep: SweepSpec | None = None
-    signals: tuple = ()
-    annotations: dict = field(default_factory=dict)
+    film_measured: dict
+    materials: dict
+    sweep: SweepSpec | None
+    signals: tuple
+    annotations: dict
 
 
 def _build_material(kind, values, where):
@@ -374,9 +379,6 @@ def load_device_config(path):
         args = {name: values.pop(name) for name in required if name in values}
         if section in _SIDE_TABLES:
             parts[_SIDE_TABLES[section]] = values
-        if cls is None:
-            parts.update(args)
-            continue
         if len(args) < len(required):
             continue
         if cls is ReadoutCalibration:

@@ -6,7 +6,7 @@ The values are the 2018 recommended ones (exact in the 2019 SI except for
 the rounding of hbar), fixed at build time so that derived numbers are
 reproducible; they are deliberately not configurable.  The Matsubara
 frequencies xi_n = 2 pi n k_B T / hbar are formed where they are summed,
-in ``lifshitz.plate_pressure``.
+in ``lifshitz._plate_pressures``.
 """
 
 HBAR = 1.054_571_817e-34      # J s

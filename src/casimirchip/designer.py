@@ -57,7 +57,6 @@ class DetectabilityVerdict:
 class MaterialPairDifferential:
     """Theory input: Lifshitz pressure difference between two material pairs."""
 
-    name: str
     pair: tuple       # (material model, material model)
     reference: tuple  # (material model, material model)
 
@@ -75,7 +74,6 @@ class StepPressureSignal:
     the proposed gravitational-Casimir pressure between superconductors.
     """
 
-    name: str
     magnitude: float  # Pa
     t_c: float        # K
 

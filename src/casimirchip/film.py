@@ -72,8 +72,8 @@ class TcResult:
     r_normal: float          # Ohm
     r_residual: float        # Ohm
     steps: tuple             # of (T_step, R_before, R_after)
-    multi_step: bool = False
-    threshold_crossing: float = math.nan  # K, naive global 50% crossing
+    multi_step: bool
+    threshold_crossing: float  # K, naive global 50% crossing
 
 
 def conductivity_from_four_point(wire_length, cross_section, r_4k):

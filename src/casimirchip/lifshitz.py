@@ -489,6 +489,12 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     Raises it too where a numpy pass or a result overflows, so every number
     returned is finite and no numpy warning is printed.
     """
+    _require_domain(gap, temperature, pairs)
+    return _finite_pressures(gap, temperature, pairs, num)
+
+
+def _require_domain(gap, temperature, pairs):
+    """The DomainError plate_pressures raises before evaluating anything."""
     require_positive("gap", gap)
     require_nonnegative("temperature", temperature)
     xi_gap = C / (2.0 * gap)
@@ -496,6 +502,10 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
         if not (math.isfinite(xi_gap) and eps_imag_freq(model, xi_gap, temperature) > 1.0):
             raise DomainError(f"the material response vanishes at gap {gap!r} m: "
                               "eps(i c/2a) - 1 rounds to 0")
+
+
+def _finite_pressures(gap, temperature, pairs, num):
+    """plate_pressures for arguments _require_domain accepts."""
     try:
         # An overflow inside numpy raises here instead of printing a warning.
         with np.errstate(over="raise", invalid="raise"):
@@ -612,14 +622,14 @@ def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT
     evaluated exactly as plate_pressure would; pairs whose responses at
     this temperature are the same (a superconductor above t_c against its
     normal state) differ by exactly 0.0, which is returned without
-    evaluating either, though a gap or temperature outside its domain
-    still raises DomainError.
+    evaluating either.  Either way, the arguments plate_pressures refuses
+    raise its DomainError.
     """
     ref_a, ref_b = reference
-    require_positive("gap", gap)
-    require_nonnegative("temperature", temperature)
+    pairs = [(mat_a, mat_b), (ref_a, ref_b)]
+    _require_domain(gap, temperature, pairs)
     key = (response(mat_a, temperature), response(mat_b, temperature))
     if (response(ref_a, temperature), response(ref_b, temperature)) in (key, key[::-1]):
         return 0.0
-    p, p_ref = plate_pressures(gap, temperature, [(mat_a, mat_b), (ref_a, ref_b)], num)
+    p, p_ref = _finite_pressures(gap, temperature, pairs, num)
     return p.pressure - p_ref.pressure

@@ -65,14 +65,13 @@ class BeamMechanicsDerived:
     k_eff: float    # N/m
 
 
-def axial_tension(stress, geometry):
-    """Axial tension S = stress * (width * thickness) in N.
+def axial_tension(geometry):
+    """Axial tension S = film_stress * (width * thickness) in N.
 
     Only the nitride cross section carries stress; the evaporated metal is
     unstressed.
     """
-    require_positive("stress", stress)
-    return stress * geometry.width * geometry.thickness
+    return geometry.film_stress * geometry.width * geometry.thickness
 
 
 def _mass_per_length(geometry):
@@ -113,7 +112,7 @@ def midpoint_deflection(q, load_span, length, tension):
 
 def fundamental_frequency(geometry):
     """Fundamental string frequency f1 = (1 / 2 L) sqrt(S / mu) in Hz."""
-    tension = axial_tension(geometry.film_stress, geometry)
+    tension = axial_tension(geometry)
     mu = _mass_per_length(geometry)
     return math.sqrt(tension / mu) / (2.0 * geometry.effective_length)
 
@@ -132,7 +131,7 @@ def derive_mechanics(geometry, m_eff=None):
     single beam is used; a measured or simulated modal mass (which also
     captures the supports and the photonic-crystal region) supersedes it.
     """
-    tension = axial_tension(geometry.film_stress, geometry)
+    tension = axial_tension(geometry)
     mu = _mass_per_length(geometry)
     f1 = fundamental_frequency(geometry)
     if m_eff is None:
@@ -154,7 +153,7 @@ def pressure_to_gap_change(pressure, geometry):
     per-beam midpoint deflection.
     """
     require_nonnegative("pressure", pressure)
-    tension = axial_tension(geometry.film_stress, geometry)
+    tension = axial_tension(geometry)
     q = pressure * geometry.plate_height
     length = geometry.effective_length
     c = geometry.metal_segment_length

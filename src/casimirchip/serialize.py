@@ -27,30 +27,19 @@ def fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.17g}"
     return str(value)
 
 
-def kv_text(pairs):
-    """``key = value`` lines from (key, value) pairs; keys carry units."""
-    return "\n".join(f"{key} = {fmt(value)}" for key, value in pairs) + "\n"
-
-
-def kv_json(pairs):
-    def jsonable(value):
-        if isinstance(value, float) and math.isnan(value):
-            return None
-        return value
-
-    return json.dumps({k: jsonable(v) for k, v in pairs}, indent=2) + "\n"
-
-
 def render_kv(pairs, fmt_name):
+    """(key, value) pairs as ``key = value`` lines, or with ``"json"`` as a
+    JSON object; keys carry units."""
     if fmt_name == "json":
-        return kv_json(pairs)
-    return kv_text(pairs)
+        # JSON has no NaN: it is written as null.
+        data = {key: None if isinstance(value, float) and math.isnan(value) else value
+                for key, value in pairs}
+        return json.dumps(data, indent=2) + "\n"
+    return "\n".join(f"{key} = {fmt(value)}" for key, value in pairs) + "\n"
 
 
 def _table(header, rows, comments=()):

@@ -178,7 +178,7 @@ def test_criterion_6_pressure_floor():
 
 
 def test_criterion_7_gravitational_casimir_scenario():
-    theory = StepPressureSignal("grav", 0.5, t_c=CFG.film.t_c)
+    theory = StepPressureSignal(0.5, t_c=CFG.film.t_c)
     grid = [0.1, 0.5, 0.85, 0.95, 1.2]
     points = simulate_temperature_scan(CFG.geometry, CFG.cavity, grid, theory)
     shifts = dict(points)

@@ -28,7 +28,7 @@ from casimirchip import (
 from casimirchip import cli, config
 from casimirchip.cli import _build_parser, _numerics, main
 from casimirchip.config import parse_length, parse_pressure, parse_temperature
-from casimirchip.serialize import fmt, scan_csv
+from casimirchip.serialize import fmt, render_kv, scan_csv
 
 EXAMPLE = str(example_config_path())
 
@@ -183,6 +183,26 @@ def test_signal_range_problem_is_collected_with_the_others(tmp_path, value):
     ]
 
 
+@pytest.mark.parametrize("command", [["validate"], ["transduce", "--pressure", "1Pa"]])
+def test_modal_mass_range_problem_is_collected_with_the_others(tmp_path, capsys, command):
+    # [mechanics] builds no class; its m_eff used to go unchecked at load,
+    # so validate failed later with a domain error and transduce ran.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text()
+                   .replace("gap_nm = 100", "gap_nm = -5")
+                   .replace("m_eff_pg = 418", "m_eff_pg = -418"))
+    problems = [
+        "[geometry]: gap must be finite and > 0, got -5e-09",
+        "[mechanics]: m_eff must be finite and > 0, got -4.1800000000000004e-13",
+    ]
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(str(bad))
+    assert excinfo.value.problems == problems
+    code, out, err = run_cli(capsys, *command, "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "".join(f"config error: {problem}\n" for problem in problems)
+
+
 def test_parse_material_specs():
     cfg = load_device_config(EXAMPLE)
     assert isinstance(parse_material_spec("ideal", cfg.materials), IdealMetal)
@@ -249,6 +269,17 @@ def test_quantity_parsers():
 def test_fmt_round_trips_doubles():
     values = [13.001257724477536, 1e-300, -2.5e17, 0.1 + 0.2]
     assert all(float(fmt(v)) == v for v in values)
+
+
+def test_render_kv_writes_nan_as_text_nan_and_json_null():
+    import json
+
+    pairs = [("a_Pa", math.nan), ("b_Pa", -math.nan), ("n", 3), ("ok", True)]
+    assert fmt(math.nan) == fmt(-math.nan) == "nan"
+    assert render_kv(pairs, "text") == "a_Pa = nan\nb_Pa = nan\nn = 3\nok = true\n"
+    text = render_kv(pairs, "json")
+    assert text.endswith("}\n") and "NaN" not in text
+    assert json.loads(text) == {"a_Pa": None, "b_Pa": None, "n": 3, "ok": True}
 
 
 def test_scan_csv_round_trip_and_bands():
@@ -567,7 +598,7 @@ def test_cli_scan_material_pair_theory_is_the_library_scan(capsys):
     cfg = load_device_config(EXAMPLE)
     pair = (cfg.materials["al_sc"],) * 2
     reference = (cfg.materials["al_drude"],) * 2
-    theory = MaterialPairDifferential("al_sc/al_sc-vs-al_drude/al_drude", pair, reference)
+    theory = MaterialPairDifferential(pair, reference)
     tmin, tmax = parse_temperature("500mK"), parse_temperature("1.2K")
     step = (tmax - tmin) / 6
     grid = [tmin + i * step for i in range(7)]

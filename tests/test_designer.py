@@ -246,7 +246,7 @@ def test_sweep_rejects_nonpositive_workers(workers):
 
 
 def test_scan_identical_theory_is_identically_zero():
-    theory = MaterialPairDifferential("null", (DRUDE, DRUDE), (DRUDE, DRUDE))
+    theory = MaterialPairDifferential((DRUDE, DRUDE), (DRUDE, DRUDE))
     grid = [0.5, 0.8, 1.1]
     points = simulate_temperature_scan(GEOMETRY, CAVITY, grid, theory)
     assert [t for t, _ in points] == grid
@@ -254,7 +254,7 @@ def test_scan_identical_theory_is_identically_zero():
 
 
 def test_scan_step_signal_magnitude():
-    theory = StepPressureSignal("step", 0.5, t_c=0.9)
+    theory = StepPressureSignal(0.5, t_c=0.9)
     grid = [0.5, 0.8, 1.0, 1.2]
     points = simulate_temperature_scan(GEOMETRY, CAVITY, grid, theory)
     shifts = dict(points)
@@ -267,14 +267,13 @@ def test_scan_step_signal_magnitude():
 
 
 def test_scan_requires_grid_spanning_tc():
-    theory = StepPressureSignal("step", 0.5, t_c=0.9)
+    theory = StepPressureSignal(0.5, t_c=0.9)
     with pytest.raises(DomainError):
         simulate_temperature_scan(GEOMETRY, CAVITY, [1.0, 1.2], theory)
 
 
 def test_scan_two_fluid_vs_drude_trace():
-    theory = MaterialPairDifferential("sc-vs-drude", (TWOFLUID, TWOFLUID),
-                                      (DRUDE, DRUDE))
+    theory = MaterialPairDifferential((TWOFLUID, TWOFLUID), (DRUDE, DRUDE))
     num = LifshitzNumerics(rel_tol_series=1e-6)
     grid = [0.55, 0.88, 0.9, 1.05]
     points = simulate_temperature_scan(GEOMETRY, CAVITY, grid, theory, num)

@@ -961,6 +961,18 @@ def test_same_responses_differ_by_zero_without_evaluation(monkeypatch, temp):
         differential_pressure(-1e-9, temp, TWOFLUID, TWOFLUID, (DRUDE, DRUDE))
 
 
+@pytest.mark.parametrize("gap", [1e-18, 1e-80])
+def test_same_responses_refuse_the_gaps_plate_pressure_refuses(monkeypatch, gap):
+    # Above t_c the pairs respond alike, and the differential used to be a
+    # silent 0.0 at gaps where each pair's response has vanished from eps.
+    calls = _hook_k_integrand(monkeypatch)
+    with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
+        plate_pressure(gap, 1.05, TWOFLUID, TWOFLUID)
+    with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
+        differential_pressure(gap, 1.05, TWOFLUID, TWOFLUID, (DRUDE, DRUDE))
+    assert calls == []
+
+
 def _numpy_bytes_held():
     # Bytes of NumPy array data allocated since tracing began and still held.
     snapshot = tracemalloc.take_snapshot().filter_traces(

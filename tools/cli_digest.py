@@ -22,9 +22,11 @@ overflows and the engine's error is the output; a ``sweep --spec`` cell at
 10 nm and T = 0 whose two pairs stop on different frequency rungs (129 and
 257 nodes); ``pressure`` at a 1e-80 m gap, where the k-integrals overflow,
 and plasma ``pressure`` at 1e-18 m, where the material response has
-vanished from eps, each with the engine's error as the output; and ``film``
+vanished from eps, each with the engine's error as the output; ``film``
 on a copy of the config without ``sigma_4k_per_ohm_m``, which falls back to
-its ``r4k_ohm``.
+its ``r4k_ohm``; ``validate`` on a copy with a negative ``m_eff_pg``; and a
+material-pair ``scan`` above T_c on a copy with a 1e-10 nm gap, where the
+pairs respond alike but the response has vanished from eps.
 """
 
 import contextlib
@@ -109,6 +111,9 @@ def commands():
     yield ["pressure", "--gap", "1e-18m", "--temp", "0", "--model-a", "al_plasma",
            "--model-b", "al_plasma", *config]
     yield ["film", "--config", "no_sigma.cfg"]
+    yield ["validate", "--config", "negative_m_eff.cfg"]
+    yield ["scan", "--config", "tiny_gap.cfg", "--tmin", "950mK", "--tmax", "1.2K",
+           "--points", "3", "--theory", "al_sc/al_sc-vs-al_drude/al_drude"]
 
 
 def run(argv):
@@ -127,9 +132,12 @@ def main():
         files = {f"{name}.csv": text for name, text in RT_TABLES.items()}
         files["hot_spec.cfg"] = HOT_SPEC
         files["apart_spec.cfg"] = APART_SPEC
+        example = example_config_path().read_text()
         files["no_sigma.cfg"] = "".join(
-            line for line in example_config_path().read_text().splitlines(keepends=True)
+            line for line in example.splitlines(keepends=True)
             if not line.startswith("sigma_4k_per_ohm_m"))
+        files["negative_m_eff.cfg"] = example.replace("m_eff_pg = 418", "m_eff_pg = -418")
+        files["tiny_gap.cfg"] = example.replace("gap_nm = 100", "gap_nm = 1e-10")
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

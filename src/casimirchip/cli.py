@@ -312,12 +312,11 @@ def _cmd_film(args):
             (f"coherence_length_approx_{tag}_nm",
              coherence_length(film.xi0, l_mfp, mode="approx") * 1e9),
             (f"coherence_length_exact_t0_{tag}_nm",
-             coherence_length(film.xi0, l_mfp, 0.0, film.t_c, mode="exact") * 1e9),
+             coherence_length(film.xi0, l_mfp, mode="exact") * 1e9),
             (f"penetration_depth_approx_{tag}_nm",
              penetration_depth(film.lambda_l, film.xi0, l_mfp, mode="approx") * 1e9),
             (f"penetration_depth_exact_t0_{tag}_nm",
-             penetration_depth(film.lambda_l, film.xi0, l_mfp, 0.0, film.t_c,
-                               mode="exact") * 1e9),
+             penetration_depth(film.lambda_l, film.xi0, l_mfp, mode="exact") * 1e9),
         ])
     pairs.append(("mode_note",
                   "approx = plateau form; exact_t0 = prefactor form at T = 0"))
@@ -389,7 +388,7 @@ def _cmd_validate(args):
         f"q_optical vs omega_c/kappa: {cavity.q_optical:.4g} vs "
         f"{q_from_kappa:.4g} ({rel:.2%} apart; warn above {Q_MISMATCH_WARN:.0%})"
     )
-    derived = derive_mechanics(cfg.geometry, m_eff=cfg.m_eff)
+    derived = derive_mechanics(cfg.geometry, cfg.m_eff)
     lines.append(f"axial tension: {fmt(derived.tension)} N")
     lines.append(f"fundamental frequency: {derived.f1 / 1e3:.1f} kHz "
                  f"(effective length {cfg.geometry.effective_length * 1e6:.0f} um)")

@@ -473,14 +473,13 @@ def parse_pressure(text):
     return _parse_quantity(text, ("mPa", "Pa", "MPa", "GPa"), "pressure")
 
 
-def parse_material_spec(text, materials=None):
+def parse_material_spec(text, materials):
     """Material from a CLI token.
 
     Accepts 'ideal', a material name defined in the config, or an inline
     spec like 'plasma:omega_p_eV=12', 'drude:omega_p_eV=12,gamma_meV=50',
     'superconductor:omega_p_eV=12,gamma_meV=50,tc_K=0.9'.
     """
-    materials = materials or {}
     token = text.strip()
     if token == "ideal":
         return IdealMetal()

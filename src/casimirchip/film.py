@@ -1,16 +1,15 @@
 """Superconducting film characterization from four-point R(T) data.
 
-Dirty-limit length scales:
+Dirty-limit length scales at T = 0:
 
-    xi(T)     = 0.85 sqrt(xi0 ell) sqrt(T_c / (T_c - T)) ~ sqrt(xi0 ell)
-    lambda(T) = 0.62 lambda_L sqrt(xi0 / ell) sqrt(T_c / (T_c - T))
-                ~ lambda_L sqrt(xi0 / ell)
+    xi     = 0.85 sqrt(xi0 ell)           ~ sqrt(xi0 ell)
+    lambda = 0.62 lambda_L sqrt(xi0 / ell) ~ lambda_L sqrt(xi0 / ell)
 
 with the mean free path ell obtained from the 4 K conductivity through the
-material constant rho * ell.  Both the exact (prefactor + temperature
-divergence) and approximate (plateau) forms are exposed, and every report
-states which one produced a number: quoted film parameters in the
-literature mix the two conventions.
+material constant rho * ell.  Both the exact (prefactor at T = 0; the
+factor sqrt(T_c / (T_c - T)) is 1 there) and approximate (plateau) forms
+are exposed, and every report states which one produced a number: quoted
+film parameters in the literature mix the two conventions.
 
 R(T) tables are read into tuples of Python floats, and the T_c extraction
 runs on them directly: the module imports no numpy.
@@ -91,44 +90,36 @@ def mean_free_path(sigma, rho_ell):
     return sigma * rho_ell
 
 
-def _dirty_limit_args(xi0, ell, temperature, t_c, mode):
+def _dirty_limit_args(xi0, ell, mode):
     require_positive("xi0", xi0)
     require_positive("ell", ell)
     if mode not in ("exact", "approx"):
         raise DomainError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    if mode == "exact":
-        require_positive("t_c", t_c)
-        if not (0.0 <= temperature < t_c):
-            raise DomainError(
-                f"exact mode needs 0 <= T < T_c, got T = {temperature!r}, "
-                f"T_c = {t_c!r} (the length scale diverges at T_c)"
-            )
 
 
-def coherence_length(xi0, ell, temperature=0.0, t_c=None, mode="approx"):
-    """Dirty-limit coherence length in m.
+def coherence_length(xi0, ell, mode):
+    """Dirty-limit coherence length in m at T = 0.
 
-    approx: sqrt(xi0 ell); exact: 0.85 sqrt(xi0 ell) sqrt(T_c/(T_c - T)).
+    approx: sqrt(xi0 ell); exact: 0.85 sqrt(xi0 ell).
     """
-    _dirty_limit_args(xi0, ell, temperature, t_c, mode)
+    _dirty_limit_args(xi0, ell, mode)
     base = math.sqrt(xi0 * ell)
     if mode == "approx":
         return base
-    return 0.85 * base * math.sqrt(t_c / (t_c - temperature))
+    return 0.85 * base
 
 
-def penetration_depth(lambda_l, xi0, ell, temperature=0.0, t_c=None, mode="approx"):
-    """Dirty-limit penetration depth in m.
+def penetration_depth(lambda_l, xi0, ell, mode):
+    """Dirty-limit penetration depth in m at T = 0.
 
-    approx: lambda_L sqrt(xi0/ell); exact: 0.62 lambda_L sqrt(xi0/ell)
-    sqrt(T_c/(T_c - T)).
+    approx: lambda_L sqrt(xi0/ell); exact: 0.62 lambda_L sqrt(xi0/ell).
     """
     require_positive("lambda_l", lambda_l)
-    _dirty_limit_args(xi0, ell, temperature, t_c, mode)
+    _dirty_limit_args(xi0, ell, mode)
     base = lambda_l * math.sqrt(xi0 / ell)
     if mode == "approx":
         return base
-    return 0.62 * base * math.sqrt(t_c / (t_c - temperature))
+    return 0.62 * base
 
 
 def ingest_rt_table(raw):

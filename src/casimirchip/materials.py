@@ -98,8 +98,6 @@ def _free_electron(model, temperature):
     if isinstance(model, Drude):
         return model.omega_p, model.gamma, 0.0
     if isinstance(model, SuperconductorTwoFluid):
-        if temperature is None:
-            raise DomainError("the two-fluid response requires a temperature")
         return model.omega_p, model.gamma, superfluid_fraction(temperature, model.t_c)
     if isinstance(model, IdealMetal):
         raise TypeError(
@@ -121,14 +119,14 @@ def response(model, temperature):
     return _free_electron(model, temperature)
 
 
-def eps_imag_freq(model, xi, temperature=None):
+def eps_imag_freq(model, xi, temperature):
     """Permittivity eps(i xi) of ``model`` at imaginary frequency xi (rad/s).
 
     xi must be strictly positive: the xi = 0 point is where the competing
     models disagree and is handled analytically inside the pressure engine,
-    never by evaluating eps at 0.  ``temperature`` is required for the
-    two-fluid model and ignored otherwise.  Accepts scalars or numpy arrays
-    of xi.
+    never by evaluating eps at 0.  ``temperature`` (K) sets the two-fluid
+    model's superfluid fraction and is ignored by the other models.  Accepts
+    scalars or numpy arrays of xi.
     """
     import numpy as np
 
@@ -152,7 +150,7 @@ def eps_imag_freq(model, xi, temperature=None):
     return out
 
 
-def zero_frequency_plasma_weight(model, temperature=None):
+def zero_frequency_plasma_weight(model, temperature):
     """Effective omega_p^2 governing the TE reflection at exactly zero frequency.
 
     Only the superfluid share f_s omega_p^2 survives: all of it for plasma,

@@ -61,7 +61,6 @@ class BeamMechanicsDerived:
 
     tension: float  # N
     f1: float       # Hz
-    m_eff: float    # kg
     k_eff: float    # N/m
 
 
@@ -124,22 +123,17 @@ def effective_stiffness(m_eff, f1):
     return m_eff * (2.0 * math.pi * f1) ** 2
 
 
-def derive_mechanics(geometry, m_eff=None):
-    """Bundle of derived string quantities.
+def derive_mechanics(geometry, m_eff):
+    """Bundle of derived string quantities for a modal mass ``m_eff`` (kg).
 
-    If ``m_eff`` is not supplied, the sine-mode estimate mu L / 2 for a
-    single beam is used; a measured or simulated modal mass (which also
-    captures the supports and the photonic-crystal region) supersedes it.
+    The modal mass is a measured or simulated input: it also captures the
+    supports and the photonic-crystal region, which the string model's
+    sine-mode estimate mu L / 2 leaves out.
     """
-    tension = axial_tension(geometry)
-    mu = _mass_per_length(geometry)
     f1 = fundamental_frequency(geometry)
-    if m_eff is None:
-        m_eff = 0.5 * mu * geometry.effective_length
     return BeamMechanicsDerived(
-        tension=tension,
+        tension=axial_tension(geometry),
         f1=f1,
-        m_eff=m_eff,
         k_eff=effective_stiffness(m_eff, f1),
     )
 

@@ -136,7 +136,7 @@ def test_criterion_3_te_zero_mode_discrimination():
 
 def test_criterion_4_dirty_limit_film_numbers(capsys):
     xi = coherence_length(1600e-9, 10.8e-9, mode="approx")
-    lam = penetration_depth(16e-9, 1600e-9, 10.8e-9, 0.0, 0.9, mode="exact")
+    lam = penetration_depth(16e-9, 1600e-9, 10.8e-9, mode="exact")
     xi_ok = abs(xi - 131e-9) <= 0.01 * 131e-9
     lam_ok = abs(lam - 120e-9) <= 0.01 * 120e-9
     ell_sigma = mean_free_path(4.1e7, 4e-16)

@@ -75,8 +75,6 @@ def test_config_collects_all_problems(tmp_path):
 
 def test_schema_required_fields_are_constructor_parameters():
     for section, (_, cls, schema) in config._SCHEMA.items():
-        if cls is None:
-            continue
         required = {name for name, _, req in schema.values() if req}
         if cls is ReadoutCalibration:
             required.add("linear_window")
@@ -135,7 +133,18 @@ def test_config_rewritten_with_same_size_and_mtime_is_read_again(tmp_path):
      "config syntax: While reading from {path!r} [line  3]: "
      "section 'geometry' already exists"),
     ("[typo]\n", "unknown section [typo]"),
-], ids=["syntax", "schema"])
+    ("[material.x]\nmodel = foo\n",
+     "[material.x] model: expected one of ['drude', 'ideal', 'plasma', 'superconductor'], "
+     "got 'foo'"),
+    ("[material.x]\nomega_p_eV = 12\n", "[material.x]: missing required key 'model'"),
+    ("[sweep]\npairs = al_drude\n",
+     "[sweep] pairs: material pair must be 'A/B', got 'al_drude'"),
+    ("[sweep]\ntemperatures_K = 1.3, x\n",
+     "[sweep] temperatures_K: expected a number, got 'x'"),
+    ("[signals]\ngravitational_casimir_Pa = x\n",
+     "[signals] gravitational_casimir_Pa: expected a number"),
+], ids=["syntax", "schema", "unknown-model", "no-model", "pair-without-slash",
+        "bad-temperature", "non-numeric-signal"])
 def test_broken_config_raises_the_same_problems_on_every_call(tmp_path, text, problem):
     # the same text under two names: a syntax error names the file it is in
     for name in ("a.cfg", "b.cfg"):
@@ -207,14 +216,14 @@ def test_parse_material_specs():
     cfg = load_device_config(EXAMPLE)
     assert isinstance(parse_material_spec("ideal", cfg.materials), IdealMetal)
     assert parse_material_spec("al_drude", cfg.materials) is cfg.materials["al_drude"]
-    inline = parse_material_spec("plasma:omega_p_eV=12")
+    inline = parse_material_spec("plasma:omega_p_eV=12", {})
     assert isinstance(inline, Plasma)
-    sc = parse_material_spec("superconductor:omega_p_eV=12,gamma_meV=50,tc_K=0.9")
+    sc = parse_material_spec("superconductor:omega_p_eV=12,gamma_meV=50,tc_K=0.9", {})
     assert isinstance(sc, SuperconductorTwoFluid)
     with pytest.raises(DomainError):
         parse_material_spec("unobtainium", cfg.materials)
     with pytest.raises(DomainError):
-        parse_material_spec("drude:omega_p_eV=12")  # gamma missing
+        parse_material_spec("drude:omega_p_eV=12", {})  # gamma missing
 
 
 def test_material_section_domain_error_is_collected(tmp_path):
@@ -234,12 +243,22 @@ def test_material_section_domain_error_is_collected(tmp_path):
 
 def test_inline_spec_bad_number_raises_domain_error():
     with pytest.raises(DomainError, match="expected a number"):
-        parse_material_spec("drude:omega_p_eV=abc,gamma_meV=1")
+        parse_material_spec("drude:omega_p_eV=abc,gamma_meV=1", {})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("bogus:omega_p_eV=1", "unknown material kind 'bogus'"),
+    ("drude:omega_p_eV", "bad material parameter 'omega_p_eV'"),
+    ("drude:foo=1", "unknown material parameter 'foo'"),
+], ids=["unknown-kind", "no-value", "unknown-key"])
+def test_inline_spec_malformed_raises_domain_error(spec, message):
+    with pytest.raises(DomainError, match=re.escape(f"{message} in {spec!r}")):
+        parse_material_spec(spec, {})
 
 
 def test_material_rejects_key_its_kind_does_not_take(tmp_path):
     with pytest.raises(DomainError, match="does not take tc_K"):
-        parse_material_spec("plasma:omega_p_eV=12,tc_K=1")
+        parse_material_spec("plasma:omega_p_eV=12,tc_K=1", {})
     bad = tmp_path / "bad.cfg"
     bad.write_text(example_config_path().read_text().replace(
         "model = plasma\nomega_p_eV = 12.0", "model = plasma\nomega_p_eV = 12.0\ntc_K = 1"))
@@ -255,11 +274,14 @@ def test_quantity_parsers():
     assert parse_length("0.1um") == pytest.approx(100e-9)
     assert parse_length("1e-7m") == pytest.approx(100e-9)
     assert parse_length("0") == 0.0
+    assert parse_length("1µm") == parse_length("1um") == pytest.approx(1e-6)
     assert parse_temperature("10mK") == pytest.approx(0.01)
     assert parse_temperature("1.2K") == pytest.approx(1.2)
     assert parse_pressure("6mPa") == pytest.approx(6e-3)
     with pytest.raises(DomainError):
         parse_length("100")  # bare nonzero number: no unit
+    with pytest.raises(DomainError, match="cannot parse length"):
+        parse_length("1.2.3nm")
     with pytest.raises(DomainError):
         parse_temperature("10s")
 

@@ -266,6 +266,11 @@ def test_scan_step_signal_magnitude():
     assert shifts[0.5] < 0
 
 
+def test_scan_of_an_empty_grid_is_empty():
+    theory = StepPressureSignal(0.5, t_c=0.9)
+    assert simulate_temperature_scan(GEOMETRY, CAVITY, [], theory) == []
+
+
 def test_scan_requires_grid_spanning_tc():
     theory = StepPressureSignal(0.5, t_c=0.9)
     with pytest.raises(DomainError):

@@ -54,26 +54,19 @@ def test_mean_free_path_product():
 def test_coherence_length_values():
     approx = coherence_length(XI0, ELL_QUOTED, mode="approx")
     assert approx == pytest.approx(131.5e-9, rel=1e-3)
-    exact_t0 = coherence_length(XI0, ELL_QUOTED, 0.0, 0.9, mode="exact")
+    exact_t0 = coherence_length(XI0, ELL_QUOTED, mode="exact")
     assert exact_t0 == pytest.approx(0.85 * approx, rel=1e-12)
 
 
-def test_coherence_length_diverges_at_tc():
-    t_c = 0.9
-    approx = coherence_length(XI0, ELL_QUOTED, mode="approx")
-    near = coherence_length(XI0, ELL_QUOTED, t_c * (1 - 1e-7), t_c, mode="exact")
-    assert near > 1e3 * approx
-    with pytest.raises(DomainError):
-        coherence_length(XI0, ELL_QUOTED, t_c, t_c, mode="exact")
-    # Exact mode needs a real T_c; a missing one is a domain error.
-    with pytest.raises(DomainError, match="t_c"):
-        coherence_length(XI0, ELL_QUOTED, 0.0, None, mode="exact")
-    with pytest.raises(DomainError, match="t_c"):
-        penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, 0.0, None, mode="exact")
+def test_length_scales_reject_unknown_mode():
+    with pytest.raises(DomainError, match="mode must be"):
+        coherence_length(XI0, ELL_QUOTED, mode="bogus")
+    with pytest.raises(DomainError, match="mode must be"):
+        penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, mode="bogus")
 
 
 def test_penetration_depth_values():
-    exact_t0 = penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, 0.0, 0.9, mode="exact")
+    exact_t0 = penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, mode="exact")
     assert exact_t0 == pytest.approx(120.7e-9, rel=1e-3)
     approx = penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, mode="approx")
     assert approx == pytest.approx(194.7e-9, rel=1e-3)
@@ -81,16 +74,6 @@ def test_penetration_depth_values():
     assert penetration_depth(LAMBDA_L, XI0, XI0, mode="approx") == pytest.approx(
         LAMBDA_L
     )
-
-
-def test_length_scale_ratio_is_temperature_independent():
-    t_c = 0.9
-    ratios = [
-        penetration_depth(LAMBDA_L, XI0, ELL_QUOTED, t, t_c, mode="exact")
-        / coherence_length(XI0, ELL_QUOTED, t, t_c, mode="exact")
-        for t in (0.0, 0.3, 0.6, 0.85)
-    ]
-    assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
 
 # --------------------------------------------------------------- ingestion
@@ -137,6 +120,16 @@ def test_ingest_reports_bad_rows_with_line_numbers():
         ingest_rt_table(text)
     message = str(excinfo.value)
     assert "line 3" in message and "line 4" in message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("temperature_K,resistance_ohm\n0.5,1.0\n0.9,-1\n",
+     "line 3: non-finite or negative value in '0.9,-1'"),
+    ("temperature_K,resistance_ohm\n# no rows yet\n", "contains no data rows"),
+], ids=["negative-resistance", "header-only"])
+def test_ingest_rejects_tables_without_usable_rows(text, message):
+    with pytest.raises(DomainError, match=message):
+        ingest_rt_table(text)
 
 
 def test_ingest_rejects_wrong_header_and_empty():
@@ -240,6 +233,28 @@ def test_extract_tc_threshold_parameter():
     # 25% crossing of a logistic sits ln(3) widths below the midpoint.
     assert result.threshold_crossing == pytest.approx(0.95 - math.log(3) * 0.01,
                                                       abs=0.005)
+
+
+def _falling_at_hot_end():
+    t = np.linspace(0.5, 1.5, 30)
+    return t, 45.0 * np.exp(3.0 * (t - 1.5))
+
+
+def _step_to_a_third():
+    t, r = logistic_curve()
+    return t, 15.0 + r * (30.0 / 45.0)
+
+
+@pytest.mark.parametrize("curve, threshold, error, message", [
+    (logistic_curve(), 0.0, DomainError, "threshold_fraction must lie in"),
+    (logistic_curve(), 1.0, DomainError, "threshold_fraction must lie in"),
+    (_falling_at_hot_end(), 0.5, TransitionNotFoundError, "no high-temperature plateau"),
+    (_step_to_a_third(), 0.25, TransitionNotFoundError,
+     "resistance never crosses 25% of R_normal"),
+], ids=["threshold-0", "threshold-1", "still-falling-at-hot-end", "step-above-threshold"])
+def test_extract_tc_rejects(curve, threshold, error, message):
+    with pytest.raises(error, match=message):
+        extract_tc(curve_from_arrays(*curve), threshold_fraction=threshold)
 
 
 def test_extract_tc_requires_enough_points():

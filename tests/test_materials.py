@@ -45,11 +45,11 @@ def test_parameter_validation():
 
 
 def test_plasma_at_omega_p_is_two():
-    assert eps_imag_freq(Plasma(OMEGA_P), OMEGA_P) == pytest.approx(2.0)
+    assert eps_imag_freq(Plasma(OMEGA_P), OMEGA_P, temperature=0.0) == pytest.approx(2.0)
 
 
 def test_drude_with_zero_gamma_reduces_to_plasma():
-    assert eps_imag_freq(Drude(OMEGA_P, 0.0), OMEGA_P) == pytest.approx(2.0)
+    assert eps_imag_freq(Drude(OMEGA_P, 0.0), OMEGA_P, temperature=0.0) == pytest.approx(2.0)
 
 
 def test_two_fluid_above_tc_equals_drude():
@@ -57,10 +57,10 @@ def test_two_fluid_above_tc_equals_drude():
     dr = Drude(OMEGA_P, GAMMA)
     for xi in np.geomspace(1e9, 1e18, 13):
         assert eps_imag_freq(sc, xi, temperature=0.9) == pytest.approx(
-            eps_imag_freq(dr, xi)
+            eps_imag_freq(dr, xi, temperature=0.9)
         )
         assert eps_imag_freq(sc, xi, temperature=1.4) == pytest.approx(
-            eps_imag_freq(dr, xi)
+            eps_imag_freq(dr, xi, temperature=1.4)
         )
 
 
@@ -69,21 +69,21 @@ def test_two_fluid_is_exactly_plasma_at_zero_and_drude_from_tc():
     sc = SuperconductorTwoFluid(OMEGA_P, GAMMA, t_c)
     xi = np.geomspace(1e9, 1e18, 37)
     assert np.array_equal(eps_imag_freq(sc, xi, temperature=0.0),
-                          eps_imag_freq(Plasma(OMEGA_P), xi))
+                          eps_imag_freq(Plasma(OMEGA_P), xi, temperature=0.0))
     assert (zero_frequency_plasma_weight(sc, 0.0)
-            == zero_frequency_plasma_weight(Plasma(OMEGA_P)))
+            == zero_frequency_plasma_weight(Plasma(OMEGA_P), 0.0))
     for temperature in (t_c, 1.5 * t_c):
         assert np.array_equal(eps_imag_freq(sc, xi, temperature=temperature),
-                              eps_imag_freq(Drude(OMEGA_P, GAMMA), xi))
+                              eps_imag_freq(Drude(OMEGA_P, GAMMA), xi, temperature=temperature))
         assert (zero_frequency_plasma_weight(sc, temperature)
-                == zero_frequency_plasma_weight(Drude(OMEGA_P, GAMMA)) == 0.0)
+                == zero_frequency_plasma_weight(Drude(OMEGA_P, GAMMA), temperature) == 0.0)
 
 
 def test_ordering_plasma_drude_vacuum():
     pl, dr = Plasma(OMEGA_P), Drude(OMEGA_P, GAMMA)
     xi = np.geomspace(1e8, 1e19, 23)
-    eps_pl = eps_imag_freq(pl, xi)
-    eps_dr = eps_imag_freq(dr, xi)
+    eps_pl = eps_imag_freq(pl, xi, temperature=0.0)
+    eps_dr = eps_imag_freq(dr, xi, temperature=0.0)
     assert np.all(eps_pl >= eps_dr)
     assert np.all(eps_dr >= 1.0)
 
@@ -94,8 +94,8 @@ def test_two_fluid_interpolates_and_is_continuous_in_t():
     xi = np.geomspace(1e9, 1e17, 9)
     for temp in (0.0, 0.3, 0.6, 0.89):
         eps_sc = eps_imag_freq(sc, xi, temperature=temp)
-        assert np.all(eps_sc <= eps_imag_freq(pl, xi) + 1e-12)
-        assert np.all(eps_sc >= eps_imag_freq(dr, xi) - 1e-12)
+        assert np.all(eps_sc <= eps_imag_freq(pl, xi, temperature=temp) + 1e-12)
+        assert np.all(eps_sc >= eps_imag_freq(dr, xi, temperature=temp) - 1e-12)
     # Continuity across t_c: the deviation from the t_c value shrinks in
     # lockstep with T_c - T (f_s vanishes linearly).
     at = eps_imag_freq(sc, xi, temperature=0.9)
@@ -126,24 +126,24 @@ def test_high_frequency_spectral_weight():
 
 def test_eps_rejects_nonpositive_xi():
     with pytest.raises(DomainError):
-        eps_imag_freq(Plasma(OMEGA_P), 0.0)
+        eps_imag_freq(Plasma(OMEGA_P), 0.0, temperature=0.0)
     with pytest.raises(DomainError):
-        eps_imag_freq(Plasma(OMEGA_P), -1e12)
+        eps_imag_freq(Plasma(OMEGA_P), -1e12, temperature=0.0)
 
 
 def test_eps_rejects_ideal_metal():
-    with pytest.raises(TypeError):
-        eps_imag_freq(IdealMetal(), 1e12)
+    with pytest.raises(TypeError, match="IdealMetal"):
+        eps_imag_freq(IdealMetal(), 1e12, temperature=0.0)
 
 
-def test_two_fluid_requires_temperature():
-    with pytest.raises(DomainError):
-        eps_imag_freq(SuperconductorTwoFluid(OMEGA_P, GAMMA, 0.9), 1e12)
+def test_eps_rejects_unknown_model():
+    with pytest.raises(TypeError, match="unknown material model"):
+        eps_imag_freq(object(), 1e12, temperature=0.0)
 
 
 def test_eps_is_finite_and_at_least_one():
     xi = np.geomspace(1e6, 1e20, 30)
-    eps = eps_imag_freq(Drude(OMEGA_P, GAMMA), xi)
+    eps = eps_imag_freq(Drude(OMEGA_P, GAMMA), xi, temperature=0.0)
     assert np.all(np.isfinite(eps))
     assert np.all(eps >= 1.0)
     assert eps[-1] == pytest.approx(1.0, abs=1e-6)

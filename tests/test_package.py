@@ -40,7 +40,7 @@ import math, sys
 import casimirchip as cc
 cfg = cc.load_device_config(cc.example_config_path())
 assert cfg.sweep is not None
-cc.derive_mechanics(cfg.geometry, m_eff=cfg.m_eff)
+cc.derive_mechanics(cfg.geometry, cfg.m_eff)
 gap_change = cc.pressure_to_gap_change(0.5, cfg.geometry)
 cc.min_detectable_pressure(cfg.geometry, cfg.cavity, cfg.calib)
 shift = cc.gap_change_to_frequency_shift(-gap_change, cfg.cavity)
@@ -48,8 +48,8 @@ cc.pdh_voltage(shift, cfg.calib)
 film = cfg.film
 sigma = cc.conductivity_from_four_point(film.wire_length, film.cross_section, 45.0)
 ell = cc.mean_free_path(sigma, film.rho_ell)
-cc.coherence_length(film.xi0, ell, 0.0, film.t_c, mode="exact")
-cc.penetration_depth(film.lambda_l, film.xi0, ell, 0.0, film.t_c, mode="exact")
+cc.coherence_length(film.xi0, ell, mode="exact")
+cc.penetration_depth(film.lambda_l, film.xi0, ell, mode="exact")
 rows = "".join(f"{0.7 + 0.01 * i},{45.0 / (1.0 + math.exp(-(i - 25) / 1.0))}\\n"
                for i in range(50))
 curve = cc.ingest_rt_table("temperature_K,resistance_ohm\\n" + rows)

@@ -69,6 +69,14 @@ def test_pdh_voltage_clamps_outside_linear_window():
     assert clamped == pytest.approx(calib.pdh_slope * calib.linear_window)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chain_rejects_non_finite_input(value):
+    with pytest.raises(DomainError, match="delta_gap must be finite"):
+        gap_change_to_frequency_shift(value, reference_cavity())
+    with pytest.raises(DomainError, match="freq_shift must be finite"):
+        pdh_voltage(value, reference_calib())
+
+
 def test_pressure_floor_chain():
     floor = min_detectable_pressure(reference_geometry(), reference_cavity(), reference_calib())
     assert 3e-3 <= floor.pressure <= 12e-3

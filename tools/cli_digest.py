@@ -24,9 +24,11 @@ overflows and the engine's error is the output; a ``sweep --spec`` cell at
 and plasma ``pressure`` at 1e-18 m, where the material response has
 vanished from eps, each with the engine's error as the output; ``film``
 on a copy of the config without ``sigma_4k_per_ohm_m``, which falls back to
-its ``r4k_ohm``; ``validate`` on a copy with a negative ``m_eff_pg``; and a
+its ``r4k_ohm``; ``validate`` on a copy with a negative ``m_eff_pg``; a
 material-pair ``scan`` above T_c on a copy with a 1e-10 nm gap, where the
-pairs respond alike but the response has vanished from eps.
+pairs respond alike but the response has vanished from eps; ``detect`` with
+a ``--signal`` of its own; and ``pressure`` between an inline Drude spec
+and the ideal metal, without a config.
 """
 
 import contextlib
@@ -114,6 +116,9 @@ def commands():
     yield ["validate", "--config", "negative_m_eff.cfg"]
     yield ["scan", "--config", "tiny_gap.cfg", "--tmin", "950mK", "--tmax", "1.2K",
            "--points", "3", "--theory", "al_sc/al_sc-vs-al_drude/al_drude"]
+    yield ["detect", *config, "--signal", "grav=0.5Pa"]
+    yield ["pressure", "--model-a", "drude:omega_p_eV=12,gamma_meV=50", "--model-b", "ideal",
+           "--gap", "100nm", "--temp", "1K"]
 
 
 def run(argv):

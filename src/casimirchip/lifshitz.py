@@ -73,11 +73,12 @@ come only from the rungs a frequency ladder climbs to and from doubling N.
 The cost does not grow as T falls, and the evaluation order is fixed, so
 results are bit-stable regardless of how callers parallelize.
 
-Material pairs are evaluated in batches at one (gap, T) by plate_pressures:
-plate_pressure is a batch of one pair, differential_pressure one of two,
-and a (gap, T) cell of designer.run_gap_sweep one of all len(pairs) pairs
-of the sweep.  The pairs share every xi_n and every y grid, so kappa, e^y
-and y^2 are computed once per grid and each distinct response
+Every evaluation enters the engine through plate_pressures, which evaluates
+material pairs in batches at one (gap, T): plate_pressure is a batch of one
+pair, differential_pressure one of two, and a (gap, T) cell of
+designer.run_gap_sweep one of all len(pairs) pairs of the sweep.  The
+pairs share every xi_n and every y grid, so kappa, e^y and y^2 are
+computed once per grid and each distinct response
 (``materials.response``: omega_p, gamma and f_s at T, or a perfect
 conductor) goes through the Fresnel coefficients once per grid; per pair
 only the products r_a r_b, the two divisions and the y^2 multiply remain.
@@ -487,25 +488,10 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     ~9e-17 m for aluminium), or c/2a itself overflows.  The pressure there
     would be silently wrong, and exactly 0 with zero bars further down.
     Raises it too where a numpy pass or a result overflows, so every number
-    returned is finite and no numpy warning is printed.
+    returned is finite and no numpy warning is printed.  Every evaluation
+    enters the engine here (see the module docstring).
     """
     _require_domain(gap, temperature, pairs)
-    return _finite_pressures(gap, temperature, pairs, num)
-
-
-def _require_domain(gap, temperature, pairs):
-    """The DomainError plate_pressures raises before evaluating anything."""
-    require_positive("gap", gap)
-    require_nonnegative("temperature", temperature)
-    xi_gap = C / (2.0 * gap)
-    for model in {m for pair in pairs for m in pair if not isinstance(m, IdealMetal)}:
-        if not (math.isfinite(xi_gap) and eps_imag_freq(model, xi_gap, temperature) > 1.0):
-            raise DomainError(f"the material response vanishes at gap {gap!r} m: "
-                              "eps(i c/2a) - 1 rounds to 0")
-
-
-def _finite_pressures(gap, temperature, pairs, num):
-    """plate_pressures for arguments _require_domain accepts."""
     try:
         # An overflow inside numpy raises here instead of printing a warning.
         with np.errstate(over="raise", invalid="raise"):
@@ -518,6 +504,17 @@ def _finite_pressures(gap, temperature, pairs, num):
         raise DomainError(f"the pressure at gap {gap!r} m and temperature "
                           f"{temperature!r} K overflows")
     return results
+
+
+def _require_domain(gap, temperature, pairs):
+    """The DomainError plate_pressures raises before evaluating anything."""
+    require_positive("gap", gap)
+    require_nonnegative("temperature", temperature)
+    xi_gap = C / (2.0 * gap)
+    for model in {m for pair in pairs for m in pair if not isinstance(m, IdealMetal)}:
+        if not (math.isfinite(xi_gap) and eps_imag_freq(model, xi_gap, temperature) > 1.0):
+            raise DomainError(f"the material response vanishes at gap {gap!r} m: "
+                              "eps(i c/2a) - 1 rounds to 0")
 
 
 def _plate_pressures(gap, temperature, pairs, num):
@@ -618,18 +615,18 @@ def differential_pressure(gap, temperature, mat_a, mat_b, reference, num=DEFAULT
 
     ``reference`` is a (model, model) tuple evaluated at the same gap and
     temperature; used for plasma-vs-Drude and superconducting-vs-normal
-    differentials.  Both pairs are one plate_pressures batch, each
-    evaluated exactly as plate_pressure would; pairs whose responses at
-    this temperature are the same (a superconductor above t_c against its
-    normal state) differ by exactly 0.0, which is returned without
-    evaluating either.  Either way, the arguments plate_pressures refuses
-    raise its DomainError.
+    differentials.  Pairs whose responses at this temperature are the same
+    (a superconductor above t_c against its normal state) differ by exactly
+    0.0, which is returned without evaluating either; otherwise both pairs
+    are one plate_pressures call, each evaluated exactly as plate_pressure
+    would.  Either way, the arguments plate_pressures refuses raise its
+    DomainError.
     """
     ref_a, ref_b = reference
     pairs = [(mat_a, mat_b), (ref_a, ref_b)]
-    _require_domain(gap, temperature, pairs)
     key = (response(mat_a, temperature), response(mat_b, temperature))
     if (response(ref_a, temperature), response(ref_b, temperature)) in (key, key[::-1]):
+        _require_domain(gap, temperature, pairs)
         return 0.0
-    p, p_ref = _finite_pressures(gap, temperature, pairs, num)
+    p, p_ref = plate_pressures(gap, temperature, pairs, num)
     return p.pressure - p_ref.pressure

@@ -962,15 +962,46 @@ def test_same_responses_differ_by_zero_without_evaluation(monkeypatch, temp):
 
 
 @pytest.mark.parametrize("gap", [1e-18, 1e-80])
-def test_same_responses_refuse_the_gaps_plate_pressure_refuses(monkeypatch, gap):
+def test_differential_refuses_the_gaps_plate_pressure_refuses(monkeypatch, gap):
     # Above t_c the pairs respond alike, and the differential used to be a
     # silent 0.0 at gaps where each pair's response has vanished from eps.
+    # At 0.5 K they respond differently, and the refusal is plate_pressures'.
     calls = _hook_k_integrand(monkeypatch)
-    with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
-        plate_pressure(gap, 1.05, TWOFLUID, TWOFLUID)
-    with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
-        differential_pressure(gap, 1.05, TWOFLUID, TWOFLUID, (DRUDE, DRUDE))
+    for temp in (1.05, 0.5):
+        with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
+            plate_pressure(gap, temp, TWOFLUID, TWOFLUID)
+        with pytest.raises(DomainError, match=f"vanishes at gap {gap!r} m"):
+            differential_pressure(gap, temp, TWOFLUID, TWOFLUID, (DRUDE, DRUDE))
     assert calls == []
+
+
+def test_differential_evaluates_through_plate_pressures(monkeypatch):
+    # Every evaluation enters the engine through the public batch, so a
+    # wrapper on lifshitz.plate_pressures sees a differential's work, and
+    # the domain check runs once per call on either path.
+    batches, checks = [], []
+    pressures, require_domain = lifshitz.plate_pressures, lifshitz._require_domain
+
+    def counting_pressures(gap, temperature, pairs, *args):
+        batches.append(list(pairs))
+        return pressures(gap, temperature, pairs, *args)
+
+    def counting_domain(*args):
+        checks.append(args)
+        return require_domain(*args)
+
+    monkeypatch.setattr(lifshitz, "plate_pressures", counting_pressures)
+    monkeypatch.setattr(lifshitz, "_require_domain", counting_domain)
+    diff = differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
+    assert batches == [[(PLASMA, PLASMA), (DRUDE, DRUDE)]]
+    assert len(checks) == 1
+    assert diff == (plate_pressure(100e-9, 1.0, PLASMA, PLASMA).pressure
+                    - plate_pressure(100e-9, 1.0, DRUDE, DRUDE).pressure)
+    batches.clear()
+    checks.clear()
+    assert differential_pressure(100e-9, 1.05, TWOFLUID, TWOFLUID, (DRUDE, DRUDE)) == 0.0
+    assert batches == []
+    assert len(checks) == 1
 
 
 def _numpy_bytes_held():

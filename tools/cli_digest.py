@@ -27,8 +27,10 @@ on a copy of the config without ``sigma_4k_per_ohm_m``, which falls back to
 its ``r4k_ohm``; ``validate`` on a copy with a negative ``m_eff_pg``; a
 material-pair ``scan`` above T_c on a copy with a 1e-10 nm gap, where the
 pairs respond alike but the response has vanished from eps; ``detect`` with
-a ``--signal`` of its own; and ``pressure`` between an inline Drude spec
-and the ideal metal, without a config.
+a ``--signal`` of its own; ``pressure`` between an inline Drude spec and
+the ideal metal, without a config; and the same material-pair ``scan`` on
+the 1e-10 nm copy below T_c, where the pairs respond differently and the
+differential's engine call refuses the gap.
 """
 
 import contextlib
@@ -119,6 +121,8 @@ def commands():
     yield ["detect", *config, "--signal", "grav=0.5Pa"]
     yield ["pressure", "--model-a", "drude:omega_p_eV=12,gamma_meV=50", "--model-b", "ideal",
            "--gap", "100nm", "--temp", "1K"]
+    yield ["scan", "--config", "tiny_gap.cfg", "--tmin", "100mK", "--tmax", "500mK",
+           "--points", "3", "--theory", "al_sc/al_sc-vs-al_drude/al_drude"]
 
 
 def run(argv):

@@ -55,10 +55,8 @@ _EXPORTS = {
     "SuperconductorTwoFluid": "materials",
     "eps_imag_freq": "materials",
     "superfluid_fraction": "materials",
-    "BeamMechanicsDerived": "mechanics",
     "DeviceGeometry": "mechanics",
     "axial_tension": "mechanics",
-    "derive_mechanics": "mechanics",
     "effective_stiffness": "mechanics",
     "fundamental_frequency": "mechanics",
     "midpoint_deflection": "mechanics",

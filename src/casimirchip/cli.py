@@ -52,7 +52,12 @@ from .film import (
     penetration_depth,
 )
 from .lifshitz import DEFAULT_NUMERICS, LifshitzNumerics, plate_pressure
-from .mechanics import derive_mechanics, pressure_to_gap_change
+from .mechanics import (
+    axial_tension,
+    effective_stiffness,
+    fundamental_frequency,
+    pressure_to_gap_change,
+)
 from .readout import (
     Q_MISMATCH_WARN,
     gap_change_to_frequency_shift,
@@ -185,8 +190,6 @@ def _build_parser():
     p.add_argument("--input", required=True, metavar="FILE",
                    help="CSV with header temperature_K,resistance_ohm "
                         "(# lines are comments)")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="fraction of R_normal defining the conventional crossing")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("transduce",
@@ -327,7 +330,7 @@ def _cmd_film(args):
 def _cmd_tc(args):
     with open(args.input, "rb") as handle:
         curve = ingest_rt_table(handle.read())
-    result = extract_tc(curve, threshold_fraction=args.threshold)
+    result = extract_tc(curve)
     pairs = [
         ("tc_K", result.t_c),
         ("transition_width_K", result.transition_width),
@@ -388,11 +391,11 @@ def _cmd_validate(args):
         f"q_optical vs omega_c/kappa: {cavity.q_optical:.4g} vs "
         f"{q_from_kappa:.4g} ({rel:.2%} apart; warn above {Q_MISMATCH_WARN:.0%})"
     )
-    derived = derive_mechanics(cfg.geometry, cfg.m_eff)
-    lines.append(f"axial tension: {fmt(derived.tension)} N")
-    lines.append(f"fundamental frequency: {derived.f1 / 1e3:.1f} kHz "
+    f1 = fundamental_frequency(cfg.geometry)
+    lines.append(f"axial tension: {fmt(axial_tension(cfg.geometry))} N")
+    lines.append(f"fundamental frequency: {f1 / 1e3:.1f} kHz "
                  f"(effective length {cfg.geometry.effective_length * 1e6:.0f} um)")
-    lines.append(f"modal stiffness: {derived.k_eff:.3g} N/m "
+    lines.append(f"modal stiffness: {effective_stiffness(cfg.m_eff, f1):.3g} N/m "
                  f"(m_eff {cfg.m_eff * 1e15:.0f} pg)")
     floor = min_detectable_pressure(cfg.geometry, cfg.cavity, cfg.calib)
     lines.append(f"pressure floor: {floor.pressure * 1e3:.2f} mPa at gap change "

@@ -128,8 +128,8 @@ def _modal_mass(m_eff):
 
 # section -> (DeviceConfig field, class it builds, key -> (field, converter,
 # required)); the one place a device key is named.  Required keys are the
-# constructor arguments; an optional key lands in the section's entry of
-# _SIDE_TABLES under its field name.  _modal_mass stands in for a class.
+# constructor arguments; an optional key must be > 0 and lands in _SIDE_TABLES
+# under its field name.  _modal_mass stands in for a class.
 _SCHEMA = {
     "geometry": ("geometry", DeviceGeometry, {
         "string_length_um": ("string_length", _num("um"), True),
@@ -379,6 +379,11 @@ def load_device_config(path):
         args = {name: values.pop(name) for name in required if name in values}
         if section in _SIDE_TABLES:
             parts[_SIDE_TABLES[section]] = values
+            for name, value in values.items():
+                try:
+                    require_positive(name, value)
+                except DomainError as exc:
+                    problems.append(f"[{section}]: {exc}")
         if len(args) < len(required):
             continue
         if cls is ReadoutCalibration:

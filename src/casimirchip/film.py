@@ -228,7 +228,7 @@ def _plateau_segments(r_desc, band):
     return segments
 
 
-def extract_tc(curve, threshold_fraction=0.5):
+def extract_tc(curve):
     """Extract the superconducting transition from an R(T) curve.
 
     R_normal is the median of the high-temperature plateau.  Steps are all
@@ -236,14 +236,12 @@ def extract_tc(curve, threshold_fraction=0.5):
     quasi-plateaus; each is located at its local mid-level crossing.  T_c
     is reported from the final step (the one reaching the residual state):
     on a clean single-step curve this coincides with the conventional
-    crossing of ``threshold_fraction * R_normal``, which is also reported
-    separately as ``threshold_crossing``.  Curves with more than one step
-    set ``multi_step``.
+    crossing of 50% of R_normal, which is also reported separately as
+    ``threshold_crossing``.  Curves with more than one step set
+    ``multi_step``.
     """
     if len(curve) < 10:
         raise DomainError(f"need at least 10 points, got {len(curve)}")
-    if not (0.0 < threshold_fraction < 1.0):
-        raise DomainError("threshold_fraction must lie in (0, 1)")
     r_min = min(curve.resistance)
     r_max = max(curve.resistance)
     if r_max <= 0.0 or (r_min > 0.0 and r_max / r_min <= 2.0):
@@ -270,12 +268,9 @@ def extract_tc(curve, threshold_fraction=0.5):
     if plateau_end < 2 or r_normal <= 0.0:
         raise TransitionNotFoundError("no high-temperature plateau detected")
 
-    threshold = threshold_fraction * r_normal
-    threshold_crossing = _first_crossing(t_desc, r_desc, threshold)
+    threshold_crossing = _first_crossing(t_desc, r_desc, 0.5 * r_normal)
     if threshold_crossing is None:
-        raise TransitionNotFoundError(
-            f"resistance never crosses {threshold_fraction:.0%} of R_normal"
-        )
+        raise TransitionNotFoundError("resistance never crosses 50% of R_normal")
 
     # Step structure between quasi-plateaus.  Only segments of 3+ points
     # count as plateaus, so scattered points on a transition edge cannot

@@ -511,7 +511,9 @@ def _require_domain(gap, temperature, pairs):
     require_positive("gap", gap)
     require_nonnegative("temperature", temperature)
     xi_gap = C / (2.0 * gap)
-    for model in {m for pair in pairs for m in pair if not isinstance(m, IdealMetal)}:
+    # In pair order, so the same batch meets the same refusal first on every run.
+    for model in dict.fromkeys(m for pair in pairs for m in pair
+                               if not isinstance(m, IdealMetal)):
         if not (math.isfinite(xi_gap) and eps_imag_freq(model, xi_gap, temperature) > 1.0):
             raise DomainError(f"the material response vanishes at gap {gap!r} m: "
                               "eps(i c/2a) - 1 rounds to 0")

@@ -55,15 +55,6 @@ class DeviceGeometry:
             raise DomainError("effective_length must not exceed string_length")
 
 
-@dataclass(frozen=True)
-class BeamMechanicsDerived:
-    """Derived string quantities: S = stress * (w t); f1 = (1/2L) sqrt(S/mu)."""
-
-    tension: float  # N
-    f1: float       # Hz
-    k_eff: float    # N/m
-
-
 def axial_tension(geometry):
     """Axial tension S = film_stress * (width * thickness) in N.
 
@@ -117,25 +108,15 @@ def fundamental_frequency(geometry):
 
 
 def effective_stiffness(m_eff, f1):
-    """Modal stiffness k_eff = m_eff (2 pi f1)^2 in N/m."""
+    """Modal stiffness k_eff = m_eff (2 pi f1)^2 in N/m.
+
+    The modal mass ``m_eff`` (kg) is a measured or simulated input: it also
+    captures the supports and the photonic-crystal region, which the string
+    model's sine-mode estimate mu L / 2 leaves out.
+    """
     require_positive("m_eff", m_eff)
     require_positive("f1", f1)
     return m_eff * (2.0 * math.pi * f1) ** 2
-
-
-def derive_mechanics(geometry, m_eff):
-    """Bundle of derived string quantities for a modal mass ``m_eff`` (kg).
-
-    The modal mass is a measured or simulated input: it also captures the
-    supports and the photonic-crystal region, which the string model's
-    sine-mode estimate mu L / 2 leaves out.
-    """
-    f1 = fundamental_frequency(geometry)
-    return BeamMechanicsDerived(
-        tension=axial_tension(geometry),
-        f1=f1,
-        k_eff=effective_stiffness(m_eff, f1),
-    )
 
 
 def pressure_to_gap_change(pressure, geometry):

@@ -565,10 +565,14 @@ def test_cli_film_reports_both_mean_free_paths(capsys):
 
 
 def test_cli_film_with_r4k(capsys):
-    code, out, _ = run_cli(capsys, "film", "--config", EXAMPLE, "--r4k", "45")
-    assert code == 0
-    lines = dict(l.split(" = ", 1) for l in out.splitlines() if " = " in l)
-    assert float(lines["sigma_4k_per_ohm_m"]) == pytest.approx(4.1e7, rel=1e-3)
+    # --r4k 45 goes through the config's wire geometry to --sigma 4.1e7's value.
+    for flag, value, source in (("--r4k", "45", "r4k = 45.0 ohm"),
+                                ("--sigma", "4.1e7", "--sigma")):
+        code, out, _ = run_cli(capsys, "film", "--config", EXAMPLE, flag, value)
+        assert code == 0
+        lines = dict(l.split(" = ", 1) for l in out.splitlines() if " = " in l)
+        assert lines["conductivity_source"] == source
+        assert float(lines["sigma_4k_per_ohm_m"]) == pytest.approx(4.1e7, rel=1e-3)
 
 
 def _example_without(tmp_path, *, sections=(), keys=(), replace=None):
@@ -771,6 +775,28 @@ def test_cli_signal_range_problem_exits_two(capsys, tmp_path, command, value):
     assert code == 2 and out == ""
     assert err == ("config error: [signals] gravitational_casimir_Pa: "
                    "must be finite and >= 0\n")
+
+
+@pytest.mark.parametrize("key, section, field, scale", [
+    ("operating_power_nW", "readout", "operating_power_W", 1e-9),
+    ("breakdown_power_uW", "readout", "breakdown_power_W", 1e-6),
+    ("sigma_4k_per_ohm_m", "film", "sigma_4k", 1.0),
+    ("r4k_ohm", "film", "r_4k", 1.0),
+    ("quoted_mean_free_path_nm", "film", "quoted_mean_free_path", 1e-9),
+])
+@pytest.mark.parametrize("command", ["validate", "film"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cli_optional_key_range_problem_exits_two(capsys, tmp_path, key, section, field,
+                                                  scale, command, value):
+    # An optional key is checked at load like the required ones: each
+    # command that loads the config exits 2 with the one config error.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(re.sub(rf"(?m)^{key} = \S+", f"{key} = {value}",
+                          example_config_path().read_text()))
+    code, out, err = run_cli(capsys, command, "--config", str(bad))
+    assert code == 2 and out == ""
+    assert err == (f"config error: [{section}]: {field} must be finite and > 0, "
+                   f"got {float(value) * scale!r}\n")
 
 
 def test_cli_validate(capsys):

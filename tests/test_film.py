@@ -227,34 +227,25 @@ def test_extract_tc_robust_to_one_percent_noise():
         assert abs(result.t_c - base.t_c) < base.transition_width / 2
 
 
-def test_extract_tc_threshold_parameter():
-    t, r = logistic_curve()
-    result = extract_tc(curve_from_arrays(t, r), threshold_fraction=0.25)
-    # 25% crossing of a logistic sits ln(3) widths below the midpoint.
-    assert result.threshold_crossing == pytest.approx(0.95 - math.log(3) * 0.01,
-                                                      abs=0.005)
-
-
 def _falling_at_hot_end():
     t = np.linspace(0.5, 1.5, 30)
     return t, 45.0 * np.exp(3.0 * (t - 1.5))
 
 
-def _step_to_a_third():
-    t, r = logistic_curve()
-    return t, 15.0 + r * (30.0 / 45.0)
+def _step_under_a_peak():
+    # A 45 -> 30 ohm step never reaches 50% of R_normal, while a peak above
+    # the normal plateau lifts max R / min R past 2.
+    t, step = logistic_curve(r_n=15.0)
+    return t, 30.0 + step + 60.0 * np.exp(-0.5 * ((t - 0.97) / 0.005) ** 2)
 
 
-@pytest.mark.parametrize("curve, threshold, error, message", [
-    (logistic_curve(), 0.0, DomainError, "threshold_fraction must lie in"),
-    (logistic_curve(), 1.0, DomainError, "threshold_fraction must lie in"),
-    (_falling_at_hot_end(), 0.5, TransitionNotFoundError, "no high-temperature plateau"),
-    (_step_to_a_third(), 0.25, TransitionNotFoundError,
-     "resistance never crosses 25% of R_normal"),
-], ids=["threshold-0", "threshold-1", "still-falling-at-hot-end", "step-above-threshold"])
-def test_extract_tc_rejects(curve, threshold, error, message):
-    with pytest.raises(error, match=message):
-        extract_tc(curve_from_arrays(*curve), threshold_fraction=threshold)
+@pytest.mark.parametrize("curve, message", [
+    (_falling_at_hot_end(), "no high-temperature plateau"),
+    (_step_under_a_peak(), "resistance never crosses 50% of R_normal"),
+], ids=["still-falling-at-hot-end", "step-above-threshold"])
+def test_extract_tc_rejects(curve, message):
+    with pytest.raises(TransitionNotFoundError, match=message):
+        extract_tc(curve_from_arrays(*curve))
 
 
 def test_extract_tc_requires_enough_points():

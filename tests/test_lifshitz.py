@@ -975,6 +975,23 @@ def test_differential_refuses_the_gaps_plate_pressure_refuses(monkeypatch, gap):
     assert calls == []
 
 
+def test_a_batch_meets_its_refusals_in_pair_order():
+    # The domain check walks the models in pair order, so the refusal a batch
+    # meets does not depend on object ids: a model the engine does not know
+    # raises TypeError when it comes first, and the gap's DomainError when
+    # a vanishing response does.
+    class NotAModel:
+        pass
+
+    # Kept alive, so each instance has an id of its own.
+    unknowns = [NotAModel() for _ in range(40)]
+    for unknown in unknowns:
+        with pytest.raises(TypeError):
+            plate_pressures(1e-18, 1.0, [(unknown, unknown), (DRUDE, DRUDE)])
+        with pytest.raises(DomainError, match="vanishes at gap 1e-18 m"):
+            plate_pressures(1e-18, 1.0, [(DRUDE, DRUDE), (unknown, unknown)])
+
+
 def test_differential_evaluates_through_plate_pressures(monkeypatch):
     # Every evaluation enters the engine through the public batch, so a
     # wrapper on lifshitz.plate_pressures sees a differential's work, and

@@ -8,7 +8,6 @@ from casimirchip import (
     DeviceGeometry,
     DomainError,
     axial_tension,
-    derive_mechanics,
     effective_stiffness,
     fundamental_frequency,
     midpoint_deflection,
@@ -189,21 +188,21 @@ def test_line_vs_modal_stiffness_band():
     mu = (geo.density_sin * geo.width * geo.thickness
           + geo.density_al * geo.metal_eff_thickness * geo.plate_height
           * geo.metal_segment_length / length)
-    derived = derive_mechanics(geo, 0.5 * mu * length)
-    tension = derived.tension
+    tension = axial_tension(geo)
+    k_eff = effective_stiffness(0.5 * mu * length, fundamental_frequency(geo))
     q = 1e-6
     w_mid = midpoint_deflection(q, (0.0, length), length, tension)
     k_line = q * length / w_mid
     modal_force = 2 * q * length / math.pi
-    modal_mid = modal_force / derived.k_eff
+    modal_mid = modal_force / k_eff
     k_modal = q * length / modal_mid
     ratio = k_line / k_modal
     assert 1.0 <= ratio <= 1.3
     assert ratio == pytest.approx(32 / math.pi**3, rel=1e-9)
 
 
-def test_derive_mechanics_accepts_measured_mass():
-    derived = derive_mechanics(reference_geometry(), m_eff=418e-15)
-    assert derived.k_eff == pytest.approx(
-        418e-15 * (2 * math.pi * derived.f1) ** 2
+def test_effective_stiffness_accepts_measured_mass():
+    f1 = fundamental_frequency(reference_geometry())
+    assert effective_stiffness(418e-15, f1) == pytest.approx(
+        418e-15 * (2 * math.pi * f1) ** 2
     )

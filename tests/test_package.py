@@ -40,7 +40,8 @@ import math, sys
 import casimirchip as cc
 cfg = cc.load_device_config(cc.example_config_path())
 assert cfg.sweep is not None
-cc.derive_mechanics(cfg.geometry, cfg.m_eff)
+cc.effective_stiffness(cfg.m_eff, cc.fundamental_frequency(cfg.geometry))
+cc.axial_tension(cfg.geometry)
 gap_change = cc.pressure_to_gap_change(0.5, cfg.geometry)
 cc.min_detectable_pressure(cfg.geometry, cfg.cavity, cfg.calib)
 shift = cc.gap_change_to_frequency_shift(-gap_change, cfg.cavity)

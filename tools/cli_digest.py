@@ -12,11 +12,13 @@ PYTHONPATH, not from this file's checkout.
 Each command runs through ``casimirchip.cli.main`` in this process, in a
 temporary directory that holds a copy of the example config and the R(T)
 tables, so no checkout's path reaches the output; its stdout, stderr
-(warnings included) and exit code are hashed together.  The commands: ``pressure`` at 0 K, 50 mK and 1.2 K in text and JSON; ``sweep``
-at one and two workers; a ``grav-casimir`` and a material-pair ``scan``;
+(warnings included) and exit code are hashed together.  The commands:
+``pressure`` at 0 K, 50 mK and 1.2 K in text and JSON; ``sweep`` at one
+and two workers; a ``grav-casimir`` and a material-pair ``scan``;
 ``transduce`` inside the PDH window and at a clamping pressure; ``detect``;
 ``validate``; ``film`` from the config's conductivity, ``--sigma`` and
-``--r4k``; ``tc`` on a generated single-step and two-step R(T) table;
+``--r4k``; ``tc`` on a generated single-step and two-step R(T) table, and
+on a peaked one whose step ends above 50% of R_normal, which it refuses;
 ``pressure`` and a ``sweep --spec`` at 1e300 K, where the pressure
 overflows and the engine's error is the output; a ``sweep --spec`` cell at
 10 nm and T = 0 whose two pairs stop on different frequency rungs (129 and
@@ -28,9 +30,11 @@ its ``r4k_ohm``; ``validate`` on a copy with a negative ``m_eff_pg``; a
 material-pair ``scan`` above T_c on a copy with a 1e-10 nm gap, where the
 pairs respond alike but the response has vanished from eps; ``detect`` with
 a ``--signal`` of its own; ``pressure`` between an inline Drude spec and
-the ideal metal, without a config; and the same material-pair ``scan`` on
+the ideal metal, without a config; the same material-pair ``scan`` on
 the 1e-10 nm copy below T_c, where the pairs respond differently and the
-differential's engine call refuses the gap.
+differential's engine call refuses the gap; and ``validate`` with a
+negative ``operating_power_nW`` and ``film`` with a negative
+``sigma_4k_per_ohm_m``, each a config error.
 """
 
 import contextlib
@@ -63,6 +67,10 @@ RT_TABLES = {
     "single_step": _rt_table(lambda t: 45.0 * _sigmoid((t - 0.95) / 0.01), 0.7, 1.2, 120),
     "two_step": _rt_table(lambda t: 1.0 + 19.0 * _sigmoid((t - 0.9) / 0.003)
                           + 25.0 * _sigmoid((t - 1.2) / 0.003), 0.6, 1.6, 160),
+    # A 45 -> 30 ohm step under a peak above the normal plateau: it never
+    # reaches 50% of R_normal, though max R / min R exceeds 2.
+    "peaked": _rt_table(lambda t: 30.0 + 15.0 * _sigmoid((t - 0.95) / 0.01)
+                        + 60.0 * math.exp(-0.5 * ((t - 0.97) / 0.005) ** 2), 0.7, 1.2, 120),
 }
 
 # A one-cell sweep past the float range: each pair's row carries the error.
@@ -123,6 +131,8 @@ def commands():
            "--gap", "100nm", "--temp", "1K"]
     yield ["scan", "--config", "tiny_gap.cfg", "--tmin", "100mK", "--tmax", "500mK",
            "--points", "3", "--theory", "al_sc/al_sc-vs-al_drude/al_drude"]
+    yield ["validate", "--config", "negative_power.cfg"]
+    yield ["film", "--config", "negative_sigma.cfg"]
 
 
 def run(argv):
@@ -147,6 +157,10 @@ def main():
             if not line.startswith("sigma_4k_per_ohm_m"))
         files["negative_m_eff.cfg"] = example.replace("m_eff_pg = 418", "m_eff_pg = -418")
         files["tiny_gap.cfg"] = example.replace("gap_nm = 100", "gap_nm = 1e-10")
+        files["negative_power.cfg"] = example.replace("operating_power_nW = 200",
+                                                      "operating_power_nW = -200")
+        files["negative_sigma.cfg"] = example.replace("sigma_4k_per_ohm_m = 4.1e7",
+                                                      "sigma_4k_per_ohm_m = -4.1e7")
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -27,13 +27,7 @@ from importlib import resources
 from types import MappingProxyType
 
 from .constants import E_CHARGE, HBAR
-from .errors import (
-    NONNEGATIVE,
-    ConfigError,
-    DomainError,
-    require_nonnegative,
-    require_positive,
-)
+from .errors import ConfigError, DomainError, require_nonnegative, require_positive
 from .film import FilmParams
 from .materials import Drude, IdealMetal, Plasma, SuperconductorTwoFluid
 from .mechanics import DeviceGeometry
@@ -60,16 +54,27 @@ _UNIT_FACTORS = {
 }
 
 
-def _num(unit, scale=1.0):
+def _num(unit, scale=1.0, check=require_positive):
     """Converter to SI; ``scale`` is 2 pi for angular keys (config files
-    quote ordinary frequencies)."""
+    quote ordinary frequencies).  ``check`` runs on the number as written,
+    named by its ``[section] key``: every factor is positive, so the range
+    rule holds the same before and after scaling, unless the product
+    underflows to 0, which is refused here."""
     factor = _UNIT_FACTORS[unit]
 
     def convert(text, where):
         try:
-            return scale * (float(text) * factor)
+            value = float(text)
         except ValueError:
             raise ConfigError([f"{where}: expected a number, got {text!r}"]) from None
+        try:
+            check(where, value)
+        except DomainError as exc:
+            raise ConfigError([str(exc)]) from None
+        si = scale * (value * factor)
+        if value and not si:
+            raise ConfigError([f"{where}: {value!r} rounds to 0 in SI units"])
+        return si
 
     return convert
 
@@ -121,15 +126,15 @@ def _list(item):
 
 
 def _modal_mass(m_eff):
-    """[mechanics]'s m_eff, checked at load as the classes check theirs."""
-    require_positive("m_eff", m_eff)
+    """[mechanics]'s m_eff as is: the section builds no class, and its
+    one key is checked by its converter."""
     return m_eff
 
 
 # section -> (DeviceConfig field, class it builds, key -> (field, converter,
 # required)); the one place a device key is named.  Required keys are the
-# constructor arguments; an optional key must be > 0 and lands in _SIDE_TABLES
-# under its field name.  _modal_mass stands in for a class.
+# constructor arguments; an optional key lands in _SIDE_TABLES under its
+# field name.  _modal_mass stands in for a class.
 _SCHEMA = {
     "geometry": ("geometry", DeviceGeometry, {
         "string_length_um": ("string_length", _num("um"), True),
@@ -188,7 +193,7 @@ _MATERIAL_KINDS = {
 _MATERIAL_SCHEMA = {
     "model": ("model", _text(set(_MATERIAL_KINDS)), True),
     "omega_p_eV": ("omega_p_eV", _num("eV"), False),
-    "gamma_meV": ("gamma_meV", _num("meV"), False),
+    "gamma_meV": ("gamma_meV", _num("meV", check=require_nonnegative), False),
     "tc_K": ("tc_K", _num("K"), False),
 }
 
@@ -198,7 +203,7 @@ _SWEEP_SCHEMA = {
     "gap_min_nm": ("gap_min", _num("nm"), True),
     "gap_max_nm": ("gap_max", _num("nm"), True),
     "gap_step_nm": ("gap_step", _num("nm"), True),
-    "temperatures_K": ("temperatures", _list(_num("K")), True),
+    "temperatures_K": ("temperatures", _list(_num("K", check=require_nonnegative)), True),
     "pairs": ("pairs", _list(_pair), True),
 }
 
@@ -379,11 +384,6 @@ def load_device_config(path):
         args = {name: values.pop(name) for name in required if name in values}
         if section in _SIDE_TABLES:
             parts[_SIDE_TABLES[section]] = values
-            for name, value in values.items():
-                try:
-                    require_positive(name, value)
-                except DomainError as exc:
-                    problems.append(f"[{section}]: {exc}")
         if len(args) < len(required):
             continue
         if cls is ReadoutCalibration:
@@ -399,9 +399,11 @@ def load_device_config(path):
     material_names = [s[len("material."):] for s in ini if s.startswith("material.")]
     for name in material_names:
         section = f"material.{name}"
+        found = len(problems)
         mat_values = _parse_section(ini, section, _MATERIAL_SCHEMA, problems)
         kind = mat_values.pop("model", None)
-        if kind is None:
+        # a key the section has but could not convert is not missing
+        if kind is None or len(problems) > found:
             continue
         try:
             materials[name] = _build_material(kind, mat_values, f"[{section}]")
@@ -414,25 +416,13 @@ def load_device_config(path):
         # problems are reported already
         sweep = _parse_sweep(ini, materials, material_names, problems)
 
-    signals = []
-    if "signals" in ini:
-        for key, text in ini["signals"].items():
-            if not key.endswith("_Pa"):
-                problems.append(f"[signals]: key '{key}' must carry a _Pa suffix")
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                problems.append(f"[signals] {key}: expected a number")
-                continue
-            if math.isfinite(value) and value >= 0.0:
-                signals.append((key[:-3], value))
-            else:
-                problems.append(f"[signals] {key}: {NONNEGATIVE}")
+    signal_schema = {key: (key[:-3], _num("Pa", check=require_nonnegative), False)
+                     for key in ini.get("signals", ()) if key.endswith("_Pa")}
+    signals = tuple(_parse_section(ini, "signals", signal_schema, problems).items())
 
     if problems:
         raise ConfigError(problems)
-    return DeviceConfig(materials=materials, sweep=sweep, signals=tuple(signals), **parts)
+    return DeviceConfig(materials=materials, sweep=sweep, signals=signals, **parts)
 
 
 def example_config_path():

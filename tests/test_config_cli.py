@@ -104,7 +104,7 @@ def test_sweep_range_problem_is_collected_with_the_others(tmp_path):
         load_device_config(str(bad))
     assert excinfo.value.problems == [
         "[geometry] gap_nm: expected a number, got 'x'",
-        "[sweep]: temperatures must be finite and >= 0, got -1.0",
+        "[sweep] temperatures_K must be finite and >= 0, got -1.0",
     ]
 
 
@@ -142,7 +142,7 @@ def test_config_rewritten_with_same_size_and_mtime_is_read_again(tmp_path):
     ("[sweep]\ntemperatures_K = 1.3, x\n",
      "[sweep] temperatures_K: expected a number, got 'x'"),
     ("[signals]\ngravitational_casimir_Pa = x\n",
-     "[signals] gravitational_casimir_Pa: expected a number"),
+     "[signals] gravitational_casimir_Pa: expected a number, got 'x'"),
 ], ids=["syntax", "schema", "unknown-model", "no-model", "pair-without-slash",
         "bad-temperature", "non-numeric-signal"])
 def test_broken_config_raises_the_same_problems_on_every_call(tmp_path, text, problem):
@@ -174,7 +174,8 @@ def test_signals_require_pa_suffix(tmp_path):
         "gravitational_casimir_Pa", "gravitational_casimir"))
     with pytest.raises(ConfigError) as excinfo:
         load_device_config(str(bad))
-    assert any("_Pa suffix" in p for p in excinfo.value.problems)
+    assert ("[signals]: unknown key 'gravitational_casimir' (unit suffix missing or typo?)"
+            in excinfo.value.problems)
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
@@ -188,7 +189,7 @@ def test_signal_range_problem_is_collected_with_the_others(tmp_path, value):
         load_device_config(str(bad))
     assert excinfo.value.problems == [
         "[geometry] gap_nm: expected a number, got 'x'",
-        "[signals] gravitational_casimir_Pa: must be finite and >= 0",
+        f"[signals] gravitational_casimir_Pa must be finite and >= 0, got {float(value)!r}",
     ]
 
 
@@ -201,8 +202,8 @@ def test_modal_mass_range_problem_is_collected_with_the_others(tmp_path, capsys,
                    .replace("gap_nm = 100", "gap_nm = -5")
                    .replace("m_eff_pg = 418", "m_eff_pg = -418"))
     problems = [
-        "[geometry]: gap must be finite and > 0, got -5e-09",
-        "[mechanics]: m_eff must be finite and > 0, got -4.1800000000000004e-13",
+        "[geometry] gap_nm must be finite and > 0, got -5.0",
+        "[mechanics] m_eff_pg must be finite and > 0, got -418.0",
     ]
     with pytest.raises(ConfigError) as excinfo:
         load_device_config(str(bad))
@@ -210,6 +211,20 @@ def test_modal_mass_range_problem_is_collected_with_the_others(tmp_path, capsys,
     code, out, err = run_cli(capsys, *command, "--config", str(bad))
     assert (code, out) == (2, "")
     assert err == "".join(f"config error: {problem}\n" for problem in problems)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["transduce", "--pressure", "1Pa"]])
+def test_value_that_underflows_in_si_is_a_config_error(tmp_path, capsys, command):
+    # Each is > 0 as written and 0.0 once scaled to SI; neither [mechanics]
+    # nor an optional key has a class that would refuse the 0.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text()
+                   .replace("m_eff_pg = 418", "m_eff_pg = 1e-310")
+                   .replace("operating_power_nW = 200", "operating_power_nW = 1e-320"))
+    code, out, err = run_cli(capsys, *command, "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("config error: [mechanics] m_eff_pg: 1e-310 rounds to 0 in SI units\n"
+                   "config error: [readout] operating_power_nW: 1e-320 rounds to 0 in SI units\n")
 
 
 def test_parse_material_specs():
@@ -235,10 +250,24 @@ def test_material_section_domain_error_is_collected(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_device_config(str(bad))
     problems = excinfo.value.problems
-    assert any(p.startswith("[material.al_plasma]: omega_p") for p in problems)
+    assert "[material.al_plasma] omega_p_eV must be finite and > 0, got -12.0" in problems
     assert any("gap_nm" in p for p in problems)
     # the failed material is reported once, not again as undefined in [sweep]
     assert not any("not defined" in p for p in problems)
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("gamma_meV = 50\n\n[material.al_sc]", "gamma_meV = abc\n\n[material.al_sc]",
+     "[material.al_drude] gamma_meV: expected a number, got 'abc'"),
+    ("omega_p_eV = 12.0\n\n[material.al_drude]", "omega_p_eV = -12\n\n[material.al_drude]",
+     "[material.al_plasma] omega_p_eV must be finite and > 0, got -12.0"),
+], ids=["malformed", "out-of-range"])
+def test_material_key_that_fails_to_convert_is_not_also_missing(tmp_path, old, new, problem):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text().replace(old, new))
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(str(bad))
+    assert excinfo.value.problems == [problem]
 
 
 def test_inline_spec_bad_number_raises_domain_error():
@@ -477,10 +506,10 @@ def test_cli_sweep_empty_list_exits_two(capsys, tmp_path, how, key):
 
 
 SWEEP_RANGE_PROBLEMS = pytest.mark.parametrize("replace, message", [
-    ({"gap_min_nm": "400"}, "need 0 < gap_min <= gap_max"),
-    ({"temperatures_K": "1.3, -1"}, "temperatures must be finite and >= 0, got -1.0"),
-    ({"gap_max_nm": "inf"}, "gap_max must be finite and > 0, got inf"),
-    ({"gap_step_nm": "inf"}, "gap_step must be finite and > 0, got inf"),
+    ({"gap_min_nm": "400"}, "[sweep]: need 0 < gap_min <= gap_max"),
+    ({"temperatures_K": "1.3, -1"}, "[sweep] temperatures_K must be finite and >= 0, got -1.0"),
+    ({"gap_max_nm": "inf"}, "[sweep] gap_max_nm must be finite and > 0, got inf"),
+    ({"gap_step_nm": "inf"}, "[sweep] gap_step_nm must be finite and > 0, got inf"),
 ], ids=["gap-range", "negative-temperature", "infinite-gap-max", "infinite-gap-step"])
 
 
@@ -489,7 +518,7 @@ SWEEP_RANGE_PROBLEMS = pytest.mark.parametrize("replace, message", [
 def test_cli_sweep_range_problem_exits_two(capsys, tmp_path, how, replace, message):
     code, out, err = run_cli(capsys, *_sweep_via(how, tmp_path, **replace))
     assert code == 2 and out == ""
-    assert err == f"config error: [sweep]: {message}\n"
+    assert err == f"config error: {message}\n"
 
 
 @SWEEP_RANGE_PROBLEMS
@@ -497,7 +526,7 @@ def test_cli_validate_reports_sweep_range_problem(capsys, tmp_path, replace, mes
     config_path = _sweep_via("config", tmp_path, **replace)[-1]
     code, out, err = run_cli(capsys, "validate", "--config", config_path)
     assert code == 2 and out == ""
-    assert err == f"config error: [sweep]: {message}\n"
+    assert err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -773,8 +802,8 @@ def test_cli_signal_range_problem_exits_two(capsys, tmp_path, command, value):
         "gravitational_casimir_Pa = 0.5", f"gravitational_casimir_Pa = {value}"))
     code, out, err = run_cli(capsys, command, "--config", str(bad))
     assert code == 2 and out == ""
-    assert err == ("config error: [signals] gravitational_casimir_Pa: "
-                   "must be finite and >= 0\n")
+    assert err == ("config error: [signals] gravitational_casimir_Pa "
+                   f"must be finite and >= 0, got {float(value)!r}\n")
 
 
 @pytest.mark.parametrize("key, section, field, scale", [
@@ -789,14 +818,16 @@ def test_cli_signal_range_problem_exits_two(capsys, tmp_path, command, value):
 def test_cli_optional_key_range_problem_exits_two(capsys, tmp_path, key, section, field,
                                                   scale, command, value):
     # An optional key is checked at load like the required ones: each
-    # command that loads the config exits 2 with the one config error.
+    # command that loads the config exits 2 with the one config error, which
+    # names the key and the value as written, not the SI field and value
+    # (``field``, ``scale``).
     bad = tmp_path / "bad.cfg"
     bad.write_text(re.sub(rf"(?m)^{key} = \S+", f"{key} = {value}",
                           example_config_path().read_text()))
     code, out, err = run_cli(capsys, command, "--config", str(bad))
     assert code == 2 and out == ""
-    assert err == (f"config error: [{section}]: {field} must be finite and > 0, "
-                   f"got {float(value) * scale!r}\n")
+    assert err == (f"config error: [{section}] {key} must be finite and > 0, "
+                   f"got {float(value)!r}\n")
 
 
 def test_cli_validate(capsys):

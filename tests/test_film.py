@@ -278,3 +278,15 @@ def test_extract_tc_does_not_depend_on_sampling_density():
         noisy = r + np.random.default_rng(500).normal(0.0, 0.01 * 45.0, size=n)
         result = extract_tc(curve_from_arrays(t, np.clip(noisy, 0.0, None)))
         assert result.t_c == pytest.approx(0.95, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the plateau rule counts points, "
+                   "so a densely sampled staircase loses its steps")
+def test_extract_tc_keeps_both_steps_when_densely_sampled():
+    # Read right at 160 and 500 points.  At 1,000 only the parasitic 1.2 K
+    # step is found and reported as T_c; from 2,000 no step exceeds 25% of
+    # R_n.  A plateau rule must mend density without dropping step detection.
+    for n in (1000, 2000, 10000):
+        result = extract_tc(curve_from_arrays(*two_step_curve(n)))
+        assert len(result.steps) == 2
+        assert result.t_c == pytest.approx(0.9, abs=2e-3)

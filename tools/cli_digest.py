@@ -32,9 +32,14 @@ pairs respond alike but the response has vanished from eps; ``detect`` with
 a ``--signal`` of its own; ``pressure`` between an inline Drude spec and
 the ideal metal, without a config; the same material-pair ``scan`` on
 the 1e-10 nm copy below T_c, where the pairs respond differently and the
-differential's engine call refuses the gap; and ``validate`` with a
+differential's engine call refuses the gap; ``validate`` with a
 negative ``operating_power_nW`` and ``film`` with a negative
-``sigma_4k_per_ohm_m``, each a config error.
+``sigma_4k_per_ohm_m``, each a config error; ``validate`` on a copy with a
+negative plasma ``omega_p_eV`` and a non-numeric Drude ``gamma_meV``, each
+reported once; ``pressure`` with an inline plasma spec whose ``omega_p_eV``
+is negative; and ``validate`` on a copy with a negative ``temperatures_K``
+and a negative ``[signals]`` pressure.  Every range error names the key and
+the value as written.
 """
 
 import contextlib
@@ -133,6 +138,10 @@ def commands():
            "--points", "3", "--theory", "al_sc/al_sc-vs-al_drude/al_drude"]
     yield ["validate", "--config", "negative_power.cfg"]
     yield ["film", "--config", "negative_sigma.cfg"]
+    yield ["validate", "--config", "bad_materials.cfg"]
+    yield ["pressure", "--model-a", "plasma:omega_p_eV=-12", "--model-b", "ideal",
+           "--gap", "100nm", "--temp", "1K"]
+    yield ["validate", "--config", "negative_sweep_signal.cfg"]
 
 
 def run(argv):
@@ -161,6 +170,13 @@ def main():
                                                       "operating_power_nW = -200")
         files["negative_sigma.cfg"] = example.replace("sigma_4k_per_ohm_m = 4.1e7",
                                                       "sigma_4k_per_ohm_m = -4.1e7")
+        files["bad_materials.cfg"] = (
+            example.replace("omega_p_eV = 12.0\n\n[material.al_drude]",
+                            "omega_p_eV = -12\n\n[material.al_drude]")
+            .replace("gamma_meV = 50\n\n[material.al_sc]", "gamma_meV = abc\n\n[material.al_sc]"))
+        files["negative_sweep_signal.cfg"] = (
+            example.replace("temperatures_K = 1.3", "temperatures_K = -1.3")
+            .replace("gravitational_casimir_Pa = 0.5", "gravitational_casimir_Pa = -0.5"))
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

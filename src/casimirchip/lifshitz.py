@@ -91,13 +91,13 @@ bit for bit the one it gets alone.  Two pairs with the same responses at T
 0.0, which a differential returns without evaluating either.  Every pass
 over a (rows, nodes) grid writes into a per-thread workspace whose arrays
 the thread's next call reuses, instead of allocating (and page-faulting)
-fresh ones: 2.1 MB per thread for one pair and 3.1 MB for two with two
-responses at default numerics (so a thread of the bundled two-pair sweep
-holds 3.1 MB), which a thread's first call pays for.  A block larger than
-the largest a call at default numerics evaluates (228 rows x 130 nodes per
-pair, the first Matsubara step) gets arrays of its own, so tighter numerics
-leave nothing larger behind, and nothing the engine returns is a view of
-the workspace.
+fresh ones; the ladder weights one pair's samples at a time.  A block
+larger than the largest a call at default numerics evaluates (228 rows x
+130 nodes, the first Matsubara step) gets arrays of its own, so tighter
+numerics leave nothing larger behind, and nothing the engine returns is a
+view of the workspace.  A batch runs in groups of pairs under 8 MiB
+(_BATCH_BYTES): a thread keeps 2.1 MB after one pair, 2.8 MB after a bundled
+sweep cell and 7.0 MiB after 60 distinct pairs, which its first call pays for.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -138,6 +138,11 @@ _N_EXPLICIT = 64
 # 33-node block, on the 129-node rule and the sliver node.
 _KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
                * (2 * _K_ORDER_START + 2))
+# The bytes a group's first Matsubara step may take at _KEPT_BLOCK doubles per
+# array: six grid arrays (kappa, kappa_m, r_TM, y, dy, terms), two per distinct
+# response and one per pair.  8 MiB keeps the bench's two-pair cells (2.8 MB)
+# and a 15-pair batch of five responses (7.35 MB) one group each.
+_BATCH_BYTES = 8 << 20
 
 
 class _Workspace(threading.local):
@@ -146,16 +151,17 @@ class _Workspace(threading.local):
     take(name, shape) returns an uninitialised array over the flat buffer
     kept under name, grown when a block needs more.  A request whose last
     two axes (rows, nodes) span more than _KEPT_BLOCK, which only tighter
-    numerics make, gets an array of its own instead, so such a call leaves
-    no larger buffer behind.  An array stays valid until the next take of its name;
-    nothing the engine returns is a view of one.
+    numerics make, gets an array of its own instead, so such a call leaves no
+    larger buffer behind; the leading axes are one group's (_BATCH_BYTES).
+    An array stays valid until the next take of its name; nothing the
+    engine returns is a view of one.
     """
 
     def __init__(self):
         self.buffers = {}
 
     def take(self, name, shape):
-        if shape[-2] * shape[-1] > _KEPT_BLOCK:
+        if math.prod(shape[-2:]) > _KEPT_BLOCK:
             return np.empty(shape)
         size = math.prod(shape)
         buf = self.buffers.get(name)
@@ -230,13 +236,15 @@ def _clenshaw_curtis(order):
     sample.  For even n the weights are (c_j / n) [1 - sum_{k=1}^{n/2}
     b_k cos(2 pi k j / n) / (4k^2 - 1)] with c_j = 1 at the ends and 2
     inside, and b_k = 1 at k = n/2 and 2 below (Trefethen, SIAM Rev. 2008).
-    The sum runs one k at a time, so memory stays linear in the order.
+    The sum adds 64 k at a time, in k order as one k would, so memory stays
+    linear in the order; j and k are floats, so no product needs a cast.
     """
-    j = np.arange(order + 1)
+    j = np.arange(order + 1.0)
     total = np.zeros(order + 1)
-    for k in range(1, order // 2 + 1):
-        b = (1.0 if k == order // 2 else 2.0) / (4.0 * k * k - 1.0)
-        total += b * np.cos(2.0 * np.pi * k * j / order)
+    for start in range(1, order // 2 + 1, 64):
+        k = np.arange(float(start), min(start + 64, order // 2 + 1))[:, None]
+        b = np.where(k == order // 2, 1.0, 2.0) / (4.0 * k * k - 1.0)
+        total = np.add.accumulate(np.vstack((total, b * np.cos(2.0 * np.pi * k * j / order))))[-1]
     w = (1.0 - total) * (2.0 / order)
     w[[0, -1]] *= 0.5
     return np.cos(np.pi * j / order), w
@@ -251,8 +259,9 @@ def _nest(even, odd):
 
 
 def _weighted(samples, w):
-    """samples * w in the workspace, contiguous in the shape of samples."""
-    return np.multiply(samples, w, out=_WORKSPACE.take("terms", samples.shape))
+    """The row sums of samples * w, bit for bit, one pair's product at a time in the workspace."""
+    terms = _WORKSPACE.take("terms", samples.shape[1:])
+    return np.array([np.multiply(pair, w, out=terms).sum(axis=-1) for pair in samples])
 
 
 def _nested_cc(g, sample, ceiling, tol, const=0.0):
@@ -280,10 +289,10 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     # orders[p] is the order pair p stopped at, 0 while it climbs; out holds
     # the sums of the pairs that have stopped.
     orders, out = [0] * count, None
-    coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]).sum(axis=-1) + const
+    coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]) + const
     while True:
         w = _clenshaw_curtis(order)[1]
-        fine = _weighted(g[0], w).sum(axis=-1) + const
+        fine = _weighted(g[0], w) + const
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim > 1:
@@ -474,8 +483,9 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
 def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     """The PressureResult of each (mat_a, mat_b) pair at one (gap, T), as one batch.
 
-    The pairs share every frequency, y grid and k-integrand pass (see
-    _k_integrand), and the batch climbs every ladder and doubles N until its
+    It runs in consecutive groups of pairs that fit _BATCH_BYTES.  The
+    pairs of a group share every frequency, y grid and k-integrand pass (see
+    _k_integrand), and the group climbs every ladder and doubles N until its
     last pair has stopped, but every stop decision is per pair: each
     pair's sums are taken at the first k- and frequency rung where it
     stops, and its result at the first N where its Matsubara sum stops,
@@ -492,10 +502,16 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     enters the engine here (see the module docstring).
     """
     _require_domain(gap, temperature, pairs)
+    # One model object per response (materials.response), which is how
+    # _k_integrand tells the distinct ones apart.
+    models = {}
+    pairs = [tuple(models.setdefault(response(m, temperature), m) for m in pair)
+             for pair in pairs]
     try:
         # An overflow inside numpy raises here instead of printing a warning.
         with np.errstate(over="raise", invalid="raise"):
-            results = _plate_pressures(gap, temperature, pairs, num) if pairs else []
+            results = [result for group in _groups(pairs)
+                       for result in _plate_pressures(gap, temperature, group, num)]
         finite = all(math.isfinite(v) for r in results
                      for v in (r.pressure, r.truncation_estimate, r.quadrature_estimate))
     except FloatingPointError:
@@ -519,8 +535,21 @@ def _require_domain(gap, temperature, pairs):
                               "eps(i c/2a) - 1 rounds to 0")
 
 
+def _groups(pairs):
+    """Consecutive groups of pairs (one model object per response) that fit _BATCH_BYTES."""
+    groups, models = [], set()
+    for pair in pairs:
+        models = models.union(pair)
+        arrays = 6 + len(groups[-1]) + 1 + 2 * len(models) if groups else math.inf
+        if arrays * 8 * _KEPT_BLOCK > _BATCH_BYTES:
+            groups.append([])
+            models = set(pair)
+        groups[-1].append(pair)
+    return groups
+
+
 def _plate_pressures(gap, temperature, pairs, num):
-    """plate_pressures for checked arguments and at least one pair."""
+    """plate_pressures for checked pairs, one model object per response, at least one."""
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
@@ -528,11 +557,6 @@ def _plate_pressures(gap, temperature, pairs, num):
     # at xi_min, below which J is flat.
     xi_min, xi_hi = 1e-9 * C / (2.0 * gap), _Y_CUT * C / (2.0 * gap)
     ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
-    # One model object per response (materials.response), which is how
-    # _k_integrand tells the distinct ones apart.
-    models = {}
-    pairs = [tuple(models.setdefault(response(m, temperature), m) for m in pair)
-             for pair in pairs]
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.  Every
         # such ladder at default numerics climbs past CC-64, so it starts at CC-128.

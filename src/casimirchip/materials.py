@@ -22,6 +22,7 @@ arithmetic is needed anywhere in the pressure engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import POSITIVE, DomainError, require_nonnegative, require_positive
@@ -126,28 +127,30 @@ def eps_imag_freq(model, xi, temperature):
     models disagree and is handled analytically inside the pressure engine,
     never by evaluating eps at 0.  ``temperature`` (K) sets the two-fluid
     model's superfluid fraction and is ignored by the other models.  Accepts
-    scalars or numpy arrays of xi.
+    scalars or numpy arrays of xi; a float skips numpy, to the same bits.
     """
-    import numpy as np
-
     omega_p, gamma, f_s = _free_electron(model, temperature)
-    xi_arr = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi_arr)) or np.any(xi_arr <= 0.0):
+    if isinstance(xi, float):
+        scalar, valid = True, math.isfinite(xi) and xi > 0.0
+    else:
+        import numpy as np
+        scalar, xi = np.ndim(xi) == 0, np.asarray(xi, dtype=float)
+        valid = np.all(np.isfinite(xi)) and not np.any(xi <= 0.0)
+    if not valid:
         raise DomainError(
             f"xi {POSITIVE}; the zero-frequency term must use the "
             "analytic limit path"
         )
-    # A term of weight exactly 0 is skipped, so plasma (f_s = 1) and Drude
-    # (f_s = 0) each evaluate one term; a weight of exactly 1 leaves bits as
-    # they are, so both give exactly their one-term formulas.
+    # A term of weight exactly 0 is skipped and a weight of exactly 1 leaves
+    # bits as they are, so plasma (f_s = 1) and Drude (f_s = 0) give exactly
+    # their one-term formulas.  The square is a product, as numpy's ** 2 is.
     out = 1.0
     if f_s > 0.0:
-        out = out + f_s * (omega_p / xi_arr) ** 2
+        ratio = omega_p / xi
+        out = out + f_s * (ratio * ratio)
     if f_s < 1.0:
-        out = out + ((1.0 - f_s) * omega_p**2) / (xi_arr * (xi_arr + gamma))
-    if np.ndim(xi) == 0:
-        return float(out)
-    return out
+        out = out + ((1.0 - f_s) * omega_p**2) / (xi * (xi + gamma))
+    return float(out) if scalar else out
 
 
 def zero_frequency_plasma_weight(model, temperature):

@@ -687,6 +687,29 @@ def test_k_integrand_evaluations_per_call(monkeypatch, model):
         assert [call[-1].shape[0] for call in calls] == [rows]
 
 
+def _clenshaw_curtis_one_k_at_a_time(order):
+    # The reference build of the rule: the weights' cosine sum taken one k
+    # at a time.
+    j = np.arange(order + 1)
+    total = np.zeros(order + 1)
+    for k in range(1, order // 2 + 1):
+        b = (1.0 if k == order // 2 else 2.0) / (4.0 * k * k - 1.0)
+        total += b * np.cos(2.0 * np.pi * k * j / order)
+    w = (1.0 - total) * (2.0 / order)
+    w[[0, -1]] *= 0.5
+    return np.cos(np.pi * j / order), w
+
+
+def test_clenshaw_curtis_blocks_equal_the_one_k_loop():
+    # The rule built 64 k at a time adds the same terms in the same order,
+    # so its nodes and weights are the loop's bit for bit, from one block
+    # (order <= 129) to 32 of them.  The cache is bypassed.
+    for order in [*range(2, 257), 512, 1024, 2048, 4096]:
+        built = _clenshaw_curtis.__wrapped__(order)
+        reference = _clenshaw_curtis_one_k_at_a_time(order)
+        assert all(np.array_equal(a, b) for a, b in zip(built, reference)), order
+
+
 def test_k_ladder_rungs_are_nested(monkeypatch):
     # The coarse rule's nodes are the fine rule's at even indices, bit for
     # bit, so a ladder driven to its cap evaluates each node once: 130
@@ -1032,9 +1055,9 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # What a fresh thread keeps after a default differential at 100 nm and
     # 1 K with two responses: one array of 228 rows x 130 nodes each for
     # kappa, kappa_m and r_TM scratch (3), r_TE and r_TM of each response (4),
-    # each pair's integrand (2) and y (1), and of 228 x 129 for dy (1) and
-    # the ladder's weighted terms of both pairs (2).  The rule cache is
-    # filled first.
+    # each pair's integrand (2), y (1) and the terms that the integrand's
+    # denominators and then the ladder's weighted sums, one pair at a time,
+    # share (1), and of 228 x 129 for dy (1).  The rule cache is filled first.
     differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
     held = []
 
@@ -1049,7 +1072,7 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
         thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert held == [8 * 228 * (130 * (3 + 4 + 2 + 1) + 129 * (1 + 2))]
+    assert held == [8 * 228 * (130 * (3 + 4 + 2 + 1 + 1) + 129)]
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():
@@ -1076,3 +1099,64 @@ def test_extreme_call_keeps_no_more_memory_than_a_default_call():
     assert not thread.is_alive()
     assert len(held) == 2
     assert 0 < held[1] <= held[0]
+
+
+def _distinct_pairs(count):
+    # Distinct Drude pairs with two responses each, as a long [sweep] pair
+    # list of films of different quality would give.
+    return [(Drude(OMEGA_P * (1 + 0.01 * i), GAMMA), Drude(OMEGA_P * (0.75 + 0.01 * i), GAMMA))
+            for i in range(count)]
+
+
+def _fresh_thread_call(gap, temp, pairs, num):
+    # One plate_pressures call from a fresh thread, whose workspace starts
+    # empty: its results, the tracemalloc peak during it and the NumPy bytes
+    # held after it.
+    out = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            results = plate_pressures(gap, temp, pairs, num)
+            out.append((results, tracemalloc.get_traced_memory()[1], _numpy_bytes_held()))
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
+    # A batch runs in groups of pairs whose first Matsubara step fits the
+    # byte budget: 60 distinct pairs at default numerics peak and keep
+    # within it, and at 1e-11 they keep within it and peak as 30 do.  Every
+    # result is still its solo result.  The rule cache is filled first.
+    tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
+    pairs = _distinct_pairs(60)
+    plate_pressures(100e-9, 1.3, pairs[:2])
+    plate_pressures(1e-6, 10.0, pairs[:2], tight)
+    results, peak, held = _fresh_thread_call(100e-9, 1.3, pairs, DEFAULT_NUMERICS)
+    assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
+    assert [_fields(r) for r in results] == _solo(100e-9, 1.3, pairs, DEFAULT_NUMERICS)
+    results, peak, held = _fresh_thread_call(1e-6, 10.0, pairs, tight)
+    assert held <= lifshitz._BATCH_BYTES
+    assert peak <= 1.1 * _fresh_thread_call(1e-6, 10.0, pairs[:30], tight)[1]
+    assert [_fields(r) for r in results] == _solo(1e-6, 10.0, pairs, tight)
+    # The bench's two-pair sweep cell and a differential stay one group; the
+    # 60 pairs come back in pair order from several.
+    groups, inner = [], lifshitz._plate_pressures
+
+    def counting(gap, temp, group, num):
+        groups.append(group)
+        return inner(gap, temp, group, num)
+
+    monkeypatch.setattr(lifshitz, "_plate_pressures", counting)
+    plate_pressures(100e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)])
+    differential_pressure(100e-9, 1.0, PLASMA, DRUDE, (DRUDE, DRUDE))
+    assert [len(group) for group in groups] == [2, 2]
+    groups.clear()
+    plate_pressures(100e-9, 1.3, pairs)
+    assert len(groups) > 1 and [pair for group in groups for pair in group] == pairs

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,27 @@ def test_eps_rejects_nonpositive_xi():
         eps_imag_freq(Plasma(OMEGA_P), 0.0, temperature=0.0)
     with pytest.raises(DomainError):
         eps_imag_freq(Plasma(OMEGA_P), -1e12, temperature=0.0)
+    # A float, a numpy float and an array meet the same refusal, whichever
+    # path checks them.
+    message = "xi must be finite and > 0; the zero-frequency term must use the analytic limit path"
+    for xi in (0.0, -1.0, math.inf, math.nan):
+        for arg in (xi, np.float64(xi), np.array([1.0, xi])):
+            with pytest.raises(DomainError) as refusal:
+                eps_imag_freq(Drude(OMEGA_P, GAMMA), arg, temperature=0.0)
+            assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("model", [Plasma(OMEGA_P), Drude(OMEGA_P, GAMMA),
+                                   SuperconductorTwoFluid(OMEGA_P, GAMMA, 0.9)],
+                         ids=["plasma", "drude", "twofluid"])
+def test_eps_of_a_float_is_the_one_element_array_value(model):
+    # A float is evaluated in float arithmetic, not by numpy: the same bits.
+    for temperature in (0.0, 0.3, 0.9, 1.2):
+        for xi in np.geomspace(1e-3, 1e22, 101).tolist():
+            expected = eps_imag_freq(model, np.array([xi]), temperature)[0]
+            for arg in (xi, np.float64(xi)):
+                value = eps_imag_freq(model, arg, temperature)
+                assert type(value) is float and value == expected
 
 
 def test_eps_rejects_ideal_metal():

@@ -15,11 +15,17 @@ superconductor and a second Drude metal; and four numerics: the default,
 both tolerances at 1e-11, the smallest frequency rule and a tight series
 tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
 plate_pressure, all pairs as one plate_pressures batch, and every pair as
-the first operand of a differential_pressure against the next pair.  The
-digest covers the repr of each PressureResult and of each differential, in
-that order.
+the first operand of a differential_pressure against the next pair.
+
+Every batch on that grid fits one of the engine's pair groups, so one more
+cell, at 100 nm and 1.3 K with the default and 1e-11 numerics, holds 40
+distinct pairs: the 14 pairs other than ideal/ideal with omega_p scaled by
+1, 0.95 and 0.9, the first 40 of them.  Their batch is more than one group,
+and it is evaluated the same three ways.  The digest covers the repr of
+each PressureResult and of each differential, in that order.
 """
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -53,14 +59,32 @@ NUMERICS = (
 )
 
 
+def scaled(model, factor):
+    """model with omega_p scaled by factor; the ideal metal has none."""
+    if isinstance(model, IdealMetal):
+        return model
+    return dataclasses.replace(model, omega_p=factor * model.omega_p)
+
+
+GROUPED_PAIRS = [(scaled(a, factor), scaled(b, factor))
+                 for factor in (1.0, 0.95, 0.9) for a, b in PAIRS[1:]][:40]
+
+
+def cell(gap, temp, pairs, num):
+    """Each pair alone, all pairs as one batch, then each pair's differential."""
+    for mat_a, mat_b in pairs:
+        yield plate_pressure(gap, temp, mat_a, mat_b, num)
+    yield from plate_pressures(gap, temp, pairs, num)
+    for (mat_a, mat_b), reference in zip(pairs, pairs[1:] + pairs[:1]):
+        yield differential_pressure(gap, temp, mat_a, mat_b, reference, num)
+
+
 def results():
-    """Every result on the grid, in a fixed order."""
+    """Every result on the grid, then the grouped cell, in a fixed order."""
     for gap, temp, num in itertools.product(GAPS, TEMPERATURES, NUMERICS):
-        for mat_a, mat_b in PAIRS:
-            yield plate_pressure(gap, temp, mat_a, mat_b, num)
-        yield from plate_pressures(gap, temp, PAIRS, num)
-        for (mat_a, mat_b), reference in zip(PAIRS, PAIRS[1:] + PAIRS[:1]):
-            yield differential_pressure(gap, temp, mat_a, mat_b, reference, num)
+        yield from cell(gap, temp, PAIRS, num)
+    for num in NUMERICS[:2]:
+        yield from cell(100e-9, 1.3, GROUPED_PAIRS, num)
 
 
 def main():

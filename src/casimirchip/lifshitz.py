@@ -90,14 +90,17 @@ bit for bit the one it gets alone.  Two pairs with the same responses at T
 (a superconductor above t_c against its normal state) differ by exactly
 0.0, which a differential returns without evaluating either.  Every pass
 over a (rows, nodes) grid writes into a per-thread workspace whose arrays
-the thread's next call reuses, instead of allocating (and page-faulting)
-fresh ones; the ladder weights one pair's samples at a time.  A block
-larger than the largest a call at default numerics evaluates (228 rows x
-130 nodes, the first Matsubara step) gets arrays of its own, so tighter
-numerics leave nothing larger behind, and nothing the engine returns is a
-view of the workspace.  A batch runs in groups of pairs under 8 MiB
-(_BATCH_BYTES): a thread keeps 2.1 MB after one pair, 2.8 MB after a bundled
-sweep cell and 7.0 MiB after 60 distinct pairs, which its first call pays for.
+the thread's next call reuses instead of allocating (and page-faulting)
+fresh ones; y shares the first pair's integrand block, and the ladder
+weights one pair's samples at a time.  One byte budget, 8 MiB
+(_BATCH_BYTES), bounds each k-pass, run in groups of pairs whose arrays
+and climb fit it, and what a thread keeps, for which a growing buffer
+drops the least recently used; what blocks larger than a default call's
+(228 rows x 130 nodes) grew is dropped after their pass.  A thread keeps
+1.9 MB after one pair, 2.6 MB after a bundled sweep cell, and 5.9, then
+3.8 MB after six pairs of eleven responses and 27 copies of one pair; 60
+distinct pairs at 100 nm and 1.3 K peak at 6.3 MiB and keep 5.9 MB, and
+five at 1 um, 10 K and 1e-11 peak at 7.6 MiB.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -138,36 +141,53 @@ _N_EXPLICIT = 64
 # 33-node block, on the 129-node rule and the sliver node.
 _KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
                * (2 * _K_ORDER_START + 2))
-# The bytes a group's first Matsubara step may take at _KEPT_BLOCK doubles per
-# array: six grid arrays (kappa, kappa_m, r_TM, y, dy, terms), two per distinct
-# response and one per pair.  8 MiB keeps the bench's two-pair cells (2.8 MB)
-# and a 15-pair batch of five responses (7.35 MB) one group each.
+# What one k-pass holds (_groups) and what a thread keeps fit 8 MiB: the
+# bench's two-pair cells (3.5 MB with room to climb) are one group each.
 _BATCH_BYTES = 8 << 20
 
 
 class _Workspace(threading.local):
     """Scratch arrays of one thread, reused by every call it makes.
 
-    take(name, shape) returns an uninitialised array over the flat buffer
-    kept under name, grown when a block needs more.  A request whose last
-    two axes (rows, nodes) span more than _KEPT_BLOCK, which only tighter
-    numerics make, gets an array of its own instead, so such a call leaves no
-    larger buffer behind; the leading axes are one group's (_BATCH_BYTES).
-    An array stays valid until the next take of its name; nothing the
-    engine returns is a view of one.
+    take(name, shape) returns an uninitialised array over the buffer kept
+    under name.  What is kept, plus the room reserve() holds for a pass's
+    own arrays, fits _BATCH_BYTES: a growing buffer and a reservation first
+    drop the least recently taken buffers until it does.  A block whose
+    (rows, nodes) span more than _KEPT_BLOCK, which only tighter numerics
+    make, never reuses a buffer kept for smaller ones, and trim() drops what
+    such blocks grew.  An array stays valid until the next take of its name
+    or trim(); nothing the engine returns is a view of one.
     """
 
     def __init__(self):
-        self.buffers = {}
+        self.buffers, self.oversized, self.reserved = {}, set(), 0
 
     def take(self, name, shape):
-        if math.prod(shape[-2:]) > _KEPT_BLOCK:
-            return np.empty(shape)
-        size = math.prod(shape)
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self.buffers[name] = np.empty(size)
+        size, oversize = math.prod(shape), math.prod(shape[-2:]) > _KEPT_BLOCK
+        # Popped and put back last, so the least recently taken comes first.
+        buf = self.buffers.pop(name, None)
+        if buf is None or buf.size < size or oversize and name not in self.oversized:
+            buf = None  # dropped before anything is allocated
+            self.reserve(self.reserved, size)
+            buf = np.empty(size)
+            if oversize:
+                self.oversized.add(name)
+        self.buffers[name] = buf
         return buf[:size].reshape(shape)
+
+    def reserve(self, doubles, more=0):
+        """Holds room for doubles until trim(), and makes room for more now."""
+        self.reserved = doubles
+        kept = sum(b.size for b in self.buffers.values())
+        while self.buffers and 8 * (kept + doubles + more) > _BATCH_BYTES:
+            kept -= self.buffers.pop(next(iter(self.buffers))).size
+
+    def trim(self):
+        """Ends a pass: drops what its blocks over _KEPT_BLOCK grew, and its reservation."""
+        for name in self.oversized:
+            self.buffers.pop(name, None)
+        self.oversized.clear()
+        self.reserved = 0
 
 
 _WORKSPACE = _Workspace()
@@ -250,18 +270,10 @@ def _clenshaw_curtis(order):
     return np.cos(np.pi * j / order), w
 
 
-def _nest(even, odd):
-    """Samples of the order-2n rule from the order-n ones and the new odd-index ones."""
-    out = np.empty(even.shape[:-1] + (even.shape[-1] + odd.shape[-1],))
-    out[..., ::2] = even
-    out[..., 1::2] = odd
-    return out
-
-
-def _weighted(samples, w):
-    """The row sums of samples * w, bit for bit, one pair's product at a time in the workspace."""
-    terms = _WORKSPACE.take("terms", samples.shape[1:])
-    return np.array([np.multiply(pair, w, out=terms).sum(axis=-1) for pair in samples])
+def _weighted(samples, w, in_place=False):
+    """The row sums of samples * w, bit for bit, one pair's product at a time (in_place or not)."""
+    outs = samples if in_place else [_WORKSPACE.take("terms", samples.shape[1:])] * len(samples)
+    return np.array([np.multiply(a, w, out=out).sum(axis=-1) for a, out in zip(samples, outs)])
 
 
 def _nested_cc(g, sample, ceiling, tol, const=0.0):
@@ -285,14 +297,16 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     is per row, so no pair's result depends on the others.  Returns (fine,
     error, order, the companions' fine sums), each per pair.
     """
-    count, order = len(g[0]), g[0].shape[-1] - 1
+    count, first = len(g[0]), g[0].shape[-1] - 1
+    order = first
     # orders[p] is the order pair p stopped at, 0 while it climbs; out holds
     # the sums of the pairs that have stopped.
     orders, out = [0] * count, None
     coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]) + const
     while True:
         w = _clenshaw_curtis(order)[1]
-        fine = _weighted(g[0], w) + const
+        # A climbed rung at the ceiling is read last, so its samples may hold the products.
+        fine = _weighted(g[0], w, in_place=order > first and order >= ceiling) + const
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim > 1:
@@ -310,10 +324,14 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
                 orders[p] = order
             if all(orders):
                 return out[0], out[1], orders, out[2:]
-        # sample may reuse the memory that the first rung's g lives in.
-        g = [a.copy() for a in g]
+        # g moves to the even indices of the order-2n rule before sample may reuse its memory.
         coarse, order = fine, 2 * order
-        g = [_nest(a, b) for a, b in zip(g, sample(_clenshaw_curtis(order)[0][1::2]))]
+        nested = [np.empty(a.shape[:-1] + (order + 1,)) for a in g]
+        for dst, a in zip(nested, g):
+            dst[..., ::2] = a
+        for dst, b in zip(nested, sample(_clenshaw_curtis(order)[0][1::2])):
+            dst[..., 1::2] = b
+        g = nested
 
 
 def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
@@ -369,6 +387,7 @@ def _k_integrand(pairs, xi_col, gap, temperature, y):
     products r_a r_b, the two divisions and the y^2 multiply remain.  Every
     k-integral sample passes through here once.  The result and every pass
     live in the thread's workspace: the result is valid until the next call.
+    y may be the result's first pair, written once y is no longer read.
     """
     shape = y.shape
     models = {id(m): m for pair in pairs for m in pair}
@@ -403,11 +422,13 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
     node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
-    rung (see the module docstring).  Every pair shares the y grid and
-    each rung; each stops where it stops alone.  Returns the finer rule and
-    its error as (pairs, rows) arrays.  Rows whose lower limit reaches the cutoff are
-    exactly zero.  They are sampled at xi = 0, since at a hot enough
-    temperature their own frequencies overflow the material formulas.
+    rung (see the module docstring).  Every pair shares the y grid, and
+    the pass runs in consecutive groups of pairs that fit _BATCH_BYTES
+    (_groups), whose pairs share each rung; each stops where it stops
+    alone.  Returns the finer rule and its error as (pairs, rows) arrays.
+    Rows whose lower limit reaches the cutoff are exactly zero.  They are
+    sampled at xi = 0, since at a hot enough temperature their own
+    frequencies overflow the material formulas.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
@@ -417,28 +438,58 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
     rows = len(xi_col)
 
-    def sample(x, sliver=False):
-        # The integrand at the nodes x, then, if asked, at the sliver's
-        # midpoint, and the Jacobian at the nodes x.
+    def sample(group, x, sliver=False):
+        # The integrand of group's pairs at the nodes x times the Jacobian,
+        # then, if asked, at the sliver's midpoint.  y lives in the
+        # integrand block's first pair until the integrand is written.
         nodes = len(x)
         dy = np.multiply(x + 1.0, half, out=_WORKSPACE.take("dy", (rows, nodes)))
         dy += u_lo
         np.exp(dy, out=dy)
-        y = _WORKSPACE.take("y", (rows, nodes + sliver))
+        y = _WORKSPACE.take("integrand", (len(group), rows, nodes + sliver))[0]
         np.add(y_lo, dy, out=y[:, :nodes])
         if sliver:
             y[:, nodes] = y_lo[:, 0] + 0.5 * _Y_SLIVER
-        f = _k_integrand(pairs, xi_col, gap, temperature, y)
-        return f, np.multiply(dy, half, out=dy)
+        f = _k_integrand(group, xi_col, gap, temperature, y)
+        f[..., :nodes] *= np.multiply(dy, half, out=dy)
+        return f
 
-    f, jac = sample(_clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
-    # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
-    sliver = f[..., -1] * np.where(live[:, 0], _Y_SLIVER, 0.0)
-    g = f[..., :-1]
-    g *= jac
-    fine, err, _, _ = _nested_cc([g], lambda x: [np.multiply(*sample(x))], _K_ORDER_MAX,
-                                 num.rel_tol_quadrature, sliver)
+    sums = []
+    try:
+        for group in _groups(rows, pairs):
+            # Room for the nested samples a climb allocates (_nested_cc).
+            _WORKSPACE.reserve(len(group) * rows * (_K_ORDER_MAX + 1))
+            f = sample(group, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
+            # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
+            sliver = f[..., -1] * np.where(live[:, 0], _Y_SLIVER, 0.0)
+            sums.append(_nested_cc([f[..., :-1]], lambda x, group=group: [sample(group, x)],
+                                   _K_ORDER_MAX, num.rel_tol_quadrature, sliver)[:2])
+    finally:
+        _WORKSPACE.trim()
+    fine, err = (np.concatenate(a) for a in zip(*sums))
     return fine / (8.0 * gap**3), err / (8.0 * gap**3)
+
+
+def _groups(rows, pairs):
+    """Consecutive groups of pairs (one model object per response) whose k-pass fits _BATCH_BYTES.
+
+    Per row, a pass holds 130 doubles (the 129-node rule and the sliver) for
+    each of kappa, kappa_m, r_TM scratch and the terms, two per distinct
+    response and one per pair (y shares the first pair's), 129 for dy, and
+    once the ladder climbs, the 257 nested samples of each pair.  A pair
+    that does not fit alone is a group of its own.
+    """
+    first, top = 2 * _K_ORDER_START + 2, _K_ORDER_MAX + 1
+    groups, models = [], set()
+    for pair in pairs:
+        models = models.union(pair)
+        count = len(groups[-1]) + 1 if groups else math.inf
+        doubles = rows * (first * (4 + count + 2 * len(models)) + first - 1 + top * count)
+        if 8 * doubles > _BATCH_BYTES:
+            groups.append([])
+            models = set(pair)
+        groups[-1].append(pair)
+    return groups
 
 
 def _log_nodes(xi_lo, xi_hi, x):
@@ -483,15 +534,15 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
 def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     """The PressureResult of each (mat_a, mat_b) pair at one (gap, T), as one batch.
 
-    It runs in consecutive groups of pairs that fit _BATCH_BYTES.  The
-    pairs of a group share every frequency, y grid and k-integrand pass (see
-    _k_integrand), and the group climbs every ladder and doubles N until its
-    last pair has stopped, but every stop decision is per pair: each
-    pair's sums are taken at the first k- and frequency rung where it
-    stops, and its result at the first N where its Matsubara sum stops,
-    after which it rides along.  Each pair's terms and k-errors are one row
-    of two (pairs, terms) arrays, so each result is bit for bit the one its
-    pair gets alone, from plate_pressure.  Raises DomainError before
+    The pairs share every frequency and y grid, each k-integral pass runs
+    them in consecutive groups that fit _BATCH_BYTES, whose pairs share the
+    k-integrand work (see _k_integrand), and the batch climbs every ladder
+    and doubles N until its last pair has stopped, but every stop decision
+    is per pair: each pair's sums are taken at the first k- and frequency
+    rung where it stops, and its result at the first N where its Matsubara
+    sum stops, after which it rides along.  Each pair's terms and k-errors
+    are one row of two (pairs, terms) arrays, so each result is bit for bit
+    the one its pair gets alone, from plate_pressure.  Raises DomainError before
     evaluating anything for a gap or temperature outside its domain, and for
     a gap at which a free-electron model's response vanishes from eps: where
     eps(i c/2a) - 1, at the frequency whose y_lo is 1, rounds to 0 (below
@@ -510,8 +561,7 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     try:
         # An overflow inside numpy raises here instead of printing a warning.
         with np.errstate(over="raise", invalid="raise"):
-            results = [result for group in _groups(pairs)
-                       for result in _plate_pressures(gap, temperature, group, num)]
+            results = _plate_pressures(gap, temperature, pairs, num) if pairs else []
         finite = all(math.isfinite(v) for r in results
                      for v in (r.pressure, r.truncation_estimate, r.quadrature_estimate))
     except FloatingPointError:
@@ -533,19 +583,6 @@ def _require_domain(gap, temperature, pairs):
         if not (math.isfinite(xi_gap) and eps_imag_freq(model, xi_gap, temperature) > 1.0):
             raise DomainError(f"the material response vanishes at gap {gap!r} m: "
                               "eps(i c/2a) - 1 rounds to 0")
-
-
-def _groups(pairs):
-    """Consecutive groups of pairs (one model object per response) that fit _BATCH_BYTES."""
-    groups, models = [], set()
-    for pair in pairs:
-        models = models.union(pair)
-        arrays = 6 + len(groups[-1]) + 1 + 2 * len(models) if groups else math.inf
-        if arrays * 8 * _KEPT_BLOCK > _BATCH_BYTES:
-            groups.append([])
-            models = set(pair)
-        groups[-1].append(pair)
-    return groups
 
 
 def _plate_pressures(gap, temperature, pairs, num):

@@ -1055,9 +1055,10 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # What a fresh thread keeps after a default differential at 100 nm and
     # 1 K with two responses: one array of 228 rows x 130 nodes each for
     # kappa, kappa_m and r_TM scratch (3), r_TE and r_TM of each response (4),
-    # each pair's integrand (2), y (1) and the terms that the integrand's
-    # denominators and then the ladder's weighted sums, one pair at a time,
-    # share (1), and of 228 x 129 for dy (1).  The rule cache is filled first.
+    # each pair's integrand, the first of which holds y until the integrand
+    # is written (2), and the terms that the integrand's denominators and
+    # then the ladder's weighted sums, one pair at a time, share (1), and of
+    # 228 x 129 for dy (1).  The rule cache is filled first.
     differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
     held = []
 
@@ -1072,7 +1073,7 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
         thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert held == [8 * 228 * (130 * (3 + 4 + 2 + 1 + 1) + 129)]
+    assert held == [8 * 228 * (130 * (3 + 4 + 2 + 1) + 129)]
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():
@@ -1108,17 +1109,19 @@ def _distinct_pairs(count):
             for i in range(count)]
 
 
-def _fresh_thread_call(gap, temp, pairs, num):
-    # One plate_pressures call from a fresh thread, whose workspace starts
-    # empty: its results, the tracemalloc peak during it and the NumPy bytes
-    # held after it.
+def _fresh_thread_calls(calls):
+    # (gap, temp, pairs, num) calls from one fresh thread, whose workspace
+    # starts empty: each call's results, the tracemalloc peak during it and
+    # the NumPy bytes held after it.
     out = []
 
     def run():
         tracemalloc.start()
         try:
-            results = plate_pressures(gap, temp, pairs, num)
-            out.append((results, tracemalloc.get_traced_memory()[1], _numpy_bytes_held()))
+            for call in calls:
+                tracemalloc.reset_peak()
+                results = plate_pressures(*call)
+                out.append((results, tracemalloc.get_traced_memory()[1], _numpy_bytes_held()))
         finally:
             tracemalloc.stop()
 
@@ -1126,14 +1129,18 @@ def _fresh_thread_call(gap, temp, pairs, num):
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    return out[0]
+    return out
+
+
+def _fresh_thread_call(gap, temp, pairs, num):
+    return _fresh_thread_calls([(gap, temp, pairs, num)])[0]
 
 
 def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
-    # A batch runs in groups of pairs whose first Matsubara step fits the
-    # byte budget: 60 distinct pairs at default numerics peak and keep
-    # within it, and at 1e-11 they keep within it and peak as 30 do.  Every
-    # result is still its solo result.  The rule cache is filled first.
+    # Every k-pass runs in groups of pairs that fit the byte budget: 60
+    # distinct pairs at default numerics peak and keep within it, and at
+    # 1e-11 they keep within it and peak as 30 do.  Every result is still
+    # its solo result.  The rule cache is filled first.
     tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
     pairs = _distinct_pairs(60)
     plate_pressures(100e-9, 1.3, pairs[:2])
@@ -1145,18 +1152,50 @@ def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
     assert held <= lifshitz._BATCH_BYTES
     assert peak <= 1.1 * _fresh_thread_call(1e-6, 10.0, pairs[:30], tight)[1]
     assert [_fields(r) for r in results] == _solo(1e-6, 10.0, pairs, tight)
-    # The bench's two-pair sweep cell and a differential stay one group; the
-    # 60 pairs come back in pair order from several.
-    groups, inner = [], lifshitz._plate_pressures
+    # The bench's two-pair sweep cell and a differential stay one group in
+    # their one k-pass; the 60 pairs come back in pair order from several.
+    passes, inner = [], lifshitz._groups
 
-    def counting(gap, temp, group, num):
-        groups.append(group)
-        return inner(gap, temp, group, num)
+    def counting(rows, group):
+        passes.append((list(group), inner(rows, group)))
+        return passes[-1][1]
 
-    monkeypatch.setattr(lifshitz, "_plate_pressures", counting)
+    monkeypatch.setattr(lifshitz, "_groups", counting)
     plate_pressures(100e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)])
     differential_pressure(100e-9, 1.0, PLASMA, DRUDE, (DRUDE, DRUDE))
-    assert [len(group) for group in groups] == [2, 2]
-    groups.clear()
+    assert [[len(group) for group in groups] for _, groups in passes] == [[2], [2]]
+    passes.clear()
     plate_pressures(100e-9, 1.3, pairs)
-    assert len(groups) > 1 and [pair for group in groups for pair in group] == pairs
+    assert passes and all(len(groups) > 1 and [pair for group in groups for pair in group] == batch
+                          for batch, groups in passes)
+
+
+@pytest.mark.parametrize("count", [5, 30])
+def test_tight_numerics_peak_within_the_budget(count):
+    # At 1e-11, 1 um and 10 K every k-ladder climbs to 257 nodes and the
+    # Matsubara steps make passes of 228, 226 and 354 rows.  Each pass is
+    # grouped by its own rows and its climb, so the call peaks within the
+    # byte budget, which one pair alone (~4.4 MiB) also fits; every result
+    # is its solo result.  The rule cache is filled first.
+    tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
+    pairs = _distinct_pairs(count)
+    plate_pressures(1e-6, 10.0, pairs[:2], tight)
+    results, peak, held = _fresh_thread_call(1e-6, 10.0, pairs, tight)
+    assert _fresh_thread_call(1e-6, 10.0, pairs[:1], tight)[1] <= lifshitz._BATCH_BYTES
+    assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
+    assert [_fields(r) for r in results] == _solo(1e-6, 10.0, pairs, tight)
+
+
+def test_batches_of_mixed_shapes_keep_within_the_budget():
+    # Six pairs of eleven responses, then 27 copies of one pair, from one
+    # thread: each call alone fits the budget, and so does what the thread
+    # keeps after each, though the first leaves the largest Fresnel block
+    # and the second the largest integrand block.
+    drudes = [Drude(OMEGA_P * (1 + 0.01 * i), GAMMA) for i in range(11)]
+    six = [(drudes[2 * i % 11], drudes[(2 * i + 1) % 11]) for i in range(6)]
+    plate_pressures(100e-9, 1.3, six)
+    calls = [(100e-9, 1.3, six, DEFAULT_NUMERICS), (100e-9, 1.3, [(DRUDE, DRUDE)] * 27,
+                                                     DEFAULT_NUMERICS)]
+    for (results, peak, held), call in zip(_fresh_thread_calls(calls), calls):
+        assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
+        assert [_fields(r) for r in results] == _solo(*call)

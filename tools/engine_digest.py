@@ -17,12 +17,18 @@ tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
 plate_pressure, all pairs as one plate_pressures batch, and every pair as
 the first operand of a differential_pressure against the next pair.
 
-Every batch on that grid fits one of the engine's pair groups, so one more
-cell, at 100 nm and 1.3 K with the default and 1e-11 numerics, holds 40
-distinct pairs: the 14 pairs other than ideal/ideal with omega_p scaled by
-1, 0.95 and 0.9, the first 40 of them.  Their batch is more than one group,
-and it is evaluated the same three ways.  The digest covers the repr of
-each PressureResult and of each differential, in that order.
+Each k-integral pass runs its pairs in groups that fit the engine's byte
+budget, sized by the pass's own rows, so the grid covers split batches:
+the 15-pair batch runs in two or three groups on every 228-row Matsubara
+pass (34 of the 44 (gap, T) cells of each numerics), in up to five on the
+354-row passes at 1e-11 and in two on the 180-row passes of the smallest
+frequency rule, and in one on the 129-row T = 0 passes; every
+differential is one group.  One more cell, at 100 nm and 1.3 K with the
+default and 1e-11 numerics, holds 40 distinct pairs: the 14 pairs other
+than ideal/ideal with omega_p scaled by 1, 0.95 and 0.9, the first 40 of
+them.  It runs in six groups, and it is evaluated the same three ways.
+The digest covers the repr of each PressureResult and of each
+differential, in that order.
 """
 
 import dataclasses

@@ -14,6 +14,14 @@ Loading a config imports neither numpy nor the pressure engine: the
 [sweep] section's ``SweepSpec`` is defined here, and of the modules whose
 classes a config builds only ``materials`` uses numpy, inside
 ``eps_imag_freq``.
+
+A config file is read on every load, and the ``DeviceConfig`` built from
+it is memoized by the file's text and name (``_built``): a process that
+loads one config many times parses and checks it once.  Each load gets
+fresh ``materials``, ``film_measured`` and ``annotations`` dicts (the
+frozen objects inside are shared) and issues the build's warnings again,
+through the caller's filters.  A config that fails to build is not
+memoized.
 """
 
 from __future__ import annotations
@@ -22,7 +30,10 @@ import configparser
 import functools
 import math
 import re
-from dataclasses import dataclass
+import sys
+import threading
+import warnings
+from dataclasses import dataclass, replace
 from importlib import resources
 from types import MappingProxyType
 
@@ -319,37 +330,38 @@ def _parse_sweep(ini, materials, defined, problems):
         return None
 
 
-# Distinct (config text, file name) pairs whose parsed INI stays memoized.
-_INI_MEMO_SIZE = 8
+def _read_text(path):
+    """(text, file name) of the config file at ``path``, read afresh on
+    every call; an unreadable file raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            # line by line, as configparser reads a file, so a decoding
+            # error reports the same byte position
+            return "".join(handle), handle.name
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config: {exc}"]) from None
 
-@functools.lru_cache(maxsize=_INI_MEMO_SIZE)
+
 def _parse_ini(text, source):
-    """Read-only {section: {key: value}} of INI ``text``, in file order;
-    raises configparser.Error, whose message names ``source``.  Keyed by
-    the text and the name, so an edited file is parsed again."""
+    """Read-only {section: {key: value}} of INI ``text``, in file order; a
+    syntax error raises ConfigError, whose message names ``source``."""
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",), strict=True
     )
     parser.optionxform = str
-    parser.read_string(text, source=source)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigError([f"config syntax: {exc}"]) from None
     return MappingProxyType({section: MappingProxyType(dict(parser[section]))
                              for section in parser.sections()})
 
 
 def _read_config(path):
-    """Parsed INI of the file at ``path`` (see ``_parse_ini``), read afresh
-    on every call; unreadable or malformed files raise ConfigError."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            # line by line, as configparser reads a file, so a decoding
-            # error reports the same byte position
-            text = "".join(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([f"cannot read config: {exc}"]) from None
-    try:
-        return _parse_ini(text, handle.name)
-    except configparser.Error as exc:
-        raise ConfigError([f"config syntax: {exc}"]) from None
+    """Parsed INI of the file at ``path`` (see ``_parse_ini``), read and
+    parsed afresh on every call; unreadable or malformed files raise
+    ConfigError."""
+    return _parse_ini(*_read_text(path))
 
 
 def load_sweep_spec(path, materials):
@@ -365,11 +377,9 @@ def load_sweep_spec(path, materials):
     return spec
 
 
-def load_device_config(path):
-    """Parse and assemble a device config file; raises ConfigError with
-    every problem found."""
-    ini = _read_config(path)
-
+def _build(ini):
+    """DeviceConfig of a parsed INI; raises ConfigError with every problem
+    found."""
     problems = []
     known = set(_SCHEMA) | {"sweep", "signals"}
     for section in ini:
@@ -423,6 +433,77 @@ def load_device_config(path):
     if problems:
         raise ConfigError(problems)
     return DeviceConfig(materials=materials, sweep=sweep, signals=signals, **parts)
+
+
+# Distinct (config text, file name) pairs whose built config stays memoized.
+_MEMO_SIZE = 8
+# One recording build at a time: each saves and restores the process-wide
+# warning filters, which two interleaved ones would leave changed.
+_RECORDING = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _built(text, source):
+    """(DeviceConfig, warnings) of config ``text`` read from ``source``.
+
+    Keyed by the text and the name, so an edited file is built again and a
+    syntax error names the file it is in.  The warnings are those the build
+    raised, each as (message, category, filename, lineno, module globals)
+    of the place that raised it, for ``_reissue``: they are recorded under
+    an "always" filter, so every one is kept whatever the caller's filters.
+    What other threads warn meanwhile is shown, under that filter, and not
+    kept.  A build that fails is not memoized: it re-issues its warnings
+    and raises its ConfigError.
+    """
+    caught, builder = [], threading.get_ident()
+
+    def record(message, category, filename, lineno, file=None, line=None):
+        if threading.get_ident() != builder:
+            # Another thread's warning is shown, not kept.
+            return show(message, category, filename, lineno, file, line)
+        # The frame the warning is attributed to, for its module's registry.
+        frame = sys._getframe(1)
+        while (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
+            frame = frame.f_back
+        caught.append((message, category, filename, lineno, frame.f_globals))
+
+    try:
+        with _RECORDING:
+            show = warnings.showwarning
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = record
+                return _build(_parse_ini(text, source)), tuple(caught)
+    except ConfigError:
+        _reissue(caught)
+        raise
+
+
+def _reissue(caught):
+    """Issues recorded warnings as their first issue did: from the same
+    place, through the caller's filters and the registry that shows a
+    warning once per place under the default filters."""
+    for message, category, filename, lineno, module_globals in caught:
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module=module_globals.get("__name__", "<string>"),
+                               registry=module_globals.setdefault("__warningregistry__", {}),
+                               module_globals=module_globals)
+
+
+def load_device_config(path):
+    """Parse and assemble a device config file; raises ConfigError with
+    every problem found.
+
+    The file is read on every call; a text already built under the same
+    name comes from the memo (``_built``), with fresh ``materials``,
+    ``film_measured`` and ``annotations`` dicts and its build's warnings
+    issued again.
+    """
+    config, caught = _built(*_read_text(path))
+    _reissue(caught)
+    return replace(config, materials=dict(config.materials),
+                   film_measured=dict(config.film_measured),
+                   annotations=dict(config.annotations))
 
 
 def example_config_path():

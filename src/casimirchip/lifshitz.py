@@ -94,13 +94,15 @@ the thread's next call reuses instead of allocating (and page-faulting)
 fresh ones; y shares the first pair's integrand block, and the ladder
 weights one pair's samples at a time.  One byte budget, 8 MiB
 (_BATCH_BYTES), bounds each k-pass, run in groups of pairs whose arrays
-and climb fit it, and what a thread keeps, for which a growing buffer
-drops the least recently used; what blocks larger than a default call's
-(228 rows x 130 nodes) grew is dropped after their pass.  A thread keeps
-1.9 MB after one pair, 2.6 MB after a bundled sweep cell, and 5.9, then
-3.8 MB after six pairs of eleven responses and 27 copies of one pair; 60
-distinct pairs at 100 nm and 1.3 K peak at 6.3 MiB and keep 5.9 MB, and
-five at 1 um, 10 K and 1e-11 peak at 7.6 MiB.
+and climb fit it beside the batch's per-pair arrays (the terms, the
+step's pass result, a frequency ladder's samples), and what a thread
+keeps, for which a growing buffer drops the least recently used; what
+blocks larger than a default call's (228 rows x 130 nodes) grew is
+dropped after their pass.  A thread keeps 1.9 MB after one pair, 2.6 MB
+after a bundled sweep cell, and 5.9, then 3.6 MB after six pairs of
+eleven responses and 27 copies of one pair; 60 distinct pairs at 100 nm
+and 1.3 K peak at 6.1 MiB and keep 5.9 MB, and five at 1 um, 10 K and
+1e-11 peak at 7.6 MiB.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -113,6 +115,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,6 +147,13 @@ _KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
 # What one k-pass holds (_groups) and what a thread keeps fit 8 MiB: the
 # bench's two-pair cells (3.5 MB with room to climb) are one group each.
 _BATCH_BYTES = 8 << 20
+# The arrays the budget counts get all of it but 256 KiB, which is left to
+# what they do not: numpy's ufunc buffers (8192 doubles per buffered
+# operand) and the call's Python objects.
+_ARRAY_BYTES = _BATCH_BYTES - (256 << 10)
+# Per pair and row, the most doubles a k-ladder's sums and their
+# temporaries hold at once (_nested_cc).
+_LADDER_ROW_SUMS = 10
 
 
 class _Workspace(threading.local):
@@ -179,7 +189,7 @@ class _Workspace(threading.local):
         """Holds room for doubles until trim(), and makes room for more now."""
         self.reserved = doubles
         kept = sum(b.size for b in self.buffers.values())
-        while self.buffers and 8 * (kept + doubles + more) > _BATCH_BYTES:
+        while self.buffers and 8 * (kept + doubles + more) > _ARRAY_BYTES:
             kept -= self.buffers.pop(next(iter(self.buffers))).size
 
     def trim(self):
@@ -416,7 +426,7 @@ def _k_integrand(pairs, xi_col, gap, temperature, y):
     return out
 
 
-def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
+def _k_integrals_adaptive(pairs, xi, gap, temperature, num, held=0):
     """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy per pair and xi, by the nested Clenshaw-Curtis ladder.
 
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
@@ -424,8 +434,10 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
     rung (see the module docstring).  Every pair shares the y grid, and
     the pass runs in consecutive groups of pairs that fit _BATCH_BYTES
-    (_groups), whose pairs share each rung; each stops where it stops
-    alone.  Returns the finer rule and its error as (pairs, rows) arrays.
+    beside the held doubles of the caller's arrays and the pass's own
+    result (_groups), whose pairs share each rung; each stops where it
+    stops alone.  Returns the finer rule and its error as (pairs, rows)
+    arrays, the two halves of one (2, pairs, rows) array.
     Rows whose lower limit reaches the cutoff are exactly zero.  They are
     sampled at xi = 0, since at a hot enough temperature their own
     frequencies overflow the material formulas.
@@ -454,38 +466,44 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
         f[..., :nodes] *= np.multiply(dy, half, out=dy)
         return f
 
-    sums = []
+    out, start = np.empty((2, len(pairs), rows)), 0
+    held += out.size
     try:
-        for group in _groups(rows, pairs):
-            # Room for the nested samples a climb allocates (_nested_cc).
-            _WORKSPACE.reserve(len(group) * rows * (_K_ORDER_MAX + 1))
+        for group in _groups(rows, pairs, held):
+            # Room for what a climb allocates (_nested_cc), nested samples
+            # and row sums, and for what is held beside the pass.
+            _WORKSPACE.reserve(held + len(group) * rows * (_K_ORDER_MAX + 1 + _LADDER_ROW_SUMS))
             f = sample(group, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
             # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
             sliver = f[..., -1] * np.where(live[:, 0], _Y_SLIVER, 0.0)
-            sums.append(_nested_cc([f[..., :-1]], lambda x, group=group: [sample(group, x)],
-                                   _K_ORDER_MAX, num.rel_tol_quadrature, sliver)[:2])
+            stop = start + len(group)
+            out[0, start:stop], out[1, start:stop] = _nested_cc(
+                [f[..., :-1]], lambda x, group=group: [sample(group, x)],
+                _K_ORDER_MAX, num.rel_tol_quadrature, sliver)[:2]
+            start = stop
     finally:
         _WORKSPACE.trim()
-    fine, err = (np.concatenate(a) for a in zip(*sums))
-    return fine / (8.0 * gap**3), err / (8.0 * gap**3)
+    out /= 8.0 * gap**3
+    return out
 
 
-def _groups(rows, pairs):
+def _groups(rows, pairs, held):
     """Consecutive groups of pairs (one model object per response) whose k-pass fits _BATCH_BYTES.
 
     Per row, a pass holds 130 doubles (the 129-node rule and the sliver) for
     each of kappa, kappa_m, r_TM scratch and the terms, two per distinct
     response and one per pair (y shares the first pair's), 129 for dy, and
-    once the ladder climbs, the 257 nested samples of each pair.  A pair
-    that does not fit alone is a group of its own.
+    once the ladder climbs, the 257 nested samples of each pair and its
+    row sums, _LADDER_ROW_SUMS per pair.  held doubles outside the pass
+    share the budget.  A pair that does not fit alone is a group of its own.
     """
-    first, top = 2 * _K_ORDER_START + 2, _K_ORDER_MAX + 1
+    first, top = 2 * _K_ORDER_START + 2, _K_ORDER_MAX + 1 + _LADDER_ROW_SUMS
     groups, models = [], set()
     for pair in pairs:
         models = models.union(pair)
         count = len(groups[-1]) + 1 if groups else math.inf
-        doubles = rows * (first * (4 + count + 2 * len(models)) + first - 1 + top * count)
-        if 8 * doubles > _BATCH_BYTES:
+        doubles = held + rows * (first * (4 + count + 2 * len(models)) + first - 1 + top * count)
+        if 8 * doubles > _ARRAY_BYTES:
             groups.append([])
             models = set(pair)
         groups[-1].append(pair)
@@ -502,31 +520,39 @@ def _log_nodes(xi_lo, xi_hi, x):
     return np.exp(u_lo + (x + 1.0) * half), half
 
 
-def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
+def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
     """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
 
     args is (gap, temperature, pairs, num).  The ladder starts at the given
-    order and stops by ceiling, each pair where it stops alone.  first, if given,
-    is the (values, errors) that _k_integrals_adaptive returns for the
-    pairs at the starting rule's nodes (_log_nodes), which are then not
-    sampled again.  The k-errors ride along under the same rule.  Returns,
+    order and stops by ceiling, each pair where it stops alone.  first, if
+    given, is ((frequencies, half-width), (values, errors)): what _log_nodes
+    returns for the starting rule's nodes and what _k_integrals_adaptive
+    returns for the pairs there, which are then not sampled again.  The
+    k-errors ride along under the same rule.  held is the doubles the
+    caller's arrays hold meanwhile, which every k-pass counts.  Returns,
     per pair, (finer rule, its k-integration error, its rule error, its
-    node count, xi_lo J(xi_lo)) as Python numbers, the last from the
-    x = -1 end node.  Material response is evaluated at the requested
-    temperature.
+    node count, xi_lo J(xi_lo)) as Python numbers, the last from the x = -1
+    end node.  Material response is evaluated at the requested temperature.
     """
     gap, temperature, pairs, num = args
 
-    def sample(x, k=None):
-        # J and its k-error at the nodes x, each times the Jacobian xi du/dx.
-        xi, half = _log_nodes(xi_lo, xi_hi, x)
-        vals, errs = k or _k_integrals_adaptive(pairs, xi, gap, temperature, num)
+    def sample(xi, vals, errs):
+        # J and its k-error at the frequencies xi, each times the Jacobian xi du/dx.
         jac = xi * half
         return vals * jac, errs * jac
 
-    g = sample(_clenshaw_curtis(order)[0], first)
-    half = _log_nodes(xi_lo, xi_hi, 0.0)[1]
-    value, err, order, k_err = _nested_cc(g, sample, ceiling, num.rel_tol_quadrature)
+    def climb(x):
+        # A climb's pass runs beside the ladder's values and k-errors at
+        # len(x) + 1 nodes and their nested copies at 2 len(x) + 1.
+        xi = _log_nodes(xi_lo, xi_hi, x)[0]
+        return sample(xi, *_k_integrals_adaptive(pairs, xi, gap, temperature, num,
+                                                 held + 2 * len(pairs) * (3 * len(x) + 2)))
+
+    (xi, half), k = first or (_log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0]), None)
+    if k is None:
+        k = _k_integrals_adaptive(pairs, xi, gap, temperature, num, held)
+    g = sample(xi, *k)
+    value, err, order, k_err = _nested_cc(g, climb, ceiling, num.rel_tol_quadrature)
     return list(zip(value.tolist(), k_err[0].tolist(), err.tolist(), [o + 1 for o in order],
                     (g[0][:, -1] / half).tolist()))
 
@@ -617,18 +643,25 @@ def _plate_pressures(gap, temperature, pairs, num):
         rules = () if n_ceiling <= 2 * n else (
             ((2 * n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling),
             ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
-        xi = [ns * xi_1] + [_log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
-                            for lo, hi, order, _ in rules]
-        vals, errs = _k_integrals_adaptive(pairs, np.concatenate(xi), gap, temperature, num)
+        grids = [_log_nodes(lo, hi, _clenshaw_curtis(order)[0]) for lo, hi, order, _ in rules]
+        vals, errs = _k_integrals_adaptive(
+            pairs, np.concatenate([ns * xi_1] + [xi for xi, _ in grids]), gap, temperature, num,
+            f.size + err.size)
         if n == _N_EXPLICIT:
             vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
-        cuts = np.cumsum([len(x) for x in xi])[:-1]
-        vals, errs = np.split(vals, cuts, axis=1), np.split(errs, cuts, axis=1)
-        f, err = np.concatenate((f, vals[0]), axis=1), np.concatenate((err, errs[0]), axis=1)
+        # Each rule's first rung is the next len(nodes) rows after the terms.
+        ends = list(accumulate([len(ns)] + [len(xi) for xi, _ in grids]))
+        f = np.concatenate((f, vals[:, : ends[0]]), axis=1)
+        err = np.concatenate((err, errs[:, : ends[0]]), axis=1)
         if not rules:
             break
-        tails, blocks = (_log_grid_integral(*rule, (gap, temperature, pairs, num), first)
-                         for rule, first in zip(rules, zip(vals[1:], errs[1:])))
+        # The ladders run beside the terms and this step's pass result.
+        held = f.size + err.size + vals.size + errs.size
+        tails, blocks = (_log_grid_integral(*rule, (gap, temperature, pairs, num),
+                                            (grid, (vals[:, a:b], errs[:, a:b])), held)
+                         for rule, grid, a, b in zip(rules, grids, ends, ends[1:]))
+        # Not held through the next step's pass.
+        del vals, errs
         for p, (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) in zip(
                 range(len(pairs)), tails, blocks):
             # A pair whose sum has stopped rides along with its result kept.

@@ -4,6 +4,8 @@ import inspect
 import math
 import os
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -166,6 +168,106 @@ def test_config_loads_share_no_mutable_state():
     assert "sigma_4k" in second.film_measured and second.annotations
     with pytest.raises(TypeError):
         config._read_config(EXAMPLE)["geometry"]["gap_nm"] = "1"
+
+
+def test_memoized_config_warns_once_per_place_under_the_default_filters(tmp_path):
+    # A fresh build shows CavityParams' warning once under the default
+    # filters; replaying it from the memo must not show it again.
+    path = tmp_path / "mismatch.cfg"
+    path.write_text(example_config_path().read_text().replace(
+        "q_optical = 4.5e4", "q_optical = 9e4"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(3):
+            load_device_config(path)
+    assert [str(w.message)[:30] for w in caught] == ["q_optical = 9e+04 differs from"]
+
+
+def test_concurrent_first_loads_leave_the_warning_filters_as_they_were(tmp_path):
+    # Each first load of a text records its build's warnings under
+    # catch_warnings, which saves and restores the process-wide filters;
+    # interleaved recordings would leave an "always" filter behind.
+    example = example_config_path().read_text()
+    paths = []
+    for i in range(48):
+        paths.append(tmp_path / f"device{i}.cfg")
+        paths[-1].write_text(example.replace("gap_nm = 100", f"gap_nm = {100 + i}"))
+    before, interval = list(warnings.filters), sys.getswitchinterval()
+    gaps = {}
+
+    def load(chunk):
+        for path in chunk:
+            gaps[path] = load_device_config(path).geometry.gap
+
+    threads = [threading.Thread(target=load, args=(paths[i::4],)) for i in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert warnings.filters == before
+    assert gaps == {path: pytest.approx((100 + i) * 1e-9) for i, path in enumerate(paths)}
+
+
+def test_another_threads_warning_is_shown_once_and_not_memoized(tmp_path):
+    # While configs are built for the memo, another thread warns; each of
+    # its warnings is shown once, and loading the configs again, now from
+    # the memo, issues none of them.
+    example = example_config_path().read_text()
+    paths = []
+    for i in range(config._MEMO_SIZE):
+        paths.append(tmp_path / f"device{i}.cfg")
+        paths[-1].write_text(example.replace("gap_nm = 100", f"gap_nm = {100 + i}"))
+    done, raised = threading.Event(), []
+
+    def warn():
+        while not done.is_set() and len(raised) < 20_000:
+            warnings.warn("noise")
+            raised.append(1)
+
+    def load(chunk):
+        for path in chunk:
+            load_device_config(path)
+
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warner = threading.Thread(target=warn)
+        loaders = [threading.Thread(target=load, args=(paths[i::2],)) for i in range(2)]
+        sys.setswitchinterval(1e-6)
+        try:
+            warner.start()
+            for thread in loaders:
+                thread.start()
+            for thread in loaders:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            warner.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in (warner, *loaders))
+        assert sum(str(w.message) == "noise" for w in caught) == len(raised)
+        hits = config._built.cache_info().hits
+        for path in paths:
+            load_device_config(path)
+        assert config._built.cache_info().hits == hits + len(paths)
+    assert sum(str(w.message) == "noise" for w in caught) == len(raised)
+
+
+def test_memo_hit_equals_a_fresh_build():
+    load_device_config(EXAMPLE)
+    hits = config._built.cache_info().hits
+    hit = load_device_config(EXAMPLE)
+    assert config._built.cache_info().hits == hits + 1
+    cached, _ = config._built(*config._read_text(EXAMPLE))
+    for name in ("materials", "film_measured", "annotations"):
+        assert getattr(hit, name) is not getattr(cached, name)
+    config._built.cache_clear()
+    assert load_device_config(EXAMPLE) == hit
 
 
 def test_signals_require_pa_suffix(tmp_path):

@@ -425,11 +425,12 @@ def test_k_integral_against_scipy_quad_for_drude():
 
 # ------------------------------------------------------ frequency-rule bars
 
-def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args, first=None):
+def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
     # Reference for the ln-xi frequency integral: one fixed 800-node rule
     # from numpy, no node doubling and no rule error of its own, and
     # xi_lo J(xi_lo), the piece below a T = 0 grid, each per pair.  The
-    # first rung that plate_pressures samples for the engine's rule is ignored.
+    # first rung that plate_pressures samples for the engine's rule, and
+    # the memory it holds meanwhile, are ignored.
     gap, temperature, pairs, num = args
     u_lo, u_hi = math.log(xi_lo), math.log(xi_hi)
     x, w = np.polynomial.legendre.leggauss(800)
@@ -785,8 +786,8 @@ def test_frequency_ladder_fed_its_first_rung_returns_the_same_bits(pairs, temp):
     nodes = []
     for lo, hi, order, ceiling in (((2 * n + 0.5) * xi_1, 60.0 * C / (2 * gap), 64, 256),
                                    ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, 32, 32)):
-        xi = lifshitz._log_nodes(lo, hi, _clenshaw_curtis(order)[0])[0]
-        first = _k_integrals_adaptive(pairs, xi, gap, temp, DEFAULT_NUMERICS)
+        grid = lifshitz._log_nodes(lo, hi, _clenshaw_curtis(order)[0])
+        first = (grid, _k_integrals_adaptive(pairs, grid[0], gap, temp, DEFAULT_NUMERICS))
         fed = lifshitz._log_grid_integral(lo, hi, order, ceiling, args, first)
         assert repr(fed) == repr(lifshitz._log_grid_integral(lo, hi, order, ceiling, args))
         nodes.append([result[3] for result in fed])
@@ -1156,8 +1157,8 @@ def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
     # their one k-pass; the 60 pairs come back in pair order from several.
     passes, inner = [], lifshitz._groups
 
-    def counting(rows, group):
-        passes.append((list(group), inner(rows, group)))
+    def counting(rows, group, held):
+        passes.append((list(group), inner(rows, group, held)))
         return passes[-1][1]
 
     monkeypatch.setattr(lifshitz, "_groups", counting)
@@ -1170,20 +1171,26 @@ def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
                           for batch, groups in passes)
 
 
-@pytest.mark.parametrize("count", [5, 30])
-def test_tight_numerics_peak_within_the_budget(count):
+@pytest.mark.parametrize("gap, temp, count", [
+    (1e-6, 10.0, 5), (1e-6, 10.0, 30), (1e-6, 10.0, 60), (100e-9, 0.05, 30), (10e-9, 0.0, 30),
+], ids=["5", "30", "60", "30-at-100nm-50mK", "30-at-10nm-0K"])
+def test_tight_numerics_peak_within_the_budget(gap, temp, count):
     # At 1e-11, 1 um and 10 K every k-ladder climbs to 257 nodes and the
-    # Matsubara steps make passes of 228, 226 and 354 rows.  Each pass is
-    # grouped by its own rows and its climb, so the call peaks within the
-    # byte budget, which one pair alone (~4.4 MiB) also fits; every result
-    # is its solo result.  The rule cache is filled first.
+    # Matsubara steps make passes of 228, 226 and 354 rows; at 100 nm and
+    # 50 mK the tail's frequency ladder climbs in passes of 64 rows beside
+    # the terms, and at T = 0 the frequency ladder climbs from 129 nodes.
+    # Each pass is grouped by its own rows, its climb and the per-pair
+    # arrays held beside it (the terms, the step's pass result, the
+    # frequency ladder's samples), so the call peaks within the byte
+    # budget, which one pair alone (~4.4 MiB at 1 um) also fits; every
+    # result is its solo result.  The rule cache is filled first.
     tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
     pairs = _distinct_pairs(count)
-    plate_pressures(1e-6, 10.0, pairs[:2], tight)
-    results, peak, held = _fresh_thread_call(1e-6, 10.0, pairs, tight)
-    assert _fresh_thread_call(1e-6, 10.0, pairs[:1], tight)[1] <= lifshitz._BATCH_BYTES
+    plate_pressures(gap, temp, pairs[:2], tight)
+    results, peak, held = _fresh_thread_call(gap, temp, pairs, tight)
+    assert _fresh_thread_call(gap, temp, pairs[:1], tight)[1] <= lifshitz._BATCH_BYTES
     assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
-    assert [_fields(r) for r in results] == _solo(1e-6, 10.0, pairs, tight)
+    assert [_fields(r) for r in results] == _solo(gap, temp, pairs, tight)
 
 
 def test_batches_of_mixed_shapes_keep_within_the_budget():

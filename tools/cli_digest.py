@@ -39,7 +39,9 @@ negative plasma ``omega_p_eV`` and a non-numeric Drude ``gamma_meV``, each
 reported once; ``pressure`` with an inline plasma spec whose ``omega_p_eV``
 is negative; and ``validate`` on a copy with a negative ``temperatures_K``
 and a negative ``[signals]`` pressure.  Every range error names the key and
-the value as written.
+the value as written.  Last, ``validate`` twice and a JSON ``pressure`` on a
+copy with ``q_optical = 9e4``, whose cavity warning every command repeats,
+in process as from a config it has loaded before.
 """
 
 import contextlib
@@ -142,6 +144,10 @@ def commands():
     yield ["pressure", "--model-a", "plasma:omega_p_eV=-12", "--model-b", "ideal",
            "--gap", "100nm", "--temp", "1K"]
     yield ["validate", "--config", "negative_sweep_signal.cfg"]
+    for _ in range(2):
+        yield ["validate", "--config", "q_mismatch.cfg"]
+    yield ["pressure", "--gap", "100nm", "--temp", "1.2K", "--model-a", "al_sc",
+           "--model-b", "al_drude", "--config", "q_mismatch.cfg", "--format", "json"]
 
 
 def run(argv):
@@ -177,6 +183,7 @@ def main():
         files["negative_sweep_signal.cfg"] = (
             example.replace("temperatures_K = 1.3", "temperatures_K = -1.3")
             .replace("gravitational_casimir_Pa = 0.5", "gravitational_casimir_Pa = -0.5"))
+        files["q_mismatch.cfg"] = example.replace("q_optical = 4.5e4", "q_optical = 9e4")
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -385,7 +385,7 @@ def _cmd_validate(args):
         lines.append(f"warning: {w.message}")
 
     cavity = cfg.cavity
-    q_from_kappa = cavity.omega_c / cavity.kappa
+    q_from_kappa = cavity.q_from_kappa
     rel = abs(q_from_kappa - cavity.q_optical) / cavity.q_optical
     lines.append(
         f"q_optical vs omega_c/kappa: {cavity.q_optical:.4g} vs "

@@ -17,22 +17,19 @@ classes a config builds only ``materials`` uses numpy, inside
 
 A config file is read on every load, and the ``DeviceConfig`` built from
 it is memoized by the file's text and name (``_built``): a process that
-loads one config many times parses and checks it once.  Each load gets
-fresh ``materials``, ``film_measured`` and ``annotations`` dicts (the
-frozen objects inside are shared) and issues the build's warnings again,
-through the caller's filters.  A config that fails to build is not
-memoized.
+loads one config many times parses it once.  A repeat load builds only
+the ``CavityParams`` again, so its Q check warns as a first load does,
+through the caller's filters and once per place under the default ones.
+Each load gets fresh ``materials``, ``film_measured`` and ``annotations``
+dicts (the frozen objects inside are shared).  A config that fails to
+build is not memoized.
 """
 
 from __future__ import annotations
 
 import configparser
-import functools
 import math
 import re
-import sys
-import threading
-import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from types import MappingProxyType
@@ -357,19 +354,12 @@ def _parse_ini(text, source):
                              for section in parser.sections()})
 
 
-def _read_config(path):
-    """Parsed INI of the file at ``path`` (see ``_parse_ini``), read and
-    parsed afresh on every call; unreadable or malformed files raise
-    ConfigError."""
-    return _parse_ini(*_read_text(path))
-
-
 def load_sweep_spec(path, materials):
     """SweepSpec from the [sweep] section of a config file, checked as
     ``load_device_config`` checks it, with pair names looked up in
     ``materials`` (e.g. the loaded device config's); raises ConfigError
     with every problem found.  Other sections are not read."""
-    ini = _read_config(path)
+    ini = _parse_ini(*_read_text(path))
     problems = []
     spec = _parse_sweep(ini, materials, materials, problems)
     if problems:
@@ -435,72 +425,35 @@ def _build(ini):
     return DeviceConfig(materials=materials, sweep=sweep, signals=signals, **parts)
 
 
-# Distinct (config text, file name) pairs whose built config stays memoized.
+# (config text, file name) -> its built DeviceConfig, oldest use first;
+# at most _MEMO_SIZE entries.  Each dict call load_device_config makes on
+# it is atomic, so threads need no lock.
 _MEMO_SIZE = 8
-# One recording build at a time: each saves and restores the process-wide
-# warning filters, which two interleaved ones would leave changed.
-_RECORDING = threading.Lock()
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _built(text, source):
-    """(DeviceConfig, warnings) of config ``text`` read from ``source``.
-
-    Keyed by the text and the name, so an edited file is built again and a
-    syntax error names the file it is in.  The warnings are those the build
-    raised, each as (message, category, filename, lineno, module globals)
-    of the place that raised it, for ``_reissue``: they are recorded under
-    an "always" filter, so every one is kept whatever the caller's filters.
-    What other threads warn meanwhile is shown, under that filter, and not
-    kept.  A build that fails is not memoized: it re-issues its warnings
-    and raises its ConfigError.
-    """
-    caught, builder = [], threading.get_ident()
-
-    def record(message, category, filename, lineno, file=None, line=None):
-        if threading.get_ident() != builder:
-            # Another thread's warning is shown, not kept.
-            return show(message, category, filename, lineno, file, line)
-        # The frame the warning is attributed to, for its module's registry.
-        frame = sys._getframe(1)
-        while (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
-            frame = frame.f_back
-        caught.append((message, category, filename, lineno, frame.f_globals))
-
-    try:
-        with _RECORDING:
-            show = warnings.showwarning
-            with warnings.catch_warnings():
-                warnings.simplefilter("always")
-                warnings.showwarning = record
-                return _build(_parse_ini(text, source)), tuple(caught)
-    except ConfigError:
-        _reissue(caught)
-        raise
-
-
-def _reissue(caught):
-    """Issues recorded warnings as their first issue did: from the same
-    place, through the caller's filters and the registry that shows a
-    warning once per place under the default filters."""
-    for message, category, filename, lineno, module_globals in caught:
-        warnings.warn_explicit(message, category, filename, lineno,
-                               module=module_globals.get("__name__", "<string>"),
-                               registry=module_globals.setdefault("__warningregistry__", {}),
-                               module_globals=module_globals)
+_built = {}
 
 
 def load_device_config(path):
     """Parse and assemble a device config file; raises ConfigError with
     every problem found.
 
-    The file is read on every call; a text already built under the same
-    name comes from the memo (``_built``), with fresh ``materials``,
-    ``film_measured`` and ``annotations`` dicts and its build's warnings
-    issued again.
+    The file is read on every call.  A text already built under the same
+    name comes from the memo (``_built``): its cavity is built again, so
+    that CavityParams' warning is issued as on the first load, and the
+    ``materials``, ``film_measured`` and ``annotations`` dicts are fresh;
+    the other frozen objects are shared.  A config that fails to build is
+    not memoized.
     """
-    config, caught = _built(*_read_text(path))
-    _reissue(caught)
+    key = _read_text(path)
+    config = _built.pop(key, None)
+    if config is None:
+        config = _build(_parse_ini(*key))
+        _built[key] = config
+        for old in list(_built)[:-_MEMO_SIZE]:
+            _built.pop(old, None)
+    else:
+        # back in the memo first: the check may raise under an error filter
+        _built[key] = config
+        replace(config.cavity)
     return replace(config, materials=dict(config.materials),
                    film_measured=dict(config.film_measured),
                    annotations=dict(config.annotations))

@@ -41,7 +41,7 @@ class CavityParams:
         require_positive_fields(self)
         if self.kappa_e > self.kappa:
             raise DomainError("kappa_e must not exceed kappa")
-        q_from_kappa = self.omega_c / self.kappa
+        q_from_kappa = self.q_from_kappa
         if abs(q_from_kappa - self.q_optical) > Q_MISMATCH_WARN * self.q_optical:
             warnings.warn(
                 f"q_optical = {self.q_optical:.3g} differs from omega_c/kappa = "
@@ -52,6 +52,11 @@ class CavityParams:
     @property
     def omega_c(self):
         return 2.0 * math.pi * C / self.lambda_res
+
+    @property
+    def q_from_kappa(self):
+        """Optical Q implied by the linewidth, omega_c / kappa."""
+        return self.omega_c / self.kappa
 
 
 @dataclass(frozen=True)

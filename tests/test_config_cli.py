@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import inspect
 import math
@@ -167,20 +168,60 @@ def test_config_loads_share_no_mutable_state():
     assert set(second.materials) == {"al_plasma", "al_drude", "al_sc"}
     assert "sigma_4k" in second.film_measured and second.annotations
     with pytest.raises(TypeError):
-        config._read_config(EXAMPLE)["geometry"]["gap_nm"] = "1"
+        config._parse_ini(*config._read_text(EXAMPLE))["geometry"]["gap_nm"] = "1"
 
 
-def test_memoized_config_warns_once_per_place_under_the_default_filters(tmp_path):
-    # A fresh build shows CavityParams' warning once under the default
-    # filters; replaying it from the memo must not show it again.
+@pytest.mark.parametrize("edits, error", [
+    ([{}], None),
+    ([{}, {"gap_nm = 100": "gap_nm = 101"}], None),
+    ([{"[signals]": "[extra]\n[signals]"}], ConfigError),
+], ids=["one-text", "two-texts-one-cavity", "broken"])
+def test_memoized_config_warns_once_per_place_under_the_default_filters(
+        tmp_path, edits, error):
+    # CavityParams' warning comes from one place, so under the default
+    # filters it shows once: for a text loaded again from the memo, for two
+    # texts with the same cavity, and for a config that fails to build.
+    paths = []
+    for i, edit in enumerate(edits):
+        text = example_config_path().read_text()
+        for old, new in {"q_optical = 4.5e4": "q_optical = 9e4", **edit}.items():
+            text = text.replace(old, new)
+        paths.append(tmp_path / f"mismatch{i}.cfg")
+        paths[-1].write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for path in paths:
+            for _ in range(3):
+                with pytest.raises(error) if error else contextlib.nullcontext():
+                    load_device_config(path)
+    assert [str(w.message)[:30] for w in caught] == ["q_optical = 9e+04 differs from"]
+
+
+def test_the_callers_filters_act_on_a_memo_hit_as_on_a_first_load(tmp_path):
     path = tmp_path / "mismatch.cfg"
     path.write_text(example_config_path().read_text().replace(
         "q_optical = 4.5e4", "q_optical = 9e4"))
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        for _ in range(3):
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", module=r"casimirchip\.readout")
+        for _ in range(2):
             load_device_config(path)
-    assert [str(w.message)[:30] for w in caught] == ["q_optical = 9e+04 differs from"]
+    assert caught == []
+
+    def load(action):
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter(action)
+            return load_device_config(path)
+
+    path.write_text(path.read_text().replace("gap_nm = 100", "gap_nm = 101"))
+    for _ in range(2):
+        with pytest.raises(UserWarning, match="q_optical = 9e"):
+            load("error")
+    kept = load("default")
+    # a memo hit that raises keeps its entry
+    with pytest.raises(UserWarning, match="q_optical = 9e"):
+        load("error")
+    assert load("default").geometry is kept.geometry
 
 
 def test_concurrent_first_loads_leave_the_warning_filters_as_they_were(tmp_path):
@@ -231,9 +272,9 @@ def test_another_threads_warning_is_shown_once_and_not_memoized(tmp_path):
 
     def load(chunk):
         for path in chunk:
-            load_device_config(path)
+            loaded[path] = load_device_config(path)
 
-    interval = sys.getswitchinterval()
+    loaded, interval = {}, sys.getswitchinterval()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warner = threading.Thread(target=warn)
@@ -251,23 +292,23 @@ def test_another_threads_warning_is_shown_once_and_not_memoized(tmp_path):
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in (warner, *loaders))
         assert sum(str(w.message) == "noise" for w in caught) == len(raised)
-        hits = config._built.cache_info().hits
+        # each load is a memo hit: it shares the first load's frozen objects
         for path in paths:
-            load_device_config(path)
-        assert config._built.cache_info().hits == hits + len(paths)
+            assert load_device_config(path).geometry is loaded[path].geometry
     assert sum(str(w.message) == "noise" for w in caught) == len(raised)
 
 
 def test_memo_hit_equals_a_fresh_build():
-    load_device_config(EXAMPLE)
-    hits = config._built.cache_info().hits
+    first = load_device_config(EXAMPLE)
     hit = load_device_config(EXAMPLE)
-    assert config._built.cache_info().hits == hits + 1
-    cached, _ = config._built(*config._read_text(EXAMPLE))
+    assert hit.geometry is first.geometry
+    cached = config._built[config._read_text(EXAMPLE)]
     for name in ("materials", "film_measured", "annotations"):
         assert getattr(hit, name) is not getattr(cached, name)
-    config._built.cache_clear()
-    assert load_device_config(EXAMPLE) == hit
+    config._built.clear()
+    fresh = load_device_config(EXAMPLE)
+    assert fresh.geometry is not hit.geometry
+    assert fresh == hit
 
 
 def test_signals_require_pa_suffix(tmp_path):

@@ -77,32 +77,25 @@ Every evaluation enters the engine through plate_pressures, which evaluates
 material pairs in batches at one (gap, T): plate_pressure is a batch of one
 pair, differential_pressure one of two, and a (gap, T) cell of
 designer.run_gap_sweep one of all len(pairs) pairs of the sweep.  The
-pairs share every xi_n and every y grid, so kappa, e^y and y^2 are
-computed once per grid and each distinct response
-(``materials.response``: omega_p, gamma and f_s at T, or a perfect
-conductor) goes through the Fresnel coefficients once per grid; per pair
-only the products r_a r_b, the two divisions and the y^2 multiply remain.
-The batch climbs together, until its last pair has stopped, and each pair's
-sums are taken where it stops alone: at the first rung where its rows have
-converged, and at the first N where its Matsubara sum stops; a pair that
-has stopped rides along.  Every sum is per row, so each pair's result is
-bit for bit the one it gets alone.  Two pairs with the same responses at T
-(a superconductor above t_c against its normal state) differ by exactly
-0.0, which a differential returns without evaluating either.  Every pass
-over a (rows, nodes) grid writes into a per-thread workspace whose arrays
-the thread's next call reuses instead of allocating (and page-faulting)
-fresh ones; y shares the first pair's integrand block, and the ladder
-weights one pair's samples at a time.  One byte budget, 8 MiB
-(_BATCH_BYTES), bounds each k-pass, run in groups of pairs whose arrays
-and climb fit it beside the batch's per-pair arrays (the terms, the
-step's pass result, a frequency ladder's samples), and what a thread
-keeps, for which a growing buffer drops the least recently used; what
-blocks larger than a default call's (228 rows x 130 nodes) grew is
-dropped after their pass.  A thread keeps 1.9 MB after one pair, 2.6 MB
-after a bundled sweep cell, and 5.9, then 3.6 MB after six pairs of
-eleven responses and 27 copies of one pair; 60 distinct pairs at 100 nm
-and 1.3 K peak at 6.1 MiB and keep 5.9 MB, and five at 1 um, 10 K and
-1e-11 peak at 7.6 MiB.
+pairs share every xi_n and every frequency ladder, and each k-pass builds
+its y grid (kappa, e^y, y^2 and the Jacobian) once per rung and then
+evaluates the pairs one at a time: a pair's Fresnel coefficients, its
+integrand and its k-ladder, which climbs and stops for that pair alone.
+The batch climbs each frequency ladder and doubles N together, until its
+last pair has stopped, and each pair's sums are taken where it stops
+alone: at the first rung where its rows have converged, and at the first
+N where its Matsubara sum stops; a pair that has stopped rides along.
+Every sum is per row, so each pair's result is bit for bit the one it gets
+alone.  Two pairs with the same responses at T (a superconductor above t_c
+against its normal state) differ by exactly 0.0, which a differential
+returns without evaluating either.  Every k-pass writes into a per-thread
+workspace whose arrays the thread's next call reuses instead of allocating
+(and page-faulting) fresh ones, and it holds one pair's arrays at a time,
+so memory does not grow with the pair count; what blocks larger than a
+default call's (228 rows x 130 nodes) grew is dropped after their pass.  A
+thread keeps 1.9 MB after a pair of one response or a bundled sweep cell,
+and 2.4 MB after a pair of two; 60 distinct pairs at 100 nm and 1.3 K peak
+at 2.7 MiB, and at 1 um, 10 K and 1e-11 at 5.0 MiB.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -144,60 +137,39 @@ _N_EXPLICIT = 64
 # 33-node block, on the 129-node rule and the sliver node.
 _KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
                * (2 * _K_ORDER_START + 2))
-# What one k-pass holds (_groups) and what a thread keeps fit 8 MiB: the
-# bench's two-pair cells (3.5 MB with room to climb) are one group each.
-_BATCH_BYTES = 8 << 20
-# The arrays the budget counts get all of it but 256 KiB, which is left to
-# what they do not: numpy's ufunc buffers (8192 doubles per buffered
-# operand) and the call's Python objects.
-_ARRAY_BYTES = _BATCH_BYTES - (256 << 10)
-# Per pair and row, the most doubles a k-ladder's sums and their
-# temporaries hold at once (_nested_cc).
-_LADDER_ROW_SUMS = 10
-
 
 class _Workspace(threading.local):
     """Scratch arrays of one thread, reused by every call it makes.
 
     take(name, shape) returns an uninitialised array over the buffer kept
-    under name.  What is kept, plus the room reserve() holds for a pass's
-    own arrays, fits _BATCH_BYTES: a growing buffer and a reservation first
-    drop the least recently taken buffers until it does.  A block whose
-    (rows, nodes) span more than _KEPT_BLOCK, which only tighter numerics
-    make, never reuses a buffer kept for smaller ones, and trim() drops what
-    such blocks grew.  An array stays valid until the next take of its name
-    or trim(); nothing the engine returns is a view of one.
+    under name, which grows when a larger shape is taken.  A k-pass holds
+    one pair's arrays at a time, so what a thread keeps does not grow with
+    the pair count.  A block whose (rows, nodes) span more than _KEPT_BLOCK,
+    which only tighter numerics make, never reuses a buffer kept for smaller
+    ones, and trim() drops what such blocks grew.  An array stays valid
+    until the next take of its name or trim(); nothing the engine returns
+    is a view of one.
     """
 
     def __init__(self):
-        self.buffers, self.oversized, self.reserved = {}, set(), 0
+        self.buffers, self.oversized = {}, set()
 
     def take(self, name, shape):
         size, oversize = math.prod(shape), math.prod(shape[-2:]) > _KEPT_BLOCK
-        # Popped and put back last, so the least recently taken comes first.
         buf = self.buffers.pop(name, None)
         if buf is None or buf.size < size or oversize and name not in self.oversized:
             buf = None  # dropped before anything is allocated
-            self.reserve(self.reserved, size)
             buf = np.empty(size)
             if oversize:
                 self.oversized.add(name)
         self.buffers[name] = buf
         return buf[:size].reshape(shape)
 
-    def reserve(self, doubles, more=0):
-        """Holds room for doubles until trim(), and makes room for more now."""
-        self.reserved = doubles
-        kept = sum(b.size for b in self.buffers.values())
-        while self.buffers and 8 * (kept + doubles + more) > _ARRAY_BYTES:
-            kept -= self.buffers.pop(next(iter(self.buffers))).size
-
     def trim(self):
-        """Ends a pass: drops what its blocks over _KEPT_BLOCK grew, and its reservation."""
+        """Ends a pass: drops what its blocks over _KEPT_BLOCK grew."""
         for name in self.oversized:
             self.buffers.pop(name, None)
         self.oversized.clear()
-        self.reserved = 0
 
 
 _WORKSPACE = _Workspace()
@@ -386,58 +358,51 @@ def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
     np.divide(-chi, r_te, out=r_te)
 
 
-def _k_integrand(pairs, xi_col, gap, temperature, y):
-    """y^2 F(y) of each material pair on one (rows, nodes) grid of y, as (pairs, rows, nodes).
+def _k_integrand(pair, xi_col, temperature, grid):
+    """y^2 F(y) of one material pair on a (rows, nodes) grid of y, as (rows, nodes).
 
-    xi_col is the (rows, 1) frequency column.  F sums t/(1-t) over both
-    polarizations with t = r_a r_b e^{-y}, taken as r_a r_b / (e^y - r_a r_b)
-    so that one exp serves both.  kappa, e^y and y^2 are computed once for
-    the grid and each distinct model object goes through _fresnel once
-    (plate_pressures passes one object per response); per pair only the
-    products r_a r_b, the two divisions and the y^2 multiply remain.  Every
-    k-integral sample passes through here once.  The result and every pass
-    live in the thread's workspace: the result is valid until the next call.
-    y may be the result's first pair, written once y is no longer read.
+    xi_col is the (rows, 1) frequency column, and grid the (3, rows, nodes)
+    block of kappa = y/2a, e^y and y^2, which a k-pass builds once for all
+    its pairs.  F sums t/(1-t) over both polarizations with t = r_a r_b
+    e^{-y}, taken as r_a r_b / (e^y - r_a r_b) so that one exp serves both.
+    Each distinct model object of the pair goes through _fresnel once
+    (plate_pressures passes one object per response).  Every k-integral
+    sample passes through here once.  The result and every pass live in
+    the thread's workspace: the result is valid until the next call.
     """
-    shape = y.shape
-    models = {id(m): m for pair in pairs for m in pair}
-    slot = {key: i for i, key in enumerate(models)}
-    kappa, kappa_m, r_tm = _WORKSPACE.take("grid", (3,) + shape)
-    np.divide(y, 2.0 * gap, out=kappa)
-    r = _WORKSPACE.take("fresnel", (len(models), 2) + shape)
+    kappa, exp_y, y_sq = grid
+    models = {id(m): m for m in pair}
+    r = _WORKSPACE.take("fresnel", (len(models), 2) + kappa.shape)
+    # The ladder's scratch is free while the integrand is sampled: it holds
+    # kappa_m, then the denominators.
+    den = _WORKSPACE.take("terms", kappa.shape)
     for model, r_model in zip(models.values(), r):
-        _fresnel(model, xi_col, kappa, temperature, *r_model, kappa_m)
-    # kappa and kappa_m are free again, and the ladder's scratch is free
-    # while the integrand is sampled.
-    exp_y = np.exp(y, out=kappa)
-    y_sq = np.multiply(y, y, out=kappa_m)
-    out = _WORKSPACE.take("integrand", (len(pairs),) + shape)
-    den = _WORKSPACE.take("terms", shape)
-    for r_te, (a, b) in zip(out, pairs):
-        r_a, r_b = r[slot[id(a)]], r[slot[id(b)]]
-        np.multiply(r_a[0], r_b[0], out=r_te)
-        np.multiply(r_a[1], r_b[1], out=r_tm)
-        np.subtract(exp_y, r_te, out=den)
-        r_te /= den
-        np.subtract(exp_y, r_tm, out=den)
-        r_tm /= den
-        r_te += r_tm
-        r_te *= y_sq
+        _fresnel(model, xi_col, kappa, temperature, *r_model, den)
+    # The second model's r_TM takes the TM product.
+    (r_te_a, r_tm_a), (r_te_b, r_tm) = r[0], r[-1]
+    out = np.multiply(r_te_a, r_te_b, out=_WORKSPACE.take("integrand", kappa.shape))
+    np.multiply(r_tm_a, r_tm, out=r_tm)
+    np.subtract(exp_y, out, out=den)
+    out /= den
+    np.subtract(exp_y, r_tm, out=den)
+    r_tm /= den
+    out += r_tm
+    out *= y_sq
     return out
 
 
-def _k_integrals_adaptive(pairs, xi, gap, temperature, num, held=0):
+def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy per pair and xi, by the nested Clenshaw-Curtis ladder.
 
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
     node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
-    rung (see the module docstring).  Every pair shares the y grid, and
-    the pass runs in consecutive groups of pairs that fit _BATCH_BYTES
-    beside the held doubles of the caller's arrays and the pass's own
-    result (_groups), whose pairs share each rung; each stops where it
-    stops alone.  Returns the finer rule and its error as (pairs, rows)
-    arrays, the two halves of one (2, pairs, rows) array.
+    rung (see the module docstring).  The pass builds a rung's grid of y
+    once and evaluates the pairs one at a time: each pair's integrand, then
+    its ladder, which climbs and stops for that pair alone.  A climb builds
+    the grid at its own nodes, so the next pair's first rung builds it
+    again.  Returns the finer rule and its error as (pairs, rows) arrays,
+    the two halves of one (2, pairs, rows) array.
     Rows whose lower limit reaches the cutoff are exactly zero.  They are
     sampled at xi = 0, since at a hot enough temperature their own
     frequencies overflow the material formulas.
@@ -449,65 +414,45 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num, held=0):
     u_lo = math.log(_Y_SLIVER)
     half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
     rows = len(xi_col)
+    # The nodes the grid was last built for, the grid and the Jacobian.
+    built = (None,)
 
-    def sample(group, x, sliver=False):
-        # The integrand of group's pairs at the nodes x times the Jacobian,
-        # then, if asked, at the sliver's midpoint.  y lives in the
-        # integrand block's first pair until the integrand is written.
+    def sample(pair, x, sliver=False):
+        # The integrand of pair at the nodes x times the Jacobian, then, if
+        # asked, at the sliver's midpoint.  y lives in the integrand block
+        # until the grid is written.
+        nonlocal built
         nodes = len(x)
-        dy = np.multiply(x + 1.0, half, out=_WORKSPACE.take("dy", (rows, nodes)))
-        dy += u_lo
-        np.exp(dy, out=dy)
-        y = _WORKSPACE.take("integrand", (len(group), rows, nodes + sliver))[0]
-        np.add(y_lo, dy, out=y[:, :nodes])
-        if sliver:
-            y[:, nodes] = y_lo[:, 0] + 0.5 * _Y_SLIVER
-        f = _k_integrand(group, xi_col, gap, temperature, y)
-        f[..., :nodes] *= np.multiply(dy, half, out=dy)
+        if built[0] is not x:
+            jac = np.multiply(x + 1.0, half, out=_WORKSPACE.take("dy", (rows, nodes)))
+            jac += u_lo
+            np.exp(jac, out=jac)
+            y = _WORKSPACE.take("integrand", (rows, nodes + sliver))
+            np.add(y_lo, jac, out=y[:, :nodes])
+            if sliver:
+                y[:, nodes] = y_lo[:, 0] + 0.5 * _Y_SLIVER
+            grid = _WORKSPACE.take("grid", (3,) + y.shape)
+            np.divide(y, 2.0 * gap, out=grid[0])
+            np.exp(y, out=grid[1])
+            np.multiply(y, y, out=grid[2])
+            built = x, grid, np.multiply(jac, half, out=jac)
+        f = _k_integrand(pair, xi_col, temperature, built[1])
+        f[:, :nodes] *= built[2]
         return f
 
-    out, start = np.empty((2, len(pairs), rows)), 0
-    held += out.size
+    out = np.empty((2, len(pairs), rows))
+    # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
+    width = np.where(live[:, 0], _Y_SLIVER, 0.0)
     try:
-        for group in _groups(rows, pairs, held):
-            # Room for what a climb allocates (_nested_cc), nested samples
-            # and row sums, and for what is held beside the pass.
-            _WORKSPACE.reserve(held + len(group) * rows * (_K_ORDER_MAX + 1 + _LADDER_ROW_SUMS))
-            f = sample(group, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
-            # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
-            sliver = f[..., -1] * np.where(live[:, 0], _Y_SLIVER, 0.0)
-            stop = start + len(group)
-            out[0, start:stop], out[1, start:stop] = _nested_cc(
-                [f[..., :-1]], lambda x, group=group: [sample(group, x)],
-                _K_ORDER_MAX, num.rel_tol_quadrature, sliver)[:2]
-            start = stop
+        for p, pair in enumerate(pairs):
+            f = sample(pair, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
+            fine, err = _nested_cc([f[None, :, :-1]], lambda x, pair=pair: [sample(pair, x)[None]],
+                                   _K_ORDER_MAX, num.rel_tol_quadrature, f[:, -1] * width)[:2]
+            out[:, p] = fine[0], err[0]
     finally:
         _WORKSPACE.trim()
     out /= 8.0 * gap**3
     return out
-
-
-def _groups(rows, pairs, held):
-    """Consecutive groups of pairs (one model object per response) whose k-pass fits _BATCH_BYTES.
-
-    Per row, a pass holds 130 doubles (the 129-node rule and the sliver) for
-    each of kappa, kappa_m, r_TM scratch and the terms, two per distinct
-    response and one per pair (y shares the first pair's), 129 for dy, and
-    once the ladder climbs, the 257 nested samples of each pair and its
-    row sums, _LADDER_ROW_SUMS per pair.  held doubles outside the pass
-    share the budget.  A pair that does not fit alone is a group of its own.
-    """
-    first, top = 2 * _K_ORDER_START + 2, _K_ORDER_MAX + 1 + _LADDER_ROW_SUMS
-    groups, models = [], set()
-    for pair in pairs:
-        models = models.union(pair)
-        count = len(groups[-1]) + 1 if groups else math.inf
-        doubles = held + rows * (first * (4 + count + 2 * len(models)) + first - 1 + top * count)
-        if 8 * doubles > _ARRAY_BYTES:
-            groups.append([])
-            models = set(pair)
-        groups[-1].append(pair)
-    return groups
 
 
 def _log_nodes(xi_lo, xi_hi, x):
@@ -520,7 +465,7 @@ def _log_nodes(xi_lo, xi_hi, x):
     return np.exp(u_lo + (x + 1.0) * half), half
 
 
-def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
+def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
     """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
 
     args is (gap, temperature, pairs, num).  The ladder starts at the given
@@ -528,11 +473,9 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
     given, is ((frequencies, half-width), (values, errors)): what _log_nodes
     returns for the starting rule's nodes and what _k_integrals_adaptive
     returns for the pairs there, which are then not sampled again.  The
-    k-errors ride along under the same rule.  held is the doubles the
-    caller's arrays hold meanwhile, which every k-pass counts.  Returns,
-    per pair, (finer rule, its k-integration error, its rule error, its
-    node count, xi_lo J(xi_lo)) as Python numbers, the last from the x = -1
-    end node.  Material response is evaluated at the requested temperature.
+    k-errors ride along under the same rule.  Returns, per pair, (finer
+    rule, its k-integration error, its rule error, its node count,
+    xi_lo J(xi_lo)) as Python numbers, the last from the x = -1 end node.  Material response is evaluated at the requested temperature.
     """
     gap, temperature, pairs, num = args
 
@@ -542,15 +485,12 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
         return vals * jac, errs * jac
 
     def climb(x):
-        # A climb's pass runs beside the ladder's values and k-errors at
-        # len(x) + 1 nodes and their nested copies at 2 len(x) + 1.
         xi = _log_nodes(xi_lo, xi_hi, x)[0]
-        return sample(xi, *_k_integrals_adaptive(pairs, xi, gap, temperature, num,
-                                                 held + 2 * len(pairs) * (3 * len(x) + 2)))
+        return sample(xi, *_k_integrals_adaptive(pairs, xi, gap, temperature, num))
 
     (xi, half), k = first or (_log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0]), None)
     if k is None:
-        k = _k_integrals_adaptive(pairs, xi, gap, temperature, num, held)
+        k = _k_integrals_adaptive(pairs, xi, gap, temperature, num)
     g = sample(xi, *k)
     value, err, order, k_err = _nested_cc(g, climb, ceiling, num.rel_tol_quadrature)
     return list(zip(value.tolist(), k_err[0].tolist(), err.tolist(), [o + 1 for o in order],
@@ -560,20 +500,20 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
 def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     """The PressureResult of each (mat_a, mat_b) pair at one (gap, T), as one batch.
 
-    The pairs share every frequency and y grid, each k-integral pass runs
-    them in consecutive groups that fit _BATCH_BYTES, whose pairs share the
-    k-integrand work (see _k_integrand), and the batch climbs every ladder
-    and doubles N until its last pair has stopped, but every stop decision
-    is per pair: each pair's sums are taken at the first k- and frequency
-    rung where it stops, and its result at the first N where its Matsubara
-    sum stops, after which it rides along.  Each pair's terms and k-errors
-    are one row of two (pairs, terms) arrays, so each result is bit for bit
-    the one its pair gets alone, from plate_pressure.  Raises DomainError before
-    evaluating anything for a gap or temperature outside its domain, and for
-    a gap at which a free-electron model's response vanishes from eps: where
-    eps(i c/2a) - 1, at the frequency whose y_lo is 1, rounds to 0 (below
-    ~9e-17 m for aluminium), or c/2a itself overflows.  The pressure there
-    would be silently wrong, and exactly 0 with zero bars further down.
+    The pairs share every frequency and y grid, each k-pass evaluates them
+    one at a time (see _k_integrals_adaptive), and the batch climbs every
+    frequency ladder and doubles N until its last pair has stopped, but
+    every stop decision is per pair: each pair's sums are taken at the
+    first k- and frequency rung where it stops, and its result at the first
+    N where its Matsubara sum stops, after which it rides along.  Each
+    pair's terms and k-errors are one row of two (pairs, terms) arrays, so
+    each result is bit for bit the one its pair gets alone, from
+    plate_pressure.  Raises DomainError before evaluating anything for a gap
+    or temperature outside its domain, and for a gap at which a
+    free-electron model's response vanishes from eps: where eps(i c/2a) - 1,
+    at the frequency whose y_lo is 1, rounds to 0 (below ~9e-17 m for
+    aluminium), or c/2a itself overflows.  The pressure there would be
+    silently wrong, and exactly 0 with zero bars further down.
     Raises it too where a numpy pass or a result overflows, so every number
     returned is finite and no numpy warning is printed.  Every evaluation
     enters the engine here (see the module docstring).
@@ -645,8 +585,7 @@ def _plate_pressures(gap, temperature, pairs, num):
             ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
         grids = [_log_nodes(lo, hi, _clenshaw_curtis(order)[0]) for lo, hi, order, _ in rules]
         vals, errs = _k_integrals_adaptive(
-            pairs, np.concatenate([ns * xi_1] + [xi for xi, _ in grids]), gap, temperature, num,
-            f.size + err.size)
+            pairs, np.concatenate([ns * xi_1] + [xi for xi, _ in grids]), gap, temperature, num)
         if n == _N_EXPLICIT:
             vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
         # Each rule's first rung is the next len(nodes) rows after the terms.
@@ -655,10 +594,8 @@ def _plate_pressures(gap, temperature, pairs, num):
         err = np.concatenate((err, errs[:, : ends[0]]), axis=1)
         if not rules:
             break
-        # The ladders run beside the terms and this step's pass result.
-        held = f.size + err.size + vals.size + errs.size
         tails, blocks = (_log_grid_integral(*rule, (gap, temperature, pairs, num),
-                                            (grid, (vals[:, a:b], errs[:, a:b])), held)
+                                            (grid, (vals[:, a:b], errs[:, a:b])))
                          for rule, grid, a, b in zip(rules, grids, ends, ends[1:]))
         # Not held through the next step's pass.
         del vals, errs

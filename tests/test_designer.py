@@ -158,14 +158,14 @@ def test_sweep_pressures_equal_solo_calls_where_pairs_stop_apart(workers):
 def test_sweep_evaluates_each_cell_as_one_batch(monkeypatch):
     # Counts, not timings: 3 gaps x 1 T make 3 cells, and each cell
     # evaluates the one grid of a call (explicit terms, tail rule and
-    # truncation block together) once for both pairs.
-    inner, calls = lifshitz._k_integrand, []
+    # truncation block together) in one k-pass for both pairs.
+    inner, calls = lifshitz._k_integrals_adaptive, []
 
-    def k_integrand(pairs, *args):
+    def k_integrals_adaptive(pairs, *args):
         calls.append(len(pairs))
         return inner(pairs, *args)
 
-    monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
+    monkeypatch.setattr(lifshitz, "_k_integrals_adaptive", k_integrals_adaptive)
     spec = SweepSpec(100e-9, 120e-9, 10e-9, (1.3,),
                      (("p/p", PLASMA, PLASMA), ("d/d", DRUDE, DRUDE)))
     assert len(run_gap_sweep(spec, GEOMETRY, CAVITY, CALIB, workers=2)) == 6

@@ -425,12 +425,12 @@ def test_k_integral_against_scipy_quad_for_drude():
 
 # ------------------------------------------------------ frequency-rule bars
 
-def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args, first=None, held=0):
+def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args, first=None):
     # Reference for the ln-xi frequency integral: one fixed 800-node rule
     # from numpy, no node doubling and no rule error of its own, and
     # xi_lo J(xi_lo), the piece below a T = 0 grid, each per pair.  The
-    # first rung that plate_pressures samples for the engine's rule, and
-    # the memory it holds meanwhile, are ignored.
+    # first rung that plate_pressures samples for the engine's rule is
+    # ignored.
     gap, temperature, pairs, num = args
     u_lo, u_hi = math.log(xi_lo), math.log(xi_hi)
     x, w = np.polynomial.legendre.leggauss(800)
@@ -613,15 +613,16 @@ def test_k_rule_converges_geometrically(model, gap):
 
 
 def _hook_k_integrand(monkeypatch):
-    # Hooks the one integrand evaluation; returns the list that collects
-    # each call's arguments, (pairs, xi_col, gap, temperature, y) with y
-    # the (rows, nodes) grid.  The arrays are copied: the engine reuses
-    # their memory in later calls.
+    # Hooks the one integrand evaluation, which takes one pair at a time;
+    # returns the list that collects each call's arguments as ([pair],
+    # xi_col, temperature, kappa), kappa = y/2a standing in for the
+    # (rows, nodes) grid.  The arrays are copied: the engine reuses their
+    # memory in later calls.
     inner, calls = lifshitz._k_integrand, []
 
-    def k_integrand(*args):
-        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
-        return inner(*args)
+    def k_integrand(pair, xi_col, temperature, grid):
+        calls.append(([pair], xi_col.copy(), temperature, grid[0].copy()))
+        return inner(pair, xi_col, temperature, grid)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
     return calls
@@ -836,7 +837,8 @@ def test_k_integrand_matches_local_formulas(model, gap):
         xi = 2 * math.pi * n * K_B * 1.0 / HBAR
         y_lo = 2 * gap * xi / sc.c
         y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
-        vals = lifshitz._k_integrand([(model, model)], np.array([[xi]]), gap, 1.0, y[None, :])[0, 0]
+        grid = np.array([y / (2 * gap), np.exp(y), y * y])[:, None, :]
+        vals = lifshitz._k_integrand((model, model), np.array([[xi]]), 1.0, grid)[0]
         ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n
 
@@ -954,9 +956,9 @@ def test_batches_from_a_thread_pool_equal_solo():
 
 
 def test_differential_evaluates_one_batch(monkeypatch):
-    # Counts, not timings: a differential at 100 nm and 1 K evaluates the
-    # one 228-row grid of a plate_pressure call for both pairs at once, and
-    # each distinct material once on it.
+    # Counts, not timings: a differential at 100 nm and 1 K evaluates both
+    # pairs, one after the other, on the one 228-row grid of a
+    # plate_pressure call, and each distinct material of a pair once on it.
     calls = _hook_k_integrand(monkeypatch)
     fresnel, responses = lifshitz._fresnel, []
 
@@ -966,9 +968,10 @@ def test_differential_evaluates_one_batch(monkeypatch):
 
     monkeypatch.setattr(lifshitz, "_fresnel", hooked_fresnel)
     diff = differential_pressure(100e-9, 1.0, PLASMA, DRUDE, (DRUDE, DRUDE))
-    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2 + 65 + 33]
-    assert [len(call[0]) for call in calls] == [2]
-    assert responses == [PLASMA, DRUDE]
+    assert [call[-1].shape[0] for call in calls] == [2 * _N_EXPLICIT + 2 + 65 + 33] * 2
+    assert np.array_equal(calls[0][-1], calls[1][-1])
+    assert [len(call[0]) for call in calls] == [1, 1]
+    assert responses == [PLASMA, DRUDE, DRUDE]
     assert diff == (plate_pressure(100e-9, 1.0, PLASMA, DRUDE).pressure
                     - plate_pressure(100e-9, 1.0, DRUDE, DRUDE).pressure)
 
@@ -1045,6 +1048,10 @@ def test_differential_evaluates_through_plate_pressures(monkeypatch):
     assert len(checks) == 1
 
 
+# The most a call may peak at, and the most a thread may keep after it.
+BUDGET = 8 << 20
+
+
 def _numpy_bytes_held():
     # Bytes of NumPy array data allocated since tracing began and still held.
     snapshot = tracemalloc.take_snapshot().filter_traces(
@@ -1054,12 +1061,13 @@ def _numpy_bytes_held():
 
 def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # What a fresh thread keeps after a default differential at 100 nm and
-    # 1 K with two responses: one array of 228 rows x 130 nodes each for
-    # kappa, kappa_m and r_TM scratch (3), r_TE and r_TM of each response (4),
-    # each pair's integrand, the first of which holds y until the integrand
-    # is written (2), and the terms that the integrand's denominators and
-    # then the ladder's weighted sums, one pair at a time, share (1), and of
-    # 228 x 129 for dy (1).  The rule cache is filled first.
+    # 1 K of two pairs of one response each, evaluated one at a time: one
+    # array of 228 rows x 130 nodes each for kappa, e^y and y^2 (3), r_TE
+    # and r_TM of the pair's response (2), the integrand, which holds y
+    # until the grid is written (1), and the terms that kappa_m, the
+    # integrand's denominators and then the ladder's weighted sums share
+    # (1), and of 228 x 129 for the Jacobian (1).  The rule cache is filled
+    # first.
     differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
     held = []
 
@@ -1074,7 +1082,7 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
         thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert held == [8 * 228 * (130 * (3 + 4 + 2 + 1) + 129)]
+    assert held == [8 * 228 * (130 * (3 + 2 + 1 + 1) + 129)]
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():
@@ -1137,38 +1145,25 @@ def _fresh_thread_call(gap, temp, pairs, num):
     return _fresh_thread_calls([(gap, temp, pairs, num)])[0]
 
 
-def test_memory_does_not_grow_with_the_pair_count(monkeypatch):
-    # Every k-pass runs in groups of pairs that fit the byte budget: 60
-    # distinct pairs at default numerics peak and keep within it, and at
-    # 1e-11 they keep within it and peak as 30 do.  Every result is still
-    # its solo result.  The rule cache is filled first.
+def test_memory_does_not_grow_with_the_pair_count():
+    # Every k-pass evaluates its pairs one at a time: 60 distinct pairs peak
+    # within a quarter above one pair's peak, at default numerics and at
+    # 1e-11, and within the byte budget, as what the thread keeps does.
+    # Every result is still its solo result, in pair order.  The rule cache
+    # is filled first.
     tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
     pairs = _distinct_pairs(60)
     plate_pressures(100e-9, 1.3, pairs[:2])
     plate_pressures(1e-6, 10.0, pairs[:2], tight)
     results, peak, held = _fresh_thread_call(100e-9, 1.3, pairs, DEFAULT_NUMERICS)
-    assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
+    assert peak <= 1.25 * _fresh_thread_call(100e-9, 1.3, pairs[:1], DEFAULT_NUMERICS)[1]
+    assert peak <= BUDGET and held <= BUDGET
     assert [_fields(r) for r in results] == _solo(100e-9, 1.3, pairs, DEFAULT_NUMERICS)
     results, peak, held = _fresh_thread_call(1e-6, 10.0, pairs, tight)
-    assert held <= lifshitz._BATCH_BYTES
+    assert peak <= 1.25 * _fresh_thread_call(1e-6, 10.0, pairs[:1], tight)[1]
+    assert held <= BUDGET
     assert peak <= 1.1 * _fresh_thread_call(1e-6, 10.0, pairs[:30], tight)[1]
     assert [_fields(r) for r in results] == _solo(1e-6, 10.0, pairs, tight)
-    # The bench's two-pair sweep cell and a differential stay one group in
-    # their one k-pass; the 60 pairs come back in pair order from several.
-    passes, inner = [], lifshitz._groups
-
-    def counting(rows, group, held):
-        passes.append((list(group), inner(rows, group, held)))
-        return passes[-1][1]
-
-    monkeypatch.setattr(lifshitz, "_groups", counting)
-    plate_pressures(100e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)])
-    differential_pressure(100e-9, 1.0, PLASMA, DRUDE, (DRUDE, DRUDE))
-    assert [[len(group) for group in groups] for _, groups in passes] == [[2], [2]]
-    passes.clear()
-    plate_pressures(100e-9, 1.3, pairs)
-    assert passes and all(len(groups) > 1 and [pair for group in groups for pair in group] == batch
-                          for batch, groups in passes)
 
 
 @pytest.mark.parametrize("gap, temp, count", [
@@ -1179,30 +1174,29 @@ def test_tight_numerics_peak_within_the_budget(gap, temp, count):
     # Matsubara steps make passes of 228, 226 and 354 rows; at 100 nm and
     # 50 mK the tail's frequency ladder climbs in passes of 64 rows beside
     # the terms, and at T = 0 the frequency ladder climbs from 129 nodes.
-    # Each pass is grouped by its own rows, its climb and the per-pair
-    # arrays held beside it (the terms, the step's pass result, the
-    # frequency ladder's samples), so the call peaks within the byte
-    # budget, which one pair alone (~4.4 MiB at 1 um) also fits; every
-    # result is its solo result.  The rule cache is filled first.
+    # Each pass holds one pair's arrays at a time, beside the per-pair
+    # arrays of the call (the terms, the step's pass result, the frequency
+    # ladder's samples), so the call peaks within the byte budget, which
+    # one pair alone (~4.4 MiB at 1 um) also fits; every result is its
+    # solo result.  The rule cache is filled first.
     tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
     pairs = _distinct_pairs(count)
     plate_pressures(gap, temp, pairs[:2], tight)
     results, peak, held = _fresh_thread_call(gap, temp, pairs, tight)
-    assert _fresh_thread_call(gap, temp, pairs[:1], tight)[1] <= lifshitz._BATCH_BYTES
-    assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
+    assert _fresh_thread_call(gap, temp, pairs[:1], tight)[1] <= BUDGET
+    assert peak <= BUDGET and held <= BUDGET
     assert [_fields(r) for r in results] == _solo(gap, temp, pairs, tight)
 
 
 def test_batches_of_mixed_shapes_keep_within_the_budget():
     # Six pairs of eleven responses, then 27 copies of one pair, from one
     # thread: each call alone fits the budget, and so does what the thread
-    # keeps after each, though the first leaves the largest Fresnel block
-    # and the second the largest integrand block.
+    # keeps after each.
     drudes = [Drude(OMEGA_P * (1 + 0.01 * i), GAMMA) for i in range(11)]
     six = [(drudes[2 * i % 11], drudes[(2 * i + 1) % 11]) for i in range(6)]
     plate_pressures(100e-9, 1.3, six)
     calls = [(100e-9, 1.3, six, DEFAULT_NUMERICS), (100e-9, 1.3, [(DRUDE, DRUDE)] * 27,
                                                      DEFAULT_NUMERICS)]
     for (results, peak, held), call in zip(_fresh_thread_calls(calls), calls):
-        assert peak <= lifshitz._BATCH_BYTES and held <= lifshitz._BATCH_BYTES
+        assert peak <= BUDGET and held <= BUDGET
         assert [_fields(r) for r in results] == _solo(*call)

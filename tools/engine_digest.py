@@ -17,16 +17,16 @@ tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
 plate_pressure, all pairs as one plate_pressures batch, and every pair as
 the first operand of a differential_pressure against the next pair.
 
-Each k-integral pass runs its pairs in groups that fit the engine's byte
-budget, sized by the pass's own rows, so the grid covers split batches:
-the 15-pair batch runs in two or three groups on every 228-row Matsubara
-pass (34 of the 44 (gap, T) cells of each numerics), in up to five on the
-354-row passes at 1e-11 and in two on the 180-row passes of the smallest
-frequency rule, and in one on the 129-row T = 0 passes; every
-differential is one group.  One more cell, at 100 nm and 1.3 K with the
-default and 1e-11 numerics, holds 40 distinct pairs: the 14 pairs other
-than ideal/ideal with omega_p scaled by 1, 0.95 and 0.9, the first 40 of
-them.  It runs in six groups, and it is evaluated the same three ways.
+Each k-integral pass builds its y grid once per rung and evaluates its
+pairs one at a time over it, and a pair whose k-ladder climbs leaves the
+grid at the climb's nodes, so the next pair builds it again.  The grid
+covers passes of 1, 2 and 15 pairs at every row count a call makes: the
+228-row Matsubara passes, the 354-row passes at 1e-11, where k-ladders
+climb, the 180-row passes of the smallest frequency rule and the
+129-row T = 0 passes.  One more cell, at 100 nm and 1.3 K with the default
+and 1e-11 numerics, holds 40 distinct pairs: the 14 pairs other than
+ideal/ideal with omega_p scaled by 1, 0.95 and 0.9, the first 40 of them.
+It is evaluated the same three ways.
 The digest covers the repr of each PressureResult and of each
 differential, in that order.
 """
@@ -72,7 +72,7 @@ def scaled(model, factor):
     return dataclasses.replace(model, omega_p=factor * model.omega_p)
 
 
-GROUPED_PAIRS = [(scaled(a, factor), scaled(b, factor))
+MANY_PAIRS = [(scaled(a, factor), scaled(b, factor))
                  for factor in (1.0, 0.95, 0.9) for a, b in PAIRS[1:]][:40]
 
 
@@ -86,11 +86,11 @@ def cell(gap, temp, pairs, num):
 
 
 def results():
-    """Every result on the grid, then the grouped cell, in a fixed order."""
+    """Every result on the grid, then the 40-pair cell, in a fixed order."""
     for gap, temp, num in itertools.product(GAPS, TEMPERATURES, NUMERICS):
         yield from cell(gap, temp, PAIRS, num)
     for num in NUMERICS[:2]:
-        yield from cell(100e-9, 1.3, GROUPED_PAIRS, num)
+        yield from cell(100e-9, 1.3, MANY_PAIRS, num)
 
 
 def main():

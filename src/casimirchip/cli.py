@@ -7,10 +7,11 @@ goes to stdout, all errors and warnings to stderr, each warning as one
 usage or config error.
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set already: no command
-calls BLAS, so OpenBLAS's thread pool would only add start-up time and
-idle threads.  The package itself (``import casimirchip``) leaves the
-environment alone.
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set already: the
+engine's only BLAS calls are its quadrature sums, small single-thread
+matrix-vector and dot products, so OpenBLAS's thread pool would only add
+start-up time and idle threads.  The package itself (``import
+casimirchip``) leaves the environment alone.
 """
 
 from __future__ import annotations

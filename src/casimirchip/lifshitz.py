@@ -12,10 +12,11 @@ magnitudes; differentials are signed.
 
 Numerics: every integral here runs on one ladder of nested Clenshaw-Curtis
 rules (`_nested_cc`): the order-n rule is the order-2n samples at even
-indices, so each doubling evaluates only the new odd nodes.  The finer rule
-is returned with |finer - coarser| plus its round-off bound (order + 2) eps
-|finer| as its error (every sample is >= 0, so |finer| is the sum of
-|terms|), and the order doubles while that exceeds the quadrature
+indices, so each doubling evaluates only the new odd nodes.  A rung's sum
+is one product per pair (a k-pass block @ weights).  The finer rule is
+returned with |finer - coarser| plus its round-off bound (order + 2) eps
+|finer| as its error (every sample is >= 0, so that holds in any summation
+order), and the order doubles while that exceeds the quadrature
 tolerance, up to a ceiling.  That is the coarser rule's error, a
 loose bound on the finer rule's: at 100 nm the k-part is ~5e-10 P, while the
 129-node k-sum sits within ~3e-16 P of a 1025-node rule.
@@ -27,8 +28,8 @@ coefficients are close to 1, so the integrand has a pole just left of
 y_lo.  The rule is therefore Clenshaw-Curtis in u = ln(y - y_lo) on
 [ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
 geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node
-outside the rule.  The ladder starts at the 129-node rule (130 points with
-the sliver) and stops by the 257-node rule (at the default 1e-8 every
+outside the rule, the grid's 130th column.  The ladder starts at the
+129-node rule and stops by the 257-node rule (at the default 1e-8 every
 ladder stops at 129 nodes; down to 1e-11 none stops unconverged at 257).
 All rows of a pair climb together, so its ladder stops when every one of
 its rows has converged.  Each polarization's t/(1 - t) is sampled as
@@ -85,17 +86,16 @@ The batch climbs each frequency ladder and doubles N together, until its
 last pair has stopped, and each pair's sums are taken where it stops
 alone: at the first rung where its rows have converged, and at the first
 N where its Matsubara sum stops; a pair that has stopped rides along.
-Every sum is per row, so each pair's result is bit for bit the one it gets
-alone.  Two pairs with the same responses at T (a superconductor above t_c
-against its normal state) differ by exactly 0.0, which a differential
-returns without evaluating either.  Every k-pass writes into a per-thread
-workspace whose arrays the thread's next call reuses instead of allocating
-(and page-faulting) fresh ones, and it holds one pair's arrays at a time,
-so memory does not grow with the pair count; what blocks larger than a
-default call's (228 rows x 130 nodes) grew is dropped after their pass.  A
-thread keeps 1.9 MB after a pair of one response or a bundled sweep cell,
-and 2.4 MB after a pair of two; 60 distinct pairs at 100 nm and 1.3 K peak
-at 2.7 MiB, and at 1 um, 10 K and 1e-11 at 5.0 MiB.
+Every sum is one pair's, so each pair's result is bit for bit the one it
+gets alone.  Two pairs with the same responses at T (a superconductor
+above t_c against its normal state) differ by exactly 0.0, which a
+differential returns without evaluating either.  A k-pass holds one pair's
+arrays at a time in a per-thread workspace that the thread's next call
+reuses, so memory does not grow with the pair count, and what blocks over
+a default call's 228 x 130 grew is dropped after their pass.  The tests
+test_default_two_pair_call_keeps_one_228_row_block_per_array,
+test_memory_does_not_grow_with_the_pair_count and
+test_tight_numerics_peak_within_the_budget gate it.
 
 The xi = 0 term is always computed from the analytic reflection limits of
 each model, never from eps(i*0): that point is exactly where the Drude and
@@ -252,10 +252,12 @@ def _clenshaw_curtis(order):
     return np.cos(np.pi * j / order), w
 
 
-def _weighted(samples, w, in_place=False):
-    """The row sums of samples * w, bit for bit, one pair's product at a time (in_place or not)."""
-    outs = samples if in_place else [_WORKSPACE.take("terms", samples.shape[1:])] * len(samples)
-    return np.array([np.multiply(a, w, out=out).sum(axis=-1) for a, out in zip(samples, outs)])
+def _weighted(samples, w):
+    """The sums of samples * w over the last axis, one product samples[p] @ w per pair.
+
+    One product over a whole (pairs, nodes) block gives a row other bits than the row alone.
+    """
+    return np.array([a @ w for a in samples])
 
 
 def _nested_cc(g, sample, ceiling, tol, const=0.0):
@@ -265,37 +267,35 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     pair, (pairs, nodes): per material pair, rows integrated alike at the
     nodes of the starting rule; g[1:] hold any companions that the same
     rule integrates.  sample(x) returns such a sequence at new nodes x for
-    every pair, and may reuse the memory of g and of the workspace array
-    "terms".  The coarser rule is the samples at even indices, and each
-    doubling evaluates only the new odd nodes.  const is a piece outside
-    the rule, added to both sums.  The error is |fine - coarse| plus the
-    fine sum's round-off bound, eps per node times |fine|: every sample and
-    const is >= 0 (0 <= r_a r_b <= 1, and the weights and Jacobians are
-    positive), so |fine| is the sum of |terms| bit for bit.  The batch
-    climbs until its last pair has stopped, and each pair's sums are taken
-    at the first rung where it stops: where every one of its rows has an
-    error within tol times its |fine| (floored at 1e-12 of the pair's
-    largest row; a single row is its own floor), or at ceiling.  Every sum
-    is per row, so no pair's result depends on the others.  Returns (fine,
-    error, order, the companions' fine sums), each per pair.
+    every pair, and may reuse the memory of g.  The coarser rule is the
+    samples at even indices, and each doubling evaluates only the new odd
+    nodes.  const is a piece outside the rule, added to both sums.  Every
+    sum is one product per pair (_weighted).  The error is |fine - coarse|
+    plus the fine sum's round-off bound, eps per node times |fine|, which
+    bounds a sum of non-negative terms taken in any order: every sample
+    and const is >= 0 (0 <= r_a r_b <= 1, and the weights and Jacobians
+    are positive).  The batch climbs until its last pair has stopped, and
+    each pair's sums are taken at the first rung where it stops: where
+    every one of its rows has an error within tol times its |fine|
+    (floored at 1e-12 of the pair's largest row; a single row is its own
+    floor), or at ceiling, so no pair's result depends on the others.
+    Returns (fine, error, order, the companions' fine sums), each per pair.
     """
-    count, first = len(g[0]), g[0].shape[-1] - 1
-    order = first
+    count, order = len(g[0]), g[0].shape[-1] - 1
     # orders[p] is the order pair p stopped at, 0 while it climbs; out holds
     # the sums of the pairs that have stopped.
     orders, out = [0] * count, None
     coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]) + const
     while True:
         w = _clenshaw_curtis(order)[1]
-        # A climbed rung at the ceiling is read last, so its samples may hold the products.
-        fine = _weighted(g[0], w, in_place=order > first and order >= ceiling) + const
+        fine = _weighted(g[0], w) + const
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim > 1:
             size = np.maximum(size, size.max(axis=-1, initial=0.0, keepdims=True) * 1e-12)
         stop = (err <= tol * size).reshape(len(size), -1).all(axis=1).tolist()
         stopped = [p for p, s in enumerate(stop) if not orders[p] and (s or order >= ceiling)]
-        sums = [fine, err] + [(c * w).sum(axis=-1) for c in g[1:]]
+        sums = [fine, err] + [_weighted(c, w) for c in g[1:]]
         if len(stopped) == count:
             return fine, err, [order] * count, sums[2:]
         if stopped:
@@ -373,9 +373,8 @@ def _k_integrand(pair, xi_col, temperature, grid):
     kappa, exp_y, y_sq = grid
     models = {id(m): m for m in pair}
     r = _WORKSPACE.take("fresnel", (len(models), 2) + kappa.shape)
-    # The ladder's scratch is free while the integrand is sampled: it holds
-    # kappa_m, then the denominators.
-    den = _WORKSPACE.take("terms", kappa.shape)
+    # One scratch block holds kappa_m, then the denominators.
+    den = _WORKSPACE.take("den", kappa.shape)
     for model, r_model in zip(models.values(), r):
         _fresnel(model, xi_col, kappa, temperature, *r_model, den)
     # The second model's r_TM takes the TM product.
@@ -396,16 +395,16 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
 
     The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
     ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
-    node outside the rule, 1e-9 F(y_lo + 5e-10), evaluated with the first
-    rung (see the module docstring).  The pass builds a rung's grid of y
+    node outside the rule, 1e-9 F(y_lo + 5e-10), the first rung's last
+    column (see the module docstring).  The pass builds a rung's grid of y
     once and evaluates the pairs one at a time: each pair's integrand, then
     its ladder, which climbs and stops for that pair alone.  A climb builds
     the grid at its own nodes, so the next pair's first rung builds it
     again.  Returns the finer rule and its error as (pairs, rows) arrays,
-    the two halves of one (2, pairs, rows) array.
-    Rows whose lower limit reaches the cutoff are exactly zero.  They are
-    sampled at xi = 0, since at a hot enough temperature their own
-    frequencies overflow the material formulas.
+    the two halves of one (2, pairs, rows) array.  Rows whose lower limit
+    reaches the cutoff are exactly zero.  They are sampled at xi = 0, since
+    at a hot enough temperature their own frequencies overflow the material
+    formulas.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
@@ -419,26 +418,25 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
 
     def sample(pair, x, sliver=False):
         # The integrand of pair at the nodes x times the Jacobian, then, if
-        # asked, at the sliver's midpoint.  y lives in the integrand block
-        # until the grid is written.
+        # asked, at the sliver's midpoint, a column with e^u half the sliver
+        # and a Jacobian of 1.  y lives in the integrand block until the grid is written.
         nonlocal built
-        nodes = len(x)
         if built[0] is not x:
-            jac = np.multiply(x + 1.0, half, out=_WORKSPACE.take("dy", (rows, nodes)))
+            u = np.append(x, -1.0) if sliver else x
+            jac = np.multiply(u + 1.0, half, out=_WORKSPACE.take("dy", (rows, len(u))))
             jac += u_lo
             np.exp(jac, out=jac)
-            y = _WORKSPACE.take("integrand", (rows, nodes + sliver))
-            np.add(y_lo, jac, out=y[:, :nodes])
-            if sliver:
-                y[:, nodes] = y_lo[:, 0] + 0.5 * _Y_SLIVER
+            jac[:, len(x):] = 0.5 * _Y_SLIVER
+            y = np.add(y_lo, jac, out=_WORKSPACE.take("integrand", jac.shape))
             grid = _WORKSPACE.take("grid", (3,) + y.shape)
             np.divide(y, 2.0 * gap, out=grid[0])
             np.exp(y, out=grid[1])
             np.multiply(y, y, out=grid[2])
-            built = x, grid, np.multiply(jac, half, out=jac)
+            jac *= half
+            jac[:, len(x):] = 1.0
+            built = x, grid, jac
         f = _k_integrand(pair, xi_col, temperature, built[1])
-        f[:, :nodes] *= built[2]
-        return f
+        return np.multiply(f, built[2], out=f)
 
     out = np.empty((2, len(pairs), rows))
     # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
@@ -475,7 +473,8 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
     returns for the pairs there, which are then not sampled again.  The
     k-errors ride along under the same rule.  Returns, per pair, (finer
     rule, its k-integration error, its rule error, its node count,
-    xi_lo J(xi_lo)) as Python numbers, the last from the x = -1 end node.  Material response is evaluated at the requested temperature.
+    xi_lo J(xi_lo)) as Python numbers, the last from the x = -1 end node.
+    The material response is evaluated at the requested temperature.
     """
     gap, temperature, pairs, num = args
 

@@ -6,6 +6,9 @@ gap by lam and every frequency and temperature (omega_p, gamma, T, T_c) by
 Branch continuity: below ~14 nK at 100 nm every explicit Matsubara term
 lies under the frequency grid's lower end, and the engine switches to the
 T = 0 integral; P does not jump there by more than its bars.
+Approach to T_c: the superconducting films' excess pressure over their
+normal state vanishes linearly in the superfluid fraction f_s as T -> T_c,
+so dP / f_s converges to a finite limit.
 """
 
 import math
@@ -18,7 +21,11 @@ from casimirchip import (
     IdealMetal,
     Plasma,
     SuperconductorTwoFluid,
+    differential_pressure,
+    example_config_path,
+    load_device_config,
     plate_pressure,
+    superfluid_fraction,
 )
 from casimirchip.constants import C, HBAR, K_B
 from casimirchip.lifshitz import _N_EXPLICIT
@@ -77,3 +84,25 @@ def test_pressure_is_continuous_across_the_switch_to_the_integral(kind):
     assert below.terms_used != above.terms_used
     bars = sum(r.truncation_estimate + r.quadrature_estimate for r in (below, above))
     assert 0.0 < abs(below.pressure - above.pressure) <= bars
+
+
+@pytest.mark.parametrize("gap,limit,first", [(100e-9, 0.13870, 0), (1e-6, 8.64e-5, 1)],
+                         ids=["100nm", "1um"])
+def test_excess_pressure_over_superfluid_fraction_converges_at_tc(gap, limit, first):
+    # dP / f_s of al_sc/al_sc against al_drude/al_drude at 1 - T/T_c = 1e-4
+    # ... 1e-9.  Each step changes it by less than the step before; the
+    # steps shrink about sqrt(10)-fold a decade, so the rest of the
+    # sequence adds less than the last step, and the last value lies within
+    # it of the limit.  At 1 um the penetration depth at 1e-4 (~0.8 um) is
+    # still near the gap, and the step from 1e-4 to 1e-5 is the smaller:
+    # the shrinking starts one step later there.  Values, not bits.
+    materials = load_device_config(example_config_path()).materials
+    sc, normal = materials["al_sc"], materials["al_drude"]
+    ratios = []
+    for decade in range(4, 10):
+        temp = sc.t_c * (1.0 - 10.0**-decade)
+        delta = differential_pressure(gap, temp, sc, sc, (normal, normal))
+        ratios.append(delta / superfluid_fraction(temp, sc.t_c))
+    steps = np.abs(np.diff(ratios))[first:]
+    assert all(later < step for step, later in zip(steps, steps[1:])), ratios
+    assert abs(ratios[-1] - limit) < steps[-1], ratios

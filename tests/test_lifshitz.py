@@ -712,6 +712,36 @@ def test_clenshaw_curtis_blocks_equal_the_one_k_loop():
         assert all(np.array_equal(a, b) for a, b in zip(built, reference)), order
 
 
+def test_rung_sums_do_not_depend_on_alignment_or_on_the_other_pairs():
+    # A ladder sums each rung as one product per pair: a k-pass block as one
+    # matrix-vector product, a frequency-ladder row as one dot product.  A
+    # 228 x 129 block sums to the same bits at each of 8 byte offsets of its
+    # buffer (8-byte steps) and as the 129-of-130 view a k-pass sums; each
+    # pair's frequency-ladder sums, at the fine and at the coarse
+    # (even-index) rule, are the bits of the pair's row summed alone.  One
+    # product over a whole (pairs, nodes) block would fail that check: it
+    # gives a row other bits than the row alone.
+    rng = np.random.default_rng(41)
+    w = _clenshaw_curtis(128)[1]
+    block = rng.random((228, 129))
+    expected = lifshitz._weighted(block[None], w)
+    for offset in range(8):
+        shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
+        shifted[...] = block
+        assert np.array_equal(lifshitz._weighted(shifted[None], w), expected), offset
+    wide = np.empty((228, 130))
+    wide[:, :129] = block
+    assert np.array_equal(lifshitz._weighted(wide[None, :, :129], w), expected)
+    for count in (1, 2, 15):
+        rows = rng.random((count, 65))
+        for step, order in ((1, 64), (2, 32)):
+            w = _clenshaw_curtis(order)[1]
+            sums = lifshitz._weighted(rows[:, ::step], w)
+            alone = [lifshitz._weighted(rows[p : p + 1].copy()[:, ::step], w)[0]
+                     for p in range(count)]
+            assert sums.tolist() == alone, (count, order)
+
+
 def test_k_ladder_rungs_are_nested(monkeypatch):
     # The coarse rule's nodes are the fine rule's at even indices, bit for
     # bit, so a ladder driven to its cap evaluates each node once: 130
@@ -1064,10 +1094,9 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # 1 K of two pairs of one response each, evaluated one at a time: one
     # array of 228 rows x 130 nodes each for kappa, e^y and y^2 (3), r_TE
     # and r_TM of the pair's response (2), the integrand, which holds y
-    # until the grid is written (1), and the terms that kappa_m, the
-    # integrand's denominators and then the ladder's weighted sums share
-    # (1), and of 228 x 129 for the Jacobian (1).  The rule cache is filled
-    # first.
+    # until the grid is written (1), the scratch that kappa_m and then the
+    # integrand's denominators share (1), and the Jacobian, whose 130th
+    # column is the sliver's 1 (1).  The rule cache is filled first.
     differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
     held = []
 
@@ -1082,7 +1111,7 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
         thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert held == [8 * 228 * (130 * (3 + 2 + 1 + 1) + 129)]
+    assert held == [8 * 228 * 130 * (3 + 2 + 1 + 1 + 1)]
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():

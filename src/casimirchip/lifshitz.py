@@ -13,24 +13,26 @@ magnitudes; differentials are signed.
 Numerics: every integral here runs on one ladder of nested Clenshaw-Curtis
 rules (`_nested_cc`): the order-n rule is the order-2n samples at even
 indices, so each doubling evaluates only the new odd nodes.  A rung's sum
-is one product per pair (a k-pass block @ weights).  The finer rule is
-returned with |finer - coarser| plus its round-off bound (order + 2) eps
-|finer| as its error (every sample is >= 0, so that holds in any summation
-order), and the order doubles while that exceeds the quadrature
-tolerance, up to a ceiling.  That is the coarser rule's error, a
-loose bound on the finer rule's: at 100 nm the k-part is ~5e-10 P, while the
-129-node k-sum sits within ~3e-16 P of a 1025-node rule.
+is one product per pair (a k-pass block @ weights), the first rung's with
+the coarser rule's weights beside.  The finer rule is returned with
+|finer - coarser| plus its round-off bound (order + 2) eps |finer| as its
+error (every sample is >= 0, so that holds in any summation order), and
+the order doubles while that exceeds the quadrature tolerance, up to a
+ceiling.  That is the coarser rule's error, a loose bound on the finer
+rule's: at 100 nm the k-part is ~5e-10 P, while the 129-node k-sum sits
+within ~3e-16 P of a 1025-node rule.
 
 The k-integral J(xi) is substituted to y = 2 kappa a and integrated over
-[y_lo, 60], y_lo = 2 xi a / c (the integrand carries e^{-y}, so the
-y = 60 cutoff is below double precision).  Near y_lo both reflection
-coefficients are close to 1, so the integrand has a pole just left of
-y_lo.  The rule is therefore Clenshaw-Curtis in u = ln(y - y_lo) on
-[ln 1e-9, ln(60 - y_lo)], which clusters the nodes at y_lo and converges
-geometrically, plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node
-outside the rule, the grid's 130th column.  The ladder starts at the
-129-node rule and stops by the 257-node rule (at the default 1e-8 every
-ladder stops at 129 nodes; down to 1e-11 none stops unconverged at 257).
+[y_lo, y_lo + 60], y_lo = 2 xi a / c (the integrand carries e^{-y}, so
+the rest is below double precision); a row with y_lo >= 60 is 0 by rule.
+Near y_lo both reflection coefficients are close to 1, so the integrand
+has a pole just left of y_lo.  The rule is therefore Clenshaw-Curtis in
+u = ln(y - y_lo) on [ln 1e-9, ln 60] for every row, which clusters the
+nodes at y_lo and converges geometrically, plus the sliver [y_lo, y_lo +
+1e-9] as one midpoint node outside the rule, the grid's 130th column.
+The ladder starts at the 129-node rule and stops by the 257-node rule (at
+the default 1e-8 every ladder stops at 129 nodes; down to 1e-11 none stops
+unconverged at 257).
 All rows of a pair climb together, so its ladder stops when every one of
 its rows has converged.  Each polarization's t/(1 - t) is sampled as
 r_a r_b / (e^y - r_a r_b), one exp per sample, with r_TE in a form free of
@@ -79,9 +81,9 @@ material pairs in batches at one (gap, T): plate_pressure is a batch of one
 pair, differential_pressure one of two, and a (gap, T) cell of
 designer.run_gap_sweep one of all len(pairs) pairs of the sweep.  The
 pairs share every xi_n and every frequency ladder, and each k-pass builds
-its y grid (kappa, e^y, y^2 and the Jacobian) once per rung and then
-evaluates the pairs one at a time: a pair's Fresnel coefficients, its
-integrand and its k-ladder, which climbs and stops for that pair alone.
+its y grid (kappa, e^y and y^2) once per rung and then evaluates the pairs
+one at a time: a pair's Fresnel coefficients, its integrand and its
+k-ladder, which climbs and stops for that pair alone.
 The batch climbs each frequency ladder and doubles N together, until its
 last pair has stopped, and each pair's sums are taken where it stops
 alone: at the first rung where its rows have converged, and at the first
@@ -92,7 +94,8 @@ above t_c against its normal state) differ by exactly 0.0, which a
 differential returns without evaluating either.  A k-pass holds one pair's
 arrays at a time in a per-thread workspace that the thread's next call
 reuses, so memory does not grow with the pair count, and what blocks over
-a default call's 228 x 130 grew is dropped after their pass.  The tests
+a default call's 228 x 130 grew is dropped after their pass; every array
+of it starts on a 64-byte boundary.  The tests
 test_default_two_pair_call_keeps_one_228_row_block_per_array,
 test_memory_does_not_grow_with_the_pair_count and
 test_tight_numerics_peak_within_the_budget gate it.
@@ -146,9 +149,10 @@ class _Workspace(threading.local):
     one pair's arrays at a time, so what a thread keeps does not grow with
     the pair count.  A block whose (rows, nodes) span more than _KEPT_BLOCK,
     which only tighter numerics make, never reuses a buffer kept for smaller
-    ones, and trim() drops what such blocks grew.  An array stays valid
-    until the next take of its name or trim(); nothing the engine returns
-    is a view of one.
+    ones, and trim() drops what such blocks grew.  Every buffer has 7
+    doubles of slack, so that it starts on a 64-byte boundary.  An array
+    stays valid until the next take of its name or trim(); nothing the
+    engine returns is a view of one.
     """
 
     def __init__(self):
@@ -159,7 +163,9 @@ class _Workspace(threading.local):
         buf = self.buffers.pop(name, None)
         if buf is None or buf.size < size or oversize and name not in self.oversized:
             buf = None  # dropped before anything is allocated
-            buf = np.empty(size)
+            raw = np.empty(size + 7)
+            start = -raw.__array_interface__["data"][0] % 64 // 8
+            buf = raw[start : start + size]
             if oversize:
                 self.oversized.add(name)
         self.buffers[name] = buf
@@ -252,6 +258,14 @@ def _clenshaw_curtis(order):
     return np.cos(np.pi * j / order), w
 
 
+@lru_cache(maxsize=8)
+def _first_rung_weights(order):
+    """The order-n weights and the order-n/2 ones at even nodes, 0 at odd, as (n + 1, 2)."""
+    w = np.zeros((order + 1, 2))
+    w[:, 0], w[::2, 1] = _clenshaw_curtis(order)[1], _clenshaw_curtis(order // 2)[1]
+    return w
+
+
 def _weighted(samples, w):
     """The sums of samples * w over the last axis, one product samples[p] @ w per pair.
 
@@ -270,9 +284,10 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     every pair, and may reuse the memory of g.  The coarser rule is the
     samples at even indices, and each doubling evaluates only the new odd
     nodes.  const is a piece outside the rule, added to both sums.  Every
-    sum is one product per pair (_weighted).  The error is |fine - coarse|
-    plus the fine sum's round-off bound, eps per node times |fine|, which
-    bounds a sum of non-negative terms taken in any order: every sample
+    sum is one product per pair (_weighted); the first rung's fine and
+    coarse sums are one, with _first_rung_weights.  The error is |fine -
+    coarse| plus the fine sum's round-off bound, eps per node times |fine|,
+    which bounds a sum of non-negative terms taken in any order: every sample
     and const is >= 0 (0 <= r_a r_b <= 1, and the weights and Jacobians
     are positive).  The batch climbs until its last pair has stopped, and
     each pair's sums are taken at the first rung where it stops: where
@@ -285,10 +300,9 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     # orders[p] is the order pair p stopped at, 0 while it climbs; out holds
     # the sums of the pairs that have stopped.
     orders, out = [0] * count, None
-    coarse = _weighted(g[0][..., ::2], _clenshaw_curtis(order // 2)[1]) + const
+    w = _clenshaw_curtis(order)[1]
+    fine, coarse = np.moveaxis(_weighted(g[0], _first_rung_weights(order)), -1, 0) + const
     while True:
-        w = _clenshaw_curtis(order)[1]
-        fine = _weighted(g[0], w) + const
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim > 1:
@@ -313,7 +327,8 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
             dst[..., ::2] = a
         for dst, b in zip(nested, sample(_clenshaw_curtis(order)[0][1::2])):
             dst[..., 1::2] = b
-        g = nested
+        g, w = nested, _clenshaw_curtis(order)[1]
+        fine = _weighted(g[0], w) + const
 
 
 def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
@@ -391,19 +406,20 @@ def _k_integrand(pair, xi_col, temperature, grid):
 
 
 def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
-    """(1/8a^3) int_{y_lo}^{60} y^2 F(y) dy per pair and xi, by the nested Clenshaw-Curtis ladder.
+    """(1/8a^3) int_{y_lo}^{y_lo+60} y^2 F(y) dy per pair and xi, by the nested CC ladder.
 
-    The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9,
-    ln(60 - y_lo)] plus the sliver [y_lo, y_lo + 1e-9] as one midpoint
-    node outside the rule, 1e-9 F(y_lo + 5e-10), the first rung's last
-    column (see the module docstring).  The pass builds a rung's grid of y
-    once and evaluates the pairs one at a time: each pair's integrand, then
-    its ladder, which climbs and stops for that pair alone.  A climb builds
-    the grid at its own nodes, so the next pair's first rung builds it
-    again.  Returns the finer rule and its error as (pairs, rows) arrays,
-    the two halves of one (2, pairs, rows) array.  Rows whose lower limit
-    reaches the cutoff are exactly zero.  They are sampled at xi = 0, since
-    at a hot enough temperature their own frequencies overflow the material
+    The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9, ln 60]
+    plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node outside the
+    rule, 1e-9 F(y_lo + 5e-10), the first rung's last column (see the
+    module docstring): one vector of offsets y - y_lo and one Jacobian per
+    rule order serve every row.  The pass builds a rung's grid of y once
+    and evaluates the pairs one at a time: each pair's integrand, then its
+    ladder, which climbs and stops for that pair alone.  A climb builds the
+    grid at its own nodes, so the next pair's first rung builds it again.
+    Returns the finer rule and its error as (pairs, rows) arrays, the two
+    halves of one (2, pairs, rows) array.  Rows whose lower limit reaches
+    60 are exactly zero, by rule.  They are sampled at xi = 0, since at a
+    hot enough temperature their own frequencies overflow the material
     formulas.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
@@ -411,44 +427,42 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     live = y_lo < _Y_CUT
     xi_col = np.where(live, xi_col, 0.0)
     u_lo = math.log(_Y_SLIVER)
-    half = 0.5 * (np.log(np.maximum(_Y_CUT - y_lo, _Y_SLIVER)) - u_lo)
+    half = 0.5 * (math.log(_Y_CUT) - u_lo)
     rows = len(xi_col)
     # The nodes the grid was last built for, the grid and the Jacobian.
     built = (None,)
 
     def sample(pair, x, sliver=False):
         # The integrand of pair at the nodes x times the Jacobian, then, if
-        # asked, at the sliver's midpoint, a column with e^u half the sliver
-        # and a Jacobian of 1.  y lives in the integrand block until the grid is written.
+        # asked, at the sliver's midpoint, a column at the offset half the
+        # sliver and a Jacobian of 1.  y lives in the y^2 block until the
+        # grid is written.
         nonlocal built
         if built[0] is not x:
             u = np.append(x, -1.0) if sliver else x
-            jac = np.multiply(u + 1.0, half, out=_WORKSPACE.take("dy", (rows, len(u))))
-            jac += u_lo
-            np.exp(jac, out=jac)
-            jac[:, len(x):] = 0.5 * _Y_SLIVER
-            y = np.add(y_lo, jac, out=_WORKSPACE.take("integrand", jac.shape))
-            grid = _WORKSPACE.take("grid", (3,) + y.shape)
+            v = np.exp(u_lo + (u + 1.0) * half)
+            jac = v * half
+            v[len(x):], jac[len(x):] = 0.5 * _Y_SLIVER, 1.0
+            grid = _WORKSPACE.take("grid", (3, rows, len(u)))
+            y = np.add(y_lo, v, out=grid[2])
             np.divide(y, 2.0 * gap, out=grid[0])
             np.exp(y, out=grid[1])
-            np.multiply(y, y, out=grid[2])
-            jac *= half
-            jac[:, len(x):] = 1.0
+            y *= y
             built = x, grid, jac
         f = _k_integrand(pair, xi_col, temperature, built[1])
         return np.multiply(f, built[2], out=f)
 
     out = np.empty((2, len(pairs), rows))
-    # A row at the cutoff has jac = 0; a zero sliver weight makes it exactly 0.
-    width = np.where(live[:, 0], _Y_SLIVER, 0.0)
     try:
         for p, pair in enumerate(pairs):
             f = sample(pair, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
             fine, err = _nested_cc([f[None, :, :-1]], lambda x, pair=pair: [sample(pair, x)[None]],
-                                   _K_ORDER_MAX, num.rel_tol_quadrature, f[:, -1] * width)[:2]
+                                   _K_ORDER_MAX, num.rel_tol_quadrature, f[:, -1] * _Y_SLIVER)[:2]
             out[:, p] = fine[0], err[0]
     finally:
         _WORKSPACE.trim()
+    # Rows at the cutoff are sampled only to keep the block whole.
+    out[:, :, ~live[:, 0]] = 0.0
     out /= 8.0 * gap**3
     return out
 

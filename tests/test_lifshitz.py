@@ -612,6 +612,43 @@ def test_k_rule_converges_geometrically(model, gap):
         assert abs(val[0] - ref) <= err[0]
 
 
+@pytest.mark.parametrize("gap", [100e-9, 1e-6], ids=["100nm", "1um"])
+@pytest.mark.parametrize("model", [PLASMA, DRUDE], ids=["plasma", "drude"])
+def test_k_rows_match_quad_to_infinity_at_any_lower_limit(model, gap):
+    # Every row's rule spans [y_lo, y_lo + 60], so a row near the cutoff is
+    # its integral over [y_lo, inf) as closely as a row near 0.  A rule over
+    # [y_lo, 60] was 7e-5 off at y_lo = 50 and 0.38 off at 59, outside the
+    # row's own k-error.
+    y_lo = np.array([0.1, 5.0, 30.0, 50.0, 59.0])
+    xi = y_lo * C / (2 * gap)
+    vals, errs = (v[0] for v in _k_integrals_adaptive([(model, model)], xi, gap, 1.0,
+                                                      DEFAULT_NUMERICS))
+    for x, val, err in zip(xi, vals, errs):
+        ref, _ = quad(_local_k_integrand(model, x, gap), 2 * gap * x / sc.c, np.inf,
+                      epsabs=0.0, epsrel=1e-13, limit=500)
+        ref /= 8 * gap**3
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0), x
+        assert abs(val - ref) <= err, x
+
+
+@pytest.mark.parametrize("num", [DEFAULT_NUMERICS, LifshitzNumerics(rel_tol_quadrature=1e-11)],
+                         ids=["default", "1e-11"])
+def test_k_rows_at_the_cutoff_are_exactly_zero(monkeypatch, num):
+    # A row whose lower limit 2 a xi / c reaches 60 lies under the cutoff by
+    # rule: 0.0 with a 0.0 k-error, in a pass whose other rows are positive
+    # and, at 1e-11, climb to the 257-node rule.
+    gap = 1e-6
+    calls = _hook_k_integrand(monkeypatch)
+    xi = np.array([0.0, 1.0, 30.0, 59.0, 60.0, 60.5, 1e3, 1e30]) * C / (2 * gap)
+    dead = 2.0 * gap * xi / C >= 60.0
+    vals, errs = _k_integrals_adaptive([(DRUDE, DRUDE), (PLASMA, PLASMA)], xi, gap, 10.0, num)
+    assert dead.sum() >= 3
+    assert np.all(vals[:, dead] == 0.0) and np.all(errs[:, dead] == 0.0)
+    assert np.all(vals[:, ~dead] > 0.0)
+    climbed = any(call[-1].shape[1] == 2 * _K_ORDER_START for call in calls)
+    assert climbed == (num is not DEFAULT_NUMERICS)
+
+
 def _hook_k_integrand(monkeypatch):
     # Hooks the one integrand evaluation, which takes one pair at a time;
     # returns the list that collects each call's arguments as ([pair],
@@ -714,32 +751,37 @@ def test_clenshaw_curtis_blocks_equal_the_one_k_loop():
 
 def test_rung_sums_do_not_depend_on_alignment_or_on_the_other_pairs():
     # A ladder sums each rung as one product per pair: a k-pass block as one
-    # matrix-vector product, a frequency-ladder row as one dot product.  A
-    # 228 x 129 block sums to the same bits at each of 8 byte offsets of its
-    # buffer (8-byte steps) and as the 129-of-130 view a k-pass sums; each
-    # pair's frequency-ladder sums, at the fine and at the coarse
-    # (even-index) rule, are the bits of the pair's row summed alone.  One
-    # product over a whole (pairs, nodes) block would fail that check: it
-    # gives a row other bits than the row alone.
+    # matrix product, a frequency-ladder row as one vector product.  The
+    # first rung takes its fine and coarse sums from one product with the
+    # stacked (nodes, 2) weights, the coarse rule's at even nodes and 0 at
+    # odd ones; a later rung takes its fine sum with the rule's weights.
+    # For both kinds of weights, a 228 x 129 block sums to the same bits at
+    # each of 8 byte offsets of its buffer (8-byte steps) and as the
+    # 129-of-130 view a k-pass sums, and each pair's frequency-ladder sums
+    # are the bits of the pair's row summed alone.  One product over a whole
+    # (pairs, nodes) block would fail that check: it gives a row other bits
+    # than the row alone.
+    stacked = lifshitz._first_rung_weights(128)
+    assert np.array_equal(stacked[:, 0], _clenshaw_curtis(128)[1])
+    assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(64)[1])
+    assert not stacked[1::2, 1].any()
     rng = np.random.default_rng(41)
-    w = _clenshaw_curtis(128)[1]
     block = rng.random((228, 129))
-    expected = lifshitz._weighted(block[None], w)
-    for offset in range(8):
-        shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
-        shifted[...] = block
-        assert np.array_equal(lifshitz._weighted(shifted[None], w), expected), offset
-    wide = np.empty((228, 130))
-    wide[:, :129] = block
-    assert np.array_equal(lifshitz._weighted(wide[None, :, :129], w), expected)
+    for w in (stacked, _clenshaw_curtis(128)[1]):
+        expected = lifshitz._weighted(block[None], w)
+        for offset in range(8):
+            shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
+            shifted[...] = block
+            assert np.array_equal(lifshitz._weighted(shifted[None], w), expected), offset
+        wide = np.empty((228, 130))
+        wide[:, :129] = block
+        assert np.array_equal(lifshitz._weighted(wide[None, :, :129], w), expected)
     for count in (1, 2, 15):
         rows = rng.random((count, 65))
-        for step, order in ((1, 64), (2, 32)):
-            w = _clenshaw_curtis(order)[1]
-            sums = lifshitz._weighted(rows[:, ::step], w)
-            alone = [lifshitz._weighted(rows[p : p + 1].copy()[:, ::step], w)[0]
-                     for p in range(count)]
-            assert sums.tolist() == alone, (count, order)
+        for w in (lifshitz._first_rung_weights(64), _clenshaw_curtis(64)[1]):
+            sums = lifshitz._weighted(rows, w)
+            alone = [lifshitz._weighted(rows[p : p + 1].copy(), w)[0] for p in range(count)]
+            assert sums.tolist() == [a.tolist() for a in alone], (count, w.ndim)
 
 
 def test_k_ladder_rungs_are_nested(monkeypatch):
@@ -1093,10 +1135,11 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # What a fresh thread keeps after a default differential at 100 nm and
     # 1 K of two pairs of one response each, evaluated one at a time: one
     # array of 228 rows x 130 nodes each for kappa, e^y and y^2 (3), r_TE
-    # and r_TM of the pair's response (2), the integrand, which holds y
-    # until the grid is written (1), the scratch that kappa_m and then the
-    # integrand's denominators share (1), and the Jacobian, whose 130th
-    # column is the sliver's 1 (1).  The rule cache is filled first.
+    # and r_TM of the pair's response (2), the integrand (1) and the
+    # scratch that kappa_m and then the integrand's denominators share (1),
+    # in 4 buffers (grid, fresnel, integrand, den), each 7 doubles longer
+    # than its blocks so that they start on a 64-byte boundary.  The
+    # Jacobian is one vector per rule.  The rule cache is filled first.
     differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
     held = []
 
@@ -1111,7 +1154,35 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
         thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert held == [8 * 228 * 130 * (3 + 2 + 1 + 1 + 1)]
+    assert held == [8 * 228 * 130 * (3 + 2 + 1 + 1) + 4 * 8 * 7]
+
+
+@pytest.mark.parametrize("gap, temp, num", [
+    (100e-9, 1.0, DEFAULT_NUMERICS),
+    (1e-6, 10.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)),
+], ids=["default-two-pairs", "1e-11-oversized"])
+def test_workspace_arrays_start_on_64_byte_boundaries(monkeypatch, gap, temp, num):
+    # Every array the workspace hands out starts on a cache line, kept
+    # buffers and the oversized ones of a 1e-11 call at 1 um and 10 K alike
+    # (a pass over a misaligned block took about twice as long on an
+    # AVX-512 host).  The calls run in a fresh thread, whose workspace
+    # starts empty.
+    take, shapes = lifshitz._Workspace.take, []
+
+    def aligned_take(self, name, shape):
+        array = take(self, name, shape)
+        shapes.append((name, shape, array.__array_interface__["data"][0] % 64))
+        return array
+
+    monkeypatch.setattr(lifshitz._Workspace, "take", aligned_take)
+    thread = threading.Thread(target=differential_pressure,
+                              args=(gap, temp, PLASMA, PLASMA, (DRUDE, DRUDE), num))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert shapes and all(offset == 0 for _, _, offset in shapes), shapes
+    oversized = any(math.prod(shape[-2:]) > lifshitz._KEPT_BLOCK for _, shape, _ in shapes)
+    assert oversized == (num is not DEFAULT_NUMERICS)
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():

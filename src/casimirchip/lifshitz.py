@@ -72,7 +72,8 @@ explicit terms to 2N + 1 also evaluates the first rungs of the tail behind
 P(2N) and of the block, so at default numerics a call at 100 nm evaluates
 228 k-integral rows in one pass at finite T (130 explicit terms, the
 65-node tail rung and the 33-node block) and 129 at T = 0.  Further passes
-come only from the rungs a frequency ladder climbs to and from doubling N.
+come only from the rungs a frequency ladder climbs to and from doubling N,
+and each holds the one pair that needs it.
 The cost does not grow as T falls, and the evaluation order is fixed, so
 results are bit-stable regardless of how callers parallelize.
 
@@ -80,22 +81,21 @@ Every evaluation enters the engine through plate_pressures, which evaluates
 material pairs in batches at one (gap, T): plate_pressure is a batch of one
 pair, differential_pressure one of two, and a (gap, T) cell of
 designer.run_gap_sweep one of all len(pairs) pairs of the sweep.  The
-pairs share every xi_n and every frequency ladder, and each k-pass builds
-its y grid (kappa, e^y and y^2) once per rung and then evaluates the pairs
-one at a time: a pair's Fresnel coefficients, its integrand and its
-k-ladder, which climbs and stops for that pair alone.
-The batch climbs each frequency ladder and doubles N together, until its
-last pair has stopped, and each pair's sums are taken where it stops
-alone: at the first rung where its rows have converged, and at the first
-N where its Matsubara sum stops; a pair that has stopped rides along.
-Every sum is one pair's, so each pair's result is bit for bit the one it
-gets alone.  Two pairs with the same responses at T (a superconductor
-above t_c against its normal state) differ by exactly 0.0, which a
-differential returns without evaluating either.  A k-pass holds one pair's
-arrays at a time in a per-thread workspace that the thread's next call
-reuses, so memory does not grow with the pair count, and what blocks over
-a default call's 228 x 130 grew is dropped after their pass; every array
-of it starts on a 64-byte boundary.  The tests
+pairs share the first k-pass; every later pass holds one pair.  The first
+pass (the Matsubara step at N = 64, or at T = 0 the 129-node frequency
+rule) builds its y grid (kappa, e^y and y^2) once for all pairs and then
+evaluates them one at a time: a pair's Fresnel coefficients, its
+integrand and its k-ladder, which climbs and stops for that pair alone.
+Then each pair in turn climbs its own frequency ladders and doubles its
+own N until its Matsubara sum stops.  Every sum is one pair's, so each
+pair's result is bit for bit the one it gets alone.  Two pairs with the
+same responses at T (a superconductor above t_c against its normal state)
+differ by exactly 0.0, which a differential returns without evaluating
+either.  A k-pass holds one pair's arrays at a time in a per-thread
+workspace that the thread's next call reuses, so memory does not grow
+with the pair count, and what blocks over a default call's 228 x 130 grew
+is dropped after their pass; every array of it starts on a 64-byte
+boundary.  The tests
 test_default_two_pair_call_keeps_one_228_row_block_per_array,
 test_memory_does_not_grow_with_the_pair_count and
 test_tight_numerics_peak_within_the_budget gate it.
@@ -266,60 +266,35 @@ def _first_rung_weights(order):
     return w
 
 
-def _weighted(samples, w):
-    """The sums of samples * w over the last axis, one product samples[p] @ w per pair.
-
-    One product over a whole (pairs, nodes) block gives a row other bits than the row alone.
-    """
-    return np.array([a @ w for a in samples])
-
-
 def _nested_cc(g, sample, ceiling, tol, const=0.0):
     """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
 
-    g[0] holds the integrand as (pairs, rows, nodes) or, with one row per
-    pair, (pairs, nodes): per material pair, rows integrated alike at the
-    nodes of the starting rule; g[1:] hold any companions that the same
-    rule integrates.  sample(x) returns such a sequence at new nodes x for
-    every pair, and may reuse the memory of g.  The coarser rule is the
-    samples at even indices, and each doubling evaluates only the new odd
-    nodes.  const is a piece outside the rule, added to both sums.  Every
-    sum is one product per pair (_weighted); the first rung's fine and
-    coarse sums are one, with _first_rung_weights.  The error is |fine -
-    coarse| plus the fine sum's round-off bound, eps per node times |fine|,
-    which bounds a sum of non-negative terms taken in any order: every sample
-    and const is >= 0 (0 <= r_a r_b <= 1, and the weights and Jacobians
-    are positive).  The batch climbs until its last pair has stopped, and
-    each pair's sums are taken at the first rung where it stops: where
-    every one of its rows has an error within tol times its |fine|
-    (floored at 1e-12 of the pair's largest row; a single row is its own
-    floor), or at ceiling, so no pair's result depends on the others.
-    Returns (fine, error, order, the companions' fine sums), each per pair.
+    g[0] holds one material pair's integrand as (rows, nodes) or, with one
+    row, (nodes,): rows integrated alike at the nodes of the starting rule;
+    g[1:] hold any companions that the same rule integrates.  sample(x)
+    returns such a sequence at new nodes x, and may reuse the memory of g.
+    The coarser rule is the samples at even indices, and each doubling
+    evaluates only the new odd nodes.  const is a piece outside the rule,
+    added to both sums.  Every sum is one product, block @ weights; the
+    first rung's fine and coarse sums are one, with _first_rung_weights.
+    The error is |fine - coarse| plus the fine sum's round-off bound, eps
+    per node times |fine|, which bounds a sum of non-negative terms taken in
+    any order: every sample and const is >= 0 (0 <= r_a r_b <= 1, and the
+    weights and Jacobians are positive).  The ladder stops at the first
+    rung where every row has an error within tol times its |fine| (floored
+    at 1e-12 of the largest row; a single row is its own floor), or at
+    ceiling.  Returns (fine, error, order, the companions' fine sums).
     """
-    count, order = len(g[0]), g[0].shape[-1] - 1
-    # orders[p] is the order pair p stopped at, 0 while it climbs; out holds
-    # the sums of the pairs that have stopped.
-    orders, out = [0] * count, None
+    order = g[0].shape[-1] - 1
     w = _clenshaw_curtis(order)[1]
-    fine, coarse = np.moveaxis(_weighted(g[0], _first_rung_weights(order)), -1, 0) + const
+    fine, coarse = np.moveaxis(g[0] @ _first_rung_weights(order), -1, 0) + const
     while True:
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
-        if size.ndim > 1:
-            size = np.maximum(size, size.max(axis=-1, initial=0.0, keepdims=True) * 1e-12)
-        stop = (err <= tol * size).reshape(len(size), -1).all(axis=1).tolist()
-        stopped = [p for p, s in enumerate(stop) if not orders[p] and (s or order >= ceiling)]
-        sums = [fine, err] + [_weighted(c, w) for c in g[1:]]
-        if len(stopped) == count:
-            return fine, err, [order] * count, sums[2:]
-        if stopped:
-            out = out or [np.empty_like(a) for a in sums]
-            for dst, src in zip(out, sums):
-                dst[stopped] = src[stopped]
-            for p in stopped:
-                orders[p] = order
-            if all(orders):
-                return out[0], out[1], orders, out[2:]
+        if size.ndim:
+            size = np.maximum(size, size.max(initial=0.0) * 1e-12)
+        if order >= ceiling or np.all(err <= tol * size):
+            return fine, err, order, [c @ w for c in g[1:]]
         # g moves to the even indices of the order-2n rule before sample may reuse its memory.
         coarse, order = fine, 2 * order
         nested = [np.empty(a.shape[:-1] + (order + 1,)) for a in g]
@@ -328,7 +303,7 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
         for dst, b in zip(nested, sample(_clenshaw_curtis(order)[0][1::2])):
             dst[..., 1::2] = b
         g, w = nested, _clenshaw_curtis(order)[1]
-        fine = _weighted(g[0], w) + const
+        fine = g[0] @ w + const
 
 
 def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
@@ -405,6 +380,16 @@ def _k_integrand(pair, xi_col, temperature, grid):
     return out
 
 
+def _log_nodes(xi_lo, xi_hi, x):
+    """The frequencies at the nodes x of [-1, 1] mapped linearly onto [ln xi_lo, ln xi_hi].
+
+    Returns them with the half-width of that range, du/dx.
+    """
+    u_lo = math.log(xi_lo)
+    half = 0.5 * (math.log(xi_hi) - u_lo)
+    return np.exp(u_lo + (x + 1.0) * half), half
+
+
 def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     """(1/8a^3) int_{y_lo}^{y_lo+60} y^2 F(y) dy per pair and xi, by the nested CC ladder.
 
@@ -426,8 +411,6 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
     live = y_lo < _Y_CUT
     xi_col = np.where(live, xi_col, 0.0)
-    u_lo = math.log(_Y_SLIVER)
-    half = 0.5 * (math.log(_Y_CUT) - u_lo)
     rows = len(xi_col)
     # The nodes the grid was last built for, the grid and the Jacobian.
     built = (None,)
@@ -439,11 +422,10 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
         # grid is written.
         nonlocal built
         if built[0] is not x:
-            u = np.append(x, -1.0) if sliver else x
-            v = np.exp(u_lo + (u + 1.0) * half)
+            v, half = _log_nodes(_Y_SLIVER, _Y_CUT, np.append(x, -1.0) if sliver else x)
             jac = v * half
             v[len(x):], jac[len(x):] = 0.5 * _Y_SLIVER, 1.0
-            grid = _WORKSPACE.take("grid", (3, rows, len(u)))
+            grid = _WORKSPACE.take("grid", (3, rows, len(v)))
             y = np.add(y_lo, v, out=grid[2])
             np.divide(y, 2.0 * gap, out=grid[0])
             np.exp(y, out=grid[1])
@@ -456,9 +438,8 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     try:
         for p, pair in enumerate(pairs):
             f = sample(pair, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
-            fine, err = _nested_cc([f[None, :, :-1]], lambda x, pair=pair: [sample(pair, x)[None]],
+            out[:, p] = _nested_cc([f[:, :-1]], lambda x, pair=pair: [sample(pair, x)],
                                    _K_ORDER_MAX, num.rel_tol_quadrature, f[:, -1] * _Y_SLIVER)[:2]
-            out[:, p] = fine[0], err[0]
     finally:
         _WORKSPACE.trim()
     # Rows at the cutoff are sampled only to keep the block whole.
@@ -467,30 +448,20 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     return out
 
 
-def _log_nodes(xi_lo, xi_hi, x):
-    """The frequencies at the nodes x of [-1, 1] mapped linearly onto [ln xi_lo, ln xi_hi].
-
-    Returns them with the half-width of that range, du/dx.
-    """
-    u_lo = math.log(xi_lo)
-    half = 0.5 * (math.log(xi_hi) - u_lo)
-    return np.exp(u_lo + (x + 1.0) * half), half
-
-
 def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
-    """int_{xi_lo}^{xi_hi} J(xi) dxi by the nested Clenshaw-Curtis ladder in u = ln(xi).
+    """int_{xi_lo}^{xi_hi} J(xi) dxi of one pair, by the nested CC ladder in u = ln(xi).
 
-    args is (gap, temperature, pairs, num).  The ladder starts at the given
-    order and stops by ceiling, each pair where it stops alone.  first, if
-    given, is ((frequencies, half-width), (values, errors)): what _log_nodes
-    returns for the starting rule's nodes and what _k_integrals_adaptive
-    returns for the pairs there, which are then not sampled again.  The
-    k-errors ride along under the same rule.  Returns, per pair, (finer
-    rule, its k-integration error, its rule error, its node count,
-    xi_lo J(xi_lo)) as Python numbers, the last from the x = -1 end node.
-    The material response is evaluated at the requested temperature.
+    args is (gap, temperature, pair, num).  The ladder starts at the given
+    order and stops by ceiling.  first, if given, is ((frequencies,
+    half-width), (values, errors)): what _log_nodes returns for the
+    starting rule's nodes and the pair's row of what _k_integrals_adaptive
+    returns there, which are then not sampled again.  The k-errors are
+    integrated by the same rule, as its companion.  Returns (finer rule,
+    its k-integration error, its rule error, its node count, xi_lo
+    J(xi_lo)) as Python numbers, the last from the x = -1 end node.  The
+    material response is evaluated at the requested temperature.
     """
-    gap, temperature, pairs, num = args
+    gap, temperature, pair, num = args
 
     def sample(xi, vals, errs):
         # J and its k-error at the frequencies xi, each times the Jacobian xi du/dx.
@@ -499,28 +470,24 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
 
     def climb(x):
         xi = _log_nodes(xi_lo, xi_hi, x)[0]
-        return sample(xi, *_k_integrals_adaptive(pairs, xi, gap, temperature, num))
+        return sample(xi, *_k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0])
 
     (xi, half), k = first or (_log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0]), None)
     if k is None:
-        k = _k_integrals_adaptive(pairs, xi, gap, temperature, num)
+        k = _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
     g = sample(xi, *k)
-    value, err, order, k_err = _nested_cc(g, climb, ceiling, num.rel_tol_quadrature)
-    return list(zip(value.tolist(), k_err[0].tolist(), err.tolist(), [o + 1 for o in order],
-                    (g[0][:, -1] / half).tolist()))
+    value, err, order, (k_err,) = _nested_cc(g, climb, ceiling, num.rel_tol_quadrature)
+    return float(value), float(k_err), float(err), order + 1, float(g[0][-1] / half)
 
 
 def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     """The PressureResult of each (mat_a, mat_b) pair at one (gap, T), as one batch.
 
-    The pairs share every frequency and y grid, each k-pass evaluates them
-    one at a time (see _k_integrals_adaptive), and the batch climbs every
-    frequency ladder and doubles N until its last pair has stopped, but
-    every stop decision is per pair: each pair's sums are taken at the
-    first k- and frequency rung where it stops, and its result at the first
-    N where its Matsubara sum stops, after which it rides along.  Each
-    pair's terms and k-errors are one row of two (pairs, terms) arrays, so
-    each result is bit for bit the one its pair gets alone, from
+    The pairs share the first k-pass; every later pass holds one pair.  The
+    first pass evaluates the pairs one at a time over one y grid (see
+    _k_integrals_adaptive), and then each pair climbs its own frequency
+    ladders and doubles its own N until its Matsubara sum stops.  Each
+    result is therefore bit for bit the one its pair gets alone, from
     plate_pressure.  Raises DomainError before evaluating anything for a gap
     or temperature outside its domain, and for a gap at which a
     free-electron model's response vanishes from eps: where eps(i c/2a) - 1,
@@ -565,7 +532,10 @@ def _require_domain(gap, temperature, pairs):
 
 
 def _plate_pressures(gap, temperature, pairs, num):
-    """plate_pressures for checked pairs, one model object per response, at least one."""
+    """plate_pressures for checked pairs, one model object per response, at least one.
+
+    The pairs share the first k-pass; every later pass holds one pair.
+    """
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR
@@ -576,72 +546,78 @@ def _plate_pressures(gap, temperature, pairs, num):
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.  Every
         # such ladder at default numerics climbs past CC-64, so it starts at CC-128.
-        return [PressureResult(pref * (value + low), nodes, pref * low,
-                               pref * (quad_err + rule_err))
-                for value, quad_err, rule_err, nodes, low
-                in _log_grid_integral(xi_min, xi_hi, min(2 * _FREQ_ORDER_START, ceiling),
-                                      ceiling, (gap, temperature, pairs, num))]
+        order = min(2 * _FREQ_ORDER_START, ceiling)
+        grid = _log_nodes(xi_min, xi_hi, _clenshaw_curtis(order)[0])
+        results = []
+        for pair, *k in zip(pairs, *_k_integrals_adaptive(pairs, grid[0], gap, temperature, num)):
+            # The pair's row of the shared pass is its ladder's first rung.
+            value, quad_err, rule_err, nodes, low = _log_grid_integral(
+                xi_min, xi_hi, order, ceiling, (gap, temperature, pair, num), (grid, k))
+            results.append(PressureResult(pref * (value + low), nodes, pref * low,
+                                          pref * (quad_err + rule_err)))
+        return results
     # Terms with 2 a xi_n / c >= Y_CUT vanish identically under the cutoff.
     n_ceiling = xi_hi // xi_1 + 2
-    n, results, trunc = _N_EXPLICIT, [None] * len(pairs), [math.inf] * len(pairs)
-    # Row p of f (the terms f(n)) and of err (their k-errors) is pair p.
-    f = err = np.zeros((len(pairs), 0))
-    while True:
-        # One k-integral pass for the Matsubara step at n: the terms up to
-        # 2n + 1 (n_ceiling at most), the n = 0 term at half weight, and
-        # while terms lie beyond 2n, the first rungs of the tail behind
-        # P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block over
-        # [(n+1/2), (2n+1/2)] xi_1.
-        ns = np.arange(f.shape[1], min(n_ceiling, 2 * n + 1) + 1, dtype=float)
+
+    def step(n, start):
+        # The Matsubara step at n as one k-integral pass: the terms start..2n + 1
+        # (n_ceiling at most), and while terms lie beyond 2n, the first rungs of
+        # the tail behind P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block
+        # over [(n+1/2), (2n+1/2)] xi_1.  Returns the pass's frequencies, the
+        # rules, their first rungs' grids and where each part of the pass ends.
+        ns = np.arange(start, min(n_ceiling, 2 * n + 1) + 1, dtype=float)
         rules = () if n_ceiling <= 2 * n else (
             ((2 * n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling),
             ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
         grids = [_log_nodes(lo, hi, _clenshaw_curtis(order)[0]) for lo, hi, order, _ in rules]
-        vals, errs = _k_integrals_adaptive(
-            pairs, np.concatenate([ns * xi_1] + [xi for xi, _ in grids]), gap, temperature, num)
-        if n == _N_EXPLICIT:
-            vals[:, 0], errs[:, 0] = 0.5 * vals[:, 0], 0.5 * errs[:, 0]
-        # Each rule's first rung is the next len(nodes) rows after the terms.
         ends = list(accumulate([len(ns)] + [len(xi) for xi, _ in grids]))
-        f = np.concatenate((f, vals[:, : ends[0]]), axis=1)
-        err = np.concatenate((err, errs[:, : ends[0]]), axis=1)
-        if not rules:
-            break
-        tails, blocks = (_log_grid_integral(*rule, (gap, temperature, pairs, num),
-                                            (grid, (vals[:, a:b], errs[:, a:b])))
-                         for rule, grid, a, b in zip(rules, grids, ends, ends[1:]))
-        # Not held through the next step's pass.
-        del vals, errs
-        for p, (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) in zip(
-                range(len(pairs)), tails, blocks):
-            # A pair whose sum has stopped rides along with its result kept.
-            if results[p]:
-                continue
-            fp = f[p]
+        return np.concatenate([ns * xi_1] + [xi for xi, _ in grids]), rules, grids, ends
+
+    first = step(_N_EXPLICIT, 0)
+    passes = _k_integrals_adaptive(pairs, first[0], gap, temperature, num)
+    # The n = 0 term at half weight.
+    passes[:, :, 0] *= 0.5
+    results = []
+    for pair, vals, errs in zip(pairs, *passes):
+        # The pair's row of the shared pass, then passes of its own; prev is
+        # the last truncation estimate.
+        n, prev, (_, rules, grids, ends) = _N_EXPLICIT, math.inf, first
+        # The terms f(n) and their k-errors.
+        f = err = np.zeros(0)
+        while True:
+            f = np.concatenate((f, vals[: ends[0]]))
+            err = np.concatenate((err, errs[: ends[0]]))
+            if not rules:
+                # f holds every term up to n_ceiling; the rest vanish under the cutoff.
+                results.append(PressureResult(pref * xi_1 * float(f.sum()), len(f), 0.0,
+                                              pref * xi_1 * float(err.sum())))
+                break
+            # Each rule's first rung is the next len(nodes) rows after the terms.
+            (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) = (
+                _log_grid_integral(*rule, (gap, temperature, pair, num),
+                                   (grid, (vals[a:b], errs[a:b])))
+                for rule, grid, a, b in zip(rules, grids, ends, ends[1:]))
             # P(2n) = xi_1 [sum_{m<=2n} f_m + f'(2n+1/2)/24] + int_{(2n+1/2) xi_1} J dxi,
             # and its k-integration error.
-            value = xi_1 * float(fp[: 2 * n + 1].sum() + (fp[2 * n + 1] - fp[2 * n]) / 24.0) + tail
-            quad_err = xi_1 * float(err[p][: 2 * n + 2].sum()) + tail_err
+            value = xi_1 * float(f[: 2 * n + 1].sum() + (f[2 * n + 1] - f[2 * n]) / 24.0) + tail
+            quad_err = xi_1 * float(err[: 2 * n + 2].sum()) + tail_err
             # |P(n) - P(2n)|: the two tails differ by the terms n < m <= 2n, the
             # f' corrections and the block int J dxi over [(n+1/2), (2n+1/2)] xi_1,
             # the CC-32 rule with its error added.
-            slopes = (fp[n + 1] - fp[n] - fp[2 * n + 1] + fp[2 * n]) / 24.0
-            estimate = abs(xi_1 * float(slopes - fp[n + 1 : 2 * n + 1].sum()) + block) + block_err
-            prev, trunc[p] = trunc[p], estimate
+            slopes = (f[n + 1] - f[n] - f[2 * n + 1] + f[2 * n]) / 24.0
+            estimate = abs(xi_1 * float(slopes - f[n + 1 : 2 * n + 1].sum()) + block) + block_err
             # Stop at the series tolerance, or where more explicit terms
             # cannot help: the k-quadrature or frequency-rule error
             # dominates, or the estimate stops shrinking.
             if not (estimate > max(num.rel_tol_series * value, quad_err, rule_err)
                     and estimate < prev):
-                results[p] = PressureResult(pref * value, f.shape[1] + nodes, pref * estimate,
-                                            pref * (quad_err + rule_err))
-        if all(results):
-            return results
-        n *= 2
-    # f now holds every term up to n_ceiling; the rest vanish under the cutoff.
-    return [r or PressureResult(pref * xi_1 * float(fp.sum()), f.shape[1], 0.0,
-                                pref * xi_1 * float(ep.sum()))
-            for r, fp, ep in zip(results, f, err)]
+                results.append(PressureResult(pref * value, len(f) + nodes, pref * estimate,
+                                              pref * (quad_err + rule_err)))
+                break
+            n, prev = 2 * n, estimate
+            xi, rules, grids, ends = step(n, len(f))
+            vals, errs = _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
+    return results
 
 
 def plate_pressure(gap, temperature, mat_a, mat_b, num=DEFAULT_NUMERICS):

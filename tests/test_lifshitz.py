@@ -426,21 +426,19 @@ def test_k_integral_against_scipy_quad_for_drude():
 # ------------------------------------------------------ frequency-rule bars
 
 def _log_grid_integral_800(xi_lo, xi_hi, order, ceiling, args, first=None):
-    # Reference for the ln-xi frequency integral: one fixed 800-node rule
-    # from numpy, no node doubling and no rule error of its own, and
-    # xi_lo J(xi_lo), the piece below a T = 0 grid, each per pair.  The
-    # first rung that plate_pressures samples for the engine's rule is
-    # ignored.
-    gap, temperature, pairs, num = args
+    # Reference for the ln-xi frequency integral of one pair: one fixed
+    # 800-node rule from numpy, no node doubling and no rule error of its
+    # own, and xi_lo J(xi_lo), the piece below a T = 0 grid.  The first
+    # rung that plate_pressures samples for the engine's rule is ignored.
+    gap, temperature, pair, num = args
     u_lo, u_hi = math.log(xi_lo), math.log(xi_hi)
     x, w = np.polynomial.legendre.leggauss(800)
     half = 0.5 * (u_hi - u_lo)
     xi = np.exp(u_lo + (x + 1.0) * half)
-    vals, errs = _k_integrals_adaptive(pairs, xi, gap, temperature, num)
-    low = xi_lo * _k_integrals_adaptive(pairs, xi_lo, gap, temperature, num)[0][:, 0]
-    return list(zip((np.sum(w * xi * vals, axis=-1) * half).tolist(),
-                    (np.sum(w * xi * errs, axis=-1) * half).tolist(), [0.0] * len(pairs),
-                    [800] * len(pairs), low.tolist()))
+    vals, errs = _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
+    low = xi_lo * _k_integrals_adaptive([pair], xi_lo, gap, temperature, num)[0, 0, 0]
+    return (float(np.sum(w * xi * vals) * half), float(np.sum(w * xi * errs) * half), 0.0,
+            800, float(low))
 
 
 def _pressure_800(monkeypatch, gap, temp, model, num):
@@ -521,18 +519,18 @@ def _two_tail_truncation(gap, temp, model, num, terms_used):
     # |P(N) - P(2N)| from two full Euler-Maclaurin tails at (N+1/2) xi_1 and
     # (2N+1/2) xi_1, with N read off terms_used = 2N + 2 + tail nodes, and
     # the tolerance the two tails' rule and k errors allow.
-    args = (gap, temp, [(model, model)], num)
+    args = (gap, temp, (model, model), num)
     xi_1 = 2 * math.pi * K_B * temp / HBAR
     ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
     rule = (60.0 * sc.c / (2.0 * gap), min(64, ceiling), ceiling, args)
     n = _N_EXPLICIT
     while True:
-        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, *rule)[0]
+        upper = lifshitz._log_grid_integral((2 * n + 0.5) * xi_1, *rule)
         if 2 * n + 2 + upper[3] == terms_used:
             break
         assert n < 4 * _N_EXPLICIT
         n *= 2
-    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, *rule)[0]
+    lower = lifshitz._log_grid_integral((n + 0.5) * xi_1, *rule)
     f, err = (v[0] for v in _k_integrals_adaptive([(model, model)], np.arange(2 * n + 2) * xi_1,
                                                   gap, temp, num))
     f[0] *= 0.5
@@ -674,11 +672,12 @@ def _record_k_ladders(monkeypatch, num):
 
     def k_integrals_adaptive(pairs, xi_col, *args):
         calls.clear()
-        cur, err = adaptive(pairs, xi_col, *args)
+        out = adaptive(pairs, xi_col, *args)
+        cur, err = out
         scale = np.maximum(np.abs(cur), np.max(np.abs(cur), initial=0.0) * 1e-12)
         order = sum(call[-1].size for call in calls) // np.size(xi_col) - 2
         ladders.append((order, float(np.max(err / (num.rel_tol_quadrature * scale)))))
-        return cur, err
+        return out
 
     monkeypatch.setattr(lifshitz, "_k_integrals_adaptive", k_integrals_adaptive)
     for gap in GRID_GAPS:
@@ -749,18 +748,17 @@ def test_clenshaw_curtis_blocks_equal_the_one_k_loop():
         assert all(np.array_equal(a, b) for a, b in zip(built, reference)), order
 
 
-def test_rung_sums_do_not_depend_on_alignment_or_on_the_other_pairs():
-    # A ladder sums each rung as one product per pair: a k-pass block as one
-    # matrix product, a frequency-ladder row as one vector product.  The
-    # first rung takes its fine and coarse sums from one product with the
-    # stacked (nodes, 2) weights, the coarse rule's at even nodes and 0 at
-    # odd ones; a later rung takes its fine sum with the rule's weights.
+def test_rung_sums_do_not_depend_on_alignment():
+    # A ladder sums each rung of its one pair as one product: a k-pass block
+    # as one matrix product, a frequency-ladder row as one vector product.
+    # The first rung takes its fine and coarse sums from one product with
+    # the stacked (nodes, 2) weights, the coarse rule's at even nodes and 0
+    # at odd ones; a later rung takes its fine sum with the rule's weights.
     # For both kinds of weights, a 228 x 129 block sums to the same bits at
     # each of 8 byte offsets of its buffer (8-byte steps) and as the
-    # 129-of-130 view a k-pass sums, and each pair's frequency-ladder sums
-    # are the bits of the pair's row summed alone.  One product over a whole
-    # (pairs, nodes) block would fail that check: it gives a row other bits
-    # than the row alone.
+    # 129-of-130 view a k-pass sums, and a 65-node vector, which each
+    # frequency ladder samples afresh for its pair, sums to the same bits at
+    # each of 8 byte offsets.
     stacked = lifshitz._first_rung_weights(128)
     assert np.array_equal(stacked[:, 0], _clenshaw_curtis(128)[1])
     assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(64)[1])
@@ -768,20 +766,21 @@ def test_rung_sums_do_not_depend_on_alignment_or_on_the_other_pairs():
     rng = np.random.default_rng(41)
     block = rng.random((228, 129))
     for w in (stacked, _clenshaw_curtis(128)[1]):
-        expected = lifshitz._weighted(block[None], w)
+        expected = block @ w
         for offset in range(8):
             shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
             shifted[...] = block
-            assert np.array_equal(lifshitz._weighted(shifted[None], w), expected), offset
+            assert np.array_equal(shifted @ w, expected), offset
         wide = np.empty((228, 130))
         wide[:, :129] = block
-        assert np.array_equal(lifshitz._weighted(wide[None, :, :129], w), expected)
-    for count in (1, 2, 15):
-        rows = rng.random((count, 65))
-        for w in (lifshitz._first_rung_weights(64), _clenshaw_curtis(64)[1]):
-            sums = lifshitz._weighted(rows, w)
-            alone = [lifshitz._weighted(rows[p : p + 1].copy(), w)[0] for p in range(count)]
-            assert sums.tolist() == [a.tolist() for a in alone], (count, w.ndim)
+        assert np.array_equal(wide[:, :129] @ w, expected)
+    row = rng.random(65)
+    for w in (lifshitz._first_rung_weights(64), _clenshaw_curtis(64)[1]):
+        expected = row @ w
+        for offset in range(8):
+            shifted = np.empty(row.size + 8)[offset : offset + row.size]
+            shifted[...] = row
+            assert np.array_equal(shifted @ w, expected), (offset, w.ndim)
 
 
 def test_k_ladder_rungs_are_nested(monkeypatch):
@@ -812,8 +811,8 @@ def test_frequency_ladder_rungs_are_nested(monkeypatch):
     def xi_rows(ceiling, tol):
         calls.clear()
         num = LifshitzNumerics(rel_tol_quadrature=tol)
-        args = (gap, 0.0, [(DRUDE, DRUDE)], num)
-        nodes = lifshitz._log_grid_integral(xi_min, xi_hi, min(64, ceiling), ceiling, args)[0][3]
+        args = (gap, 0.0, (DRUDE, DRUDE), num)
+        nodes = lifshitz._log_grid_integral(xi_min, xi_hi, min(64, ceiling), ceiling, args)[3]
         # Each k-ladder's first call holds the rows; at 1e-300 it climbs on.
         return nodes, [call[1][:, 0] for call in calls
                        if call[-1].shape[1] == 2 * _K_ORDER_START + 2]
@@ -850,19 +849,22 @@ def test_finite_t_call_evaluates_terms_tail_rung_and_33_row_block(monkeypatch):
 @pytest.mark.parametrize("temp", [0.05, 1.0])
 def test_frequency_ladder_fed_its_first_rung_returns_the_same_bits(pairs, temp):
     # The tail and the block of the first Matsubara step at 100 nm, each
-    # sampled by its own ladder or fed the k-integrals at its first rung's
-    # nodes, as plate_pressures feeds them.  At 50 mK the tail climbs on
-    # from the fed rung to its 129-node rung.
+    # pair's sampled by its own ladder or fed its row of the batch's
+    # k-integrals at the first rung's nodes, as plate_pressures feeds them.
+    # At 50 mK the tail climbs on from the fed rung to its 129-node rung.
     gap, n = 100e-9, _N_EXPLICIT
     xi_1 = 2 * math.pi * K_B * temp / HBAR
-    args = (gap, temp, pairs, DEFAULT_NUMERICS)
     nodes = []
     for lo, hi, order, ceiling in (((2 * n + 0.5) * xi_1, 60.0 * C / (2 * gap), 64, 256),
                                    ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, 32, 32)):
         grid = lifshitz._log_nodes(lo, hi, _clenshaw_curtis(order)[0])
-        first = (grid, _k_integrals_adaptive(pairs, grid[0], gap, temp, DEFAULT_NUMERICS))
-        fed = lifshitz._log_grid_integral(lo, hi, order, ceiling, args, first)
-        assert repr(fed) == repr(lifshitz._log_grid_integral(lo, hi, order, ceiling, args))
+        k = _k_integrals_adaptive(pairs, grid[0], gap, temp, DEFAULT_NUMERICS)
+        fed = []
+        for pair, vals, errs in zip(pairs, *k):
+            args = (gap, temp, pair, DEFAULT_NUMERICS)
+            first = (grid, (vals, errs))
+            fed.append(lifshitz._log_grid_integral(lo, hi, order, ceiling, args, first))
+            assert repr(fed[-1]) == repr(lifshitz._log_grid_integral(lo, hi, order, ceiling, args))
         nodes.append([result[3] for result in fed])
     assert nodes == [[129 if temp == 0.05 else 65] * len(pairs), [33] * len(pairs)]
 
@@ -924,16 +926,16 @@ BATCH_CASES = [
                  id="10nm-0K-ideal-drude"),
     pytest.param(100e-9, 0.5, [(TWOFLUID, TWOFLUID), (DRUDE, DRUDE)],
                  LifshitzNumerics(rel_tol_quadrature=1e-11), id="100nm-0.5K-1e-11"),
-    # At 1 um and 10 K the ideal pair's Matsubara sum stops at N = 128 and
-    # rides along; the Drude pair's doubles on to N = 256.
+    # At 1 um and 10 K the ideal pair's Matsubara sum stops at N = 128; the
+    # Drude pair's doubles on to N = 256.
     pytest.param(1e-6, 10.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)],
                  LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
                  id="1um-10K-1e-11-ideal-drude"),
     pytest.param(100e-9, 1.0, [(PLASMA, DRUDE), (DRUDE, DRUDE), (IDEAL, PLASMA)],
                  DEFAULT_NUMERICS, id="100nm-1K-three-pairs"),
-    # At 1 um and 50 K the Drude and plasma/Drude pairs stop at 195 terms
-    # and ride along; the ideal pair doubles on until its terms reach every
-    # one below the y cutoff (221) and ends in the plain sum.
+    # At 1 um and 50 K the Drude and plasma/Drude pairs stop at 195 terms;
+    # the ideal pair doubles on until its terms reach every one below the y
+    # cutoff (221) and ends in the plain sum.
     pytest.param(1e-6, 50.0, [(IDEAL, IDEAL), (DRUDE, DRUDE), (PLASMA, DRUDE)],
                  LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
                  id="1um-50K-1e-11-plain-sum-exit"),
@@ -989,18 +991,17 @@ def _samples(calls):
     return sum(len(call[0]) * call[-1].size for call in calls)
 
 
-@pytest.mark.parametrize("gap,temp,pairs,extra", [
-    (100e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)], False),
-    (300e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)], False),
-    (100e-9, 0.5, [(TWOFLUID, TWOFLUID), (DRUDE, DRUDE)], False),
-    (10e-9, 0.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)], True),
+@pytest.mark.parametrize("gap,temp,pairs", [
+    (100e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)]),
+    (300e-9, 1.3, [(PLASMA, PLASMA), (DRUDE, DRUDE)]),
+    (100e-9, 0.5, [(TWOFLUID, TWOFLUID), (DRUDE, DRUDE)]),
+    (10e-9, 0.0, [(IDEAL, IDEAL), (DRUDE, DRUDE)]),
 ], ids=["sweep-100nm", "sweep-300nm", "cold-scan-0.5K", "10nm-0K-stop-apart"])
-def test_batch_costs_its_solo_calls_unless_its_pairs_stop_apart(monkeypatch, gap, temp,
-                                                                  pairs, extra):
-    # Counts, not timings.  The pairs of a bundled-sweep cell and of a
-    # cold-scan point stop on the same rungs, so riding along adds no
-    # sample; at 10 nm and T = 0 the ideal pair rides along to the Drude
-    # pair's 257-node frequency rung.
+def test_batch_costs_its_solo_calls(monkeypatch, gap, temp, pairs):
+    # Counts, not timings.  Only the first k-pass holds more than one pair,
+    # and every later pass holds the one pair that needs it, so a batch
+    # evaluates the samples of its solo calls: at 10 nm and T = 0 the
+    # Drude pair climbs to its 257-node frequency rung alone.
     calls = _hook_k_integrand(monkeypatch)
     plate_pressures(gap, temp, pairs)
     batch, solo = _samples(calls), 0
@@ -1008,7 +1009,29 @@ def test_batch_costs_its_solo_calls_unless_its_pairs_stop_apart(monkeypatch, gap
         calls.clear()
         plate_pressure(gap, temp, a, b)
         solo += _samples(calls)
-    assert batch > solo if extra else batch == solo
+    assert batch == solo
+
+
+@pytest.mark.parametrize("gap,temp,num,passes", [
+    (10e-9, 0.0, DEFAULT_NUMERICS, [(2, 129), (1, 128)]),
+    (1e-6, 10.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
+     [(2, 228), (1, 226), (1, 226), (1, 354)]),
+], ids=["10nm-0K-frequency-ladder", "1um-10K-1e-11-matsubara-sum"])
+def test_pairs_share_only_the_first_k_pass(monkeypatch, gap, temp, num, passes):
+    # (pairs, rows) of each k-pass of an ideal and a Drude pair, whose stops
+    # differ: the first pass holds both, and every later pass holds the one
+    # pair that climbs a frequency rung (the Drude pair's 128 odd nodes of
+    # the 257-node rule at T = 0) or doubles N (each pair's 226-row step to
+    # N = 128, then the Drude pair's 354-row step to N = 256).
+    inner, calls = lifshitz._k_integrals_adaptive, []
+
+    def k_integrals_adaptive(pairs, xi, *args):
+        calls.append((len(pairs), np.size(xi)))
+        return inner(pairs, xi, *args)
+
+    monkeypatch.setattr(lifshitz, "_k_integrals_adaptive", k_integrals_adaptive)
+    plate_pressures(gap, temp, [(IDEAL, IDEAL), (DRUDE, DRUDE)], num)
+    assert calls == passes
 
 
 def test_batches_from_a_thread_pool_equal_solo():

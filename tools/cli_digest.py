@@ -89,7 +89,7 @@ temperatures_K = 1e300
 pairs = ideal/ideal, al_drude/al_drude
 """
 
-# One cell whose ideal pair stops before the Drude pair and rides along.
+# One cell whose ideal pair stops before the Drude pair, which climbs alone.
 APART_SPEC = """[sweep]
 gap_min_nm = 10
 gap_max_nm = 10

@@ -29,13 +29,15 @@ tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
 plate_pressure, all pairs as one plate_pressures batch, and every pair as
 the first operand of a differential_pressure against the next pair.
 
-Each k-integral pass builds its y grid once per rung and evaluates its
-pairs one at a time over it, and a pair whose k-ladder climbs leaves the
-grid at the climb's nodes, so the next pair builds it again.  The grid
-covers passes of 1, 2 and 15 pairs at every row count a call makes: the
-228-row Matsubara passes, the 354-row passes at 1e-11, where k-ladders
-climb, the 180-row passes of the smallest frequency rule and the
-129-row T = 0 passes.  One more cell, at 100 nm and 1.3 K with the default
+The pairs of a batch share the first k-pass; every later pass holds one
+pair.  The first pass builds its y grid once and evaluates its pairs one
+at a time over it, and a pair whose k-ladder climbs leaves the grid at
+the climb's nodes, so the next pair builds it again.  The grid covers
+first passes of 1, 2 and 15 pairs at every row count they make (the
+228-row Matsubara passes, the 180-row passes of the smallest frequency
+rule and the 129-row T = 0 passes) and the one-pair passes after them:
+the 354-row passes at 1e-11, where k-ladders climb, and the rungs that
+frequency ladders climb to.  One more cell, at 100 nm and 1.3 K with the default
 and 1e-11 numerics, holds 40 distinct pairs: the 14 pairs other than
 ideal/ideal with omega_p scaled by 1, 0.95 and 0.9, the first 40 of them.
 It is evaluated the same three ways.

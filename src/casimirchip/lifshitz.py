@@ -266,13 +266,30 @@ def _first_rung_weights(order):
     return w
 
 
+@lru_cache(maxsize=8)
+def _k_rule(order):
+    """The order-n k-rule's offsets y - y_lo and Jacobian dy/dx, read-only.
+
+    Both run over the order-n nodes of u = ln(y - y_lo) on [ln 1e-9, ln 60]
+    and then the sliver's midpoint, at the offset half the sliver and a
+    Jacobian of 1.
+    """
+    offsets, half = _log_nodes(_Y_SLIVER, _Y_CUT, np.append(_clenshaw_curtis(order)[0], -1.0))
+    jac = offsets * half
+    offsets[-1], jac[-1] = 0.5 * _Y_SLIVER, 1.0
+    for a in (offsets, jac):
+        a.setflags(write=False)
+    return offsets, jac
+
+
 def _nested_cc(g, sample, ceiling, tol, const=0.0):
     """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
 
     g[0] holds one material pair's integrand as (rows, nodes) or, with one
     row, (nodes,): rows integrated alike at the nodes of the starting rule;
-    g[1:] hold any companions that the same rule integrates.  sample(x)
-    returns such a sequence at new nodes x, and may reuse the memory of g.
+    g[1:] hold any companions that the same rule integrates.
+    sample(order) returns such a sequence at the odd nodes of the rule of
+    that order, and may reuse the memory of g.
     The coarser rule is the samples at even indices, and each doubling
     evaluates only the new odd nodes.  const is a piece outside the rule,
     added to both sums.  Every sum is one product, block @ weights; the
@@ -287,20 +304,20 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
     """
     order = g[0].shape[-1] - 1
     w = _clenshaw_curtis(order)[1]
-    fine, coarse = np.moveaxis(g[0] @ _first_rung_weights(order), -1, 0) + const
+    fine, coarse = (g[0] @ _first_rung_weights(order)).T + const
     while True:
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim:
             size = np.maximum(size, size.max(initial=0.0) * 1e-12)
-        if order >= ceiling or np.all(err <= tol * size):
+        if order >= ceiling or (err <= tol * size).all():
             return fine, err, order, [c @ w for c in g[1:]]
         # g moves to the even indices of the order-2n rule before sample may reuse its memory.
         coarse, order = fine, 2 * order
         nested = [np.empty(a.shape[:-1] + (order + 1,)) for a in g]
         for dst, a in zip(nested, g):
             dst[..., ::2] = a
-        for dst, b in zip(nested, sample(_clenshaw_curtis(order)[0][1::2])):
+        for dst, b in zip(nested, sample(order)):
             dst[..., 1::2] = b
         g, w = nested, _clenshaw_curtis(order)[1]
         fine = g[0] @ w + const
@@ -412,33 +429,33 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     live = y_lo < _Y_CUT
     xi_col = np.where(live, xi_col, 0.0)
     rows = len(xi_col)
-    # The nodes the grid was last built for, the grid and the Jacobian.
+    # The (order, first) the grid was last built for, the grid and the Jacobian.
     built = (None,)
 
-    def sample(pair, x, sliver=False):
-        # The integrand of pair at the nodes x times the Jacobian, then, if
-        # asked, at the sliver's midpoint, a column at the offset half the
-        # sliver and a Jacobian of 1.  y lives in the y^2 block until the
-        # grid is written.
+    def sample(pair, order, first=False):
+        # The integrand of pair times the Jacobian: on the first rung at
+        # every node of the order-n rule and the sliver's midpoint, on a
+        # climb at its odd nodes.  y lives in the y^2 block until the grid
+        # is written.
         nonlocal built
-        if built[0] is not x:
-            v, half = _log_nodes(_Y_SLIVER, _Y_CUT, np.append(x, -1.0) if sliver else x)
-            jac = v * half
-            v[len(x):], jac[len(x):] = 0.5 * _Y_SLIVER, 1.0
-            grid = _WORKSPACE.take("grid", (3, rows, len(v)))
-            y = np.add(y_lo, v, out=grid[2])
+        if built[0] != (order, first):
+            offsets, jac = _k_rule(order)
+            if not first:
+                offsets, jac = offsets[1:-1:2], jac[1:-1:2]
+            grid = _WORKSPACE.take("grid", (3, rows, len(offsets)))
+            y = np.add(y_lo, offsets, out=grid[2])
             np.divide(y, 2.0 * gap, out=grid[0])
             np.exp(y, out=grid[1])
             y *= y
-            built = x, grid, jac
+            built = (order, first), grid, jac
         f = _k_integrand(pair, xi_col, temperature, built[1])
         return np.multiply(f, built[2], out=f)
 
     out = np.empty((2, len(pairs), rows))
     try:
         for p, pair in enumerate(pairs):
-            f = sample(pair, _clenshaw_curtis(2 * _K_ORDER_START)[0], sliver=True)
-            out[:, p] = _nested_cc([f[:, :-1]], lambda x, pair=pair: [sample(pair, x)],
+            f = sample(pair, 2 * _K_ORDER_START, first=True)
+            out[:, p] = _nested_cc([f[:, :-1]], lambda order, pair=pair: [sample(pair, order)],
                                    _K_ORDER_MAX, num.rel_tol_quadrature, f[:, -1] * _Y_SLIVER)[:2]
     finally:
         _WORKSPACE.trim()
@@ -468,8 +485,8 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
         jac = xi * half
         return vals * jac, errs * jac
 
-    def climb(x):
-        xi = _log_nodes(xi_lo, xi_hi, x)[0]
+    def climb(order):
+        xi = _log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0][1::2])[0]
         return sample(xi, *_k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0])
 
     (xi, half), k = first or (_log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0]), None)

@@ -135,7 +135,7 @@ def eps_imag_freq(model, xi, temperature):
     else:
         import numpy as np
         scalar, xi = np.ndim(xi) == 0, np.asarray(xi, dtype=float)
-        valid = np.all(np.isfinite(xi)) and not np.any(xi <= 0.0)
+        valid = np.isfinite(xi).all() and not (xi <= 0.0).any()
     if not valid:
         raise DomainError(
             f"xi {POSITIVE}; the zero-frequency term must use the "

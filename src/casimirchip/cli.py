@@ -65,7 +65,7 @@ from .readout import (
     min_detectable_pressure,
     pdh_voltage,
 )
-from .serialize import fmt, render_kv, scan_csv, sweep_csv, verdicts_csv
+from .serialize import render_kv, scan_csv, sweep_csv, verdicts_csv
 
 
 # Surfaces rougher than ~5 nm rms make a smaller nominal gap meaningless.
@@ -393,7 +393,7 @@ def _cmd_validate(args):
         f"{q_from_kappa:.4g} ({rel:.2%} apart; warn above {Q_MISMATCH_WARN:.0%})"
     )
     f1 = fundamental_frequency(cfg.geometry)
-    lines.append(f"axial tension: {fmt(axial_tension(cfg.geometry))} N")
+    lines.append(f"axial tension: {axial_tension(cfg.geometry):.4g} N")
     lines.append(f"fundamental frequency: {f1 / 1e3:.1f} kHz "
                  f"(effective length {cfg.geometry.effective_length * 1e6:.0f} um)")
     lines.append(f"modal stiffness: {effective_stiffness(cfg.m_eff, f1):.3g} N/m "
@@ -407,7 +407,7 @@ def _cmd_validate(args):
         lines.append(f"warning: gap is at or below the {ROUGHNESS_SCALE * 1e9:.0f} nm "
                      "roughness scale")
     for name, value in cfg.annotations.items():
-        lines.append(f"annotation {name} = {fmt(value)}")
+        lines.append(f"annotation {name} = {value:.4g}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

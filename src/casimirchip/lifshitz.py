@@ -16,11 +16,12 @@ indices, so each doubling evaluates only the new odd nodes.  A rung's sum
 is one product per pair (a k-pass block @ weights), the first rung's with
 the coarser rule's weights beside.  The finer rule is returned with
 |finer - coarser| plus its round-off bound (order + 2) eps |finer| as its
-error (every sample is >= 0, so that holds in any summation order), and
-the order doubles while that exceeds the quadrature tolerance, up to a
+error (every sample and weight is >= 0, so that holds in any summation
+order), and the order doubles while that exceeds the quadrature tolerance, up to a
 ceiling.  That is the coarser rule's error, a loose bound on the finer
 rule's: at 100 nm the k-part is ~5e-10 P, while the 129-node k-sum sits
-within ~3e-16 P of a 1025-node rule.
+within ~3e-16 P of a 1025-node rule.  Every rule's weights carry the
+Jacobian of its map onto [-1, 1], so the samples are plain integrand values.
 
 The k-integral J(xi) is substituted to y = 2 kappa a and integrated over
 [y_lo, y_lo + 60], y_lo = 2 xi a / c (the integrand carries e^{-y}, so
@@ -30,13 +31,15 @@ has a pole just left of y_lo.  The rule is therefore Clenshaw-Curtis in
 u = ln(y - y_lo) on [ln 1e-9, ln 60] for every row, which clusters the
 nodes at y_lo and converges geometrically, plus the sliver [y_lo, y_lo +
 1e-9] as one midpoint node outside the rule, the grid's 130th column.
-The ladder starts at the 129-node rule and stops by the 257-node rule (at
-the default 1e-8 every ladder stops at 129 nodes; down to 1e-11 none stops
-unconverged at 257).
+Each order's offsets y - y_lo and weights are one cached, read-only
+_k_rule.  The ladder starts at the 129-node rule and stops by the 257-node
+rule (at the default 1e-8 every ladder stops at 129 nodes; down to 1e-11
+none stops unconverged at 257).
 All rows of a pair climb together, so its ladder stops when every one of
 its rows has converged.  Each polarization's t/(1 - t) is sampled as
-r_a r_b / (e^y - r_a r_b), one exp per sample, with r_TE in a form free of
-the kappa - kappa_m cancellation.
+r_a r_b / (e^y - r_a r_b), one exp per sample.  The reflection
+coefficients are taken in y units, from y and y_m = 2 kappa_m a, with r_TE
+in a form free of the y - y_m cancellation.
 
 With f(n) = J(xi_n), the terms n = 0..N hold the xi = 0 term and the
 Drude/plasma non-analyticity near it and are summed explicitly.  The rest
@@ -83,7 +86,7 @@ pair, differential_pressure one of two, and a (gap, T) cell of
 designer.run_gap_sweep one of all len(pairs) pairs of the sweep.  The
 pairs share the first k-pass; every later pass holds one pair.  The first
 pass (the Matsubara step at N = 64, or at T = 0 the 129-node frequency
-rule) builds its y grid (kappa, e^y and y^2) once for all pairs and then
+rule) builds its grid (y, e^y and y^2) once for all pairs and then
 evaluates them one at a time: a pair's Fresnel coefficients, its
 integrand and its k-ladder, which climbs and stops for that pair alone.
 Then each pair in turn climbs its own frequency ladders and doubles its
@@ -95,7 +98,7 @@ either.  A k-pass holds one pair's arrays at a time in a per-thread
 workspace that the thread's next call reuses, so memory does not grow
 with the pair count, and what blocks over a default call's 228 x 130 grew
 is dropped after their pass; every array of it starts on a 64-byte
-boundary.  The tests
+boundary; a pair of one response takes 6 blocks (see _Workspace).  The tests
 test_default_two_pair_call_keeps_one_228_row_block_per_array,
 test_memory_does_not_grow_with_the_pair_count and
 test_tight_numerics_peak_within_the_budget gate it.
@@ -145,14 +148,16 @@ class _Workspace(threading.local):
     """Scratch arrays of one thread, reused by every call it makes.
 
     take(name, shape) returns an uninitialised array over the buffer kept
-    under name, which grows when a larger shape is taken.  A k-pass holds
-    one pair's arrays at a time, so what a thread keeps does not grow with
-    the pair count.  A block whose (rows, nodes) span more than _KEPT_BLOCK,
-    which only tighter numerics make, never reuses a buffer kept for smaller
-    ones, and trim() drops what such blocks grew.  Every buffer has 7
-    doubles of slack, so that it starts on a 64-byte boundary.  An array
-    stays valid until the next take of its name or trim(); nothing the
-    engine returns is a view of one.
+    under name, which grows when a larger shape is taken.  A k-pass takes
+    the grid of y, e^y and y^2, each distinct model's r_TE and r_TM (the
+    integrand overwrites the first r_TE) and one scratch block, y_m and
+    then the denominators.  It holds one pair's arrays at a time, so what a
+    thread keeps does not grow with the pair count.  A block whose (rows,
+    nodes) span more than _KEPT_BLOCK, which only tighter numerics make,
+    never reuses a buffer kept for smaller ones, and trim() drops what such
+    blocks grew.  Every buffer has 7 doubles of slack, so that it starts on
+    a 64-byte boundary.  An array stays valid until the next take of its
+    name or trim(); nothing the engine returns is a view of one.
     """
 
     def __init__(self):
@@ -268,43 +273,45 @@ def _first_rung_weights(order):
 
 @lru_cache(maxsize=8)
 def _k_rule(order):
-    """The order-n k-rule's offsets y - y_lo and Jacobian dy/dx, read-only.
+    """The order-n k-rule, read-only: (offsets y - y_lo, stacked weights, weights).
 
-    Both run over the order-n nodes of u = ln(y - y_lo) on [ln 1e-9, ln 60]
-    and then the sliver's midpoint, at the offset half the sliver and a
-    Jacobian of 1.
+    The offsets run over the nodes of u = ln(y - y_lo) on [ln 1e-9, ln 60],
+    then the sliver's midpoint; the weights, _first_rung_weights(order) and
+    the order-n ones alone, carry the Jacobian dy/dx.
     """
     offsets, half = _log_nodes(_Y_SLIVER, _Y_CUT, np.append(_clenshaw_curtis(order)[0], -1.0))
-    jac = offsets * half
-    offsets[-1], jac[-1] = 0.5 * _Y_SLIVER, 1.0
-    for a in (offsets, jac):
+    jac = offsets[:-1] * half
+    offsets[-1] = 0.5 * _Y_SLIVER
+    rule = offsets, _first_rung_weights(order) * jac[:, None], _clenshaw_curtis(order)[1] * jac
+    for a in rule:
         a.setflags(write=False)
-    return offsets, jac
+    return rule
 
 
-def _nested_cc(g, sample, ceiling, tol, const=0.0):
+def _nested_cc(g, sample, rule, ceiling, tol, const=0.0):
     """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
 
     g[0] holds one material pair's integrand as (rows, nodes) or, with one
     row, (nodes,): rows integrated alike at the nodes of the starting rule;
-    g[1:] hold any companions that the same rule integrates.
-    sample(order) returns such a sequence at the odd nodes of the rule of
-    that order, and may reuse the memory of g.
+    g[1:] hold any companions that the same rule integrates.  sample(order)
+    returns such a sequence at the odd nodes of that order's rule, and may
+    reuse the memory of g; rule(order) returns its weights times the
+    Jacobian, stacked as _first_rung_weights stacks them and alone.
     The coarser rule is the samples at even indices, and each doubling
     evaluates only the new odd nodes.  const is a piece outside the rule,
     added to both sums.  Every sum is one product, block @ weights; the
-    first rung's fine and coarse sums are one, with _first_rung_weights.
+    first rung's fine and coarse sums are one, with the stacked weights.
     The error is |fine - coarse| plus the fine sum's round-off bound, eps
     per node times |fine|, which bounds a sum of non-negative terms taken in
-    any order: every sample and const is >= 0 (0 <= r_a r_b <= 1, and the
-    weights and Jacobians are positive).  The ladder stops at the first
-    rung where every row has an error within tol times its |fine| (floored
-    at 1e-12 of the largest row; a single row is its own floor), or at
-    ceiling.  Returns (fine, error, order, the companions' fine sums).
+    any order: every sample, weight and const is >= 0 (0 <= r_a r_b <= 1,
+    and the weights and Jacobians are positive).  The ladder stops at the
+    first rung where every row has an error within tol times its |fine|
+    (floored at 1e-12 of the largest row; a single row is its own floor),
+    or at ceiling.  Returns (fine, error, order, the companions' fine sums).
     """
     order = g[0].shape[-1] - 1
-    w = _clenshaw_curtis(order)[1]
-    fine, coarse = (g[0] @ _first_rung_weights(order)).T + const
+    stacked, w = rule(order)
+    fine, coarse = (g[0] @ stacked).T + const
     while True:
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
@@ -319,74 +326,75 @@ def _nested_cc(g, sample, ceiling, tol, const=0.0):
             dst[..., ::2] = a
         for dst, b in zip(nested, sample(order)):
             dst[..., 1::2] = b
-        g, w = nested, _clenshaw_curtis(order)[1]
+        g, (_, w) = nested, rule(order)
         fine = g[0] @ w + const
 
 
-def _fresnel(model, xi_col, kappa, temperature, r_te, r_tm, kappa_m):
-    """(r_TE, r_TM) on a (rows, nodes) grid, written into r_te and r_tm.
+def _fresnel(model, xi_col, gap, temperature, y, y_sq, r_te, r_tm, y_m):
+    """(r_TE, r_TM) on a (rows, nodes) grid of y = 2 kappa a, written into r_te and r_tm.
 
-    xi_col is the (rows, 1) frequency column.  kappa is the full transverse
-    decay constant sqrt(k^2 + xi^2/c^2), which the y substitution supplies
-    directly, and kappa_m^2 = kappa^2 + chi with chi = (eps - 1) xi^2/c^2.
+    xi_col is the (rows, 1) frequency column, and y and y^2 the grid, with
+    kappa the full transverse decay constant sqrt(k^2 + xi^2/c^2).  In y
+    units y_m^2 = y^2 + chi, chi = (eps - 1) (2 a xi/c)^2, is (2 a kappa_m)^2.
     r_TE = (kappa - kappa_m)/(kappa + kappa_m) is evaluated as
-    -chi / (kappa + kappa_m)^2, which has no kappa - kappa_m cancellation
-    where |r_TE| << 1.  Rows with xi = 0 use the analytic zero-frequency
-    limits: r_TM = 1, and r_TE the same formula with chi the model's
-    residual zero-frequency plasma weight over c^2.  kappa_m is scratch of
-    the grid's shape, so no pass allocates.
+    -chi / (y + y_m)^2, which has no y - y_m cancellation where
+    |r_TE| << 1.  Rows with xi = 0 use the analytic zero-frequency limits:
+    r_TM = 1, and r_TE the same formula with chi the model's residual
+    zero-frequency plasma weight times (2a/c)^2.  y_m is scratch of the
+    grid's shape, so no pass allocates.
     """
     if isinstance(model, IdealMetal):
         r_te.fill(-1.0)
         r_tm.fill(1.0)
         return
 
+    to_y = 2.0 * gap / C
     pos = xi_col > 0.0
     eps = eps_imag_freq(model, np.where(pos, xi_col, 1.0), temperature)
-    chi = (eps - 1.0) * (xi_col / C) ** 2
+    chi = (eps - 1.0) * (xi_col * to_y) ** 2
     zero = ~pos[:, 0]
     any_zero = zero.any()
     if any_zero:
         # xi = 0: all these metals reflect TM perfectly; the TE coefficient
         # keeps only the model's residual zero-frequency plasma weight.
-        chi[zero] = zero_frequency_plasma_weight(model, temperature) / C**2
-    np.multiply(kappa, kappa, out=kappa_m)
-    kappa_m += chi
-    np.sqrt(kappa_m, out=kappa_m)
+        chi[zero] = zero_frequency_plasma_weight(model, temperature) * to_y**2
+    np.add(y_sq, chi, out=y_m)
+    np.sqrt(y_m, out=y_m)
     # r_te holds the TM denominator until r_tm is done.
-    np.multiply(eps, kappa, out=r_tm)
-    np.add(r_tm, kappa_m, out=r_te)
-    r_tm -= kappa_m
+    np.multiply(eps, y, out=r_tm)
+    np.add(r_tm, y_m, out=r_te)
+    r_tm -= y_m
     r_tm /= r_te
     if any_zero:
         r_tm[zero] = 1.0
-    np.add(kappa, kappa_m, out=r_te)
+    np.add(y, y_m, out=r_te)
     r_te *= r_te
     np.divide(-chi, r_te, out=r_te)
 
 
-def _k_integrand(pair, xi_col, temperature, grid):
+def _k_integrand(pair, xi_col, gap, temperature, grid):
     """y^2 F(y) of one material pair on a (rows, nodes) grid of y, as (rows, nodes).
 
     xi_col is the (rows, 1) frequency column, and grid the (3, rows, nodes)
-    block of kappa = y/2a, e^y and y^2, which a k-pass builds once for all
-    its pairs.  F sums t/(1-t) over both polarizations with t = r_a r_b
-    e^{-y}, taken as r_a r_b / (e^y - r_a r_b) so that one exp serves both.
-    Each distinct model object of the pair goes through _fresnel once
+    block of y, e^y and y^2, which a k-pass builds once for all its pairs.
+    F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}, taken
+    as r_a r_b / (e^y - r_a r_b) so that one exp serves both.  Each
+    distinct model object of the pair goes through _fresnel once
     (plate_pressures passes one object per response).  Every k-integral
-    sample passes through here once.  The result and every pass live in
-    the thread's workspace: the result is valid until the next call.
+    sample passes through here once.  The result is written over the first
+    model's r_TE, and it and every pass live in the thread's workspace: the
+    result is valid until the next call.
     """
-    kappa, exp_y, y_sq = grid
+    y, exp_y, y_sq = grid
     models = {id(m): m for m in pair}
-    r = _WORKSPACE.take("fresnel", (len(models), 2) + kappa.shape)
-    # One scratch block holds kappa_m, then the denominators.
-    den = _WORKSPACE.take("den", kappa.shape)
+    r = _WORKSPACE.take("fresnel", (len(models), 2) + y.shape)
+    # One scratch block holds y_m, then the denominators.
+    den = _WORKSPACE.take("den", y.shape)
     for model, r_model in zip(models.values(), r):
-        _fresnel(model, xi_col, kappa, temperature, *r_model, den)
-    # The second model's r_TM takes the TM product.
-    (r_te_a, r_tm_a), (r_te_b, r_tm) = r[0], r[-1]
-    out = np.multiply(r_te_a, r_te_b, out=_WORKSPACE.take("integrand", kappa.shape))
+        _fresnel(model, xi_col, gap, temperature, y, y_sq, *r_model, den)
+    # The first model's r_TE takes the TE product, the second's r_TM the TM one.
+    (out, r_tm_a), (r_te_b, r_tm) = r[0], r[-1]
+    np.multiply(out, r_te_b, out=out)
     np.multiply(r_tm_a, r_tm, out=r_tm)
     np.subtract(exp_y, out, out=den)
     out /= den
@@ -410,53 +418,48 @@ def _log_nodes(xi_lo, xi_hi, x):
 def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     """(1/8a^3) int_{y_lo}^{y_lo+60} y^2 F(y) dy per pair and xi, by the nested CC ladder.
 
-    The rule is Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9, ln 60]
-    plus the sliver [y_lo, y_lo + 1e-9] as one midpoint node outside the
-    rule, 1e-9 F(y_lo + 5e-10), the first rung's last column (see the
-    module docstring): one vector of offsets y - y_lo and one Jacobian per
-    rule order serve every row.  The pass builds a rung's grid of y once
-    and evaluates the pairs one at a time: each pair's integrand, then its
-    ladder, which climbs and stops for that pair alone.  A climb builds the
-    grid at its own nodes, so the next pair's first rung builds it again.
-    Returns the finer rule and its error as (pairs, rows) arrays, the two
-    halves of one (2, pairs, rows) array.  Rows whose lower limit reaches
-    60 are exactly zero, by rule.  They are sampled at xi = 0, since at a
-    hot enough temperature their own frequencies overflow the material
-    formulas.
+    Every row takes one _k_rule per order (see the module docstring):
+    Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9, ln 60] plus the sliver
+    [y_lo, y_lo + 1e-9] as one midpoint node outside the rule, 1e-9
+    F(y_lo + 5e-10), the first rung's last column.  The pass builds a
+    rung's grid of y once and evaluates the pairs one at a time: each
+    pair's integrand, then its ladder, which climbs and stops for that pair
+    alone.  A climb builds the grid at its own nodes, so the next pair's
+    first rung builds it again.  Returns the finer rule and its error as
+    (pairs, rows) arrays, the two halves of one (2, pairs, rows) array.
+    Rows whose lower limit reaches 60 are exactly zero, by rule.  They are
+    sampled at xi = 0, since at a hot enough temperature their own
+    frequencies overflow the material formulas.
     """
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
     live = y_lo < _Y_CUT
     xi_col = np.where(live, xi_col, 0.0)
     rows = len(xi_col)
-    # The (order, first) the grid was last built for, the grid and the Jacobian.
+    # The (order, first) the grid was last built for, and the grid.
     built = (None,)
 
     def sample(pair, order, first=False):
-        # The integrand of pair times the Jacobian: on the first rung at
-        # every node of the order-n rule and the sliver's midpoint, on a
-        # climb at its odd nodes.  y lives in the y^2 block until the grid
-        # is written.
+        # The integrand of pair: on the first rung at every node of the
+        # order-n rule and the sliver's midpoint, on a climb at its odd nodes.
         nonlocal built
         if built[0] != (order, first):
-            offsets, jac = _k_rule(order)
-            if not first:
-                offsets, jac = offsets[1:-1:2], jac[1:-1:2]
+            offsets = _k_rule(order)[0]
+            offsets = offsets if first else offsets[1:-1:2]
             grid = _WORKSPACE.take("grid", (3, rows, len(offsets)))
-            y = np.add(y_lo, offsets, out=grid[2])
-            np.divide(y, 2.0 * gap, out=grid[0])
+            y = np.add(y_lo, offsets, out=grid[0])
             np.exp(y, out=grid[1])
-            y *= y
-            built = (order, first), grid, jac
-        f = _k_integrand(pair, xi_col, temperature, built[1])
-        return np.multiply(f, built[2], out=f)
+            np.multiply(y, y, out=grid[2])
+            built = (order, first), grid
+        return _k_integrand(pair, xi_col, gap, temperature, built[1])
 
     out = np.empty((2, len(pairs), rows))
     try:
         for p, pair in enumerate(pairs):
             f = sample(pair, 2 * _K_ORDER_START, first=True)
             out[:, p] = _nested_cc([f[:, :-1]], lambda order, pair=pair: [sample(pair, order)],
-                                   _K_ORDER_MAX, num.rel_tol_quadrature, f[:, -1] * _Y_SLIVER)[:2]
+                                   lambda order: _k_rule(order)[1:], _K_ORDER_MAX,
+                                   num.rel_tol_quadrature, f[:, -1] * _Y_SLIVER)[:2]
     finally:
         _WORKSPACE.trim()
     # Rows at the cutoff are sampled only to keep the block whole.
@@ -472,29 +475,31 @@ def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
     order and stops by ceiling.  first, if given, is ((frequencies,
     half-width), (values, errors)): what _log_nodes returns for the
     starting rule's nodes and the pair's row of what _k_integrals_adaptive
-    returns there, which are then not sampled again.  The k-errors are
-    integrated by the same rule, as its companion.  Returns (finer rule,
-    its k-integration error, its rule error, its node count, xi_lo
-    J(xi_lo)) as Python numbers, the last from the x = -1 end node.  The
-    material response is evaluated at the requested temperature.
+    returns there, which are then not sampled again.  Each rung's weights
+    carry the Jacobian xi du/dx.  The k-errors are integrated by the same
+    rule, as its companion.  Returns (finer rule, its k-integration error,
+    its rule error, its node count, xi_lo J(xi_lo)) as Python numbers, the
+    last from the x = -1 end node.  The material response is evaluated at
+    the requested temperature.
     """
     gap, temperature, pair, num = args
-
-    def sample(xi, vals, errs):
-        # J and its k-error at the frequencies xi, each times the Jacobian xi du/dx.
-        jac = xi * half
-        return vals * jac, errs * jac
+    start = order
 
     def climb(order):
         xi = _log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0][1::2])[0]
-        return sample(xi, *_k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0])
+        return _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
+
+    def rule(order):
+        # The weights times the Jacobian xi du/dx at the order-n frequencies.
+        at = xi if order == start else _log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0])[0]
+        jac = at * half
+        return _first_rung_weights(order) * jac[:, None], _clenshaw_curtis(order)[1] * jac
 
     (xi, half), k = first or (_log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0]), None)
     if k is None:
         k = _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
-    g = sample(xi, *k)
-    value, err, order, (k_err,) = _nested_cc(g, climb, ceiling, num.rel_tol_quadrature)
-    return float(value), float(k_err), float(err), order + 1, float(g[0][-1] / half)
+    value, err, order, (k_err,) = _nested_cc(k, climb, rule, ceiling, num.rel_tol_quadrature)
+    return float(value), float(k_err), float(err), order + 1, float(xi_lo * k[0][-1])
 
 
 def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
@@ -549,10 +554,7 @@ def _require_domain(gap, temperature, pairs):
 
 
 def _plate_pressures(gap, temperature, pairs, num):
-    """plate_pressures for checked pairs, one model object per response, at least one.
-
-    The pairs share the first k-pass; every later pass holds one pair.
-    """
+    """plate_pressures for checked pairs, one model object per response, at least one."""
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR

@@ -981,6 +981,16 @@ def test_cli_validate(capsys):
     assert "fundamental frequency" in out
 
 
+def test_cli_validate_prints_tension_and_annotations_at_four_digits(capsys):
+    # Like the q_optical line, not as raw float reprs such as
+    # 0.00036114000000000003 and 2.0000000000000002e-07.
+    _, out, _ = run_cli(capsys, "validate", "--config", EXAMPLE)
+    lines = out.splitlines()
+    assert "axial tension: 0.0003611 N" in lines
+    assert [line for line in lines if line.startswith("annotation ")] == [
+        "annotation operating_power_W = 2e-07", "annotation breakdown_power_W = 1e-06"]
+
+
 def test_cli_validate_rejects_the_retired_parallelism_jitter_key(capsys, tmp_path):
     # Nothing reads the key since the PFA average went: a config that still
     # sets it gets the loader's unknown-key error, which names it.

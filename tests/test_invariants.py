@@ -9,9 +9,13 @@ T = 0 integral; P does not jump there by more than its bars.
 Approach to T_c: the superconducting films' excess pressure over their
 normal state vanishes linearly in the superfluid fraction f_s as T -> T_c,
 so dP / f_s converges to a finite limit.
+Ordering and monotonicity: more reflectivity attracts more, so at any
+(gap, T) P(ideal) >= P(plasma) >= P(two-fluid) >= P(Drude), and P falls
+as the gap grows.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from casimirchip import (
     example_config_path,
     load_device_config,
     plate_pressure,
+    plate_pressures,
     superfluid_fraction,
 )
 from casimirchip.constants import C, HBAR, K_B
@@ -106,3 +111,35 @@ def test_excess_pressure_over_superfluid_fraction_converges_at_tc(gap, limit, fi
     steps = np.abs(np.diff(ratios))[first:]
     assert all(later < step for step, later in zip(steps, steps[1:])), ratios
     assert abs(ratios[-1] - limit) < steps[-1], ratios
+
+
+def _seeded_draws():
+    # 24 draws of (gap, T): the gap log-uniform over 50 nm - 1 um, and T in
+    # turn 0, uniform below T_c and uniform below 10 K.
+    rng = random.Random(44)
+    draws = []
+    for i in range(24):
+        gap = math.exp(rng.uniform(math.log(50e-9), math.log(1e-6)))
+        temp = (0.0, rng.uniform(0.0, T_C), rng.uniform(0.0, 10.0))[i % 3]
+        draws.append((gap, temp))
+    return draws
+
+
+def test_ordering_and_monotonicity_on_seeded_draws():
+    # Ideal >= plasma >= two-fluid >= Drude within the two results' summed
+    # bars (the two-fluid film equals plasma at T = 0 and Drude above T_c),
+    # and P(1.1 a) < P(a) for every model.  Every violation is collected,
+    # so a failure shows how many there are.
+    models = [_models(1.0)[kind] for kind in ("ideal", "plasma", "two-fluid", "drude")]
+    pairs = [(m, m) for m in models]
+    violations = []
+    for gap, temp in _seeded_draws():
+        near, far = (plate_pressures(g, temp, pairs) for g in (gap, 1.1 * gap))
+        for stronger, weaker in zip(near, near[1:]):
+            bars = sum(r.truncation_estimate + r.quadrature_estimate for r in (stronger, weaker))
+            if stronger.pressure < weaker.pressure - bars:
+                violations.append(("order", gap, temp, stronger, weaker))
+        for model, at_gap, further in zip(models, near, far):
+            if not further.pressure < at_gap.pressure:
+                violations.append(("gap", gap, temp, model, at_gap, further))
+    assert violations == []

@@ -45,10 +45,11 @@ TWOFLUID = SuperconductorTwoFluid(OMEGA_P, GAMMA, 0.9)
 
 def _reflection(model, xi, k, temperature=0.0):
     # (r_TE, r_TM) of one surface at one (xi, k) from _fresnel, which the
-    # engine runs on (rows, nodes) grids of kappa = sqrt(k^2 + xi^2/c^2).
+    # engine runs on (rows, nodes) grids of y = 2 kappa a, kappa =
+    # sqrt(k^2 + xi^2/c^2): at a gap of 1/2 m, y is kappa.
     r = np.empty((3, 1, 1))
-    kappa = np.full((1, 1), math.sqrt(k**2 + (xi / C) ** 2))
-    lifshitz._fresnel(model, np.full((1, 1), float(xi)), kappa, temperature, *r)
+    y = np.full((1, 1), math.sqrt(k**2 + (xi / C) ** 2))
+    lifshitz._fresnel(model, np.full((1, 1), float(xi)), 0.5, temperature, y, y * y, *r)
     return r[0].item(), r[1].item()
 
 
@@ -650,14 +651,13 @@ def test_k_rows_at_the_cutoff_are_exactly_zero(monkeypatch, num):
 def _hook_k_integrand(monkeypatch):
     # Hooks the one integrand evaluation, which takes one pair at a time;
     # returns the list that collects each call's arguments as ([pair],
-    # xi_col, temperature, kappa), kappa = y/2a standing in for the
-    # (rows, nodes) grid.  The arrays are copied: the engine reuses their
-    # memory in later calls.
+    # xi_col, temperature, y), y standing in for the (rows, nodes) grid.
+    # The arrays are copied: the engine reuses their memory in later calls.
     inner, calls = lifshitz._k_integrand, []
 
-    def k_integrand(pair, xi_col, temperature, grid):
+    def k_integrand(pair, xi_col, gap, temperature, grid):
         calls.append(([pair], xi_col.copy(), temperature, grid[0].copy()))
-        return inner(pair, xi_col, temperature, grid)
+        return inner(pair, xi_col, gap, temperature, grid)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
     return calls
@@ -754,7 +754,8 @@ def test_rung_sums_do_not_depend_on_alignment():
     # The first rung takes its fine and coarse sums from one product with
     # the stacked (nodes, 2) weights, the coarse rule's at even nodes and 0
     # at odd ones; a later rung takes its fine sum with the rule's weights.
-    # For both kinds of weights, a 228 x 129 block sums to the same bits at
+    # For both kinds of weights, bare and as a k-rule caches them (times
+    # the Jacobian), a 228 x 129 block sums to the same bits at
     # each of 8 byte offsets of its buffer (8-byte steps) and as the
     # 129-of-130 view a k-pass sums, and a 65-node vector, which each
     # frequency ladder samples afresh for its pair, sums to the same bits at
@@ -765,7 +766,7 @@ def test_rung_sums_do_not_depend_on_alignment():
     assert not stacked[1::2, 1].any()
     rng = np.random.default_rng(41)
     block = rng.random((228, 129))
-    for w in (stacked, _clenshaw_curtis(128)[1]):
+    for w in (stacked, _clenshaw_curtis(128)[1], *lifshitz._k_rule(128)[1:]):
         expected = block @ w
         for offset in range(8):
             shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
@@ -781,6 +782,30 @@ def test_rung_sums_do_not_depend_on_alignment():
             shifted = np.empty(row.size + 8)[offset : offset + row.size]
             shifted[...] = row
             assert np.array_equal(shifted @ w, expected), (offset, w.ndim)
+
+
+@pytest.mark.parametrize("order", [128, 256])
+def test_cached_k_rule_carries_its_jacobian(order):
+    # A k-rule order's cached weights are the Clenshaw-Curtis weights times
+    # dy/dx on u = ln(y - y_lo) over [ln 1e-9, ln 60], so the ladder's
+    # samples are plain integrand values: stacked, the coarse column is 0
+    # at odd nodes and the half-order weights times the Jacobian at even
+    # ones.  The rule plus the sliver's midpoint node integrates
+    # e^{-(y - y_lo)} over [y_lo, y_lo + 60] to 1 - e^{-60} within the
+    # ladder's round-off bound, and no caller can write to the cache.
+    offsets, stacked, weights = lifshitz._k_rule(order)
+    assert offsets.shape == (order + 2,) and offsets[-1] == 0.5e-9
+    jac = offsets[:-1] * (0.5 * (math.log(60.0) - math.log(1e-9)))
+    assert np.array_equal(weights, _clenshaw_curtis(order)[1] * jac)
+    assert np.array_equal(stacked[:, 0], weights)
+    assert not stacked[1::2, 1].any()
+    assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(order // 2)[1] * jac[::2])
+    total = weights @ np.exp(-offsets[:-1]) + 1e-9 * math.exp(-offsets[-1])
+    assert abs(total - (1.0 - math.exp(-60.0))) <= (order + 2) * np.finfo(float).eps
+    for array in (offsets, stacked, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_k_ladder_rungs_are_nested(monkeypatch):
@@ -874,23 +899,28 @@ def test_frequency_ladder_fed_its_first_rung_returns_the_same_bits(pairs, temp):
     ids=["default", "1e-11"])
 def test_every_ladder_sample_is_nonnegative(monkeypatch, num):
     # The premise of _nested_cc's round-off floor (order + 2) eps |fine|:
-    # with every sample and const >= 0, |fine| is the sum of |terms| bit for
-    # bit.  Checked on every rung of every k- and frequency ladder.
+    # with every sample, weight and const >= 0, |fine| is the sum of |terms|
+    # bit for bit.  Checked on every rung of every k- and frequency ladder.
     nested, samples = lifshitz._nested_cc, []
 
     def check(g, const):
         samples.append(g[0].size)
         assert np.all(g[0] >= 0.0) and np.all(np.asarray(const) >= 0.0)
 
-    def nested_cc(g, sample, ceiling, tol, const=0.0):
+    def nested_cc(g, sample, rule, ceiling, tol, const=0.0):
         check(g, const)
 
-        def checked(x):
-            new = sample(x)
+        def checked(order):
+            new = sample(order)
             check(new, 0.0)
             return new
 
-        return nested(g, checked, ceiling, tol, const)
+        def checked_rule(order):
+            weights = rule(order)
+            assert all(np.all(w >= 0.0) for w in weights)
+            return weights
+
+        return nested(g, checked, checked_rule, ceiling, tol, const)
 
     monkeypatch.setattr(lifshitz, "_nested_cc", nested_cc)
     for gap in GRID_GAPS:
@@ -911,8 +941,8 @@ def test_k_integrand_matches_local_formulas(model, gap):
         xi = 2 * math.pi * n * K_B * 1.0 / HBAR
         y_lo = 2 * gap * xi / sc.c
         y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
-        grid = np.array([y / (2 * gap), np.exp(y), y * y])[:, None, :]
-        vals = lifshitz._k_integrand((model, model), np.array([[xi]]), 1.0, grid)[0]
+        grid = np.array([y, np.exp(y), y * y])[:, None, :]
+        vals = lifshitz._k_integrand((model, model), np.array([[xi]]), gap, 1.0, grid)[0]
         ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n
 
@@ -1157,12 +1187,12 @@ def _numpy_bytes_held():
 def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # What a fresh thread keeps after a default differential at 100 nm and
     # 1 K of two pairs of one response each, evaluated one at a time: one
-    # array of 228 rows x 130 nodes each for kappa, e^y and y^2 (3), r_TE
-    # and r_TM of the pair's response (2), the integrand (1) and the
-    # scratch that kappa_m and then the integrand's denominators share (1),
-    # in 4 buffers (grid, fresnel, integrand, den), each 7 doubles longer
-    # than its blocks so that they start on a 64-byte boundary.  The
-    # Jacobian is one vector per rule.  The rule cache is filled first.
+    # array of 228 rows x 130 nodes each for y, e^y and y^2 (3), r_TE and
+    # r_TM of the pair's response (2), the integrand written over r_TE, and
+    # the scratch that y_m and then the integrand's denominators share (1),
+    # in 3 buffers (grid, fresnel, den), each 7 doubles longer than its
+    # blocks so that they start on a 64-byte boundary.  The Jacobian lives
+    # in each rule's cached weights.  The rule cache is filled first.
     differential_pressure(100e-9, 1.0, PLASMA, PLASMA, (DRUDE, DRUDE))
     held = []
 
@@ -1177,7 +1207,7 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
         thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert held == [8 * 228 * 130 * (3 + 2 + 1 + 1) + 4 * 8 * 7]
+    assert held == [8 * 228 * 130 * (3 + 2 + 1) + 3 * 8 * 7]
 
 
 @pytest.mark.parametrize("gap, temp, num", [

@@ -13,15 +13,16 @@ magnitudes; differentials are signed.
 Numerics: every integral here runs on one ladder of nested Clenshaw-Curtis
 rules (`_nested_cc`): the order-n rule is the order-2n samples at even
 indices, so each doubling evaluates only the new odd nodes.  A rung's sum
-is one product per pair (a k-pass block @ weights), the first rung's with
-the coarser rule's weights beside.  The finer rule is returned with
-|finer - coarser| plus its round-off bound (order + 2) eps |finer| as its
-error (every sample and weight is >= 0, so that holds in any summation
-order), and the order doubles while that exceeds the quadrature tolerance, up to a
-ceiling.  That is the coarser rule's error, a loose bound on the finer
-rule's: at 100 nm the k-part is ~5e-10 P, while the 129-node k-sum sits
-within ~3e-16 P of a 1025-node rule.  Every rule's weights carry the
-Jacobian of its map onto [-1, 1], so the samples are plain integrand values.
+is one product per pair (weights @ a k-pass block, whose nodes run along
+its first axis), the first rung's with the coarser rule's weights beside.
+The finer rule is returned with |finer - coarser| plus its round-off
+bound (order + 2) eps |finer| as its error (every sample and weight is
+>= 0, so that holds in any summation order), and the order doubles while
+that exceeds the quadrature tolerance, up to a ceiling.  That is the
+coarser rule's error, a loose bound on the finer rule's: at 100 nm the
+k-part is ~5e-10 P, while the 129-node k-sum sits within ~3e-16 P of a
+1025-node rule.  Every rule's weights carry the Jacobian of its map onto
+[-1, 1], so the samples are plain integrand values.
 
 The k-integral J(xi) is substituted to y = 2 kappa a and integrated over
 [y_lo, y_lo + 60], y_lo = 2 xi a / c (the integrand carries e^{-y}, so
@@ -30,7 +31,7 @@ Near y_lo both reflection coefficients are close to 1, so the integrand
 has a pole just left of y_lo.  The rule is therefore Clenshaw-Curtis in
 u = ln(y - y_lo) on [ln 1e-9, ln 60] for every row, which clusters the
 nodes at y_lo and converges geometrically, plus the sliver [y_lo, y_lo +
-1e-9] as one midpoint node outside the rule, the grid's 130th column.
+1e-9] as one midpoint node outside the rule, the grid's 130th node row.
 Each order's offsets y - y_lo and weights are one cached, read-only
 _k_rule.  The ladder starts at the 129-node rule and stops by the 257-node
 rule (at the default 1e-8 every ladder stops at 129 nodes; down to 1e-11
@@ -96,9 +97,10 @@ same responses at T (a superconductor above t_c against its normal state)
 differ by exactly 0.0, which a differential returns without evaluating
 either.  A k-pass holds one pair's arrays at a time in a per-thread
 workspace that the thread's next call reuses, so memory does not grow
-with the pair count, and what blocks over a default call's 228 x 130 grew
+with the pair count, and what blocks over a default call's 130 x 228 grew
 is dropped after their pass; every array of it starts on a 64-byte
-boundary; a pair of one response takes 6 blocks (see _Workspace).  The tests
+boundary, and a pair of one response takes 6 blocks (see _Workspace).
+The tests
 test_default_two_pair_call_keeps_one_228_row_block_per_array,
 test_memory_does_not_grow_with_the_pair_count and
 test_tight_numerics_peak_within_the_budget gate it.
@@ -138,7 +140,7 @@ _BLOCK_ORDER = 32
 _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
-# The largest (rows, nodes) block a call at default numerics evaluates: the
+# The largest (nodes, rows) block a call at default numerics evaluates: the
 # first Matsubara step's 2 N + 2 explicit terms, 65-node tail rung and
 # 33-node block, on the 129-node rule and the sliver node.
 _KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
@@ -291,49 +293,47 @@ def _k_rule(order):
 def _nested_cc(g, sample, rule, ceiling, tol, const=0.0):
     """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
 
-    g[0] holds one material pair's integrand as (rows, nodes) or, with one
-    row, (nodes,): rows integrated alike at the nodes of the starting rule;
-    g[1:] hold any companions that the same rule integrates.  sample(order)
-    returns such a sequence at the odd nodes of that order's rule, and may
-    reuse the memory of g; rule(order) returns its weights times the
-    Jacobian, stacked as _first_rung_weights stacks them and alone.
-    The coarser rule is the samples at even indices, and each doubling
-    evaluates only the new odd nodes.  const is a piece outside the rule,
-    added to both sums.  Every sum is one product, block @ weights; the
-    first rung's fine and coarse sums are one, with the stacked weights.
-    The error is |fine - coarse| plus the fine sum's round-off bound, eps
-    per node times |fine|, which bounds a sum of non-negative terms taken in
-    any order: every sample, weight and const is >= 0 (0 <= r_a r_b <= 1,
-    and the weights and Jacobians are positive).  The ladder stops at the
-    first rung where every row has an error within tol times its |fine|
-    (floored at 1e-12 of the largest row; a single row is its own floor),
-    or at ceiling.  Returns (fine, error, order, the companions' fine sums).
+    g[0] holds one material pair's integrand as (nodes, rows) or (nodes,),
+    at the nodes of the starting rule; g[1:] hold any companions that the
+    same rule integrates.  sample(order) returns such a sequence at the odd
+    nodes of that order's rule, and may reuse the memory of g.  The coarser
+    rule is the samples at even indices.  const is a piece outside the
+    rule, added to both sums.  Every sum is one product, weights @ block,
+    with rule(order)'s weights times the Jacobian: the first rung's fine and
+    coarse sums are one, with them stacked as _first_rung_weights stacks
+    them.  The error is |fine - coarse| plus the fine sum's round-off bound,
+    eps per node times |fine|, which bounds a sum of non-negative terms
+    taken in any order: every sample, weight and const is >= 0 (0 <= r_a
+    r_b <= 1, and the weights and Jacobians are positive).  The ladder stops
+    at the first rung where every row has an error within tol times its
+    |fine| (floored at 1e-12 of the largest row; a single row is its own
+    floor), or at ceiling.  Returns (fine, error, order, the companions' fine sums).
     """
-    order = g[0].shape[-1] - 1
+    order = len(g[0]) - 1
     stacked, w = rule(order)
-    fine, coarse = (g[0] @ stacked).T + const
+    fine, coarse = stacked.T @ g[0] + const
     while True:
         size = abs(fine)
         err = abs(fine - coarse) + (order + 2) * _EPS * size
         if size.ndim:
             size = np.maximum(size, size.max(initial=0.0) * 1e-12)
         if order >= ceiling or (err <= tol * size).all():
-            return fine, err, order, [c @ w for c in g[1:]]
+            return fine, err, order, [w @ c for c in g[1:]]
         # g moves to the even indices of the order-2n rule before sample may reuse its memory.
         coarse, order = fine, 2 * order
-        nested = [np.empty(a.shape[:-1] + (order + 1,)) for a in g]
+        nested = [np.empty((order + 1,) + a.shape[1:]) for a in g]
         for dst, a in zip(nested, g):
-            dst[..., ::2] = a
+            dst[::2] = a
         for dst, b in zip(nested, sample(order)):
-            dst[..., 1::2] = b
+            dst[1::2] = b
         g, (_, w) = nested, rule(order)
-        fine = g[0] @ w + const
+        fine = w @ g[0] + const
 
 
-def _fresnel(model, xi_col, gap, temperature, y, y_sq, r_te, r_tm, y_m):
-    """(r_TE, r_TM) on a (rows, nodes) grid of y = 2 kappa a, written into r_te and r_tm.
+def _fresnel(model, xi, gap, temperature, y, y_sq, r_te, r_tm, y_m):
+    """(r_TE, r_TM) on a (nodes, rows) grid of y = 2 kappa a, written into r_te and r_tm.
 
-    xi_col is the (rows, 1) frequency column, and y and y^2 the grid, with
+    xi holds the (rows,) frequencies, and y and y^2 the grid, with
     kappa the full transverse decay constant sqrt(k^2 + xi^2/c^2).  In y
     units y_m^2 = y^2 + chi, chi = (eps - 1) (2 a xi/c)^2, is (2 a kappa_m)^2.
     r_TE = (kappa - kappa_m)/(kappa + kappa_m) is evaluated as
@@ -349,10 +349,10 @@ def _fresnel(model, xi_col, gap, temperature, y, y_sq, r_te, r_tm, y_m):
         return
 
     to_y = 2.0 * gap / C
-    pos = xi_col > 0.0
-    eps = eps_imag_freq(model, np.where(pos, xi_col, 1.0), temperature)
-    chi = (eps - 1.0) * (xi_col * to_y) ** 2
-    zero = ~pos[:, 0]
+    pos = xi > 0.0
+    eps = eps_imag_freq(model, np.where(pos, xi, 1.0), temperature)
+    chi = (eps - 1.0) * (xi * to_y) ** 2
+    zero = ~pos
     any_zero = zero.any()
     if any_zero:
         # xi = 0: all these metals reflect TM perfectly; the TE coefficient
@@ -366,17 +366,18 @@ def _fresnel(model, xi_col, gap, temperature, y, y_sq, r_te, r_tm, y_m):
     r_tm -= y_m
     r_tm /= r_te
     if any_zero:
-        r_tm[zero] = 1.0
+        r_tm[:, zero] = 1.0
     np.add(y, y_m, out=r_te)
     r_te *= r_te
     np.divide(-chi, r_te, out=r_te)
 
 
-def _k_integrand(pair, xi_col, gap, temperature, grid):
-    """y^2 F(y) of one material pair on a (rows, nodes) grid of y, as (rows, nodes).
+def _k_integrand(pair, xi, gap, temperature, grid):
+    """y^2 F(y) of one material pair on a (nodes, rows) grid of y, as (nodes, rows).
 
-    xi_col is the (rows, 1) frequency column, and grid the (3, rows, nodes)
-    block of y, e^y and y^2, which a k-pass builds once for all its pairs.
+    xi holds the (rows,) frequencies, and grid the (3, nodes, rows) block
+    of y, e^y and y^2, which a k-pass builds once for all its pairs; with
+    the nodes first, each row's eps and chi broadcast along contiguous rows.
     F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}, taken
     as r_a r_b / (e^y - r_a r_b) so that one exp serves both.  Each
     distinct model object of the pair goes through _fresnel once
@@ -391,7 +392,7 @@ def _k_integrand(pair, xi_col, gap, temperature, grid):
     # One scratch block holds y_m, then the denominators.
     den = _WORKSPACE.take("den", y.shape)
     for model, r_model in zip(models.values(), r):
-        _fresnel(model, xi_col, gap, temperature, y, y_sq, *r_model, den)
+        _fresnel(model, xi, gap, temperature, y, y_sq, *r_model, den)
     # The first model's r_TE takes the TE product, the second's r_TM the TM one.
     (out, r_tm_a), (r_te_b, r_tm) = r[0], r[-1]
     np.multiply(out, r_te_b, out=out)
@@ -421,7 +422,7 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     Every row takes one _k_rule per order (see the module docstring):
     Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9, ln 60] plus the sliver
     [y_lo, y_lo + 1e-9] as one midpoint node outside the rule, 1e-9
-    F(y_lo + 5e-10), the first rung's last column.  The pass builds a
+    F(y_lo + 5e-10), the first rung's last node row.  The pass builds a
     rung's grid of y once and evaluates the pairs one at a time: each
     pair's integrand, then its ladder, which climbs and stops for that pair
     alone.  A climb builds the grid at its own nodes, so the next pair's
@@ -431,11 +432,11 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     sampled at xi = 0, since at a hot enough temperature their own
     frequencies overflow the material formulas.
     """
-    xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
-    y_lo = np.minimum(2.0 * gap * xi_col / C, _Y_CUT)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    y_lo = np.minimum(2.0 * gap * xi / C, _Y_CUT)
     live = y_lo < _Y_CUT
-    xi_col = np.where(live, xi_col, 0.0)
-    rows = len(xi_col)
+    xi = np.where(live, xi, 0.0)
+    rows = len(xi)
     # The (order, first) the grid was last built for, and the grid.
     built = (None,)
 
@@ -446,24 +447,24 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
         if built[0] != (order, first):
             offsets = _k_rule(order)[0]
             offsets = offsets if first else offsets[1:-1:2]
-            grid = _WORKSPACE.take("grid", (3, rows, len(offsets)))
-            y = np.add(y_lo, offsets, out=grid[0])
+            grid = _WORKSPACE.take("grid", (3, len(offsets), rows))
+            y = np.add(offsets[:, None], y_lo, out=grid[0])
             np.exp(y, out=grid[1])
             np.multiply(y, y, out=grid[2])
             built = (order, first), grid
-        return _k_integrand(pair, xi_col, gap, temperature, built[1])
+        return _k_integrand(pair, xi, gap, temperature, built[1])
 
     out = np.empty((2, len(pairs), rows))
     try:
         for p, pair in enumerate(pairs):
             f = sample(pair, 2 * _K_ORDER_START, first=True)
-            out[:, p] = _nested_cc([f[:, :-1]], lambda order, pair=pair: [sample(pair, order)],
+            out[:, p] = _nested_cc([f[:-1]], lambda order, pair=pair: [sample(pair, order)],
                                    lambda order: _k_rule(order)[1:], _K_ORDER_MAX,
-                                   num.rel_tol_quadrature, f[:, -1] * _Y_SLIVER)[:2]
+                                   num.rel_tol_quadrature, f[-1] * _Y_SLIVER)[:2]
     finally:
         _WORKSPACE.trim()
     # Rows at the cutoff are sampled only to keep the block whole.
-    out[:, :, ~live[:, 0]] = 0.0
+    out[:, :, ~live] = 0.0
     out /= 8.0 * gap**3
     return out
 

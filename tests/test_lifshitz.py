@@ -45,11 +45,11 @@ TWOFLUID = SuperconductorTwoFluid(OMEGA_P, GAMMA, 0.9)
 
 def _reflection(model, xi, k, temperature=0.0):
     # (r_TE, r_TM) of one surface at one (xi, k) from _fresnel, which the
-    # engine runs on (rows, nodes) grids of y = 2 kappa a, kappa =
+    # engine runs on (nodes, rows) grids of y = 2 kappa a, kappa =
     # sqrt(k^2 + xi^2/c^2): at a gap of 1/2 m, y is kappa.
     r = np.empty((3, 1, 1))
     y = np.full((1, 1), math.sqrt(k**2 + (xi / C) ** 2))
-    lifshitz._fresnel(model, np.full((1, 1), float(xi)), 0.5, temperature, y, y * y, *r)
+    lifshitz._fresnel(model, np.full(1, float(xi)), 0.5, temperature, y, y * y, *r)
     return r[0].item(), r[1].item()
 
 
@@ -651,13 +651,15 @@ def test_k_rows_at_the_cutoff_are_exactly_zero(monkeypatch, num):
 def _hook_k_integrand(monkeypatch):
     # Hooks the one integrand evaluation, which takes one pair at a time;
     # returns the list that collects each call's arguments as ([pair],
-    # xi_col, temperature, y), y standing in for the (rows, nodes) grid.
-    # The arrays are copied: the engine reuses their memory in later calls.
+    # xi_col, temperature, y): the (rows, 1) frequency column and, standing
+    # in for the grid, y as (rows, nodes), the transpose of the engine's
+    # node-major block.  The arrays are copied: the engine reuses their
+    # memory in later calls.
     inner, calls = lifshitz._k_integrand, []
 
-    def k_integrand(pair, xi_col, gap, temperature, grid):
-        calls.append(([pair], xi_col.copy(), temperature, grid[0].copy()))
-        return inner(pair, xi_col, gap, temperature, grid)
+    def k_integrand(pair, xi, gap, temperature, grid):
+        calls.append(([pair], xi[:, None].copy(), temperature, grid[0].T.copy()))
+        return inner(pair, xi, gap, temperature, grid)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
     return calls
@@ -749,39 +751,39 @@ def test_clenshaw_curtis_blocks_equal_the_one_k_loop():
 
 
 def test_rung_sums_do_not_depend_on_alignment():
-    # A ladder sums each rung of its one pair as one product: a k-pass block
-    # as one matrix product, a frequency-ladder row as one vector product.
-    # The first rung takes its fine and coarse sums from one product with
-    # the stacked (nodes, 2) weights, the coarse rule's at even nodes and 0
-    # at odd ones; a later rung takes its fine sum with the rule's weights.
-    # For both kinds of weights, bare and as a k-rule caches them (times
-    # the Jacobian), a 228 x 129 block sums to the same bits at
-    # each of 8 byte offsets of its buffer (8-byte steps) and as the
-    # 129-of-130 view a k-pass sums, and a 65-node vector, which each
-    # frequency ladder samples afresh for its pair, sums to the same bits at
-    # each of 8 byte offsets.
+    # A ladder sums each rung of its one pair as one product: a node-major
+    # k-pass block as one matrix product, a frequency-ladder row as one
+    # vector product.  The first rung takes its fine and coarse sums from
+    # one product with the stacked (nodes, 2) weights, the coarse rule's at
+    # even nodes and 0 at odd ones; a later rung takes its fine sum with the
+    # rule's weights.  For both kinds of weights, bare and as a k-rule
+    # caches them (times the Jacobian), a 129 x 228 block sums to the same
+    # bits at each of 8 byte offsets of its buffer (8-byte steps) and as
+    # the 129-of-130 node rows a k-pass sums, and a 65-node vector, which
+    # each frequency ladder samples afresh for its pair, sums to the same
+    # bits at each of 8 byte offsets.
     stacked = lifshitz._first_rung_weights(128)
     assert np.array_equal(stacked[:, 0], _clenshaw_curtis(128)[1])
     assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(64)[1])
     assert not stacked[1::2, 1].any()
     rng = np.random.default_rng(41)
-    block = rng.random((228, 129))
+    block = rng.random((129, 228))
     for w in (stacked, _clenshaw_curtis(128)[1], *lifshitz._k_rule(128)[1:]):
-        expected = block @ w
+        expected = w.T @ block
         for offset in range(8):
             shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
             shifted[...] = block
-            assert np.array_equal(shifted @ w, expected), offset
-        wide = np.empty((228, 130))
-        wide[:, :129] = block
-        assert np.array_equal(wide[:, :129] @ w, expected)
+            assert np.array_equal(w.T @ shifted, expected), offset
+        wide = np.empty((130, 228))
+        wide[:129] = block
+        assert np.array_equal(w.T @ wide[:129], expected)
     row = rng.random(65)
     for w in (lifshitz._first_rung_weights(64), _clenshaw_curtis(64)[1]):
-        expected = row @ w
+        expected = w.T @ row
         for offset in range(8):
             shifted = np.empty(row.size + 8)[offset : offset + row.size]
             shifted[...] = row
-            assert np.array_equal(shifted @ w, expected), (offset, w.ndim)
+            assert np.array_equal(w.T @ shifted, expected), (offset, w.ndim)
 
 
 @pytest.mark.parametrize("order", [128, 256])
@@ -941,8 +943,8 @@ def test_k_integrand_matches_local_formulas(model, gap):
         xi = 2 * math.pi * n * K_B * 1.0 / HBAR
         y_lo = 2 * gap * xi / sc.c
         y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
-        grid = np.array([y, np.exp(y), y * y])[:, None, :]
-        vals = lifshitz._k_integrand((model, model), np.array([[xi]]), gap, 1.0, grid)[0]
+        grid = np.array([y, np.exp(y), y * y])[:, :, None]
+        vals = lifshitz._k_integrand((model, model), np.array([xi]), gap, 1.0, grid)[:, 0]
         ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n
 
@@ -1187,7 +1189,7 @@ def _numpy_bytes_held():
 def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     # What a fresh thread keeps after a default differential at 100 nm and
     # 1 K of two pairs of one response each, evaluated one at a time: one
-    # array of 228 rows x 130 nodes each for y, e^y and y^2 (3), r_TE and
+    # array of 130 nodes x 228 rows each for y, e^y and y^2 (3), r_TE and
     # r_TM of the pair's response (2), the integrand written over r_TE, and
     # the scratch that y_m and then the integrand's denominators share (1),
     # in 3 buffers (grid, fresnel, den), each 7 doubles longer than its

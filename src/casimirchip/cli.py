@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Quantities on the command line carry unit suffixes (``100nm``, ``10mK``,
-``0.5Pa``); a bare ``0`` is accepted where zero is unambiguous.  All output
-goes to stdout, all errors and warnings to stderr, each warning as one
-``warning: <message>`` line.  Exit codes: 0 success, 1 domain error, 2
-usage or config error.
+``0.5Pa``); a bare ``0`` is accepted where zero is unambiguous.  Handlers
+return their command's stdout; ``main`` writes it and returns 0.  Warnings
+and errors go to stderr, a warning as one ``warning: <message>`` line; an
+error writes no stdout and exits 1 (domain) or 2 (usage or config error).
 
 Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set already: the
@@ -219,13 +219,12 @@ def _cmd_pressure(args):
     mat_a = parse_material_spec(args.model_a, materials)
     mat_b = parse_material_spec(args.model_b, materials)
     result = plate_pressure(args.gap, args.temp, mat_a, mat_b, _numerics(args))
-    sys.stdout.write(render_kv([
+    return render_kv([
         ("pressure_Pa", result.pressure),
         ("terms_used", result.terms_used),
         ("truncation_estimate_Pa", result.truncation_estimate),
         ("quadrature_estimate_Pa", result.quadrature_estimate),
-    ], args.format))
-    return 0
+    ], args.format)
 
 
 def _cmd_sweep(args):
@@ -237,8 +236,7 @@ def _cmd_sweep(args):
         raise ConfigError(["config has no [sweep] section and no --spec was given"])
     rows = run_gap_sweep(spec, cfg.geometry, cfg.cavity, cfg.calib,
                          _numerics(args), workers=args.workers)
-    sys.stdout.write(sweep_csv(rows))
-    return 0
+    return sweep_csv(rows)
 
 
 def _resolve_theory(theory, cfg):
@@ -268,9 +266,8 @@ def _cmd_scan(args):
     grid = [tmin + i * step for i in range(args.points)]
     points = simulate_temperature_scan(cfg.geometry, cfg.cavity, grid, theory,
                                        _numerics(args))
-    sys.stdout.write(scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
-                              drift_band=cfg.calib.drift_bound))
-    return 0
+    return scan_csv(points, resolution_band=cfg.calib.min_resolvable_shift,
+                    drift_band=cfg.calib.drift_bound)
 
 
 def _cmd_film(args):
@@ -324,8 +321,7 @@ def _cmd_film(args):
         ])
     pairs.append(("mode_note",
                   "approx = plateau form; exact_t0 = prefactor form at T = 0"))
-    sys.stdout.write(render_kv(pairs, args.format))
-    return 0
+    return render_kv(pairs, args.format)
 
 
 def _cmd_tc(args):
@@ -347,23 +343,22 @@ def _cmd_tc(args):
             (f"step{i}_R_before_ohm", before),
             (f"step{i}_R_after_ohm", after),
         ])
-    sys.stdout.write(render_kv(pairs, args.format))
-    return 0
+    return render_kv(pairs, args.format)
 
 
 def _cmd_transduce(args):
     cfg = load_device_config(args.config)
     pressure = args.pressure
     gap_change = pressure_to_gap_change(pressure, cfg.geometry)
-    shift = gap_change_to_frequency_shift(-gap_change, cfg.cavity)
+    # 0.0 - x, not -x: a zero pressure shifts the cavity by +0, not -0.
+    shift = gap_change_to_frequency_shift(0.0 - gap_change, cfg.cavity)
     voltage = pdh_voltage(shift, cfg.calib)
-    sys.stdout.write(render_kv([
+    return render_kv([
         ("pressure_Pa", pressure),
         ("gap_closing_m", gap_change),
         ("freq_shift_Hz", shift),
         ("pdh_voltage_V", voltage),
-    ], args.format))
-    return 0
+    ], args.format)
 
 
 def _cmd_detect(args):
@@ -372,8 +367,7 @@ def _cmd_detect(args):
     if not signals:
         raise ConfigError(["no signals: give --signal or a [signals] section"])
     verdicts = detectability_report(signals, cfg.geometry, cfg.cavity, cfg.calib)
-    sys.stdout.write(verdicts_csv(verdicts))
-    return 0
+    return verdicts_csv(verdicts)
 
 
 def _cmd_validate(args):
@@ -408,8 +402,7 @@ def _cmd_validate(args):
                      "roughness scale")
     for name, value in cfg.annotations.items():
         lines.append(f"annotation {name} = {value:.4g}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 _HANDLERS = {
@@ -440,7 +433,8 @@ def main(argv=None):
         # the caller's filters stay; only the display changes
         warnings.showwarning = _show_warning
         try:
-            return _HANDLERS[args.command](args)
+            sys.stdout.write(_HANDLERS[args.command](args))
+            return 0
         except ConfigError as exc:
             for problem in exc.problems:
                 print(f"config error: {problem}", file=sys.stderr)

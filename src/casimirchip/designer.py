@@ -125,7 +125,8 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
                             math.nan, False, math.nan, error=str(result))
         pressure = result.pressure
         gap_change = pressure_to_gap_change(pressure, geometry)
-        freq_shift = gap_change_to_frequency_shift(-gap_change, cavity)
+        # 0.0 - x, not -x: a zero gap change shifts the cavity by +0, not -0.
+        freq_shift = gap_change_to_frequency_shift(0.0 - gap_change, cavity)
         voltage = pdh_voltage(freq_shift, calib)
         margin = pressure / floor
         return SweepRow(gap, temp, label, pressure, gap_change, freq_shift,

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import inspect
+import json
 import math
 import os
 import re
@@ -887,6 +888,19 @@ def test_cli_transduce(capsys):
     assert float(lines["pdh_voltage_V"]) < 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_transduce_zero_pressure_shifts_by_plus_zero(capsys, fmt):
+    # No pressure closes no gap: the shift and the voltage print as +0.
+    code, out, err = run_cli(capsys, "transduce", "--config", EXAMPLE, "--pressure", "0",
+                             "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        values, zero = json.loads(out, parse_float=str), "0.0"
+    else:
+        values, zero = dict(l.split(" = ", 1) for l in out.splitlines()), "0"
+    assert values["freq_shift_Hz"] == values["pdh_voltage_V"] == zero
+
+
 def test_cli_repeats_each_warning_as_a_fresh_process_would(capsys):
     # Under the interpreter's default filters a warning shows once per
     # source line; each main call still prints its clamp warning, as a
@@ -1069,6 +1083,35 @@ def test_cli_main_is_reentrant(capsys, monkeypatch):
     one_row = reused[4][1]
     assert one_row.splitlines()[1].startswith("a,") and one_row.count("\n") == 2
     assert reused[5] == reused[4]
+
+
+def test_cli_handlers_return_what_main_writes(capsys, tmp_path):
+    # Each handler returns its stdout text; main writes it and returns 0.
+    # The sweep's clamp warnings are ignored here.
+    table = tmp_path / "rt.csv"
+    table.write_text("temperature_K,resistance_ohm\n" + "".join(
+        f"{t!r},{45.0 / (1.0 + math.exp(-(t - 0.95) / 0.01))!r}\n"
+        for t in (0.7 + i * 0.5 / 119 for i in range(120))))
+    config = ["--config", EXAMPLE]
+    argvs = [
+        ["pressure", "--gap", "100nm", "--temp", "0", "--model-a", "ideal", "--model-b", "ideal"],
+        ["sweep", *config],
+        ["scan", *config, "--tmin", "100mK", "--tmax", "1.2K", "--points", "3",
+         "--theory", "grav-casimir"],
+        ["film", *config, "--format", "json"],
+        ["tc", "--input", str(table)],
+        ["transduce", *config, "--pressure", "0.5Pa"],
+        ["detect", *config],
+        ["validate", *config],
+    ]
+    assert [argv[0] for argv in argvs] == list(cli._HANDLERS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in argvs:
+            args = _build_parser().parse_args(argv)
+            text = cli._HANDLERS[args.command](args)
+            assert isinstance(text, str) and text.endswith("\n"), argv
+            assert run_cli(capsys, *argv) == (0, text, ""), argv
 
 
 def test_cli_builds_its_parser_once(capsys, monkeypatch):

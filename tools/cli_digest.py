@@ -15,7 +15,8 @@ tables, so no checkout's path reaches the output; its stdout, stderr
 (warnings included) and exit code are hashed together.  The commands:
 ``pressure`` at 0 K, 50 mK and 1.2 K in text and JSON; ``sweep`` at one
 and two workers; a ``grav-casimir`` and a material-pair ``scan``;
-``transduce`` inside the PDH window and at a clamping pressure; ``detect``;
+``transduce`` inside the PDH window, at a clamping pressure, and at zero
+pressure in text and JSON, whose shift and voltage are +0; ``detect``;
 ``validate``; ``film`` from the config's conductivity, ``--sigma`` and
 ``--r4k``; ``tc`` on a generated single-step and two-step R(T) table, and
 on a peaked one whose step ends above 50% of R_normal, which it refuses;
@@ -114,6 +115,8 @@ def commands():
                "--theory", theory]
     for pressure in ("6mPa", "500Pa"):
         yield ["transduce", *config, "--pressure", pressure]
+    for fmt in ("text", "json"):
+        yield ["transduce", *config, "--pressure", "0", "--format", fmt]
     yield ["detect", *config]
     yield ["validate", *config]
     yield ["film", *config]

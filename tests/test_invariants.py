@@ -12,6 +12,8 @@ so dP / f_s converges to a finite limit.
 Ordering and monotonicity: more reflectivity attracts more, so at any
 (gap, T) P(ideal) >= P(plasma) >= P(two-fluid) >= P(Drude), and P falls
 as the gap grows.
+Rung switches: as T moves, a frequency ladder stops one rung earlier or
+later and terms_used jumps; P does not, beyond round-off.
 """
 
 import math
@@ -143,3 +145,38 @@ def test_ordering_and_monotonicity_on_seeded_draws():
             if not further.pressure < at_gap.pressure:
                 violations.append(("gap", gap, temp, model, at_gap, further))
     assert violations == []
+
+
+def _rung_switch(pair, lo, hi):
+    # The results on the two sides of a change of terms_used between lo and
+    # hi, bisected until the two temperatures lie within 1e-12 T.  P's own
+    # T-dependence is steepest for the two-fluid film, whose superfluid
+    # fraction moves with T: |dlnP/dlnT| < 1e-3 below 1 K at 100 nm, so P
+    # moves by < 1e-15 P over that width, a millionth of its bars (~1e-9 P).
+    below, above = (plate_pressure(100e-9, t, *pair) for t in (lo, hi))
+    while hi - lo > 1e-12 * lo:
+        mid = 0.5 * (lo + hi)
+        result = plate_pressure(100e-9, mid, *pair)
+        if result.terms_used == below.terms_used:
+            lo, below = mid, result
+        else:
+            hi, above = mid, result
+    return below, above
+
+
+def test_pressure_is_continuous_across_frequency_rung_switches():
+    # A geometric T scan at 100 nm finds each change of terms_used, and
+    # bisection narrows it.  The two sides agree within 1e-3 of the smaller
+    # bar; the measured jumps are round-off, a few millionths of a bar.
+    pairs = [(m, m) for m in (_models(1.0)[kind] for kind in ("drude", "plasma", "two-fluid"))]
+    temps = np.geomspace(0.05, 10.0, 60).tolist()
+    scan = [plate_pressures(100e-9, temp, pairs) for temp in temps]
+    jumps = []
+    for i, pair in enumerate(pairs):
+        for j in range(1, len(temps)):
+            if scan[j - 1][i].terms_used != scan[j][i].terms_used:
+                below, above = _rung_switch(pair, temps[j - 1], temps[j])
+                bar = min(r.truncation_estimate + r.quadrature_estimate for r in (below, above))
+                jumps.append((abs(above.pressure - below.pressure) / bar, i, temps[j - 1]))
+    assert jumps
+    assert all(jump <= 1e-3 for jump, *_ in jumps), jumps

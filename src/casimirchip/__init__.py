@@ -7,8 +7,10 @@ analysis.
 The public names are exported lazily (PEP 562): ``import casimirchip``
 imports no submodule, and each name's module is imported the first time
 the name is looked up.  Loading a device config
-(``casimirchip.load_device_config``) therefore leaves numpy unloaded; the
-pressure engine and numpy load with the first name that needs them.
+(``casimirchip.load_device_config``) therefore leaves numpy unloaded, and
+neither it nor the import loads ``dataclasses`` or ``inspect``: the
+package's records are built by ``records.record``.  The pressure engine
+and numpy load with the first name that needs them.
 """
 
 import importlib

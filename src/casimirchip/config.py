@@ -13,7 +13,10 @@ library never sees nm, GHz, mK or eV.
 Loading a config imports neither numpy nor the pressure engine: the
 [sweep] section's ``SweepSpec`` is defined here, and of the modules whose
 classes a config builds only ``materials`` uses numpy, inside
-``eps_imag_freq``.
+``eps_imag_freq``.  Nor does it import ``dataclasses`` or ``inspect``
+(the records are ``records.record`` classes), and a config loaded by path
+does not import ``importlib.resources``, which only ``example_config_path``
+needs.
 
 A config file is read on every load, and the ``DeviceConfig`` built from
 it is memoized by the file's text and name (``_built``): a process that
@@ -30,8 +33,6 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, replace
-from importlib import resources
 from types import MappingProxyType
 
 from .constants import E_CHARGE, HBAR
@@ -40,6 +41,7 @@ from .film import FilmParams
 from .materials import Drude, IdealMetal, Plasma, SuperconductorTwoFluid
 from .mechanics import DeviceGeometry
 from .readout import CavityParams, ReadoutCalibration
+from .records import record, replace
 
 TWO_PI = 2.0 * math.pi
 
@@ -216,7 +218,7 @@ _SWEEP_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """Grid of gaps, temperatures and material pairs to evaluate.
 
@@ -246,7 +248,7 @@ class SweepSpec:
         return tuple(g for g in out if g <= self.gap_max * (1 + 1e-12))
 
 
-@dataclass(frozen=True)
+@record
 class DeviceConfig:
     """Everything needed to drive the analysis chain for one device."""
 
@@ -461,6 +463,10 @@ def load_device_config(path):
 
 def example_config_path():
     """Path to the bundled example device config (reference 100 nm device)."""
+    # imported here: loading a config by path needs neither it nor the
+    # pathlib, zipfile and tempfile it imports
+    from importlib import resources
+
     return resources.files("casimirchip.data") / "example_device.cfg"
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .errors import CasimirChipError, DomainError, require_nonnegative, require_positive
 from .lifshitz import DEFAULT_NUMERICS, differential_pressure, plate_pressure, plate_pressures
@@ -25,10 +24,18 @@ from .readout import (
     min_detectable_pressure,
     pdh_voltage,
 )
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
+    """One (gap, temperature, pair) cell of a gap sweep, through the whole
+    chain: pressure, gap change, cavity shift, PDH voltage and verdict.
+
+    A cell whose engine call failed has NaN numbers, is not detectable and
+    carries the engine's message in ``error``.
+    """
+
     gap: float           # m
     temperature: float   # K
     pair: str
@@ -41,7 +48,7 @@ class SweepRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class DetectabilityVerdict:
     """Comparison of one named pressure signal against the chain floor."""
 
@@ -53,7 +60,7 @@ class DetectabilityVerdict:
     margin: float      # signal / floor
 
 
-@dataclass(frozen=True)
+@record
 class MaterialPairDifferential:
     """Theory input: Lifshitz pressure difference between two material pairs."""
 
@@ -66,7 +73,7 @@ class MaterialPairDifferential:
                                      self.reference, num)
 
 
-@dataclass(frozen=True)
+@record
 class StepPressureSignal:
     """Theory input: an opaque pressure magnitude switching on below t_c.
 

@@ -7,9 +7,10 @@ and usage problems exit 2.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
+
+from .records import fields
 
 
 class CasimirChipError(Exception):
@@ -52,6 +53,6 @@ def require_nonnegative(name, value):
 
 
 def require_positive_fields(record):
-    """require_positive for every field of the dataclass ``record``, in field order."""
-    for field in dataclasses.fields(record):
-        require_positive(field.name, getattr(record, field.name))
+    """require_positive for every field of the record ``record``, in field order."""
+    for name in fields(record):
+        require_positive(name, getattr(record, name))

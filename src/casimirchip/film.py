@@ -22,9 +22,9 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, TransitionNotFoundError, require_positive, require_positive_fields
+from .records import record
 
 RT_CSV_HEADER = ("temperature_K", "resistance_ohm")
 
@@ -36,7 +36,7 @@ _PLATEAU_REL_VARIATION = 0.05
 _STEP_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
+@record
 class FilmParams:
     """Film and wire constants for the characterization chain (SI units)."""
 
@@ -51,7 +51,7 @@ class FilmParams:
         require_positive_fields(self)
 
 
-@dataclass(frozen=True)
+@record
 class RTCurve:
     """Resistance-vs-temperature data, sorted with duplicates averaged."""
 
@@ -62,7 +62,7 @@ class RTCurve:
         return len(self.temperature)
 
 
-@dataclass(frozen=True)
+@record
 class TcResult:
     """Extracted transition: T_c, width, plateau levels and step structure."""
 

@@ -114,7 +114,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -123,6 +122,7 @@ import numpy as np
 from .constants import C, HBAR, K_B
 from .errors import DomainError, require_nonnegative, require_positive
 from .materials import IdealMetal, eps_imag_freq, response, zero_frequency_plasma_weight
+from .records import record
 
 # e^{-60} ~ 9e-27: the neglected y-tail is far below double precision.
 _Y_CUT = 60.0
@@ -188,7 +188,7 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-@dataclass(frozen=True)
+@record
 class LifshitzNumerics:
     """Tolerances and the frequency-rule ceiling for the pressure evaluation."""
 
@@ -209,7 +209,7 @@ class LifshitzNumerics:
 DEFAULT_NUMERICS = LifshitzNumerics()
 
 
-@dataclass(frozen=True)
+@record
 class PressureResult:
     """A pressure value with its convergence metadata.
 

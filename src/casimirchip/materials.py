@@ -23,9 +23,9 @@ arithmetic is needed anywhere in the pressure engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import POSITIVE, DomainError, require_nonnegative, require_positive
+from .records import record
 
 
 def _check_parameters(model):
@@ -37,12 +37,12 @@ def _check_parameters(model):
             check(name, value)
 
 
-@dataclass(frozen=True)
+@record
 class IdealMetal:
     """Perfect conductor: r_TE = -1, r_TM = 1 at every frequency and angle."""
 
 
-@dataclass(frozen=True)
+@record
 class Plasma:
     """Collisionless free-electron response with plasma frequency omega_p (rad/s)."""
 
@@ -52,7 +52,7 @@ class Plasma:
         _check_parameters(self)
 
 
-@dataclass(frozen=True)
+@record
 class Drude:
     """Free-electron response with relaxation rate gamma (rad/s)."""
 
@@ -63,7 +63,7 @@ class Drude:
         _check_parameters(self)
 
 
-@dataclass(frozen=True)
+@record
 class SuperconductorTwoFluid:
     """Two-fluid superconductor: plasma-like superfluid + Drude-like normal fluid.
 

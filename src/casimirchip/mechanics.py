@@ -19,12 +19,12 @@ when the structure is released.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, require_nonnegative, require_positive, require_positive_fields
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class DeviceGeometry:
     """Nanobeam-pair geometry and film properties (SI units).
 

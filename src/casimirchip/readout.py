@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .constants import C
 from .errors import DomainError, require_positive_fields
 from .mechanics import pressure_to_gap_change
+from .records import record
 
 # relative q_optical vs omega_c / kappa mismatch above which CavityParams warns
 Q_MISMATCH_WARN = 0.05
 
 
-@dataclass(frozen=True)
+@record
 class CavityParams:
     """Optical cavity constants.
 
@@ -59,7 +59,7 @@ class CavityParams:
         return self.omega_c / self.kappa
 
 
-@dataclass(frozen=True)
+@record
 class ReadoutCalibration:
     """PDH-chain calibration constants.
 
@@ -78,7 +78,7 @@ class ReadoutCalibration:
         require_positive_fields(self)
 
 
-@dataclass(frozen=True)
+@record
 class PressureFloor:
     """Minimum detectable pressure and the gap change it produces."""
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import warnings
@@ -30,6 +29,7 @@ from casimirchip import (
 )
 from casimirchip import lifshitz
 from casimirchip.designer import DetectabilityVerdict, SweepRow
+from casimirchip.records import fields
 from casimirchip.serialize import SWEEP_CSV_HEADER, VERDICT_CSV_HEADER, sweep_csv, verdicts_csv
 
 TWO_PI = 2 * math.pi
@@ -202,8 +202,8 @@ def test_sweep_csv_reingests_losslessly():
 
 
 def test_csv_headers_have_one_column_per_record_field():
-    assert len(SWEEP_CSV_HEADER) == len(dataclasses.fields(SweepRow))
-    assert len(VERDICT_CSV_HEADER) == len(dataclasses.fields(DetectabilityVerdict))
+    assert len(SWEEP_CSV_HEADER) == len(fields(SweepRow))
+    assert len(VERDICT_CSV_HEADER) == len(fields(DetectabilityVerdict))
 
 
 def test_verdicts_csv_reingests_losslessly():

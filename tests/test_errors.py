@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from casimirchip.errors import (
     require_positive,
     require_positive_fields,
 )
+from casimirchip.records import record
 
 
 def test_positivity_checks_accept_finite_reals():
@@ -35,7 +35,7 @@ def test_require_nonnegative_rejects(value):
 
 
 def test_require_positive_fields_reports_the_first_bad_field_in_field_order():
-    @dataclasses.dataclass
+    @record
     class Record:
         a: float
         b: float

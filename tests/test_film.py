@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from casimirchip import (
     mean_free_path,
     penetration_depth,
 )
+from casimirchip.records import fields
 
 XI0 = 1600e-9
 LAMBDA_L = 16e-9
@@ -188,7 +188,8 @@ def test_two_step_curve_finds_both_steps():
     assert after1 == pytest.approx(20.0, rel=0.05)
     assert t2 == pytest.approx(0.9, abs=0.02)
     assert after2 == pytest.approx(1.0, abs=0.5)
-    float_fields = [f.name for f in fields(TcResult) if f.type == "float"]
+    float_fields = [name for name in fields(TcResult)
+                    if TcResult.__annotations__[name] == "float"]
     assert len(float_fields) == 5
     assert all(type(getattr(result, name)) is float for name in float_fields)
     assert all(type(value) is float for step in result.steps for value in step)

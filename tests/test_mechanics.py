@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from casimirchip import (
     midpoint_deflection,
     pressure_to_gap_change,
 )
+from casimirchip.records import replace
 
 
 def reference_geometry(**overrides):

@@ -1,9 +1,9 @@
 """Design rules: no module imports an underscore name from another module
 of the package, what one module needs from another is public there; no
-module imports a name it never uses; no module-level constant, function
-the package does not export, or exception type is dead; and the wording
-of the positivity rule lives in errors.py alone; and every binding the
-benchmark's tracer wraps exists."""
+module imports a name it never uses; no module imports dataclasses; no
+module-level constant, function the package does not export, or exception
+type is dead; and the wording of the positivity rule lives in errors.py
+alone; and every binding the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -47,6 +47,19 @@ def test_no_module_imports_a_name_it_never_uses():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
                     offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    # records.record builds the package's records; dataclasses and the
+    # inspect it imports would cost every import of the package.
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if (name or "").split(".")[0] == "dataclasses"]
     assert offenders == []
 
 

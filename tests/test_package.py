@@ -1,8 +1,9 @@
 """The package's import surface, each check in a fresh interpreter: loading
-a device config leaves numpy unloaded, the package leaves the environment
-alone, the CLI's one-thread BLAS default yields to the user's setting,
-every lazy export resolves, and CLI warnings reach stderr as
-``warning: <message>`` lines without Python source."""
+a device config leaves numpy unloaded, and loading one by path leaves
+dataclasses, inspect and importlib.resources unloaded too; the package
+leaves the environment alone, the CLI's one-thread BLAS default yields to
+the user's setting, every lazy export resolves, and CLI warnings reach
+stderr as ``warning: <message>`` lines without Python source."""
 
 import json
 import os
@@ -33,12 +34,12 @@ def run_python(*args, **variables):
     return proc.stdout, proc.stderr
 
 
-def test_loading_a_config_leaves_numpy_unloaded():
-    # The scalar chain and the film and T_c functions leave numpy unloaded too.
-    out, _ = run_python("-c", """
+# The scalar chain and the film and T_c functions on the config at PATH,
+# which the script that runs this sets first.
+SCALAR_CHAIN = """
 import math, sys
 import casimirchip as cc
-cfg = cc.load_device_config(cc.example_config_path())
+cfg = cc.load_device_config(PATH)
 assert cfg.sweep is not None
 cc.effective_stiffness(cfg.m_eff, cc.fundamental_frequency(cfg.geometry))
 cc.axial_tension(cfg.geometry)
@@ -55,7 +56,23 @@ rows = "".join(f"{0.7 + 0.01 * i},{45.0 / (1.0 + math.exp(-(i - 25) / 1.0))}\\n"
                for i in range(50))
 curve = cc.ingest_rt_table("temperature_K,resistance_ohm\\n" + rows)
 assert abs(cc.extract_tc(curve).t_c - 0.95) < 0.005
+"""
+
+
+def test_loading_a_config_leaves_numpy_unloaded():
+    # The scalar chain and the film and T_c functions leave numpy unloaded too.
+    out, _ = run_python("-c", "import casimirchip\nPATH = casimirchip.example_config_path()"
+                        + SCALAR_CHAIN + """
 print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+""")
+    assert out == "[]\n"
+
+
+def test_loading_a_config_by_path_leaves_dataclasses_and_inspect_unloaded():
+    # Without site, which may import importlib.resources itself; the config
+    # is given by path, as the CLI's --config gives it.
+    out, _ = run_python("-S", "-c", f"PATH = {EXAMPLE!r}" + SCALAR_CHAIN + """
+print(sorted({"dataclasses", "inspect", "importlib.resources"} & set(sys.modules)))
 """)
     assert out == "[]\n"
 

@@ -7,7 +7,15 @@ change can be checked against its parent with
     PYTHONPATH=src python tools/cli_digest.py
 
 run in each checkout on one machine.  The package is imported from
-PYTHONPATH, not from this file's checkout.
+PYTHONPATH, not from this file's checkout.  With
+
+    PYTHONPATH=src python tools/cli_digest.py --against HEAD^
+
+the commands run twice, at once, in two fresh interpreters, as
+``engine_digest.py --against`` runs its grid: on the package of a
+temporary git worktree of the revision and on that of this file's working
+tree.  It prints both digests, how many commands' outputs differ and which
+ones, and exits 1 if any differs.
 
 Each command runs through ``casimirchip.cli.main`` in this process, in a
 temporary directory that holds a copy of the example config and the R(T)
@@ -45,6 +53,7 @@ copy with ``q_optical = 9e4``, whose cavity warning every command repeats,
 in process as from a config it has loaded before.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -52,8 +61,10 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 
+import engine_digest
 from casimirchip import cli, example_config_path
 
 CONFIG = "example_device.cfg"
@@ -161,7 +172,8 @@ def run(argv):
     return out.getvalue(), err.getvalue(), code
 
 
-def main():
+def digest():
+    """Prints each command's short hash, then the sha256 over all of them."""
     total = hashlib.sha256()
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as work_dir:
@@ -199,6 +211,30 @@ def main():
         finally:
             os.chdir(start)
     print(f"sha256 {total.hexdigest()}")
+
+
+def against(rev):
+    """Runs every command at rev and in the working tree; 1 if any output differs."""
+    child = "import cli_digest, engine_digest; engine_digest.check_package(); cli_digest.digest()"
+    old, new = (out.splitlines() for out in engine_digest.run_against(rev, child))
+    lines = [f"commands {len(old) - 1} at the revision, {len(new) - 1} in the working tree",
+             f"{old[-1]} at the revision", f"{new[-1]} in the working tree"]
+    # each line is "<hash>  <argv>", the same argv on both sides
+    differ = [b.split("  ", 1)[1] for a, b in zip(old[:-1], new[:-1]) if a != b]
+    lines.append(f"differ {len(differ)}")
+    lines += [f"  {argv}" for argv in differ]
+    print("\n".join(lines))
+    return int(bool(differ))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="compare each command's output at "
+                        "git revision REV with the working tree's; exit 1 if any differs")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against))
+    digest()
 
 
 if __name__ == "__main__":

@@ -46,7 +46,6 @@ differential, in that order.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -91,7 +90,8 @@ def scaled(model, factor):
     """model with omega_p scaled by factor; the ideal metal has none."""
     if isinstance(model, IdealMetal):
         return model
-    return dataclasses.replace(model, omega_p=factor * model.omega_p)
+    # rebuilt by its constructor, which records and dataclasses alike take
+    return type(model)(**{**vars(model), "omega_p": factor * model.omega_p})
 
 
 MANY_PAIRS = [(scaled(a, factor), scaled(b, factor))
@@ -143,24 +143,43 @@ def digest(reprs):
     return count, hashed.hexdigest()
 
 
-def dump():
-    """Writes records() to stdout as JSON; the child side of --against.
-
-    Refuses to run on a package from anywhere but PYTHONPATH, which would
-    compare a tree with itself.
-    """
+def check_package():
+    """Exits unless casimirchip was imported from PYTHONPATH: a package from
+    anywhere else would compare a tree with itself."""
     src = os.path.realpath(os.environ["PYTHONPATH"])
     if os.path.commonpath([src, os.path.realpath(casimirchip.__file__)]) != src:
         sys.exit(f"casimirchip was imported from {casimirchip.__file__}, not from {src}")
+
+
+def dump():
+    """Writes records() to stdout as JSON; the child side of --against."""
+    check_package()
     json.dump(list(records()), sys.stdout)
 
 
-def run_grid(src):
-    """Starts a fresh interpreter that evaluates the grid on the package under src."""
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.Popen([sys.executable, "-c", "import engine_digest; engine_digest.dump()"],
-                            cwd=os.path.dirname(os.path.abspath(__file__)), env=env,
-                            stdout=subprocess.PIPE)
+def run_against(rev, code):
+    """The stdout of ``code``, run at once in two fresh interpreters in this
+    directory: on the package of a temporary git worktree of rev and on that
+    of this file's working tree, uncommitted changes included.  Exits if
+    either fails."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True,
+                         check=True, cwd=here).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "tree")
+        subprocess.run(["git", "-C", top, "worktree", "add", "--quiet", "--detach", tree, rev],
+                       check=True)
+        try:
+            processes = [
+                subprocess.Popen([sys.executable, "-c", code], cwd=here, stdout=subprocess.PIPE,
+                                 text=True, env=dict(os.environ, PYTHONPATH=f"{root}/src"))
+                for root in (tree, top)]
+            outs = [process.communicate()[0] for process in processes]
+        finally:
+            subprocess.run(["git", "-C", top, "worktree", "remove", "--force", tree], check=True)
+    if any(process.returncode for process in processes):
+        sys.exit("a run failed; its error is above")
+    return outs
 
 
 def compare(old, new):
@@ -188,20 +207,8 @@ def compare(old, new):
 
 
 def against(rev):
-    """Runs the grid at rev, in a temporary worktree, and in the working tree; 1 if they differ."""
-    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True,
-                         check=True, cwd=os.path.dirname(os.path.abspath(__file__))).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = os.path.join(tmp, "tree")
-        subprocess.run(["git", "-C", top, "worktree", "add", "--quiet", "--detach", tree, rev],
-                       check=True)
-        try:
-            processes = [run_grid(os.path.join(root, "src")) for root in (tree, top)]
-            outs = [process.communicate()[0] for process in processes]
-        finally:
-            subprocess.run(["git", "-C", top, "worktree", "remove", "--force", tree], check=True)
-    if any(process.returncode for process in processes):
-        sys.exit("the grid failed; its error is above")
+    """Runs the grid at rev and in the working tree; 1 if they differ."""
+    outs = run_against(rev, "import engine_digest; engine_digest.dump()")
     lines, differs = compare(*(json.loads(out) for out in outs))
     print("\n".join(lines))
     return int(differs)

@@ -18,14 +18,14 @@ classes a config builds only ``materials`` uses numpy, inside
 does not import ``importlib.resources``, which only ``example_config_path``
 needs.
 
-A config file is read on every load, and the ``DeviceConfig`` built from
-it is memoized by the file's text and name (``_built``): a process that
-loads one config many times parses it once.  A repeat load builds only
+A config file is read on every load, and the last ``DeviceConfig`` built
+is kept with the file's text and name (``_last``): a process that loads
+one config many times in a row parses it once.  A repeat load builds only
 the ``CavityParams`` again, so its Q check warns as a first load does,
 through the caller's filters and once per place under the default ones.
 Each load gets fresh ``materials``, ``film_measured`` and ``annotations``
 dicts (the frozen objects inside are shared).  A config that fails to
-build is not memoized.
+build is not kept, and leaves the kept one as it was.
 """
 
 from __future__ import annotations
@@ -427,35 +427,30 @@ def _build(ini):
     return DeviceConfig(materials=materials, sweep=sweep, signals=signals, **parts)
 
 
-# (config text, file name) -> its built DeviceConfig, oldest use first;
-# at most _MEMO_SIZE entries.  Each dict call load_device_config makes on
-# it is atomic, so threads need no lock.
-_MEMO_SIZE = 8
-_built = {}
+# The last (config text, file name) built and its DeviceConfig, as one
+# tuple, so a thread reads and replaces both at once and needs no lock.
+_last = (None, None)
 
 
 def load_device_config(path):
     """Parse and assemble a device config file; raises ConfigError with
     every problem found.
 
-    The file is read on every call.  A text already built under the same
-    name comes from the memo (``_built``): its cavity is built again, so
-    that CavityParams' warning is issued as on the first load, and the
+    The file is read on every call.  The last text built, under the same
+    name, is not built again (``_last``): its cavity is, so that
+    CavityParams' warning is issued as on the first load, and the
     ``materials``, ``film_measured`` and ``annotations`` dicts are fresh;
-    the other frozen objects are shared.  A config that fails to build is
-    not memoized.
+    the other frozen objects are shared.  A config that fails to build
+    leaves the kept one as it was.
     """
+    global _last
     key = _read_text(path)
-    config = _built.pop(key, None)
-    if config is None:
-        config = _build(_parse_ini(*key))
-        _built[key] = config
-        for old in list(_built)[:-_MEMO_SIZE]:
-            _built.pop(old, None)
-    else:
-        # back in the memo first: the check may raise under an error filter
-        _built[key] = config
+    last, config = _last
+    if key == last:
         replace(config.cavity)
+    else:
+        config = _build(_parse_ini(*key))
+        _last = key, config
     return replace(config, materials=dict(config.materials),
                    film_measured=dict(config.film_measured),
                    annotations=dict(config.annotations))

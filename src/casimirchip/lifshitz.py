@@ -151,15 +151,16 @@ class _Workspace(threading.local):
 
     take(name, shape) returns an uninitialised array over the buffer kept
     under name, which grows when a larger shape is taken.  A k-pass takes
-    the grid of y, e^y and y^2, each distinct model's r_TE and r_TM (the
-    integrand overwrites the first r_TE) and one scratch block, y_m and
-    then the denominators.  It holds one pair's arrays at a time, so what a
-    thread keeps does not grow with the pair count.  A block whose (rows,
-    nodes) span more than _KEPT_BLOCK, which only tighter numerics make,
-    never reuses a buffer kept for smaller ones, and trim() drops what such
-    blocks grew.  Every buffer has 7 doubles of slack, so that it starts on
-    a 64-byte boundary.  An array stays valid until the next take of its
-    name or trim(); nothing the engine returns is a view of one.
+    the grid of y, e^y and y^2, the r_TE and r_TM of each distinct response
+    of the pair (the integrand overwrites the first r_TE) and one scratch
+    block, y_m and then the denominators.  It holds one pair's arrays at a
+    time, so what a thread keeps does not grow with the pair count.  A
+    block whose (rows, nodes) span more than _KEPT_BLOCK, which only tighter
+    numerics make, never reuses a buffer kept for smaller ones, and trim()
+    drops what such blocks grew.  Every buffer has 7 doubles of slack, so
+    that it starts on a 64-byte boundary.  An array stays valid until the
+    next take of its name or trim(); nothing the engine returns is a view
+    of one.
     """
 
     def __init__(self):
@@ -379,15 +380,15 @@ def _k_integrand(pair, xi, gap, temperature, grid):
     of y, e^y and y^2, which a k-pass builds once for all its pairs; with
     the nodes first, each row's eps and chi broadcast along contiguous rows.
     F sums t/(1-t) over both polarizations with t = r_a r_b e^{-y}, taken
-    as r_a r_b / (e^y - r_a r_b) so that one exp serves both.  Each
-    distinct model object of the pair goes through _fresnel once
-    (plate_pressures passes one object per response).  Every k-integral
-    sample passes through here once.  The result is written over the first
-    model's r_TE, and it and every pass live in the thread's workspace: the
-    result is valid until the next call.
+    as r_a r_b / (e^y - r_a r_b) so that one exp serves both.  The pair's
+    models go through _fresnel once per distinct response
+    (materials.response), so two objects that reflect alike cost one.
+    Every k-integral sample passes through here once.  The result is
+    written over the first response's r_TE, and it and every pass live in
+    the thread's workspace: the result is valid until the next call.
     """
     y, exp_y, y_sq = grid
-    models = {id(m): m for m in pair}
+    models = {response(m, temperature): m for m in pair}
     r = _WORKSPACE.take("fresnel", (len(models), 2) + y.shape)
     # One scratch block holds y_m, then the denominators.
     den = _WORKSPACE.take("den", y.shape)
@@ -522,11 +523,6 @@ def plate_pressures(gap, temperature, pairs, num=DEFAULT_NUMERICS):
     enters the engine here (see the module docstring).
     """
     _require_domain(gap, temperature, pairs)
-    # One model object per response (materials.response), which is how
-    # _k_integrand tells the distinct ones apart.
-    models = {}
-    pairs = [tuple(models.setdefault(response(m, temperature), m) for m in pair)
-             for pair in pairs]
     try:
         # An overflow inside numpy raises here instead of printing a warning.
         with np.errstate(over="raise", invalid="raise"):
@@ -555,7 +551,7 @@ def _require_domain(gap, temperature, pairs):
 
 
 def _plate_pressures(gap, temperature, pairs, num):
-    """plate_pressures for checked pairs, one model object per response, at least one."""
+    """plate_pressures for checked pairs, at least one."""
     # k_B T / pi = pref * xi_1: the sum and the integral share one prefactor.
     pref = HBAR / (2.0 * math.pi**2)
     xi_1 = 2.0 * math.pi * K_B * temperature / HBAR

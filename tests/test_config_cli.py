@@ -226,9 +226,10 @@ def test_the_callers_filters_act_on_a_memo_hit_as_on_a_first_load(tmp_path):
 
 
 def test_concurrent_first_loads_leave_the_warning_filters_as_they_were(tmp_path):
-    # Each first load of a text records its build's warnings under
-    # catch_warnings, which saves and restores the process-wide filters;
-    # interleaved recordings would leave an "always" filter behind.
+    # Loads that build at once in four threads leave the process-wide
+    # warning filters as they were: a build that set filters of its own
+    # and restored them afterwards, as catch_warnings does, would restore a
+    # stale list when two builds interleave.
     example = example_config_path().read_text()
     paths = []
     for i in range(48):
@@ -256,12 +257,12 @@ def test_concurrent_first_loads_leave_the_warning_filters_as_they_were(tmp_path)
 
 
 def test_another_threads_warning_is_shown_once_and_not_memoized(tmp_path):
-    # While configs are built for the memo, another thread warns; each of
-    # its warnings is shown once, and loading the configs again, now from
-    # the memo, issues none of them.
+    # While two threads build configs, another thread warns; each of its
+    # warnings is shown once, to the caller's recorder, and none is kept
+    # with a built config: a later load of the kept text issues none.
     example = example_config_path().read_text()
     paths = []
-    for i in range(config._MEMO_SIZE):
+    for i in range(8):
         paths.append(tmp_path / f"device{i}.cfg")
         paths[-1].write_text(example.replace("gap_nm = 100", f"gap_nm = {100 + i}"))
     done, raised = threading.Event(), []
@@ -293,9 +294,11 @@ def test_another_threads_warning_is_shown_once_and_not_memoized(tmp_path):
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in (warner, *loaders))
         assert sum(str(w.message) == "noise" for w in caught) == len(raised)
-        # each load is a memo hit: it shares the first load's frozen objects
-        for path in paths:
-            assert load_device_config(path).geometry is loaded[path].geometry
+        # the last text built is kept: loading it again shares the first
+        # load's frozen objects
+        held = [path for path in paths if config._read_text(path) == config._last[0]]
+        assert len(held) == 1
+        assert load_device_config(held[0]).geometry is loaded[held[0]].geometry
     assert sum(str(w.message) == "noise" for w in caught) == len(raised)
 
 
@@ -303,13 +306,37 @@ def test_memo_hit_equals_a_fresh_build():
     first = load_device_config(EXAMPLE)
     hit = load_device_config(EXAMPLE)
     assert hit.geometry is first.geometry
-    cached = config._built[config._read_text(EXAMPLE)]
+    key, cached = config._last
+    assert key == config._read_text(EXAMPLE)
     for name in ("materials", "film_measured", "annotations"):
         assert getattr(hit, name) is not getattr(cached, name)
-    config._built.clear()
+    config._last = (None, None)
     fresh = load_device_config(EXAMPLE)
     assert fresh.geometry is not hit.geometry
     assert fresh == hit
+
+
+def test_a_text_built_after_another_is_built_again(tmp_path):
+    # Only the last text built is kept: loading A, B, A builds A twice, and
+    # its second build warns as the first did; a fourth load of A is a hit.
+    example = example_config_path().read_text()
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text(example.replace("q_optical = 4.5e4", "q_optical = 9e4"))
+    b.write_text(example)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = {path: config._build(config._parse_ini(*config._read_text(path)))
+                 for path in (a, b)}
+    loads, caught, warned = [], [], ["q_optical = 9e+04 differs from"]
+    for path in (a, b, a, a):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            loads.append(load_device_config(path))
+        caught.append([str(w.message)[:30] for w in shown])
+        assert loads[-1] == fresh[path]
+    assert caught == [warned, [], warned, warned]
+    assert loads[2].geometry is not loads[0].geometry
+    assert loads[3].geometry is loads[2].geometry
 
 
 def test_signals_require_pa_suffix(tmp_path):

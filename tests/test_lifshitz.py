@@ -30,6 +30,7 @@ from casimirchip.lifshitz import (
     _clenshaw_curtis,
     _k_integrals_adaptive,
 )
+from casimirchip.materials import response
 
 OMEGA_P = 1.83e16
 GAMMA = 7.6e13
@@ -1101,6 +1102,35 @@ def test_differential_evaluates_one_batch(monkeypatch):
     assert responses == [PLASMA, DRUDE, DRUDE]
     assert diff == (plate_pressure(100e-9, 1.0, PLASMA, DRUDE).pressure
                     - plate_pressure(100e-9, 1.0, DRUDE, DRUDE).pressure)
+
+
+@pytest.mark.parametrize("temp, alike", [(1.05, [True, True]), (0.5, [True, False])])
+def test_models_that_respond_alike_share_one_fresnel_call(monkeypatch, temp, alike):
+    # Two objects of one response (materials.response) reflect alike, so a
+    # pair of them takes one _fresnel call per k-pass: two equal Drude
+    # objects always, the two-fluid film beside Drude above t_c only.
+    pairs = [(DRUDE, Drude(OMEGA_P, GAMMA)), (TWOFLUID, DRUDE)]
+    solo = [repr(plate_pressure(100e-9, temp, *pair)) for pair in pairs]
+    fresnel, k_integrand, passes = lifshitz._fresnel, lifshitz._k_integrand, []
+
+    def hooked_fresnel(model, *args):
+        passes[-1][1] += 1
+        return fresnel(model, *args)
+
+    def hooked_k_integrand(pair, *args):
+        passes.append([pair, 0])
+        return k_integrand(pair, *args)
+
+    monkeypatch.setattr(lifshitz, "_fresnel", hooked_fresnel)
+    monkeypatch.setattr(lifshitz, "_k_integrand", hooked_k_integrand)
+    results = plate_pressures(100e-9, temp, pairs)
+    # A pass's pair is told by its responses: the engine may hand
+    # _k_integrand other objects of the same responses.
+    for pair, same in zip(pairs, alike):
+        key = [response(m, temp) for m in pair]
+        calls = {n for p, n in passes if [response(m, temp) for m in p] == key}
+        assert calls == {1 if same else 2}
+    assert [repr(r) for r in results] == solo
 
 
 @pytest.mark.parametrize("temp", [0.9636, 1.05])

@@ -48,9 +48,11 @@ negative plasma ``omega_p_eV`` and a non-numeric Drude ``gamma_meV``, each
 reported once; ``pressure`` with an inline plasma spec whose ``omega_p_eV``
 is negative; and ``validate`` on a copy with a negative ``temperatures_K``
 and a negative ``[signals]`` pressure.  Every range error names the key and
-the value as written.  Last, ``validate`` twice and a JSON ``pressure`` on a
+the value as written.  Then ``validate`` twice and a JSON ``pressure`` on a
 copy with ``q_optical = 9e4``, whose cavity warning every command repeats,
-in process as from a config it has loaded before.
+in process as from a config it has loaded before.  Last, ``validate`` on
+the example config and on that copy again, which is built anew after
+another text has replaced it as the last config loaded.
 """
 
 import argparse
@@ -162,6 +164,8 @@ def commands():
         yield ["validate", "--config", "q_mismatch.cfg"]
     yield ["pressure", "--gap", "100nm", "--temp", "1.2K", "--model-a", "al_sc",
            "--model-b", "al_drude", "--config", "q_mismatch.cfg", "--format", "json"]
+    for name in (CONFIG, "q_mismatch.cfg"):
+        yield ["validate", "--config", name]
 
 
 def run(argv):

@@ -330,10 +330,11 @@ def _parse_sweep(ini, materials, defined, problems):
 
 
 def _read_text(path):
-    """(text, file name) of the config file at ``path``, read afresh on
-    every call; an unreadable file raises ConfigError."""
+    """(text, file name) of the UTF-8 config file at ``path``, read afresh
+    on every call, a leading byte-order mark skipped; an unreadable file
+    raises ConfigError."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             # line by line, as configparser reads a file, so a decoding
             # error reports the same byte position
             return "".join(handle), handle.name

@@ -92,14 +92,14 @@ class StepPressureSignal:
         return self.magnitude if temperature < self.t_c else 0.0
 
 
-def _chain_shift(delta_pressure, geometry, cavity):
-    """Signed cavity shift for a signed differential pressure.
+def _chain(pressure, geometry, cavity):
+    """(gap closing, signed cavity shift) for a signed pressure.
 
-    Extra attraction closes the gap, which lowers the resonance.
+    Extra attraction closes the gap, which lowers the resonance.  0.0 - x,
+    not -x: a zero closing shifts the cavity by +0, not -0.
     """
-    closing = pressure_to_gap_change(abs(delta_pressure), geometry)
-    delta_gap = -math.copysign(closing, delta_pressure) if delta_pressure else 0.0
-    return gap_change_to_frequency_shift(delta_gap, cavity)
+    closing = pressure_to_gap_change(abs(pressure), geometry)
+    return closing, gap_change_to_frequency_shift(0.0 - math.copysign(closing, pressure), cavity)
 
 
 def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1):
@@ -131,9 +131,7 @@ def run_gap_sweep(spec, geometry, cavity, calib, num=DEFAULT_NUMERICS, workers=1
             return SweepRow(gap, temp, label, math.nan, math.nan, math.nan,
                             math.nan, False, math.nan, error=str(result))
         pressure = result.pressure
-        gap_change = pressure_to_gap_change(pressure, geometry)
-        # 0.0 - x, not -x: a zero gap change shifts the cavity by +0, not -0.
-        freq_shift = gap_change_to_frequency_shift(0.0 - gap_change, cavity)
+        gap_change, freq_shift = _chain(pressure, geometry, cavity)
         voltage = pdh_voltage(freq_shift, calib)
         margin = pressure / floor
         return SweepRow(gap, temp, label, pressure, gap_change, freq_shift,
@@ -175,7 +173,7 @@ def simulate_temperature_scan(geometry, cavity, t_grid, theory, num=DEFAULT_NUME
     out = []
     for temp in t_grid:
         dp = dp_base if temp == t_base else theory.delta_pressure(gap, temp, num)
-        out.append((temp, _chain_shift(dp - dp_base, geometry, cavity)))
+        out.append((temp, _chain(dp - dp_base, geometry, cavity)[1]))
     return out
 
 
@@ -189,7 +187,7 @@ def detectability_report(signals, geometry, cavity, calib):
     verdicts = []
     for name, signal in signals:
         require_nonnegative(f"signal {name!r}", signal)
-        shift = abs(_chain_shift(signal, geometry, cavity))
+        shift = abs(_chain(signal, geometry, cavity)[1])
         margin = signal / floor
         verdicts.append(DetectabilityVerdict(
             name=name, signal=signal, floor=floor, freq_shift=shift,

@@ -11,31 +11,33 @@ same k-integral.  Pressures are returned as positive-attractive
 magnitudes; differentials are signed.
 
 Numerics: every integral here runs on one ladder of nested Clenshaw-Curtis
-rules (`_nested_cc`): the order-n rule is the order-2n samples at even
-indices, so each doubling evaluates only the new odd nodes.  A rung's sum
-is one product per pair (weights @ a k-pass block, whose nodes run along
-its first axis), the first rung's with the coarser rule's weights beside.
-The finer rule is returned with |finer - coarser| plus its round-off
-bound (order + 2) eps |finer| as its error (every sample and weight is
->= 0, so that holds in any summation order), and the order doubles while
-that exceeds the quadrature tolerance, up to a ceiling.  That is the
-coarser rule's error, a loose bound on the finer rule's: at 100 nm the
-k-part is ~5e-10 P, while the 129-node k-sum sits within ~3e-16 P of a
-1025-node rule.  Every rule's weights carry the Jacobian of its map onto
-[-1, 1], so the samples are plain integrand values.
+rules (`_nested_cc`), and every rung of it is one rule, `_log_rule`:
+Clenshaw-Curtis in u = ln v over [lo, hi], with the Jacobian v du/dx in
+its weights, so the samples are plain integrand values.  It is cached for
+the k-offsets (`_k_rule`) and built per xi range.  The order-n rule is the
+order-2n samples at even indices, so each doubling evaluates only the new
+odd nodes.  A rung's sum is one product per pair (weights @ a k-pass
+block, whose nodes run along its first axis), the first rung's with the
+coarser rule's weights beside.  The finer rule is returned with |finer -
+coarser| plus its round-off bound (order + 2) eps |finer| as its error
+(every sample and weight is >= 0, so that holds in any summation order),
+and the order doubles while that exceeds the quadrature tolerance, up to a
+ceiling.  That is the coarser rule's error, a loose bound on the finer
+rule's: at 100 nm the k-part is ~5e-10 P, while the 129-node k-sum sits
+within ~3e-16 P of a 1025-node rule.
 
 The k-integral J(xi) is substituted to y = 2 kappa a and integrated over
 [y_lo, y_lo + 60], y_lo = 2 xi a / c (the integrand carries e^{-y}, so
 the rest is below double precision); a row with y_lo >= 60 is 0 by rule.
 Near y_lo both reflection coefficients are close to 1, so the integrand
-has a pole just left of y_lo.  The rule is therefore Clenshaw-Curtis in
-u = ln(y - y_lo) on [ln 1e-9, ln 60] for every row, which clusters the
-nodes at y_lo and converges geometrically, plus the sliver [y_lo, y_lo +
-1e-9] as one midpoint node outside the rule, the grid's 130th node row.
-Each order's offsets y - y_lo and weights are one cached, read-only
-_k_rule.  The ladder starts at the 129-node rule and stops by the 257-node
-rule (at the default 1e-8 every ladder stops at 129 nodes; down to 1e-11
-none stops unconverged at 257).
+has a pole just left of y_lo.  The rule is therefore _log_rule over the
+offsets y - y_lo in [1e-9, 60] for every row, which clusters the nodes at
+y_lo and converges geometrically, plus the sliver [y_lo, y_lo + 1e-9] as
+one midpoint node outside the rule, the grid's 130th node row.  Each
+order's offsets and weights are one cached, read-only _k_rule.  The
+ladder starts at the 129-node rule and stops by the 257-node rule (at the
+default 1e-8 every ladder stops at 129 nodes; down to 1e-11 none stops
+unconverged at 257).
 All rows of a pair climb together, so its ladder stops when every one of
 its rows has converged.  Each polarization's t/(1 - t) is sampled as
 r_a r_b / (e^y - r_a r_b), one exp per sample.  The reflection
@@ -48,19 +50,19 @@ is replaced by its Euler-Maclaurin form
 
     sum_{n>N} f(n) = (1/xi_1) int_{(N+1/2) xi_1}^inf J dxi + f'(N+1/2)/24 + R_N
 
-with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done in
-ln(xi) up to 60 c / 2a, where J vanishes under the y cutoff.  Its ladder
-starts at the CC-64 rule (65 nodes) and stops by the last order
-<= 2 * t_zero_nodes (256 at the default); the rule's error joins the
-quadrature estimate.  The result is P(2N), and only its tail is computed.
-The two-sided truncation estimate |P(N) - P(2N)| comes from the difference
-of the two Euler-Maclaurin forms,
+with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done by
+_log_rule over [(N+1/2) xi_1, 60 c / 2a], where J vanishes under the y
+cutoff.  Its ladder starts at the CC-64 rule (65 nodes) and stops by the
+last order <= 2 * t_zero_nodes (256 at the default); the rule's error
+joins the quadrature estimate.  The result is P(2N), and only its tail is
+computed.  The two-sided truncation estimate |P(N) - P(2N)| comes from
+the difference of the two Euler-Maclaurin forms,
 
     P(N) - P(2N) = xi_1 [(f'(N+1/2) - f'(2N+1/2))/24 - sum_{N<m<=2N} f(m)] + B,
 
-where B = int J dxi over [(N+1/2) xi_1, (2N+1/2) xi_1] is the same ln(xi)
-integral with the ladder started and stopped at CC-32 (33 nodes, CC-16 at
-its even indices), and its error is added to the estimate.  N doubles
+where B = int J dxi over [(N+1/2) xi_1, (2N+1/2) xi_1] is _log_rule over
+that range, with the ladder started and stopped at CC-32 (33 nodes, CC-16
+at its even indices), and its error is added to the estimate.  N doubles
 from 64 while the estimate exceeds the series tolerance, the k-integration
 error and the frequency-rule error, and still shrinks.  Where no term
 below the y cutoff lies beyond 2N, the plain sum is exact.  T = 0, and any
@@ -75,9 +77,11 @@ Each Matsubara step is one k-integral pass: the step that extends the
 explicit terms to 2N + 1 also evaluates the first rungs of the tail behind
 P(2N) and of the block, so at default numerics a call at 100 nm evaluates
 228 k-integral rows in one pass at finite T (130 explicit terms, the
-65-node tail rung and the 33-node block) and 129 at T = 0.  Further passes
-come only from the rungs a frequency ladder climbs to and from doubling N,
-and each holds the one pair that needs it.
+65-node tail rung and the 33-node block) and 129 at T = 0.  Each first
+rung's _log_rule is built once: the pass samples its nodes and the ladder
+sums with its weights.  Further passes come only from the rungs a
+frequency ladder climbs to and from doubling N, and each holds the one
+pair that needs it.
 The cost does not grow as T falls, and the evaluation order is fixed, so
 results are bit-stable regardless of how callers parallelize.
 
@@ -114,7 +118,7 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -266,52 +270,60 @@ def _clenshaw_curtis(order):
     return np.cos(np.pi * j / order), w
 
 
-@lru_cache(maxsize=8)
-def _first_rung_weights(order):
-    """The order-n weights and the order-n/2 ones at even nodes, 0 at odd, as (n + 1, 2)."""
-    w = np.zeros((order + 1, 2))
-    w[:, 0], w[::2, 1] = _clenshaw_curtis(order)[1], _clenshaw_curtis(order // 2)[1]
-    return w
+def _log_rule(lo, hi, order):
+    """The order-n Clenshaw-Curtis rule in u = ln v over [lo, hi]: (nodes v, stacked, weights).
+
+    The stacked (n + 1, 2) weights hold the order-n weights beside the
+    order-n/2 ones at even nodes and 0 at odd; all carry the Jacobian
+    v du/dx.  Every rung of every ladder is this rule (see _nested_cc).
+    """
+    x, w = _clenshaw_curtis(order)
+    u_lo = math.log(lo)
+    half = 0.5 * (math.log(hi) - u_lo)
+    nodes = np.exp(u_lo + (x + 1.0) * half)
+    jac = nodes * half
+    stacked = np.zeros((order + 1, 2))
+    stacked[:, 0], stacked[::2, 1] = w, _clenshaw_curtis(order // 2)[1]
+    return nodes, stacked * jac[:, None], w * jac
 
 
 @lru_cache(maxsize=8)
 def _k_rule(order):
     """The order-n k-rule, read-only: (offsets y - y_lo, stacked weights, weights).
 
-    The offsets run over the nodes of u = ln(y - y_lo) on [ln 1e-9, ln 60],
-    then the sliver's midpoint; the weights, _first_rung_weights(order) and
-    the order-n ones alone, carry the Jacobian dy/dx.
+    The offsets are _log_rule's nodes over [1e-9, 60], then the sliver's
+    midpoint; the weights are its weights.
     """
-    offsets, half = _log_nodes(_Y_SLIVER, _Y_CUT, np.append(_clenshaw_curtis(order)[0], -1.0))
-    jac = offsets[:-1] * half
-    offsets[-1] = 0.5 * _Y_SLIVER
-    rule = offsets, _first_rung_weights(order) * jac[:, None], _clenshaw_curtis(order)[1] * jac
+    offsets, stacked, w = _log_rule(_Y_SLIVER, _Y_CUT, order)
+    rule = np.append(offsets, 0.5 * _Y_SLIVER), stacked, w
     for a in rule:
         a.setflags(write=False)
     return rule
 
 
-def _nested_cc(g, sample, rule, ceiling, tol, const=0.0):
-    """The nested Clenshaw-Curtis ladder on [-1, 1], from the order of g up to ceiling.
+def _nested_cc(g, sample, rule, first, ceiling, tol, const=0.0):
+    """The nested Clenshaw-Curtis ladder, from the rule first up to order ceiling.
 
-    g[0] holds one material pair's integrand as (nodes, rows) or (nodes,),
-    at the nodes of the starting rule; g[1:] hold any companions that the
-    same rule integrates.  sample(order) returns such a sequence at the odd
-    nodes of that order's rule, and may reuse the memory of g.  The coarser
-    rule is the samples at even indices.  const is a piece outside the
-    rule, added to both sums.  Every sum is one product, weights @ block,
-    with rule(order)'s weights times the Jacobian: the first rung's fine and
-    coarse sums are one, with them stacked as _first_rung_weights stacks
-    them.  The error is |fine - coarse| plus the fine sum's round-off bound,
-    eps per node times |fine|, which bounds a sum of non-negative terms
-    taken in any order: every sample, weight and const is >= 0 (0 <= r_a
-    r_b <= 1, and the weights and Jacobians are positive).  The ladder stops
-    at the first rung where every row has an error within tol times its
-    |fine| (floored at 1e-12 of the largest row; a single row is its own
-    floor), or at ceiling.  Returns (fine, error, order, the companions' fine sums).
+    first is the starting rung's (nodes, stacked weights, weights), as
+    _log_rule returns them, and rule(order) returns a finer rung's.  g[0]
+    holds one material pair's integrand as (nodes, rows) or (nodes,), at
+    first's nodes; g[1:] hold any companions that the same rule integrates.
+    sample(nodes) returns such a sequence at the given nodes, the finer
+    rule's odd ones, and may reuse the memory of g.  The coarser rule is
+    the samples at even indices.  const is a piece outside the rule, added
+    to both sums.  Every sum is one product, weights @ block, whose weights
+    carry the Jacobian: the first rung's fine and coarse sums are one, with
+    the stacked weights.  The error is |fine - coarse| plus the fine sum's
+    round-off bound, eps per node times |fine|, which bounds a sum of
+    non-negative terms taken in any order: every sample, weight and const
+    is >= 0 (0 <= r_a r_b <= 1, and the weights and Jacobians are
+    positive).  The ladder stops at the first rung where every row has an
+    error within tol times its |fine| (floored at 1e-12 of the largest
+    row; a single row is its own floor), or at ceiling.  Returns (fine,
+    error, order, the companions' fine sums).
     """
-    order = len(g[0]) - 1
-    stacked, w = rule(order)
+    _, stacked, w = first
+    order = len(w) - 1
     fine, coarse = stacked.T @ g[0] + const
     while True:
         size = abs(fine)
@@ -322,12 +334,13 @@ def _nested_cc(g, sample, rule, ceiling, tol, const=0.0):
             return fine, err, order, [w @ c for c in g[1:]]
         # g moves to the even indices of the order-2n rule before sample may reuse its memory.
         coarse, order = fine, 2 * order
+        nodes, _, w = rule(order)
         nested = [np.empty((order + 1,) + a.shape[1:]) for a in g]
         for dst, a in zip(nested, g):
             dst[::2] = a
-        for dst, b in zip(nested, sample(order)):
+        for dst, b in zip(nested, sample(nodes[1:order:2])):
             dst[1::2] = b
-        g, (_, w) = nested, rule(order)
+        g = nested
         fine = w @ g[0] + const
 
 
@@ -407,21 +420,11 @@ def _k_integrand(pair, xi, gap, temperature, grid):
     return out
 
 
-def _log_nodes(xi_lo, xi_hi, x):
-    """The frequencies at the nodes x of [-1, 1] mapped linearly onto [ln xi_lo, ln xi_hi].
-
-    Returns them with the half-width of that range, du/dx.
-    """
-    u_lo = math.log(xi_lo)
-    half = 0.5 * (math.log(xi_hi) - u_lo)
-    return np.exp(u_lo + (x + 1.0) * half), half
-
-
 def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     """(1/8a^3) int_{y_lo}^{y_lo+60} y^2 F(y) dy per pair and xi, by the nested CC ladder.
 
     Every row takes one _k_rule per order (see the module docstring):
-    Clenshaw-Curtis in u = ln(y - y_lo) on [ln 1e-9, ln 60] plus the sliver
+    _log_rule over offsets y - y_lo in [1e-9, 60] plus the sliver
     [y_lo, y_lo + 1e-9] as one midpoint node outside the rule, 1e-9
     F(y_lo + 5e-10), the first rung's last node row.  The pass builds a
     rung's grid of y once and evaluates the pairs one at a time: each
@@ -438,30 +441,29 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     live = y_lo < _Y_CUT
     xi = np.where(live, xi, 0.0)
     rows = len(xi)
-    # The (order, first) the grid was last built for, and the grid.
+    # The offsets the grid was last built at, and the grid.
     built = (None,)
 
-    def sample(pair, order, first=False):
-        # The integrand of pair: on the first rung at every node of the
-        # order-n rule and the sliver's midpoint, on a climb at its odd nodes.
+    def sample(pair, offsets):
+        # The integrand of pair at offsets: on the first rung every node of
+        # the rule and the sliver's midpoint, on a climb its odd nodes.
         nonlocal built
-        if built[0] != (order, first):
-            offsets = _k_rule(order)[0]
-            offsets = offsets if first else offsets[1:-1:2]
+        if built[0] is not offsets:
             grid = _WORKSPACE.take("grid", (3, len(offsets), rows))
             y = np.add(offsets[:, None], y_lo, out=grid[0])
             np.exp(y, out=grid[1])
             np.multiply(y, y, out=grid[2])
-            built = (order, first), grid
+            built = offsets, grid
         return _k_integrand(pair, xi, gap, temperature, built[1])
 
+    first = _k_rule(2 * _K_ORDER_START)
     out = np.empty((2, len(pairs), rows))
     try:
         for p, pair in enumerate(pairs):
-            f = sample(pair, 2 * _K_ORDER_START, first=True)
-            out[:, p] = _nested_cc([f[:-1]], lambda order, pair=pair: [sample(pair, order)],
-                                   lambda order: _k_rule(order)[1:], _K_ORDER_MAX,
-                                   num.rel_tol_quadrature, f[-1] * _Y_SLIVER)[:2]
+            f = sample(pair, first[0])
+            out[:, p] = _nested_cc([f[:-1]], lambda offsets, pair=pair: [sample(pair, offsets)],
+                                   _k_rule, first, _K_ORDER_MAX, num.rel_tol_quadrature,
+                                   f[-1] * _Y_SLIVER)[:2]
     finally:
         _WORKSPACE.trim()
     # Rows at the cutoff are sampled only to keep the block whole.
@@ -471,36 +473,28 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
 
 
 def _log_grid_integral(xi_lo, xi_hi, order, ceiling, args, first=None):
-    """int_{xi_lo}^{xi_hi} J(xi) dxi of one pair, by the nested CC ladder in u = ln(xi).
+    """int_{xi_lo}^{xi_hi} J(xi) dxi of one pair, by the nested CC ladder of _log_rule.
 
     args is (gap, temperature, pair, num).  The ladder starts at the given
-    order and stops by ceiling.  first, if given, is ((frequencies,
-    half-width), (values, errors)): what _log_nodes returns for the
-    starting rule's nodes and the pair's row of what _k_integrals_adaptive
-    returns there, which are then not sampled again.  Each rung's weights
-    carry the Jacobian xi du/dx.  The k-errors are integrated by the same
-    rule, as its companion.  Returns (finer rule, its k-integration error,
-    its rule error, its node count, xi_lo J(xi_lo)) as Python numbers, the
-    last from the x = -1 end node.  The material response is evaluated at
-    the requested temperature.
+    order and stops by ceiling; every rung is _log_rule(xi_lo, xi_hi,
+    order).  first, if given, is (rule, (values, errors)): the starting
+    rung's _log_rule and the pair's row of what _k_integrals_adaptive
+    returns at its nodes, which are then not sampled again.  The k-errors
+    are integrated by the same rule, as its companion.  Returns (finer
+    rule, its k-integration error, its rule error, its node count,
+    xi_lo J(xi_lo)) as Python numbers, the last from the x = -1 end node.
+    The material response is evaluated at the requested temperature.
     """
     gap, temperature, pair, num = args
-    start = order
+    rule = partial(_log_rule, xi_lo, xi_hi)
 
-    def climb(order):
-        xi = _log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0][1::2])[0]
+    def climb(xi):
         return _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
 
-    def rule(order):
-        # The weights times the Jacobian xi du/dx at the order-n frequencies.
-        at = xi if order == start else _log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0])[0]
-        jac = at * half
-        return _first_rung_weights(order) * jac[:, None], _clenshaw_curtis(order)[1] * jac
-
-    (xi, half), k = first or (_log_nodes(xi_lo, xi_hi, _clenshaw_curtis(order)[0]), None)
-    if k is None:
-        k = _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
-    value, err, order, (k_err,) = _nested_cc(k, climb, rule, ceiling, num.rel_tol_quadrature)
+    start, k = first or (rule(order), None)
+    k = climb(start[0]) if k is None else k
+    value, err, order, (k_err,) = _nested_cc(k, climb, rule, start, ceiling,
+                                             num.rel_tol_quadrature)
     return float(value), float(k_err), float(err), order + 1, float(xi_lo * k[0][-1])
 
 
@@ -563,12 +557,12 @@ def _plate_pressures(gap, temperature, pairs, num):
         # T = 0, or so cold that every explicit term lies below xi_min.  Every
         # such ladder at default numerics climbs past CC-64, so it starts at CC-128.
         order = min(2 * _FREQ_ORDER_START, ceiling)
-        grid = _log_nodes(xi_min, xi_hi, _clenshaw_curtis(order)[0])
+        rule = _log_rule(xi_min, xi_hi, order)
         results = []
-        for pair, *k in zip(pairs, *_k_integrals_adaptive(pairs, grid[0], gap, temperature, num)):
+        for pair, *k in zip(pairs, *_k_integrals_adaptive(pairs, rule[0], gap, temperature, num)):
             # The pair's row of the shared pass is its ladder's first rung.
             value, quad_err, rule_err, nodes, low = _log_grid_integral(
-                xi_min, xi_hi, order, ceiling, (gap, temperature, pair, num), (grid, k))
+                xi_min, xi_hi, order, ceiling, (gap, temperature, pair, num), (rule, k))
             results.append(PressureResult(pref * (value + low), nodes, pref * low,
                                           pref * (quad_err + rule_err)))
         return results
@@ -579,15 +573,15 @@ def _plate_pressures(gap, temperature, pairs, num):
         # The Matsubara step at n as one k-integral pass: the terms start..2n + 1
         # (n_ceiling at most), and while terms lie beyond 2n, the first rungs of
         # the tail behind P(2n) over [(2n+1/2) xi_1, xi_hi] and of the block
-        # over [(n+1/2), (2n+1/2)] xi_1.  Returns the pass's frequencies, the
-        # rules, their first rungs' grids and where each part of the pass ends.
+        # over [(n+1/2), (2n+1/2)] xi_1.  Returns the pass's frequencies, each
+        # ladder's (range, first rung's rule) and where each part of the pass ends.
         ns = np.arange(start, min(n_ceiling, 2 * n + 1) + 1, dtype=float)
-        rules = () if n_ceiling <= 2 * n else (
+        ranges = () if n_ceiling <= 2 * n else (
             ((2 * n + 0.5) * xi_1, xi_hi, min(_FREQ_ORDER_START, ceiling), ceiling),
             ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, _BLOCK_ORDER, _BLOCK_ORDER))
-        grids = [_log_nodes(lo, hi, _clenshaw_curtis(order)[0]) for lo, hi, order, _ in rules]
-        ends = list(accumulate([len(ns)] + [len(xi) for xi, _ in grids]))
-        return np.concatenate([ns * xi_1] + [xi for xi, _ in grids]), rules, grids, ends
+        rules = [(r, _log_rule(*r[:3])) for r in ranges]
+        ends = list(accumulate([len(ns)] + [len(rule[0]) for _, rule in rules]))
+        return np.concatenate([ns * xi_1] + [rule[0] for _, rule in rules]), rules, ends
 
     first = step(_N_EXPLICIT, 0)
     passes = _k_integrals_adaptive(pairs, first[0], gap, temperature, num)
@@ -597,7 +591,7 @@ def _plate_pressures(gap, temperature, pairs, num):
     for pair, vals, errs in zip(pairs, *passes):
         # The pair's row of the shared pass, then passes of its own; prev is
         # the last truncation estimate.
-        n, prev, (_, rules, grids, ends) = _N_EXPLICIT, math.inf, first
+        n, prev, (_, rules, ends) = _N_EXPLICIT, math.inf, first
         # The terms f(n) and their k-errors.
         f = err = np.zeros(0)
         while True:
@@ -610,9 +604,9 @@ def _plate_pressures(gap, temperature, pairs, num):
                 break
             # Each rule's first rung is the next len(nodes) rows after the terms.
             (tail, tail_err, rule_err, nodes, _), (block, _, block_err, _, _) = (
-                _log_grid_integral(*rule, (gap, temperature, pair, num),
-                                   (grid, (vals[a:b], errs[a:b])))
-                for rule, grid, a, b in zip(rules, grids, ends, ends[1:]))
+                _log_grid_integral(*ladder, (gap, temperature, pair, num),
+                                   (rule, (vals[a:b], errs[a:b])))
+                for (ladder, rule), a, b in zip(rules, ends, ends[1:]))
             # P(2n) = xi_1 [sum_{m<=2n} f_m + f'(2n+1/2)/24] + int_{(2n+1/2) xi_1} J dxi,
             # and its k-integration error.
             value = xi_1 * float(f[: 2 * n + 1].sum() + (f[2 * n + 1] - f[2 * n]) / 24.0) + tail
@@ -631,7 +625,7 @@ def _plate_pressures(gap, temperature, pairs, num):
                                               pref * (quad_err + rule_err)))
                 break
             n, prev = 2 * n, estimate
-            xi, rules, grids, ends = step(n, len(f))
+            xi, rules, ends = step(n, len(f))
             vals, errs = _k_integrals_adaptive([pair], xi, gap, temperature, num)[:, 0]
     return results
 

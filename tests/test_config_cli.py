@@ -316,6 +316,16 @@ def test_memo_hit_equals_a_fresh_build():
     assert fresh == hit
 
 
+def test_a_config_behind_a_byte_order_mark_loads_as_without(tmp_path):
+    # Notepad and Excel's "CSV UTF-8" start a UTF-8 file with the mark.
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + example_config_path().read_bytes())
+    example = load_device_config(EXAMPLE)
+    assert load_device_config(bom) == example
+    spec = config.load_sweep_spec(bom, example.materials)
+    assert spec == config.load_sweep_spec(EXAMPLE, example.materials) == example.sweep
+
+
 def test_a_text_built_after_another_is_built_again(tmp_path):
     # Only the last text built is kept: loading A, B, A builds A twice, and
     # its second build warns as the first did; a fourth load of A is a hit.

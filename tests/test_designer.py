@@ -266,6 +266,15 @@ def test_scan_step_signal_magnitude():
     assert shifts[0.5] < 0
 
 
+def test_scan_step_whose_closing_underflows_shifts_by_plus_zero():
+    # 5e-324 Pa closes the gap by exactly 0 m: the shift is +0, as a row of
+    # the gap sweep gives for a zero pressure, not -0.
+    theory = StepPressureSignal(5e-324, t_c=0.9)
+    points = simulate_temperature_scan(GEOMETRY, CAVITY, [0.5, 1.2], theory)
+    assert [math.copysign(1.0, shift) for _, shift in points] == [1.0, 1.0]
+    assert [shift for _, shift in points] == [0.0, 0.0]
+
+
 def test_scan_of_an_empty_grid_is_empty():
     theory = StepPressureSignal(0.5, t_c=0.9)
     assert simulate_temperature_scan(GEOMETRY, CAVITY, [], theory) == []

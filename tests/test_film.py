@@ -114,6 +114,12 @@ def test_ingest_skips_comment_lines_and_crlf():
     assert ingest_rt_table(text.encode("utf-8")) == ingest_rt_table(rt_csv(points))
 
 
+def test_ingest_skips_a_byte_order_mark():
+    points = [(0.5, 1.0), (0.9, 45.0)]
+    text = rt_csv(points)
+    assert ingest_rt_table(b"\xef\xbb\xbf" + text.encode("utf-8")) == ingest_rt_table(text)
+
+
 def test_ingest_reports_bad_rows_with_line_numbers():
     text = "temperature_K,resistance_ohm\n0.5,1.0\nnope,45\n0.9\n"
     with pytest.raises(DomainError) as excinfo:

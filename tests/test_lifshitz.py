@@ -757,19 +757,23 @@ def test_rung_sums_do_not_depend_on_alignment():
     # vector product.  The first rung takes its fine and coarse sums from
     # one product with the stacked (nodes, 2) weights, the coarse rule's at
     # even nodes and 0 at odd ones; a later rung takes its fine sum with the
-    # rule's weights.  For both kinds of weights, bare and as a k-rule
-    # caches them (times the Jacobian), a 129 x 228 block sums to the same
+    # rule's weights.  For every kind of weights, bare, as _log_rule builds
+    # them for the T = 0 frequency range at 100 nm and as the k-rule caches
+    # them (both times the Jacobian), a 129 x 228 block sums to the same
     # bits at each of 8 byte offsets of its buffer (8-byte steps) and as
     # the 129-of-130 node rows a k-pass sums, and a 65-node vector, which
     # each frequency ladder samples afresh for its pair, sums to the same
-    # bits at each of 8 byte offsets.
-    stacked = lifshitz._first_rung_weights(128)
-    assert np.array_equal(stacked[:, 0], _clenshaw_curtis(128)[1])
-    assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(64)[1])
+    # bits at each of 8 byte offsets, with the 1 K tail's weights or bare.
+    gap, xi_1 = 100e-9, 2 * math.pi * K_B * 1.0 / HBAR
+    xi_min, xi_hi = 1e-9 * C / (2 * gap), 60.0 * C / (2 * gap)
+    nodes, stacked, weights = lifshitz._log_rule(xi_min, xi_hi, 128)
+    jac = nodes * (0.5 * (math.log(xi_hi) - math.log(xi_min)))
+    assert np.array_equal(stacked[:, 0], weights)
+    assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(64)[1] * jac[::2])
     assert not stacked[1::2, 1].any()
     rng = np.random.default_rng(41)
     block = rng.random((129, 228))
-    for w in (stacked, _clenshaw_curtis(128)[1], *lifshitz._k_rule(128)[1:]):
+    for w in (stacked, weights, _clenshaw_curtis(128)[1], *lifshitz._k_rule(128)[1:]):
         expected = w.T @ block
         for offset in range(8):
             shifted = np.empty(block.size + 8)[offset : offset + block.size].reshape(block.shape)
@@ -779,7 +783,8 @@ def test_rung_sums_do_not_depend_on_alignment():
         wide[:129] = block
         assert np.array_equal(w.T @ wide[:129], expected)
     row = rng.random(65)
-    for w in (lifshitz._first_rung_weights(64), _clenshaw_curtis(64)[1]):
+    tail = lifshitz._log_rule((2 * _N_EXPLICIT + 0.5) * xi_1, xi_hi, 64)
+    for w in (*tail[1:], _clenshaw_curtis(64)[1]):
         expected = w.T @ row
         for offset in range(8):
             shifted = np.empty(row.size + 8)[offset : offset + row.size]
@@ -809,6 +814,27 @@ def test_cached_k_rule_carries_its_jacobian(order):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [64, 128])
+def test_frequency_rule_carries_its_jacobian(order):
+    # A frequency rung's weights are the Clenshaw-Curtis weights times
+    # xi du/dx on u = ln(xi) over its range, here the Matsubara tail behind
+    # P(2N) at 100 nm and 1 K, so they integrate 1/xi to ln(hi/lo) within
+    # the ladder's round-off bound; stacked, the coarse column is 0 at odd
+    # nodes and the half-order weights times the Jacobian at even ones.
+    gap, xi_1 = 100e-9, 2 * math.pi * K_B * 1.0 / HBAR
+    lo, hi = (2 * _N_EXPLICIT + 0.5) * xi_1, 60.0 * C / (2 * gap)
+    nodes, stacked, weights = lifshitz._log_rule(lo, hi, order)
+    assert nodes.shape == (order + 1,)
+    assert nodes[0] == pytest.approx(hi, rel=1e-14) and nodes[-1] == pytest.approx(lo, rel=1e-14)
+    jac = nodes * (0.5 * (math.log(hi) - math.log(lo)))
+    assert np.array_equal(weights, _clenshaw_curtis(order)[1] * jac)
+    assert np.array_equal(stacked[:, 0], weights)
+    assert not stacked[1::2, 1].any()
+    assert np.array_equal(stacked[::2, 1], _clenshaw_curtis(order // 2)[1] * jac[::2])
+    exact = math.log(hi / lo)
+    assert abs(weights @ (1.0 / nodes) - exact) <= (order + 2) * np.finfo(float).eps * exact
 
 
 def test_k_ladder_rungs_are_nested(monkeypatch):
@@ -885,12 +911,12 @@ def test_frequency_ladder_fed_its_first_rung_returns_the_same_bits(pairs, temp):
     nodes = []
     for lo, hi, order, ceiling in (((2 * n + 0.5) * xi_1, 60.0 * C / (2 * gap), 64, 256),
                                    ((n + 0.5) * xi_1, (2 * n + 0.5) * xi_1, 32, 32)):
-        grid = lifshitz._log_nodes(lo, hi, _clenshaw_curtis(order)[0])
-        k = _k_integrals_adaptive(pairs, grid[0], gap, temp, DEFAULT_NUMERICS)
+        rule = lifshitz._log_rule(lo, hi, order)
+        k = _k_integrals_adaptive(pairs, rule[0], gap, temp, DEFAULT_NUMERICS)
         fed = []
         for pair, vals, errs in zip(pairs, *k):
             args = (gap, temp, pair, DEFAULT_NUMERICS)
-            first = (grid, (vals, errs))
+            first = (rule, (vals, errs))
             fed.append(lifshitz._log_grid_integral(lo, hi, order, ceiling, args, first))
             assert repr(fed[-1]) == repr(lifshitz._log_grid_integral(lo, hi, order, ceiling, args))
         nodes.append([result[3] for result in fed])
@@ -903,27 +929,29 @@ def test_frequency_ladder_fed_its_first_rung_returns_the_same_bits(pairs, temp):
 def test_every_ladder_sample_is_nonnegative(monkeypatch, num):
     # The premise of _nested_cc's round-off floor (order + 2) eps |fine|:
     # with every sample, weight and const >= 0, |fine| is the sum of |terms|
-    # bit for bit.  Checked on every rung of every k- and frequency ladder.
+    # bit for bit.  Checked on every rung of every k- and frequency ladder,
+    # the weights of the rule it starts from and of each rule it climbs to.
     nested, samples = lifshitz._nested_cc, []
 
     def check(g, const):
         samples.append(g[0].size)
         assert np.all(g[0] >= 0.0) and np.all(np.asarray(const) >= 0.0)
 
-    def nested_cc(g, sample, rule, ceiling, tol, const=0.0):
-        check(g, const)
+    def check_weights(rule):
+        assert all(np.all(w >= 0.0) for w in rule[1:])
+        return rule
 
-        def checked(order):
-            new = sample(order)
+    def nested_cc(g, sample, rule, first, ceiling, tol, const=0.0):
+        check(g, const)
+        check_weights(first)
+
+        def checked(nodes):
+            new = sample(nodes)
             check(new, 0.0)
             return new
 
-        def checked_rule(order):
-            weights = rule(order)
-            assert all(np.all(w >= 0.0) for w in weights)
-            return weights
-
-        return nested(g, checked, checked_rule, ceiling, tol, const)
+        return nested(g, checked, lambda order: check_weights(rule(order)), first, ceiling,
+                      tol, const)
 
     monkeypatch.setattr(lifshitz, "_nested_cc", nested_cc)
     for gap in GRID_GAPS:

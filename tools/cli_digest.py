@@ -50,9 +50,11 @@ is negative; and ``validate`` on a copy with a negative ``temperatures_K``
 and a negative ``[signals]`` pressure.  Every range error names the key and
 the value as written.  Then ``validate`` twice and a JSON ``pressure`` on a
 copy with ``q_optical = 9e4``, whose cavity warning every command repeats,
-in process as from a config it has loaded before.  Last, ``validate`` on
+in process as from a config it has loaded before.  Then ``validate`` on
 the example config and on that copy again, which is built anew after
-another text has replaced it as the last config loaded.
+another text has replaced it as the last config loaded.  Last,
+``validate`` on a copy of the example config and ``tc`` on the
+single-step table, each behind a UTF-8 byte-order mark.
 """
 
 import argparse
@@ -166,6 +168,8 @@ def commands():
            "--model-b", "al_drude", "--config", "q_mismatch.cfg", "--format", "json"]
     for name in (CONFIG, "q_mismatch.cfg"):
         yield ["validate", "--config", name]
+    yield ["validate", "--config", "bom.cfg"]
+    yield ["tc", "--input", "bom_single_step.csv"]
 
 
 def run(argv):
@@ -203,6 +207,9 @@ def digest():
             example.replace("temperatures_K = 1.3", "temperatures_K = -1.3")
             .replace("gravitational_casimir_Pa = 0.5", "gravitational_casimir_Pa = -0.5"))
         files["q_mismatch.cfg"] = example.replace("q_optical = 4.5e4", "q_optical = 9e4")
+        # what Notepad and Excel's "CSV UTF-8" write first
+        files["bom.cfg"] = "\ufeff" + example
+        files["bom_single_step.csv"] = "\ufeff" + RT_TABLES["single_step"]
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -334,10 +334,10 @@ def _read_text(path):
     on every call, a leading byte-order mark skipped; an unreadable file
     raises ConfigError."""
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with open(path, encoding="utf-8") as handle:
             # line by line, as configparser reads a file, so a decoding
             # error reports the same byte position
-            return "".join(handle), handle.name
+            return "".join(handle).removeprefix("\ufeff"), handle.name
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from None
 

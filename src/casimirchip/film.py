@@ -123,8 +123,8 @@ def penetration_depth(lambda_l, xi0, ell, mode):
 
 
 def ingest_rt_table(raw):
-    """Parse an R(T) table, given as bytes (UTF-8, a leading byte-order mark
-    skipped) or text, into an RTCurve.
+    """Parse an R(T) table, given as bytes (UTF-8) or text, into an RTCurve;
+    a leading byte-order mark is skipped.
 
     The header must be exactly ``temperature_K,resistance_ohm``; blank and
     ``#`` lines are skipped.  Rows are sorted by temperature; duplicate
@@ -133,9 +133,10 @@ def ingest_rt_table(raw):
     """
     if isinstance(raw, bytes):
         try:
-            raw = raw.decode("utf-8-sig")
+            raw = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DomainError(f"R(T) table is not UTF-8 text: {exc}") from None
+    raw = raw.removeprefix("\ufeff")
 
     data_lines = []
     for lineno, line in enumerate(raw.splitlines(), start=1):

@@ -326,6 +326,14 @@ def test_a_config_behind_a_byte_order_mark_loads_as_without(tmp_path):
     assert spec == config.load_sweep_spec(EXAMPLE, example.materials) == example.sweep
 
 
+def test_a_bad_byte_behind_a_byte_order_mark_is_reported_at_its_file_offset(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xef\xbb\xbf[geometry]\ngap_nm = 100\xff\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_device_config(bad)
+    assert "byte 0xff in position 26" in str(excinfo.value)
+
+
 def test_a_text_built_after_another_is_built_again(tmp_path):
     # Only the last text built is kept: loading A, B, A builds A twice, and
     # its second build warns as the first did; a fourth load of A is a hit.

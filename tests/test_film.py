@@ -118,6 +118,8 @@ def test_ingest_skips_a_byte_order_mark():
     points = [(0.5, 1.0), (0.9, 45.0)]
     text = rt_csv(points)
     assert ingest_rt_table(b"\xef\xbb\xbf" + text.encode("utf-8")) == ingest_rt_table(text)
+    # A file read as "utf-8" keeps the mark as U+FEFF in its text.
+    assert ingest_rt_table("\ufeff" + text) == ingest_rt_table(text)
 
 
 def test_ingest_reports_bad_rows_with_line_numbers():

@@ -69,7 +69,7 @@ def _num(unit, scale=1.0, check=require_positive):
     quote ordinary frequencies).  ``check`` runs on the number as written,
     named by its ``[section] key``: every factor is positive, so the range
     rule holds the same before and after scaling, unless the product
-    underflows to 0, which is refused here."""
+    underflows to 0 or overflows, which is refused here."""
     factor = _UNIT_FACTORS[unit]
 
     def convert(text, where):
@@ -84,6 +84,8 @@ def _num(unit, scale=1.0, check=require_positive):
         si = scale * (value * factor)
         if value and not si:
             raise ConfigError([f"{where}: {value!r} rounds to 0 in SI units"])
+        if not math.isfinite(si):
+            raise ConfigError([f"{where}: {value!r} overflows in SI units"])
         return si
 
     return convert

@@ -101,9 +101,10 @@ same responses at T (a superconductor above t_c against its normal state)
 differ by exactly 0.0, which a differential returns without evaluating
 either.  A k-pass holds one pair's arrays at a time in a per-thread
 workspace that the thread's next call reuses, so memory does not grow
-with the pair count, and what blocks over a default call's 130 x 228 grew
-is dropped after their pass; every array of it starts on a 64-byte
-boundary, and a pair of one response takes 6 blocks (see _Workspace).
+with the pair count.  A pass of more than a default call's 228 rows takes
+scratch of its own, dropped with the pass, and the thread's buffers stay
+as they were.  Every workspace array starts on a 64-byte boundary, and a
+pair of one response takes 6 blocks (see _Workspace).
 The tests
 test_default_two_pair_call_keeps_one_228_row_block_per_array,
 test_memory_does_not_grow_with_the_pair_count and
@@ -144,50 +145,41 @@ _BLOCK_ORDER = 32
 _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
-# The largest (nodes, rows) block a call at default numerics evaluates: the
-# first Matsubara step's 2 N + 2 explicit terms, 65-node tail rung and
-# 33-node block, on the 129-node rule and the sliver node.
-_KEPT_BLOCK = ((2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1)
-               * (2 * _K_ORDER_START + 2))
+# The rows of the widest k-pass a call at default numerics makes: the first
+# Matsubara step's 2 N + 2 explicit terms, 65-node tail rung and 33-node
+# block.  No pass has more than 130 node rows: the 129-node first rung and
+# the sliver node, or the 128 odd nodes of a climb to _K_ORDER_MAX.
+_KEPT_ROWS = 2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1
 
 class _Workspace(threading.local):
-    """Scratch arrays of one thread, reused by every call it makes.
+    """Scratch arrays for k-passes, each kept under a name for the next take.
 
     take(name, shape) returns an uninitialised array over the buffer kept
     under name, which grows when a larger shape is taken.  A k-pass takes
     the grid of y, e^y and y^2, the r_TE and r_TM of each distinct response
     of the pair (the integrand overwrites the first r_TE) and one scratch
     block, y_m and then the denominators.  It holds one pair's arrays at a
-    time, so what a thread keeps does not grow with the pair count.  A
-    block whose (rows, nodes) span more than _KEPT_BLOCK, which only tighter
-    numerics make, never reuses a buffer kept for smaller ones, and trim()
-    drops what such blocks grew.  Every buffer has 7 doubles of slack, so
-    that it starts on a 64-byte boundary.  An array stays valid until the
-    next take of its name or trim(); nothing the engine returns is a view
-    of one.
+    time, so what a workspace keeps does not grow with the pair count.
+    _WORKSPACE is the thread's, which every pass of at most _KEPT_ROWS rows
+    reuses; a wider pass, which only tighter numerics make, takes a
+    _Workspace of its own, dropped with the pass, so the thread's buffers
+    stay as they were.  Every buffer has 7 doubles of slack, so that it
+    starts on a 64-byte boundary.  An array stays valid until the next take
+    of its name; nothing the engine returns is a view of one.
     """
 
     def __init__(self):
-        self.buffers, self.oversized = {}, set()
+        self.buffers = {}
 
     def take(self, name, shape):
-        size, oversize = math.prod(shape), math.prod(shape[-2:]) > _KEPT_BLOCK
-        buf = self.buffers.pop(name, None)
-        if buf is None or buf.size < size or oversize and name not in self.oversized:
-            buf = None  # dropped before anything is allocated
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = None  # dropped before anything is allocated
             raw = np.empty(size + 7)
             start = -raw.__array_interface__["data"][0] % 64 // 8
-            buf = raw[start : start + size]
-            if oversize:
-                self.oversized.add(name)
-        self.buffers[name] = buf
+            buf = self.buffers[name] = raw[start : start + size]
         return buf[:size].reshape(shape)
-
-    def trim(self):
-        """Ends a pass: drops what its blocks over _KEPT_BLOCK grew."""
-        for name in self.oversized:
-            self.buffers.pop(name, None)
-        self.oversized.clear()
 
 
 _WORKSPACE = _Workspace()
@@ -386,7 +378,7 @@ def _fresnel(model, xi, gap, temperature, y, y_sq, r_te, r_tm, y_m):
     np.divide(-chi, r_te, out=r_te)
 
 
-def _k_integrand(pair, xi, gap, temperature, grid):
+def _k_integrand(pair, xi, gap, temperature, grid, ws):
     """y^2 F(y) of one material pair on a (nodes, rows) grid of y, as (nodes, rows).
 
     xi holds the (rows,) frequencies, and grid the (3, nodes, rows) block
@@ -397,14 +389,14 @@ def _k_integrand(pair, xi, gap, temperature, grid):
     models go through _fresnel once per distinct response
     (materials.response), so two objects that reflect alike cost one.
     Every k-integral sample passes through here once.  The result is
-    written over the first response's r_TE, and it and every pass live in
-    the thread's workspace: the result is valid until the next call.
+    written over the first response's r_TE in the pass's _Workspace ws: it
+    is valid until the next call with ws.
     """
     y, exp_y, y_sq = grid
     models = {response(m, temperature): m for m in pair}
-    r = _WORKSPACE.take("fresnel", (len(models), 2) + y.shape)
+    r = ws.take("fresnel", (len(models), 2) + y.shape)
     # One scratch block holds y_m, then the denominators.
-    den = _WORKSPACE.take("den", y.shape)
+    den = ws.take("den", y.shape)
     for model, r_model in zip(models.values(), r):
         _fresnel(model, xi, gap, temperature, y, y_sq, *r_model, den)
     # The first model's r_TE takes the TE product, the second's r_TM the TM one.
@@ -441,6 +433,8 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     live = y_lo < _Y_CUT
     xi = np.where(live, xi, 0.0)
     rows = len(xi)
+    # A pass wider than a default call's brings its own scratch (see _Workspace).
+    ws = _WORKSPACE if rows <= _KEPT_ROWS else _Workspace()
     # The offsets the grid was last built at, and the grid.
     built = (None,)
 
@@ -449,23 +443,20 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
         # the rule and the sliver's midpoint, on a climb its odd nodes.
         nonlocal built
         if built[0] is not offsets:
-            grid = _WORKSPACE.take("grid", (3, len(offsets), rows))
+            grid = ws.take("grid", (3, len(offsets), rows))
             y = np.add(offsets[:, None], y_lo, out=grid[0])
             np.exp(y, out=grid[1])
             np.multiply(y, y, out=grid[2])
             built = offsets, grid
-        return _k_integrand(pair, xi, gap, temperature, built[1])
+        return _k_integrand(pair, xi, gap, temperature, built[1], ws)
 
     first = _k_rule(2 * _K_ORDER_START)
     out = np.empty((2, len(pairs), rows))
-    try:
-        for p, pair in enumerate(pairs):
-            f = sample(pair, first[0])
-            out[:, p] = _nested_cc([f[:-1]], lambda offsets, pair=pair: [sample(pair, offsets)],
-                                   _k_rule, first, _K_ORDER_MAX, num.rel_tol_quadrature,
-                                   f[-1] * _Y_SLIVER)[:2]
-    finally:
-        _WORKSPACE.trim()
+    for p, pair in enumerate(pairs):
+        f = sample(pair, first[0])
+        out[:, p] = _nested_cc([f[:-1]], lambda offsets, pair=pair: [sample(pair, offsets)],
+                               _k_rule, first, _K_ORDER_MAX, num.rel_tol_quadrature,
+                               f[-1] * _Y_SLIVER)[:2]
     # Rows at the cutoff are sampled only to keep the block whole.
     out[:, :, ~live] = 0.0
     out /= 8.0 * gap**3

@@ -416,6 +416,25 @@ def test_value_that_underflows_in_si_is_a_config_error(tmp_path, capsys, command
                    "config error: [readout] operating_power_nW: 1e-320 rounds to 0 in SI units\n")
 
 
+def test_value_that_overflows_in_si_is_refused_by_its_key(tmp_path, capsys):
+    # Each is finite as written and inf once scaled to SI; the refusal names
+    # the key and the value as written, not the constructor field and inf.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(example_config_path().read_text()
+                   .replace("kappa_GHz = 4.2", "kappa_GHz = 1e300")
+                   .replace("omega_p_eV = 12.0\n\n[material.al_drude]",
+                            "omega_p_eV = 1e300\n\n[material.al_drude]"))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("config error: [cavity] kappa_GHz: 1e+300 overflows in SI units\n"
+                   "config error: [material.al_plasma] omega_p_eV: 1e+300 overflows in SI units\n")
+    spec = "plasma:omega_p_eV=1e300"
+    code, out, err = run_cli(capsys, "pressure", "--gap", "100nm", "--temp", "1K",
+                             "--model-a", spec, "--model-b", "ideal")
+    assert (code, out) == (1, "")
+    assert err == f"error: material spec {spec!r} omega_p_eV: 1e+300 overflows in SI units\n"
+
+
 def test_parse_material_specs():
     cfg = load_device_config(EXAMPLE)
     assert isinstance(parse_material_spec("ideal", cfg.materials), IdealMetal)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -658,9 +659,9 @@ def _hook_k_integrand(monkeypatch):
     # memory in later calls.
     inner, calls = lifshitz._k_integrand, []
 
-    def k_integrand(pair, xi, gap, temperature, grid):
+    def k_integrand(pair, xi, gap, temperature, grid, ws):
         calls.append(([pair], xi[:, None].copy(), temperature, grid[0].T.copy()))
-        return inner(pair, xi, gap, temperature, grid)
+        return inner(pair, xi, gap, temperature, grid, ws)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
     return calls
@@ -973,7 +974,8 @@ def test_k_integrand_matches_local_formulas(model, gap):
         y_lo = 2 * gap * xi / sc.c
         y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
         grid = np.array([y, np.exp(y), y * y])[:, :, None]
-        vals = lifshitz._k_integrand((model, model), np.array([xi]), gap, 1.0, grid)[:, 0]
+        vals = lifshitz._k_integrand((model, model), np.array([xi]), gap, 1.0, grid,
+                                     lifshitz._Workspace())[:, 0]
         ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n
 
@@ -1275,11 +1277,12 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
     (1e-6, 10.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)),
 ], ids=["default-two-pairs", "1e-11-oversized"])
 def test_workspace_arrays_start_on_64_byte_boundaries(monkeypatch, gap, temp, num):
-    # Every array the workspace hands out starts on a cache line, kept
-    # buffers and the oversized ones of a 1e-11 call at 1 um and 10 K alike
-    # (a pass over a misaligned block took about twice as long on an
-    # AVX-512 host).  The calls run in a fresh thread, whose workspace
-    # starts empty.
+    # Every array a workspace hands out starts on a cache line, whether the
+    # thread's or one that a wider pass of a 1e-11 call at 1 um and 10 K
+    # takes for itself (a pass over a misaligned block took about twice as
+    # long on an AVX-512 host).  No block has more than 130 node rows, so a
+    # pass's rows alone tell whether it fits the thread's kept buffers.  The
+    # calls run in a fresh thread, whose workspace starts empty.
     take, shapes = lifshitz._Workspace.take, []
 
     def aligned_take(self, name, shape):
@@ -1294,23 +1297,29 @@ def test_workspace_arrays_start_on_64_byte_boundaries(monkeypatch, gap, temp, nu
     thread.join(timeout=120)
     assert not thread.is_alive()
     assert shapes and all(offset == 0 for _, _, offset in shapes), shapes
-    oversized = any(math.prod(shape[-2:]) > lifshitz._KEPT_BLOCK for _, shape, _ in shapes)
+    assert all(shape[-2] <= 130 for _, shape, _ in shapes), shapes
+    oversized = any(shape[-1] > lifshitz._KEPT_ROWS for _, shape, _ in shapes)
     assert oversized == (num is not DEFAULT_NUMERICS)
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():
     # The workspace keeps its arrays for the next call, but the 1,024-row
-    # blocks of a 1e-300 call at 1 um must not stay behind.  A fresh thread
-    # starts with an empty workspace; the rule cache is filled first.
+    # blocks of a 1e-300 call at 1 um must not stay behind: its passes wider
+    # than a default call's take scratch of their own, so the thread keeps
+    # the very buffers a default call left, and the same bytes.  A fresh
+    # thread starts with an empty workspace; the rule cache is filled first.
     extreme = LifshitzNumerics(rel_tol_quadrature=1e-300, rel_tol_series=1e-300)
     plate_pressure(1e-6, 4.0, DRUDE, DRUDE, extreme)
-    held = []
+    held, kept = [], []
 
     def run():
         plate_pressure(100e-9, 1.0, DRUDE, DRUDE)
         held.append(_numpy_bytes_held())
+        # Weak references, so that no buffer the call drops stays held here.
+        kept.append({name: weakref.ref(buf) for name, buf in lifshitz._WORKSPACE.buffers.items()})
         plate_pressure(1e-6, 4.0, DRUDE, DRUDE, extreme)
         held.append(_numpy_bytes_held())
+        kept.append(dict(lifshitz._WORKSPACE.buffers))
 
     tracemalloc.start()
     try:
@@ -1322,6 +1331,10 @@ def test_extreme_call_keeps_no_more_memory_than_a_default_call():
     assert not thread.is_alive()
     assert len(held) == 2
     assert 0 < held[1] <= held[0]
+    assert held[1] == held[0]
+    before, after = kept
+    assert before.keys() == after.keys()
+    assert all(after[name] is ref() for name, ref in before.items())
 
 
 def _distinct_pairs(count):
@@ -1390,8 +1403,8 @@ def test_tight_numerics_peak_within_the_budget(gap, temp, count):
     # Each pass holds one pair's arrays at a time, beside the per-pair
     # arrays of the call (the terms, the step's pass result, the frequency
     # ladder's samples), so the call peaks within the byte budget, which
-    # one pair alone (~4.4 MiB at 1 um) also fits; every result is its
-    # solo result.  The rule cache is filled first.
+    # one pair alone also fits; every result is its solo result.  The rule
+    # cache is filled first.
     tight = LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)
     pairs = _distinct_pairs(count)
     plate_pressures(gap, temp, pairs[:2], tight)

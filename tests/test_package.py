@@ -3,8 +3,10 @@ a device config leaves numpy unloaded, and loading one by path leaves
 dataclasses, inspect and importlib.resources unloaded too; the package
 leaves the environment alone, the CLI's one-thread BLAS default yields to
 the user's setting, every lazy export resolves, and CLI warnings reach
-stderr as ``warning: <message>`` lines without Python source."""
+stderr as ``warning: <message>`` lines without Python source.  Last, every
+source file parses under the oldest Python that pyproject.toml allows."""
 
+import ast
 import json
 import os
 import subprocess
@@ -153,3 +155,14 @@ def test_cli_warnings_are_message_lines(argv):
     quiet_out, quiet_err = run_python("-W", "ignore", "-m", "casimirchip.cli", *argv)
     assert quiet_err == ""
     assert out == quiet_out
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml allows Python 3.10, which CI runs but a 3.11 host does
+    # not: this catches newer syntax (such as except*) in the package, its
+    # tests and tools, not calls into newer library APIs.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(p for top in ("src", "tests", "tools") for p in (root / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

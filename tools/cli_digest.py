@@ -52,9 +52,12 @@ the value as written.  Then ``validate`` twice and a JSON ``pressure`` on a
 copy with ``q_optical = 9e4``, whose cavity warning every command repeats,
 in process as from a config it has loaded before.  Then ``validate`` on
 the example config and on that copy again, which is built anew after
-another text has replaced it as the last config loaded.  Last,
+another text has replaced it as the last config loaded.  Then
 ``validate`` on a copy of the example config and ``tc`` on the
-single-step table, each behind a UTF-8 byte-order mark.
+single-step table, each behind a UTF-8 byte-order mark.  Last,
+``validate`` on a copy with ``kappa_GHz = 1e300`` and ``pressure`` with
+an inline plasma spec whose ``omega_p_eV`` is 1e300, each finite as
+written and refused where it overflows in SI units.
 """
 
 import argparse
@@ -170,6 +173,9 @@ def commands():
         yield ["validate", "--config", name]
     yield ["validate", "--config", "bom.cfg"]
     yield ["tc", "--input", "bom_single_step.csv"]
+    yield ["validate", "--config", "overflow.cfg"]
+    yield ["pressure", "--model-a", "plasma:omega_p_eV=1e300", "--model-b", "ideal",
+           "--gap", "100nm", "--temp", "1K"]
 
 
 def run(argv):
@@ -210,6 +216,7 @@ def digest():
         # what Notepad and Excel's "CSV UTF-8" write first
         files["bom.cfg"] = "\ufeff" + example
         files["bom_single_step.csv"] = "\ufeff" + RT_TABLES["single_step"]
+        files["overflow.cfg"] = example.replace("kappa_GHz = 4.2", "kappa_GHz = 1e300")
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -90,7 +90,7 @@ def scaled(model, factor):
     """model with omega_p scaled by factor; the ideal metal has none."""
     if isinstance(model, IdealMetal):
         return model
-    # rebuilt by its constructor, which records and dataclasses alike take
+    # rebuilt by its constructor from its fields
     return type(model)(**{**vars(model), "omega_p": factor * model.omega_p})
 
 

@@ -268,7 +268,8 @@ class DeviceConfig:
 
 def _build_material(kind, values, where):
     """Material of ``kind`` from converted parameter values; raises
-    ConfigError naming every missing, extra or out-of-domain parameter."""
+    ConfigError naming every missing or extra parameter.  Each value's
+    converter has applied the constructor's own range rule."""
     cls, keys = _MATERIAL_KINDS[kind]
     problems = [f"{where}: model '{kind}' requires {key}"
                 for key in keys if key not in values]
@@ -276,10 +277,7 @@ def _build_material(kind, values, where):
                  for key in values if key not in keys]
     if problems:
         raise ConfigError(problems)
-    try:
-        return cls(*(values[key] for key in keys))
-    except DomainError as exc:
-        raise ConfigError([f"{where}: {exc}"]) from None
+    return cls(*(values[key] for key in keys))
 
 
 def _parse_section(ini, section, schema, problems):

@@ -101,11 +101,10 @@ same responses at T (a superconductor above t_c against its normal state)
 differ by exactly 0.0, which a differential returns without evaluating
 either.  A k-pass holds one pair's arrays at a time in a per-thread
 workspace that the thread's next call reuses, so memory does not grow
-with the pair count.  A pass of more than a default call's 228 rows takes
-scratch of its own, dropped with the pass, and the thread's buffers stay
-as they were.  Every workspace array starts on a 64-byte boundary, and a
-pair of one response takes 6 blocks (see _Workspace).
-The tests
+with the pair count.  A wider pass than a default call's 228 rows, which
+only tighter numerics make, runs in slices of 228, so that one workspace
+bounds every call.  Every workspace array starts on a 64-byte boundary,
+and a pair of one response takes 6 blocks (see _Workspace).  The tests
 test_default_two_pair_call_keeps_one_228_row_block_per_array,
 test_memory_does_not_grow_with_the_pair_count and
 test_tight_numerics_peak_within_the_budget gate it.
@@ -145,10 +144,10 @@ _BLOCK_ORDER = 32
 _EPS = np.finfo(float).eps
 # Matsubara terms summed explicitly before the Euler-Maclaurin tail.
 _N_EXPLICIT = 64
-# The rows of the widest k-pass a call at default numerics makes: the first
-# Matsubara step's 2 N + 2 explicit terms, 65-node tail rung and 33-node
-# block.  No pass has more than 130 node rows: the 129-node first rung and
-# the sliver node, or the 128 odd nodes of a climb to _K_ORDER_MAX.
+# The rows of the widest k-pass, the first Matsubara step's 2 N + 2 explicit
+# terms, 65-node tail rung and 33-node block; a wider pass runs in slices of
+# this many, each with ladders of its own.  No pass has more than 130 node
+# rows: the 129-node first rung and the sliver, or a climb's 128 odd nodes.
 _KEPT_ROWS = 2 * _N_EXPLICIT + 2 + _FREQ_ORDER_START + 1 + _BLOCK_ORDER + 1
 
 class _Workspace(threading.local):
@@ -160,12 +159,10 @@ class _Workspace(threading.local):
     of the pair (the integrand overwrites the first r_TE) and one scratch
     block, y_m and then the denominators.  It holds one pair's arrays at a
     time, so what a workspace keeps does not grow with the pair count.
-    _WORKSPACE is the thread's, which every pass of at most _KEPT_ROWS rows
-    reuses; a wider pass, which only tighter numerics make, takes a
-    _Workspace of its own, dropped with the pass, so the thread's buffers
-    stay as they were.  Every buffer has 7 doubles of slack, so that it
-    starts on a 64-byte boundary.  An array stays valid until the next take
-    of its name; nothing the engine returns is a view of one.
+    _WORKSPACE is the thread's, which every pass reuses: none has more than
+    _KEPT_ROWS rows or 130 node rows.  Every buffer has 7 doubles of slack,
+    to start on a 64-byte boundary.  An array stays valid until the next
+    take of its name; nothing the engine returns is a view of one.
     """
 
     def __init__(self):
@@ -378,7 +375,7 @@ def _fresnel(model, xi, gap, temperature, y, y_sq, r_te, r_tm, y_m):
     np.divide(-chi, r_te, out=r_te)
 
 
-def _k_integrand(pair, xi, gap, temperature, grid, ws):
+def _k_integrand(pair, xi, gap, temperature, grid):
     """y^2 F(y) of one material pair on a (nodes, rows) grid of y, as (nodes, rows).
 
     xi holds the (rows,) frequencies, and grid the (3, nodes, rows) block
@@ -389,14 +386,14 @@ def _k_integrand(pair, xi, gap, temperature, grid, ws):
     models go through _fresnel once per distinct response
     (materials.response), so two objects that reflect alike cost one.
     Every k-integral sample passes through here once.  The result is
-    written over the first response's r_TE in the pass's _Workspace ws: it
-    is valid until the next call with ws.
+    written over the first response's r_TE in the thread's _WORKSPACE: it
+    is valid until the thread's next call.
     """
     y, exp_y, y_sq = grid
     models = {response(m, temperature): m for m in pair}
-    r = ws.take("fresnel", (len(models), 2) + y.shape)
+    r = _WORKSPACE.take("fresnel", (len(models), 2) + y.shape)
     # One scratch block holds y_m, then the denominators.
-    den = ws.take("den", y.shape)
+    den = _WORKSPACE.take("den", y.shape)
     for model, r_model in zip(models.values(), r):
         _fresnel(model, xi, gap, temperature, y, y_sq, *r_model, den)
     # The first model's r_TE takes the TE product, the second's r_TM the TM one.
@@ -429,12 +426,14 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
     frequencies overflow the material formulas.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if len(xi) > _KEPT_ROWS:
+        return np.concatenate([_k_integrals_adaptive(pairs, xi[i : i + _KEPT_ROWS], gap,
+                                                     temperature, num)
+                               for i in range(0, len(xi), _KEPT_ROWS)], axis=2)
     y_lo = np.minimum(2.0 * gap * xi / C, _Y_CUT)
     live = y_lo < _Y_CUT
     xi = np.where(live, xi, 0.0)
     rows = len(xi)
-    # A pass wider than a default call's brings its own scratch (see _Workspace).
-    ws = _WORKSPACE if rows <= _KEPT_ROWS else _Workspace()
     # The offsets the grid was last built at, and the grid.
     built = (None,)
 
@@ -443,12 +442,12 @@ def _k_integrals_adaptive(pairs, xi, gap, temperature, num):
         # the rule and the sliver's midpoint, on a climb its odd nodes.
         nonlocal built
         if built[0] is not offsets:
-            grid = ws.take("grid", (3, len(offsets), rows))
+            grid = _WORKSPACE.take("grid", (3, len(offsets), rows))
             y = np.add(offsets[:, None], y_lo, out=grid[0])
             np.exp(y, out=grid[1])
             np.multiply(y, y, out=grid[2])
             built = offsets, grid
-        return _k_integrand(pair, xi, gap, temperature, built[1], ws)
+        return _k_integrand(pair, xi, gap, temperature, built[1])
 
     first = _k_rule(2 * _K_ORDER_START)
     out = np.empty((2, len(pairs), rows))

@@ -435,6 +435,23 @@ def test_value_that_overflows_in_si_is_refused_by_its_key(tmp_path, capsys):
     assert err == f"error: material spec {spec!r} omega_p_eV: 1e+300 overflows in SI units\n"
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("kappa_e_GHz", "4.3", "[cavity]: kappa_e must not exceed kappa"),
+    ("metal_segment_length_um", "341",
+     "[geometry]: metal_segment_length must not exceed effective_length"),
+    ("effective_length_um", "385", "[geometry]: effective_length must not exceed string_length"),
+], ids=["kappa-e", "metal-segment", "effective-length"])
+def test_cross_field_rule_is_a_config_error(tmp_path, capsys, key, value, problem):
+    # Each value is in range alone and breaks a rule between two keys of its
+    # section, which the section's class checks when it is built.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(re.sub(rf"(?m)^{key} = \S+", f"{key} = {value}",
+                          example_config_path().read_text()))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {problem}\n"
+
+
 def test_parse_material_specs():
     cfg = load_device_config(EXAMPLE)
     assert isinstance(parse_material_spec("ideal", cfg.materials), IdealMetal)

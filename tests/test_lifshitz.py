@@ -659,9 +659,9 @@ def _hook_k_integrand(monkeypatch):
     # memory in later calls.
     inner, calls = lifshitz._k_integrand, []
 
-    def k_integrand(pair, xi, gap, temperature, grid, ws):
+    def k_integrand(pair, xi, gap, temperature, grid):
         calls.append(([pair], xi[:, None].copy(), temperature, grid[0].T.copy()))
-        return inner(pair, xi, gap, temperature, grid, ws)
+        return inner(pair, xi, gap, temperature, grid)
 
     monkeypatch.setattr(lifshitz, "_k_integrand", k_integrand)
     return calls
@@ -675,6 +675,9 @@ def _record_k_ladders(monkeypatch, num):
     adaptive = lifshitz._k_integrals_adaptive
 
     def k_integrals_adaptive(pairs, xi_col, *args):
+        if np.size(xi_col) > lifshitz._KEPT_ROWS:
+            # A wider pass runs in slices, each of them a ladder recorded here.
+            return adaptive(pairs, xi_col, *args)
         calls.clear()
         out = adaptive(pairs, xi_col, *args)
         cur, err = out
@@ -974,8 +977,7 @@ def test_k_integrand_matches_local_formulas(model, gap):
         y_lo = 2 * gap * xi / sc.c
         y = y_lo + np.geomspace(1e-9, 60.0 - y_lo, 200)
         grid = np.array([y, np.exp(y), y * y])[:, :, None]
-        vals = lifshitz._k_integrand((model, model), np.array([xi]), gap, 1.0, grid,
-                                     lifshitz._Workspace())[:, 0]
+        vals = lifshitz._k_integrand((model, model), np.array([xi]), gap, 1.0, grid)[:, 0]
         ref = np.array([_local_k_integrand(model, xi, gap)(v) for v in y])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref * (1.0 + ref / y**2)), n
 
@@ -1078,14 +1080,15 @@ def test_batch_costs_its_solo_calls(monkeypatch, gap, temp, pairs):
 @pytest.mark.parametrize("gap,temp,num,passes", [
     (10e-9, 0.0, DEFAULT_NUMERICS, [(2, 129), (1, 128)]),
     (1e-6, 10.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
-     [(2, 228), (1, 226), (1, 226), (1, 354)]),
+     [(2, 228), (1, 226), (1, 226), (1, 354), (1, 228), (1, 126)]),
 ], ids=["10nm-0K-frequency-ladder", "1um-10K-1e-11-matsubara-sum"])
 def test_pairs_share_only_the_first_k_pass(monkeypatch, gap, temp, num, passes):
     # (pairs, rows) of each k-pass of an ideal and a Drude pair, whose stops
     # differ: the first pass holds both, and every later pass holds the one
     # pair that climbs a frequency rung (the Drude pair's 128 odd nodes of
     # the 257-node rule at T = 0) or doubles N (each pair's 226-row step to
-    # N = 128, then the Drude pair's 354-row step to N = 256).
+    # N = 128, then the Drude pair's 354-row step to N = 256, which runs as
+    # slices of 228 and 126 rows).
     inner, calls = lifshitz._k_integrals_adaptive, []
 
     def k_integrals_adaptive(pairs, xi, *args):
@@ -1275,14 +1278,14 @@ def test_default_two_pair_call_keeps_one_228_row_block_per_array():
 @pytest.mark.parametrize("gap, temp, num", [
     (100e-9, 1.0, DEFAULT_NUMERICS),
     (1e-6, 10.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11)),
-], ids=["default-two-pairs", "1e-11-oversized"])
+], ids=["default-two-pairs", "1e-11"])
 def test_workspace_arrays_start_on_64_byte_boundaries(monkeypatch, gap, temp, num):
-    # Every array a workspace hands out starts on a cache line, whether the
-    # thread's or one that a wider pass of a 1e-11 call at 1 um and 10 K
-    # takes for itself (a pass over a misaligned block took about twice as
-    # long on an AVX-512 host).  No block has more than 130 node rows, so a
-    # pass's rows alone tell whether it fits the thread's kept buffers.  The
-    # calls run in a fresh thread, whose workspace starts empty.
+    # Every array the workspace hands out starts on a cache line (a pass
+    # over a misaligned block took about twice as long on an AVX-512 host).
+    # No block has more than 130 node rows or a default call's 228 columns,
+    # at default numerics or at 1e-11, at 1 um and 10 K, whose 354-row step
+    # runs in slices: one thread's buffers hold every pass.  The calls run
+    # in a fresh thread, whose workspace starts empty.
     take, shapes = lifshitz._Workspace.take, []
 
     def aligned_take(self, name, shape):
@@ -1298,16 +1301,15 @@ def test_workspace_arrays_start_on_64_byte_boundaries(monkeypatch, gap, temp, nu
     assert not thread.is_alive()
     assert shapes and all(offset == 0 for _, _, offset in shapes), shapes
     assert all(shape[-2] <= 130 for _, shape, _ in shapes), shapes
-    oversized = any(shape[-1] > lifshitz._KEPT_ROWS for _, shape, _ in shapes)
-    assert oversized == (num is not DEFAULT_NUMERICS)
+    assert max(shape[-1] for _, shape, _ in shapes) == lifshitz._KEPT_ROWS == 228
 
 
 def test_extreme_call_keeps_no_more_memory_than_a_default_call():
-    # The workspace keeps its arrays for the next call, but the 1,024-row
-    # blocks of a 1e-300 call at 1 um must not stay behind: its passes wider
-    # than a default call's take scratch of their own, so the thread keeps
-    # the very buffers a default call left, and the same bytes.  A fresh
-    # thread starts with an empty workspace; the rule cache is filled first.
+    # The workspace keeps its arrays for the next call, and a 1e-300 call at
+    # 1 um, whose widest steps have over 1,000 rows, must not grow them: it
+    # runs them in slices of a default call's rows, so the thread keeps the
+    # very buffers a default call left, and the same bytes.  A fresh thread
+    # starts with an empty workspace; the rule cache is filled first.
     extreme = LifshitzNumerics(rel_tol_quadrature=1e-300, rel_tol_series=1e-300)
     plate_pressure(1e-6, 4.0, DRUDE, DRUDE, extreme)
     held, kept = [], []
@@ -1397,9 +1399,10 @@ def test_memory_does_not_grow_with_the_pair_count():
 ], ids=["5", "30", "60", "30-at-100nm-50mK", "30-at-10nm-0K"])
 def test_tight_numerics_peak_within_the_budget(gap, temp, count):
     # At 1e-11, 1 um and 10 K every k-ladder climbs to 257 nodes and the
-    # Matsubara steps make passes of 228, 226 and 354 rows; at 100 nm and
-    # 50 mK the tail's frequency ladder climbs in passes of 64 rows beside
-    # the terms, and at T = 0 the frequency ladder climbs from 129 nodes.
+    # Matsubara steps make passes of 228 and 226 rows, then the step to
+    # N = 256 in slices of 228 and 126; at 100 nm and 50 mK the tail's
+    # frequency ladder climbs in passes of 64 rows beside the terms, and at
+    # T = 0 the frequency ladder climbs from 129 nodes.
     # Each pass holds one pair's arrays at a time, beside the per-pair
     # arrays of the call (the terms, the step's pass result, the frequency
     # ladder's samples), so the call peaks within the byte budget, which
@@ -1412,6 +1415,20 @@ def test_tight_numerics_peak_within_the_budget(gap, temp, count):
     assert _fresh_thread_call(gap, temp, pairs[:1], tight)[1] <= BUDGET
     assert peak <= BUDGET and held <= BUDGET
     assert [_fields(r) for r in results] == _solo(gap, temp, pairs, tight)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-300])
+def test_extreme_numerics_peak_within_the_budget(tol):
+    # At 1 um and 4 K a Drude pair's Matsubara steps have up to 610 rows at
+    # 1e-13 and 1,122 at 1e-300, where every ladder climbs to its ceiling.
+    # They run in slices of a default call's 228 rows, so the one workspace
+    # bounds the call as it bounds a default one, and it peaks within the
+    # byte budget.  The rule cache is filled first.
+    extreme = LifshitzNumerics(rel_tol_quadrature=tol, rel_tol_series=tol)
+    expected = plate_pressure(1e-6, 4.0, DRUDE, DRUDE, extreme)
+    results, peak, held = _fresh_thread_call(1e-6, 4.0, [(DRUDE, DRUDE)], extreme)
+    assert peak <= BUDGET and held <= BUDGET
+    assert results == [expected]
 
 
 def test_batches_of_mixed_shapes_keep_within_the_budget():

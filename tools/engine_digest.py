@@ -36,8 +36,8 @@ the climb's nodes, so the next pair builds it again.  The grid covers
 first passes of 1, 2 and 15 pairs at every row count they make (the
 228-row Matsubara passes, the 180-row passes of the smallest frequency
 rule and the 129-row T = 0 passes) and the one-pair passes after them:
-the 354-row passes at 1e-11, where k-ladders climb, and the rungs that
-frequency ladders climb to.  One more cell, at 100 nm and 1.3 K with the default
+the 354-row steps at 1e-11, where k-ladders climb, which run in slices
+of 228 and 126 rows, and the rungs that frequency ladders climb to.  One more cell, at 100 nm and 1.3 K with the default
 and 1e-11 numerics, holds 40 distinct pairs: the 14 pairs other than
 ideal/ideal with omega_p scaled by 1, 0.95 and 0.9, the first 40 of them.
 It is evaluated the same three ways.

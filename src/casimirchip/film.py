@@ -67,7 +67,7 @@ class TcResult:
     """Extracted transition: T_c, width, plateau levels and step structure."""
 
     t_c: float               # K
-    transition_width: float  # K, T(90% R_n) - T(10% R_n)
+    transition_width: float  # K, T(90% R_n) - T(10% R_n), or NaN
     r_normal: float          # Ohm
     r_residual: float        # Ohm
     steps: tuple             # of (T_step, R_before, R_after)
@@ -240,7 +240,8 @@ def extract_tc(curve):
     on a clean single-step curve this coincides with the conventional
     crossing of 50% of R_normal, which is also reported separately as
     ``threshold_crossing``.  Curves with more than one step set
-    ``multi_step``.
+    ``multi_step``.  ``transition_width`` is T(90% R_n) - T(10% R_n), and
+    NaN where R never falls below 10% of R_n: the width is then undefined.
     """
     if len(curve) < 10:
         raise DomainError(f"need at least 10 points, got {len(curve)}")
@@ -296,15 +297,12 @@ def extract_tc(curve):
 
     r_residual = steps[-1][2]
     t_c = steps[-1][0]
+    # R falls from the plateau, >= 95% of R_n, below 50%: it crosses 90%.
     width_hi = _first_crossing(t_desc, r_desc, 0.9 * r_normal)
     width_lo = _first_crossing(t_desc, r_desc, 0.1 * r_normal)
-    if width_hi is not None and width_lo is not None:
-        width = width_hi - width_lo
-    else:
-        width = 0.0
     return TcResult(
         t_c=t_c,
-        transition_width=width,
+        transition_width=math.nan if width_lo is None else width_hi - width_lo,
         r_normal=r_normal,
         r_residual=r_residual,
         steps=tuple(steps),

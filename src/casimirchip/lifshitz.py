@@ -53,10 +53,11 @@ is replaced by its Euler-Maclaurin form
 with f'(N+1/2) taken as f(N+1) - f(N) and the frequency integral done by
 _log_rule over [(N+1/2) xi_1, 60 c / 2a], where J vanishes under the y
 cutoff.  Its ladder starts at the CC-64 rule (65 nodes) and stops by the
-last order <= 2 * t_zero_nodes (256 at the default); the rule's error
-joins the quadrature estimate.  The result is P(2N), and only its tail is
-computed.  The two-sided truncation estimate |P(N) - P(2N)| comes from
-the difference of the two Euler-Maclaurin forms,
+last order <= 2 * LifshitzNumerics.t_zero_nodes (256; the class constant
+is 200, not a setting); the rule's error joins the quadrature estimate.
+The result is P(2N), and only its tail is computed.  The two-sided
+truncation estimate |P(N) - P(2N)| comes from the difference of the two
+Euler-Maclaurin forms,
 
     P(N) - P(2N) = xi_1 [(f'(N+1/2) - f'(2N+1/2))/24 - sum_{N<m<=2N} f(m)] + B,
 
@@ -184,20 +185,19 @@ _WORKSPACE = _Workspace()
 
 @record
 class LifshitzNumerics:
-    """Tolerances and the frequency-rule ceiling for the pressure evaluation."""
+    """The pressure evaluation's two tolerances.  t_zero_nodes is a class
+    constant, not a field: the frequency ladders stop by CC-256, the last
+    power-of-two order <= 2 * t_zero_nodes."""
 
     rel_tol_quadrature: float = 1e-8
     rel_tol_series: float = 1e-6
-    t_zero_nodes: int = 200
+    t_zero_nodes = 200
 
     def __post_init__(self):
         for name in ("rel_tol_quadrature", "rel_tol_series"):
             val = getattr(self, name)
             if not (0.0 < val < 1e-3):
                 raise DomainError(f"{name} must lie in (0, 1e-3), got {val!r}")
-        nodes = self.t_zero_nodes
-        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 8:
-            raise DomainError(f"t_zero_nodes must be an int >= 8, got {nodes!r}")
 
 
 DEFAULT_NUMERICS = LifshitzNumerics()
@@ -542,7 +542,7 @@ def _plate_pressures(gap, temperature, pairs, num):
     # The frequency grid ends where J vanishes under the y cutoff and starts
     # at xi_min, below which J is flat.
     xi_min, xi_hi = 1e-9 * C / (2.0 * gap), _Y_CUT * C / (2.0 * gap)
-    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
+    ceiling = 1 << ((2 * LifshitzNumerics.t_zero_nodes).bit_length() - 1)
     if (2 * _N_EXPLICIT + 1) * xi_1 < xi_min:
         # T = 0, or so cold that every explicit term lies below xi_min.  Every
         # such ladder at default numerics climbs past CC-64, so it starts at CC-128.

@@ -940,6 +940,21 @@ def test_cli_tc_two_step(capsys, tmp_path):
     assert float(lines["step2_T_K"]) == pytest.approx(0.9, abs=0.02)
 
 
+def test_cli_tc_prints_an_undefined_width_as_nan_and_null(capsys, tmp_path):
+    # The resistance never falls below 10% of R_n.
+    t = np.linspace(0.7, 1.2, 120)
+    r = 6.0 + 39.0 / (1.0 + np.exp(-(t - 0.95) / 0.01))
+    path = tmp_path / "shallow.csv"
+    path.write_text("temperature_K,resistance_ohm\n"
+                    + "".join(f"{ti},{ri}\n" for ti, ri in zip(t, r)))
+    code, out, err = run_cli(capsys, "tc", "--input", str(path))
+    assert code == 0 and err == ""
+    assert "transition_width_K = nan" in out.splitlines()
+    code, out, err = run_cli(capsys, "tc", "--input", str(path), "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["transition_width_K"] is None
+
+
 def test_cli_tc_no_transition_exits_one(capsys, tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text(

@@ -179,6 +179,17 @@ def test_logistic_curve_recovers_midpoint():
     assert result.transition_width == pytest.approx(2 * math.log(9) * 0.01, rel=0.1)
 
 
+def test_undefined_transition_width_is_nan():
+    # A 45 -> 6 ohm step never falls below 10% of R_n, so its 10-90% width
+    # is undefined: NaN, not an infinitely sharp edge of width 0.
+    t, r = logistic_curve(r_n=39.0)
+    result = extract_tc(curve_from_arrays(t, 6.0 + r))
+    assert result.t_c == pytest.approx(0.95, abs=0.005)
+    assert result.r_normal == pytest.approx(45.0, rel=0.02)
+    assert result.r_residual == pytest.approx(6.0, rel=0.05)
+    assert math.isnan(result.transition_width)
+
+
 def test_constant_curve_has_no_transition():
     t = np.linspace(0.5, 1.5, 30)
     with pytest.raises(TransitionNotFoundError):

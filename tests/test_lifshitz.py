@@ -32,6 +32,7 @@ from casimirchip.lifshitz import (
     _k_integrals_adaptive,
 )
 from casimirchip.materials import response
+from casimirchip.records import fields
 
 OMEGA_P = 1.83e16
 GAMMA = 7.6e13
@@ -192,12 +193,12 @@ def test_quadrature_estimate_bounds_tolerance_change():
     assert abs(res_fine.pressure - res_coarse.pressure) <= res_coarse.quadrature_estimate
 
 
-def test_sub_millikelvin_routes_to_integral_branch():
+def test_sub_millikelvin_routes_to_integral_branch(monkeypatch):
     # Ideal plates: P(T) = P(0) [1 + t^4 / 3] with t = 2 a k_B T / (hbar c),
     # here ~4e-8, so at 0.5 mK the pressure is the T = 0 closed form within
     # the result's own error bars.
-    num = LifshitzNumerics(t_zero_nodes=96)
-    res = plate_pressure(100e-9, 5e-4, IDEAL, IDEAL, num)
+    monkeypatch.setattr(LifshitzNumerics, "t_zero_nodes", 96)
+    res = plate_pressure(100e-9, 5e-4, IDEAL, IDEAL)
     exact = ideal_pressure_closed_form(100e-9)
     assert abs(res.pressure - exact) <= res.truncation_estimate + res.quadrature_estimate
     assert res.pressure == pytest.approx(exact, rel=1e-5)
@@ -252,11 +253,11 @@ def test_pressure_continuous_in_temperature_down_to_zero(model):
         assert_close(plate_pressure(100e-9, temp, model, model), zero)
 
 
-def test_t_zero_node_doubling_converges():
-    few = plate_pressure(100e-9, 0.0, DRUDE, DRUDE,
-                         LifshitzNumerics(t_zero_nodes=64))
-    many = plate_pressure(100e-9, 0.0, DRUDE, DRUDE,
-                          LifshitzNumerics(t_zero_nodes=128))
+def test_t_zero_node_doubling_converges(monkeypatch):
+    monkeypatch.setattr(LifshitzNumerics, "t_zero_nodes", 64)
+    few = plate_pressure(100e-9, 0.0, DRUDE, DRUDE)
+    monkeypatch.setattr(LifshitzNumerics, "t_zero_nodes", 128)
+    many = plate_pressure(100e-9, 0.0, DRUDE, DRUDE)
     assert few.pressure == pytest.approx(many.pressure, rel=1e-7)
 
 
@@ -363,12 +364,12 @@ def test_numerics_validation():
         LifshitzNumerics(rel_tol_series=1e-2)
 
 
-@pytest.mark.parametrize("nodes", [100.0, math.nan, True, 7])
-def test_t_zero_nodes_must_be_an_int_of_at_least_8(nodes):
-    # A float or NaN used to pass construction and fail later in
-    # plate_pressure with an AttributeError.
-    with pytest.raises(DomainError):
-        LifshitzNumerics(t_zero_nodes=nodes)
+def test_numerics_take_the_two_tolerances_alone():
+    # The frequency ladders' node budget is a class constant, not a setting.
+    assert fields(LifshitzNumerics) == ("rel_tol_quadrature", "rel_tol_series")
+    assert LifshitzNumerics.t_zero_nodes == 200
+    with pytest.raises(TypeError):
+        LifshitzNumerics(t_zero_nodes=8)
 
 
 # -------------------------------------------------------------- differential
@@ -463,9 +464,9 @@ def test_error_bars_cover_800_node_rule_at_binding_ceiling(monkeypatch, temp):
     # t_zero_nodes = 8 stops the doubling at CC-8 -> CC-16 (17 nodes), far
     # from converged.  The bar carries |CC-16 - CC-8|, the coarser rule's
     # error; the returned finer rule sits well inside it.
-    num = LifshitzNumerics(t_zero_nodes=8)
-    res = plate_pressure(100e-9, temp, DRUDE, DRUDE, num)
-    p_800 = _pressure_800(monkeypatch, 100e-9, temp, DRUDE, num)
+    monkeypatch.setattr(LifshitzNumerics, "t_zero_nodes", 8)
+    res = plate_pressure(100e-9, temp, DRUDE, DRUDE)
+    p_800 = _pressure_800(monkeypatch, 100e-9, temp, DRUDE, DEFAULT_NUMERICS)
     assert abs(res.pressure - p_800) <= 0.5 * (res.truncation_estimate + res.quadrature_estimate)
 
 
@@ -510,11 +511,11 @@ def test_binding_frequency_ceiling_stops_the_n_doubling(monkeypatch):
     # truncation: N must stay at 64, which leaves 130 explicit terms, the
     # 17-node tail rule and the 33-node block, and the bars must still
     # cover the converged value.
-    num = LifshitzNumerics(t_zero_nodes=8)
+    ref = plate_pressure(100e-9, 0.5, DRUDE, DRUDE)
+    monkeypatch.setattr(LifshitzNumerics, "t_zero_nodes", 8)
     calls = _hook_k_integrand(monkeypatch)
-    res = plate_pressure(100e-9, 0.5, DRUDE, DRUDE, num)
+    res = plate_pressure(100e-9, 0.5, DRUDE, DRUDE)
     assert _rows(calls) <= 2 * _N_EXPLICIT + 2 + 17 + 33
-    ref = plate_pressure(100e-9, 0.5, DRUDE, DRUDE, LifshitzNumerics(t_zero_nodes=200))
     assert abs(res.pressure - ref.pressure) <= res.truncation_estimate + res.quadrature_estimate
 
 
@@ -524,7 +525,7 @@ def _two_tail_truncation(gap, temp, model, num, terms_used):
     # the tolerance the two tails' rule and k errors allow.
     args = (gap, temp, (model, model), num)
     xi_1 = 2 * math.pi * K_B * temp / HBAR
-    ceiling = 1 << ((2 * num.t_zero_nodes).bit_length() - 1)
+    ceiling = 1 << ((2 * LifshitzNumerics.t_zero_nodes).bit_length() - 1)
     rule = (60.0 * sc.c / (2.0 * gap), min(64, ceiling), ceiling, args)
     n = _N_EXPLICIT
     while True:
@@ -546,19 +547,20 @@ def _two_tail_truncation(gap, temp, model, num, terms_used):
     return pref * abs(p_em(n, lower) - p_em(2 * n, upper)), pref * tol
 
 
-@pytest.mark.parametrize("model,temp,num", [
-    *[pytest.param(model, temp, DEFAULT_NUMERICS, id=f"{name}-{temp}K")
+@pytest.mark.parametrize("model,temp,num,nodes", [
+    *[pytest.param(model, temp, DEFAULT_NUMERICS, 200, id=f"{name}-{temp}K")
       for model, name in ((PLASMA, "plasma"), (DRUDE, "drude"), (TWOFLUID, "two-fluid"))
       for temp in (0.5, 1.3, 4.0)],
-    pytest.param(DRUDE, 0.5, LifshitzNumerics(t_zero_nodes=8), id="drude-0.5K-8-nodes"),
+    pytest.param(DRUDE, 0.5, DEFAULT_NUMERICS, 8, id="drude-0.5K-8-nodes"),
     pytest.param(DRUDE, 4.0, LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
-                 id="drude-4.0K-1e-11"),
+                 200, id="drude-4.0K-1e-11"),
 ])
-def test_truncation_estimate_matches_two_tails(model, temp, num):
+def test_truncation_estimate_matches_two_tails(monkeypatch, model, temp, num, nodes):
     # plate_pressure computes only the tail behind P(2N) and forms
     # P(N) - P(2N) from the terms between, the f' corrections and one
     # short block; that must agree with the difference of two full tails.
     # The 1e-11 case at 1 um doubles N to 128.
+    monkeypatch.setattr(LifshitzNumerics, "t_zero_nodes", nodes)
     gap = 1e-6 if num.rel_tol_series < 1e-6 else 100e-9
     res = plate_pressure(gap, temp, model, model, num)
     two_tail, tol = _two_tail_truncation(gap, temp, model, num, res.terms_used)

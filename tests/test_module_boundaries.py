@@ -3,7 +3,8 @@ of the package, what one module needs from another is public there; no
 module imports a name it never uses; no module imports dataclasses; no
 module-level constant, function the package does not export, or exception
 type is dead; and the wording of the positivity rule lives in errors.py
-alone; and every binding the benchmark's tracer wraps exists."""
+alone; and every binding the benchmark's tracer wraps, and every
+numerics attribute its reference script reads, exists."""
 
 import ast
 import importlib
@@ -329,4 +330,18 @@ def test_every_benchmark_tracer_binding_resolves():
     assert len(targets) > 10
     missing = [f"{module}.{attr}" for module, attr, _ in targets
                if not hasattr(importlib.import_module(f"casimirchip.{module}"), attr)]
+    assert missing == []
+
+
+def test_every_reference_numerics_attribute_resolves():
+    # bench/make_refs.py records REF_NUMERICS.<attr> in the stored
+    # references' metadata; one that LifshitzNumerics no longer has breaks
+    # the script.  The reads are taken from the source, so the benchmark is
+    # not imported.
+    make_refs = Path(__file__).resolve().parents[1] / "bench" / "make_refs.py"
+    attrs = {node.attr for node in ast.walk(ast.parse(make_refs.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and getattr(node.value, "id", None) == "REF_NUMERICS"}
+    assert len(attrs) >= 2
+    missing = sorted(attr for attr in attrs if not hasattr(casimirchip.DEFAULT_NUMERICS, attr))
     assert missing == []

@@ -141,6 +141,11 @@ print(json.dumps({
                       "missing_raises": True}
 
 
+def test_dir_lists_every_export():
+    # In this process, so the package's __dir__ runs under the line tracer.
+    assert set(casimirchip.__all__) <= set(dir(casimirchip))
+
+
 @pytest.mark.parametrize("argv", [
     ["transduce", "--config", EXAMPLE, "--pressure", "500Pa"],
     ["sweep", "--config", EXAMPLE],

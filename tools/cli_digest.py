@@ -57,7 +57,9 @@ another text has replaced it as the last config loaded.  Then
 single-step table, each behind a UTF-8 byte-order mark.  Last,
 ``validate`` on a copy with ``kappa_GHz = 1e300`` and ``pressure`` with
 an inline plasma spec whose ``omega_p_eV`` is 1e300, each finite as
-written and refused where it overflows in SI units.
+written and refused where it overflows in SI units.  Then ``tc`` in text
+and JSON on a generated 45 -> 6 ohm step that never falls below 10% of
+R_normal, whose 10-90% width is undefined.
 """
 
 import argparse
@@ -98,6 +100,8 @@ RT_TABLES = {
     "peaked": _rt_table(lambda t: 30.0 + 15.0 * _sigmoid((t - 0.95) / 0.01)
                         + 60.0 * math.exp(-0.5 * ((t - 0.97) / 0.005) ** 2), 0.7, 1.2, 120),
 }
+# Its 10-90% width is undefined: printed nan in text and null in JSON.
+SHALLOW_STEP = _rt_table(lambda t: 6.0 + 39.0 * _sigmoid((t - 0.95) / 0.01), 0.7, 1.2, 120)
 
 # A one-cell sweep past the float range: each pair's row carries the error.
 HOT_SPEC = """[sweep]
@@ -176,6 +180,8 @@ def commands():
     yield ["validate", "--config", "overflow.cfg"]
     yield ["pressure", "--model-a", "plasma:omega_p_eV=1e300", "--model-b", "ideal",
            "--gap", "100nm", "--temp", "1K"]
+    for fmt in ("text", "json"):
+        yield ["tc", "--input", "shallow_step.csv", "--format", fmt]
 
 
 def run(argv):
@@ -217,6 +223,7 @@ def digest():
         files["bom.cfg"] = "\ufeff" + example
         files["bom_single_step.csv"] = "\ufeff" + RT_TABLES["single_step"]
         files["overflow.cfg"] = example.replace("kappa_GHz = 4.2", "kappa_GHz = 1e300")
+        files["shallow_step.csv"] = SHALLOW_STEP
         for name, text in files.items():
             with open(os.path.join(work_dir, name), "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -24,7 +24,9 @@ The grid crosses gaps from 20 nm to 1 um; temperatures from T = 0 through
 the 1 mK crossover and T_c = 0.9 K (0.8999 K lies just below it) up to
 300 K; the 15 unordered pairs of an ideal metal, plasma, Drude, a two-fluid
 superconductor and a second Drude metal; and four numerics: the default,
-both tolerances at 1e-11, the smallest frequency rule and a tight series
+both tolerances at 1e-11, the smallest frequency rule (t_zero_nodes = 8,
+which older revisions take as a field of LifshitzNumerics and later ones
+read from a class constant, set here for the cell) and a tight series
 tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
 plate_pressure, all pairs as one plate_pressures batch, and every pair as
 the first operand of a differential_pressure against the next pair.
@@ -46,6 +48,7 @@ differential, in that order.
 """
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -78,12 +81,31 @@ MATERIALS = (
     Drude(1.37e16, 5.32e13),
 )
 PAIRS = list(itertools.combinations_with_replacement(MATERIALS, 2))
+# (numerics, t_zero_nodes); None keeps the package's own.
 NUMERICS = (
-    DEFAULT_NUMERICS,
-    LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11),
-    LifshitzNumerics(t_zero_nodes=8),
-    LifshitzNumerics(rel_tol_series=1e-9),
+    (DEFAULT_NUMERICS, None),
+    (LifshitzNumerics(rel_tol_quadrature=1e-11, rel_tol_series=1e-11), None),
+    (DEFAULT_NUMERICS, 8),
+    (LifshitzNumerics(rel_tol_series=1e-9), None),
 )
+
+
+@contextlib.contextmanager
+def frequency_nodes(num, nodes):
+    """num with t_zero_nodes = nodes.  Older revisions take it as a field of
+    LifshitzNumerics; later ones read a class constant, set while the block
+    runs."""
+    if nodes is None:
+        yield num
+    elif "t_zero_nodes" in LifshitzNumerics._fields:
+        yield LifshitzNumerics(rel_tol_quadrature=num.rel_tol_quadrature,
+                               rel_tol_series=num.rel_tol_series, t_zero_nodes=nodes)
+    else:
+        saved, LifshitzNumerics.t_zero_nodes = LifshitzNumerics.t_zero_nodes, nodes
+        try:
+            yield num
+        finally:
+            LifshitzNumerics.t_zero_nodes = saved
 
 
 def scaled(model, factor):
@@ -120,9 +142,10 @@ def cell(gap, temp, pairs, num):
 
 def results():
     """Every result on the grid with its bar, then the 40-pair cell's, in a fixed order."""
-    for gap, temp, num in itertools.product(GAPS, TEMPERATURES, NUMERICS):
-        yield from cell(gap, temp, PAIRS, num)
-    for num in NUMERICS[:2]:
+    for gap, temp, (num, nodes) in itertools.product(GAPS, TEMPERATURES, NUMERICS):
+        with frequency_nodes(num, nodes) as cell_num:
+            yield from cell(gap, temp, PAIRS, cell_num)
+    for num, _ in NUMERICS[:2]:
         yield from cell(100e-9, 1.3, MANY_PAIRS, num)
 
 

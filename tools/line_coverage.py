@@ -32,14 +32,9 @@ PACKAGE = os.path.join(SRC, "casimirchip")
 SKIPS = {
     ("cli.py", "raise SystemExit(main())"):
         "only `python -m casimirchip.cli` runs it, in a child interpreter",
-    ("__init__.py", "return sorted({*globals(), *_EXPORTS})"):
-        "the package's __dir__, which only dir() on the package calls",
     ("film.py", "t_step = 0.5 * (t_desc[e0 - 1] + t_desc[s1])"):
         "extract_tc's fallback for a step with no mid-level crossing; "
         "waits for its plateau rule to be stated in resistance and temperature",
-    ("film.py", "width = 0.0"):
-        "extract_tc's fallback for an edge that never falls below 10% of R_n; "
-        "waits for the same plateau rule",
 }
 
 

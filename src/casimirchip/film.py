@@ -12,7 +12,8 @@ are exposed, and every report states which one produced a number: quoted
 film parameters in the literature mix the two conventions.
 
 R(T) tables are read into tuples of Python floats, and the T_c extraction
-runs on them directly: the module imports no numpy.
+runs on them directly: the module imports no numpy.  It judges plateaus in
+resistance and temperature, never by a count of points.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .records import record
 
 RT_CSV_HEADER = ("temperature_K", "resistance_ohm")
 
-# High-temperature plateau = longest suffix (descending from the hottest
-# point) whose relative resistance variation stays below this.
+# A plateau run takes each next point (descending from the hottest) while
+# it stays within this fraction of the run's median, or of R_normal once
+# that is known.
 _PLATEAU_REL_VARIATION = 0.05
 # A resistance drop counts as a transition step once it exceeds this
 # fraction of the normal-state resistance.
@@ -207,40 +209,41 @@ def _first_crossing(t_desc, r_desc, level):
     return None
 
 
-def _plateau_segments(r_desc, band):
-    """Quasi-constant segments (descending T) separated by resistance steps.
+def _run(r_desc, start, scale=None):
+    """End (exclusive) and median of the run of points growing from ``start``.
 
-    A segment extends while each point stays within ``band`` of the
-    segment's running mean.  Returns a list of (start, stop, level) with
-    stop exclusive.
+    The run takes each next point while it lies within 5% of ``scale`` of
+    the median of the run's points before it; without ``scale``, within 5%
+    of that median itself.
     """
-    segments = []
-    start = 0
-    total = r_desc[0]
-    count = 1
-    for i in range(1, len(r_desc)):
-        mean = total / count
-        if abs(r_desc[i] - mean) <= band:
-            total += r_desc[i]
-            count += 1
-        else:
-            segments.append((start, i, mean))
-            start, total, count = i, r_desc[i], 1
-    segments.append((start, len(r_desc), total / count))
-    return segments
+    window = [r_desc[start]]  # r_desc[start:end], kept sorted
+    end = start + 1
+    while end < len(r_desc):
+        median = _median(window)
+        if abs(r_desc[end] - median) > _PLATEAU_REL_VARIATION * (
+                median if scale is None else scale):
+            break
+        bisect.insort(window, r_desc[end])
+        end += 1
+    return end, _median(window)
 
 
 def extract_tc(curve):
     """Extract the superconducting transition from an R(T) curve.
 
-    R_normal is the median of the high-temperature plateau.  Steps are all
-    resistance drops exceeding 25% of R_normal between successive
-    quasi-plateaus; each is located at its local mid-level crossing.  T_c
-    is reported from the final step (the one reaching the residual state):
-    on a clean single-step curve this coincides with the conventional
-    crossing of 50% of R_normal, which is also reported separately as
-    ``threshold_crossing``.  Curves with more than one step set
-    ``multi_step``.  ``transition_width`` is T(90% R_n) - T(10% R_n), and
+    The curve is cut into runs (``_run``) from its hottest point.  R_normal
+    is the median of the first; later runs take a band of 5% of R_normal
+    and are judged against an anchor, the plateau the last step reached
+    (first the normal one).  A run at the anchor's level extends it.  A run
+    more than 25% of R_normal below it is the next plateau, and a step, if
+    it dwells at least as long in temperature as the curve took to reach
+    it from the anchor, or if it reaches the coldest point; the step lies
+    at its local mid-level crossing, and the run becomes the anchor.  No
+    count of points enters.  T_c is reported from the final step (the one
+    reaching the residual state): on a clean single-step curve this
+    coincides with the conventional crossing of 50% of R_normal, which is
+    also reported separately as ``threshold_crossing``.  Curves with more
+    than one step set ``multi_step``.  ``transition_width`` is T(90% R_n) - T(10% R_n), and
     NaN where R never falls below 10% of R_n: the width is then undefined.
     """
     if len(curve) < 10:
@@ -255,19 +258,7 @@ def extract_tc(curve):
     # Descending temperature: scan from the normal state into the transition.
     t_desc = curve.temperature[::-1]
     r_desc = curve.resistance[::-1]
-
-    # Normal-state plateau: longest suffix from the hottest point with
-    # < 5% relative variation.
-    # ``window`` is r_desc[:plateau_end + 1] kept sorted.
-    window = [r_desc[0]]
-    plateau_end = 1
-    while plateau_end < len(r_desc):
-        bisect.insort(window, r_desc[plateau_end])
-        mid = _median(window)
-        if mid <= 0.0 or (window[-1] - window[0]) > _PLATEAU_REL_VARIATION * mid:
-            break
-        plateau_end += 1
-    r_normal = _median(sorted(r_desc[:plateau_end]))
+    plateau_end, r_normal = _run(r_desc, 0)
     if plateau_end < 2 or r_normal <= 0.0:
         raise TransitionNotFoundError("no high-temperature plateau detected")
 
@@ -275,29 +266,37 @@ def extract_tc(curve):
     if threshold_crossing is None:
         raise TransitionNotFoundError("resistance never crosses 50% of R_normal")
 
-    # Step structure between quasi-plateaus.  Only segments of 3+ points
-    # count as plateaus, so scattered points on a transition edge cannot
-    # spawn spurious intermediate steps; everything between two plateaus is
-    # a single step located at its local mid-level crossing.
-    band = max(_PLATEAU_REL_VARIATION * r_normal, 1e-12)
-    segments = _plateau_segments(r_desc, band)
-    plateaus = [(s, e, lvl) for (s, e, lvl) in segments if e - s >= 3]
+    # The anchor plateau: its first index, last index and level.
+    first, anchor, level = 0, plateau_end - 1, r_normal
     steps = []
-    for (s0, e0, lvl0), (s1, e1, lvl1) in zip(plateaus, plateaus[1:]):
-        drop = lvl0 - lvl1
-        if drop > _STEP_FRACTION * r_normal:
-            local_mid = 0.5 * (lvl0 + lvl1)
-            t_step = _first_crossing(t_desc[e0 - 1: s1 + 1], r_desc[e0 - 1: s1 + 1],
+    start = plateau_end
+    while start < len(r_desc):
+        end, run_level = _run(r_desc, start, r_normal)
+        if abs(run_level - level) <= _PLATEAU_REL_VARIATION * r_normal:
+            anchor = end - 1
+        # A run on an edge dwells less than the edge took to reach it.  The
+        # run that reaches the coldest point needs no dwell: a scan may stop
+        # a few transition widths below T_c.
+        elif (level - run_level > _STEP_FRACTION * r_normal
+              and (end == len(r_desc)
+                   or t_desc[start] - t_desc[end - 1] >= t_desc[anchor] - t_desc[start])):
+            # Sorted, R from the anchor plateau through this run falls from
+            # >= the anchor's median to <= this run's, so it crosses the
+            # mid-level once; on a noisy edge that is after every point above
+            # it, not at the first dip below.
+            local_mid = 0.5 * (level + run_level)
+            t_step = _first_crossing(t_desc[first:end], sorted(r_desc[first:end], reverse=True),
                                      local_mid)
-            if t_step is None:
-                t_step = 0.5 * (t_desc[e0 - 1] + t_desc[s1])
-            steps.append((t_step, lvl0, lvl1))
+            steps.append((t_step, level, run_level))
+            first, anchor, level = start, end - 1, run_level
+        start = end
     if not steps:
         raise TransitionNotFoundError("no resistance step exceeds 25% of R_normal")
 
     r_residual = steps[-1][2]
     t_c = steps[-1][0]
-    # R falls from the plateau, >= 95% of R_n, below 50%: it crosses 90%.
+    # R crosses 90% of R_n: from a normal-plateau point >= its median to a
+    # point of the last step's run <= its median, below 75% of R_n.
     width_hi = _first_crossing(t_desc, r_desc, 0.9 * r_normal)
     width_lo = _first_crossing(t_desc, r_desc, 0.1 * r_normal)
     return TcResult(

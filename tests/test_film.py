@@ -284,12 +284,12 @@ def test_r_normal_is_the_median_of_the_normal_plateau():
     assert result.steps == ((result.t_c, 45.75, 1.0),)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the plateau rule counts points, "
-                   "so T_c depends on sampling density and noise")
 def test_extract_tc_does_not_depend_on_sampling_density():
-    # A clean logistic over 0.5-1.5 K gives T_c within 1 mK at 120 points,
-    # but from ~800 points the edge is cut into steps below 25% of R_n.  With
-    # 1% noise, 500 points land 5.6 mK off.
+    # Plateaus are judged in resistance and temperature, not counted in
+    # points, so a clean edge sampled at 120 to 10,000 points, or with 1%
+    # noise at 120 and 500, gives the same step within 1 mK.  So does the
+    # default grid, 120 points over 0.7-1.2 K.
+    assert extract_tc(curve_from_arrays(*logistic_curve())).t_c == pytest.approx(0.95, abs=1e-3)
     for n in (120, 800, 2000, 10000):
         t, r = logistic_curve(lo=0.5, hi=1.5, n=n)
         assert extract_tc(curve_from_arrays(t, r)).t_c == pytest.approx(0.95, abs=1e-3)
@@ -300,13 +300,55 @@ def test_extract_tc_does_not_depend_on_sampling_density():
         assert result.t_c == pytest.approx(0.95, abs=1e-3)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the plateau rule counts points, "
-                   "so a densely sampled staircase loses its steps")
 def test_extract_tc_keeps_both_steps_when_densely_sampled():
-    # Read right at 160 and 500 points.  At 1,000 only the parasitic 1.2 K
-    # step is found and reported as T_c; from 2,000 no step exceeds 25% of
-    # R_n.  A plateau rule must mend density without dropping step detection.
+    # A densely sampled staircase keeps both steps: the edge points between
+    # its plateaus dwell too briefly to count as plateaus of their own.
     for n in (1000, 2000, 10000):
         result = extract_tc(curve_from_arrays(*two_step_curve(n)))
         assert len(result.steps) == 2
         assert result.t_c == pytest.approx(0.9, abs=2e-3)
+
+
+def test_extract_tc_places_a_shallow_step_at_its_midpoint():
+    # A 45 -> 6 ohm step: the step is read from the normal plateau, not from
+    # a run on its edge a few ohms below it.
+    t, r = logistic_curve(r_n=39.0)
+    result = extract_tc(curve_from_arrays(t, 6.0 + r))
+    assert result.steps == ((result.t_c, result.r_normal, result.r_residual),)
+    assert result.t_c == pytest.approx(0.95, abs=1e-3)
+
+
+def test_extract_tc_reads_a_scan_that_stops_a_few_widths_below_tc():
+    # Over 0.9-1.5 K the residual run dwells 20 mK, less than the 60 mK the
+    # edge took to reach it; as the run that reaches the coldest point it
+    # is the residual state all the same.
+    for n in (120, 1000):
+        t, r = logistic_curve(lo=0.9, hi=1.5, n=n)
+        assert extract_tc(curve_from_arrays(t, r)).t_c == pytest.approx(0.95, abs=1e-3)
+        t, r = logistic_curve(r_n=39.0, lo=0.9, hi=1.5, n=n)
+        assert extract_tc(curve_from_arrays(t, 6.0 + r)).t_c == pytest.approx(0.95, abs=1e-3)
+
+
+def test_extract_tc_rejects_a_single_dropped_point():
+    # A flat 45 ohm scan with one point at 0 crosses 50% of R_n, but the
+    # dropped point dwells less than it took to reach and the scan returns
+    # to the normal level after it, so no step is found.
+    t = np.linspace(0.7, 1.2, 120)
+    r = np.full(120, 45.0)
+    r[60] = 0.0
+    with pytest.raises(TransitionNotFoundError,
+                       match="no resistance step exceeds 25% of R_normal"):
+        extract_tc(curve_from_arrays(t, r))
+
+
+def test_extract_tc_moves_the_anchor_past_a_glitch_on_the_plateau():
+    # One point 10% low at 1.48 K ends the first run of the staircase.  The
+    # run after it is at the normal level again and extends the plateau;
+    # measured from the glitch instead, the 20 ohm shelf would dwell less
+    # than it took to reach it, and only one step would be found.
+    t, r = two_step_curve()
+    r = r.copy()
+    r[-20] *= 0.9
+    result = extract_tc(curve_from_arrays(t, r))
+    assert len(result.steps) == 2
+    assert result.t_c == pytest.approx(0.9, abs=2e-3)

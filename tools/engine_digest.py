@@ -24,9 +24,8 @@ The grid crosses gaps from 20 nm to 1 um; temperatures from T = 0 through
 the 1 mK crossover and T_c = 0.9 K (0.8999 K lies just below it) up to
 300 K; the 15 unordered pairs of an ideal metal, plasma, Drude, a two-fluid
 superconductor and a second Drude metal; and four numerics: the default,
-both tolerances at 1e-11, the smallest frequency rule (t_zero_nodes = 8,
-which older revisions take as a field of LifshitzNumerics and later ones
-read from a class constant, set here for the cell) and a tight series
+both tolerances at 1e-11, the smallest frequency rule (LifshitzNumerics'
+class constant t_zero_nodes set to 8 for the cell) and a tight series
 tolerance.  At each (gap, T, numerics) every pair is evaluated alone by
 plate_pressure, all pairs as one plate_pressures batch, and every pair as
 the first operand of a differential_pressure against the next pair.
@@ -92,14 +91,10 @@ NUMERICS = (
 
 @contextlib.contextmanager
 def frequency_nodes(num, nodes):
-    """num with t_zero_nodes = nodes.  Older revisions take it as a field of
-    LifshitzNumerics; later ones read a class constant, set while the block
-    runs."""
+    """num, with LifshitzNumerics' class constant t_zero_nodes set to nodes
+    while the block runs."""
     if nodes is None:
         yield num
-    elif "t_zero_nodes" in LifshitzNumerics._fields:
-        yield LifshitzNumerics(rel_tol_quadrature=num.rel_tol_quadrature,
-                               rel_tol_series=num.rel_tol_series, t_zero_nodes=nodes)
     else:
         saved, LifshitzNumerics.t_zero_nodes = LifshitzNumerics.t_zero_nodes, nodes
         try:

@@ -32,9 +32,6 @@ PACKAGE = os.path.join(SRC, "casimirchip")
 SKIPS = {
     ("cli.py", "raise SystemExit(main())"):
         "only `python -m casimirchip.cli` runs it, in a child interpreter",
-    ("film.py", "t_step = 0.5 * (t_desc[e0 - 1] + t_desc[s1])"):
-        "extract_tc's fallback for a step with no mid-level crossing; "
-        "waits for its plateau rule to be stated in resistance and temperature",
 }
 
 
